@@ -25,6 +25,10 @@ __all__ = [
     "convolve_pair_at",
 ]
 
+#: float64 entries in one block matrix of a blocked row sum: fixed so the
+#: block matrices stay in cache and peak memory stays flat at any N and M
+BLOCK_ENTRIES = 16384
+
 
 def _linear_weights(nodes: np.ndarray, beta: float, singular_end: str) -> np.ndarray:
     """Weights w with sum_j w_j phi(s_j) = int w(s) phi(s) ds exact for
@@ -99,6 +103,14 @@ def product_weights(mesh: Mesh, i: int, beta: float, rule: str = "linear") -> np
     raise DomainError(f"unknown quadrature rule {rule!r}")
 
 
+def _row_blocks(n_rows: int, n_cols: int):
+    """Consecutive row slices covering n_rows rows, each block of n_cols
+    columns holding at most BLOCK_ENTRIES entries (at least one row)."""
+    step = max(1, BLOCK_ENTRIES // n_cols)
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
 def _default_panels(N: int) -> int:
     # couples the splitting resolution to the mesh so refinement studies
     # see both improve together
@@ -149,14 +161,34 @@ def convolve_weakly_singular(
     for i in range(1, mesh.N + 1):
         w = product_weights(mesh, i, beta, rule=rule)
         sm = kernel.smooth(nodes[i] - nodes[: i + 1])
-        out[i] = math.fsum(w * sm * phi.values[: i + 1])
+        out[i] = np.dot(w * sm, phi.values[: i + 1])
     return SampledFunction(mesh=mesh, values=out)
 
 
-def _half_rule(kernel: KernelSpec, M: int, r_ref: float) -> tuple[np.ndarray, np.ndarray, float]:
-    sigma = kernel.local_exponent
-    v, w = _reference_rule(sigma, M, r_ref)
-    return v, w, sigma
+def _pair_convolution(
+    K: KernelSpec, k: KernelSpec, t: np.ndarray, M: int, r_ref: float | None = None
+) -> np.ndarray:
+    """(K * k)(t_j) at every time of the flat array ``t`` (see
+    :func:`convolve_pair_at` for the quadrature).
+
+    For a block of times the integrands of a half form one matrix, so each
+    half costs one kernel call per factor and one matrix-vector product.
+    """
+    if r_ref is None:
+        r_ref = default_grading(K.sing_exponent, k.sing_exponent)
+    sig_k, sig_K = k.local_exponent, K.local_exponent
+    vL, wL = _reference_rule(sig_k, M, r_ref)
+    vR, wR = _reference_rule(sig_K, M, r_ref)
+    out = np.empty(len(t))
+    for rows in _row_blocks(len(t), M + 1):
+        tb = t[rows, None]
+        c = 0.5 * tb
+        sL = c * vL
+        sR = c * vR
+        left = (k.smooth(sL) * K.eval(tb - sL)) @ wL
+        right = (K.smooth(sR) * k.eval(tb - sR)) @ wR
+        out[rows] = c[:, 0] ** (1.0 - sig_k) * left + c[:, 0] ** (1.0 - sig_K) * right
+    return out
 
 
 def convolve_pair_at(
@@ -167,19 +199,11 @@ def convolve_pair_at(
     Each half scales a fixed graded reference rule on [0, 1]: the factor
     singular on that half supplies exact product weights, the other factor
     is evaluated on the scaled reference nodes and interpolated linearly.
+    This is the one-row case of :func:`convolve_pair`'s blocked sums.
     """
     if not 0.0 < t <= K.b * (1.0 + 1e-12):
         raise DomainError(f"t must lie in (0, {K.b!r}], got {t!r}")
-    if r_ref is None:
-        r_ref = default_grading(K.sing_exponent, k.sing_exponent)
-    vL, wL, sig_k = _half_rule(k, M, r_ref)
-    vR, wR, sig_K = _half_rule(K, M, r_ref)
-    c = 0.5 * t
-    sL = c * vL
-    left = c ** (1.0 - sig_k) * math.fsum(wL * k.smooth(sL) * K.eval(t - sL))
-    sR = c * vR
-    right = c ** (1.0 - sig_K) * math.fsum(wR * K.smooth(sR) * k.eval(t - sR))
-    return left + right
+    return float(_pair_convolution(K, k, np.array([float(t)]), M, r_ref)[0])
 
 
 def convolve_pair(
@@ -201,8 +225,6 @@ def convolve_pair(
         M = _default_panels(mesh.N)
     if M < 16:
         raise DomainError(f"need at least 16 panels per half, got {M}")
-    r_ref = default_grading(K.sing_exponent, k.sing_exponent)
     out = np.full(mesh.N + 1, np.nan)
-    for i in range(1, mesh.N + 1):
-        out[i] = convolve_pair_at(K, k, float(mesh.nodes[i]), M, r_ref)
+    out[1:] = _pair_convolution(K, k, mesh.nodes[1:], M)
     return SampledFunction(mesh=mesh, values=out)

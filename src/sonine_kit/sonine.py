@@ -22,7 +22,14 @@ import numpy as np
 from .errors import DomainError
 from .kernels import SoninePair
 from .mesh import Mesh, SampledFunction, default_grading
-from .quadrature import _linear_weights, _reference_rule, convolve_pair, convolve_pair_at
+from .quadrature import (
+    _default_panels,
+    _linear_weights,
+    _pair_convolution,
+    _reference_rule,
+    _row_blocks,
+    convolve_pair,
+)
 
 __all__ = [
     "EpsFit",
@@ -103,13 +110,8 @@ def _require_profile(pair: SoninePair) -> tuple:
 
 
 def _em1(af, alpha0: float, x: np.ndarray) -> np.ndarray:
-    """E(x) - 1 where E(x) = x^(alpha0 - alpha(x)), continuous with E(0) = 1."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = np.expm1((alpha0 - af.eval(xp)) * np.log(xp))
-    return out
+    """E(x) - 1 for x > 0, where E(x) = x^(alpha0 - alpha(x)) tends to 1 at 0."""
+    return np.expm1((alpha0 - af.eval(x)) * np.log(x))
 
 
 def _dE(af, alpha0: float, x: np.ndarray) -> np.ndarray:
@@ -122,6 +124,41 @@ def _dE(af, alpha0: float, x: np.ndarray) -> np.ndarray:
     lx = np.log(x)
     q = alpha0 - af.eval(x)
     return np.exp(q * lx) * (-af.deriv(x) * lx + q / x)
+
+
+def _substituted_integral(pair: SoninePair, t, M: int, fn, power: int) -> np.ndarray:
+    """(1/kappa) int_0^1 fn(t z) z^(power - alpha0) (1 - z)^(alpha0 - 1) dz
+    at every time of ``t``, raveled.
+
+    The integral is split at z = 1/2; on each half a graded reference rule
+    absorbs the endpoint singularity, and its weights times the rest of
+    the z-only factor make one weight vector. For a block of times the
+    values of fn form one matrix per half, summed by a matrix-vector
+    product.
+    """
+    af, alpha0 = _require_profile(pair)
+    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 16:
+        raise DomainError(f"need an integer panel count of at least 16, got {M!r}")
+    flat = np.ravel(np.asarray(t, dtype=float))
+    if np.any(~np.isfinite(flat)) or np.any(flat <= 0.0) or np.any(
+        flat > pair.b * (1.0 + 1e-12)
+    ):
+        raise DomainError(f"t must lie in (0, {pair.b!r}]")
+    r_ref = default_grading(alpha0, 1.0 - alpha0)
+    vL, wL = _reference_rule(alpha0, M, r_ref)
+    vR, wR = _reference_rule(1.0 - alpha0, M, r_ref)
+    c = 0.5
+    # z = 0 adds nothing (E(0) - 1 = 0 for g, the factor z vanishes for g'),
+    # so the left half skips it and fn only sees positive arguments
+    zL = c * vL[1:]  # z in (0, 1/2], singular weight z^(-alpha0)
+    zR = 1.0 - c * vR  # z in [1/2, 1], singular weight (1 - z)^(alpha0 - 1)
+    wl = c ** (1.0 - alpha0) * wL[1:] * zL**power * (1.0 - zL) ** (alpha0 - 1.0)
+    wr = c**alpha0 * wR * zR ** (power - alpha0)
+    out = np.empty(len(flat))
+    for rows in _row_blocks(len(flat), M + 1):
+        tb = flat[rows, None]
+        out[rows] = fn(af, alpha0, tb * zL) @ wl + fn(af, alpha0, tb * zR) @ wr
+    return out / pair.kappa
 
 
 def compute_g_substituted(pair: SoninePair, t, M: int = 256):
@@ -138,56 +175,15 @@ def compute_g_substituted(pair: SoninePair, t, M: int = 256):
     ``t`` may be a scalar or an array inside (0, b]; the result matches
     its shape.
     """
-    af, alpha0 = _require_profile(pair)
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 16:
-        raise DomainError(f"need an integer panel count of at least 16, got {M!r}")
     t_arr = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(t_arr)
-    if np.any(~np.isfinite(flat)) or np.any(flat <= 0.0) or np.any(
-        flat > pair.b * (1.0 + 1e-12)
-    ):
-        raise DomainError(f"t must lie in (0, {pair.b!r}]")
-    r_ref = default_grading(alpha0, 1.0 - alpha0)
-    vL, wL = _reference_rule(alpha0, M, r_ref)
-    vR, wR = _reference_rule(1.0 - alpha0, M, r_ref)
-    c = 0.5
-    zL = c * vL  # z in [0, 1/2], singular weight z^(-alpha0)
-    zR = 1.0 - c * vR  # z in [1/2, 1], singular weight (1 - z)^(alpha0 - 1)
-    base_l = (1.0 - zL) ** (alpha0 - 1.0)
-    base_r = zR ** (-alpha0)
-    out = np.empty_like(flat)
-    for idx, ti in enumerate(flat):
-        left = c ** (1.0 - alpha0) * math.fsum(wL * _em1(af, alpha0, ti * zL) * base_l)
-        right = c**alpha0 * math.fsum(wR * _em1(af, alpha0, ti * zR) * base_r)
-        out[idx] = 1.0 + (left + right) / pair.kappa
+    out = 1.0 + _substituted_integral(pair, t_arr, M, _em1, 0)
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
-    """g' at strictly positive times, by differentiating under the integral."""
-    af, alpha0 = _require_profile(pair)
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 16:
-        raise DomainError(f"need an integer panel count of at least 16, got {M!r}")
-    if np.any(~np.isfinite(flat)) or np.any(flat <= 0.0) or np.any(
-        flat > pair.b * (1.0 + 1e-12)
-    ):
-        raise DomainError(f"t must lie in (0, {pair.b!r}]")
-    r_ref = default_grading(alpha0, 1.0 - alpha0)
-    vL, wL = _reference_rule(alpha0, M, r_ref)
-    vR, wR = _reference_rule(1.0 - alpha0, M, r_ref)
-    c = 0.5
-    zL = c * vL
-    zR = 1.0 - c * vR
-    base_l = zL * (1.0 - zL) ** (alpha0 - 1.0)  # extra z from d/dt E(t z)
-    base_r = zR ** (1.0 - alpha0)
-    out = np.empty_like(flat)
-    for idx, ti in enumerate(flat):
-        phi_l = np.zeros_like(zL)
-        phi_l[1:] = _dE(af, alpha0, ti * zL[1:]) * base_l[1:]  # z = 0 contributes 0
-        left = c ** (1.0 - alpha0) * math.fsum(wL * phi_l)
-        right = c**alpha0 * math.fsum(wR * _dE(af, alpha0, ti * zR) * base_r)
-        out[idx] = (left + right) / pair.kappa
-    return out
+    """g' at strictly positive times, by differentiating under the integral:
+    d/dt E(t z) = z E'(t z)."""
+    return _substituted_integral(pair, flat, M, _dE, 1)
 
 
 def estimate_gprime(pair: SoninePair, mesh: Mesh, M: int = 256) -> SampledFunction:
@@ -297,7 +293,7 @@ def check_gsc(
     sc_residual = float(np.max(np.abs(g.values[1:] - 1.0)))
 
     has_profile = pair.exponent is not None
-    m_used = M if M is not None else max(32, mesh.N // 2)
+    m_used = M if M is not None else _default_panels(mesh.N)
 
     if has_profile:
         route_diff = float(
@@ -314,9 +310,7 @@ def check_gsc(
     elif has_profile:
         g_geo = compute_g_substituted(pair, t_geo, M=m_used)
     else:
-        g_geo = np.array(
-            [convolve_pair_at(pair.K, pair.k, ti, m_used) for ti in t_geo]
-        )
+        g_geo = _pair_convolution(pair.K, pair.k, t_geo, m_used)
     g0 = estimate_g0(zip(t_geo, g_geo))
     g0_defect = abs(g0 - 1.0)
 

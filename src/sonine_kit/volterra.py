@@ -214,7 +214,7 @@ def solve_second_kind(
                 f"near-singular step at node {i}: 1 + w g' = {diag!r}"
             )
         lo = 1 if fold else 0
-        acc = math.fsum(coeff[lo:i] * u[lo:i])
+        acc = np.dot(coeff[lo:i], u[lo:i])
         u[i] = (F.values[i] - acc) / diag
     return SampledFunction(mesh=mesh, values=u)
 
@@ -239,7 +239,7 @@ def _second_kind_residual(
             coeff[1] += coeff[0]
             coeff[0] = 0.0
         lo = 1 if fold else 0
-        r = math.fsum(coeff[lo : i + 1] * u.values[lo : i + 1]) + u.values[i] - F.values[i]
+        r = np.dot(coeff[lo : i + 1], u.values[lo : i + 1]) + u.values[i] - F.values[i]
         scale = max(1.0, abs(F.values[i]), abs(u.values[i]))
         worst = max(worst, abs(r) / scale)
     return worst

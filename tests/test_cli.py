@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sonine_kit
 from sonine_kit import DomainError, graded_mesh, parse_config
 from sonine_kit.cli import TOL_DEFAULTS, main
 
@@ -316,11 +319,15 @@ class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         cfg_path = _write(tmp_path, _doc("verify-pair", N=64))
         out = tmp_path / "v.csv"
+        # the child imports the same sonine_kit as this process, installed or not
+        src = str(Path(sonine_kit.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "sonine_kit.cli", "verify-pair",
              "--config", cfg_path, "--out", str(out)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert out.exists()

@@ -43,12 +43,14 @@ from .sonine import (
 from .volterra import (
     RhsSpec,
     SolveReport,
+    StabilityReport,
     assemble_rhs,
     classical_solution,
     discover_associate,
     solve_first_kind,
     solve_second_kind,
     stability_probe,
+    stability_report,
 )
 from .cli import JobConfig, parse_config
 
@@ -85,12 +87,14 @@ __all__ = [
     "estimate_gprime",
     "RhsSpec",
     "SolveReport",
+    "StabilityReport",
     "assemble_rhs",
     "classical_solution",
     "discover_associate",
     "solve_first_kind",
     "solve_second_kind",
     "stability_probe",
+    "stability_report",
     "JobConfig",
     "parse_config",
     "__version__",

@@ -3,8 +3,8 @@
 One job per invocation: ``sonine-kit <command> --config <path> [--out
 <path>] [--format csv|json]``. The config is a single JSON document; all
 outputs are deterministic data tables (CSV with a header row, or a flat
-JSON object), with a one-line summary on stdout and diagnostics on
-stderr. Exit status: 0 pass, 1 error, 2 tolerance failure.
+JSON object), with a one-line summary on stdout and errors on stderr.
+Exit status: 0 pass, 1 error, 2 tolerance failure.
 """
 
 from __future__ import annotations
@@ -19,20 +19,19 @@ import numpy as np
 
 from .errors import DomainError, GscConditionError, IllConditionedSystemError
 from .kernels import (
-    KernelSpec,
     SoninePair,
     affine_exponent,
     make_classical_abel_pair,
     make_variable_exponent_pair,
 )
-from .mesh import SampledFunction, graded_mesh
-from .quadrature import convolve_pair, convolve_weakly_singular
-from .sonine import check_gsc, compute_g_substituted
+from .mesh import graded_mesh
+from .sonine import check_gsc, compute_g_substituted, convolve_pair
 from .volterra import (
     RhsSpec,
     classical_solution,
     discover_associate,
     solve_first_kind,
+    stability_report,
 )
 
 __all__ = ["JobConfig", "parse_config", "run", "main"]
@@ -253,18 +252,6 @@ def _emit(cfg: JobConfig, columns: list[str], rows: list[list[float]], extra: di
     return path
 
 
-def _nodewise_condition_residual(
-    k: KernelSpec, u_values: np.ndarray, mesh, M: int | None
-) -> np.ndarray:
-    """(u * k)(t_i) - 1 at interior nodes, via the doubly singular route."""
-    u_sf = SampledFunction(mesh=mesh, values=u_values)
-    if np.isfinite(u_values[0]):
-        conv = convolve_weakly_singular(k, u_sf, mesh)
-    else:
-        conv = convolve_pair(KernelSpec.from_samples(u_sf), k, mesh, M=M)
-    return conv.values[1:] - 1.0
-
-
 def _run_verify_pair(cfg: JobConfig) -> tuple[int, str]:
     pair = _build_pair(cfg.kernel)
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
@@ -336,10 +323,9 @@ def _run_discover(cfg: JobConfig) -> tuple[int, str]:
     pair = _build_pair(cfg.kernel)
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     report = discover_associate(pair.k, pair.K, mesh)
-    per_node = _nodewise_condition_residual(pair.k, report.u.values, mesh, None)
     rows = [
-        [t, u, rr]
-        for t, u, rr in zip(mesh.nodes[1:], report.u.values[1:], per_node)
+        [t, u, ku - 1.0]
+        for t, u, ku in zip(mesh.nodes[1:], report.u.values[1:], report.ku.values[1:])
     ]
     extra = {
         "sc_residual_of_u": report.sc_residual_of_u,
@@ -426,25 +412,15 @@ def _run_stability(cfg: JobConfig) -> tuple[int, str]:
     pair = _build_pair(cfg.kernel)
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     rhs = RhsSpec.from_polynomial(cfg.rhs_coeffs)
-    delta = cfg.tolerances["delta"]
-    report = check_gsc(pair, mesh)
-    shifted = RhsSpec.from_polynomial(
-        (cfg.rhs_coeffs[0] + delta,) + cfg.rhs_coeffs[1:]
-    )
-    base = solve_first_kind(pair, rhs, mesh, gsc=report)
-    moved = solve_first_kind(pair, shifted, mesh, gsc=report)
-    du = np.abs(moved.u.values[1:] - base.u.values[1:])
-    dF = np.abs(moved.F.values[1:] - base.F.values[1:])
-    max_shift = float(np.max(du))
-    bound = math.exp(report.gprime_l1) * float(np.max(dF))
-    rows = [[delta, max_shift, report.gprime_l1, bound]]
-    extra = {"holds": bool(max_shift <= bound * (1.0 + 1e-12))}
+    report = stability_report(pair, rhs, cfg.tolerances["delta"], mesh)
+    rows = [[report.delta, report.max_shift, report.gprime_l1, report.bound]]
+    extra = {"holds": report.holds}
     path = _emit(cfg, ["delta", "max_shift", "gprime_l1", "bound"], rows, extra)
     print(
-        f"max_shift={_fmt(max_shift)} bound={_fmt(bound)} "
-        f"holds={str(extra['holds']).lower()} -> {path}"
+        f"max_shift={_fmt(report.max_shift)} bound={_fmt(report.bound)} "
+        f"holds={str(report.holds).lower()} -> {path}"
     )
-    return (0 if extra["holds"] else 2), path
+    return (0 if report.holds else 2), path
 
 
 _DISPATCH = {

@@ -103,12 +103,27 @@ def product_weights(mesh: Mesh, i: int, beta: float, rule: str = "linear") -> np
     raise DomainError(f"unknown quadrature rule {rule!r}")
 
 
+def _product_rows(nodes: np.ndarray, beta: float, weights, factor):
+    """Rows i = 1..N of the product-integration operator on nodes t_0..t_N:
+    yields (i, row), row_j = w_ij * factor(t_i - t_j), with w_i the weights
+    of :func:`product_weights` for node i from the rule ``weights``. The
+    caller checks beta once; beta = 1 is the bounded (trapezoid) limit."""
+    for i in range(1, len(nodes)):
+        yield i, weights(nodes[: i + 1], beta, "right") * factor(nodes[i] - nodes[: i + 1])
+
+
 def _row_blocks(n_rows: int, n_cols: int):
     """Consecutive row slices covering n_rows rows, each block of n_cols
     columns holding at most BLOCK_ENTRIES entries (at least one row)."""
     step = max(1, BLOCK_ENTRIES // n_cols)
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
+
+
+def _check_panels(M) -> None:
+    """Refuse a panel count per half that is not an integer >= 16."""
+    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 16:
+        raise DomainError(f"need an integer panel count of at least 16, got {M!r}")
 
 
 def _default_panels(N: int) -> int:
@@ -155,13 +170,10 @@ def convolve_weakly_singular(
         raise DomainError(
             f"kernel singularity order {kernel.local_exponent!r} leaves (0, 1)"
         )
-    rule = "linear" if phi.interp == "piecewise_linear" else "constant_left"
-    nodes = mesh.nodes
+    weights = _linear_weights if phi.interp == "piecewise_linear" else _constant_left_weights
     out = np.zeros(mesh.N + 1)
-    for i in range(1, mesh.N + 1):
-        w = product_weights(mesh, i, beta, rule=rule)
-        sm = kernel.smooth(nodes[i] - nodes[: i + 1])
-        out[i] = np.dot(w * sm, phi.values[: i + 1])
+    for i, row in _product_rows(mesh.nodes, beta, weights, kernel.smooth):
+        out[i] = np.dot(row, phi.values[: i + 1])
     return SampledFunction(mesh=mesh, values=out)
 
 
@@ -203,6 +215,7 @@ def convolve_pair_at(
     """
     if not 0.0 < t <= K.b * (1.0 + 1e-12):
         raise DomainError(f"t must lie in (0, {K.b!r}], got {t!r}")
+    _check_panels(M)
     return float(_pair_convolution(K, k, np.array([float(t)]), M, r_ref)[0])
 
 
@@ -223,8 +236,7 @@ def convolve_pair(
         )
     if M is None:
         M = _default_panels(mesh.N)
-    if M < 16:
-        raise DomainError(f"need at least 16 panels per half, got {M}")
+    _check_panels(M)
     out = np.full(mesh.N + 1, np.nan)
     out[1:] = _pair_convolution(K, k, mesh.nodes[1:], M)
     return SampledFunction(mesh=mesh, values=out)

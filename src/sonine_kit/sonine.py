@@ -1,8 +1,9 @@
 """Generalized Sonine condition: computing g = K * k and checking it.
 
 Two independent routes to g exist for variable-exponent pairs: the direct
-double-singular convolution (:func:`sonine_kit.quadrature.convolve_pair`)
-and a substituted single-integral form implemented here, obtained by
+double-singular convolution (:func:`sonine_kit.quadrature.convolve_pair`,
+re-exported here so callers take both routes from this module) and a
+substituted single-integral form implemented here, obtained by
 rescaling the convolution to a fixed reference interval. Their agreement
 is reported as ``route_diff`` and is itself a correctness check.
 
@@ -23,6 +24,7 @@ from .errors import DomainError
 from .kernels import SoninePair
 from .mesh import Mesh, SampledFunction, default_grading
 from .quadrature import (
+    _check_panels,
     _default_panels,
     _linear_weights,
     _pair_convolution,
@@ -38,6 +40,7 @@ __all__ = [
     "estimate_gprime",
     "estimate_g0",
     "check_gsc",
+    "convolve_pair",
 ]
 
 #: default tolerance on |g(0) - 1| for the overall verdict
@@ -137,8 +140,7 @@ def _substituted_integral(pair: SoninePair, t, M: int, fn, power: int) -> np.nda
     product.
     """
     af, alpha0 = _require_profile(pair)
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 16:
-        raise DomainError(f"need an integer panel count of at least 16, got {M!r}")
+    _check_panels(M)
     flat = np.ravel(np.asarray(t, dtype=float))
     if np.any(~np.isfinite(flat)) or np.any(flat <= 0.0) or np.any(
         flat > pair.b * (1.0 + 1e-12)

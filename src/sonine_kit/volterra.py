@@ -14,7 +14,8 @@ associate of k whenever the generalized condition holds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -22,17 +23,19 @@ import numpy as np
 from .errors import DomainError, GscConditionError, IllConditionedSystemError
 from .kernels import KernelSpec, SoninePair, gamma, kappa
 from .mesh import Mesh, SampledFunction
-from .quadrature import _linear_weights, convolve_pair, convolve_weakly_singular
+from .quadrature import _linear_weights, _product_rows, convolve_pair, convolve_weakly_singular
 from .sonine import GscReport, check_gsc
 
 __all__ = [
     "RhsSpec",
     "SolveReport",
+    "StabilityReport",
     "assemble_rhs",
     "solve_second_kind",
     "solve_first_kind",
     "discover_associate",
     "stability_probe",
+    "stability_report",
     "classical_solution",
 ]
 
@@ -133,7 +136,9 @@ class SolveReport:
     triangular system (should sit at roundoff); ``residual_first_kind``
     pushes u back through the original convolution and compares with f,
     excluding the first two interior nodes where interpolating a singular
-    u is least accurate. ``sc_residual_of_u`` is set only by
+    u is least accurate. ``ku`` holds the node samples of that push-back,
+    k * u (0 at t_0 for a bounded u, NaN for an unbounded one).
+    ``sc_residual_of_u`` is set only by
     :func:`discover_associate`.
     """
 
@@ -143,7 +148,24 @@ class SolveReport:
     residual_second_kind: float
     mesh: Mesh
     gprime_l1: float
+    ku: SampledFunction
     sc_residual_of_u: float | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class StabilityReport:
+    """Outcome of one data-shift probe (:func:`stability_report`).
+
+    ``max_shift`` is max |du| over interior nodes under f -> f + delta;
+    ``bound`` is the discrete Gronwall budget exp(gprime_l1) * max |dF|;
+    ``holds`` says max_shift <= bound up to a relative 1e-12.
+    """
+
+    delta: float
+    max_shift: float
+    gprime_l1: float
+    bound: float
+    holds: bool
 
 
 def assemble_rhs(K: KernelSpec, rhs: RhsSpec, mesh: Mesh) -> SampledFunction:
@@ -161,24 +183,6 @@ def assemble_rhs(K: KernelSpec, rhs: RhsSpec, mesh: Mesh) -> SampledFunction:
     return SampledFunction(mesh=mesh, values=F)
 
 
-def _second_kind_bounded_factor(
-    gprime: SampledFunction, eps: float, nodes: np.ndarray
-) -> np.ndarray:
-    """Node samples of m(tau) = g'(tau) tau^eps, the bounded factor."""
-    m = np.empty(len(nodes))
-    m[1:] = gprime.values[1:] * nodes[1:] ** eps
-    if eps > 0.0:
-        m[0] = 0.0  # tau^eps kills the fitted blow-up at 0
-    elif np.isfinite(gprime.values[0]):
-        m[0] = gprime.values[0]
-    else:
-        # eps = 0 with g' unsampled at 0: extend linearly from the first panel
-        m[0] = m[1] - nodes[1] * (m[2] - m[1]) / (nodes[2] - nodes[1])
-    if not np.all(np.isfinite(m)):
-        raise DomainError("g' samples must be finite at interior nodes")
-    return m
-
-
 def solve_second_kind(
     gprime: SampledFunction, F: SampledFunction, mesh: Mesh, eps: float = 0.0
 ) -> SampledFunction:
@@ -191,20 +195,39 @@ def solve_second_kind(
     as a limit convention; when F(t_0) is undefined the first panel's
     mass is folded onto node 1 instead of touching the undefined value.
     """
+    return _forward_sweep(gprime, F, mesh, eps)[0]
+
+
+def _forward_sweep(
+    gprime: SampledFunction, F: SampledFunction, mesh: Mesh, eps: float
+) -> tuple[SampledFunction, float]:
+    """:func:`solve_second_kind`'s u, and the relative row residual of the
+    discrete system, taken from each coefficient row right after u_i is set."""
     if not (gprime.mesh.same_nodes(mesh) and F.mesh.same_nodes(mesh)):
         raise DomainError("g' and F must be sampled on the solve mesh")
     if not (math.isfinite(eps) and 0.0 <= eps <= EPS_CLIP_MAX):
         raise DomainError(f"eps must lie in [0, {EPS_CLIP_MAX}], got {eps!r}")
     nodes = mesh.nodes
-    n = mesh.N
-    m = _second_kind_bounded_factor(gprime, eps, nodes)
-    u = np.empty(n + 1)
-    u[0] = F.values[0]
-    fold = not np.isfinite(F.values[0])
-    beta = 1.0 - eps
-    for i in range(1, n + 1):
-        w = _linear_weights(nodes[: i + 1], beta, "right")
-        coeff = w * np.interp(nodes[i] - nodes[: i + 1], nodes, m)
+    # node samples of the bounded factor m(tau) = g'(tau) tau^eps
+    m = np.empty(len(nodes))
+    m[1:] = gprime.values[1:] * nodes[1:] ** eps
+    if eps > 0.0:
+        m[0] = 0.0  # tau^eps kills the fitted blow-up at 0
+    elif np.isfinite(gprime.values[0]):
+        m[0] = gprime.values[0]
+    else:
+        # eps = 0 with g' unsampled at 0: extend linearly from the first panel
+        m[0] = m[1] - nodes[1] * (m[2] - m[1]) / (nodes[2] - nodes[1])
+    if not np.all(np.isfinite(m)):
+        raise DomainError("g' samples must be finite at interior nodes")
+    f = F.values
+    u = np.empty(mesh.N + 1)
+    u[0] = f[0]
+    fold = not np.isfinite(f[0])
+    lo = 1 if fold else 0
+    worst = 0.0
+    m_at = partial(np.interp, xp=nodes, fp=m)
+    for i, coeff in _product_rows(nodes, 1.0 - eps, _linear_weights, m_at):
         if fold:
             coeff[1] += coeff[0]
             coeff[0] = 0.0
@@ -213,42 +236,17 @@ def solve_second_kind(
             raise IllConditionedSystemError(
                 f"near-singular step at node {i}: 1 + w g' = {diag!r}"
             )
-        lo = 1 if fold else 0
-        acc = np.dot(coeff[lo:i], u[lo:i])
-        u[i] = (F.values[i] - acc) / diag
-    return SampledFunction(mesh=mesh, values=u)
-
-
-def _second_kind_residual(
-    gprime: SampledFunction,
-    F: SampledFunction,
-    mesh: Mesh,
-    eps: float,
-    u: SampledFunction,
-) -> float:
-    """Relative row residual of the discrete second-kind system."""
-    nodes = mesh.nodes
-    m = _second_kind_bounded_factor(gprime, eps, nodes)
-    fold = not np.isfinite(F.values[0])
-    beta = 1.0 - eps
-    worst = 0.0
-    for i in range(1, mesh.N + 1):
-        w = _linear_weights(nodes[: i + 1], beta, "right")
-        coeff = w * np.interp(nodes[i] - nodes[: i + 1], nodes, m)
-        if fold:
-            coeff[1] += coeff[0]
-            coeff[0] = 0.0
-        lo = 1 if fold else 0
-        r = np.dot(coeff[lo : i + 1], u.values[lo : i + 1]) + u.values[i] - F.values[i]
-        scale = max(1.0, abs(F.values[i]), abs(u.values[i]))
-        worst = max(worst, abs(r) / scale)
-    return worst
+        u[i] = (f[i] - np.dot(coeff[lo:i], u[lo:i])) / diag
+        r = np.dot(coeff[lo : i + 1], u[lo : i + 1]) + u[i] - f[i]
+        worst = max(worst, abs(r) / max(1.0, abs(f[i]), abs(u[i])))
+    return SampledFunction(mesh=mesh, values=u), worst
 
 
 def _first_kind_residual(
     k: KernelSpec, u: SampledFunction, rhs: RhsSpec, mesh: Mesh, M: int | None
-) -> float:
-    """max |(k * u)(t_i) - f(t_i)| over nodes i >= RESID_FIRST_INDEX.
+) -> tuple[float, SampledFunction]:
+    """max |(k * u)(t_i) - f(t_i)| over nodes i >= RESID_FIRST_INDEX, and
+    the node samples of k * u.
 
     A u that is finite at t_0 convolves directly; an unbounded u is
     wrapped as a tabulated singular kernel so its blow-up is integrated
@@ -261,7 +259,7 @@ def _first_kind_residual(
         ku = convolve_pair(u_tab, k, mesh, M=M)
     i0 = min(RESID_FIRST_INDEX, mesh.N)
     f_nodes = rhs.eval(mesh.nodes[i0:])
-    return float(np.max(np.abs(ku.values[i0:] - f_nodes)))
+    return float(np.max(np.abs(ku.values[i0:] - f_nodes))), ku
 
 
 def solve_first_kind(
@@ -288,9 +286,8 @@ def solve_first_kind(
     rhs.validate(pair.b)
     F = assemble_rhs(pair.K, rhs, mesh)
     eps = float(np.clip(report.eps_fit.eps, 0.0, EPS_CLIP_MAX))
-    u = solve_second_kind(report.gprime, F, mesh, eps=eps)
-    r2 = _second_kind_residual(report.gprime, F, mesh, eps, u)
-    r1 = _first_kind_residual(pair.k, u, rhs, mesh, M)
+    u, r2 = _forward_sweep(report.gprime, F, mesh, eps)
+    r1, ku = _first_kind_residual(pair.k, u, rhs, mesh, M)
     return SolveReport(
         u=u,
         F=F,
@@ -298,6 +295,7 @@ def solve_first_kind(
         residual_second_kind=r2,
         mesh=mesh,
         gprime_l1=report.gprime_l1,
+        ku=ku,
     )
 
 
@@ -329,24 +327,15 @@ def discover_associate(k: KernelSpec, Kg: KernelSpec, mesh: Mesh) -> SolveReport
         exponent=k.exponent,
     )
     report = solve_first_kind(pair, _constant_rhs(1.0), mesh)
-    return SolveReport(
-        u=report.u,
-        F=report.F,
-        residual_first_kind=report.residual_first_kind,
-        residual_second_kind=report.residual_second_kind,
-        mesh=report.mesh,
-        gprime_l1=report.gprime_l1,
-        sc_residual_of_u=report.residual_first_kind,
-    )
+    return replace(report, sc_residual_of_u=report.residual_first_kind)
 
 
-def stability_probe(pair: SoninePair, rhs: RhsSpec, delta: float, mesh: Mesh) -> float:
-    """Max node change of u under a constant shift f -> f + delta.
-
-    Both solves share one condition report, so the probe isolates the
-    data perturbation. The result obeys the discrete Gronwall budget
-    max |du| <= exp(gprime_l1) * max |dF|.
-    """
+def stability_report(
+    pair: SoninePair, rhs: RhsSpec, delta: float, mesh: Mesh
+) -> StabilityReport:
+    """Probe u under a constant data shift f -> f + delta and measure the
+    shift against its Gronwall budget. Both solves share one condition
+    report, so the probe isolates the data perturbation."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise DomainError(f"delta must be a small positive number, got {delta!r}")
     report = check_gsc(pair, mesh)
@@ -357,7 +346,22 @@ def stability_probe(pair: SoninePair, rhs: RhsSpec, delta: float, mesh: Mesh) ->
     )
     base = solve_first_kind(pair, rhs, mesh, gsc=report)
     moved = solve_first_kind(pair, shifted, mesh, gsc=report)
-    return float(np.max(np.abs(moved.u.values[1:] - base.u.values[1:])))
+    max_shift = float(np.max(np.abs(moved.u.values[1:] - base.u.values[1:])))
+    max_dF = float(np.max(np.abs(moved.F.values[1:] - base.F.values[1:])))
+    bound = math.exp(report.gprime_l1) * max_dF
+    return StabilityReport(
+        delta=delta,
+        max_shift=max_shift,
+        gprime_l1=report.gprime_l1,
+        bound=bound,
+        holds=bool(max_shift <= bound * (1.0 + 1e-12)),
+    )
+
+
+def stability_probe(pair: SoninePair, rhs: RhsSpec, delta: float, mesh: Mesh) -> float:
+    """Max node change of u under a constant shift f -> f + delta, the
+    ``max_shift`` of :func:`stability_report`."""
+    return stability_report(pair, rhs, delta, mesh).max_shift
 
 
 def classical_solution(alpha: float, coeffs, t):

@@ -14,8 +14,19 @@ import numpy as np
 import pytest
 
 import sonine_kit
-from sonine_kit import DomainError, graded_mesh, parse_config
+from sonine_kit import (
+    DomainError,
+    RhsSpec,
+    affine_exponent,
+    discover_associate,
+    graded_mesh,
+    make_classical_abel_pair,
+    make_variable_exponent_pair,
+    parse_config,
+    stability_report,
+)
 from sonine_kit.cli import TOL_DEFAULTS, main
+from sonine_kit.volterra import RESID_FIRST_INDEX
 
 
 def _doc(command="verify-pair", *, kernel=None, N=128, r=2.0, **extra):
@@ -271,6 +282,53 @@ class TestCommands:
         assert lines[0] == "delta,max_shift,gprime_l1,bound"
         row = [float(v) for v in lines[1].split(",")]
         assert row[1] <= row[3] * (1.0 + 1e-12)
+
+
+class TestLibraryFolds:
+    """discover and stability emit library reports; the CLI only formats."""
+
+    PAIRS = {
+        "classical": (
+            {"kind": "classical", "alpha": 0.5, "b": 1.0},
+            lambda: make_classical_abel_pair(0.5, 1.0),
+        ),
+        "variable": (VARIABLE_KERNEL, lambda: make_variable_exponent_pair(
+            affine_exponent(0.5, 0.2, 0.5), 0.5)),
+    }
+
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_discover_column_is_report_ku(self, which, tmp_path, capsys):
+        kernel, make = self.PAIRS[which]
+        cfg_path = _write(tmp_path, _doc("discover", kernel=kernel))
+        out = tmp_path / "d.csv"
+        assert main(["discover", "--config", cfg_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        column = np.array(
+            [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+        )
+        pair = make()
+        report = discover_associate(pair.k, pair.K, graded_mesh(128, 2.0, pair.b))
+        np.testing.assert_array_equal(column, report.ku.values[1:] - 1.0)
+        tail = np.max(np.abs(column[RESID_FIRST_INDEX - 1 :]))
+        assert tail == report.sc_residual_of_u
+
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_stability_row_is_report(self, which, tmp_path, capsys):
+        kernel, make = self.PAIRS[which]
+        cfg_path = _write(tmp_path, _doc("stability", kernel=kernel))
+        out = tmp_path / "s.json"
+        args = ["stability", "--config", cfg_path, "--out", str(out), "--format", "json"]
+        assert main(args) == 0
+        capsys.readouterr()
+        record = json.loads(out.read_text())
+        pair = make()
+        report = stability_report(
+            pair, RhsSpec.from_polynomial([0.0, 1.0]), TOL_DEFAULTS["delta"],
+            graded_mesh(128, 2.0, pair.b),
+        )
+        for name in ("delta", "max_shift", "gprime_l1", "bound"):
+            assert record[name] == [getattr(report, name)]
+        assert record["holds"] is report.holds is True
 
 
 class TestCliErrors:

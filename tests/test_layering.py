@@ -1,0 +1,82 @@
+"""Layering guard: the CLI parses, dispatches and formats.
+
+``cli.py`` may call the pipeline modules' public functions but may not
+reach into the quadrature layer or into another module's private names,
+which is how copies of library pipelines end up in the front end.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sonine_kit.cli
+
+FORBIDDEN_MODULES = {"quadrature"}
+
+
+def _layering_violations(source: str) -> list[str]:
+    """Imports of the quadrature module or of ``_``-prefixed names from a
+    sibling module, and ``module._name`` accesses through an imported name."""
+    tree = ast.parse(source)
+    found = []
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+                target = module if node.module else alias.name
+                if target in FORBIDDEN_MODULES:
+                    found.append(f"line {node.lineno}: imports from {target}")
+                elif alias.name.startswith("_"):
+                    found.append(f"line {node.lineno}: imports private {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).partition(".")[0])
+                if alias.name.rpartition(".")[2] in FORBIDDEN_MODULES:
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            found.append(f"line {node.lineno}: uses private {node.value.id}.{node.attr}")
+    return found
+
+
+def test_cli_stays_a_front_end():
+    source = Path(sonine_kit.cli.__file__).read_text()
+    assert _layering_violations(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .quadrature import convolve_pair",
+        "from sonine_kit.quadrature import product_weights",
+        "from . import quadrature",
+        "import sonine_kit.quadrature",
+        "from .volterra import _forward_sweep",
+        "from . import volterra\nvolterra._forward_sweep",
+        "import numpy as np\nnp._NoValue",
+    ],
+)
+def test_guard_catches_violations(source):
+    assert _layering_violations(source)
+
+
+def test_guard_allows_public_pipeline_calls():
+    source = (
+        "from __future__ import annotations\n"
+        "from .sonine import check_gsc\n"
+        "from .volterra import stability_report\n"
+        "import numpy as np\n"
+        "np.max(check_gsc.__name__)\n"
+    )
+    assert _layering_violations(source) == []

@@ -24,6 +24,7 @@ from sonine_kit import (
     make_variable_exponent_pair,
     affine_exponent,
     power_kernel,
+    product_weights,
     solve_first_kind,
     solve_second_kind,
     stability_probe,
@@ -196,6 +197,57 @@ class TestSolveFirstKind:
             residuals.append(rep.residual_first_kind)
         assert residuals[1] <= residuals[0] / 1.5
         assert residuals[2] <= residuals[1] / 1.5
+
+
+def _second_kind_row_residual(report, gsc, mesh):
+    """Max relative row residual of the discrete second-kind system for the
+    report's u, with the system rebuilt from public weights.
+
+    Row i reads sum_j w_ij m(t_i - t_j) u_j + u_i = F_i, where w_i are the
+    product weights of the lag power tau^(-eps) (trapezoid weights when
+    eps = 0) and m(tau) = g'(tau) tau^eps is interpolated linearly at the
+    lags. When F(t_0) is undefined, the coefficient of u_0 is folded onto
+    u_1.
+    """
+    nodes, u, F = mesh.nodes, report.u.values, report.F.values
+    eps = float(np.clip(gsc.eps_fit.eps, 0.0, 0.95))
+    m = np.empty(mesh.N + 1)
+    m[1:] = gsc.gprime.values[1:] * nodes[1:] ** eps
+    m[0] = 0.0 if eps > 0.0 else gsc.gprime.values[0]
+    assert np.all(np.isfinite(m))
+    fold = not np.isfinite(F[0])
+    worst = 0.0
+    for i in range(1, mesh.N + 1):
+        if eps > 0.0:
+            w = product_weights(mesh, i, 1.0 - eps)
+        else:
+            h = np.diff(nodes[: i + 1])
+            w = np.concatenate(([0.0], h)) / 2.0 + np.concatenate((h, [0.0])) / 2.0
+        row = w * np.interp(nodes[i] - nodes[: i + 1], nodes, m)
+        if fold:
+            row[1] += row[0]
+            row[0] = 0.0
+        lo = 1 if fold else 0
+        r = math.fsum(row[lo:] * u[lo : i + 1]) + u[i] - F[i]
+        worst = max(worst, abs(r) / max(1.0, abs(F[i]), abs(u[i])))
+    return worst
+
+
+class TestSecondKindResidual:
+    """residual_second_kind comes from the forward-substitution sweep
+    itself; it must be the row residual of an independently built system."""
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [1.0, 0.5]], ids=["f0=0", "f0=1"])
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_matches_independent_system(self, which, coeffs, classical_half, pair_a):
+        pair = classical_half if which == "classical" else pair_a
+        mesh = graded_mesh(128, 2.0, pair.b)
+        gsc = check_gsc(pair, mesh)
+        report = solve_first_kind(pair, RhsSpec.from_polynomial(coeffs), mesh, gsc=gsc)
+        assert np.isfinite(report.F.values[0]) == (coeffs[0] == 0.0)
+        want = _second_kind_row_residual(report, gsc, mesh)
+        assert want <= 1e-13  # u solves the rebuilt system to roundoff
+        assert abs(report.residual_second_kind - want) <= 1e-15
 
 
 class TestDiscoverAssociate:

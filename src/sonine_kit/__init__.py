@@ -11,6 +11,8 @@ The package answers three questions about a kernel pair (k, K):
    (:func:`discover_associate`, the f = 1 solve)?
 """
 
+import importlib
+
 from .errors import DomainError, GscConditionError, IllConditionedSystemError
 from .kernels import (
     ExponentFunction,
@@ -52,7 +54,6 @@ from .volterra import (
     stability_probe,
     stability_report,
 )
-from .cli import JobConfig, parse_config
 
 __version__ = "0.1.0"
 
@@ -99,3 +100,12 @@ __all__ = [
     "parse_config",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the CLI module loads on first use, so that ``python -m sonine_kit.cli``
+    # does not find it imported already
+    if name in ("cli", "JobConfig", "parse_config"):
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

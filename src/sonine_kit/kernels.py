@@ -217,13 +217,17 @@ class KernelSpec:
     def smooth(self, t):
         """Bounded factor t^(local_exponent) * kernel(t), continuous at 0."""
         t_arr = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(t_arr).copy()
+        flat = np.atleast_1d(t_arr)
         self._check_domain(flat, allow_zero=True)
-        out = np.empty_like(flat)
         zero = flat == 0.0
-        out[zero] = self.smooth0
-        if np.any(~zero):
-            out[~zero] = _call_elementwise(self.smooth_fn, flat[~zero])
+        if zero.any():
+            # evaluate at b in place of 0, then overwrite: no gather/scatter
+            out = _call_elementwise(self.smooth_fn, np.where(zero, self.b, flat))
+            out[zero] = self.smooth0
+        else:
+            out = _call_elementwise(self.smooth_fn, flat)
+            if np.may_share_memory(out, flat):
+                out = out.copy()  # never hand back the caller's array
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     @staticmethod

@@ -25,52 +25,84 @@ __all__ = [
     "convolve_pair_at",
 ]
 
-#: float64 entries in one block matrix of a blocked row sum: fixed so the
-#: block matrices stay in cache and peak memory stays flat at any N and M
-BLOCK_ENTRIES = 16384
+#: float64 entries in one block matrix of a blocked row sum (64 KiB): fixed
+#: so the block matrices stay in cache and peak memory stays flat at any N
+#: and M. Larger blocks of the O(N M) sums made glibc trim the heap each
+#: time a block's temporaries were freed, and fault the same pages back in
+#: for the next block.
+BLOCK_ENTRIES = 8192
 
 
-def _linear_weights(nodes: np.ndarray, beta: float, singular_end: str) -> np.ndarray:
-    """Weights w with sum_j w_j phi(s_j) = int w(s) phi(s) ds exact for
-    piecewise-linear phi, where w(s) = s^(beta-1) ("left") or
-    (s_last - s)^(beta-1) ("right").
+def _moments(
+    d: np.ndarray,
+    h: np.ndarray,
+    beta: float,
+    rule: str,
+    singular_end: str,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Product-integration weights along the last axis of ``d``.
 
-    Valid for beta in (0, 1]; beta = 1 degenerates to the trapezoid rule.
+    ``d`` holds each node's distance to the singular point and ``h`` the
+    panel widths. The weights w satisfy sum_j w_j phi(s_j) = int w(s)
+    phi(s) ds for w(s) = (distance)^(beta-1), exactly for piecewise-linear
+    phi (rule "linear") or with phi held at each panel's left node (rule
+    "constant_left"). The singular point sits at the first node ("left")
+    or the last ("right"); a row of ``d`` may end in zeros, whose panels
+    then have weight exactly 0. Each node power is computed once and
+    shared by its two panels. Valid for beta in (0, 1]; beta = 1 is the
+    trapezoid rule.
+
+    ``work``, of shape (5, >= d.size), takes the temporaries in its first
+    four rows and the result in its last, which the result then views;
+    without it they are allocated.
     """
-    n = len(nodes)
-    w = np.zeros(n)
-    if singular_end == "left":
-        d = nodes - nodes[0]
+    panels = d.shape[:-1] + (d.shape[-1] - 1,)
+    if work is None:
+        work, w = np.empty((4, d.size)), np.empty(d.shape)
     else:
-        d = nodes[-1] - nodes
-    lo, hi = (d[:-1], d[1:]) if singular_end == "left" else (d[1:], d[:-1])
-    # lo/hi are panel distances to the singular point, hi > lo >= 0
-    h = nodes[1:] - nodes[:-1]
-    A = (hi**beta - lo**beta) / beta
-    B = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0)
-    near = (B - lo * A) / h  # hat centered at the node closer to the singularity
-    far = (hi * A - B) / h
-    if singular_end == "left":
-        w[:-1] += far
-        w[1:] += near
-    else:
-        w[:-1] += near
-        w[1:] += far
+        w = _view(work[4], d.shape)
+    p = _view(work[0], d.shape)
+    A, B, t = (_view(row, panels) for row in work[1:4])
+    left = singular_end == "left"
+
+    def ends(x):
+        """(lo, hi) panel-end views of x: the ends nearer to and farther
+        from the singular point."""
+        return (x[..., :-1], x[..., 1:]) if left else (x[..., 1:], x[..., :-1])
+
+    lo, hi = ends(d)
+    near, far = ends(w)
+    # A and B: panel moments of distance^(beta-1) and distance^beta, from
+    # the node powers
+    p_lo, p_hi = ends(p)
+    p[...] = d
+    p **= beta
+    np.subtract(p_hi, p_lo, out=A)
+    A /= beta
+    w[...] = 0.0
+    if rule == "constant_left":
+        w[..., :-1] += A
+        return w
+    p[...] = d
+    p **= beta + 1.0
+    np.subtract(p_hi, p_lo, out=B)
+    B /= beta + 1.0
+    # the panel's hat functions at its farther and its nearer node
+    np.multiply(lo, A, out=t)
+    np.subtract(B, t, out=t)
+    t /= h
+    far += t
+    np.multiply(hi, A, out=t)
+    t -= B
+    t /= h
+    near += t
     return w
 
 
-def _constant_left_weights(nodes: np.ndarray, beta: float, singular_end: str) -> np.ndarray:
-    """Panel mass assigned to each panel's left node (value held constant)."""
-    n = len(nodes)
-    w = np.zeros(n)
-    if singular_end == "left":
-        d = nodes - nodes[0]
-        A = (d[1:] ** beta - d[:-1] ** beta) / beta
-    else:
-        d = nodes[-1] - nodes
-        A = (d[:-1] ** beta - d[1:] ** beta) / beta
-    w[:-1] = A
-    return w
+def _view(row: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading entries of a flat scratch row, viewed with ``shape``."""
+    return row[: math.prod(shape)].reshape(shape)
 
 
 def product_weights(mesh: Mesh, i: int, beta: float, rule: str = "linear") -> np.ndarray:
@@ -95,21 +127,41 @@ def product_weights(mesh: Mesh, i: int, beta: float, rule: str = "linear") -> np
         raise DomainError(f"node index must lie in [1, N={mesh.N}], got {i}")
     if not (math.isfinite(beta) and 0.0 < beta < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta!r}")
+    if rule not in ("linear", "constant_left"):
+        raise DomainError(f"unknown quadrature rule {rule!r}")
     nodes = mesh.nodes[: i + 1]
-    if rule == "linear":
-        return _linear_weights(nodes, beta, "right")
-    if rule == "constant_left":
-        return _constant_left_weights(nodes, beta, "right")
-    raise DomainError(f"unknown quadrature rule {rule!r}")
+    return _moments(nodes[-1] - nodes, np.diff(nodes), beta, rule, "right")
 
 
-def _product_rows(nodes: np.ndarray, beta: float, weights, factor):
-    """Rows i = 1..N of the product-integration operator on nodes t_0..t_N:
-    yields (i, row), row_j = w_ij * factor(t_i - t_j), with w_i the weights
-    of :func:`product_weights` for node i from the rule ``weights``. The
-    caller checks beta once; beta = 1 is the bounded (trapezoid) limit."""
-    for i in range(1, len(nodes)):
-        yield i, weights(nodes[: i + 1], beta, "right") * factor(nodes[i] - nodes[: i + 1])
+def _triangle_blocks(nodes: np.ndarray, beta: float, rule: str, factor):
+    """Row blocks of the product-integration operator on nodes t_0..t_N.
+
+    Yields (i0, i1, C) for consecutive row ranges i0 <= i < i1 covering
+    1..N, where C[i - i0, j] = w_ij * factor(t_i - t_j) for j < i1 and w_i
+    are the weights of :func:`product_weights` for node i from ``rule``;
+    entries past the diagonal (j > i) are exactly 0. A block holds at most
+    BLOCK_ENTRIES entries (at least one row). Each block builds its lag
+    matrix max(t_i - t_j, 0) once and calls ``factor`` once on it. C lives
+    in scratch that the next block overwrites. The caller checks beta
+    once; beta = 1 is the bounded (trapezoid) limit.
+    """
+    h = np.diff(nodes)
+    i0, n = 1, len(nodes)
+    # every block reuses one scratch array: block-sized temporaries freed
+    # at the heap top make glibc trim it, and the next block then faults
+    # the same pages back in
+    work = np.empty((6, max(BLOCK_ENTRIES, n)))
+    while i0 < n:
+        # largest row count c with c * (i0 + c) <= BLOCK_ENTRIES
+        c = max(1, (math.isqrt(i0 * i0 + 4 * BLOCK_ENTRIES) - i0) // 2)
+        i1 = min(n, i0 + c)
+        lag = _view(work[5], (i1 - i0, i1))
+        np.subtract(nodes[i0:i1, None], nodes[:i1], out=lag)
+        np.maximum(lag, 0.0, out=lag)
+        C = _moments(lag, h[: i1 - 1], beta, rule, "right", work[:5])
+        C *= factor(lag)
+        yield i0, i1, C
+        i0 = i1
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -137,7 +189,7 @@ def _reference_rule(sigma: float, M: int, r: float) -> tuple[np.ndarray, np.ndar
     """Graded reference nodes on [0, 1] and weights for int_0^1 v^(-sigma) phi(v) dv."""
     v = (np.arange(M + 1, dtype=float) / M) ** r
     v[-1] = 1.0
-    w = _linear_weights(v, 1.0 - sigma, "left")
+    w = _moments(v, np.diff(v), 1.0 - sigma, "linear", "left")
     v.setflags(write=False)
     w.setflags(write=False)
     return v, w
@@ -170,10 +222,11 @@ def convolve_weakly_singular(
         raise DomainError(
             f"kernel singularity order {kernel.local_exponent!r} leaves (0, 1)"
         )
-    weights = _linear_weights if phi.interp == "piecewise_linear" else _constant_left_weights
+    rule = "linear" if phi.interp == "piecewise_linear" else "constant_left"
     out = np.zeros(mesh.N + 1)
-    for i, row in _product_rows(mesh.nodes, beta, weights, kernel.smooth):
-        out[i] = np.dot(row, phi.values[: i + 1])
+    if phi.values.any():  # a zero phi (f' of a constant f) convolves to 0
+        for i0, i1, C in _triangle_blocks(mesh.nodes, beta, rule, kernel.smooth):
+            out[i0:i1] = C @ phi.values[:i1]
     return SampledFunction(mesh=mesh, values=out)
 
 

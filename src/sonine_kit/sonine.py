@@ -26,7 +26,7 @@ from .mesh import Mesh, SampledFunction, default_grading
 from .quadrature import (
     _check_panels,
     _default_panels,
-    _linear_weights,
+    _moments,
     _pair_convolution,
     _reference_rule,
     _row_blocks,
@@ -330,7 +330,7 @@ def check_gsc(
     eps_fit = _fit_eps(interior[window], gp[1:][window], alpha0)
 
     eps_c = float(np.clip(eps_fit.eps, 0.0, 0.95))
-    w_l1 = _linear_weights(nodes, 1.0 - eps_c, "left")
+    w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps_c, "linear", "left")
     m_fac = np.zeros(mesh.N + 1)
     m_fac[1:] = np.abs(gp[1:]) * interior**eps_c
     gprime_l1 = float(math.fsum(w_l1 * m_fac)) if np.all(np.isfinite(gp[1:])) else float("nan")

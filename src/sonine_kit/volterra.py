@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, GscConditionError, IllConditionedSystemError
 from .kernels import KernelSpec, SoninePair, gamma, kappa
 from .mesh import Mesh, SampledFunction
-from .quadrature import _linear_weights, _product_rows, convolve_pair, convolve_weakly_singular
+from .quadrature import _triangle_blocks, convolve_pair, convolve_weakly_singular
 from .sonine import GscReport, check_gsc
 
 __all__ = [
@@ -202,7 +202,12 @@ def _forward_sweep(
     gprime: SampledFunction, F: SampledFunction, mesh: Mesh, eps: float
 ) -> tuple[SampledFunction, float]:
     """:func:`solve_second_kind`'s u, and the relative row residual of the
-    discrete system, taken from each coefficient row right after u_i is set."""
+    discrete system.
+
+    Blocked forward substitution over :func:`_triangle_blocks`; each
+    block's row residuals come from the same coefficient block once its u
+    are set. g' = 0 leaves u = F and a zero residual without a sweep.
+    """
     if not (gprime.mesh.same_nodes(mesh) and F.mesh.same_nodes(mesh)):
         raise DomainError("g' and F must be sampled on the solve mesh")
     if not (math.isfinite(eps) and 0.0 <= eps <= EPS_CLIP_MAX):
@@ -221,24 +226,34 @@ def _forward_sweep(
     if not np.all(np.isfinite(m)):
         raise DomainError("g' samples must be finite at interior nodes")
     f = F.values
+    if not m.any():  # g' = 0, as for a classical pair: u = F exactly
+        return SampledFunction(mesh=mesh, values=f.copy()), 0.0
     u = np.empty(mesh.N + 1)
     u[0] = f[0]
     fold = not np.isfinite(f[0])
     lo = 1 if fold else 0
     worst = 0.0
     m_at = partial(np.interp, xp=nodes, fp=m)
-    for i, coeff in _product_rows(nodes, 1.0 - eps, _linear_weights, m_at):
+    for i0, i1, C in _triangle_blocks(nodes, 1.0 - eps, "linear", m_at):
         if fold:
-            coeff[1] += coeff[0]
-            coeff[0] = 0.0
-        diag = 1.0 + coeff[i]
-        if abs(diag) < DIAG_TOL:
+            C[:, 1] += C[:, 0]
+            C[:, 0] = 0.0
+        diag = 1.0 + C[np.arange(i1 - i0), np.arange(i0, i1)]
+        bad = np.flatnonzero(np.abs(diag) < DIAG_TOL)
+        if bad.size:
             raise IllConditionedSystemError(
-                f"near-singular step at node {i}: 1 + w g' = {diag!r}"
+                f"near-singular step at node {i0 + bad[0]}: 1 + w g' = {diag[bad[0]]!r}"
             )
-        u[i] = (f[i] - np.dot(coeff[lo:i], u[lo:i])) / diag
-        r = np.dot(coeff[lo : i + 1], u[lo : i + 1]) + u[i] - f[i]
-        worst = max(worst, abs(r) / max(1.0, abs(f[i]), abs(u[i])))
+        # forward substitution: the columns before the block in one product,
+        # then the block's own triangle row by row
+        history = C[:, lo:i0] @ u[lo:i0]
+        for r in range(i1 - i0):
+            i = i0 + r
+            u[i] = (f[i] - (history[r] + np.dot(C[r, i0:i], u[i0:i]))) / diag[r]
+        # row residuals of the block, now that its u are set (C is 0 past the diagonal)
+        res = C[:, lo:i1] @ u[lo:i1] + u[i0:i1] - f[i0:i1]
+        scale = np.maximum(1.0, np.maximum(np.abs(f[i0:i1]), np.abs(u[i0:i1])))
+        worst = max(worst, float(np.max(np.abs(res) / scale)))
     return SampledFunction(mesh=mesh, values=u), worst
 
 
@@ -273,20 +288,10 @@ def solve_first_kind(
 
     Verifies the generalized condition first (reusing ``gsc`` when the
     caller already has a report for this pair and mesh) and refuses to
-    transform when g(0+) strays from 1: the reformulation divides by
-    g(0), so a failing pair produces an equation for a different problem.
+    transform when g(0+) strays from 1 (see :func:`_second_kind_solve`).
     """
     report = gsc if gsc is not None else check_gsc(pair, mesh, M=M)
-    if not math.isfinite(report.g0_defect) or report.g0_defect > GATE_G0_TOL:
-        raise GscConditionError(
-            f"pair fails the generalized condition: |g(0+) - 1| = "
-            f"{report.g0_defect!r} exceeds {GATE_G0_TOL}; the second-kind "
-            "transformation is not available"
-        )
-    rhs.validate(pair.b)
-    F = assemble_rhs(pair.K, rhs, mesh)
-    eps = float(np.clip(report.eps_fit.eps, 0.0, EPS_CLIP_MAX))
-    u, r2 = _forward_sweep(report.gprime, F, mesh, eps)
+    u, F, r2 = _second_kind_solve(pair, rhs, mesh, report)
     r1, ku = _first_kind_residual(pair.k, u, rhs, mesh, M)
     return SolveReport(
         u=u,
@@ -297,6 +302,25 @@ def solve_first_kind(
         gprime_l1=report.gprime_l1,
         ku=ku,
     )
+
+
+def _second_kind_solve(
+    pair: SoninePair, rhs: RhsSpec, mesh: Mesh, report: GscReport
+) -> tuple[SampledFunction, SampledFunction, float]:
+    """u, F and the second-kind residual of :func:`solve_first_kind`, after
+    its gate on g(0+): the reformulation divides by g(0), so a failing pair
+    produces an equation for a different problem."""
+    if not math.isfinite(report.g0_defect) or report.g0_defect > GATE_G0_TOL:
+        raise GscConditionError(
+            f"pair fails the generalized condition: |g(0+) - 1| = "
+            f"{report.g0_defect!r} exceeds {GATE_G0_TOL}; the second-kind "
+            "transformation is not available"
+        )
+    rhs.validate(pair.b)
+    F = assemble_rhs(pair.K, rhs, mesh)
+    eps = float(np.clip(report.eps_fit.eps, 0.0, EPS_CLIP_MAX))
+    u, r2 = _forward_sweep(report.gprime, F, mesh, eps)
+    return u, F, r2
 
 
 def _constant_rhs(value: float) -> RhsSpec:
@@ -335,7 +359,8 @@ def stability_report(
 ) -> StabilityReport:
     """Probe u under a constant data shift f -> f + delta and measure the
     shift against its Gronwall budget. Both solves share one condition
-    report, so the probe isolates the data perturbation."""
+    report, so the probe isolates the data perturbation. Only u and F
+    enter, so neither solve pushes u back through k * u."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise DomainError(f"delta must be a small positive number, got {delta!r}")
     report = check_gsc(pair, mesh)
@@ -344,10 +369,10 @@ def stability_report(
         fprime=rhs.fprime,
         f0=rhs.f0 + delta,
     )
-    base = solve_first_kind(pair, rhs, mesh, gsc=report)
-    moved = solve_first_kind(pair, shifted, mesh, gsc=report)
-    max_shift = float(np.max(np.abs(moved.u.values[1:] - base.u.values[1:])))
-    max_dF = float(np.max(np.abs(moved.F.values[1:] - base.F.values[1:])))
+    u, F, _ = _second_kind_solve(pair, rhs, mesh, report)
+    u_moved, F_moved, _ = _second_kind_solve(pair, shifted, mesh, report)
+    max_shift = float(np.max(np.abs(u_moved.values[1:] - u.values[1:])))
+    max_dF = float(np.max(np.abs(F_moved.values[1:] - F.values[1:])))
     bound = math.exp(report.gprime_l1) * max_dF
     return StabilityReport(
         delta=delta,

@@ -388,4 +388,5 @@ class TestConsoleScript:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
+        assert proc.stderr == ""  # no RuntimeWarning about sonine_kit.cli in sys.modules
         assert out.exists()

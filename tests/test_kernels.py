@@ -140,6 +140,43 @@ class TestKernelSpec:
         for t in (1e-6, 0.01, 0.3, 0.5):
             assert abs(k.smooth(t) - k.eval(t) * t**k.local_exponent) <= 1e-12
 
+    @pytest.mark.parametrize("which", ["classical", "variable", "tabulated"])
+    def test_smooth_shapes_and_origin(self, which):
+        if which == "classical":
+            k = classical_abel_kernel(0.3, 0.5)
+        elif which == "variable":
+            k = variable_exponent_kernel(affine_exponent(0.5, 0.2, 0.5), 0.5)
+        else:
+            m = graded_mesh(32, 2.0, 0.5)
+            vals = np.full(33, np.nan)
+            vals[1:] = m.nodes[1:] ** -0.3 * (1.0 + m.nodes[1:])
+            k = KernelSpec.from_samples(SampledFunction(mesh=m, values=vals))
+        ts = np.array([[0.0, 0.1, 0.5], [0.25, 0.0, 1e-9]])
+        got = k.smooth(ts)
+        assert got.shape == (2, 3)
+        assert got[0, 0] == k.smooth0 and got[1, 1] == k.smooth0
+        for idx in [(0, 1), (0, 2), (1, 0), (1, 2)]:
+            assert got[idx] == k.smooth(float(ts[idx]))
+        assert isinstance(k.smooth(0.0), float) and k.smooth(0.0) == k.smooth0
+        assert isinstance(k.smooth(0.1), float)
+        assert k.smooth(np.float64(0.1)) == k.smooth(0.1)
+        assert k.smooth([0.1]).shape == (1,)
+        assert k.smooth(np.array([])).shape == (0,)
+        for bad in (-1e-12, 0.6, [0.1, -0.2]):
+            with pytest.raises(DomainError):
+                k.smooth(bad)
+
+    def test_smooth_never_returns_its_input(self):
+        ident = KernelSpec(
+            fn=lambda t: t ** 0.5, smooth_fn=lambda t: t, smooth0=0.0, sing_exponent=0.5,
+            local_exponent=0.5, b=1.0, kind="power",
+        )
+        ts = np.array([0.25, 0.5])
+        out = ident.smooth(ts)
+        np.testing.assert_array_equal(out, ts)
+        out[0] = 7.0
+        assert ts[0] == 0.25
+
     def test_power_kernel_rejects_bad_args(self):
         with pytest.raises(DomainError):
             power_kernel(0.0, 0.5, 1.0)

@@ -132,6 +132,32 @@ class TestProductWeights:
         assert abs(math.fsum(w) - 2.0) <= 1e-14  # total mass of (1-s)^{-1/2} on [0,1]
         assert np.all(w >= 0.0)
 
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_bit_identical_to_four_power_moments(self, beta):
+        """Each node power is computed once and shared by its two panels;
+        the weights must equal the per-panel four-power formula bit for bit."""
+
+        def four_power(nodes, rule):
+            d = nodes[-1] - nodes
+            lo, hi = d[1:], d[:-1]
+            A = (hi**beta - lo**beta) / beta
+            w = np.zeros(len(nodes))
+            if rule == "constant_left":
+                w[:-1] = A
+                return w
+            B = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0)
+            h = nodes[1:] - nodes[:-1]
+            w[:-1] += (B - lo * A) / h
+            w[1:] += (hi * A - B) / h
+            return w
+
+        for m in (graded_mesh(7, 1.0, 1.0), graded_mesh(300, 2.0, 0.5), graded_mesh(500, 3.5, 2.0)):
+            for rule in ("linear", "constant_left"):
+                for i in range(1, m.N + 1):
+                    np.testing.assert_array_equal(
+                        product_weights(m, i, beta, rule), four_power(m.nodes[: i + 1], rule)
+                    )
+
     def test_validation(self):
         m = graded_mesh(4, 1.0, 1.0)
         for bad in [(m, 0, 0.5), (m, 5, 0.5), (m, 2, 0.0), (m, 2, 1.0), (m, 2, -0.5)]:

@@ -1,9 +1,10 @@
 """Blocked row sums against per-node math.fsum oracles.
 
 The O(N M) product-integration sums are evaluated in row blocks with one
-matrix-vector product per half. The oracles below evaluate the same
-quadrature one time at a time with an exactly rounded sum, so any
-difference is rounding order only.
+matrix-vector product per half, and the O(N^2) triangle (the singular
+convolution and forward substitution) in row blocks of the triangle. The
+oracles below evaluate the same quadrature one time at a time with an
+exactly rounded sum, so any difference is rounding order only.
 """
 
 from __future__ import annotations
@@ -14,18 +15,27 @@ import numpy as np
 import pytest
 
 from sonine_kit import (
+    IllConditionedSystemError,
     KernelSpec,
+    RhsSpec,
     SampledFunction,
+    check_gsc,
     classical_abel_kernel,
     compute_g_substituted,
     convolve_pair,
     convolve_pair_at,
+    convolve_weakly_singular,
     default_grading,
     estimate_gprime,
     graded_mesh,
     make_classical_abel_pair,
+    product_weights,
+    solve_first_kind,
+    solve_second_kind,
+    stability_report,
 )
-from sonine_kit.quadrature import BLOCK_ENTRIES, _reference_rule
+from sonine_kit import quadrature
+from sonine_kit.quadrature import BLOCK_ENTRIES, _reference_rule, _triangle_blocks
 
 RTOL = 1e-13
 
@@ -150,3 +160,103 @@ class TestBlockedSubstitutedRoute:
         assert got.shape == (2, 2)
         want = [[compute_g_substituted(pair_a, float(t), M=64) for t in row] for row in ts]
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+#: a block budget small enough that an 80-panel mesh has multi-row blocks
+#: split mid-mesh (rows 1-7, 8-11, 12-15, ...) and one-row blocks from node 63
+SMALL_BLOCK = 64
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", SMALL_BLOCK)
+
+
+def triangle_oracle(kernel, phi, mesh, rule):
+    """(kernel * phi)(t_i) from per-node product weights and math.fsum."""
+    beta = 1.0 - kernel.local_exponent
+    out = [0.0]
+    for i in range(1, mesh.N + 1):
+        w = product_weights(mesh, i, beta, rule)
+        lags = mesh.nodes[i] - mesh.nodes[: i + 1]
+        out.append(math.fsum(w * kernel.smooth(lags) * phi.values[: i + 1]))
+    return np.array(out)
+
+
+class TestTriangleBlocks:
+    def test_block_layout(self, small_blocks):
+        nodes = graded_mesh(80, 2.0, 0.5).nodes
+        spans = [(i0, i1) for i0, i1, _ in _triangle_blocks(nodes, 0.5, "linear", np.ones_like)]
+        assert spans[0] == (1, 8) and spans[-1] == (80, 81)
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert all((i1 - i0) * i1 <= SMALL_BLOCK or i1 - i0 == 1 for i0, i1 in spans)
+        assert any(i1 - i0 == 1 for i0, i1 in spans) and any(i1 - i0 > 2 for i0, i1 in spans)
+
+    @pytest.mark.parametrize("rule", ["linear", "constant_left"])
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.8])
+    def test_rows_are_product_weights_bit_for_bit(self, beta, rule, small_blocks):
+        mesh = graded_mesh(80, 2.0, 0.5)
+        for i0, i1, C in _triangle_blocks(mesh.nodes, beta, rule, np.ones_like):
+            for i in range(i0, i1):
+                np.testing.assert_array_equal(C[i - i0, : i + 1], product_weights(mesh, i, beta, rule))
+                assert not np.any(C[i - i0, i + 1 :])  # exactly 0 past the diagonal
+
+    @pytest.mark.parametrize("interp", ["piecewise_linear", "piecewise_constant_left"])
+    @pytest.mark.parametrize("kind", ["classical", "variable", "tabulated"])
+    def test_convolve_matches_fsum_oracle(self, kind, interp, small_blocks, pair_a):
+        if kind == "classical":
+            kernel = classical_abel_kernel(0.3, 0.5)
+        elif kind == "variable":
+            kernel = pair_a.k
+        else:
+            kernel = tabulated_pair()[0]
+        mesh = graded_mesh(80, 2.0, 0.5)
+        phi = SampledFunction(mesh=mesh, values=1.0 + mesh.nodes, interp=interp)
+        rule = "linear" if interp == "piecewise_linear" else "constant_left"
+        got = convolve_weakly_singular(kernel, phi, mesh).values
+        np.testing.assert_allclose(got, triangle_oracle(kernel, phi, mesh, rule), rtol=RTOL, atol=0.0)
+
+    def test_zero_phi_convolves_to_zero(self, pair_a):
+        mesh = graded_mesh(64, 2.0, 0.5)
+        phi = SampledFunction(mesh=mesh, values=np.zeros(65))
+        np.testing.assert_array_equal(convolve_weakly_singular(pair_a.k, phi, mesh).values, 0.0)
+
+
+class TestBlockedForwardSubstitution:
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [1.0, 0.5]], ids=["f0=0", "f0=1"])
+    def test_classical_solution_is_F_bitwise(self, coeffs):
+        pair = make_classical_abel_pair(0.4, 0.5)
+        report = solve_first_kind(pair, RhsSpec.from_polynomial(coeffs), graded_mesh(128, 2.0, 0.5))
+        np.testing.assert_array_equal(report.u.values, report.F.values)  # NaN at t_0 for f0 = 1
+        assert report.residual_second_kind == 0.0
+
+    def test_ill_conditioned_diagonal_mid_block_names_its_node(self, small_blocks):
+        # trapezoid weights (eps = 0): the diagonal of row i is 1 + m(0) h_i / 2
+        # with h_i = t_i - t_(i-1), which grows with i on a graded mesh; m(0)
+        # cancels it at node 9, the second row of the block of rows 8-11
+        mesh = graded_mesh(40, 2.0, 1.0)
+        k = 9
+        gp = np.zeros(41)
+        gp[0] = -2.0 / (mesh.nodes[k] - mesh.nodes[k - 1])
+        F = SampledFunction(mesh=mesh, values=np.ones(41))
+        with pytest.raises(IllConditionedSystemError, match=f"at node {k}:"):
+            solve_second_kind(SampledFunction(mesh=mesh, values=gp), F, mesh)
+
+
+class TestStabilityWithoutPushBack:
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_matches_two_solve_reference(self, which, classical_half, pair_a):
+        pair = classical_half if which == "classical" else pair_a
+        mesh = graded_mesh(256, 2.0, pair.b)
+        rhs, delta = RhsSpec.from_polynomial([0.0, 1.0]), 1e-6
+        gsc = check_gsc(pair, mesh)
+        shifted = RhsSpec.from_polynomial([delta, 1.0])
+        base = solve_first_kind(pair, rhs, mesh, gsc=gsc)
+        moved = solve_first_kind(pair, shifted, mesh, gsc=gsc)
+        max_shift = np.max(np.abs(moved.u.values[1:] - base.u.values[1:]))
+        bound = math.exp(gsc.gprime_l1) * np.max(np.abs(moved.F.values[1:] - base.F.values[1:]))
+        got = stability_report(pair, rhs, delta, mesh)
+        assert got.max_shift == pytest.approx(max_shift, rel=1e-12, abs=0.0)
+        assert got.bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+        assert got.gprime_l1 == gsc.gprime_l1
+        assert got.holds == bool(max_shift <= bound * (1.0 + 1e-12))

@@ -184,6 +184,22 @@ def _default_panels(N: int) -> int:
     return max(32, N // 2)
 
 
+def _pair_panels(K: KernelSpec, k: KernelSpec, mesh: Mesh, M: int | None) -> int:
+    """The panel count per half for K * k on the mesh, ``M`` or by default
+    :func:`_default_panels`, after refusing kernels on different
+    intervals, a mesh past their end and a bad ``M``."""
+    if k.b != K.b:
+        raise DomainError(f"kernels live on different intervals: {k.b!r} vs {K.b!r}")
+    if mesh.b > k.b * (1.0 + 1e-12):
+        raise DomainError(
+            f"mesh endpoint {mesh.b!r} exceeds the kernels' domain (0, {k.b!r}]"
+        )
+    if M is None:
+        M = _default_panels(mesh.N)
+    _check_panels(M)
+    return M
+
+
 @lru_cache(maxsize=128)
 def _reference_rule(sigma: float, M: int, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Graded reference nodes on [0, 1] and weights for int_0^1 v^(-sigma) phi(v) dv."""
@@ -281,15 +297,7 @@ def convolve_pair(
     The value at t_0 is undefined (NaN); a limit there is the business of
     the g(0) extrapolation, not of the quadrature.
     """
-    if k.b != K.b:
-        raise DomainError(f"kernels live on different intervals: {k.b!r} vs {K.b!r}")
-    if mesh.b > k.b * (1.0 + 1e-12):
-        raise DomainError(
-            f"mesh endpoint {mesh.b!r} exceeds the kernels' domain (0, {k.b!r}]"
-        )
-    if M is None:
-        M = _default_panels(mesh.N)
-    _check_panels(M)
+    M = _pair_panels(K, k, mesh, M)
     out = np.full(mesh.N + 1, np.nan)
     out[1:] = _pair_convolution(K, k, mesh.nodes[1:], M)
     return SampledFunction(mesh=mesh, values=out)

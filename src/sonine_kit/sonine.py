@@ -28,6 +28,7 @@ from .quadrature import (
     _default_panels,
     _moments,
     _pair_convolution,
+    _pair_panels,
     _reference_rule,
     _row_blocks,
     convolve_pair,
@@ -277,53 +278,49 @@ def _fd_gprime(nodes: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_gsc(
-    pair: SoninePair, mesh: Mesh, M: int | None = None, g0_tol: float = G0_TOL_DEFAULT
-) -> GscReport:
-    """Measure g = K * k on the mesh and decide the generalized condition.
+@dataclass(frozen=True, slots=True)
+class _GateInputs:
+    """The part of a :class:`GscReport` a second-kind solve reads (see
+    :func:`_gate_inputs`). ``g`` is the samples of g on the mesh when g'
+    was differenced from them, else None."""
 
-    The verdict requires |g(0+) - 1| <= g0_tol, a conclusive power fit of
-    |g'| compatible with integrability, and a finite weighted L1 norm of
-    g'. For variable-exponent pairs the substituted route provides g(0)
-    samples, the analytic g', and an independent cross-check of g itself.
+    gprime: SampledFunction
+    g0: float
+    g0_defect: float
+    eps_fit: EpsFit
+    gprime_l1: float
+    g: SampledFunction | None
+
+
+def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInputs:
+    """g(0+) from the geometric samples, g' at the nodes, its eps fit and
+    its weighted L1 norm, as :func:`check_gsc` reports them.
+
+    g itself on the mesh is computed only for a pair given pointwise (no
+    exponent profile, not classical), whose g' is differenced from it.
+    Refuses what :func:`convolve_pair` refuses: kernels on different
+    intervals, a mesh past their end and a bad ``M``.
     """
-    if not math.isfinite(g0_tol) or g0_tol <= 0.0:
-        raise DomainError(f"g0_tol must be positive, got {g0_tol!r}")
-    g = convolve_pair(pair.K, pair.k, mesh, M=M)
+    m_used = _pair_panels(pair.K, pair.k, mesh, M)
     nodes = mesh.nodes
     interior = nodes[1:]
-    sc_residual = float(np.max(np.abs(g.values[1:] - 1.0)))
-
     has_profile = pair.exponent is not None
-    m_used = M if M is not None else _default_panels(mesh.N)
-
-    if has_profile:
-        route_diff = float(
-            np.max(np.abs(g.values[1:] - compute_g_substituted(pair, interior, M=m_used)))
-        )
-    else:
-        route_diff = float("nan")
-
     t_geo = pair.b * 0.5 ** np.arange(
         _GEOMETRIC_LEVELS.start, _GEOMETRIC_LEVELS.stop, dtype=float
     )
+    g = None
     if pair.is_classical:
         g_geo = np.ones_like(t_geo)
-    elif has_profile:
-        g_geo = compute_g_substituted(pair, t_geo, M=m_used)
-    else:
-        g_geo = _pair_convolution(pair.K, pair.k, t_geo, m_used)
-    g0 = estimate_g0(zip(t_geo, g_geo))
-    g0_defect = abs(g0 - 1.0)
-
-    if pair.is_classical:
         gp = np.zeros(mesh.N + 1)
     elif has_profile:
+        g_geo = compute_g_substituted(pair, t_geo, M=m_used)
         gp = np.full(mesh.N + 1, np.nan)
         gp[1:] = _gprime_flat(pair, interior, m_used)
     else:
+        g_geo = _pair_convolution(pair.K, pair.k, t_geo, m_used)
+        g = convolve_pair(pair.K, pair.k, mesh, M=m_used)
         gp = _fd_gprime(nodes, g.values)
-    gprime = SampledFunction(mesh=mesh, values=gp)
+    g0 = estimate_g0(zip(t_geo, g_geo))
 
     window = (interior <= pair.b * EPS_WINDOW_FRACTION) & (np.arange(1, mesh.N + 1) >= 2)
     alpha0 = float(pair.exponent.eval(0.0)) if has_profile else None
@@ -334,18 +331,51 @@ def check_gsc(
     m_fac = np.zeros(mesh.N + 1)
     m_fac[1:] = np.abs(gp[1:]) * interior**eps_c
     gprime_l1 = float(math.fsum(w_l1 * m_fac)) if np.all(np.isfinite(gp[1:])) else float("nan")
+    return _GateInputs(
+        gprime=SampledFunction(mesh=mesh, values=gp),
+        g0=g0,
+        g0_defect=abs(g0 - 1.0),
+        eps_fit=eps_fit,
+        gprime_l1=gprime_l1,
+        g=g,
+    )
 
+
+def check_gsc(
+    pair: SoninePair, mesh: Mesh, M: int | None = None, g0_tol: float = G0_TOL_DEFAULT
+) -> GscReport:
+    """Measure g = K * k on the mesh and decide the generalized condition.
+
+    The verdict requires |g(0+) - 1| <= g0_tol, a conclusive power fit of
+    |g'| compatible with integrability, and a finite weighted L1 norm of
+    g'. For variable-exponent pairs the substituted route provides g(0)
+    samples, the analytic g', and an independent cross-check of g itself.
+    This is the full diagnostic; a solve reads only the g(0+), g', fit and
+    L1 parts and does not compute g on the mesh.
+    """
+    if not math.isfinite(g0_tol) or g0_tol <= 0.0:
+        raise DomainError(f"g0_tol must be positive, got {g0_tol!r}")
+    gate = _gate_inputs(pair, mesh, M)
+    g = gate.g if gate.g is not None else convolve_pair(pair.K, pair.k, mesh, M=M)
+    sc_residual = float(np.max(np.abs(g.values[1:] - 1.0)))
+    if pair.exponent is not None:
+        m_used = M if M is not None else _default_panels(mesh.N)
+        route_diff = float(
+            np.max(np.abs(g.values[1:] - compute_g_substituted(pair, mesh.nodes[1:], M=m_used)))
+        )
+    else:
+        route_diff = float("nan")
     gsc_pass = bool(
-        g0_defect <= g0_tol and eps_fit.passed and math.isfinite(gprime_l1)
+        gate.g0_defect <= g0_tol and gate.eps_fit.passed and math.isfinite(gate.gprime_l1)
     )
     return GscReport(
         g=g,
-        gprime=gprime,
-        g0=g0,
+        gprime=gate.gprime,
+        g0=gate.g0,
         sc_residual=sc_residual,
-        g0_defect=g0_defect,
-        eps_fit=eps_fit,
-        gprime_l1=gprime_l1,
+        g0_defect=gate.g0_defect,
+        eps_fit=gate.eps_fit,
+        gprime_l1=gate.gprime_l1,
         route_diff=route_diff,
         gsc_pass=gsc_pass,
     )

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import sonine_kit.sonine as sonine
 from conftest import EXP_MINUS_1, TWO_OVER_PI
 from sonine_kit import (
     DomainError,
@@ -28,6 +29,7 @@ from sonine_kit import (
     solve_first_kind,
     solve_second_kind,
     stability_probe,
+    stability_report,
 )
 
 
@@ -197,6 +199,105 @@ class TestSolveFirstKind:
             residuals.append(rep.residual_first_kind)
         assert residuals[1] <= residuals[0] / 1.5
         assert residuals[2] <= residuals[1] / 1.5
+
+
+def _profile_less(pair):
+    """The pair without its exponent profile and not marked classical, so
+    g is known only pointwise, as for kernels given by samples."""
+    return SoninePair(k=pair.k, K=pair.K, kappa=pair.kappa, is_classical=False)
+
+
+class TestSolveInputChecks:
+    """A bad panel count and a mesh past the pair's interval fail loudly,
+    also for a classical pair, whose solve convolves nothing with M."""
+
+    @pytest.mark.parametrize("M", [8, 2.5, True])
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_bad_panel_count(self, which, M, classical_half, pair_a):
+        pair = classical_half if which == "classical" else pair_a
+        mesh = graded_mesh(64, 2.0, pair.b)
+        with pytest.raises(DomainError, match="panel count"):
+            solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), mesh, M=M)
+
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_mesh_past_interval(self, which, classical_half, pair_a):
+        pair = classical_half if which == "classical" else pair_a
+        mesh = graded_mesh(64, 2.0, 2.0 * pair.b)
+        rhs = RhsSpec.from_polynomial([0.0, 1.0])
+        with pytest.raises(DomainError, match="exceeds"):
+            solve_first_kind(pair, rhs, mesh)
+        with pytest.raises(DomainError, match="exceeds"):
+            discover_associate(pair.k, pair.K, mesh)
+        with pytest.raises(DomainError, match="exceeds"):
+            stability_report(pair, rhs, 1e-6, mesh)
+
+
+class TestSolveReadsGateInputsOnly:
+    """Without a report, a solve measures only g(0+), g', its eps fit and
+    its L1 norm, and gets exactly what a full check_gsc report gives."""
+
+    @pytest.mark.parametrize("which", ["classical", "variable", "profile-less"])
+    def test_same_as_with_full_report(self, which, classical_half, pair_a):
+        pair = {
+            "classical": classical_half,
+            "variable": pair_a,
+            "profile-less": _profile_less(pair_a),
+        }[which]
+        mesh = graded_mesh(128, 2.0, pair.b)
+        rhs = RhsSpec.from_polynomial([0.0, 1.0, -0.5])
+        got = solve_first_kind(pair, rhs, mesh)
+        want = solve_first_kind(pair, rhs, mesh, gsc=check_gsc(pair, mesh))
+        np.testing.assert_array_equal(got.u.values, want.u.values)
+        np.testing.assert_array_equal(got.F.values, want.F.values)
+        np.testing.assert_array_equal(got.ku.values, want.ku.values)
+        assert got.residual_first_kind == want.residual_first_kind
+        assert got.residual_second_kind == want.residual_second_kind
+        assert got.gprime_l1 == want.gprime_l1
+
+    def test_no_g_on_the_mesh(self, monkeypatch, classical_half, pair_a):
+        """Solves convolve no g, and evaluate the substituted g only at the
+        eleven geometric times of the g(0+) fit; check_gsc convolves g once
+        for a pair given pointwise, whose g' is differenced from it."""
+        convolutions, substituted = [], []
+        real_convolve, real_substituted = sonine.convolve_pair, sonine.compute_g_substituted
+
+        def convolve(*args, **kwargs):
+            convolutions.append(args)
+            return real_convolve(*args, **kwargs)
+
+        def substitute(pair, t, **kwargs):
+            substituted.append(np.size(t))
+            return real_substituted(pair, t, **kwargs)
+
+        monkeypatch.setattr(sonine, "convolve_pair", convolve)
+        monkeypatch.setattr(sonine, "compute_g_substituted", substitute)
+        rhs = RhsSpec.from_polynomial([0.0, 1.0])
+        for pair in (classical_half, pair_a):
+            mesh = graded_mesh(128, 2.0, pair.b)
+            solve_first_kind(pair, rhs, mesh)
+            stability_report(pair, rhs, 1e-6, mesh)
+            discover_associate(pair.k, pair.K, mesh)
+        assert convolutions == []
+        assert substituted == [11, 11, 11]
+        check_gsc(_profile_less(pair_a), graded_mesh(128, 2.0, pair_a.b))
+        assert len(convolutions) == 1
+
+
+class TestStabilityReport:
+    def test_shares_the_solve_pipeline(self, pair_a, mesh_512_half):
+        """One shared K * f' gives the report of two separate solves of f
+        and f + delta, bit for bit."""
+        delta = 1e-6
+        rhs = RhsSpec.from_polynomial([0.0, 1.0])
+        moved = RhsSpec.from_polynomial([delta, 1.0])
+        report = stability_report(pair_a, rhs, delta, mesh_512_half)
+        gsc = check_gsc(pair_a, mesh_512_half)
+        u = solve_first_kind(pair_a, rhs, mesh_512_half, gsc=gsc)
+        u_moved = solve_first_kind(pair_a, moved, mesh_512_half, gsc=gsc)
+        dF = np.max(np.abs(u_moved.F.values[1:] - u.F.values[1:]))
+        assert report.max_shift == np.max(np.abs(u_moved.u.values[1:] - u.u.values[1:]))
+        assert report.bound == math.exp(gsc.gprime_l1) * dF
+        assert report.gprime_l1 == gsc.gprime_l1
 
 
 def _second_kind_row_residual(report, gsc, mesh):

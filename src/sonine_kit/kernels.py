@@ -80,6 +80,14 @@ def _call_elementwise(fn: Callable, x: np.ndarray) -> np.ndarray:
     return np.array([float(fn(float(v))) for v in x.ravel()]).reshape(x.shape)
 
 
+def _evaluate(fn: Callable, t):
+    """fn at t, a float for a scalar t and an array of t's shape otherwise,
+    by :func:`_call_elementwise`."""
+    t_arr = np.asarray(t, dtype=float)
+    out = _call_elementwise(fn, np.atleast_1d(t_arr))
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+
+
 @dataclass(frozen=True, slots=True)
 class ExponentFunction:
     """A differentiable exponent profile alpha(t) with declared bounds.
@@ -106,14 +114,10 @@ class ExponentFunction:
             raise DomainError(f"Lipschitz bound L must be finite and >= 0, got {self.L!r}")
 
     def eval(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = _call_elementwise(self.fn, np.atleast_1d(t_arr))
-        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+        return _evaluate(self.fn, t)
 
     def deriv(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = _call_elementwise(self.dfn, np.atleast_1d(t_arr))
-        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+        return _evaluate(self.dfn, t)
 
     def validate(self, b: float) -> None:
         """Spot-verify the declared bounds on a grid over [0, b]."""
@@ -230,6 +234,15 @@ class KernelSpec:
                 out = out.copy()  # never hand back the caller's array
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
+    @property
+    def power_coef(self) -> float | None:
+        """c when the kernel is the pure power c t^(-local_exponent) of
+        :func:`power_kernel`, else None. The quadrature's pure-power fast
+        paths read this and nothing else (not ``kind``, which a hand-built
+        kernel may set to anything)."""
+        fn = self.smooth_fn
+        return fn.value if isinstance(fn, _ConstantFactor) else None
+
     @staticmethod
     def from_samples(
         phi: SampledFunction,
@@ -285,6 +298,17 @@ class KernelSpec:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class _ConstantFactor:
+    """The bounded factor of :func:`power_kernel`'s kernels: ``value`` at
+    every t. :attr:`KernelSpec.power_coef` recognises a pure power by it."""
+
+    value: float
+
+    def __call__(self, t):
+        return np.full_like(np.asarray(t, dtype=float), self.value)
+
+
 def power_kernel(coef: float, exponent: float, b: float, kind: str = "power") -> KernelSpec:
     """Kernel coef * t^(-exponent) with exponent in (0, 1)."""
     coef, exponent = float(coef), float(exponent)
@@ -292,7 +316,7 @@ def power_kernel(coef: float, exponent: float, b: float, kind: str = "power") ->
         raise DomainError(f"power kernel coefficient must be finite and nonzero, got {coef!r}")
     return KernelSpec(
         fn=lambda t: coef * np.asarray(t, dtype=float) ** (-exponent),
-        smooth_fn=lambda t: np.full_like(np.asarray(t, dtype=float), coef),
+        smooth_fn=_ConstantFactor(coef),
         smooth0=coef,
         sing_exponent=exponent,
         local_exponent=exponent,

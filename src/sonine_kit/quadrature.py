@@ -32,6 +32,39 @@ __all__ = [
 #: for the next block.
 BLOCK_ENTRIES = 8192
 
+#: panel count N from which :func:`convolve_weakly_singular` sums the
+#: history of a pure-power kernel by sum-of-exponentials recurrence, in
+#: O(N * #exp), instead of the dense O(N^2) triangle. One convolution on
+#: an r=2 mesh of (0, 0.5], kernel exponents 0.3, 0.5 and 0.7, best of 7,
+#: single-threaded BLAS on a 2-vCPU x86-64 host, dense against SOE:
+#: 0.6-0.9 against 0.8-1.5 ms at N=128, 1.0 against 1.1 ms at 192,
+#: 1.5-1.6 against 1.4-1.5 ms at 256, 4.5-5.1 against 2.4-2.7 ms at 512,
+#: 15-19 against 4-8 ms at 1024 and 264-334 against 18-29 ms at 4096.
+SOE_MIN_N = 256
+
+#: step in x = ln(lambda) of the trapezoid rule behind the SOE; 0.3 left
+#: a relative error of 1e-13, 0.25 leaves 6e-15
+SOE_STEP = 0.25
+
+#: SOE terms with lambda * T below this become one term with their mass
+#: and mean; since e^(-lambda t) is nearly linear in lambda there, that
+#: leaves a relative error below 0.2 * SOE_TAIL^2
+SOE_TAIL = 1e-7
+
+#: SOE terms with lambda * T at most this are merged into one Gauss rule
+#: of SOE_GAUSS_NODES nodes: e^(-lambda t) is a smooth function of lambda
+#: there for every t in [0, T], so sixteen nodes reach rounding level
+SOE_GAUSS_CUT = 8.0
+SOE_GAUSS_NODES = 16
+
+#: below this lambda * h the panel moment (1 - e^-z (1 + z)) / z^2 is
+#: taken from its Taylor series, since the closed form cancels
+SOE_SERIES_Z = 0.25
+
+#: Taylor coefficients (-1)^k (k + 1) / (k + 2)! of that moment, highest
+#: first for Horner; twelve terms leave 1e-17 relative at SOE_SERIES_Z
+_SERIES = np.array([(-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(12)])[::-1]
+
 
 def _moments(
     d: np.ndarray,
@@ -164,6 +197,117 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, rule: str, factor):
         i0 = i1
 
 
+def _soe(gamma: float, h_min: float, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents lambda_l and weights w_l with t^(-gamma) = sum_l w_l
+    e^(-lambda_l t) to about 1e-14 relative on [h_min, T].
+
+    The trapezoid rule of step SOE_STEP in x = ln(lambda) on
+    t^(-gamma) = Gamma(gamma)^-1 int e^(-t e^x + gamma x) dx. Above
+    lambda = 40 / h_min it stops, where the terms fall below 1e-17
+    relative. Below lambda T = SOE_TAIL its terms form a geometric series
+    without end (millions of terms before they are negligible when gamma
+    is small); they become one term with their exact mass and mean. The
+    terms with lambda T <= SOE_GAUSS_CUT, that one included, are then
+    replaced by the SOE_GAUSS_NODES-node Gauss rule of their discrete
+    measure, from Lanczos on diag(lambda) and the eigenvalues of its
+    Jacobi matrix. Exponents ascend and every weight is positive.
+    """
+    x_hi = math.log(40.0 / h_min)
+    n = math.ceil((x_hi - math.log(SOE_TAIL / T)) / SOE_STEP)
+    x = x_hi - SOE_STEP * np.arange(n, -1, -1)
+    lam = np.exp(x)
+    w = SOE_STEP / math.gamma(gamma) * np.exp(gamma * x)
+    # the terms at x[0] - j SOE_STEP, j >= 1, summed in closed form
+    tail_mass = w[0] / math.expm1(gamma * SOE_STEP)
+    tail_mean = lam[0] / math.expm1((1.0 + gamma) * SOE_STEP) * w[0] / tail_mass
+    n_low = int(np.searchsorted(lam, SOE_GAUSS_CUT / T, side="right"))
+    lam_low = np.concatenate([[tail_mean], lam[:n_low]])
+    w_low = np.concatenate([[tail_mass], w[:n_low]])
+    mass = w_low.sum()
+    # Lanczos with full reorthogonalisation, started from sqrt(w / mass)
+    Q = np.zeros((SOE_GAUSS_NODES, n_low + 1))
+    Q[0] = np.sqrt(w_low / mass)
+    J = np.zeros((SOE_GAUSS_NODES, SOE_GAUSS_NODES))
+    for j in range(SOE_GAUSS_NODES):
+        v = lam_low * Q[j]
+        J[j, j] = Q[j] @ v
+        if j + 1 < SOE_GAUSS_NODES:
+            for _ in range(2):  # Gram-Schmidt twice keeps Q orthonormal
+                v -= Q[: j + 1].T @ (Q[: j + 1] @ v)
+            J[j, j + 1] = J[j + 1, j] = np.linalg.norm(v)
+            Q[j + 1] = v / J[j, j + 1]
+    nodes, vecs = np.linalg.eigh(J)
+    return (
+        np.concatenate([nodes, lam[n_low:]]),
+        np.concatenate([mass * vecs[0] ** 2, w[n_low:]]),
+    )
+
+
+def _history_sums(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray:
+    """int_0^{t_i} (t_i - s)^(beta-1) phi(s) ds at every node, phi
+    interpolated linearly between its samples; 0 at t_0.
+
+    Row i splits at t_(i-1). The last panel is product-integrated exactly
+    with :func:`_moments`' weights. On the history [0, t_(i-1)] the lags
+    t_i - s lie in [h_min, T] (the smallest panel width and the mesh
+    length), where the kernel is the sum of exponentials of :func:`_soe`.
+    Each exponential carries the integral S_l(i) over [0, t_i] of
+    e^(-lambda_l (t_i - s)) phi(s) by the recurrence S_l(i) = e^(-z)
+    S_l(i-1) + P_l(i), z = lambda_l h_i, where P_l(i) is the last panel's
+    integral, exact for linear phi: h_i (g0(z) phi_i + g1(z) (phi_(i-1) -
+    phi_i)) with g0 = (1 - e^-z)/z and g1 = (1 - e^-z (1 + z))/z^2. The
+    decay is applied as S + expm1(-z) S, so its rounding does not compound
+    over the rows of a uniform mesh. Rows go in blocks of BLOCK_ENTRIES
+    entries in one scratch array, so memory stays flat at any N.
+    """
+    h = np.diff(nodes)
+    n = len(nodes)
+    lam, w = _soe(1.0 - beta, float(h.min()), float(nodes[-1] - nodes[0]))
+    n_exp = len(lam)
+    out = np.zeros(n)
+    last = np.zeros((n - 1, 2))
+    last[:, 0] = h
+    last = _moments(last, h[:, None], beta, "linear", "right")
+    out[1:] = last[:, 0] * phi[:-1] + last[:, 1] * phi[1:]
+    S = np.zeros(n_exp)
+    rows = max(1, BLOCK_ENTRIES // n_exp)
+    work = np.empty((5, rows * n_exp))
+    mul, add = np.multiply, np.add
+    for i0 in range(1, n, rows):
+        i1 = min(n, i0 + rows)
+        z, em1, P, g1 = (_view(row, (i1 - i0, n_exp)) for row in work[:4])
+        h_b = h[i0 - 1 : i1 - 1, None]
+        np.multiply(h_b, lam, out=z)
+        np.negative(z, out=em1)
+        np.expm1(em1, out=em1)
+        np.divide(em1, z, out=P)
+        np.negative(P, out=P)  # g0
+        np.subtract(P, 1.0, out=g1)
+        g1 -= em1
+        g1 /= z
+        # the entries with z < SOE_SERIES_Z lie in the first c columns,
+        # since the exponents ascend
+        c = int(np.searchsorted(lam, SOE_SERIES_Z / h_b.min()))
+        if c:
+            zs, acc = z[:, :c], _view(work[4], (i1 - i0, c))
+            acc[...] = _SERIES[0]
+            for coef in _SERIES[1:]:
+                acc *= zs
+                acc += coef
+            np.copyto(g1[:, :c], acc, where=zs < SOE_SERIES_Z)
+        P *= phi[i0:i1, None]
+        g1 *= (phi[i0 - 1 : i1 - 1] - phi[i0:i1])[:, None]
+        P += g1
+        P *= h_b
+        H = g1  # H[i - i0] = e^(-z_i) S(i-1), the history seen from t_i
+        for e, row, p in zip(em1, H, P):  # the one O(N) Python loop
+            mul(e, S, row)
+            add(row, S, row)
+            add(row, p, S)
+        out[i0:i1] += H @ w
+    return out
+
+
 def _row_blocks(n_rows: int, n_cols: int):
     """Consecutive row slices covering n_rows rows, each block of n_cols
     columns holding at most BLOCK_ENTRIES entries (at least one row)."""
@@ -221,6 +365,11 @@ def convolve_weakly_singular(
     interpolated following phi's tag. phi must be finite at all interior
     nodes; a singular phi (NaN at t_0) needs :func:`convolve_pair` with a
     tabulated kernel instead. The value at t_0 is set to 0.
+
+    A pure-power kernel (:attr:`KernelSpec.power_coef` set) with a
+    piecewise-linear phi on SOE_MIN_N or more panels takes
+    :func:`_history_sums`, in O(N * #exp); everything else runs the dense
+    triangle of :func:`_triangle_blocks`.
     """
     if not phi.mesh.same_nodes(mesh):
         raise DomainError("phi is sampled on a different mesh")
@@ -240,7 +389,11 @@ def convolve_weakly_singular(
         )
     rule = "linear" if phi.interp == "piecewise_linear" else "constant_left"
     out = np.zeros(mesh.N + 1)
-    if phi.values.any():  # a zero phi (f' of a constant f) convolves to 0
+    if not phi.values.any():  # a zero phi (f' of a constant f) convolves to 0
+        return SampledFunction(mesh=mesh, values=out)
+    if kernel.power_coef is not None and rule == "linear" and mesh.N >= SOE_MIN_N:
+        out = kernel.power_coef * _history_sums(mesh.nodes, beta, phi.values)
+    else:
         for i0, i1, C in _triangle_blocks(mesh.nodes, beta, rule, kernel.smooth):
             out[i0:i1] = C @ phi.values[:i1]
     return SampledFunction(mesh=mesh, values=out)
@@ -253,23 +406,52 @@ def _pair_convolution(
     :func:`convolve_pair_at` for the quadrature).
 
     For a block of times the integrands of a half form one matrix, so each
-    half costs one kernel call per factor and one matrix-vector product.
+    half costs one kernel call per factor and one matrix-vector product;
+    pure-power factors cost none (see :func:`_half_sums`).
     """
     if r_ref is None:
         r_ref = default_grading(K.sing_exponent, k.sing_exponent)
     sig_k, sig_K = k.local_exponent, K.local_exponent
-    vL, wL = _reference_rule(sig_k, M, r_ref)
-    vR, wR = _reference_rule(sig_K, M, r_ref)
+    left = _half_sums(k, K, *_reference_rule(sig_k, M, r_ref))
+    right = _half_sums(K, k, *_reference_rule(sig_K, M, r_ref))
     out = np.empty(len(t))
     for rows in _row_blocks(len(t), M + 1):
         tb = t[rows, None]
-        c = 0.5 * tb
-        sL = c * vL
-        sR = c * vR
-        left = (k.smooth(sL) * K.eval(tb - sL)) @ wL
-        right = (K.smooth(sR) * k.eval(tb - sR)) @ wR
-        out[rows] = c[:, 0] ** (1.0 - sig_k) * left + c[:, 0] ** (1.0 - sig_K) * right
+        c = 0.5 * tb[:, 0]
+        out[rows] = c ** (1.0 - sig_k) * left(tb) + c ** (1.0 - sig_K) * right(tb)
     return out
+
+
+def _half_sums(S: KernelSpec, E: KernelSpec, v: np.ndarray, w: np.ndarray):
+    """The sums of one half of the split at t/2: for a block of times
+    ``tb`` (a column), sum_j w_j S.smooth(s_j) E(t - s_j) at s_j = (t/2) v_j.
+
+    Pure-power factors fold into the weights once per call: S's bounded
+    factor is its constant, and E(t - s) = t^(-p) c (1 - v/2)^(-p) for E
+    = c t^(-p). A half whose factors both fold is one number per call
+    times t^(-p).
+    """
+    p = 0.0
+    if S.power_coef is not None:
+        w, S = w * S.power_coef, None
+    if E.power_coef is not None:
+        p = E.local_exponent
+        w, E = w * (E.power_coef * (1.0 - 0.5 * v) ** -p), None
+    total = w.sum()
+
+    def sums(tb):
+        s = 0.5 * tb * v
+        if S is None and E is None:
+            out = np.full(len(tb), total)
+        elif E is None:
+            out = S.smooth(s) @ w
+        elif S is None:
+            out = E.eval(tb - s) @ w
+        else:
+            out = (S.smooth(s) * E.eval(tb - s)) @ w
+        return out * tb[:, 0] ** -p if p else out
+
+    return sums
 
 
 def convolve_pair_at(

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, GscConditionError, IllConditionedSystemError
-from .kernels import KernelSpec, SoninePair, gamma, kappa
+from .kernels import KernelSpec, SoninePair, _evaluate, gamma, kappa
 from .mesh import Mesh, SampledFunction
 from .quadrature import _triangle_blocks, convolve_pair, convolve_weakly_singular
 from .sonine import GscReport, _gate_inputs, _GateInputs
@@ -81,14 +81,10 @@ class RhsSpec:
             raise DomainError(f"f0={self.f0!r} disagrees with f(0)={at0!r}")
 
     def eval(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.array([float(self.f(v)) for v in np.atleast_1d(t_arr)])
-        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+        return _evaluate(self.f, t)
 
     def eval_fprime(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.array([float(self.fprime(v)) for v in np.atleast_1d(t_arr)])
-        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+        return _evaluate(self.fprime, t)
 
     def validate(self, b: float) -> None:
         """Spot-check that fprime differentiates f on (0, b).

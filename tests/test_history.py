@@ -1,0 +1,231 @@
+"""Sum-of-exponentials history sums against the dense product-integration
+triangle.
+
+A pure-power kernel with a piecewise-linear phi on SOE_MIN_N or more
+panels is convolved by :func:`quadrature._history_sums`: the last panel
+exactly, the history [0, t_(i-1)] through a sum of exponentials of the
+kernel. The dense rows of ``_triangle_blocks`` (equal to
+``product_weights`` bit for bit) are the oracle; every other kernel, rule
+and mesh size must still take the dense path, bit for bit.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sonine_kit import (
+    KernelSpec,
+    RhsSpec,
+    SampledFunction,
+    classical_abel_kernel,
+    classical_solution,
+    convolve_pair,
+    convolve_weakly_singular,
+    graded_mesh,
+    make_classical_abel_pair,
+    power_kernel,
+    product_weights,
+    solve_first_kind,
+)
+from sonine_kit.quadrature import SOE_MIN_N, _soe, _triangle_blocks
+
+B = 0.5
+COEF = 1.3
+SIZES = (SOE_MIN_N, 2048, 8192)
+GRADINGS = (1.0, 2.0, 4.0)
+EXPONENTS = (0.01, 0.3, 0.5, 0.99)
+
+#: the three phi of every comparison, as columns
+PHIS = ("1", "t", "cos 7t + t")
+
+
+def phi_columns(t):
+    return np.column_stack([np.ones_like(t), t, np.cos(7.0 * t) + t])
+
+
+def dense(kernel, phi, mesh, rule="linear"):
+    """The dense triangle's (kernel * phi)(t_i); phi may hold columns."""
+    out = np.zeros((mesh.N + 1,) + phi.shape[1:])
+    beta = 1.0 - kernel.local_exponent
+    for i0, i1, C in _triangle_blocks(mesh.nodes, beta, rule, kernel.smooth):
+        out[i0:i1] = C @ phi[:i1]
+    return out
+
+
+def sampled_rows(N):
+    """Rows checked above the crossover, where the full triangle costs
+    seconds: the first sixteen, 128 evenly spaced and the last. A wrong
+    recurrence state would carry into every later row."""
+    return np.unique(np.concatenate([np.arange(1, 17), np.arange(N // 128, N, N // 128), [N]]))
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """Dense values per (N, r, exponent): every row of the triangle at the
+    crossover, the rows of :func:`sampled_rows` (from ``product_weights``,
+    equal to the triangle's rows bit for bit) above it. Tabulated once for
+    the module."""
+    table = {}
+    for N in SIZES:
+        for r in GRADINGS:
+            mesh = graded_mesh(N, r, B)
+            phi = phi_columns(mesh.nodes)
+            for gamma in EXPONENTS:
+                if N == SOE_MIN_N:
+                    rows = np.arange(N + 1)
+                    want = dense(power_kernel(COEF, gamma, B), phi, mesh)
+                else:
+                    rows = sampled_rows(N)
+                    want = np.array(
+                        [COEF * product_weights(mesh, int(i), 1.0 - gamma) @ phi[: i + 1] for i in rows]
+                    )
+                table[N, r, gamma] = rows, want
+    return table
+
+
+class TestHistorySums:
+    @pytest.mark.parametrize("gamma", EXPONENTS)
+    @pytest.mark.parametrize("r", GRADINGS)
+    @pytest.mark.parametrize("N", SIZES)
+    def test_matches_dense_triangle(self, N, r, gamma, oracle):
+        mesh = graded_mesh(N, r, B)
+        kernel = power_kernel(COEF, gamma, B)
+        rows, want = oracle[N, r, gamma]
+        for j, name in enumerate(PHIS):
+            phi = SampledFunction(mesh=mesh, values=phi_columns(mesh.nodes)[:, j].copy())
+            got = convolve_weakly_singular(kernel, phi, mesh).values[rows]
+            scale = np.max(np.abs(want[:, j]))
+            assert np.max(np.abs(got - want[:, j])) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("gamma", [1e-6, 0.01, 0.3, 0.5, 0.99])
+    @pytest.mark.parametrize("h_min", [1e-16, 3e-8, 1e-3])
+    def test_soe_on_its_interval(self, gamma, h_min):
+        lam, w = _soe(gamma, h_min, B)
+        t = np.geomspace(h_min, B, 4001)
+        approx = np.exp(-np.outer(t, lam)) @ w
+        assert np.max(np.abs(approx * t**gamma - 1.0)) <= 1e-14
+        assert np.all(np.diff(lam) > 0.0) and lam[0] > 0.0 and np.all(w > 0.0)
+        # the tail below lambda B = 1e-7 is one term, whatever gamma is
+        assert len(lam) <= 170
+
+    @pytest.mark.parametrize("N", [4096, 8192])
+    def test_classical_solve_matches_closed_form(self, N):
+        # f(0) = 0 keeps u bounded, so the first-kind residual k * u takes
+        # the fast path too
+        pair = make_classical_abel_pair(0.4, B)
+        coeffs = [0.0, 1.0, 2.0]
+        mesh = graded_mesh(N, 2.0, B)
+        report = solve_first_kind(pair, RhsSpec.from_polynomial(coeffs), mesh)
+        late = mesh.nodes >= B / 10
+        exact = classical_solution(0.4, coeffs, mesh.nodes[late])
+        assert np.max(np.abs(report.u.values[late] / exact - 1.0)) <= 1e-12
+
+    def test_memory_stays_flat(self):
+        """No N x #exp array: the rows go in blocks of one scratch array."""
+        N = 8192
+        mesh = graded_mesh(N, 2.0, B)
+        phi = SampledFunction(mesh=mesh, values=np.cos(7.0 * mesh.nodes))
+        kernel = power_kernel(COEF, 0.5, B)
+        n_exp = len(_soe(0.5, mesh.nodes[1], B)[0])
+        tracemalloc.start()
+        try:
+            convolve_weakly_singular(kernel, phi, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * (N + 1) * n_exp
+
+
+def hand_built_power(coef, gamma):
+    """coef t^(-gamma) built by hand: its bounded factor is a plain
+    function, so it is not recognised as a pure power."""
+    return KernelSpec(
+        fn=lambda t: coef * np.asarray(t, dtype=float) ** -gamma,
+        smooth_fn=lambda t: np.full_like(np.asarray(t, dtype=float), coef),
+        smooth0=coef, sing_exponent=gamma, local_exponent=gamma, b=B, kind="power",
+    )
+
+
+class TestDensePathKept:
+    def test_power_coef(self, pair_a):
+        assert power_kernel(COEF, 0.3, B).power_coef == COEF
+        assert classical_abel_kernel(0.3, B).power_coef == 1.0
+        assert pair_a.K.power_coef == pair_a.K.smooth0
+        assert pair_a.k.power_coef is None
+        assert hand_built_power(COEF, 0.3).power_coef is None
+
+    def test_below_crossover_is_dense(self):
+        mesh = graded_mesh(SOE_MIN_N - 1, 2.0, B)
+        kernel = power_kernel(COEF, 0.3, B)
+        phi = np.cos(7.0 * mesh.nodes) + mesh.nodes
+        got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi), mesh)
+        np.testing.assert_array_equal(got.values, dense(kernel, phi, mesh))
+
+    @pytest.mark.parametrize("which", ["hand_built", "identity", "variable", "tabulated", "constant_left"])
+    def test_other_kernels_and_rules_are_dense(self, which, pair_a):
+        mesh = graded_mesh(SOE_MIN_N, 2.0, B)
+        phi = np.cos(7.0 * mesh.nodes) + mesh.nodes
+        interp, rule = "piecewise_linear", "linear"
+        if which == "hand_built":
+            kernel = hand_built_power(COEF, 0.3)
+        elif which == "identity":
+            # kind "power" with a smooth part that is not constant
+            kernel = KernelSpec(
+                fn=lambda t: t**0.5, smooth_fn=lambda t: t, smooth0=0.0, sing_exponent=0.5,
+                local_exponent=0.5, b=1.0, kind="power",
+            )
+        elif which == "variable":
+            kernel = pair_a.k
+        elif which == "tabulated":
+            vals = np.full(mesh.N + 1, np.nan)
+            vals[1:] = mesh.nodes[1:] ** -0.3 * (1.0 + mesh.nodes[1:])
+            kernel = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
+        else:
+            kernel = power_kernel(COEF, 0.3, B)
+            interp, rule = "piecewise_constant_left", "constant_left"
+        got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi, interp=interp), mesh)
+        np.testing.assert_array_equal(got.values, dense(kernel, phi, mesh, rule))
+
+
+class TestPairFold:
+    """Pure-power factors of K * k fold into the reference weights."""
+
+    def test_pure_power_factor_is_never_evaluated(self, monkeypatch):
+        k = classical_abel_kernel(0.3, B)
+        mesh = graded_mesh(64, 2.0, B)
+        vals = np.full(65, np.nan)
+        vals[1:] = mesh.nodes[1:] ** -0.7 * (1.0 + mesh.nodes[1:])
+        u_tab = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
+        seen = []
+        for name in ("eval", "smooth"):
+            original = getattr(KernelSpec, name)
+
+            def spy(self, t, _original=original, _name=name):
+                seen.append((self.kind, _name))
+                return _original(self, t)
+
+            monkeypatch.setattr(KernelSpec, name, spy)
+        convolve_pair(u_tab, k, mesh, M=64)
+        assert ("classical_abel", "eval") not in seen and ("classical_abel", "smooth") not in seen
+        assert ("tabulated", "eval") in seen and ("tabulated", "smooth") in seen
+
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_matches_unfolded_twins(self, which, pair_a):
+        if which == "classical":
+            pair = make_classical_abel_pair(0.3, B)
+            K, k = pair.K, pair.k
+        else:
+            K, k = pair_a.K, pair_a.k
+
+        def twin(kernel):
+            if kernel.power_coef is None:
+                return kernel
+            return hand_built_power(kernel.power_coef, kernel.local_exponent)
+
+        mesh = graded_mesh(512, 2.0, B)
+        got = convolve_pair(K, k, mesh, M=256).values[1:]
+        want = convolve_pair(twin(K), twin(k), mesh, M=256).values[1:]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

@@ -454,3 +454,35 @@ class TestClassicalSolution:
             classical_solution(0.5, [], 0.5)
         with pytest.raises(DomainError):
             classical_solution(0.5, [1.0], 0.0)
+
+
+class TestRhsArrayEvaluation:
+    """``RhsSpec.eval``/``eval_fprime`` call f once on the whole array where
+    f takes arrays, and once per element where it does not."""
+
+    def test_polynomial_is_one_call_and_bitwise_per_element(self):
+        calls = []
+        poly = RhsSpec.from_polynomial([0.5, -1.0, 2.0, 0.25])
+        rhs = RhsSpec(
+            f=lambda t: calls.append("f") or poly.f(t),
+            fprime=lambda t: calls.append("fprime") or poly.fprime(t),
+            f0=0.5,
+        )
+        ts = graded_mesh(300, 2.0, 0.5).nodes
+        calls.clear()
+        got_f, got_fp = rhs.eval(ts), rhs.eval_fprime(ts)
+        assert calls == ["f", "fprime"]
+        np.testing.assert_array_equal(got_f, [float(poly.f(v)) for v in ts])
+        np.testing.assert_array_equal(got_fp, [float(poly.fprime(v)) for v in ts])
+
+    def test_scalar_only_callables_fall_back(self):
+        rhs = RhsSpec(f=lambda t: math.sin(t), fprime=lambda t: math.cos(t), f0=0.0)
+        ts = np.array([[0.1, 0.2], [0.3, 0.4]])
+        np.testing.assert_array_equal(rhs.eval(ts), [[math.sin(v) for v in row] for row in ts])
+        np.testing.assert_array_equal(rhs.eval_fprime(ts), [[math.cos(v) for v in row] for row in ts])
+        assert rhs.eval(0.5) == math.sin(0.5)
+
+    def test_constant_data_fill_the_array(self):
+        rhs = RhsSpec(f=lambda t: 2.0, fprime=lambda t: 0.0, f0=2.0)
+        np.testing.assert_array_equal(rhs.eval(np.linspace(0.0, 1.0, 5)), np.full(5, 2.0))
+        np.testing.assert_array_equal(rhs.eval_fprime(np.linspace(0.0, 1.0, 5)), np.zeros(5))

@@ -207,10 +207,21 @@ def estimate_g0(samples) -> float:
     """Extrapolate g to t = 0 from (t, g(t)) pairs on a decreasing
     geometric sequence of times.
 
-    Least-squares fit of the near-origin model g(t) = g0 + c * t |ln t|,
-    whose second basis function is the leading deviation a variable
-    exponent produces. Needs at least three strictly decreasing positive
-    times with roughly geometric spacing.
+    Least-squares fit of the near-origin model g(t) = g0 + c1 t |ln t| +
+    c2 t (see :func:`_fit_g0`). Needs at least three strictly decreasing
+    positive times with roughly geometric spacing.
+    """
+    return _fit_g0(samples)[0]
+
+
+def _fit_g0(samples) -> tuple[float, float, float]:
+    """(g0, c1, c2) of :func:`estimate_g0`'s fit.
+
+    For a variable exponent, g(t) = 1 + a t ln t + b t + O(t ln^2 t) near 0
+    with a = -alpha'(0) B(2 - alpha0, alpha0) / kappa(alpha0), so c1 fits
+    -a; c2 also absorbs the t ln^2 t term, which the samples cannot tell
+    from t. A fit without the t basis function leaves b and that term in
+    g0: 2.6e-4 off on alpha(t) = 0.5 + t/5 over (0, 0.5], against 9e-7.
     """
     pts = list(samples)
     if len(pts) < 3:
@@ -225,18 +236,16 @@ def estimate_g0(samples) -> float:
             "times must decrease geometrically (each at most 0.95 of the last); "
             "extrapolation from nearly equal times is ill-conditioned"
         )
-    # centered simple regression on the basis {1, t |ln t|}: exact when the
+    # centered regression on the basis {1, t |ln t|, t}: exact when the
     # data is constant, equivalent to least squares otherwise
-    phi = t * np.abs(np.log(t))
+    phi = np.column_stack([t * np.abs(np.log(t)), t])
     n = len(t)
-    phi_bar = math.fsum(phi) / n
+    phi_bar = phi.mean(axis=0)
     g_bar = math.fsum(g) / n
-    dphi = phi - phi_bar
-    den = math.fsum(dphi * dphi)
-    if den == 0.0:
+    c, _, rank, _ = np.linalg.lstsq(phi - phi_bar, g - g_bar, rcond=None)
+    if rank < 2:
         raise DomainError("extrapolation basis is degenerate on these times")
-    c = math.fsum(dphi * (g - g_bar)) / den
-    return float(g_bar - c * phi_bar)
+    return float(g_bar - phi_bar @ c), float(c[0]), float(c[1])
 
 
 def _fit_eps(tw: np.ndarray, gp: np.ndarray, alpha0: float | None) -> EpsFit:

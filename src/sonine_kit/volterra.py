@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -207,20 +207,26 @@ def solve_second_kind(
     as a limit convention; when F(t_0) is undefined the first panel's
     mass is folded onto node 1 instead of touching the undefined value.
     """
-    return _forward_sweep(gprime, F, mesh, eps)[0]
+    [(u, _)] = _forward_sweep(gprime, (F,), mesh, eps)
+    return u
 
 
 def _forward_sweep(
-    gprime: SampledFunction, F: SampledFunction, mesh: Mesh, eps: float
-) -> tuple[SampledFunction, float]:
+    gprime: SampledFunction, Fs: Sequence[SampledFunction], mesh: Mesh, eps: float
+) -> list[tuple[SampledFunction, float]]:
     """:func:`solve_second_kind`'s u, and the relative row residual of the
-    discrete system.
+    discrete system, for each right-hand side of ``Fs``.
 
-    Blocked forward substitution over :func:`_triangle_blocks`; each
-    block's row residuals come from the same coefficient block once its u
-    are set. g' = 0 leaves u = F and a zero residual without a sweep.
+    Blocked forward substitution over :func:`_triangle_blocks`, one pass
+    for all of ``Fs``: each coefficient block is built once and every
+    column is substituted against it, so each column's u and residual are
+    bit for bit those of a sweep of its own. Columns with a finite F(t_0)
+    read a block before the first panel's mass is folded onto node 1, the
+    others after, and the fold is applied once per block. Each block's row
+    residuals come from the same coefficient block once its u are set.
+    g' = 0 leaves u = F and a zero residual without a sweep.
     """
-    if not (gprime.mesh.same_nodes(mesh) and F.mesh.same_nodes(mesh)):
+    if not (gprime.mesh.same_nodes(mesh) and all(F.mesh.same_nodes(mesh) for F in Fs)):
         raise DomainError("g' and F must be sampled on the solve mesh")
     if not (math.isfinite(eps) and 0.0 <= eps <= EPS_CLIP_MAX):
         raise DomainError(f"eps must lie in [0, {EPS_CLIP_MAX}], got {eps!r}")
@@ -237,36 +243,54 @@ def _forward_sweep(
         m[0] = m[1] - nodes[1] * (m[2] - m[1]) / (nodes[2] - nodes[1])
     if not np.all(np.isfinite(m)):
         raise DomainError("g' samples must be finite at interior nodes")
-    f = F.values
+    fs = [F.values for F in Fs]
     if not m.any():  # g' = 0, as for a classical pair: u = F exactly
-        return SampledFunction(mesh=mesh, values=f.copy()), 0.0
-    u = np.empty(mesh.N + 1)
-    u[0] = f[0]
-    fold = not np.isfinite(f[0])
-    lo = 1 if fold else 0
-    worst = 0.0
+        return [(SampledFunction(mesh=mesh, values=f.copy()), 0.0) for f in fs]
+    us = [np.empty(mesh.N + 1) for _ in fs]
+    for u, f in zip(us, fs):
+        u[0] = f[0]
+    worst = [0.0] * len(fs)
+    # (fold, columns): the unfolded columns first, since the fold rewrites C
+    groups = [
+        (fold, [c for c, f in enumerate(fs) if np.isfinite(f[0]) != fold])
+        for fold in (False, True)
+    ]
     m_at = partial(np.interp, xp=nodes, fp=m)
     for i0, i1, C in _triangle_blocks(nodes, 1.0 - eps, "linear", m_at):
-        if fold:
-            C[:, 1] += C[:, 0]
-            C[:, 0] = 0.0
-        diag = 1.0 + C[np.arange(i1 - i0), np.arange(i0, i1)]
-        bad = np.flatnonzero(np.abs(diag) < DIAG_TOL)
-        if bad.size:
-            raise IllConditionedSystemError(
-                f"near-singular step at node {i0 + bad[0]}: 1 + w g' = {diag[bad[0]]!r}"
-            )
-        # forward substitution: the columns before the block in one product,
-        # then the block's own triangle row by row
-        history = C[:, lo:i0] @ u[lo:i0]
-        for r in range(i1 - i0):
-            i = i0 + r
-            u[i] = (f[i] - (history[r] + np.dot(C[r, i0:i], u[i0:i]))) / diag[r]
-        # row residuals of the block, now that its u are set (C is 0 past the diagonal)
-        res = C[:, lo:i1] @ u[lo:i1] + u[i0:i1] - f[i0:i1]
-        scale = np.maximum(1.0, np.maximum(np.abs(f[i0:i1]), np.abs(u[i0:i1])))
-        worst = max(worst, float(np.max(np.abs(res) / scale)))
-    return SampledFunction(mesh=mesh, values=u), worst
+        for fold, cols in groups:
+            if not cols:
+                continue
+            if fold:
+                C[:, 1] += C[:, 0]
+                C[:, 0] = 0.0
+            diag = 1.0 + C[np.arange(i1 - i0), np.arange(i0, i1)]
+            bad = np.flatnonzero(np.abs(diag) < DIAG_TOL)
+            if bad.size:
+                raise IllConditionedSystemError(
+                    f"near-singular step at node {i0 + bad[0]}: 1 + w g' = {diag[bad[0]]!r}"
+                )
+            for c in cols:
+                res = _substitute_block(C, diag, i0, i1, int(fold), fs[c], us[c])
+                worst[c] = max(worst[c], res)
+    return [(SampledFunction(mesh=mesh, values=u), res) for u, res in zip(us, worst)]
+
+
+def _substitute_block(
+    C: np.ndarray, diag: np.ndarray, i0: int, i1: int, lo: int, f: np.ndarray, u: np.ndarray
+) -> float:
+    """Set u at the rows i0 <= i < i1 of one coefficient block of
+    :func:`_forward_sweep` (columns before ``lo`` left out), and return
+    the block's largest relative row residual."""
+    # forward substitution: the columns before the block in one product,
+    # then the block's own triangle row by row
+    history = C[:, lo:i0] @ u[lo:i0]
+    for r in range(i1 - i0):
+        i = i0 + r
+        u[i] = (f[i] - (history[r] + np.dot(C[r, i0:i], u[i0:i]))) / diag[r]
+    # row residuals of the block, now that its u are set (C is 0 past the diagonal)
+    res = C[:, lo:i1] @ u[lo:i1] + u[i0:i1] - f[i0:i1]
+    scale = np.maximum(1.0, np.maximum(np.abs(f[i0:i1]), np.abs(u[i0:i1])))
+    return float(np.max(np.abs(res) / scale))
 
 
 def _first_kind_residual(
@@ -328,7 +352,9 @@ def _second_kind_solve(
     """u, F and the second-kind residual of :func:`solve_first_kind` for the
     data f - f(0) + c, for each c of ``f0s``, after the gate on g(0+): the
     reformulation divides by g(0), so a failing pair produces an equation
-    for a different problem.
+    for a different problem. The data share f', so K * f' is convolved
+    once, and g', so all of them go through one forward sweep, which
+    builds the coefficient triangle once.
 
     The gate is looser than :func:`check_gsc`'s verdict, which asks for
     |g(0+) - 1| <= 1e-3, a conclusive eps fit and a finite L1 norm. A
@@ -348,11 +374,8 @@ def _second_kind_solve(
         )
     rhs.validate(pair.b)
     eps = float(np.clip(gate.eps_fit.eps, 0.0, EPS_CLIP_MAX))
-    out = []
-    for F in _assemble_rhs_at(pair.K, rhs, mesh, f0s):
-        u, r2 = _forward_sweep(gate.gprime, F, mesh, eps)
-        out.append((u, F, r2))
-    return out
+    Fs = _assemble_rhs_at(pair.K, rhs, mesh, f0s)
+    return [(u, F, r2) for F, (u, r2) in zip(Fs, _forward_sweep(gate.gprime, Fs, mesh, eps))]
 
 
 def _constant_rhs(value: float) -> RhsSpec:
@@ -391,9 +414,10 @@ def stability_report(
 ) -> StabilityReport:
     """Probe u under a constant data shift f -> f + delta and measure the
     shift against its Gronwall budget. Both solves share one measurement
-    of the condition, so the probe isolates the data perturbation, and one
-    K * f', since the shift leaves f' alone. Only u and F enter, so neither
-    solve pushes u back through k * u."""
+    of the condition, so the probe isolates the data perturbation, one
+    K * f', since the shift leaves f' alone, and one coefficient triangle
+    of the forward sweep, since they share g'. Only u and F enter, so
+    neither solve pushes u back through k * u."""
     if not (math.isfinite(delta) and delta > 0.0 and math.isfinite(rhs.f0 + delta)):
         raise DomainError(f"delta must be a small positive number, got {delta!r}")
     gate = _gate_inputs(pair, mesh)

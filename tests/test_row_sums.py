@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from sonine_kit import (
+    DomainError,
     IllConditionedSystemError,
     KernelSpec,
     RhsSpec,
@@ -34,8 +35,9 @@ from sonine_kit import (
     solve_second_kind,
     stability_report,
 )
-from sonine_kit import quadrature
+from sonine_kit import quadrature, volterra
 from sonine_kit.quadrature import BLOCK_ENTRIES, _reference_rule, _triangle_blocks
+from sonine_kit.sonine import _gate_inputs
 
 RTOL = 1e-13
 
@@ -241,6 +243,80 @@ class TestBlockedForwardSubstitution:
         F = SampledFunction(mesh=mesh, values=np.ones(41))
         with pytest.raises(IllConditionedSystemError, match=f"at node {k}:"):
             solve_second_kind(SampledFunction(mesh=mesh, values=gp), F, mesh)
+
+
+#: the f(0) of each right-hand side of one shared sweep, for a data shift
+#: of 1e-6; F(t_0) is finite only where f(0) = 0, so in turn only the
+#: second column folds the first panel onto node 1, both fold, or only the
+#: first does
+FOLD_LAYOUTS = {
+    "second-folds": (0.0, 1e-6),
+    "both-fold": (1.0, 1.0 + 1e-6),
+    "first-folds": (-1e-6, 0.0),
+}
+
+
+def _counting_triangles(monkeypatch):
+    """Count the _triangle_blocks generators opened, by the sweep or by a
+    convolution."""
+    opened = []
+    real = quadrature._triangle_blocks
+
+    def counting(*args):
+        opened.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "_triangle_blocks", counting)
+    monkeypatch.setattr(volterra, "_triangle_blocks", counting)
+    return opened
+
+
+class TestSharedSweep:
+    """One forward sweep over several right-hand sides builds each
+    coefficient block once and gives each column the u and residual of a
+    sweep of its own, bit for bit."""
+
+    @pytest.mark.parametrize("blocks", ["small", "default"])
+    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    @pytest.mark.parametrize("layout", list(FOLD_LAYOUTS))
+    def test_each_column_is_a_separate_solve(self, layout, eps, blocks, monkeypatch, pair_a):
+        if blocks == "small":
+            monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", SMALL_BLOCK)
+        mesh = graded_mesh(80, 2.0, 0.5)
+        gate = _gate_inputs(pair_a, mesh)
+        f0s = FOLD_LAYOUTS[layout]
+        Fs = volterra._assemble_rhs_at(pair_a.K, RhsSpec.from_polynomial([0.0, 1.0]), mesh, f0s)
+        assert [bool(np.isfinite(F.values[0])) for F in Fs] == [c == 0.0 for c in f0s]
+        shared = volterra._forward_sweep(gate.gprime, Fs, mesh, eps)
+        assert len(shared) == 2
+        for F, (u, res) in zip(Fs, shared):
+            [(u_own, res_own)] = volterra._forward_sweep(gate.gprime, [F], mesh, eps)
+            np.testing.assert_array_equal(u.values, u_own.values)
+            np.testing.assert_array_equal(u.values, solve_second_kind(gate.gprime, F, mesh, eps).values)
+            assert res == res_own
+            assert res <= 1e-13
+
+    def test_stability_builds_one_triangle(self, monkeypatch, classical_half, pair_a):
+        """On 256 panels K * f' takes the history sums, so the only triangle
+        is the sweep's: one for a variable pair, none for a classical pair
+        (g' = 0)."""
+        opened = _counting_triangles(monkeypatch)
+        rhs = RhsSpec.from_polynomial([0.0, 1.0])
+        stability_report(pair_a, rhs, 1e-6, graded_mesh(256, 2.0, pair_a.b))
+        assert opened == [257]
+        stability_report(classical_half, rhs, 1e-6, graded_mesh(256, 2.0, classical_half.b))
+        assert opened == [257]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_foreign_mesh_refused_before_any_block(self, position, monkeypatch, pair_a):
+        mesh = graded_mesh(64, 2.0, 0.5)
+        gate = _gate_inputs(pair_a, mesh)
+        Fs = [SampledFunction(mesh=mesh, values=np.ones(65)) for _ in range(3)]
+        Fs[position] = SampledFunction(mesh=graded_mesh(64, 3.0, 0.5), values=np.ones(65))
+        opened = _counting_triangles(monkeypatch)
+        with pytest.raises(DomainError, match="solve mesh"):
+            volterra._forward_sweep(gate.gprime, Fs, mesh, 0.25)
+        assert opened == []
 
 
 class TestStabilityWithoutPushBack:

@@ -23,10 +23,13 @@ from sonine_kit import (
     estimate_g0,
     estimate_gprime,
     graded_mesh,
+    kappa,
     make_classical_abel_pair,
     make_variable_exponent_pair,
     power_kernel,
 )
+from sonine_kit import sonine
+from sonine_kit.sonine import G0_TOL_DEFAULT
 
 
 class TestComputeGSubstituted:
@@ -129,6 +132,18 @@ class TestEstimateG0:
         gs = compute_g_substituted(pair_a, ts, M=256)
         assert abs(estimate_g0(zip(ts, gs)) - 1.0) <= 1e-3
 
+    def test_fit_matches_start_point_asymptotics(self, pair_a):
+        """g = 1 + c1 t ln t + O(t) near 0 with c1 = -alpha'(0) B(2 - alpha0,
+        alpha0) / kappa(alpha0), -0.1 for alpha(t) = 0.5 + t/5; the fit's
+        t |ln t| coefficient is -c1 (the t coefficient also absorbs t ln^2 t,
+        so it is not pinned)."""
+        a0, a1 = 0.5, 0.2
+        c1 = -a1 * math.gamma(2.0 - a0) * math.gamma(a0) / kappa(a0)
+        ts = geometric_times(0.5)
+        g0, c_log, _ = sonine._fit_g0(zip(ts, compute_g_substituted(pair_a, ts, M=256)))
+        assert abs(c_log + c1) <= 0.03 * abs(c1)  # fit 0.0987
+        assert abs(g0 - 1.0) <= 5e-6  # 9.1e-7; 2.6e-4 without the t term
+
     def test_validation(self):
         with pytest.raises(DomainError):
             estimate_g0([(1e-2, 1.0), (1e-3, 1.0)])  # too few
@@ -164,6 +179,27 @@ class TestCheckGsc:
         assert report.sc_residual > 2.0  # g is pi everywhere
         assert abs(report.g0_defect - (math.pi - 1.0)) <= 1e-3
         assert not report.gsc_pass
+
+    def test_steep_profile_passes_g0_and_scaled_kappa_fails(self):
+        """alpha(t) = 0.5 + 0.4t on (0, 1] meets g(0+) = 1 within the default
+        tolerance (its defect was 1.5e-3 without the t basis function); with
+        K scaled by 1 / 1.01, g(0+) moves by about 1% and fails it. The scaled
+        pair drops its profile, since the substituted route builds the
+        normalization of K in, so g is convolved from K itself."""
+        pair = make_variable_exponent_pair(affine_exponent(0.5, 0.4, 1.0), 1.0)
+        profile_less = SoninePair(k=pair.k, K=pair.K, kappa=pair.kappa, is_classical=False)
+        scaled = SoninePair(
+            k=pair.k,
+            K=power_kernel(1.0 / (1.01 * pair.kappa), pair.K.local_exponent, 1.0),
+            kappa=1.01 * pair.kappa,
+            is_classical=False,
+        )
+        mesh = graded_mesh(256, 2.0, 1.0)
+        assert check_gsc(pair, mesh).g0_defect <= G0_TOL_DEFAULT  # 4.0e-5
+        assert check_gsc(profile_less, mesh).g0_defect <= G0_TOL_DEFAULT
+        defect = check_gsc(scaled, mesh).g0_defect
+        assert defect > G0_TOL_DEFAULT
+        assert abs(defect - (1.0 - 1.0 / 1.01)) <= 1e-3
 
     def test_constant_profile_degenerates(self):
         pair = make_variable_exponent_pair(affine_exponent(0.5, 0.0, 1.0), 1.0)

@@ -38,6 +38,7 @@ from .sonine import (
     EpsFit,
     GscReport,
     check_gsc,
+    compute_g,
     compute_g_substituted,
     estimate_g0,
     estimate_gprime,
@@ -83,6 +84,7 @@ __all__ = [
     "EpsFit",
     "GscReport",
     "check_gsc",
+    "compute_g",
     "compute_g_substituted",
     "estimate_g0",
     "estimate_gprime",

@@ -25,7 +25,7 @@ from .kernels import (
     make_variable_exponent_pair,
 )
 from .mesh import graded_mesh
-from .sonine import check_gsc, compute_g_substituted, convolve_pair
+from .sonine import check_gsc, compute_g
 from .volterra import (
     RhsSpec,
     classical_solution,
@@ -280,13 +280,8 @@ def _run_verify_pair(cfg: JobConfig) -> tuple[int, str]:
 def _run_compute_g(cfg: JobConfig) -> tuple[int, str]:
     pair = _build_pair(cfg.kernel)
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
-    if pair.exponent is not None:
-        g = compute_g_substituted(pair, mesh.nodes[1:])
-        other = convolve_pair(pair.K, pair.k, mesh).values[1:]
-        route_diff = float(np.max(np.abs(g - other)))
-    else:
-        g = convolve_pair(pair.K, pair.k, mesh).values[1:]
-        route_diff = float("nan")
+    g_fn, route_diff = compute_g(pair, mesh)
+    g = g_fn.values[1:]
     rows = [[t, gv] for t, gv in zip(mesh.nodes[1:], g)]
     max_defect = float(np.max(np.abs(g - 1.0)))
     extra = {"max_defect": max_defect, "route_diff": route_diff}

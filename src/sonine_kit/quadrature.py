@@ -32,6 +32,15 @@ __all__ = [
 #: for the next block.
 BLOCK_ENTRIES = 8192
 
+#: panel count per half of the reference rule for K * k on meshes of
+#: 2 * REF_PANELS panels or more (see :func:`_default_panels`): the smallest
+#: power of two at which g on both routes and g' are no less accurate than
+#: the plain rule at M = N/2 for every N up to 16384. Largest relative
+#: error against mpmath on four affine profiles, three times each: g 9.2e-10
+#: (direct) and 1.0e-10 (substituted), g' 1.1e-8; the plain rule at M =
+#: 8192 (N = 16384) gives 2.6e-9, 8.7e-10 and 6.9e-8
+REF_PANELS = 256
+
 #: panel count N from which :func:`convolve_weakly_singular` sums the
 #: history of a pure-power kernel by sum-of-exponentials recurrence, in
 #: O(N * #exp), instead of the dense O(N^2) triangle. One convolution on
@@ -317,15 +326,18 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 
 def _check_panels(M) -> None:
-    """Refuse a panel count per half that is not an integer >= 16."""
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 16:
-        raise DomainError(f"need an integer panel count of at least 16, got {M!r}")
+    """Refuse a panel count per half that is not an even integer >= 16
+    (the reference rule's coarse half-rule needs an even M)."""
+    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 16 or M % 2:
+        raise DomainError(f"need an even integer panel count of at least 16, got {M!r}")
 
 
 def _default_panels(N: int) -> int:
-    # couples the splitting resolution to the mesh so refinement studies
-    # see both improve together
-    return max(32, N // 2)
+    # M no longer couples to N: the integrands on [0, 1] have the same
+    # endpoint structure at every t, so the reference rule's O(M^-4) error
+    # does not depend on the mesh, and REF_PANELS bounds it for every N;
+    # smaller meshes keep M = N/2, rounded down to even, at least 32
+    return max(32, min(N // 2, REF_PANELS) // 2 * 2)
 
 
 def _pair_panels(K: KernelSpec, k: KernelSpec, mesh: Mesh, M: int | None) -> int:
@@ -346,10 +358,26 @@ def _pair_panels(K: KernelSpec, k: KernelSpec, mesh: Mesh, M: int | None) -> int
 
 @lru_cache(maxsize=128)
 def _reference_rule(sigma: float, M: int, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Graded reference nodes on [0, 1] and weights for int_0^1 v^(-sigma) phi(v) dv."""
+    """Graded reference nodes v_j = (j/M)^r on [0, 1] and weights for
+    int_0^1 v^(-sigma) phi(v) dv, for an even M.
+
+    The product rule on the M panels errs by c M^-2 + O(M^-4) for smooth
+    phi (de Hoog & Weiss, Math. Comp. 27, 1973), and so does the same
+    rule on the nested every-other node v[::2], with 4c: ((2k)/M)^r =
+    (k/(M/2))^r. One Richardson step, (4 w_M - w_(M/2)) / 3 with the
+    coarse weights on the even nodes, leaves O(M^-4) on the same nodes.
+    It stays exact on linear phi. Its weights alternate about 2/3 and 4/3
+    of a panel weight, as in Simpson's rule, and are positive past v = 0;
+    the weight at v = 0 dips below 0 on strongly graded rules with a weak
+    singularity (down to -0.19 of its neighbour for r <= 4).
+    """
     v = (np.arange(M + 1, dtype=float) / M) ** r
     v[-1] = 1.0
-    w = _moments(v, np.diff(v), 1.0 - sigma, "linear", "left")
+    beta = 1.0 - sigma
+    w = _moments(v, np.diff(v), beta, "linear", "left")
+    coarse = v[::2]
+    w *= 4.0 / 3.0
+    w[::2] -= _moments(coarse, np.diff(coarse), beta, "linear", "left") / 3.0
     v.setflags(write=False)
     w.setflags(write=False)
     return v, w

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import SoninePair
+from .kernels import SoninePair, kappa
 from .mesh import Mesh, SampledFunction, default_grading
 from .quadrature import (
+    REF_PANELS,
     _check_panels,
-    _default_panels,
     _moments,
     _pair_convolution,
     _pair_panels,
@@ -37,6 +37,7 @@ from .quadrature import (
 __all__ = [
     "EpsFit",
     "GscReport",
+    "compute_g",
     "compute_g_substituted",
     "estimate_gprime",
     "estimate_g0",
@@ -103,14 +104,25 @@ class GscReport:
     gsc_pass: bool
 
 
-def _require_profile(pair: SoninePair) -> tuple:
+def _substituted_route(pair: SoninePair) -> tuple | None:
+    """(alpha, alpha0, kappa(alpha0)) when the substituted route computes
+    pair.K * pair.k, else None.
+
+    The route builds K = t^(alpha0 - 1) / kappa(alpha0) in from the
+    exponent profile, so it applies only when pair.K is that power; a
+    pair whose K was scaled or replaced takes the pointwise route.
+    """
     af = pair.exponent
     if af is None:
-        raise DomainError(
-            "this route needs an exponent profile attached to the pair; "
-            "use convolve_pair for kernels given only pointwise"
-        )
-    return af, float(af.eval(0.0))
+        return None
+    alpha0 = float(af.eval(0.0))
+    if not 0.0 < alpha0 < 1.0:
+        return None
+    kap = kappa(alpha0)
+    K = pair.K
+    if K.local_exponent != 1.0 - alpha0 or K.power_coef != 1.0 / kap:
+        return None
+    return af, alpha0, kap
 
 
 def _em1(af, alpha0: float, x: np.ndarray) -> np.ndarray:
@@ -140,7 +152,14 @@ def _substituted_integral(pair: SoninePair, t, M: int, fn, power: int) -> np.nda
     values of fn form one matrix per half, summed by a matrix-vector
     product.
     """
-    af, alpha0 = _require_profile(pair)
+    route = _substituted_route(pair)
+    if route is None:
+        raise DomainError(
+            "this route needs an exponent profile attached to the pair and "
+            "K = t^(alpha(0) - 1) / kappa(alpha(0)); use convolve_pair for "
+            "kernels given only pointwise"
+        )
+    af, alpha0, kap = route
     _check_panels(M)
     flat = np.ravel(np.asarray(t, dtype=float))
     if np.any(~np.isfinite(flat)) or np.any(flat <= 0.0) or np.any(
@@ -161,10 +180,10 @@ def _substituted_integral(pair: SoninePair, t, M: int, fn, power: int) -> np.nda
     for rows in _row_blocks(len(flat), M + 1):
         tb = flat[rows, None]
         out[rows] = fn(af, alpha0, tb * zL) @ wl + fn(af, alpha0, tb * zR) @ wr
-    return out / pair.kappa
+    return out / kap
 
 
-def compute_g_substituted(pair: SoninePair, t, M: int = 256):
+def compute_g_substituted(pair: SoninePair, t, M: int = REF_PANELS):
     """g(t) for a variable-exponent pair via the rescaled one-integral form.
 
     Substituting s = t z in (K * k)(t) turns the convolution into an
@@ -183,13 +202,34 @@ def compute_g_substituted(pair: SoninePair, t, M: int = 256):
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
+def compute_g(
+    pair: SoninePair, mesh: Mesh, M: int | None = None
+) -> tuple[SampledFunction, float]:
+    """g = K * k at the interior mesh nodes, and ``route_diff``, the
+    largest difference between its two routes there.
+
+    Where the substituted route applies (an exponent profile and the K it
+    implies), g comes from it and :func:`convolve_pair` is the check;
+    otherwise g is convolve_pair's and route_diff is NaN. Both routes use
+    ``M`` panels per half, by default the quadrature's. g(t_0) is NaN.
+    """
+    M = _pair_panels(pair.K, pair.k, mesh, M)
+    direct = convolve_pair(pair.K, pair.k, mesh, M=M)
+    if _substituted_route(pair) is None:
+        return direct, float("nan")
+    vals = np.full(mesh.N + 1, np.nan)
+    vals[1:] = compute_g_substituted(pair, mesh.nodes[1:], M=M)
+    route_diff = float(np.max(np.abs(vals[1:] - direct.values[1:])))
+    return SampledFunction(mesh=mesh, values=vals), route_diff
+
+
 def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
     """g' at strictly positive times, by differentiating under the integral:
     d/dt E(t z) = z E'(t z)."""
     return _substituted_integral(pair, flat, M, _dE, 1)
 
 
-def estimate_gprime(pair: SoninePair, mesh: Mesh, M: int = 256) -> SampledFunction:
+def estimate_gprime(pair: SoninePair, mesh: Mesh, M: int = REF_PANELS) -> SampledFunction:
     """g' at the interior mesh nodes for a variable-exponent pair, from the
     analytically differentiated substituted form (no finite differencing).
 
@@ -305,15 +345,17 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInp
     """g(0+) from the geometric samples, g' at the nodes, its eps fit and
     its weighted L1 norm, as :func:`check_gsc` reports them.
 
-    g itself on the mesh is computed only for a pair given pointwise (no
-    exponent profile, not classical), whose g' is differenced from it.
+    g itself on the mesh is computed only for a pair the substituted route
+    does not apply to (given pointwise, or with a K other than the one
+    the profile implies) and that is not classical, whose g' is
+    differenced from it.
     Refuses what :func:`convolve_pair` refuses: kernels on different
     intervals, a mesh past their end and a bad ``M``.
     """
     m_used = _pair_panels(pair.K, pair.k, mesh, M)
     nodes = mesh.nodes
     interior = nodes[1:]
-    has_profile = pair.exponent is not None
+    substituted = _substituted_route(pair) is not None
     t_geo = pair.b * 0.5 ** np.arange(
         _GEOMETRIC_LEVELS.start, _GEOMETRIC_LEVELS.stop, dtype=float
     )
@@ -321,7 +363,7 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInp
     if pair.is_classical:
         g_geo = np.ones_like(t_geo)
         gp = np.zeros(mesh.N + 1)
-    elif has_profile:
+    elif substituted:
         g_geo = compute_g_substituted(pair, t_geo, M=m_used)
         gp = np.full(mesh.N + 1, np.nan)
         gp[1:] = _gprime_flat(pair, interior, m_used)
@@ -332,7 +374,7 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInp
     g0 = estimate_g0(zip(t_geo, g_geo))
 
     window = (interior <= pair.b * EPS_WINDOW_FRACTION) & (np.arange(1, mesh.N + 1) >= 2)
-    alpha0 = float(pair.exponent.eval(0.0)) if has_profile else None
+    alpha0 = float(pair.exponent.eval(0.0)) if pair.exponent is not None else None
     eps_fit = _fit_eps(interior[window], gp[1:][window], alpha0)
 
     eps_c = float(np.clip(eps_fit.eps, 0.0, 0.95))
@@ -358,22 +400,16 @@ def check_gsc(
     The verdict requires |g(0+) - 1| <= g0_tol, a conclusive power fit of
     |g'| compatible with integrability, and a finite weighted L1 norm of
     g'. For variable-exponent pairs the substituted route provides g(0)
-    samples, the analytic g', and an independent cross-check of g itself.
+    samples, the analytic g' and g itself, which :func:`convolve_pair`
+    cross-checks (see :func:`compute_g`).
     This is the full diagnostic; a solve reads only the g(0+), g', fit and
     L1 parts and does not compute g on the mesh.
     """
     if not math.isfinite(g0_tol) or g0_tol <= 0.0:
         raise DomainError(f"g0_tol must be positive, got {g0_tol!r}")
     gate = _gate_inputs(pair, mesh, M)
-    g = gate.g if gate.g is not None else convolve_pair(pair.K, pair.k, mesh, M=M)
+    g, route_diff = (gate.g, float("nan")) if gate.g is not None else compute_g(pair, mesh, M)
     sc_residual = float(np.max(np.abs(g.values[1:] - 1.0)))
-    if pair.exponent is not None:
-        m_used = M if M is not None else _default_panels(mesh.N)
-        route_diff = float(
-            np.max(np.abs(g.values[1:] - compute_g_substituted(pair, mesh.nodes[1:], M=m_used)))
-        )
-    else:
-        route_diff = float("nan")
     gsc_pass = bool(
         gate.g0_defect <= g0_tol and gate.eps_fit.passed and math.isfinite(gate.gprime_l1)
     )

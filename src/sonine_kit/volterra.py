@@ -301,12 +301,13 @@ def _first_kind_residual(
 
     A u that is finite at t_0 convolves directly; an unbounded u is
     wrapped as a tabulated singular kernel so its blow-up is integrated
-    by the doubly singular route.
+    by the doubly singular route. Its order is known: k ~ t^(-sigma) with
+    f(0) != 0 makes u ~ t^(sigma - 1).
     """
     if np.isfinite(u.values[0]):
         ku = convolve_weakly_singular(k, u, mesh)
     else:
-        u_tab = KernelSpec.from_samples(u)
+        u_tab = KernelSpec.from_samples(u, sing_exponent=1.0 - k.local_exponent)
         ku = convolve_pair(u_tab, k, mesh, M=M)
     i0 = min(RESID_FIRST_INDEX, mesh.N)
     f_nodes = rhs.eval(mesh.nodes[i0:])

@@ -285,10 +285,11 @@ class TestConvolvePair:
             convolve_pair_at(pair.K, pair.k, 0.0, 64)
         with pytest.raises(DomainError):
             convolve_pair_at(pair.K, pair.k, 1.5, 64)
-        # panel counts: non-integers, bools and M < 16 fail alike on both entries
-        for bad in (0, 8, 15, 2.5, 20.5, True, None):
+        # panel counts: non-integers, bools, odd M and M < 16 fail alike on
+        # both entries
+        for bad in (0, 8, 15, 17, 33, 2.5, 20.5, True, None):
             with pytest.raises(DomainError, match="panel count"):
                 convolve_pair_at(pair.K, pair.k, 0.3, bad)
-        for bad in (20.5, True, 15):
+        for bad in (20.5, True, 15, 17, 33):
             with pytest.raises(DomainError, match="panel count"):
                 convolve_pair(pair.K, pair.k, m, M=bad)

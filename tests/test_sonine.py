@@ -52,8 +52,9 @@ class TestComputeGSubstituted:
             compute_g_substituted(classical_half, 0.5)
 
     def test_validation(self, pair_a):
-        with pytest.raises(DomainError):
-            compute_g_substituted(pair_a, 0.5, M=8)
+        for M in (8, 17, 33):  # too few panels, odd counts
+            with pytest.raises(DomainError, match="panel count"):
+                compute_g_substituted(pair_a, 0.5, M=M)
         with pytest.raises(DomainError):
             compute_g_substituted(pair_a, 0.0)
         with pytest.raises(DomainError):
@@ -200,6 +201,28 @@ class TestCheckGsc:
         defect = check_gsc(scaled, mesh).g0_defect
         assert defect > G0_TOL_DEFAULT
         assert abs(defect - (1.0 - 1.0 / 1.01)) <= 1e-3
+
+    def test_profile_with_scaled_K_takes_the_pointwise_route(self):
+        """A pair that keeps its profile but whose K is scaled by 1 / 1.01 is
+        measured from K itself, as without the profile: the substituted
+        route, which builds the profile's own K in, read g0_defect 4.0e-5
+        and passed it. Constructor-built pairs keep that route."""
+        pair = make_variable_exponent_pair(affine_exponent(0.5, 0.4, 1.0), 1.0)
+        scaled_K = power_kernel(pair.K.power_coef / 1.01, pair.K.local_exponent, 1.0)
+        kept = SoninePair(
+            k=pair.k, K=scaled_K, kappa=pair.kappa, is_classical=False, exponent=pair.exponent
+        )
+        dropped = SoninePair(k=pair.k, K=scaled_K, kappa=pair.kappa, is_classical=False)
+        mesh = graded_mesh(128, 2.0, 1.0)
+        report = check_gsc(kept, mesh)
+        assert not report.gsc_pass
+        assert report.g0_defect > G0_TOL_DEFAULT
+        assert math.isnan(report.route_diff)
+        assert report.g0_defect == check_gsc(dropped, mesh).g0_defect
+        with pytest.raises(DomainError, match="exponent profile"):
+            compute_g_substituted(kept, 0.5)
+        built = check_gsc(pair, mesh)
+        assert built.gsc_pass and math.isfinite(built.route_diff)
 
     def test_constant_profile_degenerates(self):
         pair = make_variable_exponent_pair(affine_exponent(0.5, 0.0, 1.0), 1.0)

@@ -13,6 +13,7 @@ from sonine_kit import (
     DomainError,
     GscConditionError,
     IllConditionedSystemError,
+    KernelSpec,
     RhsSpec,
     SampledFunction,
     SoninePair,
@@ -211,7 +212,7 @@ class TestSolveInputChecks:
     """A bad panel count and a mesh past the pair's interval fail loudly,
     also for a classical pair, whose solve convolves nothing with M."""
 
-    @pytest.mark.parametrize("M", [8, 2.5, True])
+    @pytest.mark.parametrize("M", [8, 17, 33, 2.5, True])
     @pytest.mark.parametrize("which", ["classical", "variable"])
     def test_bad_panel_count(self, which, M, classical_half, pair_a):
         pair = classical_half if which == "classical" else pair_a
@@ -373,6 +374,20 @@ class TestDiscoverAssociate:
         """The recovered kernel's condition residual is the solve residual."""
         report = discover_associate(pair_a.k, pair_a.K, mesh_512_half)
         assert report.sc_residual_of_u <= 10.0 * report.residual_first_kind
+
+    def test_push_back_uses_the_known_order(self, pair_a, monkeypatch):
+        """u ~ t^(alpha(0) - 1) for f = 1, so the push-back wraps u with
+        order 1 - k.local_exponent rather than fitting it from two nodes."""
+        orders = []
+        wrapped = KernelSpec.from_samples
+
+        def recording(phi, sing_exponent=None, smooth0=None):
+            orders.append(sing_exponent)
+            return wrapped(phi, sing_exponent, smooth0)
+
+        monkeypatch.setattr(KernelSpec, "from_samples", staticmethod(recording))
+        discover_associate(pair_a.k, pair_a.K, graded_mesh(128, 2.0, 0.5))
+        assert orders == [1.0 - pair_a.k.local_exponent]
 
     def test_interval_mismatch_rejected(self, classical_half):
         other = power_kernel(1.0, 0.5, 2.0)

@@ -201,14 +201,22 @@ class KernelSpec:
         if not math.isfinite(self.b) or self.b <= 0.0:
             raise DomainError(f"kernel endpoint b must be positive, got {self.b!r}")
 
-    def _check_domain(self, t: np.ndarray, allow_zero: bool) -> None:
+    def _check_domain(self, t: np.ndarray, allow_zero: bool) -> bool:
+        """Refuse t outside (0, b], or [0, b] with ``allow_zero``; True when
+        every t is positive. Two reductions settle the usual case; masks are
+        built only for a zero, a NaN, an empty t or a refusal."""
+        hi = self.b * (1.0 + 1e-12)
+        lo = t.min() if t.size else math.nan
+        if (lo >= 0.0 if allow_zero else lo > 0.0) and t.max() <= hi:
+            return bool(lo > 0.0)
         lo_bad = (t < 0.0) if allow_zero else (t <= 0.0)
-        if np.any(lo_bad) or np.any(t > self.b * (1.0 + 1e-12)):
+        if np.any(lo_bad) or np.any(t > hi):
             where = "[0, b]" if allow_zero else "(0, b]"
             raise DomainError(
                 f"kernel evaluation outside {where} with b={self.b!r}; "
                 "evaluation at t = 0 is never defined for a singular kernel"
             )
+        return False
 
     def eval(self, t):
         """Kernel value for t in (0, b]. t = 0 is a domain error."""
@@ -222,16 +230,15 @@ class KernelSpec:
         """Bounded factor t^(local_exponent) * kernel(t), continuous at 0."""
         t_arr = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t_arr)
-        self._check_domain(flat, allow_zero=True)
-        zero = flat == 0.0
-        if zero.any():
-            # evaluate at b in place of 0, then overwrite: no gather/scatter
-            out = _call_elementwise(self.smooth_fn, np.where(zero, self.b, flat))
-            out[zero] = self.smooth0
-        else:
+        zero = None if self._check_domain(flat, allow_zero=True) else flat == 0.0
+        if zero is None or not zero.any():
             out = _call_elementwise(self.smooth_fn, flat)
             if np.may_share_memory(out, flat):
                 out = out.copy()  # never hand back the caller's array
+        else:
+            # evaluate at b in place of 0, then overwrite: no gather/scatter
+            out = _call_elementwise(self.smooth_fn, np.where(zero, self.b, flat))
+            out[zero] = self.smooth0
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     @property

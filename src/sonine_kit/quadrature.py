@@ -34,7 +34,7 @@ BLOCK_ENTRIES = 8192
 
 #: panel count per half of the reference rule for K * k on meshes of
 #: 2 * REF_PANELS panels or more (see :func:`_default_panels`): the smallest
-#: power of two at which g on both routes and g' are no less accurate than
+#: power of two at which g, the substituted g and g' are no less accurate than
 #: the plain rule at M = N/2 for every N up to 16384. Largest relative
 #: error against mpmath on four affine profiles, three times each: g 9.2e-10
 #: (direct) and 1.0e-10 (substituted), g' 1.1e-8; the plain rule at M =
@@ -427,9 +427,7 @@ def convolve_weakly_singular(
     return SampledFunction(mesh=mesh, values=out)
 
 
-def _pair_convolution(
-    K: KernelSpec, k: KernelSpec, t: np.ndarray, M: int, r_ref: float | None = None
-) -> np.ndarray:
+def _pair_convolution(K: KernelSpec, k: KernelSpec, t: np.ndarray, M: int) -> np.ndarray:
     """(K * k)(t_j) at every time of the flat array ``t`` (see
     :func:`convolve_pair_at` for the quadrature).
 
@@ -437,16 +435,16 @@ def _pair_convolution(
     half costs one kernel call per factor and one matrix-vector product;
     pure-power factors cost none (see :func:`_half_sums`).
     """
-    if r_ref is None:
-        r_ref = default_grading(K.sing_exponent, k.sing_exponent)
+    r_ref = default_grading(K.sing_exponent, k.sing_exponent)
     sig_k, sig_K = k.local_exponent, K.local_exponent
     left = _half_sums(k, K, *_reference_rule(sig_k, M, r_ref))
     right = _half_sums(K, k, *_reference_rule(sig_K, M, r_ref))
     out = np.empty(len(t))
+    c = 0.5 * t
+    scale_k, scale_K = c ** (1.0 - sig_k), c ** (1.0 - sig_K)
     for rows in _row_blocks(len(t), M + 1):
         tb = t[rows, None]
-        c = 0.5 * tb[:, 0]
-        out[rows] = c ** (1.0 - sig_k) * left(tb) + c ** (1.0 - sig_K) * right(tb)
+        out[rows] = scale_k[rows] * left(tb) + scale_K[rows] * right(tb)
     return out
 
 
@@ -457,34 +455,38 @@ def _half_sums(S: KernelSpec, E: KernelSpec, v: np.ndarray, w: np.ndarray):
     Pure-power factors fold into the weights once per call: S's bounded
     factor is its constant, and E(t - s) = t^(-p) c (1 - v/2)^(-p) for E
     = c t^(-p). A half whose factors both fold is one number per call
-    times t^(-p).
+    times t^(-p). The first node v_0 = 0 is s = 0, where S's bounded
+    factor is S.smooth0, so S is evaluated at the other nodes only.
     """
+    lag_v = 1.0 - 0.5 * v  # (t - s) / t
     p = 0.0
     if S.power_coef is not None:
         w, S = w * S.power_coef, None
     if E.power_coef is not None:
         p = E.local_exponent
-        w, E = w * (E.power_coef * (1.0 - 0.5 * v) ** -p), None
+        w, E = w * (E.power_coef * lag_v**-p), None
     total = w.sum()
+    s_v = 0.5 * v[1:]  # s / t past the first node
 
     def sums(tb):
-        s = 0.5 * tb * v
         if S is None and E is None:
             out = np.full(len(tb), total)
-        elif E is None:
-            out = S.smooth(s) @ w
         elif S is None:
-            out = E.eval(tb - s) @ w
+            out = E.eval(tb * lag_v) @ w
         else:
-            out = (S.smooth(s) * E.eval(tb - s)) @ w
+            m = S.smooth(tb * s_v)
+            first = S.smooth0 * w[0]
+            if E is not None:
+                e = E.eval(tb * lag_v)
+                m = m * e[:, 1:]
+                first = first * e[:, 0]
+            out = m @ w[1:] + first
         return out * tb[:, 0] ** -p if p else out
 
     return sums
 
 
-def convolve_pair_at(
-    K: KernelSpec, k: KernelSpec, t: float, M: int, r_ref: float | None = None
-) -> float:
+def convolve_pair_at(K: KernelSpec, k: KernelSpec, t: float, M: int) -> float:
     """(K * k)(t) for two singular kernels, by splitting at t/2.
 
     Each half scales a fixed graded reference rule on [0, 1]: the factor
@@ -495,7 +497,7 @@ def convolve_pair_at(
     if not 0.0 < t <= K.b * (1.0 + 1e-12):
         raise DomainError(f"t must lie in (0, {K.b!r}], got {t!r}")
     _check_panels(M)
-    return float(_pair_convolution(K, k, np.array([float(t)]), M, r_ref)[0])
+    return float(_pair_convolution(K, k, np.array([float(t)]), M)[0])
 
 
 def convolve_pair(

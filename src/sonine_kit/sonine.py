@@ -1,11 +1,11 @@
 """Generalized Sonine condition: computing g = K * k and checking it.
 
-Two independent routes to g exist for variable-exponent pairs: the direct
-double-singular convolution (:func:`sonine_kit.quadrature.convolve_pair`,
-re-exported here so callers take both routes from this module) and a
-substituted single-integral form implemented here, obtained by
-rescaling the convolution to a fixed reference interval. Their agreement
-is reported as ``route_diff`` and is itself a correctness check.
+g and g' come from the quadrature's split-at-t/2 rule for two singular
+factors (:func:`sonine_kit.quadrature.convolve_pair`). For a pair with an
+exponent profile and K = t^(alpha0 - 1) / kappa(alpha0), the classical
+part t^(-alpha0) of k convolves with K to exactly 1; the rule's error on
+it, delta, is the same at every t, and the substituted g subtracts it
+(``route_diff`` = |delta|). g' is the same rule on t g'(t) = (K * q)(t).
 
 The condition has three parts: g(0) = 1 (checked through extrapolation of
 g along a geometric sequence of times), an integrable derivative (checked
@@ -21,16 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import SoninePair, kappa
-from .mesh import Mesh, SampledFunction, default_grading
+from .kernels import KernelSpec, SoninePair, classical_abel_kernel, kappa
+from .mesh import Mesh, SampledFunction
 from .quadrature import (
     REF_PANELS,
     _check_panels,
     _moments,
     _pair_convolution,
     _pair_panels,
-    _reference_rule,
-    _row_blocks,
     convolve_pair,
 )
 
@@ -42,7 +40,6 @@ __all__ = [
     "estimate_gprime",
     "estimate_g0",
     "check_gsc",
-    "convolve_pair",
 ]
 
 #: default tolerance on |g(0) - 1| for the overall verdict
@@ -87,8 +84,9 @@ class GscReport:
     ``sc_residual`` is max |g - 1| over interior nodes (small only for a
     classical pair); ``g0_defect`` is |g(0+) - 1| from extrapolation;
     ``gprime_l1`` integrates |g'| over [0, b] with the singular part
-    handled by product weights; ``route_diff`` compares the two g routes
-    (NaN when only one route applies). ``gsc_pass`` is the generalized
+    handled by product weights; ``route_diff`` is |delta|, the rule's error
+    on the classical part that the substituted g takes out (NaN for a pair
+    without the substituted route). ``gsc_pass`` is the generalized
     verdict: g(0) = 1 within tolerance, a conclusive integrability fit,
     and a finite weighted L1 norm.
     """
@@ -104,140 +102,130 @@ class GscReport:
     gsc_pass: bool
 
 
-def _substituted_route(pair: SoninePair) -> tuple | None:
-    """(alpha, alpha0, kappa(alpha0)) when the substituted route computes
-    pair.K * pair.k, else None.
+def _substituted_route(pair: SoninePair, required: bool = False) -> tuple | None:
+    """(alpha, alpha0) when the substituted route computes pair.K *
+    pair.k, else None, or DomainError when ``required``.
 
-    The route builds K = t^(alpha0 - 1) / kappa(alpha0) in from the
-    exponent profile, so it applies only when pair.K is that power; a
-    pair whose K was scaled or replaced takes the pointwise route.
+    The route splits k = t^(-alpha0) E with E(t) = t^(alpha0 - alpha(t)),
+    whose classical part convolves with K = t^(alpha0 - 1) /
+    kappa(alpha0) to exactly 1, so it applies only when pair.K is that
+    power; a pair whose K was scaled or replaced takes the pointwise route.
     """
-    af = pair.exponent
-    if af is None:
-        return None
-    alpha0 = float(af.eval(0.0))
-    if not 0.0 < alpha0 < 1.0:
-        return None
-    kap = kappa(alpha0)
-    K = pair.K
-    if K.local_exponent != 1.0 - alpha0 or K.power_coef != 1.0 / kap:
-        return None
-    return af, alpha0, kap
-
-
-def _em1(af, alpha0: float, x: np.ndarray) -> np.ndarray:
-    """E(x) - 1 for x > 0, where E(x) = x^(alpha0 - alpha(x)) tends to 1 at 0."""
-    return np.expm1((alpha0 - af.eval(x)) * np.log(x))
-
-
-def _dE(af, alpha0: float, x: np.ndarray) -> np.ndarray:
-    """Derivative of E(x) = x^(alpha0 - alpha(x)) for x > 0.
-
-    E'(x) = E(x) * (-alpha'(x) ln x + (alpha0 - alpha(x)) / x); the second
-    term tends to -alpha'(0), the first diverges only logarithmically.
-    """
-    x = np.asarray(x, dtype=float)
-    lx = np.log(x)
-    q = alpha0 - af.eval(x)
-    return np.exp(q * lx) * (-af.deriv(x) * lx + q / x)
-
-
-def _substituted_integral(pair: SoninePair, t, M: int, fn, power: int) -> np.ndarray:
-    """(1/kappa) int_0^1 fn(t z) z^(power - alpha0) (1 - z)^(alpha0 - 1) dz
-    at every time of ``t``, raveled.
-
-    The integral is split at z = 1/2; on each half a graded reference rule
-    absorbs the endpoint singularity, and its weights times the rest of
-    the z-only factor make one weight vector. For a block of times the
-    values of fn form one matrix per half, summed by a matrix-vector
-    product.
-    """
-    route = _substituted_route(pair)
-    if route is None:
+    af, K = pair.exponent, pair.K
+    alpha0 = float(af.eval(0.0)) if af is not None else math.nan
+    if 0.0 < alpha0 < 1.0 and (
+        K.local_exponent == 1.0 - alpha0 and K.power_coef == 1.0 / kappa(alpha0)
+    ):
+        return af, alpha0
+    if required:
         raise DomainError(
             "this route needs an exponent profile attached to the pair and "
             "K = t^(alpha(0) - 1) / kappa(alpha(0)); use convolve_pair for "
             "kernels given only pointwise"
         )
-    af, alpha0, kap = route
-    _check_panels(M)
-    flat = np.ravel(np.asarray(t, dtype=float))
-    if np.any(~np.isfinite(flat)) or np.any(flat <= 0.0) or np.any(
-        flat > pair.b * (1.0 + 1e-12)
-    ):
-        raise DomainError(f"t must lie in (0, {pair.b!r}]")
-    r_ref = default_grading(alpha0, 1.0 - alpha0)
-    vL, wL = _reference_rule(alpha0, M, r_ref)
-    vR, wR = _reference_rule(1.0 - alpha0, M, r_ref)
-    c = 0.5
-    # z = 0 adds nothing (E(0) - 1 = 0 for g, the factor z vanishes for g'),
-    # so the left half skips it and fn only sees positive arguments
-    zL = c * vL[1:]  # z in (0, 1/2], singular weight z^(-alpha0)
-    zR = 1.0 - c * vR  # z in [1/2, 1], singular weight (1 - z)^(alpha0 - 1)
-    wl = c ** (1.0 - alpha0) * wL[1:] * zL**power * (1.0 - zL) ** (alpha0 - 1.0)
-    wr = c**alpha0 * wR * zR ** (power - alpha0)
-    out = np.empty(len(flat))
-    for rows in _row_blocks(len(flat), M + 1):
-        tb = flat[rows, None]
-        out[rows] = fn(af, alpha0, tb * zL) @ wl + fn(af, alpha0, tb * zR) @ wr
-    return out / kap
+    return None
+
+
+def _classical_defect(pair: SoninePair, alpha0: float, M: int) -> float:
+    """delta = Q[K * t^(-alpha0)] - 1, the error of the split-at-t/2 rule
+    on the classical part of k, whose exact convolution with K is 1.
+
+    Both factors are pure powers, so the rule scales exactly with t and
+    one time serves every t.
+    """
+    kc = classical_abel_kernel(alpha0, pair.b)
+    return float(_pair_convolution(pair.K, kc, np.array([pair.b]), M)[0]) - 1.0
+
+
+def _dE(af, alpha0: float, x: np.ndarray, p: float) -> np.ndarray:
+    """x^p E'(x) for x > 0, where E(x) = x^(alpha0 - alpha(x)).
+
+    E'(x) = x^(q - 1) (q - alpha'(x) x ln x) with q = alpha0 - alpha(x);
+    the bracket vanishes at 0, where E' diverges only logarithmically.
+    """
+    x = np.asarray(x, dtype=float)
+    lx = np.log(x)
+    # in place and without a division: a fresh block-sized array per step
+    # cost about 10% of the N = 4096 gate, a division for q / x about 5%
+    q = np.subtract(alpha0, af.eval(x))
+    e = q + (p - 1.0)
+    e *= lx
+    np.exp(e, out=e)
+    d = af.deriv(x)
+    d *= lx
+    d *= x
+    q -= d
+    q *= e
+    return q
 
 
 def compute_g_substituted(pair: SoninePair, t, M: int = REF_PANELS):
-    """g(t) for a variable-exponent pair via the rescaled one-integral form.
+    """g(t) for a variable-exponent pair: :func:`convolve_pair`'s rule
+    minus its error delta on the classical part (:func:`_classical_defect`).
 
-    Substituting s = t z in (K * k)(t) turns the convolution into an
-    integral over the fixed interval [0, 1] whose kernel-free part has
-    unit mass. Writing the remaining factor as 1 + (E - 1) makes the
-    constant-exponent case exact and leaves a small, well-behaved
-    correction to integrate: endpoint singularities are absorbed by
-    product weights on graded reference meshes, one per endpoint, split
-    at z = 1/2.
+    With k = t^(-alpha0) (1 + (E - 1)), that leaves the rule's error on the
+    small, well-behaved correction K * t^(-alpha0) (E - 1) alone.
 
     ``t`` may be a scalar or an array inside (0, b]; the result matches
     its shape.
     """
+    _, alpha0 = _substituted_route(pair, required=True)
+    _check_panels(M)
     t_arr = np.asarray(t, dtype=float)
-    out = 1.0 + _substituted_integral(pair, t_arr, M, _em1, 0)
+    flat = np.ravel(t_arr)
+    if not np.all((flat > 0.0) & (flat <= pair.b * (1.0 + 1e-12))):  # NaN fails both
+        raise DomainError(f"t must lie in (0, {pair.b!r}]")
+    out = _pair_convolution(pair.K, pair.k, flat, M) - _classical_defect(pair, alpha0, M)
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def compute_g(
     pair: SoninePair, mesh: Mesh, M: int | None = None
 ) -> tuple[SampledFunction, float]:
-    """g = K * k at the interior mesh nodes, and ``route_diff``, the
-    largest difference between its two routes there.
+    """g = K * k at the interior mesh nodes, and ``route_diff``.
 
-    Where the substituted route applies (an exponent profile and the K it
-    implies), g comes from it and :func:`convolve_pair` is the check;
-    otherwise g is convolve_pair's and route_diff is NaN. Both routes use
-    ``M`` panels per half, by default the quadrature's. g(t_0) is NaN.
+    g is :func:`convolve_pair`'s, minus the classical defect delta where
+    the substituted route applies (see :func:`compute_g_substituted`);
+    route_diff is |delta| there and NaN elsewhere. ``M`` panels per half,
+    by default the quadrature's. g(t_0) is NaN.
     """
     M = _pair_panels(pair.K, pair.k, mesh, M)
-    direct = convolve_pair(pair.K, pair.k, mesh, M=M)
-    if _substituted_route(pair) is None:
-        return direct, float("nan")
-    vals = np.full(mesh.N + 1, np.nan)
-    vals[1:] = compute_g_substituted(pair, mesh.nodes[1:], M=M)
-    route_diff = float(np.max(np.abs(vals[1:] - direct.values[1:])))
-    return SampledFunction(mesh=mesh, values=vals), route_diff
+    g = convolve_pair(pair.K, pair.k, mesh, M=M)
+    route = _substituted_route(pair)
+    if route is None:
+        return g, float("nan")
+    delta = _classical_defect(pair, route[1], M)
+    return SampledFunction(mesh=mesh, values=g.values - delta), abs(delta)
 
 
 def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
-    """g' at strictly positive times, by differentiating under the integral:
-    d/dt E(t z) = z E'(t z)."""
-    return _substituted_integral(pair, flat, M, _dE, 1)
+    """g' at strictly positive times. Differentiating the substituted form
+    under the integral (d/dt E(t z) = z E'(t z)) and putting s = t z back
+    gives t g'(t) = (K * q)(t) for q(s) = s^(1 - alpha0) E'(s), a kernel
+    of local order alpha0 whose bounded factor s E'(s) vanishes at 0."""
+    af, alpha0 = _substituted_route(pair, required=True)
+    q = KernelSpec(
+        fn=lambda s: _dE(af, alpha0, s, 1.0 - alpha0),
+        smooth_fn=lambda s: _dE(af, alpha0, s, 1.0),
+        smooth0=0.0,
+        sing_exponent=alpha0,
+        local_exponent=alpha0,
+        b=pair.b,
+        kind="variable_exponent_abel",
+    )
+    return _pair_convolution(pair.K, q, flat, M) / flat
 
 
-def estimate_gprime(pair: SoninePair, mesh: Mesh, M: int = REF_PANELS) -> SampledFunction:
+def estimate_gprime(pair: SoninePair, mesh: Mesh, M: int | None = None) -> SampledFunction:
     """g' at the interior mesh nodes for a variable-exponent pair, from the
-    analytically differentiated substituted form (no finite differencing).
+    analytically differentiated substituted form (no finite differencing),
+    with ``M`` panels per half, by default the quadrature's (as in
+    :func:`check_gsc`).
 
     g'(t_0) is undefined (NaN): the derivative need not exist at 0, only
     be integrable near it.
     """
-    if mesh.b > pair.b * (1.0 + 1e-12):
-        raise DomainError(f"mesh endpoint {mesh.b!r} exceeds the pair's interval")
+    M = _pair_panels(pair.K, pair.k, mesh, M)
     vals = np.full(mesh.N + 1, np.nan)
     vals[1:] = _gprime_flat(pair, mesh.nodes[1:], M)
     return SampledFunction(mesh=mesh, values=vals)
@@ -313,17 +301,12 @@ def _fit_eps(tw: np.ndarray, gp: np.ndarray, alpha0: float | None) -> EpsFit:
 
 
 def _fd_gprime(nodes: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Centered differences of g at interior nodes; NaN where undefined."""
-    n = len(nodes)
-    out = np.full(n, np.nan)
-    for i in range(1, n):
-        if i == 1 or not np.isfinite(g[i - 1]):
-            lo = i
-        else:
-            lo = i - 1
-        hi = i + 1 if i < n - 1 else i
-        if hi > lo and np.isfinite(g[lo]) and np.isfinite(g[hi]):
-            out[i] = (g[hi] - g[lo]) / (nodes[hi] - nodes[lo])
+    """Differences of g at the interior nodes of a mesh (N >= 2): forward
+    at node 1, centred inside, backward at node N; NaN at t_0."""
+    out = np.full(len(nodes), np.nan)
+    out[1] = (g[2] - g[1]) / (nodes[2] - nodes[1])
+    out[2:-1] = (g[3:] - g[1:-2]) / (nodes[3:] - nodes[1:-2])
+    out[-1] = (g[-1] - g[-2]) / (nodes[-1] - nodes[-2])
     return out
 
 
@@ -400,8 +383,7 @@ def check_gsc(
     The verdict requires |g(0+) - 1| <= g0_tol, a conclusive power fit of
     |g'| compatible with integrability, and a finite weighted L1 norm of
     g'. For variable-exponent pairs the substituted route provides g(0)
-    samples, the analytic g' and g itself, which :func:`convolve_pair`
-    cross-checks (see :func:`compute_g`).
+    samples, the analytic g' and g itself (see :func:`compute_g`).
     This is the full diagnostic; a solve reads only the g(0+), g', fit and
     L1 parts and does not compute g on the mesh.
     """

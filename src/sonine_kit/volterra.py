@@ -325,7 +325,7 @@ def solve_first_kind(
 
     Measures what the transformation needs of the generalized condition
     first, g(0+) and g' with its fit and L1 norm, without the rest of
-    :func:`check_gsc` (g on the mesh, its route check); ``gsc`` reuses a
+    :func:`check_gsc` (g on the mesh and route_diff); ``gsc`` reuses a
     report the caller already has for this pair and mesh. Refuses to
     transform when g(0+) strays from 1 (see :func:`_second_kind_solve`).
     """

@@ -166,6 +166,18 @@ class TestKernelSpec:
             with pytest.raises(DomainError):
                 k.smooth(bad)
 
+    def test_nan_does_not_hide_a_refusal(self):
+        """The two reductions that settle the usual domain check read NaN
+        for an input holding one, so such input takes the elementwise check."""
+        k = variable_exponent_kernel(affine_exponent(0.5, 0.2, 0.5), 0.5)
+        for bad in ([np.nan, -0.1], [0.6, np.nan], [np.nan, 0.0]):
+            with pytest.raises(DomainError):
+                k.eval(bad)
+        with pytest.raises(DomainError):
+            k.smooth([np.nan, -0.1])
+        got = k.smooth([np.nan, 0.0, 0.25])
+        assert np.isnan(got[0]) and got[1] == k.smooth0 and got[2] == k.smooth(0.25)
+
     def test_smooth_never_returns_its_input(self):
         ident = KernelSpec(
             fn=lambda t: t ** 0.5, smooth_fn=lambda t: t, smooth0=0.0, sing_exponent=0.5,

@@ -1,8 +1,12 @@
-"""Layering guard: the CLI parses, dispatches and formats.
+"""Layering guards: the CLI parses, dispatches and formats, and K * k has
+one integrator.
 
 ``cli.py`` may call the pipeline modules' public functions but may not
 reach into the quadrature layer or into another module's private names,
 which is how copies of library pipelines end up in the front end.
+``sonine.py`` computes g and g' through the quadrature's pair convolution
+and may not import the reference rule or the row blocks behind it, which
+is how a second split-at-t/2 integrator would come back.
 """
 
 from __future__ import annotations
@@ -13,8 +17,12 @@ from pathlib import Path
 import pytest
 
 import sonine_kit.cli
+import sonine_kit.sonine
 
 FORBIDDEN_MODULES = {"quadrature"}
+
+#: the machinery of the split-at-t/2 rule, which only quadrature.py uses
+INTEGRATOR_PARTS = {"_reference_rule", "_row_blocks"}
 
 
 def _layering_violations(source: str) -> list[str]:
@@ -80,3 +88,40 @@ def test_guard_allows_public_pipeline_calls():
         "np.max(check_gsc.__name__)\n"
     )
     assert _layering_violations(source) == []
+
+
+def _integrator_parts_used(source: str) -> list[str]:
+    """Imports of the pair rule's parts, and attribute accesses to them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [
+                f"line {node.lineno}: imports {alias.name}"
+                for alias in node.names
+                if alias.name in INTEGRATOR_PARTS
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr in INTEGRATOR_PARTS:
+            found.append(f"line {node.lineno}: uses {node.attr}")
+    return found
+
+
+def test_sonine_has_no_second_integrator():
+    source = Path(sonine_kit.sonine.__file__).read_text()
+    assert _integrator_parts_used(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .quadrature import _reference_rule",
+        "from .quadrature import REF_PANELS, _row_blocks as blocks",
+        "from . import quadrature\nquadrature._reference_rule(0.5, 64, 4.0)",
+    ],
+)
+def test_integrator_guard_catches_violations(source):
+    assert _integrator_parts_used(source)
+
+
+def test_integrator_guard_allows_the_pair_convolution():
+    source = "from .quadrature import REF_PANELS, _pair_convolution, _pair_panels\n"
+    assert _integrator_parts_used(source) == []

@@ -128,7 +128,6 @@ class TestPanelCount:
             return v, w
 
         monkeypatch.setattr(quadrature, "_reference_rule", counting)
-        monkeypatch.setattr(sonine, "_reference_rule", counting)
         variable = make_variable_exponent_pair(affine_exponent(0.5, 0.2, 0.5), 0.5)
         check_gsc(variable, graded_mesh(8192, 2.0, 0.5))
         classical = make_classical_abel_pair(0.5, 1.0)

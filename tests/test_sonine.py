@@ -18,8 +18,10 @@ from sonine_kit import (
     SoninePair,
     affine_exponent,
     check_gsc,
+    compute_g,
     compute_g_substituted,
     convolve_pair,
+    convolve_pair_at,
     estimate_g0,
     estimate_gprime,
     graded_mesh,
@@ -28,7 +30,8 @@ from sonine_kit import (
     make_variable_exponent_pair,
     power_kernel,
 )
-from sonine_kit import sonine
+from sonine_kit import quadrature, sonine
+from sonine_kit.quadrature import _default_panels
 from sonine_kit.sonine import G0_TOL_DEFAULT
 
 
@@ -66,7 +69,50 @@ class TestComputeGSubstituted:
         assert np.max(np.abs(direct.values[1:] - subst)) <= 5e-5
 
 
+class TestOneRule:
+    """g, the substituted g and g' are all sums of the one split-at-t/2 rule;
+    the substituted g is its K * k minus the rule's error on the classical
+    part, delta, which is what route_diff reports."""
+
+    def test_route_diff_is_the_classical_defect(self):
+        """Two slopes at alpha(0) = 0.4 read the same route_diff, the rule's
+        error on K * t^(-0.4) = 1."""
+        mesh = graded_mesh(4096, 2.0, 0.5)
+        diffs = [
+            compute_g(make_variable_exponent_pair(affine_exponent(0.4, a1, 0.5), 0.5), mesh)[1]
+            for a1 in (0.05, 0.4)
+        ]
+        classical = make_classical_abel_pair(0.4, 0.5)
+        delta = convolve_pair_at(classical.K, classical.k, 0.5, _default_panels(4096)) - 1.0
+        assert diffs[0] == diffs[1]
+        assert abs(diffs[0] - abs(delta)) <= 1e-15
+        assert diffs[0] > 0.0
+
+    def test_compute_g_is_one_pass(self, monkeypatch, pair_a):
+        """compute_g sums N rows for g and one for delta."""
+        rows = []
+        real = quadrature._pair_convolution
+
+        def counting(K, k, t, M):
+            rows.append(len(t))
+            return real(K, k, t, M)
+
+        monkeypatch.setattr(quadrature, "_pair_convolution", counting)
+        monkeypatch.setattr(sonine, "_pair_convolution", counting)
+        mesh = graded_mesh(128, 2.0, pair_a.b)
+        g, _ = compute_g(pair_a, mesh)
+        assert sum(rows) == mesh.N + 1
+        np.testing.assert_array_equal(g.values[1:], compute_g_substituted(pair_a, mesh.nodes[1:], M=64))
+
+
 class TestEstimateGprime:
+    @pytest.mark.parametrize("N", [128, 1024])
+    def test_default_panels_are_check_gsc_s(self, N, pair_a):
+        mesh = graded_mesh(N, 2.0, pair_a.b)
+        np.testing.assert_array_equal(
+            estimate_gprime(pair_a, mesh).values, check_gsc(pair_a, mesh).gprime.values
+        )
+
     def test_oracle_value(self, pair_a):
         mesh = graded_mesh(2, 1.0, 0.5)  # nodes 0, 0.25, 0.5
         gp = estimate_gprime(pair_a, mesh, M=1024)
@@ -117,6 +163,29 @@ class TestEstimateGprime:
         x = np.log(ts)
         slope = np.polyfit(x, y, 1)[0]
         assert -slope < 0.5
+
+
+def _fd_gprime_loop(nodes, g):
+    """The per-node differences that sonine._fd_gprime vectorises."""
+    n = len(nodes)
+    out = np.full(n, np.nan)
+    for i in range(1, n):
+        lo = i if i == 1 or not np.isfinite(g[i - 1]) else i - 1
+        hi = i + 1 if i < n - 1 else i
+        if hi > lo and np.isfinite(g[lo]) and np.isfinite(g[hi]):
+            out[i] = (g[hi] - g[lo]) / (nodes[hi] - nodes[lo])
+    return out
+
+
+class TestFiniteDifferences:
+    @pytest.mark.parametrize("N", [2, 3, 128])
+    def test_matches_the_per_node_loop(self, N):
+        """Forward at node 1, centred inside, backward at node N, bit for
+        bit the loop's, on a g that is undefined at t_0."""
+        nodes = graded_mesh(N, 2.0, 0.5).nodes
+        g = np.full(N + 1, np.nan)
+        g[1:] = 1.0 + nodes[1:] * np.log(nodes[1:])
+        np.testing.assert_array_equal(sonine._fd_gprime(nodes, g), _fd_gprime_loop(nodes, g))
 
 
 class TestEstimateG0:

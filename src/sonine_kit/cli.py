@@ -56,6 +56,10 @@ CONVERGE_LEVELS = 4
 
 _FLOAT_FMT = "{:.17g}"
 
+#: what a command returns: its table's columns, the JSON-only fields, the
+#: stdout summary pairs and the pass flag
+_Result = tuple[dict, dict, dict, bool]
+
 
 @dataclass(frozen=True, slots=True)
 class KernelConfig:
@@ -215,48 +219,35 @@ def _fmt(x) -> str:
     return _FLOAT_FMT.format(float(x))
 
 
-def _emit_csv(path: str, columns: list[str], rows: list[list[float]]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
+    """Write one job's table and return the path written.
 
-
-def _jsonable(value):
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value) if math.isfinite(float(value)) else None
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    raise DomainError(f"cannot serialize {type(value).__name__} to JSON output")
-
-
-def _emit_json(path: str, record: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump({k: _jsonable(v) for k, v in record.items()}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _emit(cfg: JobConfig, columns: list[str], rows: list[list[float]], extra: dict) -> str:
+    ``columns`` maps each column name, in output order, to an array or
+    list; each is converted to Python numbers once, so integer columns
+    stay integers. CSV is a header row and one row of 17-digit values per
+    entry. JSON is one object holding the columns as lists and ``extra``'s
+    fields, with sorted keys and non-finite numbers written as null.
+    """
     path = cfg.out_path or f"{cfg.command}.{cfg.out_format}"
-    if cfg.out_format == "csv":
-        _emit_csv(path, columns, rows)
-    else:
-        record = {c: [row[j] for row in rows] for j, c in enumerate(columns)}
-        record.update(extra)
-        _emit_json(path, record)
+    table = {name: np.asarray(v).tolist() for name, v in columns.items()}
+    with open(path, "w", newline="") as fh:
+        if cfg.out_format == "csv":
+            lines = [",".join(table)]
+            lines += [",".join(map(_fmt, row)) for row in zip(*table.values())]
+            fh.write("\n".join(lines) + "\n")
+        else:
+            record = {k: [x if math.isfinite(x) else None for x in v] for k, v in table.items()}
+            record.update((k, v if math.isfinite(v) else None) for k, v in extra.items())
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     return path
 
 
-def _run_verify_pair(cfg: JobConfig) -> tuple[int, str]:
+def _run_verify_pair(cfg: JobConfig) -> _Result:
     pair = _build_pair(cfg.kernel)
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     report = check_gsc(pair, mesh, g0_tol=cfg.tolerances["g0"])
-    rows = [[t, g] for t, g in zip(mesh.nodes[1:], report.g.values[1:])]
+    columns = {"t": mesh.nodes[1:], "g": report.g.values[1:]}
     extra = {
         "g0": report.g0,
         "sc_residual": report.sc_residual,
@@ -269,68 +260,53 @@ def _run_verify_pair(cfg: JobConfig) -> tuple[int, str]:
         "route_diff": report.route_diff,
         "gsc_pass": report.gsc_pass,
     }
-    path = _emit(cfg, ["t", "g"], rows, extra)
-    print(
-        f"sc_residual={_fmt(report.sc_residual)} g0_defect={_fmt(report.g0_defect)} "
-        f"gprime_l1={_fmt(report.gprime_l1)} gsc_pass={str(report.gsc_pass).lower()} -> {path}"
-    )
-    return (0 if report.gsc_pass else 2), path
+    summary = {k: extra[k] for k in ("sc_residual", "g0_defect", "gprime_l1", "gsc_pass")}
+    return columns, extra, summary, report.gsc_pass
 
 
-def _run_compute_g(cfg: JobConfig) -> tuple[int, str]:
+def _run_compute_g(cfg: JobConfig) -> _Result:
     pair = _build_pair(cfg.kernel)
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     g_fn, route_diff = compute_g(pair, mesh)
     g = g_fn.values[1:]
-    rows = [[t, gv] for t, gv in zip(mesh.nodes[1:], g)]
     max_defect = float(np.max(np.abs(g - 1.0)))
-    extra = {"max_defect": max_defect, "route_diff": route_diff}
-    path = _emit(cfg, ["t", "g"], rows, extra)
-    print(f"max_defect={_fmt(max_defect)} route_diff={_fmt(route_diff)} -> {path}")
+    summary = {"max_defect": max_defect, "route_diff": route_diff}
     ok = math.isnan(route_diff) or route_diff <= cfg.tolerances["route_diff"]
-    return (0 if ok else 2), path
+    return {"t": mesh.nodes[1:], "g": g}, summary, summary, ok
 
 
-def _run_solve(cfg: JobConfig) -> tuple[int, str]:
+def _run_solve(cfg: JobConfig) -> _Result:
     pair = _build_pair(cfg.kernel)
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     rhs = RhsSpec.from_polynomial(cfg.rhs_coeffs)
     report = solve_first_kind(pair, rhs, mesh)
-    rows = [
-        [t, u, F]
-        for t, u, F in zip(mesh.nodes[1:], report.u.values[1:], report.F.values[1:])
-    ]
-    extra = {
+    columns = {"t": mesh.nodes[1:], "u": report.u.values[1:], "F": report.F.values[1:]}
+    summary = {
         "residual_first_kind": report.residual_first_kind,
         "residual_second_kind": report.residual_second_kind,
-        "gprime_l1": report.gprime_l1,
     }
-    path = _emit(cfg, ["t", "u", "F"], rows, extra)
-    print(
-        f"residual_first_kind={_fmt(report.residual_first_kind)} "
-        f"residual_second_kind={_fmt(report.residual_second_kind)} -> {path}"
-    )
+    extra = {**summary, "gprime_l1": report.gprime_l1}
     ok = report.residual_first_kind <= cfg.tolerances["residual_first_kind"]
-    return (0 if ok else 2), path
+    return columns, extra, summary, ok
 
 
-def _run_discover(cfg: JobConfig) -> tuple[int, str]:
+def _run_discover(cfg: JobConfig) -> _Result:
     pair = _build_pair(cfg.kernel)
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     report = discover_associate(pair.k, pair.K, mesh)
-    rows = [
-        [t, u, ku - 1.0]
-        for t, u, ku in zip(mesh.nodes[1:], report.u.values[1:], report.ku.values[1:])
-    ]
+    columns = {
+        "t": mesh.nodes[1:],
+        "u": report.u.values[1:],
+        "associate_residual": report.ku.values[1:] - 1.0,
+    }
+    summary = {"sc_residual_of_u": report.sc_residual_of_u}
     extra = {
-        "sc_residual_of_u": report.sc_residual_of_u,
+        **summary,
         "residual_second_kind": report.residual_second_kind,
         "gprime_l1": report.gprime_l1,
     }
-    path = _emit(cfg, ["t", "u", "associate_residual"], rows, extra)
-    print(f"sc_residual_of_u={_fmt(report.sc_residual_of_u)} -> {path}")
     ok = report.sc_residual_of_u <= cfg.tolerances["sc_residual_of_u"]
-    return (0 if ok else 2), path
+    return columns, extra, summary, ok
 
 
 def _converge_reference(cfg: JobConfig, pair: SoninePair, rhs: RhsSpec, n_max: int):
@@ -355,7 +331,7 @@ def _converge_reference(cfg: JobConfig, pair: SoninePair, rhs: RhsSpec, n_max: i
     return ref
 
 
-def _run_converge(cfg: JobConfig) -> tuple[int, str]:
+def _run_converge(cfg: JobConfig) -> _Result:
     pair = _build_pair(cfg.kernel)
     rhs = RhsSpec.from_polynomial(cfg.rhs_coeffs)
     n_levels = [cfg.N // (2**i) for i in reversed(range(CONVERGE_LEVELS))]
@@ -396,26 +372,21 @@ def _run_converge(cfg: JobConfig) -> tuple[int, str]:
         x = np.log2([n for n, _ in live])
         y = np.log2([e for _, e in live])
         fitted = -float(np.polyfit(x, y, 1)[0])
-    rows = [[n, b / n, e, o] for n, e, o in zip(n_levels, errs, orders)]
-    extra = {"fitted_order": fitted}
-    path = _emit(cfg, ["N", "h", "max_err", "order"], rows, extra)
-    print(f"order={_fmt(fitted)} finest_err={_fmt(errs[-1])} -> {path}")
-    return (0 if fitted >= cfg.tolerances["min_order"] else 2), path
+    columns = {"N": n_levels, "h": [b / n for n in n_levels], "max_err": errs, "order": orders}
+    summary = {"order": fitted, "finest_err": errs[-1]}
+    return columns, {"fitted_order": fitted}, summary, fitted >= cfg.tolerances["min_order"]
 
 
-def _run_stability(cfg: JobConfig) -> tuple[int, str]:
+def _run_stability(cfg: JobConfig) -> _Result:
     pair = _build_pair(cfg.kernel)
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     rhs = RhsSpec.from_polynomial(cfg.rhs_coeffs)
     report = stability_report(pair, rhs, cfg.tolerances["delta"], mesh)
-    rows = [[report.delta, report.max_shift, report.gprime_l1, report.bound]]
-    extra = {"holds": report.holds}
-    path = _emit(cfg, ["delta", "max_shift", "gprime_l1", "bound"], rows, extra)
-    print(
-        f"max_shift={_fmt(report.max_shift)} bound={_fmt(report.bound)} "
-        f"holds={str(report.holds).lower()} -> {path}"
-    )
-    return (0 if report.holds else 2), path
+    columns = {
+        name: [getattr(report, name)] for name in ("delta", "max_shift", "gprime_l1", "bound")
+    }
+    summary = {"max_shift": report.max_shift, "bound": report.bound, "holds": report.holds}
+    return columns, {"holds": report.holds}, summary, report.holds
 
 
 _DISPATCH = {
@@ -428,10 +399,22 @@ _DISPATCH = {
 }
 
 
+def _show(v) -> str:
+    return str(v).lower() if isinstance(v, bool) else _fmt(v)
+
+
 def run(cfg: JobConfig) -> int:
-    """Execute one validated job; returns the process exit status."""
-    status, _ = _DISPATCH[cfg.command](cfg)
-    return status
+    """Execute one validated job; returns the process exit status.
+
+    The command computes its table, JSON-only fields, summary pairs and
+    pass flag without I/O; this writes the table with :func:`_emit`,
+    prints the summary as ``name=value`` pairs followed by ``-> path``,
+    and returns 0 on pass and 2 on a tolerance failure.
+    """
+    columns, extra, summary, ok = _DISPATCH[cfg.command](cfg)
+    path = _emit(cfg, columns, extra)
+    print(" ".join(f"{k}={_show(v)}" for k, v in summary.items()) + f" -> {path}")
+    return 0 if ok else 2
 
 
 def main(argv=None) -> int:

@@ -53,7 +53,9 @@ def graded_mesh(N: int, r: float, b: float) -> Mesh:
         Number of panels, at least 2.
     r : float
         Grading exponent, at least 1. r = 1 gives a uniform mesh; larger
-        values cluster nodes at t = 0 where kernels are singular.
+        values cluster nodes at t = 0 where kernels are singular. A
+        grading so steep that t_1 = b N^-r underflows, leaving nodes that
+        are not strictly increasing, raises :class:`DomainError`.
     b : float
         Right endpoint of the interval, positive.
     """
@@ -69,6 +71,11 @@ def graded_mesh(N: int, r: float, b: float) -> Mesh:
     nodes = b * (j / N) ** float(r)
     nodes[0] = 0.0
     nodes[-1] = b
+    if not np.all(nodes[1:] > nodes[:-1]):
+        raise DomainError(
+            f"graded mesh with N={N}, r={r!r} has nodes that are not strictly "
+            f"increasing: t_1 = b N^-r = {float(nodes[1])!r} underflows; lower r or N"
+        )
     return Mesh(nodes=_readonly(nodes), r=float(r), b=float(b))
 
 

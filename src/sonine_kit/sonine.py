@@ -57,6 +57,11 @@ EPS_MARGIN = 0.01
 #: |g'| below this is treated as identically zero
 GPRIME_FLOOR = 1e-12
 
+#: the fitted eps is clipped to [0, this] for the weighted L1 norm of g'
+#: and for the second-kind weights; the Gronwall budget holds only if both
+#: use the same eps
+EPS_CLIP_MAX = 0.95
+
 #: fitted amplitude below this means g' is negligible however it scales
 AMPLITUDE_FLOOR = 1e-6
 
@@ -360,7 +365,7 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInp
     alpha0 = float(pair.exponent.eval(0.0)) if pair.exponent is not None else None
     eps_fit = _fit_eps(interior[window], gp[1:][window], alpha0)
 
-    eps_c = float(np.clip(eps_fit.eps, 0.0, 0.95))
+    eps_c = float(np.clip(eps_fit.eps, 0.0, EPS_CLIP_MAX))
     w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps_c, "linear", "left")
     m_fac = np.zeros(mesh.N + 1)
     m_fac[1:] = np.abs(gp[1:]) * interior**eps_c

@@ -24,7 +24,7 @@ from .errors import DomainError, GscConditionError, IllConditionedSystemError
 from .kernels import KernelSpec, SoninePair, _evaluate, gamma, kappa
 from .mesh import Mesh, SampledFunction
 from .quadrature import _triangle_blocks, convolve_pair, convolve_weakly_singular
-from .sonine import GscReport, _gate_inputs, _GateInputs
+from .sonine import EPS_CLIP_MAX, GscReport, _gate_inputs, _GateInputs
 
 __all__ = [
     "RhsSpec",
@@ -56,9 +56,6 @@ RESID_FIRST_INDEX = 3
 FD_SPOT_COUNT = 16
 FD_STEP_FRAC = 1e-6
 FD_TOL = 1e-5
-
-#: singular exponents for second-kind weights are clipped to [0, this]
-EPS_CLIP_MAX = 0.95
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,7 @@ from sonine_kit import (
     parse_config,
     stability_report,
 )
-from sonine_kit.cli import TOL_DEFAULTS, main
+from sonine_kit.cli import COMMANDS, TOL_DEFAULTS, main
 from sonine_kit.volterra import RESID_FIRST_INDEX
 
 
@@ -175,6 +175,74 @@ class TestEmission:
         assert main(["verify-pair", "--config", cfg_path]) == 0
         record = json.loads((tmp_path / "custom.json").read_text())
         assert record["gsc_pass"] is True
+
+
+#: the JSON field each stdout summary pair reports, when it is not the pair's name
+SUMMARY_FIELDS = {
+    "converge": {"order": ("fitted_order", None), "finest_err": ("max_err", -1)},
+    "stability": {"max_shift": ("max_shift", 0), "bound": ("bound", 0)},
+}
+
+
+def _summary_value(text):
+    if text in ("true", "false"):
+        return text == "true"
+    value = float(text)
+    return value if math.isfinite(value) else None  # JSON writes non-finite as null
+
+
+class TestCsvJsonAgree:
+    """Both formats carry one table, and the summary line reports the record."""
+
+    KERNELS = {
+        "classical": {"kind": "classical", "alpha": 0.5, "b": 1.0},
+        "variable": VARIABLE_KERNEL,
+    }
+
+    def _run(self, tmp_path, capsys, command, kernel, fmt):
+        cfg_path = _write(tmp_path, _doc(command, kernel=self.KERNELS[kernel], N=64))
+        out = tmp_path / f"table.{fmt}"
+        rc = main([command, "--config", cfg_path, "--out", str(out), "--format", fmt])
+        assert rc in (0, 2)
+        summary, sep, path = capsys.readouterr().out.rstrip("\n").partition(" -> ")
+        assert sep and path == str(out)
+        return rc, out.read_text(), summary
+
+    @pytest.mark.parametrize("kernel", ["classical", "variable"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_same_table_and_summary(self, command, kernel, tmp_path, capsys):
+        rc_csv, csv_text, summary_csv = self._run(tmp_path, capsys, command, kernel, "csv")
+        rc_json, json_text, summary_json = self._run(tmp_path, capsys, command, kernel, "json")
+        assert rc_csv == rc_json and summary_csv == summary_json
+        record = json.loads(json_text)
+
+        header, *rows = [line.split(",") for line in csv_text.splitlines()]
+        assert all(len(row) == len(header) for row in rows)
+        for j, name in enumerate(header):
+            assert len(record[name]) == len(rows)
+            for row, value in zip(rows, record[name]):
+                csv_value = float(row[j])  # 17 digits: exact round trip
+                if value is None:
+                    assert not math.isfinite(csv_value)
+                else:
+                    assert csv_value == value
+
+        for name, value in record.items():
+            if name.endswith(("_pass", "_passed")) or name == "holds":
+                assert type(value) is bool
+        if command == "converge":
+            assert all(type(n) is int for n in record["N"])
+            assert [row[0] for row in rows] == [str(n) for n in record["N"]]
+            assert record["order"][0] is None
+        if kernel == "classical" and command in ("verify-pair", "compute-g"):
+            assert record["route_diff"] is None
+
+        fields = SUMMARY_FIELDS.get(command, {})
+        for pair in summary_json.split(" "):
+            name, _, text = pair.partition("=")
+            field, index = fields.get(name, (name, None))
+            value = record[field] if index is None else record[field][index]
+            assert _summary_value(text) == value, pair
 
 
 class TestCommands:
@@ -352,6 +420,15 @@ class TestCliErrors:
         cfg_path = _write(tmp_path, doc)
         assert main(["verify-pair", "--config", cfg_path]) == 1
         assert "kernel.alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify-pair", "solve"])
+    def test_underflowing_mesh_is_a_plain_error(self, command, tmp_path, capsys):
+        # t_1 = 64^-400 underflows to 0; refused before any kernel sees t_1 = 0
+        cfg_path = _write(tmp_path, _doc(command, N=64, r=400.0))
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: graded mesh with N=64, r=400.0")
+        assert err.count("\n") == 1 and "Warning" not in err
 
     def test_unknown_cli_command_is_usage_error(self, capsys):
         # exit 2 is reserved for tolerance failures; usage problems are errors

@@ -6,7 +6,9 @@ reach into the quadrature layer or into another module's private names,
 which is how copies of library pipelines end up in the front end.
 ``sonine.py`` computes g and g' through the quadrature's pair convolution
 and may not import the reference rule or the row blocks behind it, which
-is how a second split-at-t/2 integrator would come back.
+is how a second split-at-t/2 integrator would come back. The CLI's
+commands (``_run_*``) return their table and summary and do no I/O:
+``run`` writes both, so the CLI has one output path.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import sonine_kit.cli
 import sonine_kit.sonine
 
 FORBIDDEN_MODULES = {"quadrature"}
+
+#: calls that write output, which only ``run`` and ``_emit`` make
+OUTPUT_CALLS = {"print", "open", "_emit"}
 
 #: the machinery of the split-at-t/2 rule, which only quadrature.py uses
 INTEGRATOR_PARTS = {"_reference_rule", "_row_blocks"}
@@ -88,6 +93,51 @@ def test_guard_allows_public_pipeline_calls():
         "np.max(check_gsc.__name__)\n"
     )
     assert _layering_violations(source) == []
+
+
+def _command_output(source: str) -> list[str]:
+    """Calls to ``print``, ``open``, ``_emit`` or ``json.*`` inside a
+    ``_run_*`` function, nested functions included."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_run_")):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in OUTPUT_CALLS:
+                found.append(f"line {node.lineno}: {fn.name} calls {f.id}")
+            elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "json":
+                found.append(f"line {node.lineno}: {fn.name} calls json.{f.attr}")
+    return found
+
+
+def test_cli_commands_do_no_output():
+    source = Path(sonine_kit.cli.__file__).read_text()
+    assert _command_output(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _run_solve(cfg):\n    print('residual=0')",
+        "def _run_solve(cfg):\n    with open(cfg.out_path, 'w') as fh:\n        pass",
+        "import json\ndef _run_solve(cfg):\n    json.dump({}, None)",
+        "def _run_solve(cfg):\n    return _emit(cfg, {}, {})",
+        "def _run_converge(cfg):\n    def level(n):\n        print(n)\n    level(8)",
+    ],
+)
+def test_output_guard_catches_violations(source):
+    assert _command_output(source)
+
+
+def test_output_guard_allows_run_to_write():
+    source = (
+        "def _run_solve(cfg):\n    return {'t': []}, {}, {'r': 0.0}, True\n"
+        "def run(cfg):\n    print(_emit(cfg, {}, {}))\n"
+    )
+    assert _command_output(source) == []
 
 
 def _integrator_parts_used(source: str) -> list[str]:

@@ -48,6 +48,16 @@ class TestGradedMesh:
             with pytest.raises(DomainError):
                 graded_mesh(*args)
 
+    @pytest.mark.parametrize("N, r", [(64, 180.0), (4096, 100.0)])
+    def test_underflowing_nodes_refused(self, N, r):
+        # t_1 = N^-r rounds to 0, so t_0 = t_1 would contradict 0 = t_0 < t_1
+        with pytest.raises(DomainError, match=f"N={N}, r={r!r}"):
+            graded_mesh(N, r, 1.0)
+
+    def test_steep_representable_grading_kept(self):
+        m = graded_mesh(64, 170.0, 1.0)  # t_1 = 2^-1020 is still a normal float
+        assert m.nodes[1] > 0.0 and np.all(np.diff(m.nodes) > 0)
+
     def test_nodes_are_immutable(self):
         m = graded_mesh(4, 2.0, 1.0)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sonine_kit.sonine as sonine
+import sonine_kit.volterra as volterra
 from conftest import EXP_MINUS_1, TWO_OVER_PI
 from sonine_kit import (
     DomainError,
@@ -299,6 +300,10 @@ class TestStabilityReport:
         assert report.max_shift == np.max(np.abs(u_moved.u.values[1:] - u.u.values[1:]))
         assert report.bound == math.exp(gsc.gprime_l1) * dF
         assert report.gprime_l1 == gsc.gprime_l1
+
+    def test_sweep_and_budget_clip_eps_alike(self):
+        # the budget's L1 norm of g' is valid only for the sweep's own eps
+        assert volterra.EPS_CLIP_MAX is sonine.EPS_CLIP_MAX
 
 
 def _second_kind_row_residual(report, gsc, mesh):

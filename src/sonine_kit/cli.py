@@ -219,6 +219,43 @@ def _fmt(x) -> str:
     return _FLOAT_FMT.format(float(x))
 
 
+#: list values that :func:`_json_chunks` formats per write
+JSON_CHUNK = 512
+
+#: JSON for the reprs of Python numbers that JSON spells differently
+_JSON_WORDS = {"nan": "null", "inf": "null", "-inf": "null", "True": "true", "False": "false"}
+
+
+def _json_chunks(record: dict):
+    """The text of ``json.dump(record, fh, indent=1, sort_keys=True)`` for
+    an object whose fields are Python numbers (bool, int or float, whose
+    reprs json writes) or lists of them, with non-finite numbers written
+    as null. json.dump's indented output runs its pure-Python encoder one
+    token at a time; this joins the values of a list JSON_CHUNK at a time,
+    so a long column is never held as text whole."""
+    if not record:
+        yield "{}"
+        return
+    sep = "{\n "
+    for key in sorted(record):
+        v = record[key]
+        yield f"{sep}{json.dumps(key)}: "
+        sep = ",\n "
+        if not isinstance(v, list):
+            yield _JSON_WORDS.get(repr(v), repr(v))
+            continue
+        if not v:
+            yield "[]"
+            continue
+        item_sep = "[\n  "
+        for i in range(0, len(v), JSON_CHUNK):
+            words = [_JSON_WORDS.get(s, s) for s in map(repr, v[i : i + JSON_CHUNK])]
+            yield item_sep + ",\n  ".join(words)
+            item_sep = ",\n  "
+        yield "\n ]"
+    yield "\n}"
+
+
 def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
     """Write one job's table and return the path written.
 
@@ -226,7 +263,8 @@ def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
     list; each is converted to Python numbers once, so integer columns
     stay integers. CSV is a header row and one row of 17-digit values per
     entry. JSON is one object holding the columns as lists and ``extra``'s
-    fields, with sorted keys and non-finite numbers written as null.
+    fields, with sorted keys, indented as ``json.dump(..., indent=1)``
+    indents, and non-finite numbers written as null.
     """
     path = cfg.out_path or f"{cfg.command}.{cfg.out_format}"
     table = {name: np.asarray(v).tolist() for name, v in columns.items()}
@@ -236,9 +274,8 @@ def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
             lines += [",".join(map(_fmt, row)) for row in zip(*table.values())]
             fh.write("\n".join(lines) + "\n")
         else:
-            record = {k: [x if math.isfinite(x) else None for x in v] for k, v in table.items()}
-            record.update((k, v if math.isfinite(v) else None) for k, v in extra.items())
-            json.dump(record, fh, indent=1, sort_keys=True)
+            fields = {k: np.asarray(v).tolist() for k, v in extra.items()}
+            fh.writelines(_json_chunks({**table, **fields}))
             fh.write("\n")
     return path
 

@@ -51,6 +51,19 @@ REF_PANELS = 256
 #: 15-19 against 4-8 ms at 1024 and 264-334 against 18-29 ms at 4096.
 SOE_MIN_N = 256
 
+#: Chebyshev-Lobatto points in s = ln t at which :func:`_in_log_t` samples
+#: a mesh-wide g or t g'; meshes of fewer than 4 * LOG_T_POINTS interior
+#: nodes are summed row by row. On eight affine profiles with r <= 2 and N
+#: up to 8192, the last four coefficients of g and t g' are at most 4e-15
+#: of the largest; a longer span of ln t (from r = 3 at N = 4096 on the
+#: steepest profiles, r = 4 at N = 1024-4096, r = 8) leaves t g'
+#: unresolved, and those meshes are summed row by row
+LOG_T_POINTS = 64
+
+#: :func:`_in_log_t` keeps its interpolant only when the last four
+#: Chebyshev coefficients are at most this times the largest one
+LOG_T_TAIL = 1e-13
+
 #: step in x = ln(lambda) of the trapezoid rule behind the SOE; 0.3 left
 #: a relative error of 1e-13, 0.25 leaves 6e-15
 SOE_STEP = 0.25
@@ -118,23 +131,22 @@ def _moments(
     # A and B: panel moments of distance^(beta-1) and distance^beta, from
     # the node powers
     p_lo, p_hi = ends(p)
-    p[...] = d
-    p **= beta
+    np.power(d, beta, out=p)
     np.subtract(p_hi, p_lo, out=A)
     A /= beta
-    w[...] = 0.0
     if rule == "constant_left":
-        w[..., :-1] += A
+        w[..., :-1] = A
+        w[..., -1] = 0.0
         return w
-    p[...] = d
-    p **= beta + 1.0
+    np.power(d, beta + 1.0, out=p)
     np.subtract(p_hi, p_lo, out=B)
     B /= beta + 1.0
-    # the panel's hat functions at its farther and its nearer node
+    # the panel's hat functions at its farther and its nearer node; the
+    # farther ends cover every node but the one at the singular point
     np.multiply(lo, A, out=t)
     np.subtract(B, t, out=t)
-    t /= h
-    far += t
+    np.divide(t, h, out=far)
+    w[..., 0 if left else -1] = 0.0
     np.multiply(hi, A, out=t)
     t -= B
     t /= h
@@ -323,6 +335,88 @@ def _row_blocks(n_rows: int, n_cols: int):
     step = max(1, BLOCK_ENTRIES // n_cols)
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
+
+
+@lru_cache(maxsize=1)
+def _lobatto(P: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The P ascending Chebyshev-Lobatto points x_k = -cos(pi k / (P-1))
+    on [-1, 1], their barycentric weights (-1)^k (halved at the ends), and
+    the matrix of the DCT-I that maps values at the points to the
+    coefficients of the interpolant in Chebyshev polynomials T_j.
+
+    T_j(x_k) = cos(pi j (P-1-k) / (P-1)) is looked up in a table of the
+    2(P-1) angles pi m / (P-1), reduced exactly in integers: the cosine of
+    the unreduced product j (pi - theta_k) is off by up to 3e-14 at P = 64.
+    """
+    n = P - 1
+    cos = [math.cos(math.pi * m / n) for m in range(2 * n)]
+    x = np.array([-cos[k] for k in range(P)])
+    x[0], x[-1] = -1.0, 1.0
+    bary = np.ones(P)
+    bary[1::2] = -1.0
+    bary[[0, -1]] *= 0.5
+    to_coef = np.empty((P, P))
+    for j, row in enumerate(to_coef):
+        row[:] = [cos[j * (n - k) % (2 * n)] for k in range(P)]
+    # the DCT-I sum halves its end terms, and so do c_0 and c_(P-1)
+    to_coef *= 2.0 / n
+    to_coef[:, [0, -1]] *= 0.5
+    to_coef[[0, -1]] *= 0.5
+    for a in (x, bary, to_coef):
+        a.setflags(write=False)
+    return x, bary, to_coef
+
+
+def _in_log_t(f, t: np.ndarray) -> np.ndarray:
+    """f(t) at every time of the increasing positive flat array ``t``, for
+    a vectorised f that is smooth in s = ln t, from LOG_T_POINTS rows of f
+    instead of len(t).
+
+    f is called once, at the Chebyshev-Lobatto points of s on [ln t[0],
+    ln t[-1]], whose end points are t[0] and t[-1] exactly. When the last
+    four Chebyshev coefficients of the interpolant are at most LOG_T_TAIL
+    times the largest, the interpolant is evaluated at every other t by
+    the barycentric formula, in blocks of BLOCK_ENTRIES entries, so memory
+    stays flat at any len(t). Otherwise, and for fewer than
+    4 * LOG_T_POINTS times, the result is f(t) itself. The rule's output
+    is as smooth in ln t as g is: its nodes are fixed, and near 0 its
+    terms go as t ln t and t (see README, "Numerical notes").
+    """
+    P = LOG_T_POINTS
+    if len(t) < 4 * P:
+        return f(t)
+    x_k, bary, to_coef = _lobatto(P)
+    s0, s1 = math.log(t[0]), math.log(t[-1])
+    mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
+    t_k = np.exp(mid + half * x_k)
+    t_k[0], t_k[-1] = t[0], t[-1]
+    f_k = f(t_k)
+    c = np.abs(to_coef @ f_k)
+    if not c[-4:].max() <= LOG_T_TAIL * c.max():  # a NaN fails too
+        return f(t)
+    out = np.empty(len(t))
+    out[0], out[-1] = f_k[0], f_k[-1]
+    inner = out[1:-1]
+    x = np.log(t[1:-1])
+    x -= mid
+    x /= half
+    np.clip(x, -1.0, 1.0, out=x)
+    weighted = bary * f_k
+    work = np.empty(BLOCK_ENTRIES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in _row_blocks(len(x), P):
+            d = _view(work, (rows.stop - rows.start, P))
+            np.subtract(x[rows, None], x_k, out=d)
+            np.divide(1.0, d, out=d)
+            # two matrix-vector products: one matrix product with both
+            # columns makes BLAS set up its GEMM buffers, 0.1-0.25 MB more
+            # peak RSS in a process that has not used them
+            np.divide(d @ weighted, d @ bary, out=inner[rows])
+    # a time on a point divides by 0 there, and takes the point's value
+    on_point = np.isnan(inner)
+    if on_point.any():
+        inner[on_point] = f_k[np.searchsorted(x_k, x[on_point])]
+    return out
 
 
 def _check_panels(M) -> None:

@@ -6,6 +6,12 @@ exponent profile and K = t^(alpha0 - 1) / kappa(alpha0), the classical
 part t^(-alpha0) of k convolves with K to exactly 1; the rule's error on
 it, delta, is the same at every t, and the substituted g subtracts it
 (``route_diff`` = |delta|). g' is the same rule on t g'(t) = (K * q)(t).
+On a mesh, g and t g' are smooth in ln t (they go as t ln t and t near 0),
+so the rule runs at the quadrature's 64 Chebyshev points in ln t and an
+interpolant carries it to every node, unless its coefficients show it
+unresolved (:func:`sonine_kit.quadrature._in_log_t`); g at the geometric
+times of the g(0+) fit, delta and :func:`compute_g_substituted` stay
+direct sums.
 
 The condition has three parts: g(0) = 1 (checked through extrapolation of
 g along a geometric sequence of times), an integrable derivative (checked
@@ -26,6 +32,7 @@ from .mesh import Mesh, SampledFunction
 from .quadrature import (
     REF_PANELS,
     _check_panels,
+    _in_log_t,
     _moments,
     _pair_convolution,
     _pair_panels,
@@ -191,23 +198,31 @@ def compute_g(
 
     g is :func:`convolve_pair`'s, minus the classical defect delta where
     the substituted route applies (see :func:`compute_g_substituted`);
-    route_diff is |delta| there and NaN elsewhere. ``M`` panels per half,
-    by default the quadrature's. g(t_0) is NaN.
+    route_diff is |delta| there and NaN elsewhere. On that route the rule
+    runs at the quadrature's Chebyshev points in ln t and is interpolated
+    to the mesh, where the interpolant resolves it (see
+    :func:`sonine_kit.quadrature._in_log_t`). ``M`` panels per half, by
+    default the quadrature's. g(t_0) is NaN.
     """
     M = _pair_panels(pair.K, pair.k, mesh, M)
-    g = convolve_pair(pair.K, pair.k, mesh, M=M)
     route = _substituted_route(pair)
     if route is None:
-        return g, float("nan")
+        return convolve_pair(pair.K, pair.k, mesh, M=M), float("nan")
     delta = _classical_defect(pair, route[1], M)
-    return SampledFunction(mesh=mesh, values=g.values - delta), abs(delta)
+    g = np.full(mesh.N + 1, np.nan)
+    g[1:] = _in_log_t(lambda t: _pair_convolution(pair.K, pair.k, t, M), mesh.nodes[1:])
+    g[1:] -= delta
+    return SampledFunction(mesh=mesh, values=g), abs(delta)
 
 
 def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
-    """g' at strictly positive times. Differentiating the substituted form
-    under the integral (d/dt E(t z) = z E'(t z)) and putting s = t z back
-    gives t g'(t) = (K * q)(t) for q(s) = s^(1 - alpha0) E'(s), a kernel
-    of local order alpha0 whose bounded factor s E'(s) vanishes at 0."""
+    """g' at strictly positive times, increasing ones when there are 4 *
+    LOG_T_POINTS or more. Differentiating the substituted form under the
+    integral (d/dt E(t z) = z E'(t z)) and putting s = t z back gives
+    t g'(t) = (K * q)(t) for q(s) = s^(1 - alpha0) E'(s), a kernel of
+    local order alpha0 whose bounded factor s E'(s) vanishes at 0. t g',
+    which goes as t ln t near 0, is sampled in ln t (see
+    :func:`sonine_kit.quadrature._in_log_t`) and then divided by t."""
     af, alpha0 = _substituted_route(pair, required=True)
     q = KernelSpec(
         fn=lambda s: _dE(af, alpha0, s, 1.0 - alpha0),
@@ -218,7 +233,7 @@ def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
         b=pair.b,
         kind="variable_exponent_abel",
     )
-    return _pair_convolution(pair.K, q, flat, M) / flat
+    return _in_log_t(lambda t: _pair_convolution(pair.K, q, t, M), flat) / flat
 
 
 def estimate_gprime(pair: SoninePair, mesh: Mesh, M: int | None = None) -> SampledFunction:

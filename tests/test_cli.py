@@ -25,6 +25,7 @@ from sonine_kit import (
     parse_config,
     stability_report,
 )
+from sonine_kit import cli
 from sonine_kit.cli import COMMANDS, TOL_DEFAULTS, main
 from sonine_kit.volterra import RESID_FIRST_INDEX
 
@@ -161,6 +162,31 @@ class TestEmission:
         assert len(record["t"]) == 64
         assert all(v is not None for v in record["g"])
         assert list(record) == sorted(record)
+
+    @pytest.mark.parametrize("chunk", [2, 512])
+    def test_json_writer_is_json_dump(self, tmp_path, monkeypatch, chunk):
+        """The JSON table is json.dump(record, indent=1, sort_keys=True) byte
+        for byte, with non-finite numbers as null, for non-finite values, an
+        empty column, an int column, bool and float extras, and keys whose
+        sorted order is not their insertion order; also when a column spans
+        several chunks."""
+        monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+        out = tmp_path / "t.json"
+        doc = _doc("verify-pair", output={"path": str(out), "format": "json"})
+        cfg = parse_config(json.dumps(doc))
+        columns = {
+            "t": np.array([0.1, 1.0 / 3.0, 5e-324, -0.0, 1e300]),
+            "g": np.array([np.nan, np.inf, -np.inf, 1.5, 2.0]),
+            "empty": [],
+            "N": [32, 64, 128, 256, 512],
+        }
+        extra = {"z_flag": True, "a_flag": False, "m": np.float64(-np.inf), "b": np.float64(0.1)}
+        cli._emit(cfg, columns, extra)
+        record = {k: [x if math.isfinite(x) else None for x in np.asarray(v).tolist()] for k, v in columns.items()}
+        record.update((k, v if math.isfinite(v) else None) for k, v in extra.items())
+        expected = json.dumps(record, indent=1, sort_keys=True) + "\n"
+        assert out.read_text() == expected
+        assert '"N": [\n  32,' in expected and '"empty": []' in expected
 
     def test_default_output_path_is_command_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -8,12 +8,15 @@ which is how copies of library pipelines end up in the front end.
 and may not import the reference rule or the row blocks behind it, which
 is how a second split-at-t/2 integrator would come back. The CLI's
 commands (``_run_*``) return their table and summary and do no I/O:
-``run`` writes both, so the CLI has one output path.
+``run`` writes both, so the CLI has one output path. Importing the package
+loads no numpy submodule it does not use, to keep start-up short.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,10 @@ FORBIDDEN_MODULES = {"quadrature"}
 
 #: calls that write output, which only ``run`` and ``_emit`` make
 OUTPUT_CALLS = {"print", "open", "_emit"}
+
+#: numpy submodules that ``import sonine_kit`` must not load (numpy.polynomial
+#: costs about 4 ms of start-up; the Chebyshev interpolant in ln t is plain numpy)
+UNUSED_NUMPY = ("numpy.polynomial",)
 
 #: the machinery of the split-at-t/2 rule, which only quadrature.py uses
 INTEGRATOR_PARTS = {"_reference_rule", "_row_blocks"}
@@ -175,3 +182,13 @@ def test_integrator_guard_catches_violations(source):
 def test_integrator_guard_allows_the_pair_convolution():
     source = "from .quadrature import REF_PANELS, _pair_convolution, _pair_panels\n"
     assert _integrator_parts_used(source) == []
+
+
+def test_import_loads_no_unused_numpy_submodule():
+    src = str(Path(sonine_kit.cli.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import sonine_kit; "
+        f"print([m for m in {UNUSED_NUMPY!r} if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

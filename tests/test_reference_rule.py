@@ -19,6 +19,7 @@ from sonine_kit import (
     check_gsc,
     compute_g_substituted,
     convolve_pair_at,
+    estimate_gprime,
     graded_mesh,
     make_classical_abel_pair,
     make_variable_exponent_pair,
@@ -90,6 +91,24 @@ class TestAgainstOracle:
             errs = np.array([_errors(pair, table, M) for M in (64, 128, 256)])
             orders = np.log2(errs[:-1] / errs[1:])
             assert np.all(orders >= 3.5), orders
+
+
+class TestSampledOnTheMesh:
+    @pytest.mark.parametrize("N", [4096, 8192])
+    def test_gprime_no_less_accurate_than_direct_rows(self, oracle, N):
+        """On a uniform mesh whose nodes include the oracle's times, g' from
+        the interpolant in ln t errs no more than the rule's own rows at
+        those times, up to 1e-13 relative."""
+        mesh = graded_mesh(N, 1.0, 0.5)
+        M = _default_panels(N)
+        for pair, table in oracle.values():
+            sampled = estimate_gprime(pair, mesh).values
+            ts = np.array([t for t, _, _ in table])
+            gp = np.array([d for _, _, d in table])
+            direct = sonine._gprime_flat(pair, ts, M)  # three rows, no interpolant
+            at = np.searchsorted(mesh.nodes, ts)
+            np.testing.assert_array_equal(mesh.nodes[at], ts)
+            assert np.all(np.abs(sampled[at] - gp) <= np.abs(direct - gp) + 1e-13 * np.abs(gp))
 
 
 class TestExtrapolatedRule:

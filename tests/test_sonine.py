@@ -88,8 +88,8 @@ class TestOneRule:
         assert abs(diffs[0] - abs(delta)) <= 1e-15
         assert diffs[0] > 0.0
 
-    def test_compute_g_is_one_pass(self, monkeypatch, pair_a):
-        """compute_g sums N rows for g and one for delta."""
+    @staticmethod
+    def _count_rows(monkeypatch) -> list:
         rows = []
         real = quadrature._pair_convolution
 
@@ -99,10 +99,22 @@ class TestOneRule:
 
         monkeypatch.setattr(quadrature, "_pair_convolution", counting)
         monkeypatch.setattr(sonine, "_pair_convolution", counting)
+        return rows
+
+    def test_compute_g_is_one_pass(self, monkeypatch, pair_a):
+        """compute_g sums N rows for g and one for delta."""
+        rows = self._count_rows(monkeypatch)
         mesh = graded_mesh(128, 2.0, pair_a.b)
         g, _ = compute_g(pair_a, mesh)
         assert sum(rows) == mesh.N + 1
         np.testing.assert_array_equal(g.values[1:], compute_g_substituted(pair_a, mesh.nodes[1:], M=64))
+
+    def test_compute_g_on_a_long_mesh_samples_in_ln_t(self, monkeypatch, pair_a):
+        """At N = 4096 the rule runs at the LOG_T_POINTS points of the
+        interpolant in ln t, and once for delta."""
+        rows = self._count_rows(monkeypatch)
+        compute_g(pair_a, graded_mesh(4096, 2.0, pair_a.b))
+        assert sum(rows) <= quadrature.LOG_T_POINTS + 2
 
 
 class TestEstimateGprime:

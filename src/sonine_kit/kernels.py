@@ -170,30 +170,22 @@ def affine_exponent(a0: float, a1: float, b: float) -> ExponentFunction:
 class KernelSpec:
     """A weakly singular kernel on (0, b] in factored form.
 
-    ``fn`` evaluates the kernel for t > 0. ``sing_exponent`` is the
-    declared worst-case singularity order used for mesh grading;
-    ``local_exponent`` is the true order of the t -> 0 blow-up, which the
-    product quadrature factors out: kernel(t) = t^(-local_exponent) *
-    smooth(t) with smooth continuous on [0, b] and smooth(0) = smooth0.
-    For constant-exponent kernels the two coincide.
+    ``fn`` evaluates the kernel for t > 0. ``local_exponent`` is the order
+    sigma of the t -> 0 blow-up, which the product quadrature factors out:
+    kernel(t) = t^(-sigma) * smooth(t) with smooth continuous on [0, b]
+    and smooth(0) = smooth0, a finite number.
     """
 
     fn: Callable
     smooth_fn: Callable
     smooth0: float
-    sing_exponent: float
     local_exponent: float
     b: float
-    kind: str
     exponent: ExponentFunction | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("classical_abel", "variable_exponent_abel", "power", "tabulated"):
-            raise DomainError(f"unknown kernel kind {self.kind!r}")
-        if not 0.0 < self.sing_exponent < 1.0:
-            raise DomainError(
-                f"sing_exponent must lie in (0, 1), got {self.sing_exponent!r}"
-            )
+        if not math.isfinite(self.smooth0):
+            raise DomainError(f"smooth0 must be finite, got {self.smooth0!r}")
         if not 0.0 < self.local_exponent < 1.0:
             raise DomainError(
                 f"local_exponent must lie in (0, 1), got {self.local_exponent!r}"
@@ -245,8 +237,8 @@ class KernelSpec:
     def power_coef(self) -> float | None:
         """c when the kernel is the pure power c t^(-local_exponent) of
         :func:`power_kernel`, else None. The quadrature's pure-power fast
-        paths read this and nothing else (not ``kind``, which a hand-built
-        kernel may set to anything)."""
+        paths read this and nothing else: a hand-built kernel of the same
+        values takes the general path."""
         fn = self.smooth_fn
         return fn.value if isinstance(fn, _ConstantFactor) else None
 
@@ -258,8 +250,9 @@ class KernelSpec:
     ) -> "KernelSpec":
         """Wrap node samples of a singular function as a tabulated kernel.
 
-        The singularity order is fitted from the first two interior nodes
-        unless supplied. The bounded factor is interpolated piecewise
+        The singularity order, the kernel's ``local_exponent``, is fitted
+        from the first two interior nodes unless supplied as
+        ``sing_exponent``. The bounded factor is interpolated piecewise
         linearly between nodes, with its t = 0 value extrapolated.
         """
         nodes = phi.mesh.nodes
@@ -298,10 +291,8 @@ class KernelSpec:
             fn=fn,
             smooth_fn=smooth_fn,
             smooth0=float(m[0]),
-            sing_exponent=sig,
             local_exponent=sig,
             b=phi.mesh.b,
-            kind="tabulated",
         )
 
 
@@ -316,7 +307,7 @@ class _ConstantFactor:
         return np.full_like(np.asarray(t, dtype=float), self.value)
 
 
-def power_kernel(coef: float, exponent: float, b: float, kind: str = "power") -> KernelSpec:
+def power_kernel(coef: float, exponent: float, b: float) -> KernelSpec:
     """Kernel coef * t^(-exponent) with exponent in (0, 1)."""
     coef, exponent = float(coef), float(exponent)
     if not math.isfinite(coef) or coef == 0.0:
@@ -325,10 +316,8 @@ def power_kernel(coef: float, exponent: float, b: float, kind: str = "power") ->
         fn=lambda t: coef * np.asarray(t, dtype=float) ** (-exponent),
         smooth_fn=_ConstantFactor(coef),
         smooth0=coef,
-        sing_exponent=exponent,
         local_exponent=exponent,
         b=float(b),
-        kind=kind,
     )
 
 
@@ -337,16 +326,15 @@ def classical_abel_kernel(alpha: float, b: float) -> KernelSpec:
     alpha = float(alpha)
     if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
         raise DomainError(f"Abel exponent must lie in (0, 1), got {alpha!r}")
-    return power_kernel(1.0, alpha, b, kind="classical_abel")
+    return power_kernel(1.0, alpha, b)
 
 
 def variable_exponent_kernel(af: ExponentFunction, b: float) -> KernelSpec:
     """Kernel t^(-alpha(t)) for a validated exponent profile.
 
-    The declared singularity order is the supremum of alpha (conservative,
-    drives mesh grading); the factored-out local order is alpha(0), the
-    true strength of the blow-up, so the bounded factor t^(alpha(0) -
-    alpha(t)) tends to 1 at the origin.
+    The factored-out local order is alpha(0), the true strength of the
+    blow-up, so the bounded factor t^(alpha(0) - alpha(t)) tends to 1 at
+    the origin.
     """
     af.validate(b)
     alpha0 = float(af.eval(0.0))
@@ -363,10 +351,8 @@ def variable_exponent_kernel(af: ExponentFunction, b: float) -> KernelSpec:
         fn=fn,
         smooth_fn=smooth_fn,
         smooth0=1.0,
-        sing_exponent=af.alpha_hi,
         local_exponent=alpha0,
         b=float(b),
-        kind="variable_exponent_abel",
         exponent=af,
     )
 

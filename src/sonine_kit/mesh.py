@@ -35,9 +35,6 @@ class Mesh:
     def N(self) -> int:
         return len(self.nodes) - 1
 
-    def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
     def same_nodes(self, other: "Mesh") -> bool:
         return self.nodes.shape == other.nodes.shape and bool(
             np.array_equal(self.nodes, other.nodes)
@@ -91,16 +88,15 @@ def default_grading(*sing_exponents: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class SampledFunction:
-    """Node values of a function on a mesh, with an interpolation tag.
+    """Node values of a function on a mesh, interpolated linearly between
+    nodes.
 
     ``values[0]`` may be NaN when the function is singular at t = 0;
-    every other entry must be finite. ``interp`` is either
-    ``"piecewise_linear"`` or ``"piecewise_constant_left"``.
+    every other entry must be finite.
     """
 
     mesh: Mesh
     values: np.ndarray = field(repr=False)
-    interp: str = "piecewise_linear"
 
     def __post_init__(self) -> None:
         vals = _readonly(self.values)
@@ -108,8 +104,6 @@ class SampledFunction:
             raise DomainError(
                 f"values length {vals.shape} does not match mesh with N={self.mesh.N}"
             )
-        if self.interp not in ("piecewise_linear", "piecewise_constant_left"):
-            raise DomainError(f"unknown interpolation tag {self.interp!r}")
         if not np.all(np.isfinite(vals[1:])):
             raise DomainError("sampled values must be finite away from t_0")
         object.__setattr__(self, "values", vals)
@@ -119,12 +113,6 @@ class SampledFunction:
         return bool(np.isfinite(self.values[0]))
 
     def __call__(self, t):
-        """Interpolate at ``t`` following the interpolation tag."""
-        tq = np.asarray(t, dtype=float)
-        nodes = self.mesh.nodes
-        if self.interp == "piecewise_linear":
-            out = np.interp(tq, nodes, self.values)
-        else:
-            idx = np.clip(np.searchsorted(nodes, tq, side="right") - 1, 0, self.mesh.N)
-            out = self.values[idx]
+        """Interpolate linearly at ``t``."""
+        out = np.interp(np.asarray(t, dtype=float), self.mesh.nodes, self.values)
         return float(out) if np.isscalar(t) else out

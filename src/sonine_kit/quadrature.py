@@ -1,10 +1,10 @@
 """Product-integration quadrature for weakly singular convolutions.
 
 The single quadrature family used everywhere: integrate the singular
-power factor exactly against a piecewise-linear (or piecewise-constant)
-interpolant of everything else. Closed-form panel moments of
-|s - s0|^(beta-1) make the weights exact on piecewise-linear functions,
-so weight sums reproduce t^beta / beta to roundoff.
+power factor exactly against a piecewise-linear interpolant of
+everything else. Closed-form panel moments of |s - s0|^(beta-1) make
+the weights exact on piecewise-linear functions, so weight sums
+reproduce t^beta / beta to roundoff.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ def _moments(
     d: np.ndarray,
     h: np.ndarray,
     beta: float,
-    rule: str,
     singular_end: str,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -101,12 +100,10 @@ def _moments(
     ``d`` holds each node's distance to the singular point and ``h`` the
     panel widths. The weights w satisfy sum_j w_j phi(s_j) = int w(s)
     phi(s) ds for w(s) = (distance)^(beta-1), exactly for piecewise-linear
-    phi (rule "linear") or with phi held at each panel's left node (rule
-    "constant_left"). The singular point sits at the first node ("left")
-    or the last ("right"); a row of ``d`` may end in zeros, whose panels
-    then have weight exactly 0. Each node power is computed once and
-    shared by its two panels. Valid for beta in (0, 1]; beta = 1 is the
-    trapezoid rule.
+    phi. The singular point sits at the first node ("left") or the last
+    ("right"); a row of ``d`` may end in zeros, whose panels then have
+    weight exactly 0. Each node power is computed once and shared by its
+    two panels. Valid for beta in (0, 1]; beta = 1 is the trapezoid rule.
 
     ``work``, of shape (5, >= d.size), takes the temporaries in its first
     four rows and the result in its last, which the result then views;
@@ -134,10 +131,6 @@ def _moments(
     np.power(d, beta, out=p)
     np.subtract(p_hi, p_lo, out=A)
     A /= beta
-    if rule == "constant_left":
-        w[..., :-1] = A
-        w[..., -1] = 0.0
-        return w
     np.power(d, beta + 1.0, out=p)
     np.subtract(p_hi, p_lo, out=B)
     B /= beta + 1.0
@@ -159,7 +152,7 @@ def _view(row: np.ndarray, shape: tuple) -> np.ndarray:
     return row[: math.prod(shape)].reshape(shape)
 
 
-def product_weights(mesh: Mesh, i: int, beta: float, rule: str = "linear") -> np.ndarray:
+def product_weights(mesh: Mesh, i: int, beta: float) -> np.ndarray:
     """Weights for int_0^{t_i} (t_i - s)^(beta-1) phi(s) ds over nodes t_0..t_i.
 
     Parameters
@@ -169,11 +162,8 @@ def product_weights(mesh: Mesh, i: int, beta: float, rule: str = "linear") -> np
         Target node index, 1 <= i <= N.
     beta : float
         One minus the singularity order, strictly inside (0, 1).
-    rule : str
-        "linear" for exactness on piecewise-linear phi (the default),
-        "constant_left" for the nonnegative piecewise-constant variant.
 
-    Returns an array of length i + 1.
+    Returns an array of length i + 1, exact on piecewise-linear phi.
     """
     if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
         raise DomainError(f"node index must be an integer, got {i!r}")
@@ -181,18 +171,16 @@ def product_weights(mesh: Mesh, i: int, beta: float, rule: str = "linear") -> np
         raise DomainError(f"node index must lie in [1, N={mesh.N}], got {i}")
     if not (math.isfinite(beta) and 0.0 < beta < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta!r}")
-    if rule not in ("linear", "constant_left"):
-        raise DomainError(f"unknown quadrature rule {rule!r}")
     nodes = mesh.nodes[: i + 1]
-    return _moments(nodes[-1] - nodes, np.diff(nodes), beta, rule, "right")
+    return _moments(nodes[-1] - nodes, np.diff(nodes), beta, "right")
 
 
-def _triangle_blocks(nodes: np.ndarray, beta: float, rule: str, factor):
+def _triangle_blocks(nodes: np.ndarray, beta: float, factor):
     """Row blocks of the product-integration operator on nodes t_0..t_N.
 
     Yields (i0, i1, C) for consecutive row ranges i0 <= i < i1 covering
     1..N, where C[i - i0, j] = w_ij * factor(t_i - t_j) for j < i1 and w_i
-    are the weights of :func:`product_weights` for node i from ``rule``;
+    are the weights of :func:`product_weights` for node i;
     entries past the diagonal (j > i) are exactly 0. A block holds at most
     BLOCK_ENTRIES entries (at least one row). Each block builds its lag
     matrix max(t_i - t_j, 0) once and calls ``factor`` once on it. C lives
@@ -212,7 +200,7 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, rule: str, factor):
         lag = _view(work[5], (i1 - i0, i1))
         np.subtract(nodes[i0:i1, None], nodes[:i1], out=lag)
         np.maximum(lag, 0.0, out=lag)
-        C = _moments(lag, h[: i1 - 1], beta, rule, "right", work[:5])
+        C = _moments(lag, h[: i1 - 1], beta, "right", work[:5])
         C *= factor(lag)
         yield i0, i1, C
         i0 = i1
@@ -288,7 +276,7 @@ def _history_sums(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray
     out = np.zeros(n)
     last = np.zeros((n - 1, 2))
     last[:, 0] = h
-    last = _moments(last, h[:, None], beta, "linear", "right")
+    last = _moments(last, h[:, None], beta, "right")
     out[1:] = last[:, 0] * phi[:-1] + last[:, 1] * phi[1:]
     S = np.zeros(n_exp)
     rows = max(1, BLOCK_ENTRIES // n_exp)
@@ -468,10 +456,10 @@ def _reference_rule(sigma: float, M: int, r: float) -> tuple[np.ndarray, np.ndar
     v = (np.arange(M + 1, dtype=float) / M) ** r
     v[-1] = 1.0
     beta = 1.0 - sigma
-    w = _moments(v, np.diff(v), beta, "linear", "left")
+    w = _moments(v, np.diff(v), beta, "left")
     coarse = v[::2]
     w *= 4.0 / 3.0
-    w[::2] -= _moments(coarse, np.diff(coarse), beta, "linear", "left") / 3.0
+    w[::2] -= _moments(coarse, np.diff(coarse), beta, "left") / 3.0
     v.setflags(write=False)
     w.setflags(write=False)
     return v, w
@@ -484,14 +472,13 @@ def convolve_weakly_singular(
 
     The kernel is factored as t^(-local_exponent) * smooth(t); the weights
     absorb the power factor exactly while smooth(t_i - s) * phi(s) is
-    interpolated following phi's tag. phi must be finite at all interior
-    nodes; a singular phi (NaN at t_0) needs :func:`convolve_pair` with a
-    tabulated kernel instead. The value at t_0 is set to 0.
+    interpolated linearly. phi must be finite at all interior nodes; a
+    singular phi (NaN at t_0) needs :func:`convolve_pair` with a tabulated
+    kernel instead. The value at t_0 is set to 0.
 
-    A pure-power kernel (:attr:`KernelSpec.power_coef` set) with a
-    piecewise-linear phi on SOE_MIN_N or more panels takes
-    :func:`_history_sums`, in O(N * #exp); everything else runs the dense
-    triangle of :func:`_triangle_blocks`.
+    A pure-power kernel (:attr:`KernelSpec.power_coef` set) on SOE_MIN_N
+    or more panels takes :func:`_history_sums`, in O(N * #exp);
+    everything else runs the dense triangle of :func:`_triangle_blocks`.
     """
     if not phi.mesh.same_nodes(mesh):
         raise DomainError("phi is sampled on a different mesh")
@@ -509,14 +496,13 @@ def convolve_weakly_singular(
         raise DomainError(
             f"kernel singularity order {kernel.local_exponent!r} leaves (0, 1)"
         )
-    rule = "linear" if phi.interp == "piecewise_linear" else "constant_left"
     out = np.zeros(mesh.N + 1)
     if not phi.values.any():  # a zero phi (f' of a constant f) convolves to 0
         return SampledFunction(mesh=mesh, values=out)
-    if kernel.power_coef is not None and rule == "linear" and mesh.N >= SOE_MIN_N:
+    if kernel.power_coef is not None and mesh.N >= SOE_MIN_N:
         out = kernel.power_coef * _history_sums(mesh.nodes, beta, phi.values)
     else:
-        for i0, i1, C in _triangle_blocks(mesh.nodes, beta, rule, kernel.smooth):
+        for i0, i1, C in _triangle_blocks(mesh.nodes, beta, kernel.smooth):
             out[i0:i1] = C @ phi.values[:i1]
     return SampledFunction(mesh=mesh, values=out)
 
@@ -529,8 +515,10 @@ def _pair_convolution(K: KernelSpec, k: KernelSpec, t: np.ndarray, M: int) -> np
     half costs one kernel call per factor and one matrix-vector product;
     pure-power factors cost none (see :func:`_half_sums`).
     """
-    r_ref = default_grading(K.sing_exponent, k.sing_exponent)
     sig_k, sig_K = k.local_exponent, K.local_exponent
+    # every pair a pipeline convolves has orders summing to 1, so this is
+    # the cap of the grading
+    r_ref = default_grading(sig_K, sig_k)
     left = _half_sums(k, K, *_reference_rule(sig_k, M, r_ref))
     right = _half_sums(K, k, *_reference_rule(sig_K, M, r_ref))
     out = np.empty(len(t))

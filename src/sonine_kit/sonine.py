@@ -5,7 +5,8 @@ factors (:func:`sonine_kit.quadrature.convolve_pair`). For a pair with an
 exponent profile and K = t^(alpha0 - 1) / kappa(alpha0), the classical
 part t^(-alpha0) of k convolves with K to exactly 1; the rule's error on
 it, delta, is the same at every t, and the substituted g subtracts it
-(``route_diff`` = |delta|). g' is the same rule on t g'(t) = (K * q)(t).
+(``route_diff`` = |delta|); so does the g of a pair of pure powers that
+convolve to 1. g' is the same rule on t g'(t) = (K * q)(t).
 On a mesh, g and t g' are smooth in ln t (they go as t ln t and t near 0),
 so the rule runs at the quadrature's 64 Chebyshev points in ln t and an
 interpolant carries it to every node, unless its coefficients show it
@@ -138,15 +139,26 @@ def _substituted_route(pair: SoninePair, required: bool = False) -> tuple | None
     return None
 
 
-def _classical_defect(pair: SoninePair, alpha0: float, M: int) -> float:
-    """delta = Q[K * t^(-alpha0)] - 1, the error of the split-at-t/2 rule
-    on the classical part of k, whose exact convolution with K is 1.
+def _classical_powers(k: KernelSpec, K: KernelSpec) -> bool:
+    """True when k = c_k t^(-sigma) and K = c_K t^(sigma - 1) are pure
+    powers (:attr:`KernelSpec.power_coef`) with c_k c_K kappa(sigma) = 1,
+    so that K * k = 1 exactly: a classical Abel pair, up to scaling."""
+    c_k, c_K = k.power_coef, K.power_coef
+    return (
+        c_k is not None
+        and c_K is not None
+        and abs(k.local_exponent + K.local_exponent - 1.0) <= 1e-12
+        and abs(c_k * c_K * kappa(k.local_exponent) - 1.0) <= 1e-12
+    )
 
-    Both factors are pure powers, so the rule scales exactly with t and
-    one time serves every t.
+
+def _classical_defect(K: KernelSpec, k: KernelSpec, M: int) -> float:
+    """delta = Q[K * k] - 1, the error of the split-at-t/2 rule on two
+    pure powers whose exact convolution is 1 (:func:`_classical_powers`).
+
+    The rule scales exactly with t, so one time serves every t.
     """
-    kc = classical_abel_kernel(alpha0, pair.b)
-    return float(_pair_convolution(pair.K, kc, np.array([pair.b]), M)[0]) - 1.0
+    return float(_pair_convolution(K, k, np.array([K.b]), M)[0]) - 1.0
 
 
 def _dE(af, alpha0: float, x: np.ndarray, p: float) -> np.ndarray:
@@ -173,7 +185,8 @@ def _dE(af, alpha0: float, x: np.ndarray, p: float) -> np.ndarray:
 
 def compute_g_substituted(pair: SoninePair, t, M: int = REF_PANELS):
     """g(t) for a variable-exponent pair: :func:`convolve_pair`'s rule
-    minus its error delta on the classical part (:func:`_classical_defect`).
+    minus its error delta on the classical part t^(-alpha0) of k
+    (:func:`_classical_defect`).
 
     With k = t^(-alpha0) (1 + (E - 1)), that leaves the rule's error on the
     small, well-behaved correction K * t^(-alpha0) (E - 1) alone.
@@ -187,7 +200,8 @@ def compute_g_substituted(pair: SoninePair, t, M: int = REF_PANELS):
     flat = np.ravel(t_arr)
     if not np.all((flat > 0.0) & (flat <= pair.b * (1.0 + 1e-12))):  # NaN fails both
         raise DomainError(f"t must lie in (0, {pair.b!r}]")
-    out = _pair_convolution(pair.K, pair.k, flat, M) - _classical_defect(pair, alpha0, M)
+    delta = _classical_defect(pair.K, classical_abel_kernel(alpha0, pair.b), M)
+    out = _pair_convolution(pair.K, pair.k, flat, M) - delta
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
@@ -197,18 +211,22 @@ def compute_g(
     """g = K * k at the interior mesh nodes, and ``route_diff``.
 
     g is :func:`convolve_pair`'s, minus the classical defect delta where
-    the substituted route applies (see :func:`compute_g_substituted`);
-    route_diff is |delta| there and NaN elsewhere. On that route the rule
-    runs at the quadrature's Chebyshev points in ln t and is interpolated
-    to the mesh, where the interpolant resolves it (see
-    :func:`sonine_kit.quadrature._in_log_t`). ``M`` panels per half, by
-    default the quadrature's. g(t_0) is NaN.
+    the substituted route applies (see :func:`compute_g_substituted`) or
+    k and K are classical powers themselves (:func:`_classical_powers`);
+    route_diff is |delta| on the substituted route and NaN elsewhere. On
+    that route the rule runs at the quadrature's Chebyshev points in ln t
+    and is interpolated to the mesh, where the interpolant resolves it
+    (see :func:`sonine_kit.quadrature._in_log_t`). ``M`` panels per half,
+    by default the quadrature's. g(t_0) is NaN.
     """
     M = _pair_panels(pair.K, pair.k, mesh, M)
     route = _substituted_route(pair)
     if route is None:
-        return convolve_pair(pair.K, pair.k, mesh, M=M), float("nan")
-    delta = _classical_defect(pair, route[1], M)
+        g = convolve_pair(pair.K, pair.k, mesh, M=M)
+        if _classical_powers(pair.k, pair.K):
+            g = SampledFunction(mesh=mesh, values=g.values - _classical_defect(pair.K, pair.k, M))
+        return g, float("nan")
+    delta = _classical_defect(pair.K, classical_abel_kernel(route[1], pair.b), M)
     g = np.full(mesh.N + 1, np.nan)
     g[1:] = _in_log_t(lambda t: _pair_convolution(pair.K, pair.k, t, M), mesh.nodes[1:])
     g[1:] -= delta
@@ -228,10 +246,8 @@ def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
         fn=lambda s: _dE(af, alpha0, s, 1.0 - alpha0),
         smooth_fn=lambda s: _dE(af, alpha0, s, 1.0),
         smooth0=0.0,
-        sing_exponent=alpha0,
         local_exponent=alpha0,
         b=pair.b,
-        kind="variable_exponent_abel",
     )
     return _in_log_t(lambda t: _pair_convolution(pair.K, q, t, M), flat) / flat
 
@@ -381,7 +397,7 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInp
     eps_fit = _fit_eps(interior[window], gp[1:][window], alpha0)
 
     eps_c = float(np.clip(eps_fit.eps, 0.0, EPS_CLIP_MAX))
-    w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps_c, "linear", "left")
+    w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps_c, "left")
     m_fac = np.zeros(mesh.N + 1)
     m_fac[1:] = np.abs(gp[1:]) * interior**eps_c
     gprime_l1 = float(math.fsum(w_l1 * m_fac)) if np.all(np.isfinite(gp[1:])) else float("nan")

@@ -24,7 +24,7 @@ from .errors import DomainError, GscConditionError, IllConditionedSystemError
 from .kernels import KernelSpec, SoninePair, _evaluate, gamma, kappa
 from .mesh import Mesh, SampledFunction
 from .quadrature import _triangle_blocks, convolve_pair, convolve_weakly_singular
-from .sonine import EPS_CLIP_MAX, GscReport, _gate_inputs, _GateInputs
+from .sonine import EPS_CLIP_MAX, GscReport, _classical_powers, _gate_inputs, _GateInputs
 
 __all__ = [
     "RhsSpec",
@@ -253,7 +253,7 @@ def _forward_sweep(
         for fold in (False, True)
     ]
     m_at = partial(np.interp, xp=nodes, fp=m)
-    for i0, i1, C in _triangle_blocks(nodes, 1.0 - eps, "linear", m_at):
+    for i0, i1, C in _triangle_blocks(nodes, 1.0 - eps, m_at):
         for fold, cols in groups:
             if not cols:
                 continue
@@ -391,16 +391,11 @@ def discover_associate(k: KernelSpec, Kg: KernelSpec, mesh: Mesh) -> SolveReport
     """
     if k.b != Kg.b:
         raise DomainError(f"kernels live on different intervals: {k.b!r} vs {Kg.b!r}")
-    is_classical = (
-        k.kind == "classical_abel"
-        and abs(k.local_exponent + Kg.local_exponent - 1.0) <= 1e-12
-        and abs(Kg.smooth0 * kappa(k.local_exponent) - 1.0) <= 1e-12
-    )
     pair = SoninePair(
         k=k,
         K=Kg,
         kappa=1.0 / Kg.smooth0,
-        is_classical=is_classical,
+        is_classical=_classical_powers(k, Kg),
         exponent=k.exponent,
     )
     report = solve_first_kind(pair, _constant_rhs(1.0), mesh)

@@ -1,12 +1,12 @@
 """Sum-of-exponentials history sums against the dense product-integration
 triangle.
 
-A pure-power kernel with a piecewise-linear phi on SOE_MIN_N or more
-panels is convolved by :func:`quadrature._history_sums`: the last panel
-exactly, the history [0, t_(i-1)] through a sum of exponentials of the
-kernel. The dense rows of ``_triangle_blocks`` (equal to
-``product_weights`` bit for bit) are the oracle; every other kernel, rule
-and mesh size must still take the dense path, bit for bit.
+A pure-power kernel on SOE_MIN_N or more panels is convolved by
+:func:`quadrature._history_sums`: the last panel exactly, the history
+[0, t_(i-1)] through a sum of exponentials of the kernel. The dense rows
+of ``_triangle_blocks`` (equal to ``product_weights`` bit for bit) are
+the oracle; every other kernel and mesh size must still take the dense
+path, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ def phi_columns(t):
     return np.column_stack([np.ones_like(t), t, np.cos(7.0 * t) + t])
 
 
-def dense(kernel, phi, mesh, rule="linear"):
+def dense(kernel, phi, mesh):
     """The dense triangle's (kernel * phi)(t_i); phi may hold columns."""
     out = np.zeros((mesh.N + 1,) + phi.shape[1:])
     beta = 1.0 - kernel.local_exponent
-    for i0, i1, C in _triangle_blocks(mesh.nodes, beta, rule, kernel.smooth):
+    for i0, i1, C in _triangle_blocks(mesh.nodes, beta, kernel.smooth):
         out[i0:i1] = C @ phi[:i1]
     return out
 
@@ -145,7 +145,7 @@ def hand_built_power(coef, gamma):
     return KernelSpec(
         fn=lambda t: coef * np.asarray(t, dtype=float) ** -gamma,
         smooth_fn=lambda t: np.full_like(np.asarray(t, dtype=float), coef),
-        smooth0=coef, sing_exponent=gamma, local_exponent=gamma, b=B, kind="power",
+        smooth0=coef, local_exponent=gamma, b=B,
     )
 
 
@@ -164,18 +164,16 @@ class TestDensePathKept:
         got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi), mesh)
         np.testing.assert_array_equal(got.values, dense(kernel, phi, mesh))
 
-    @pytest.mark.parametrize("which", ["hand_built", "identity", "variable", "tabulated", "constant_left"])
-    def test_other_kernels_and_rules_are_dense(self, which, pair_a):
+    @pytest.mark.parametrize("which", ["hand_built", "identity", "variable", "tabulated"])
+    def test_other_kernels_are_dense(self, which, pair_a):
         mesh = graded_mesh(SOE_MIN_N, 2.0, B)
         phi = np.cos(7.0 * mesh.nodes) + mesh.nodes
-        interp, rule = "piecewise_linear", "linear"
         if which == "hand_built":
             kernel = hand_built_power(COEF, 0.3)
         elif which == "identity":
-            # kind "power" with a smooth part that is not constant
+            # a smooth part that is not constant
             kernel = KernelSpec(
-                fn=lambda t: t**0.5, smooth_fn=lambda t: t, smooth0=0.0, sing_exponent=0.5,
-                local_exponent=0.5, b=1.0, kind="power",
+                fn=lambda t: t**0.5, smooth_fn=lambda t: t, smooth0=0.0, local_exponent=0.5, b=1.0
             )
         elif which == "variable":
             kernel = pair_a.k
@@ -183,11 +181,8 @@ class TestDensePathKept:
             vals = np.full(mesh.N + 1, np.nan)
             vals[1:] = mesh.nodes[1:] ** -0.3 * (1.0 + mesh.nodes[1:])
             kernel = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
-        else:
-            kernel = power_kernel(COEF, 0.3, B)
-            interp, rule = "piecewise_constant_left", "constant_left"
-        got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi, interp=interp), mesh)
-        np.testing.assert_array_equal(got.values, dense(kernel, phi, mesh, rule))
+        got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi), mesh)
+        np.testing.assert_array_equal(got.values, dense(kernel, phi, mesh))
 
 
 class TestPairFold:
@@ -199,12 +194,13 @@ class TestPairFold:
         vals = np.full(65, np.nan)
         vals[1:] = mesh.nodes[1:] ** -0.7 * (1.0 + mesh.nodes[1:])
         u_tab = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
+        names = {id(k): "classical_abel", id(u_tab): "tabulated"}
         seen = []
         for name in ("eval", "smooth"):
             original = getattr(KernelSpec, name)
 
             def spy(self, t, _original=original, _name=name):
-                seen.append((self.kind, _name))
+                seen.append((names.get(id(self)), _name))
                 return _original(self, t)
 
             monkeypatch.setattr(KernelSpec, name, spy)

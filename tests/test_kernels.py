@@ -114,7 +114,7 @@ class TestKernelSpec:
         k = classical_abel_kernel(0.5, 1.0)
         assert k.eval(0.25) == 0.25**-0.5
         assert k.smooth(0.0) == 1.0
-        assert k.sing_exponent == 0.5 and k.local_exponent == 0.5
+        assert k.local_exponent == 0.5
 
     def test_zero_is_domain_error(self):
         k = classical_abel_kernel(0.5, 1.0)
@@ -129,8 +129,7 @@ class TestKernelSpec:
         af = affine_exponent(0.5, 0.2, 0.5)
         k = variable_exponent_kernel(af, 0.5)
         assert abs(k.eval(0.25) - VAR_KERNEL_AT_025) <= 1e-12 * VAR_KERNEL_AT_025
-        # worst-case order is the sup of alpha; the factored order is alpha(0)
-        assert k.sing_exponent == 0.6
+        # the factored order is alpha(0), not the sup of alpha
         assert k.local_exponent == 0.5
         assert k.smooth(0.0) == 1.0
 
@@ -180,14 +179,22 @@ class TestKernelSpec:
 
     def test_smooth_never_returns_its_input(self):
         ident = KernelSpec(
-            fn=lambda t: t ** 0.5, smooth_fn=lambda t: t, smooth0=0.0, sing_exponent=0.5,
-            local_exponent=0.5, b=1.0, kind="power",
+            fn=lambda t: t ** 0.5, smooth_fn=lambda t: t, smooth0=0.0, local_exponent=0.5, b=1.0
         )
         ts = np.array([0.25, 0.5])
         out = ident.smooth(ts)
         np.testing.assert_array_equal(out, ts)
         out[0] = 7.0
         assert ts[0] == 0.25
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_smooth0_is_refused(self, bad):
+        """A kernel's bounded factor has a finite value at 0; a NaN there
+        made convolve_pair_at return NaN without a warning."""
+        with pytest.raises(DomainError, match="smooth0"):
+            KernelSpec(
+                fn=lambda t: t**-0.5, smooth_fn=np.ones_like, smooth0=bad, local_exponent=0.5, b=1.0
+            )
 
     def test_power_kernel_rejects_bad_args(self):
         with pytest.raises(DomainError):
@@ -203,7 +210,7 @@ class TestKernelSpec:
         vals[0] = np.nan
         vals[1:] = 0.7 * mesh.nodes[1:] ** -0.3
         tab = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
-        assert abs(tab.sing_exponent - 0.3) <= 1e-10
+        assert abs(tab.local_exponent - 0.3) <= 1e-10
         for t in (0.01, 0.2, 0.9):
             assert abs(tab.eval(t) - 0.7 * t**-0.3) <= 1e-3 * abs(0.7 * t**-0.3)
 

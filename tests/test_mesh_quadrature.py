@@ -92,14 +92,6 @@ class TestSampledFunction:
         with pytest.raises(DomainError):
             SampledFunction(mesh=m, values=vals)
 
-    def test_constant_left_tag(self):
-        m = graded_mesh(4, 1.0, 1.0)
-        sf = SampledFunction(
-            mesh=m, values=m.nodes + 1.0, interp="piecewise_constant_left"
-        )
-        # value held from the left node across each panel
-        assert sf(0.3) == sf(0.25)
-
 
 class TestProductWeights:
     def test_pinned_moments(self):
@@ -135,26 +127,16 @@ class TestProductWeights:
         exact = a * t**beta / beta + c * t ** (beta + 1.0) / (beta * (beta + 1.0))
         assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
 
-    def test_constant_left_rule_masses(self):
-        m = graded_mesh(4, 1.0, 1.0)
-        w = product_weights(m, 4, 0.5, rule="constant_left")
-        assert w[-1] == 0.0
-        assert abs(math.fsum(w) - 2.0) <= 1e-14  # total mass of (1-s)^{-1/2} on [0,1]
-        assert np.all(w >= 0.0)
-
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.7, 0.95])
     def test_bit_identical_to_four_power_moments(self, beta):
         """Each node power is computed once and shared by its two panels;
         the weights must equal the per-panel four-power formula bit for bit."""
 
-        def four_power(nodes, rule):
+        def four_power(nodes):
             d = nodes[-1] - nodes
             lo, hi = d[1:], d[:-1]
             A = (hi**beta - lo**beta) / beta
             w = np.zeros(len(nodes))
-            if rule == "constant_left":
-                w[:-1] = A
-                return w
             B = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0)
             h = nodes[1:] - nodes[:-1]
             w[:-1] += (B - lo * A) / h
@@ -162,19 +144,16 @@ class TestProductWeights:
             return w
 
         for m in (graded_mesh(7, 1.0, 1.0), graded_mesh(300, 2.0, 0.5), graded_mesh(500, 3.5, 2.0)):
-            for rule in ("linear", "constant_left"):
-                for i in range(1, m.N + 1):
-                    np.testing.assert_array_equal(
-                        product_weights(m, i, beta, rule), four_power(m.nodes[: i + 1], rule)
-                    )
+            for i in range(1, m.N + 1):
+                np.testing.assert_array_equal(
+                    product_weights(m, i, beta), four_power(m.nodes[: i + 1])
+                )
 
     def test_validation(self):
         m = graded_mesh(4, 1.0, 1.0)
         for bad in [(m, 0, 0.5), (m, 5, 0.5), (m, 2, 0.0), (m, 2, 1.0), (m, 2, -0.5)]:
             with pytest.raises(DomainError):
                 product_weights(*bad)
-        with pytest.raises(DomainError):
-            product_weights(m, 2, 0.5, rule="simpson")
 
 
 class TestConvolveWeaklySingular:

@@ -19,6 +19,7 @@ from sonine_kit import (
     check_gsc,
     compute_g_substituted,
     convolve_pair_at,
+    discover_associate,
     estimate_gprime,
     graded_mesh,
     make_classical_abel_pair,
@@ -154,3 +155,28 @@ class TestPanelCount:
             classical, RhsSpec.from_polynomial([0.5, -1.0, 2.0]), graded_mesh(8192, 2.0, 1.0)
         )
         assert sizes and max(sizes) <= REF_PANELS + 1
+
+
+class TestGrading:
+    def test_every_pipeline_rule_is_graded_at_the_cap(self, monkeypatch):
+        """The reference rules are graded from the two local orders. Every
+        pair a pipeline convolves, (K, k), (K, t^(-alpha0)), (K, q) and the
+        push-back (u, k), has orders summing to 1, so the larger is at
+        least 1/2 and the grading sits at its cap of 4."""
+        gradings = []
+
+        def recording(sigma, M, r):
+            gradings.append(r)
+            return _reference_rule(sigma, M, r)
+
+        monkeypatch.setattr(quadrature, "_reference_rule", recording)
+        classical = make_classical_abel_pair(0.3, 0.5)
+        variable = make_variable_exponent_pair(affine_exponent(0.7, -0.2, 0.5), 0.5)
+        mesh = graded_mesh(256, 2.0, 0.5)
+        for pair in (classical, variable):
+            check_gsc(pair, mesh)
+            # f(0) != 0: the unbounded u is pushed back through convolve_pair
+            solve_first_kind(pair, RhsSpec.from_polynomial([0.5, -1.0, 2.0]), mesh)
+            discover_associate(pair.k, pair.K, mesh)
+        assert gradings and set(gradings) == {4.0}
+

@@ -44,7 +44,7 @@ RTOL = 1e-13
 
 def pair_oracle(K, k, t, M):
     """(K * k)(t) split at t/2, each half summed with math.fsum."""
-    r_ref = default_grading(K.sing_exponent, k.sing_exponent)
+    r_ref = default_grading(K.local_exponent, k.local_exponent)
     vL, wL = _reference_rule(k.local_exponent, M, r_ref)
     vR, wR = _reference_rule(K.local_exponent, M, r_ref)
     c = 0.5 * t
@@ -174,12 +174,12 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", SMALL_BLOCK)
 
 
-def triangle_oracle(kernel, phi, mesh, rule):
+def triangle_oracle(kernel, phi, mesh):
     """(kernel * phi)(t_i) from per-node product weights and math.fsum."""
     beta = 1.0 - kernel.local_exponent
     out = [0.0]
     for i in range(1, mesh.N + 1):
-        w = product_weights(mesh, i, beta, rule)
+        w = product_weights(mesh, i, beta)
         lags = mesh.nodes[i] - mesh.nodes[: i + 1]
         out.append(math.fsum(w * kernel.smooth(lags) * phi.values[: i + 1]))
     return np.array(out)
@@ -188,24 +188,22 @@ def triangle_oracle(kernel, phi, mesh, rule):
 class TestTriangleBlocks:
     def test_block_layout(self, small_blocks):
         nodes = graded_mesh(80, 2.0, 0.5).nodes
-        spans = [(i0, i1) for i0, i1, _ in _triangle_blocks(nodes, 0.5, "linear", np.ones_like)]
+        spans = [(i0, i1) for i0, i1, _ in _triangle_blocks(nodes, 0.5, np.ones_like)]
         assert spans[0] == (1, 8) and spans[-1] == (80, 81)
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         assert all((i1 - i0) * i1 <= SMALL_BLOCK or i1 - i0 == 1 for i0, i1 in spans)
         assert any(i1 - i0 == 1 for i0, i1 in spans) and any(i1 - i0 > 2 for i0, i1 in spans)
 
-    @pytest.mark.parametrize("rule", ["linear", "constant_left"])
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.8])
-    def test_rows_are_product_weights_bit_for_bit(self, beta, rule, small_blocks):
+    def test_rows_are_product_weights_bit_for_bit(self, beta, small_blocks):
         mesh = graded_mesh(80, 2.0, 0.5)
-        for i0, i1, C in _triangle_blocks(mesh.nodes, beta, rule, np.ones_like):
+        for i0, i1, C in _triangle_blocks(mesh.nodes, beta, np.ones_like):
             for i in range(i0, i1):
-                np.testing.assert_array_equal(C[i - i0, : i + 1], product_weights(mesh, i, beta, rule))
+                np.testing.assert_array_equal(C[i - i0, : i + 1], product_weights(mesh, i, beta))
                 assert not np.any(C[i - i0, i + 1 :])  # exactly 0 past the diagonal
 
-    @pytest.mark.parametrize("interp", ["piecewise_linear", "piecewise_constant_left"])
     @pytest.mark.parametrize("kind", ["classical", "variable", "tabulated"])
-    def test_convolve_matches_fsum_oracle(self, kind, interp, small_blocks, pair_a):
+    def test_convolve_matches_fsum_oracle(self, kind, small_blocks, pair_a):
         if kind == "classical":
             kernel = classical_abel_kernel(0.3, 0.5)
         elif kind == "variable":
@@ -213,10 +211,9 @@ class TestTriangleBlocks:
         else:
             kernel = tabulated_pair()[0]
         mesh = graded_mesh(80, 2.0, 0.5)
-        phi = SampledFunction(mesh=mesh, values=1.0 + mesh.nodes, interp=interp)
-        rule = "linear" if interp == "piecewise_linear" else "constant_left"
+        phi = SampledFunction(mesh=mesh, values=1.0 + mesh.nodes)
         got = convolve_weakly_singular(kernel, phi, mesh).values
-        np.testing.assert_allclose(got, triangle_oracle(kernel, phi, mesh, rule), rtol=RTOL, atol=0.0)
+        np.testing.assert_allclose(got, triangle_oracle(kernel, phi, mesh), rtol=RTOL, atol=0.0)
 
     def test_zero_phi_convolves_to_zero(self, pair_a):
         mesh = graded_mesh(64, 2.0, 0.5)

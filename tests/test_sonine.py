@@ -246,6 +246,31 @@ class TestCheckGsc:
         assert report.gsc_pass
         assert math.isnan(report.route_diff)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_classical_g_is_one_to_rounding(self, alpha):
+        """For pure powers c_k t^(-sigma) and c_K t^(sigma - 1) with c_k c_K
+        kappa(sigma) = 1, g is the rule minus its own error delta: the rule
+        alone read 3.2e-6 to 3.6e-6 off 1 at N = 64 and 8.2e-10 to 9.2e-10
+        from N = 512 on."""
+        pairs = [
+            make_classical_abel_pair(alpha, 1.0),
+            SoninePair(
+                k=power_kernel(2.0, alpha, 1.0),
+                K=power_kernel(0.5 / kappa(alpha), 1.0 - alpha, 1.0),
+                kappa=kappa(alpha),
+                is_classical=True,
+            ),
+        ]
+        for pair in pairs:
+            for N in (64, 512, 4096):
+                mesh = graded_mesh(N, 2.0, 1.0)
+                g, route_diff = compute_g(pair, mesh)
+                assert np.max(np.abs(g.values[1:] - 1.0)) <= 1e-15
+                assert math.isnan(route_diff)
+                report = check_gsc(pair, mesh)
+                np.testing.assert_array_equal(report.g.values, g.values)
+                assert math.isnan(report.route_diff)
+
     def test_variable_report(self, pair_a, mesh_512_half):
         report = check_gsc(pair_a, mesh_512_half)
         assert report.g0_defect <= 1e-3

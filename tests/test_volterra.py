@@ -20,9 +20,11 @@ from sonine_kit import (
     SoninePair,
     assemble_rhs,
     check_gsc,
+    classical_abel_kernel,
     classical_solution,
     discover_associate,
     graded_mesh,
+    kappa,
     make_classical_abel_pair,
     make_variable_exponent_pair,
     affine_exponent,
@@ -393,6 +395,36 @@ class TestDiscoverAssociate:
         monkeypatch.setattr(KernelSpec, "from_samples", staticmethod(recording))
         discover_associate(pair_a.k, pair_a.K, graded_mesh(128, 2.0, 0.5))
         assert orders == [1.0 - pair_a.k.local_exponent]
+
+    def test_hand_built_associate_is_swept(self):
+        """Kg = (1 + t) t^(-1/2) / kappa(1/2) shares the classical associate's
+        order and its value at 0 but is not a power, so its g' is not 0 and
+        u must come from the sweep; taking u = F read sc_residual_of_u 0.25."""
+        b = 0.5
+        kap = kappa(0.5)
+        Kg = KernelSpec(
+            fn=lambda t: (1.0 + t) * t**-0.5 / kap,
+            smooth_fn=lambda t: (1.0 + np.asarray(t, dtype=float)) / kap,
+            smooth0=1.0 / kap,
+            local_exponent=0.5,
+            b=b,
+        )
+        report = discover_associate(classical_abel_kernel(0.5, b), Kg, graded_mesh(512, 2.0, b))
+        assert not np.array_equal(report.u.values[1:], report.F.values[1:])
+        assert report.sc_residual_of_u <= 1e-3
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_plain_power_k_is_classical(self, alpha):
+        """A pure power k with the classical associate is a classical pair
+        whatever built it: u = F, as for classical_abel_kernel, with no sweep."""
+        b = 0.5
+        mesh = graded_mesh(512, 2.0, b)
+        K = power_kernel(1.0 / kappa(alpha), 1.0 - alpha, b)
+        plain = discover_associate(power_kernel(1.0, alpha, b), K, mesh)
+        classical = discover_associate(classical_abel_kernel(alpha, b), K, mesh)
+        np.testing.assert_array_equal(plain.u.values, classical.u.values)
+        assert plain.sc_residual_of_u == classical.sc_residual_of_u
+        assert plain.residual_second_kind == 0.0 and plain.gprime_l1 == 0.0
 
     def test_interval_mismatch_rejected(self, classical_half):
         other = power_kernel(1.0, 0.5, 2.0)

@@ -2,9 +2,11 @@
 
 The single quadrature family used everywhere: integrate the singular
 power factor exactly against a piecewise-linear interpolant of
-everything else. Closed-form panel moments of |s - s0|^(beta-1) make
-the weights exact on piecewise-linear functions, so weight sums
-reproduce t^beta / beta to roundoff.
+everything else. Each weight is the second divided difference of
+Phi(d) = d^(beta+1) / (beta (beta+1)), Phi'' = d^(beta-1), across its
+hat function (:func:`_moments`), so the weights are exact on
+piecewise-linear functions, cost one power per node, and telescope to
+t^beta / beta.
 """
 
 from __future__ import annotations
@@ -101,21 +103,30 @@ def _moments(
     panel widths. The weights w satisfy sum_j w_j phi(s_j) = int w(s)
     phi(s) ds for w(s) = (distance)^(beta-1), exactly for piecewise-linear
     phi. The singular point sits at the first node ("left") or the last
-    ("right"); a row of ``d`` may end in zeros, whose panels then have
-    weight exactly 0. Each node power is computed once and shared by its
-    two panels. Valid for beta in (0, 1]; beta = 1 is the trapezoid rule.
+    ("right"), where d is 0; a row of ``d`` may end in zeros, whose panels
+    then have weight exactly 0. The farthest node of a row must have d > 0.
+    Valid for beta in (0, 1]; beta = 1 is the trapezoid rule.
 
-    ``work``, of shape (5, >= d.size), takes the temporaries in its first
-    four rows and the result in its last, which the result then views;
-    without it they are allocated.
+    Phi(d) = d^(beta+1) / (beta (beta+1)) has Phi'' = d^(beta-1), so each
+    weight is Phi's second divided difference across its hat function.
+    With the singular point on the right, w_j = D_(j-1) - D_j, where D_k =
+    (Phi(d_k) - Phi(d_(k+1))) / h_k is Phi's slope across panel k (on the
+    left, mirrored). At the two end nodes the missing panel's slope is
+    Phi'(d) = d^beta / beta: 0 at the singular node and (beta+1) Phi(d) /
+    d at the far node, so a row costs one power per node, and its weights
+    telescope to d_far^beta / beta. Neighbouring slopes nearly cancel far
+    from the singular point: a weight carries a relative rounding error of
+    about eps (d/h)^2.
+
+    ``work``, of shape (2, >= d.size), takes the slopes in its first row
+    and the result in its second, which the result then views; without it
+    they are allocated.
     """
     panels = d.shape[:-1] + (d.shape[-1] - 1,)
     if work is None:
-        work, w = np.empty((4, d.size)), np.empty(d.shape)
+        D, w = np.empty(panels), np.empty(d.shape)
     else:
-        w = _view(work[4], d.shape)
-    p = _view(work[0], d.shape)
-    A, B, t = (_view(row, panels) for row in work[1:4])
+        D, w = _view(work[0], panels), _view(work[1], d.shape)
     left = singular_end == "left"
 
     def ends(x):
@@ -123,27 +134,15 @@ def _moments(
         from the singular point."""
         return (x[..., :-1], x[..., 1:]) if left else (x[..., 1:], x[..., :-1])
 
-    lo, hi = ends(d)
-    near, far = ends(w)
-    # A and B: panel moments of distance^(beta-1) and distance^beta, from
-    # the node powers
-    p_lo, p_hi = ends(p)
-    np.power(d, beta, out=p)
-    np.subtract(p_hi, p_lo, out=A)
-    A /= beta
-    np.power(d, beta + 1.0, out=p)
-    np.subtract(p_hi, p_lo, out=B)
-    B /= beta + 1.0
-    # the panel's hat functions at its farther and its nearer node; the
-    # farther ends cover every node but the one at the singular point
-    np.multiply(lo, A, out=t)
-    np.subtract(B, t, out=t)
-    np.divide(t, h, out=far)
-    w[..., 0 if left else -1] = 0.0
-    np.multiply(hi, A, out=t)
-    t -= B
-    t /= h
-    near += t
+    # w holds beta (beta+1) Phi at the nodes until the differences replace it
+    np.power(d, beta + 1.0, out=w)
+    np.subtract(*reversed(ends(w)), out=D)
+    D /= h * (beta * (beta + 1.0))
+    far, near = (-1, 0) if left else (0, -1)
+    slope_far = w[..., far] / (d[..., far] * beta)
+    np.subtract(*reversed(ends(D)), out=w[..., 1:-1])
+    w[..., near] = D[..., near]
+    np.subtract(slope_far, D[..., far], out=w[..., far])
     return w
 
 
@@ -192,15 +191,15 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor):
     # every block reuses one scratch array: block-sized temporaries freed
     # at the heap top make glibc trim it, and the next block then faults
     # the same pages back in
-    work = np.empty((6, max(BLOCK_ENTRIES, n)))
+    work = np.empty((3, max(BLOCK_ENTRIES, n)))
     while i0 < n:
         # largest row count c with c * (i0 + c) <= BLOCK_ENTRIES
         c = max(1, (math.isqrt(i0 * i0 + 4 * BLOCK_ENTRIES) - i0) // 2)
         i1 = min(n, i0 + c)
-        lag = _view(work[5], (i1 - i0, i1))
+        lag = _view(work[2], (i1 - i0, i1))
         np.subtract(nodes[i0:i1, None], nodes[:i1], out=lag)
         np.maximum(lag, 0.0, out=lag)
-        C = _moments(lag, h[: i1 - 1], beta, "right", work[:5])
+        C = _moments(lag, h[: i1 - 1], beta, "right", work[:2])
         C *= factor(lag)
         yield i0, i1, C
         i0 = i1

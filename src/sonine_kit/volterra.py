@@ -219,8 +219,10 @@ def _forward_sweep(
     column is substituted against it, so each column's u and residual are
     bit for bit those of a sweep of its own. Columns with a finite F(t_0)
     read a block before the first panel's mass is folded onto node 1, the
-    others after, and the fold is applied once per block. Each block's row
-    residuals come from the same coefficient block once its u are set.
+    others after, and the fold is applied once per block. A block's
+    diagonal and its DIAG_TOL check are computed once: the fold moves only
+    row 1's. Each block's row residuals come from the same coefficient
+    block once its u are set; they are scaled and reduced once per sweep.
     g' = 0 leaves u = F and a zero residual without a sweep.
     """
     if not (gprime.mesh.same_nodes(mesh) and all(F.mesh.same_nodes(mesh) for F in Fs)):
@@ -244,9 +246,9 @@ def _forward_sweep(
     if not m.any():  # g' = 0, as for a classical pair: u = F exactly
         return [(SampledFunction(mesh=mesh, values=f.copy()), 0.0) for f in fs]
     us = [np.empty(mesh.N + 1) for _ in fs]
+    resid = [np.zeros(mesh.N + 1) for _ in fs]  # row residuals, 0 at t_0
     for u, f in zip(us, fs):
         u[0] = f[0]
-    worst = [0.0] * len(fs)
     # (fold, columns): the unfolded columns first, since the fold rewrites C
     groups = [
         (fold, [c for c, f in enumerate(fs) if np.isfinite(f[0]) != fold])
@@ -254,40 +256,61 @@ def _forward_sweep(
     ]
     m_at = partial(np.interp, xp=nodes, fp=m)
     for i0, i1, C in _triangle_blocks(nodes, 1.0 - eps, m_at):
+        diag = 1.0 + C.diagonal(i0)
+        unchecked = len(diag)  # after the first group, only a fold moves row 1's step
         for fold, cols in groups:
             if not cols:
                 continue
             if fold:
                 C[:, 1] += C[:, 0]
                 C[:, 0] = 0.0
-            diag = 1.0 + C[np.arange(i1 - i0), np.arange(i0, i1)]
-            bad = np.flatnonzero(np.abs(diag) < DIAG_TOL)
-            if bad.size:
-                raise IllConditionedSystemError(
-                    f"near-singular step at node {i0 + bad[0]}: 1 + w g' = {diag[bad[0]]!r}"
-                )
+                if i0 == 1:
+                    diag[0] = 1.0 + C[0, 1]
+            _check_steps(diag[:unchecked], i0)
+            unchecked = int(i0 == 1)
             for c in cols:
-                res = _substitute_block(C, diag, i0, i1, int(fold), fs[c], us[c])
-                worst[c] = max(worst[c], res)
-    return [(SampledFunction(mesh=mesh, values=u), res) for u, res in zip(us, worst)]
+                _substitute_block(C, diag, i0, i1, int(fold), fs[c], us[c], resid[c])
+    out = []
+    for f, u, res in zip(fs, us, resid):
+        scale = np.maximum(1.0, np.maximum(np.abs(f[1:]), np.abs(u[1:])))
+        out.append((SampledFunction(mesh=mesh, values=u), float(np.max(np.abs(res[1:]) / scale))))
+    return out
+
+
+def _check_steps(diag: np.ndarray, i0: int) -> None:
+    """Refuse a near-singular step among the diagonal entries ``diag`` of
+    the rows i0, i0 + 1, ..., naming the first such node."""
+    if diag.size and np.abs(diag).min() < DIAG_TOL:
+        r = int(np.argmax(np.abs(diag) < DIAG_TOL))
+        raise IllConditionedSystemError(
+            f"near-singular step at node {i0 + r}: 1 + w g' = {diag[r]!r}"
+        )
 
 
 def _substitute_block(
-    C: np.ndarray, diag: np.ndarray, i0: int, i1: int, lo: int, f: np.ndarray, u: np.ndarray
-) -> float:
+    C: np.ndarray,
+    diag: np.ndarray,
+    i0: int,
+    i1: int,
+    lo: int,
+    f: np.ndarray,
+    u: np.ndarray,
+    res: np.ndarray,
+) -> None:
     """Set u at the rows i0 <= i < i1 of one coefficient block of
-    :func:`_forward_sweep` (columns before ``lo`` left out), and return
-    the block's largest relative row residual."""
+    :func:`_forward_sweep` (columns before ``lo`` left out), and the
+    rows' residuals in ``res``."""
     # forward substitution: the columns before the block in one product,
     # then the block's own triangle row by row
     history = C[:, lo:i0] @ u[lo:i0]
+    T, ub, fb = C[:, i0:i1], u[i0:i1], f[i0:i1]
     for r in range(i1 - i0):
-        i = i0 + r
-        u[i] = (f[i] - (history[r] + np.dot(C[r, i0:i], u[i0:i]))) / diag[r]
+        ub[r] = (fb[r] - (history[r] + T[r, :r].dot(ub[:r]))) / diag[r]
     # row residuals of the block, now that its u are set (C is 0 past the diagonal)
-    res = C[:, lo:i1] @ u[lo:i1] + u[i0:i1] - f[i0:i1]
-    scale = np.maximum(1.0, np.maximum(np.abs(f[i0:i1]), np.abs(u[i0:i1])))
-    return float(np.max(np.abs(res) / scale))
+    block = res[i0:i1]
+    np.matmul(C[:, lo:i1], u[lo:i1], out=block)
+    block += ub
+    block -= fb
 
 
 def _first_kind_residual(
@@ -391,6 +414,11 @@ def discover_associate(k: KernelSpec, Kg: KernelSpec, mesh: Mesh) -> SolveReport
     """
     if k.b != Kg.b:
         raise DomainError(f"kernels live on different intervals: {k.b!r} vs {Kg.b!r}")
+    if Kg.smooth0 == 0.0:
+        raise DomainError(
+            "the associate's bounded factor vanishes at 0, so Kg * k tends to 0, "
+            "not 1, at 0+ and no kappa = 1 / Kg.smooth0 normalises it"
+        )
     pair = SoninePair(
         k=k,
         K=Kg,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from sonine_kit import (
     power_kernel,
     product_weights,
 )
+from sonine_kit.quadrature import _moments
 
 
 class TestGradedMesh:
@@ -128,25 +130,21 @@ class TestProductWeights:
         assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
 
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.7, 0.95])
-    def test_bit_identical_to_four_power_moments(self, beta):
-        """Each node power is computed once and shared by its two panels;
-        the weights must equal the per-panel four-power formula bit for bit."""
+    def test_bit_identical_to_divided_differences(self, beta):
+        """Each weight is the second divided difference of d^(beta+1) /
+        (beta (beta+1)) across its hat function, one power per node; the
+        weights must equal that expression bit for bit."""
 
-        def four_power(nodes):
+        def divided_differences(nodes):
             d = nodes[-1] - nodes
-            lo, hi = d[1:], d[:-1]
-            A = (hi**beta - lo**beta) / beta
-            w = np.zeros(len(nodes))
-            B = (hi ** (beta + 1.0) - lo ** (beta + 1.0)) / (beta + 1.0)
-            h = nodes[1:] - nodes[:-1]
-            w[:-1] += (B - lo * A) / h
-            w[1:] += (hi * A - B) / h
-            return w
+            P = np.power(d, beta + 1.0)
+            D = (P[:-1] - P[1:]) / (np.diff(nodes) * (beta * (beta + 1.0)))
+            return np.append(P[0] / (d[0] * beta), D) - np.append(D, 0.0)
 
         for m in (graded_mesh(7, 1.0, 1.0), graded_mesh(300, 2.0, 0.5), graded_mesh(500, 3.5, 2.0)):
             for i in range(1, m.N + 1):
                 np.testing.assert_array_equal(
-                    product_weights(m, i, beta), four_power(m.nodes[: i + 1])
+                    product_weights(m, i, beta), divided_differences(m.nodes[: i + 1])
                 )
 
     def test_validation(self):
@@ -154,6 +152,56 @@ class TestProductWeights:
         for bad in [(m, 0, 0.5), (m, 5, 0.5), (m, 2, 0.0), (m, 2, 1.0), (m, 2, -0.5)]:
             with pytest.raises(DomainError):
                 product_weights(*bad)
+
+
+def _exact_weights(nodes: np.ndarray, beta: float, singular_end: str) -> list:
+    """Product weights over ``nodes`` at 50 digits, from the closed-form
+    panel moments A and B of distance^(beta-1) and distance^beta: each
+    panel adds (B - lo A) / h to its node farther from the singular point
+    and (hi A - B) / h to its nearer node, lo and hi being their distances."""
+    left = singular_end == "left"
+    with mp.workdps(50):
+        s = [mp.mpf(float(x)) for x in nodes]
+        origin = s[0] if left else s[-1]
+        d = [abs(x - origin) for x in s]
+        b = mp.mpf(beta)
+        pa, pb = [x**b for x in d], [x ** (b + 1) for x in d]
+        w = [mp.mpf(0)] * len(s)
+        for k in range(len(s) - 1):
+            near, far = (k, k + 1) if left else (k + 1, k)
+            A = (pa[far] - pa[near]) / b
+            B = (pb[far] - pb[near]) / (b + 1)
+            h = s[k + 1] - s[k]
+            w[far] += (B - d[near] * A) / h
+            w[near] += (d[far] * A - B) / h
+        return w
+
+
+class TestWeightsAgainstMpmath:
+    """Rows N/8, N/2 and N of an r = 2 mesh with N = 1024, against 50-digit
+    weights from the four-power panel moments. Rounding in a weight grows
+    as eps (d/h)^2, so the first weights of the long rows carry most of
+    it; a weighted sum of them must still sit at rounding level."""
+
+    @pytest.mark.parametrize("singular_end", ["right", "left"])
+    @pytest.mark.parametrize("beta", [0.3, 0.77, 0.95])
+    def test_rows_match_high_precision_weights(self, beta, singular_end):
+        mesh = graded_mesh(1024, 2.0, 1.0)
+        for i in (128, 512, 1024):
+            nodes = mesh.nodes[: i + 1]
+            if singular_end == "right":
+                w = product_weights(mesh, i, beta)
+            else:  # the reference rule's end
+                w = _moments(nodes, np.diff(nodes), beta, "left")
+            exact = _exact_weights(nodes, beta, singular_end)
+            with mp.workdps(50):
+                got = [mp.mpf(float(x)) for x in w]
+                phi = [1.5 + mp.sin(7 * mp.mpf(float(t))) for t in nodes]
+                total = mp.fsum(x * p for x, p in zip(exact, phi))
+                sum_err = abs(mp.fsum(x * p for x, p in zip(got, phi)) / total - 1)
+                rel = [float(abs(x / e - 1)) for x, e in zip(got, exact)]
+            assert float(sum_err) <= 1e-15, (i, float(sum_err))
+            assert np.percentile(rel, 99) <= 1e-6, i
 
 
 class TestConvolveWeaklySingular:

@@ -241,6 +241,39 @@ class TestBlockedForwardSubstitution:
         with pytest.raises(IllConditionedSystemError, match=f"at node {k}:"):
             solve_second_kind(SampledFunction(mesh=mesh, values=gp), F, mesh)
 
+    @pytest.mark.parametrize("f_at_0", [(1.0,), (np.nan,), (1.0, np.nan), (np.nan, 1.0)])
+    def test_ill_conditioned_diagonal_past_the_first_block_names_its_node(self, f_at_0):
+        # default blocks: rows 1-90, then 91-145; m(0) cancels the trapezoid
+        # diagonal 1 + m(0) h_i / 2 at node 120, in the second block, whether
+        # or not a column folds the first panel onto node 1
+        mesh = graded_mesh(256, 2.0, 1.0)
+        spans = [(i0, i1) for i0, i1, _ in _triangle_blocks(mesh.nodes, 1.0, np.ones_like)]
+        assert spans[:2] == [(1, 91), (91, 146)]
+        k = 120
+        gp = np.zeros(257)
+        gp[0] = -2.0 / (mesh.nodes[k] - mesh.nodes[k - 1])
+        Fs = [SampledFunction(mesh=mesh, values=np.r_[v, np.ones(256)]) for v in f_at_0]
+        with pytest.raises(IllConditionedSystemError, match=f"at node {k}:"):
+            volterra._forward_sweep(SampledFunction(mesh=mesh, values=gp), Fs, mesh, 0.0)
+
+    def test_ill_conditioned_folded_first_step_names_node_1(self):
+        # m = -2/t_1 at t_1 and 0 at every other node: row 1 reads
+        # 1 + w_1 m(0) = 1 for u_1, but folding the first panel's mass
+        # w_0 m(t_1) = -1 onto node 1 makes its step 0; every other
+        # diagonal is 1
+        mesh = graded_mesh(64, 2.0, 1.0)
+        gp = np.zeros(65)
+        gp[1] = -2.0 / mesh.nodes[1]
+        gprime = SampledFunction(mesh=mesh, values=gp)
+        finite, undefined = (
+            SampledFunction(mesh=mesh, values=np.r_[v, np.ones(64)]) for v in (1.0, np.nan)
+        )
+        [(u, res)] = volterra._forward_sweep(gprime, [finite], mesh, 0.0)
+        assert np.all(np.isfinite(u.values)) and res <= 1e-15
+        for Fs in ([undefined], [finite, undefined], [undefined, finite]):
+            with pytest.raises(IllConditionedSystemError, match="at node 1:"):
+                volterra._forward_sweep(gprime, Fs, mesh, 0.0)
+
 
 #: the f(0) of each right-hand side of one shared sweep, for a data shift
 #: of 1e-6; F(t_0) is finite only where f(0) = 0, so in turn only the

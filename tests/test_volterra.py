@@ -426,6 +426,20 @@ class TestDiscoverAssociate:
         assert plain.sc_residual_of_u == classical.sc_residual_of_u
         assert plain.residual_second_kind == 0.0 and plain.gprime_l1 == 0.0
 
+    def test_associate_vanishing_at_0_is_refused(self):
+        """Kg = t^(1/2) written as t^(-1/2) * t has smooth0 = 0, so no kappa
+        normalises it; that is a DomainError, not a division by zero."""
+        b = 0.5
+        Kg = KernelSpec(
+            fn=lambda t: t**0.5,
+            smooth_fn=lambda t: np.asarray(t, dtype=float),
+            smooth0=0.0,
+            local_exponent=0.5,
+            b=b,
+        )
+        with pytest.raises(DomainError, match="vanishes at 0"):
+            discover_associate(classical_abel_kernel(0.5, b), Kg, graded_mesh(64, 2.0, b))
+
     def test_interval_mismatch_rejected(self, classical_half):
         other = power_kernel(1.0, 0.5, 2.0)
         with pytest.raises(DomainError):

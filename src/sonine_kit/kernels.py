@@ -173,7 +173,9 @@ class KernelSpec:
     ``fn`` evaluates the kernel for t > 0. ``local_exponent`` is the order
     sigma of the t -> 0 blow-up, which the product quadrature factors out:
     kernel(t) = t^(-sigma) * smooth(t) with smooth continuous on [0, b]
-    and smooth(0) = smooth0, a finite number.
+    and smooth(0) = smooth0, a finite number. ``exponent`` is the profile
+    alpha of a kernel t^(-alpha(t)) (:func:`variable_exponent_kernel`),
+    None for every other kernel.
     """
 
     fn: Callable
@@ -276,8 +278,7 @@ class KernelSpec:
         elif np.isfinite(vals[0]):
             m[0] = 0.0  # t^sig * (finite value) vanishes at t = 0
         else:
-            # linear extrapolation of the bounded factor to t = 0
-            m[0] = m[1] - nodes[1] * (m[2] - m[1]) / (nodes[2] - nodes[1])
+            m[0] = _extrapolate_to_zero(nodes, m)
         m_nodes = nodes.copy()
 
         def smooth_fn(t, _x=m_nodes, _y=m):
@@ -294,6 +295,12 @@ class KernelSpec:
             local_exponent=sig,
             b=phi.mesh.b,
         )
+
+
+def _extrapolate_to_zero(nodes: np.ndarray, m: np.ndarray) -> float:
+    """The value at t = 0 of the line through (t_1, m_1) and (t_2, m_2):
+    how a tabulated bounded factor is continued to the origin."""
+    return float(m[1] - nodes[1] * (m[2] - m[1]) / (nodes[2] - nodes[1]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -357,13 +364,46 @@ def variable_exponent_kernel(af: ExponentFunction, b: float) -> KernelSpec:
     )
 
 
+def _constant_factor(kernel: KernelSpec) -> float | None:
+    """c when the kernel's bounded factor is the constant c, else None: a
+    pure power (:attr:`KernelSpec.power_coef`), or t^(-alpha(t)) of
+    :func:`variable_exponent_kernel` for a constant profile, whose bounded
+    factor t^(alpha(0) - alpha(t)) is its smooth0 = 1 at every t."""
+    if kernel.power_coef is not None:
+        return kernel.power_coef
+    af = kernel.exponent
+    return kernel.smooth0 if af is not None and af.is_constant(kernel.b) else None
+
+
+def _not_classical(k: KernelSpec, K: KernelSpec) -> str | None:
+    """None when K * k = 1 holds analytically: k = c_k t^(-sigma) and K =
+    c_K t^(sigma - 1) with constant bounded factors (:func:`_constant_factor`)
+    and c_k c_K kappa(sigma) = 1, both to 1e-12; otherwise why not."""
+    if abs(k.local_exponent + K.local_exponent - 1.0) > 1e-12:
+        return (
+            "a classical pair needs singularity orders summing to 1, "
+            f"got {k.local_exponent!r} + {K.local_exponent!r}"
+        )
+    c_k, c_K = _constant_factor(k), _constant_factor(K)
+    if c_k is None or c_K is None:
+        return (
+            "a classical pair needs constant bounded factors: pure powers "
+            "or kernels of a constant exponent profile"
+        )
+    product = c_k * c_K * kappa(k.local_exponent)
+    if abs(product - 1.0) > 1e-12:
+        return f"a classical pair needs c_k c_K kappa(sigma) = 1, got {product!r}"
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class SoninePair:
     """A kernel k and its associate K sharing the interval (0, b].
 
     ``kappa`` is the normalization entering K when it is known (NaN for
-    hand-built pairs). ``is_classical`` asserts K*k == 1 identically;
-    constructors only set it when that holds analytically.
+    hand-built pairs). ``is_classical`` asserts K*k == 1 identically, and
+    the solvers trust it (g' = 0, no sweep), so it is refused unless it
+    holds analytically (:func:`_not_classical`).
     """
 
     k: KernelSpec
@@ -377,13 +417,8 @@ class SoninePair:
             raise DomainError(
                 f"pair members live on different intervals: {self.k.b!r} vs {self.K.b!r}"
             )
-        if self.is_classical:
-            s = self.k.local_exponent + self.K.local_exponent
-            if abs(s - 1.0) > 1e-12:
-                raise DomainError(
-                    "a classical pair needs singularity orders summing to 1, "
-                    f"got {self.k.local_exponent!r} + {self.K.local_exponent!r}"
-                )
+        if self.is_classical and (refusal := _not_classical(self.k, self.K)):
+            raise DomainError(refusal)
 
     @property
     def b(self) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import KernelSpec, SoninePair, classical_abel_kernel, kappa
+from .kernels import KernelSpec, SoninePair, _not_classical, classical_abel_kernel, kappa
 from .mesh import Mesh, SampledFunction
 from .quadrature import (
     REF_PANELS,
@@ -143,12 +143,10 @@ def _classical_powers(k: KernelSpec, K: KernelSpec) -> bool:
     """True when k = c_k t^(-sigma) and K = c_K t^(sigma - 1) are pure
     powers (:attr:`KernelSpec.power_coef`) with c_k c_K kappa(sigma) = 1,
     so that K * k = 1 exactly: a classical Abel pair, up to scaling."""
-    c_k, c_K = k.power_coef, K.power_coef
     return (
-        c_k is not None
-        and c_K is not None
-        and abs(k.local_exponent + K.local_exponent - 1.0) <= 1e-12
-        and abs(c_k * c_K * kappa(k.local_exponent) - 1.0) <= 1e-12
+        k.power_coef is not None
+        and K.power_coef is not None
+        and _not_classical(k, K) is None
     )
 
 

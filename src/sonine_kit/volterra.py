@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, GscConditionError, IllConditionedSystemError
-from .kernels import KernelSpec, SoninePair, _evaluate, gamma, kappa
+from .kernels import KernelSpec, SoninePair, _evaluate, _extrapolate_to_zero, gamma, kappa
 from .mesh import Mesh, SampledFunction
 from .quadrature import _triangle_blocks, convolve_pair, convolve_weakly_singular
 from .sonine import EPS_CLIP_MAX, GscReport, _classical_powers, _gate_inputs, _GateInputs
@@ -59,11 +59,30 @@ FD_TOL = 1e-5
 
 
 @dataclass(frozen=True, slots=True)
+class _Polynomial:
+    """t -> sum_j coeffs[j] t^j by Horner's rule, for a nonempty ``coeffs``:
+    a float for a scalar t, an array of t's shape for an array t.
+    :func:`_assemble_rhs_at` recognises polynomial data by this type, as
+    :attr:`KernelSpec.power_coef` recognises a pure power."""
+
+    coeffs: tuple[float, ...]
+
+    def __call__(self, t):
+        acc = 0.0
+        for v in reversed(self.coeffs):
+            acc = acc * t + v
+        return acc
+
+
+@dataclass(frozen=True, slots=True)
 class RhsSpec:
     """Right-hand side f of a first-kind equation, with its derivative.
 
     ``f0`` must equal f(0); ``fprime`` must be the derivative of ``f``.
-    Both claims are spot-checked by :meth:`validate` before a solve.
+    Both claims are spot-checked by :meth:`validate` before a solve. The
+    data of :meth:`from_polynomial` carry their coefficients, so a pure
+    power K convolves f' in closed form (:func:`_assemble_rhs_at`); data
+    given as other callables, even of the same values, take the quadrature.
     """
 
     f: Callable
@@ -104,25 +123,14 @@ class RhsSpec:
 
     @staticmethod
     def from_polynomial(coeffs) -> "RhsSpec":
-        """f(t) = sum_k coeffs[k] t^k with the exact derivative."""
+        """f(t) = sum_k coeffs[k] t^k with the exact derivative, both
+        :class:`_Polynomial` (the derivative of a constant is the zero
+        polynomial (0.0,))."""
         c = [float(v) for v in coeffs]
         if len(c) == 0 or not all(math.isfinite(v) for v in c):
             raise DomainError("polynomial coefficients must be a nonempty finite list")
-        dc = [k * c[k] for k in range(1, len(c))]
-
-        def f(t, _c=tuple(c)):
-            acc = 0.0
-            for v in reversed(_c):
-                acc = acc * t + v
-            return acc
-
-        def fprime(t, _dc=tuple(dc)):
-            acc = 0.0
-            for v in reversed(_dc):
-                acc = acc * t + v
-            return acc
-
-        return RhsSpec(f=f, fprime=fprime, f0=c[0])
+        dc = [k * c[k] for k in range(1, len(c))] or [0.0]
+        return RhsSpec(f=_Polynomial(tuple(c)), fprime=_Polynomial(tuple(dc)), f0=c[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,10 +187,24 @@ def _assemble_rhs_at(
     K: KernelSpec, rhs: RhsSpec, mesh: Mesh, f0s: tuple[float, ...]
 ) -> list[SampledFunction]:
     """:func:`assemble_rhs`'s F for the data f - f(0) + c, for each c of
-    ``f0s``. They share f', so K * f' is convolved once."""
-    fp = SampledFunction(mesh=mesh, values=rhs.eval_fprime(mesh.nodes))
-    conv = convolve_weakly_singular(K, fp, mesh).values[1:]
-    K_nodes = K.eval(mesh.nodes[1:])
+    ``f0s``. They share f', so K * f' is computed once.
+
+    For a pure-power K (:attr:`KernelSpec.power_coef`) and the polynomial
+    data of :meth:`RhsSpec.from_polynomial`, K * f' is a sum of Beta
+    functions (:func:`_power_convolution`), exact to rounding at every
+    node. Any other K or f' is sampled and convolved by
+    :func:`convolve_weakly_singular`, exact only for a piecewise-linear
+    f' times K's bounded factor.
+    """
+    interior = mesh.nodes[1:]
+    if K.power_coef is not None and isinstance(rhs.fprime, _Polynomial):
+        conv = _power_convolution(
+            K.power_coef, K.local_exponent, rhs.fprime.coeffs, 0.0, interior
+        )
+    else:
+        fp = SampledFunction(mesh=mesh, values=rhs.eval_fprime(mesh.nodes))
+        conv = convolve_weakly_singular(K, fp, mesh).values[1:]
+    K_nodes = K.eval(interior)  # refuses a mesh past K's end on either path
     out = []
     for c in f0s:
         F = np.empty(mesh.N + 1)
@@ -190,6 +212,27 @@ def _assemble_rhs_at(
         F[1:] = c * K_nodes + conv
         out.append(SampledFunction(mesh=mesh, values=F))
     return out
+
+
+def _power_convolution(
+    c: float, sigma: float, coeffs: Sequence[float], q: float, t: np.ndarray
+) -> np.ndarray:
+    """(c s^(-sigma) * sum_j coeffs[j] s^(q + j))(t) at times t > 0, in
+    closed form: c t^(q + 1 - sigma) sum_j coeffs[j] B(1 - sigma, q + j + 1)
+    t^j, for sigma in (0, 1) and q > -1.
+
+    Only the first Beta value takes Gamma functions, of arguments below 2;
+    the others follow by B(a, x + 1) = B(a, x) x / (a + x), since
+    Gamma(q + j + 2 - sigma) overflows from j = 170 on.
+    """
+    a = 1.0 - sigma
+    beta = math.gamma(a) * math.gamma(q + 1.0) / math.gamma(a + q + 1.0)
+    scaled = []
+    for j, v in enumerate(coeffs):
+        if j:
+            beta *= (q + j) / (a + q + j)
+        scaled.append(v * beta)
+    return c * _Polynomial(tuple(scaled))(t) * t ** (q + 1.0 - sigma)
 
 
 def solve_second_kind(
@@ -239,7 +282,7 @@ def _forward_sweep(
         m[0] = gprime.values[0]
     else:
         # eps = 0 with g' unsampled at 0: extend linearly from the first panel
-        m[0] = m[1] - nodes[1] * (m[2] - m[1]) / (nodes[2] - nodes[1])
+        m[0] = _extrapolate_to_zero(nodes, m)
     if not np.all(np.isfinite(m)):
         raise DomainError("g' samples must be finite at interior nodes")
     fs = [F.values for F in Fs]
@@ -319,19 +362,44 @@ def _first_kind_residual(
     """max |(k * u)(t_i) - f(t_i)| over nodes i >= RESID_FIRST_INDEX, and
     the node samples of k * u.
 
-    A u that is finite at t_0 convolves directly; an unbounded u is
-    wrapped as a tabulated singular kernel so its blow-up is integrated
-    by the doubly singular route. Its order is known: k ~ t^(-sigma) with
-    f(0) != 0 makes u ~ t^(sigma - 1).
+    A u that is finite at t_0 convolves directly. An unbounded u has a
+    known order: k ~ t^(-sigma) with f(0) != 0 makes u ~ t^(sigma - 1).
+    For a pure-power k it is split (:func:`_push_back_split`); for any
+    other k it is wrapped as a tabulated singular kernel so its blow-up
+    is integrated by the doubly singular route of :func:`convolve_pair`.
     """
     if np.isfinite(u.values[0]):
         ku = convolve_weakly_singular(k, u, mesh)
+    elif k.power_coef is not None:
+        ku = _push_back_split(k, u, mesh)
     else:
         u_tab = KernelSpec.from_samples(u, sing_exponent=1.0 - k.local_exponent)
         ku = convolve_pair(u_tab, k, mesh, M=M)
     i0 = min(RESID_FIRST_INDEX, mesh.N)
     f_nodes = rhs.eval(mesh.nodes[i0:])
     return float(np.max(np.abs(ku.values[i0:] - f_nodes))), ku
+
+
+def _push_back_split(k: KernelSpec, u: SampledFunction, mesh: Mesh) -> SampledFunction:
+    """k * u for a pure power k = c t^(-sigma) and a u that blows up at 0
+    as t^(sigma - 1), at the interior nodes (NaN at t_0).
+
+    u = m0 t^(sigma - 1) + u_reg, where m0 continues u's bounded factor u
+    t^(1 - sigma) to 0 by :meth:`KernelSpec.from_samples`' extrapolation.
+    The first term convolves to c m0 kappa(sigma) in closed form
+    (:func:`_power_convolution`). u_reg is bounded, 0 at t_0, and goes
+    through :func:`convolve_weakly_singular`.
+    """
+    sigma, nodes = k.local_exponent, mesh.nodes
+    scale = nodes ** (1.0 - sigma)
+    m = u.values * scale  # u's bounded factor, NaN at t_0
+    m0 = _extrapolate_to_zero(nodes, m)
+    reg = np.zeros(mesh.N + 1)
+    reg[1:] = (m[1:] - m0) / scale[1:]
+    ku = np.full(mesh.N + 1, np.nan)
+    ku[1:] = convolve_weakly_singular(k, SampledFunction(mesh=mesh, values=reg), mesh).values[1:]
+    ku[1:] += _power_convolution(k.power_coef, sigma, (m0,), sigma - 1.0, nodes[1:])
+    return SampledFunction(mesh=mesh, values=ku)
 
 
 def solve_first_kind(
@@ -399,10 +467,6 @@ def _second_kind_solve(
     return [(u, F, r2) for F, (u, r2) in zip(Fs, _forward_sweep(gate.gprime, Fs, mesh, eps))]
 
 
-def _constant_rhs(value: float) -> RhsSpec:
-    return RhsSpec(f=lambda t, _v=value: _v, fprime=lambda t: 0.0, f0=float(value))
-
-
 def discover_associate(k: KernelSpec, Kg: KernelSpec, mesh: Mesh) -> SolveReport:
     """Recover the classical Sonine associate of k, constructively.
 
@@ -426,7 +490,7 @@ def discover_associate(k: KernelSpec, Kg: KernelSpec, mesh: Mesh) -> SolveReport
         is_classical=_classical_powers(k, Kg),
         exponent=k.exponent,
     )
-    report = solve_first_kind(pair, _constant_rhs(1.0), mesh)
+    report = solve_first_kind(pair, RhsSpec.from_polynomial([1.0]), mesh)
     return replace(report, sc_residual_of_u=report.residual_first_kind)
 
 

@@ -18,6 +18,7 @@ from sonine_kit import (
     SoninePair,
     affine_exponent,
     classical_abel_kernel,
+    discover_associate,
     gamma,
     graded_mesh,
     kappa,
@@ -252,3 +253,29 @@ class TestSoninePair:
         K = power_kernel(1.0, 0.3, 1.0)
         with pytest.raises(DomainError):
             SoninePair(k=k, K=K, kappa=1.0, is_classical=True)
+
+    def test_classical_claim_needs_normalised_powers(self):
+        """The solvers skip the sweep for a classical pair, so the claim is
+        checked: k = K = t^(-1/2) has orders summing to 1, but K * k = pi,
+        and check_gsc read it as passing with sc_residual 2.14."""
+        k = power_kernel(1.0, 0.5, 1.0)
+        with pytest.raises(DomainError, match="kappa"):
+            SoninePair(k=k, K=k, kappa=1.0, is_classical=True)
+
+    def test_classical_claim_needs_constant_factors(self):
+        pair = make_variable_exponent_pair(affine_exponent(0.5, 0.2, 0.5), 0.5)
+        with pytest.raises(DomainError, match="constant bounded factors"):
+            SoninePair(k=pair.k, K=pair.K, kappa=pair.kappa, is_classical=True)
+        mesh = graded_mesh(64, 2.0, 0.5)
+        samples = np.full(65, np.nan)
+        samples[1:] = pair.K.eval(mesh.nodes[1:])
+        K_tab = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=samples), 0.5)
+        k = classical_abel_kernel(0.5, 0.5)
+        with pytest.raises(DomainError, match="constant bounded factors"):
+            SoninePair(k=k, K=K_tab, kappa=pair.kappa, is_classical=True)
+
+    def test_scaled_classical_claim_kept(self):
+        k = power_kernel(2.0, 0.4, 1.0)
+        K = power_kernel(0.5 / kappa(0.4), 0.6, 1.0)
+        assert SoninePair(k=k, K=K, kappa=kappa(0.4), is_classical=True).is_classical
+        assert discover_associate(k, K, graded_mesh(64, 2.0, 1.0)).gprime_l1 == 0.0

@@ -31,7 +31,9 @@ __all__ = [
 #: so the block matrices stay in cache and peak memory stays flat at any N
 #: and M. Larger blocks of the O(N M) sums made glibc trim the heap each
 #: time a block's temporaries were freed, and fault the same pages back in
-#: for the next block.
+#: for the next block. The O(N^2) triangle of :func:`_triangle_blocks`
+#: keeps this budget only while it leaves TRIANGLE_MIN_ROWS rows or more,
+#: so its scratch is O(TRIANGLE_MIN_ROWS * N), not flat.
 BLOCK_ENTRIES = 8192
 
 #: panel count per half of the reference rule for K * k on meshes of
@@ -43,23 +45,48 @@ BLOCK_ENTRIES = 8192
 #: 8192 (N = 16384) gives 2.6e-9, 8.7e-10 and 6.9e-8
 REF_PANELS = 256
 
+#: fewest rows in a block of :func:`_triangle_blocks` (the last block may
+#: have fewer). Each block pays a fixed 30 to 40 numpy calls (weights, lag
+#: factor, the sweep's history product and checks); under BLOCK_ENTRIES
+#: alone a block has fewer than 16 rows from row 501 on and one row from
+#: row 4095 on. Far above the floor the blocks leave the 4 MiB L2 cache.
+#: Best / median ms of seven interleaved runs, single-threaded BLAS on a
+#: shared 2-vCPU x86-64 host, pair 0.5 + 0.2t on an r = 2 mesh of (0, 1];
+#: "sweep" is a forward sweep of two columns, "conv" one convolution of
+#: the variable k, "stability" the CLI job on (0, 0.5] at N = 2048:
+#:
+#:     floor              1        4        8        16       32       64
+#:     sweep N = 2048     53/67    51/67    45/61    40/58    37/55    47/57
+#:     conv  N = 2048     53/58    54/59    38/61    33/51    33/48    34/52
+#:     sweep N = 8192     670/981  602/734  531/741  564/665  590/680  670/708
+#:     conv  N = 8192     646/874  448/687  498/654  499/605  548/639  544/665
+#:     stability          56/85    74/84    56/73    51/72    47/70    50/72
+TRIANGLE_MIN_ROWS = 16
+
 #: panel count N from which :func:`convolve_weakly_singular` sums the
 #: history of a pure-power kernel by sum-of-exponentials recurrence, in
-#: O(N * #exp), instead of the dense O(N^2) triangle. One convolution on
-#: an r=2 mesh of (0, 0.5], kernel exponents 0.3, 0.5 and 0.7, best of 7,
-#: single-threaded BLAS on a 2-vCPU x86-64 host, dense against SOE:
-#: 0.6-0.9 against 0.8-1.5 ms at N=128, 1.0 against 1.1 ms at 192,
-#: 1.5-1.6 against 1.4-1.5 ms at 256, 4.5-5.1 against 2.4-2.7 ms at 512,
-#: 15-19 against 4-8 ms at 1024 and 264-334 against 18-29 ms at 4096.
-SOE_MIN_N = 256
+#: O(N * #exp), instead of the dense O(N^2) triangle. One convolution of
+#: cos 7t + t on an r=2 mesh of (0, 0.5], kernel exponents 0.3, 0.5 and
+#: 0.7, best of 30, single-threaded BLAS on a 2-vCPU x86-64 host, dense
+#: against SOE: 0.66-0.73 against 0.93-1.00 ms at N=256, 0.94-1.02
+#: against 1.08-1.16 ms at 320, 1.23-1.28 against 1.27-1.34 ms at 384,
+#: 1.55-1.57 against 1.39-1.44 ms at 448, 1.94-1.99 against 1.56-1.58 ms
+#: at 512 and 2.70-2.85 against 1.82-1.93 ms at 640. Repeats on the same
+#: host put the crossover between 416 and 448; the triangle's row floor
+#: does not bind below row 501.
+SOE_MIN_N = 448
 
 #: Chebyshev-Lobatto points in s = ln t at which :func:`_in_log_t` samples
 #: a mesh-wide g or t g'; meshes of fewer than 4 * LOG_T_POINTS interior
 #: nodes are summed row by row. On eight affine profiles with r <= 2 and N
 #: up to 8192, the last four coefficients of g and t g' are at most 4e-15
-#: of the largest; a longer span of ln t (from r = 3 at N = 4096 on the
+#: of the largest. A longer span of ln t (from r = 3 at N = 4096 on the
 #: steepest profiles, r = 4 at N = 1024-4096, r = 8) leaves t g'
-#: unresolved, and those meshes are summed row by row
+#: unresolved at 64 points, and the sampler retries at twice as many: on
+#: 0.3 + 0.6t, 0.05 + 0.9t, 0.4 + 0.4t, 0.5 + 0.2t and 0.7 - 0.2t on
+#: (0, 0.5], at r = 3 and 4 with N = 4096 and r = 4 and 8 with N = 1024,
+#: 128 points resolve every one, within 1.8e-14 of the largest t g' and
+#: 1.1e-14 relative in g of the direct rows
 LOG_T_POINTS = 64
 
 #: :func:`_in_log_t` keeps its interpolant only when the last four
@@ -180,25 +207,32 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor):
     Yields (i0, i1, C) for consecutive row ranges i0 <= i < i1 covering
     1..N, where C[i - i0, j] = w_ij * factor(t_i - t_j) for j < i1 and w_i
     are the weights of :func:`product_weights` for node i;
-    entries past the diagonal (j > i) are exactly 0. A block holds at most
-    BLOCK_ENTRIES entries (at least one row). Each block builds its lag
+    entries past the diagonal (j > i) are exactly 0. A block has as many
+    rows as fit in BLOCK_ENTRIES entries, but never fewer than
+    TRIANGLE_MIN_ROWS (the last block may have fewer). The layout depends
+    on row indices only: the budget rules up to row 501 and the floor from
+    there on, so the scratch, three rows of max(BLOCK_ENTRIES,
+    TRIANGLE_MIN_ROWS (N + 1)) floats, grows as O(TRIANGLE_MIN_ROWS * N)
+    (0.8 MB at N = 2048). Each block builds its lag
     matrix max(t_i - t_j, 0) once and calls ``factor`` once on it. C lives
     in scratch that the next block overwrites. The caller checks beta
     once; beta = 1 is the bounded (trapezoid) limit.
     """
     h = np.diff(nodes)
     i0, n = 1, len(nodes)
+    floor = TRIANGLE_MIN_ROWS
     # every block reuses one scratch array: block-sized temporaries freed
     # at the heap top make glibc trim it, and the next block then faults
     # the same pages back in
-    work = np.empty((3, max(BLOCK_ENTRIES, n)))
+    work = np.empty((3, max(BLOCK_ENTRIES, floor * n)))
     while i0 < n:
-        # largest row count c with c * (i0 + c) <= BLOCK_ENTRIES
-        c = max(1, (math.isqrt(i0 * i0 + 4 * BLOCK_ENTRIES) - i0) // 2)
+        # largest row count c with c * (i0 + c) <= BLOCK_ENTRIES, at least floor
+        c = max(floor, (math.isqrt(i0 * i0 + 4 * BLOCK_ENTRIES) - i0) // 2)
         i1 = min(n, i0 + c)
         lag = _view(work[2], (i1 - i0, i1))
         np.subtract(nodes[i0:i1, None], nodes[:i1], out=lag)
-        np.maximum(lag, 0.0, out=lag)
+        # t_i - t_j > 0 for j < i0 <= i: only the block's own columns clip
+        np.maximum(lag[:, i0:], 0.0, out=lag[:, i0:])
         C = _moments(lag, h[: i1 - 1], beta, "right", work[:2])
         C *= factor(lag)
         yield i0, i1, C
@@ -324,7 +358,7 @@ def _row_blocks(n_rows: int, n_cols: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _lobatto(P: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The P ascending Chebyshev-Lobatto points x_k = -cos(pi k / (P-1))
     on [-1, 1], their barycentric weights (-1)^k (halved at the ends), and
@@ -359,19 +393,35 @@ def _in_log_t(f, t: np.ndarray) -> np.ndarray:
     a vectorised f that is smooth in s = ln t, from LOG_T_POINTS rows of f
     instead of len(t).
 
-    f is called once, at the Chebyshev-Lobatto points of s on [ln t[0],
+    f is called at the Chebyshev-Lobatto points of s on [ln t[0],
     ln t[-1]], whose end points are t[0] and t[-1] exactly. When the last
     four Chebyshev coefficients of the interpolant are at most LOG_T_TAIL
-    times the largest, the interpolant is evaluated at every other t by
-    the barycentric formula, in blocks of BLOCK_ENTRIES entries, so memory
-    stays flat at any len(t). Otherwise, and for fewer than
-    4 * LOG_T_POINTS times, the result is f(t) itself. The rule's output
-    is as smooth in ln t as g is: its nodes are fixed, and near 0 its
-    terms go as t ln t and t (see README, "Numerical notes").
+    times the largest, the interpolant is evaluated at every other t (see
+    :func:`_log_t_interpolant`). Otherwise the points are doubled once,
+    to 2 * LOG_T_POINTS, and their interpolant is tested the same way.
+    When neither is kept, and for fewer than 4 * LOG_T_POINTS times, the
+    result is f(t) itself; a retry needs 4 * (2 * LOG_T_POINTS) times.
+    The rule's output is as smooth in ln t as g is: its nodes are fixed,
+    and near 0 its terms go as t ln t and t (see README, "Numerical
+    notes").
     """
-    P = LOG_T_POINTS
-    if len(t) < 4 * P:
-        return f(t)
+    for P in (LOG_T_POINTS, 2 * LOG_T_POINTS):
+        if len(t) < 4 * P:
+            break
+        out = _log_t_interpolant(f, t, P)
+        if out is not None:
+            return out
+    return f(t)
+
+
+def _log_t_interpolant(f, t: np.ndarray, P: int) -> np.ndarray | None:
+    """f at every time of ``t`` from its interpolant at P Chebyshev-Lobatto
+    points in ln t, or None when the tail test refuses it.
+
+    The interpolant is evaluated by the barycentric formula, in blocks of
+    BLOCK_ENTRIES entries, so memory stays flat at any len(t); the mesh
+    ends take f's values at the end points.
+    """
     x_k, bary, to_coef = _lobatto(P)
     s0, s1 = math.log(t[0]), math.log(t[-1])
     mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
@@ -380,7 +430,7 @@ def _in_log_t(f, t: np.ndarray) -> np.ndarray:
     f_k = f(t_k)
     c = np.abs(to_coef @ f_k)
     if not c[-4:].max() <= LOG_T_TAIL * c.max():  # a NaN fails too
-        return f(t)
+        return None
     out = np.empty(len(t))
     out[0], out[-1] = f_k[0], f_k[-1]
     inner = out[1:-1]

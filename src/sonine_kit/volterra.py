@@ -57,6 +57,18 @@ FD_SPOT_COUNT = 16
 FD_STEP_FRAC = 1e-6
 FD_TOL = 1e-5
 
+#: the spot-check's points as fractions of its interval: the FD_SPOT_COUNT
+#: values of np.random.default_rng(160693).random(), written out so that
+#: no call builds a generator and the import does not load numpy.random
+#: (13 ms); lo + (hi - lo) * U is that seed's rng.uniform(lo, hi) bit for bit
+_FD_SPOT_UNITS = np.array([
+    0.0026916255453282023, 0.1539874298151227, 0.46004904277016834, 0.09563111576497885,
+    0.6062327261088063, 0.4002811625901471, 0.5774417878013248, 0.4449300100754138,
+    0.12817436740447707, 0.24649348555221295, 0.919559302808306, 0.13888924811018755,
+    0.5808366370868774, 0.8243386141856652, 0.964511303762873, 0.7395375760871438,
+])
+_FD_SPOT_UNITS.setflags(write=False)
+
 
 @dataclass(frozen=True, slots=True)
 class _Polynomial:
@@ -110,10 +122,9 @@ class RhsSpec:
         """
         if not math.isfinite(b) or b <= 0.0:
             raise DomainError(f"endpoint b must be positive, got {b!r}")
-        rng = np.random.default_rng(160693)
         h = FD_STEP_FRAC * b
-        ts = rng.uniform(2 * h, b - 2 * h, size=FD_SPOT_COUNT)
-        for t in ts:
+        lo, hi = 2 * h, b - 2 * h
+        for t in lo + (hi - lo) * _FD_SPOT_UNITS:
             fd = (float(self.f(t + h)) - float(self.f(t - h))) / (2.0 * h)
             if abs(fd - float(self.fprime(t))) > FD_TOL * max(1.0, abs(fd)):
                 raise DomainError(

@@ -30,8 +30,10 @@ FORBIDDEN_MODULES = {"quadrature"}
 OUTPUT_CALLS = {"print", "open", "_emit"}
 
 #: numpy submodules that ``import sonine_kit`` must not load (numpy.polynomial
-#: costs about 4 ms of start-up; the Chebyshev interpolant in ln t is plain numpy)
-UNUSED_NUMPY = ("numpy.polynomial",)
+#: costs about 4 ms of start-up, numpy.random about 13; the Chebyshev
+#: interpolant in ln t is plain numpy, and the derivative spot-check's points
+#: are fixed numbers)
+UNUSED_NUMPY = ("numpy.polynomial", "numpy.random")
 
 #: the machinery of the split-at-t/2 rule, which only quadrature.py uses
 INTEGRATOR_PARTS = {"_reference_rule", "_row_blocks"}

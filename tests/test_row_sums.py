@@ -165,13 +165,15 @@ class TestBlockedSubstitutedRoute:
 
 
 #: a block budget small enough that an 80-panel mesh has multi-row blocks
-#: split mid-mesh (rows 1-7, 8-11, 12-15, ...) and one-row blocks from node 63
+#: split mid-mesh (rows 1-7, 8-11, 12-15, ...) and, with the row floor
+#: lowered to 1, one-row blocks from node 63
 SMALL_BLOCK = 64
 
 
 @pytest.fixture
 def small_blocks(monkeypatch):
     monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", SMALL_BLOCK)
+    monkeypatch.setattr(quadrature, "TRIANGLE_MIN_ROWS", 1)
 
 
 def triangle_oracle(kernel, phi, mesh):
@@ -215,6 +217,49 @@ class TestTriangleBlocks:
         got = convolve_weakly_singular(kernel, phi, mesh).values
         np.testing.assert_allclose(got, triangle_oracle(kernel, phi, mesh), rtol=RTOL, atol=0.0)
 
+    def test_default_layout_has_a_row_floor(self, monkeypatch):
+        """Blocks tile rows 1..N. Once the budget would give fewer rows
+        than TRIANGLE_MIN_ROWS (from node 501 on), every block but the
+        last has exactly that many; meshes up to N = 512 keep the layout
+        of one-row floors."""
+        floor = quadrature.TRIANGLE_MIN_ROWS
+
+        def spans(N):
+            nodes = graded_mesh(N, 2.0, 0.5).nodes
+            return [(i0, i1) for i0, i1, _ in _triangle_blocks(nodes, 0.5, np.ones_like)]
+
+        layouts = {N: spans(N) for N in (512, 2048, 8192)}
+        for N, n_blocks in ((512, 18), (2048, 114), (8192, 498)):
+            got = layouts[N]
+            assert got[0][0] == 1 and got[-1][1] == N + 1
+            assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+            assert all(i1 - i0 >= floor for i0, i1 in got[:-1])
+            assert len(got) == n_blocks
+            within = [(i0, i1) for i0, i1 in got if (i1 - i0) * i1 <= BLOCK_ENTRIES]
+            assert within == got[: len(within)] and within[-1][1] <= 501 + floor
+            assert all(i1 - i0 == floor for i0, i1 in got[len(within) : -1])
+        monkeypatch.setattr(quadrature, "TRIANGLE_MIN_ROWS", 1)
+        assert spans(512) == layouts[512]
+        assert len(spans(2048)) == 280 and len(spans(8192)) == 5287
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("budget", ["default", "tiny"])
+    def test_floored_rows_are_product_weights_bit_for_bit(self, beta, budget, monkeypatch):
+        """Under the floor, past node 501 by default and everywhere under a
+        budget of 64 entries, the rows are still product_weights'."""
+        if budget == "tiny":
+            monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", SMALL_BLOCK)
+            mesh = graded_mesh(80, 2.0, 0.5)
+        else:
+            mesh = graded_mesh(600, 2.0, 0.5)
+        spans = []
+        for i0, i1, C in _triangle_blocks(mesh.nodes, beta, np.ones_like):
+            spans.append((i0, i1))
+            for i in range(i0, i1):
+                np.testing.assert_array_equal(C[i - i0, : i + 1], product_weights(mesh, i, beta))
+                assert not np.any(C[i - i0, i + 1 :])
+        assert spans[-2][1] - spans[-2][0] == quadrature.TRIANGLE_MIN_ROWS
+
     def test_zero_phi_convolves_to_zero(self, pair_a):
         mesh = graded_mesh(64, 2.0, 0.5)
         phi = SampledFunction(mesh=mesh, values=np.zeros(65))
@@ -255,6 +300,22 @@ class TestBlockedForwardSubstitution:
         Fs = [SampledFunction(mesh=mesh, values=np.r_[v, np.ones(256)]) for v in f_at_0]
         with pytest.raises(IllConditionedSystemError, match=f"at node {k}:"):
             volterra._forward_sweep(SampledFunction(mesh=mesh, values=gp), Fs, mesh, 0.0)
+
+    def test_two_column_sweep_agrees_across_floors(self, monkeypatch, pair_a):
+        """The floor moves only the split between a block's history product
+        and its row loop: at N = 1024 (floored from node 501 on) the u of a
+        shared sweep, one column folded, agree with one-row blocks to
+        1e-14 relative."""
+        mesh = graded_mesh(1024, 2.0, pair_a.b)
+        gate = _gate_inputs(pair_a, mesh)
+        rhs = RhsSpec.from_polynomial([0.0, 1.0])
+        Fs = volterra._assemble_rhs_at(pair_a.K, rhs, mesh, (0.0, 1e-6))
+        floored = volterra._forward_sweep(gate.gprime, Fs, mesh, 0.0)
+        monkeypatch.setattr(quadrature, "TRIANGLE_MIN_ROWS", 1)
+        one_row = volterra._forward_sweep(gate.gprime, Fs, mesh, 0.0)
+        for (u, res), (u1, res1) in zip(floored, one_row):
+            np.testing.assert_allclose(u.values[1:], u1.values[1:], rtol=1e-14, atol=0.0)
+            assert res <= 1e-13 and res1 <= 1e-13
 
     def test_ill_conditioned_folded_first_step_names_node_1(self):
         # m = -2/t_1 at t_1 and 0 at every other node: row 1 reads
@@ -309,9 +370,9 @@ class TestSharedSweep:
     @pytest.mark.parametrize("blocks", ["small", "default"])
     @pytest.mark.parametrize("eps", [0.0, 0.25])
     @pytest.mark.parametrize("layout", list(FOLD_LAYOUTS))
-    def test_each_column_is_a_separate_solve(self, layout, eps, blocks, monkeypatch, pair_a):
+    def test_each_column_is_a_separate_solve(self, layout, eps, blocks, request, pair_a):
         if blocks == "small":
-            monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", SMALL_BLOCK)
+            request.getfixturevalue("small_blocks")
         mesh = graded_mesh(80, 2.0, 0.5)
         gate = _gate_inputs(pair_a, mesh)
         f0s = FOLD_LAYOUTS[layout]
@@ -327,9 +388,9 @@ class TestSharedSweep:
             assert res <= 1e-13
 
     def test_stability_builds_one_triangle(self, monkeypatch, classical_half, pair_a):
-        """On 256 panels K * f' takes the history sums, so the only triangle
-        is the sweep's: one for a variable pair, none for a classical pair
-        (g' = 0)."""
+        """K * f' of polynomial data is a closed form for the pure-power K,
+        so the only triangle is the sweep's: one for a variable pair, none
+        for a classical pair (g' = 0)."""
         opened = _counting_triangles(monkeypatch)
         rhs = RhsSpec.from_polynomial([0.0, 1.0])
         stability_report(pair_a, rhs, 1e-6, graded_mesh(256, 2.0, pair_a.b))

@@ -59,6 +59,17 @@ class TestRhsSpec:
         rhs.validate(1.0)
         rhs.validate(1.0)  # same spot-check points every time
 
+    @pytest.mark.parametrize("b", [0.37, 0.5, 1.0, 3.0])
+    def test_spot_points_are_the_seeded_draw(self, b):
+        """validate checks f' at fixed fractions of [2h, b - 2h], which
+        equal a fresh seeded uniform draw on it bit for bit."""
+        h = volterra.FD_STEP_FRAC * b
+        want = np.random.default_rng(160693).uniform(2 * h, b - 2 * h, size=volterra.FD_SPOT_COUNT)
+        seen = []
+        rhs = RhsSpec(f=lambda t: t * t, fprime=lambda t: seen.append(t) or 2.0 * t, f0=0.0)
+        rhs.validate(b)
+        np.testing.assert_array_equal(seen, want)
+
     def test_empty_coefficients_rejected(self):
         with pytest.raises(DomainError):
             RhsSpec.from_polynomial([])

@@ -80,13 +80,9 @@ SOE_MIN_N = 448
 #: a mesh-wide g or t g'; meshes of fewer than 4 * LOG_T_POINTS interior
 #: nodes are summed row by row. On eight affine profiles with r <= 2 and N
 #: up to 8192, the last four coefficients of g and t g' are at most 4e-15
-#: of the largest. A longer span of ln t (from r = 3 at N = 4096 on the
+#: of the largest; a longer span of ln t (from r = 3 at N = 4096 on the
 #: steepest profiles, r = 4 at N = 1024-4096, r = 8) leaves t g'
-#: unresolved at 64 points, and the sampler retries at twice as many: on
-#: 0.3 + 0.6t, 0.05 + 0.9t, 0.4 + 0.4t, 0.5 + 0.2t and 0.7 - 0.2t on
-#: (0, 0.5], at r = 3 and 4 with N = 4096 and r = 4 and 8 with N = 1024,
-#: 128 points resolve every one, within 1.8e-14 of the largest t g' and
-#: 1.1e-14 relative in g of the direct rows
+#: unresolved, and those meshes are summed row by row
 LOG_T_POINTS = 64
 
 #: :func:`_in_log_t` keeps its interpolant only when the last four
@@ -358,7 +354,7 @@ def _row_blocks(n_rows: int, n_cols: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _lobatto(P: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The P ascending Chebyshev-Lobatto points x_k = -cos(pi k / (P-1))
     on [-1, 1], their barycentric weights (-1)^k (halved at the ends), and
@@ -393,35 +389,19 @@ def _in_log_t(f, t: np.ndarray) -> np.ndarray:
     a vectorised f that is smooth in s = ln t, from LOG_T_POINTS rows of f
     instead of len(t).
 
-    f is called at the Chebyshev-Lobatto points of s on [ln t[0],
+    f is called once, at the Chebyshev-Lobatto points of s on [ln t[0],
     ln t[-1]], whose end points are t[0] and t[-1] exactly. When the last
     four Chebyshev coefficients of the interpolant are at most LOG_T_TAIL
-    times the largest, the interpolant is evaluated at every other t (see
-    :func:`_log_t_interpolant`). Otherwise the points are doubled once,
-    to 2 * LOG_T_POINTS, and their interpolant is tested the same way.
-    When neither is kept, and for fewer than 4 * LOG_T_POINTS times, the
-    result is f(t) itself; a retry needs 4 * (2 * LOG_T_POINTS) times.
-    The rule's output is as smooth in ln t as g is: its nodes are fixed,
-    and near 0 its terms go as t ln t and t (see README, "Numerical
-    notes").
+    times the largest, the interpolant is evaluated at every other t by
+    the barycentric formula, in blocks of BLOCK_ENTRIES entries, so memory
+    stays flat at any len(t). Otherwise, and for fewer than
+    4 * LOG_T_POINTS times, the result is f(t) itself. The rule's output
+    is as smooth in ln t as g is: its nodes are fixed, and near 0 its
+    terms go as t ln t and t (see README, "Numerical notes").
     """
-    for P in (LOG_T_POINTS, 2 * LOG_T_POINTS):
-        if len(t) < 4 * P:
-            break
-        out = _log_t_interpolant(f, t, P)
-        if out is not None:
-            return out
-    return f(t)
-
-
-def _log_t_interpolant(f, t: np.ndarray, P: int) -> np.ndarray | None:
-    """f at every time of ``t`` from its interpolant at P Chebyshev-Lobatto
-    points in ln t, or None when the tail test refuses it.
-
-    The interpolant is evaluated by the barycentric formula, in blocks of
-    BLOCK_ENTRIES entries, so memory stays flat at any len(t); the mesh
-    ends take f's values at the end points.
-    """
+    P = LOG_T_POINTS
+    if len(t) < 4 * P:
+        return f(t)
     x_k, bary, to_coef = _lobatto(P)
     s0, s1 = math.log(t[0]), math.log(t[-1])
     mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
@@ -430,7 +410,7 @@ def _log_t_interpolant(f, t: np.ndarray, P: int) -> np.ndarray | None:
     f_k = f(t_k)
     c = np.abs(to_coef @ f_k)
     if not c[-4:].max() <= LOG_T_TAIL * c.max():  # a NaN fails too
-        return None
+        return f(t)
     out = np.empty(len(t))
     out[0], out[-1] = f_k[0], f_k[-1]
     inner = out[1:-1]

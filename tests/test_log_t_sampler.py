@@ -2,10 +2,9 @@
 
 ``quadrature._in_log_t`` runs the split-at-t/2 rule at LOG_T_POINTS
 Chebyshev-Lobatto points in s = ln t and interpolates to the mesh when the
-interpolant's Chebyshev tail shows it resolved; otherwise it retries once
-at twice the points, and then sums every row. Either way the result must
-be what the direct rows give: to rounding when an interpolant is kept,
-bit for bit when none is.
+interpolant's Chebyshev tail shows it resolved; otherwise it sums every
+row. Either way the result must be what the direct rows give: to rounding
+when the interpolant is kept, bit for bit when it is not.
 """
 
 from __future__ import annotations
@@ -46,9 +45,8 @@ def _kinked_pair():
 
 def _g_and_tgprime(pair, mesh):
     """g and t g' at the interior nodes, as compute_g and check_gsc's
-    gate get them, and whether each call of the sampler kept an
-    interpolant (called its f at LOG_T_POINTS times, then at most at
-    twice as many, and never at every time)."""
+    gate get them, and whether each call of the sampler kept its
+    interpolant (called its f once, at LOG_T_POINTS times)."""
     kept = []
 
     def watched(f, t):
@@ -59,7 +57,7 @@ def _g_and_tgprime(pair, mesh):
             return f(x)
 
         out = _in_log_t(counted, t)
-        kept.append(calls in ([LOG_T_POINTS], [LOG_T_POINTS, 2 * LOG_T_POINTS]))
+        kept.append(calls == [LOG_T_POINTS])
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -107,71 +105,17 @@ class TestAgreesWithDirectRows:
             np.testing.assert_array_equal(tgp, tgp_ref)
 
     @pytest.mark.parametrize(
-        "pair, r, g_kept",
-        [
-            (_kinked_pair(), 2.0, False),
-            (make_variable_exponent_pair(affine_exponent(0.5, 0.2, B), B), 20.0, True),
-        ],
+        "pair, r",
+        [(_kinked_pair(), 2.0), (make_variable_exponent_pair(affine_exponent(0.5, 0.2, B), B), 20.0)],
         ids=["kinked profile", "r=20"],
     )
-    def test_unresolved_falls_back_to_direct_rows(self, pair, r, g_kept):
-        """t g' is unresolved at both point counts on both meshes; at r =
-        20 the doubled interpolant resolves g."""
+    def test_unresolved_falls_back_to_direct_rows(self, pair, r):
         mesh = graded_mesh(4096, r, B)
         g, tgp, kept = _g_and_tgprime(pair, mesh)
-        assert kept == [g_kept, False]
+        assert kept == [False, False]
         g_ref, tgp_ref = _direct(pair, mesh)
-        if g_kept:
-            assert np.max(np.abs(g - g_ref) / np.abs(g_ref)) <= 1e-13
-        else:
-            np.testing.assert_array_equal(g, g_ref)
+        np.testing.assert_array_equal(g, g_ref)
         np.testing.assert_array_equal(tgp, tgp_ref)
-
-
-class TestRetry:
-    def test_steep_mesh_keeps_the_doubled_interpolant(self, monkeypatch):
-        """On 0.3 + 0.6t, r = 4, N = 1024, 64 points leave t g' unresolved;
-        the retry at 128 resolves it, so the rule runs 64 + 128 rows, not
-        N, and agrees with the direct rows as the 64-point path does."""
-        pair = make_variable_exponent_pair(affine_exponent(0.3, 0.6, B), B)
-        t = graded_mesh(1024, 4.0, B).nodes[1:]
-        M = _default_panels(1024)
-        rows = []
-        real = sonine._pair_convolution
-
-        def counting(K, k, x, M):
-            rows.append(len(x))
-            return real(K, k, x, M)
-
-        monkeypatch.setattr(sonine, "_pair_convolution", counting)
-        tgp = sonine._gprime_flat(pair, t, M) * t
-        assert rows == [LOG_T_POINTS, 2 * LOG_T_POINTS]
-        monkeypatch.setattr(sonine, "_in_log_t", lambda f, x: f(x))
-        tgp_ref = sonine._gprime_flat(pair, t, M) * t
-        assert rows[2:] == [len(t)]
-        assert np.max(np.abs(tgp - tgp_ref)) <= 1e-13 * np.max(np.abs(tgp_ref))
-
-    def test_unresolved_at_both_sizes_falls_back_once(self):
-        """f = |ln t + 3| has a kink: both interpolants are refused, and f
-        runs at 64, 128 and then every time, whose values are returned."""
-        t = graded_mesh(1024, 2.0, B).nodes[1:]
-        seen = []
-
-        def f(x):
-            seen.append(len(x))
-            return np.abs(np.log(x) + 3.0)
-
-        out = _in_log_t(f, t)
-        assert seen == [LOG_T_POINTS, 2 * LOG_T_POINTS, len(t)]
-        np.testing.assert_array_equal(out, np.abs(np.log(t) + 3.0))
-
-    def test_no_retry_below_four_times_its_points(self):
-        """Between 4 * 64 and 4 * 128 times a refused interpolant goes
-        straight to the direct rows."""
-        t = graded_mesh(8 * LOG_T_POINTS - 1, 2.0, B).nodes[1:]
-        seen = []
-        _in_log_t(lambda x: seen.append(len(x)) or np.abs(np.log(x) + 3.0), t)
-        assert seen == [LOG_T_POINTS, len(t)]
 
 
 class TestSampler:

@@ -44,11 +44,13 @@ from .sonine import (
     estimate_gprime,
 )
 from .volterra import (
+    ConvergenceReport,
     RhsSpec,
     SolveReport,
     StabilityReport,
     assemble_rhs,
     classical_solution,
+    convergence_study,
     discover_associate,
     solve_first_kind,
     solve_second_kind,
@@ -88,11 +90,13 @@ __all__ = [
     "compute_g_substituted",
     "estimate_g0",
     "estimate_gprime",
+    "ConvergenceReport",
     "RhsSpec",
     "SolveReport",
     "StabilityReport",
     "assemble_rhs",
     "classical_solution",
+    "convergence_study",
     "discover_associate",
     "solve_first_kind",
     "solve_second_kind",

@@ -28,7 +28,7 @@ from .mesh import graded_mesh
 from .sonine import check_gsc, compute_g
 from .volterra import (
     RhsSpec,
-    classical_solution,
+    convergence_study,
     discover_associate,
     solve_first_kind,
     stability_report,
@@ -47,12 +47,6 @@ TOL_DEFAULTS = {
     "min_order": 0.8,
     "delta": 1e-6,
 }
-
-#: errors at or below this are considered converged in order fits
-ORDER_FLOOR = 1e-12
-
-#: number of mesh levels in a convergence study (N, N/2, N/4, N/8)
-CONVERGE_LEVELS = 4
 
 _FLOAT_FMT = "{:.17g}"
 
@@ -346,72 +340,20 @@ def _run_discover(cfg: JobConfig) -> _Result:
     return columns, extra, summary, ok
 
 
-def _converge_reference(cfg: JobConfig, pair: SoninePair, rhs: RhsSpec, n_max: int):
-    """Reference solution at the nodes of every level's mesh.
-
-    Classical kernels have a closed form. Otherwise a solve at twice the
-    finest N serves as reference; graded meshes nest under doubling, so
-    level nodes index directly into the fine solution.
-    """
-    if cfg.kernel.kind == "classical":
-        def ref(mesh):
-            return classical_solution(cfg.kernel.alpha, cfg.rhs_coeffs, mesh.nodes[1:])
-
-        return ref
-    fine_mesh = graded_mesh(2 * n_max, cfg.r, cfg.kernel.b)
-    fine = solve_first_kind(pair, rhs, fine_mesh)
-
-    def ref(mesh, _fine=fine, _n=2 * n_max):
-        stride = _n // mesh.N
-        return _fine.u.values[stride::stride]
-
-    return ref
-
-
 def _run_converge(cfg: JobConfig) -> _Result:
     pair = _build_pair(cfg.kernel)
     rhs = RhsSpec.from_polynomial(cfg.rhs_coeffs)
-    n_levels = [cfg.N // (2**i) for i in reversed(range(CONVERGE_LEVELS))]
-    if n_levels[0] < 2:
-        raise DomainError(
-            f"mesh.N={cfg.N} is too small for {CONVERGE_LEVELS} halvings; need N >= "
-            f"{2 ** CONVERGE_LEVELS}"
-        )
-    if cfg.N % (2 ** (CONVERGE_LEVELS - 1)) != 0:
-        raise DomainError(
-            f"mesh.N={cfg.N} must be divisible by {2 ** (CONVERGE_LEVELS - 1)} "
-            "so convergence meshes nest"
-        )
-    ref = _converge_reference(cfg, pair, rhs, n_levels[-1])
+    report = convergence_study(pair, rhs, cfg.N, cfg.r)
     b = cfg.kernel.b
-    errs = []
-    for n in n_levels:
-        mesh = graded_mesh(n, cfg.r, b)
-        rep = solve_first_kind(pair, rhs, mesh)
-        uref = ref(mesh)
-        window = mesh.nodes[1:] >= b / 10.0
-        rel = np.abs(rep.u.values[1:][window] - uref[window]) / np.maximum(
-            np.abs(uref[window]), 1e-300
-        )
-        errs.append(float(np.max(rel)))
-    orders = [float("nan")]
-    for prev, cur in zip(errs, errs[1:]):
-        if cur <= ORDER_FLOOR:
-            orders.append(float("inf"))
-        elif prev <= ORDER_FLOOR:
-            orders.append(float("nan"))
-        else:
-            orders.append(math.log2(prev / cur))
-    live = [(n, e) for n, e in zip(n_levels, errs) if e > ORDER_FLOOR]
-    if len(live) < 2:
-        fitted = float("inf")  # converged to roundoff at (almost) every level
-    else:
-        x = np.log2([n for n, _ in live])
-        y = np.log2([e for _, e in live])
-        fitted = -float(np.polyfit(x, y, 1)[0])
-    columns = {"N": n_levels, "h": [b / n for n in n_levels], "max_err": errs, "order": orders}
-    summary = {"order": fitted, "finest_err": errs[-1]}
-    return columns, {"fitted_order": fitted}, summary, fitted >= cfg.tolerances["min_order"]
+    columns = {
+        "N": report.N,
+        "h": [b / n for n in report.N],
+        "max_err": report.max_err,
+        "order": report.order,
+    }
+    summary = {"order": report.fitted_order, "finest_err": report.max_err[-1]}
+    ok = report.fitted_order >= cfg.tolerances["min_order"]
+    return columns, {"fitted_order": report.fitted_order}, summary, ok
 
 
 def _run_stability(cfg: JobConfig) -> _Result:

@@ -47,20 +47,22 @@ REF_PANELS = 256
 
 #: fewest rows in a block of :func:`_triangle_blocks` (the last block may
 #: have fewer). Each block pays a fixed 30 to 40 numpy calls (weights, lag
-#: factor, the sweep's history product and checks); under BLOCK_ENTRIES
-#: alone a block has fewer than 16 rows from row 501 on and one row from
-#: row 4095 on. Far above the floor the blocks leave the 4 MiB L2 cache.
-#: Best / median ms of seven interleaved runs, single-threaded BLAS on a
-#: shared 2-vCPU x86-64 host, pair 0.5 + 0.2t on an r = 2 mesh of (0, 1];
-#: "sweep" is a forward sweep of two columns, "conv" one convolution of
-#: the variable k, "stability" the CLI job on (0, 0.5] at N = 2048:
+#: factor, and in the sweep a history product, a solve and its residual per
+#: column); under BLOCK_ENTRIES alone a block has fewer than 16 rows from
+#: row 501 on and one row from row 4095 on. Far above the floor the blocks
+#: leave the 4 MiB L2 cache. Best / median ms of nine interleaved runs,
+#: single-threaded BLAS on a shared 2-vCPU x86-64 host, pair 0.5 + 0.2t on
+#: an r = 2 mesh of (0, 1]; "sweep" is a forward sweep of two columns with
+#: one block solve per column, "conv" one convolution of the variable k,
+#: "stability" the CLI job on (0, 0.5] at N = 2048. 32 ties 16 at N = 2048
+#: and loses at 8192; a second set of seven runs ranked them alike:
 #:
-#:     floor              1        4        8        16       32       64
-#:     sweep N = 2048     53/67    51/67    45/61    40/58    37/55    47/57
-#:     conv  N = 2048     53/58    54/59    38/61    33/51    33/48    34/52
-#:     sweep N = 8192     670/981  602/734  531/741  564/665  590/680  670/708
-#:     conv  N = 8192     646/874  448/687  498/654  499/605  548/639  544/665
-#:     stability          56/85    74/84    56/73    51/72    47/70    50/72
+#:     floor              8        16       32       64
+#:     sweep N = 2048     30/32    27/29    27/28    27/28
+#:     conv  N = 2048     28/30    26/29    26/28    27/29
+#:     sweep N = 8192     356/373  348/365  356/366  364/378
+#:     conv  N = 8192     346/359  343/363  372/385  382/407
+#:     stability          38/40    35/36    35/36    36/37
 TRIANGLE_MIN_ROWS = 16
 
 #: panel count N from which :func:`convolve_weakly_singular` sums the
@@ -211,8 +213,10 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor):
     TRIANGLE_MIN_ROWS (N + 1)) floats, grows as O(TRIANGLE_MIN_ROWS * N)
     (0.8 MB at N = 2048). Each block builds its lag
     matrix max(t_i - t_j, 0) once and calls ``factor`` once on it. C lives
-    in scratch that the next block overwrites. The caller checks beta
-    once; beta = 1 is the bounded (trapezoid) limit.
+    in scratch that the next block overwrites, so the caller may write
+    into it, as the forward sweep adds 1 to the diagonal of the block's
+    own square C[:, i0:i1]. The caller checks beta once; beta = 1 is the
+    bounded (trapezoid) limit.
     """
     h = np.diff(nodes)
     i0, n = 1, len(nodes)

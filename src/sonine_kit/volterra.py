@@ -22,17 +22,19 @@ import numpy as np
 
 from .errors import DomainError, GscConditionError, IllConditionedSystemError
 from .kernels import KernelSpec, SoninePair, _evaluate, _extrapolate_to_zero, gamma, kappa
-from .mesh import Mesh, SampledFunction
+from .mesh import Mesh, SampledFunction, graded_mesh
 from .quadrature import _triangle_blocks, convolve_pair, convolve_weakly_singular
 from .sonine import EPS_CLIP_MAX, GscReport, _classical_powers, _gate_inputs, _GateInputs
 
 __all__ = [
+    "ConvergenceReport",
     "RhsSpec",
     "SolveReport",
     "StabilityReport",
     "assemble_rhs",
     "solve_second_kind",
     "solve_first_kind",
+    "convergence_study",
     "discover_associate",
     "stability_probe",
     "stability_report",
@@ -51,6 +53,12 @@ DIAG_TOL = 1e-8
 
 #: first node index included in first-kind residual norms
 RESID_FIRST_INDEX = 3
+
+#: mesh levels of a convergence study (N/8, N/4, N/2, N)
+CONVERGE_LEVELS = 4
+
+#: errors at or below this count as converged to rounding in order fits
+ORDER_FLOOR = 1e-12
 
 #: derivative spot-check: sample count, relative step, tolerance
 FD_SPOT_COUNT = 16
@@ -246,17 +254,37 @@ def _power_convolution(
     return c * _Polynomial(tuple(scaled))(t) * t ** (q + 1.0 - sigma)
 
 
+@dataclass(frozen=True, slots=True)
+class ConvergenceReport:
+    """Outcome of :func:`convergence_study`, one entry per mesh level.
+
+    ``max_err`` is the largest relative error of u against the reference
+    on the nodes t >= b/10. ``order`` is log2 of the ratio of the coarser
+    level's error to this one's: NaN on the first level and after a level
+    at or below ORDER_FLOOR, inf at such a level. ``fitted_order`` is the
+    least-squares slope of -log2 max_err against log2 N over the levels
+    above ORDER_FLOOR, inf when fewer than two are.
+    """
+
+    N: tuple[int, ...]
+    max_err: tuple[float, ...]
+    order: tuple[float, ...]
+    fitted_order: float
+
+
 def solve_second_kind(
     gprime: SampledFunction, F: SampledFunction, mesh: Mesh, eps: float = 0.0
 ) -> SampledFunction:
-    """Solve u + g' * u = F by forward substitution on the mesh.
+    """Solve u + g' * u = F by blocked forward substitution on the mesh.
 
     The convolution is discretized with product weights for the factored
     kernel g'(tau) = tau^(-eps) m(tau), m interpolated linearly between
     nodes, so the lag m(t_i - t_j) never evaluates g' off the sample
-    grid. eps = 0 means g' is treated as bounded. u(t_0) adopts F(t_0)
-    as a limit convention; when F(t_0) is undefined the first panel's
-    mass is folded onto node 1 instead of touching the undefined value.
+    grid. eps = 0 means g' is treated as bounded. Each block of rows of
+    the lower-triangular system is solved by one LAPACK call once the
+    rows before it are known. u(t_0) adopts F(t_0) as a limit convention;
+    when F(t_0) is undefined the first panel's mass is folded onto node 1
+    instead of touching the undefined value.
     """
     [(u, _)] = _forward_sweep(gprime, (F,), mesh, eps)
     return u
@@ -269,15 +297,20 @@ def _forward_sweep(
     discrete system, for each right-hand side of ``Fs``.
 
     Blocked forward substitution over :func:`_triangle_blocks`, one pass
-    for all of ``Fs``: each coefficient block is built once and every
-    column is substituted against it, so each column's u and residual are
-    bit for bit those of a sweep of its own. Columns with a finite F(t_0)
-    read a block before the first panel's mass is folded onto node 1, the
-    others after, and the fold is applied once per block. A block's
-    diagonal and its DIAG_TOL check are computed once: the fold moves only
-    row 1's. Each block's row residuals come from the same coefficient
-    block once its u are set; they are scaled and reduced once per sweep.
-    g' = 0 leaves u = F and a zero residual without a sweep.
+    for all of ``Fs``. Each coefficient block is built once; 1 is added to
+    the diagonal of its own square T, which is checked against DIAG_TOL
+    once. Each column then solves T u_b = f_b - (history product) with a
+    solve of its own, so its u and residual are bit for bit those of a
+    sweep of its own. A block's row residuals are T u_b minus that right-
+    hand side, the full row of the system without a second history
+    product; they are scaled and reduced once per sweep.
+
+    A column with an undefined F(t_0) folds the first panel's mass onto
+    node 1: the first block solves it with C's column 0 added to T's
+    first column, checking row 1's step there, and u(t_0) then holds
+    u(t_1), so every later history product carries that mass on node 1,
+    until the sweep resets u(t_0) to F(t_0). g' = 0 leaves u = F and a
+    zero residual without a sweep.
     """
     if not (gprime.mesh.same_nodes(mesh) and all(F.mesh.same_nodes(mesh) for F in Fs)):
         raise DomainError("g' and F must be sampled on the solve mesh")
@@ -299,33 +332,32 @@ def _forward_sweep(
     fs = [F.values for F in Fs]
     if not m.any():  # g' = 0, as for a classical pair: u = F exactly
         return [(SampledFunction(mesh=mesh, values=f.copy()), 0.0) for f in fs]
-    us = [np.empty(mesh.N + 1) for _ in fs]
+    folds = [not np.isfinite(f[0]) for f in fs]
+    us = [f.copy() for f in fs]  # u(t_0) = F(t_0); the sweep sets the rest
     resid = [np.zeros(mesh.N + 1) for _ in fs]  # row residuals, 0 at t_0
-    for u, f in zip(us, fs):
-        u[0] = f[0]
-    # (fold, columns): the unfolded columns first, since the fold rewrites C
-    groups = [
-        (fold, [c for c, f in enumerate(fs) if np.isfinite(f[0]) != fold])
-        for fold in (False, True)
-    ]
     m_at = partial(np.interp, xp=nodes, fp=m)
     for i0, i1, C in _triangle_blocks(nodes, 1.0 - eps, m_at):
-        diag = 1.0 + C.diagonal(i0)
-        unchecked = len(diag)  # after the first group, only a fold moves row 1's step
-        for fold, cols in groups:
-            if not cols:
-                continue
-            if fold:
-                C[:, 1] += C[:, 0]
-                C[:, 0] = 0.0
-                if i0 == 1:
-                    diag[0] = 1.0 + C[0, 1]
-            _check_steps(diag[:unchecked], i0)
-            unchecked = int(i0 == 1)
-            for c in cols:
-                _substitute_block(C, diag, i0, i1, int(fold), fs[c], us[c], resid[c])
+        T = C[:, i0:i1]
+        np.einsum("ii->i", T)[:] += 1.0  # a writable view of T's diagonal
+        # row 1's unfolded step matters only to a column that does not fold
+        first = int(i0 == 1 and all(folds))
+        _check_steps(T.diagonal()[first:], i0 + first)
+        for f, u, res, fold in zip(fs, us, resid, folds):
+            if fold and i0 == 1:
+                A = T.copy()
+                A[:, 0] += C[:, 0]
+                _check_steps(A[:1, 0], 1)
+                rhs = f[1:i1]
+            else:
+                A = T
+                rhs = f[i0:i1] - C[:, :i0] @ u[:i0]
+            u[i0:i1] = np.linalg.solve(A, rhs)
+            res[i0:i1] = A @ u[i0:i1] - rhs
+            if fold and i0 == 1:
+                u[0] = u[1]
     out = []
     for f, u, res in zip(fs, us, resid):
+        u[0] = f[0]
         scale = np.maximum(1.0, np.maximum(np.abs(f[1:]), np.abs(u[1:])))
         out.append((SampledFunction(mesh=mesh, values=u), float(np.max(np.abs(res[1:]) / scale))))
     return out
@@ -339,32 +371,6 @@ def _check_steps(diag: np.ndarray, i0: int) -> None:
         raise IllConditionedSystemError(
             f"near-singular step at node {i0 + r}: 1 + w g' = {diag[r]!r}"
         )
-
-
-def _substitute_block(
-    C: np.ndarray,
-    diag: np.ndarray,
-    i0: int,
-    i1: int,
-    lo: int,
-    f: np.ndarray,
-    u: np.ndarray,
-    res: np.ndarray,
-) -> None:
-    """Set u at the rows i0 <= i < i1 of one coefficient block of
-    :func:`_forward_sweep` (columns before ``lo`` left out), and the
-    rows' residuals in ``res``."""
-    # forward substitution: the columns before the block in one product,
-    # then the block's own triangle row by row
-    history = C[:, lo:i0] @ u[lo:i0]
-    T, ub, fb = C[:, i0:i1], u[i0:i1], f[i0:i1]
-    for r in range(i1 - i0):
-        ub[r] = (fb[r] - (history[r] + T[r, :r].dot(ub[:r]))) / diag[r]
-    # row residuals of the block, now that its u are set (C is 0 past the diagonal)
-    block = res[i0:i1]
-    np.matmul(C[:, lo:i1], u[lo:i1], out=block)
-    block += ub
-    block -= fb
 
 
 def _first_kind_residual(
@@ -476,6 +482,69 @@ def _second_kind_solve(
     eps = float(np.clip(gate.eps_fit.eps, 0.0, EPS_CLIP_MAX))
     Fs = _assemble_rhs_at(pair.K, rhs, mesh, f0s)
     return [(u, F, r2) for F, (u, r2) in zip(Fs, _forward_sweep(gate.gprime, Fs, mesh, eps))]
+
+
+def convergence_study(pair: SoninePair, rhs: RhsSpec, N: int, r: float) -> ConvergenceReport:
+    """Errors of u from the second-kind solve of k * u = f on the graded
+    meshes of N/8, N/4, N/2 and N panels of (0, b], grading r.
+
+    The reference is :func:`classical_solution` for a pure-power classical
+    pair and polynomial data, and otherwise the solve at 2N, whose nodes
+    nest those of every level. Every solve goes through the gate and the
+    forward sweep only: the errors read u alone, so none pushes u back
+    through k * u.
+    """
+    step = 2 ** (CONVERGE_LEVELS - 1)
+    if N // step < 2:
+        raise DomainError(
+            f"N={N} is too small for {CONVERGE_LEVELS} halvings; need N >= {2 * step}"
+        )
+    if N % step != 0:
+        raise DomainError(f"N={N} must be divisible by {step} so convergence meshes nest")
+    b = pair.b
+
+    def solve(mesh: Mesh) -> np.ndarray:
+        [(u, _, _)] = _second_kind_solve(pair, rhs, mesh, _gate_inputs(pair, mesh), (rhs.f0,))
+        return u.values[1:]
+
+    if _classical_powers(pair.k, pair.K) and isinstance(rhs.f, _Polynomial):
+        sigma, c = pair.k.local_exponent, pair.k.power_coef
+
+        def reference(mesh: Mesh) -> np.ndarray:
+            return classical_solution(sigma, rhs.f.coeffs, mesh.nodes[1:]) / c
+    else:
+        fine = solve(graded_mesh(2 * N, r, b))
+
+        def reference(mesh: Mesh) -> np.ndarray:
+            stride = 2 * N // mesh.N
+            return fine[stride - 1 :: stride]
+
+    levels = [N // 2**i for i in reversed(range(CONVERGE_LEVELS))]
+    errs = []
+    for n in levels:
+        mesh = graded_mesh(n, r, b)
+        u, uref = solve(mesh), reference(mesh)
+        window = mesh.nodes[1:] >= b / 10.0
+        rel = np.abs(u[window] - uref[window]) / np.maximum(np.abs(uref[window]), 1e-300)
+        errs.append(float(np.max(rel)))
+    orders = [float("nan")]
+    for prev, cur in zip(errs, errs[1:]):
+        if cur <= ORDER_FLOOR:
+            orders.append(float("inf"))
+        elif prev <= ORDER_FLOOR:
+            orders.append(float("nan"))
+        else:
+            orders.append(math.log2(prev / cur))
+    live = [(n, e) for n, e in zip(levels, errs) if e > ORDER_FLOOR]
+    if len(live) < 2:
+        fitted = float("inf")  # converged to rounding at (almost) every level
+    else:
+        x = np.log2([n for n, _ in live])
+        y = np.log2([e for _, e in live])
+        fitted = -float(np.polyfit(x, y, 1)[0])
+    return ConvergenceReport(
+        N=tuple(levels), max_err=tuple(errs), order=tuple(orders), fitted_order=fitted
+    )
 
 
 def discover_associate(k: KernelSpec, Kg: KernelSpec, mesh: Mesh) -> SolveReport:

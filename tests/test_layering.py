@@ -8,8 +8,11 @@ which is how copies of library pipelines end up in the front end.
 and may not import the reference rule or the row blocks behind it, which
 is how a second split-at-t/2 integrator would come back. The CLI's
 commands (``_run_*``) return their table and summary and do no I/O:
-``run`` writes both, so the CLI has one output path. Importing the package
-loads no numpy submodule it does not use, to keep start-up short.
+``run`` writes both, so the CLI has one output path. Only ``solve`` runs
+``solve_first_kind``, once: a command that needs solves at several meshes
+calls the library function that runs them (``convergence_study``), so no
+solver pipeline grows back in the front end. Importing the package loads
+no numpy submodule it does not use, to keep start-up short.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ OUTPUT_CALLS = {"print", "open", "_emit"}
 #: interpolant in ln t is plain numpy, and the derivative spot-check's points
 #: are fixed numbers)
 UNUSED_NUMPY = ("numpy.polynomial", "numpy.random")
+
+#: the one command that calls solve_first_kind
+SOLVE_COMMAND = "_run_solve"
+
+#: nodes whose body may run a call more than once
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 #: the machinery of the split-at-t/2 rule, which only quadrature.py uses
 INTEGRATOR_PARTS = {"_reference_rule", "_row_blocks"}
@@ -147,6 +156,54 @@ def test_output_guard_allows_run_to_write():
         "def run(cfg):\n    print(_emit(cfg, {}, {}))\n"
     )
     assert _command_output(source) == []
+
+
+def _solve_calls(source: str) -> list[str]:
+    """Calls of ``solve_first_kind`` (by name or as an attribute) other
+    than a single call of ``_run_solve`` outside any loop."""
+
+    def calls(node) -> list[ast.Call]:
+        return [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) == "solve_first_kind"
+        ]
+
+    tree = ast.parse(source)
+    allowed = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == SOLVE_COMMAND:
+            looped = {id(c) for loop in ast.walk(fn) if isinstance(loop, LOOPS) for c in calls(loop)}
+            allowed |= {id(c) for c in calls(fn)[:1] if id(c) not in looped}
+    return [f"line {c.lineno}: calls solve_first_kind" for c in calls(tree) if id(c) not in allowed]
+
+
+def test_cli_runs_no_solver_pipeline():
+    source = Path(sonine_kit.cli.__file__).read_text()
+    assert _solve_calls(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _run_converge(cfg):\n    return solve_first_kind(pair, rhs, mesh)",
+        "def _converge_reference(cfg):\n    return solve_first_kind(pair, rhs, mesh).u",
+        "from . import volterra\ndef _run_discover(cfg):\n    volterra.solve_first_kind(p, r, m)",
+        "def _run_solve(cfg):\n    for n in (8, 16):\n        solve_first_kind(p, r, n)",
+        "def _run_solve(cfg):\n    return [solve_first_kind(p, r, n) for n in (8, 16)]",
+        "def _run_solve(cfg):\n    a = solve_first_kind(p, r, m)\n    b = solve_first_kind(p, r, m2)",
+    ],
+)
+def test_solve_guard_catches_violations(source):
+    assert _solve_calls(source)
+
+
+def test_solve_guard_allows_the_solve_command():
+    source = (
+        "def _run_solve(cfg):\n    report = solve_first_kind(pair, rhs, mesh)\n"
+        "def _run_converge(cfg):\n    return convergence_study(pair, rhs, cfg.N, cfg.r)\n"
+    )
+    assert _solve_calls(source) == []
 
 
 def _integrator_parts_used(source: str) -> list[str]:

@@ -321,7 +321,7 @@ class TestBlockedForwardSubstitution:
 
     def test_two_column_sweep_agrees_across_floors(self, monkeypatch, pair_a):
         """The floor moves only the split between a block's history product
-        and its row loop: at N = 1024 (floored from node 501 on) the u of a
+        and its own solve: at N = 1024 (floored from node 501 on) the u of a
         shared sweep, one column folded, agree with one-row blocks to
         1e-14 relative."""
         mesh = graded_mesh(1024, 2.0, pair_a.b)
@@ -334,6 +334,49 @@ class TestBlockedForwardSubstitution:
         for (u, res), (u1, res1) in zip(floored, one_row):
             np.testing.assert_allclose(u.values[1:], u1.values[1:], rtol=1e-14, atol=0.0)
             assert res <= 1e-13 and res1 <= 1e-13
+
+    def test_row_residual_catches_a_wrong_block_solve(self, monkeypatch, pair_a):
+        """A block's residual is T u_b minus its right-hand side, after the
+        history product that both share: a solve that is off by 1e-6 in
+        one entry must still show, in its own column only."""
+        mesh = graded_mesh(256, 2.0, pair_a.b)
+        gate = _gate_inputs(pair_a, mesh)
+        rhs = RhsSpec.from_polynomial([0.0, 1.0])
+        Fs = volterra._assemble_rhs_at(pair_a.K, rhs, mesh, FOLD_LAYOUTS["second-folds"])
+        clean = volterra._forward_sweep(gate.gprime, Fs, mesh, 0.25)
+        real_solve = np.linalg.solve
+        calls = []
+
+        def off_in_block_2_of_column_1(A, b):
+            x = real_solve(A, b)
+            calls.append(len(b))
+            if len(calls) == 4:  # columns alternate: block 2 of column 1
+                x[3] += 1e-6
+            return x
+
+        monkeypatch.setattr(volterra.np.linalg, "solve", off_in_block_2_of_column_1)
+        (u0, res0), (u1, res1) = volterra._forward_sweep(gate.gprime, Fs, mesh, 0.25)
+        assert len(calls) > 4 and calls[3] > 3
+        np.testing.assert_array_equal(u0.values, clean[0][0].values)
+        assert res0 == clean[0][1] <= 1e-13
+        assert clean[1][1] <= 1e-13 < 1e-10 < res1
+
+    def test_unfolded_first_step_is_checked_only_for_columns_that_read_it(self):
+        # m(0) = -2/t_1 cancels row 1's own step, 1 + w_11 m(0) = 0, while
+        # m(t_1) = 2/t_1 puts the first panel's mass w_10 m(t_1) = 1 on it
+        # when the column folds: only a column with a finite F(t_0) fails
+        mesh = graded_mesh(64, 2.0, 1.0)
+        gp = np.zeros(65)
+        gp[0], gp[1] = -2.0 / mesh.nodes[1], 2.0 / mesh.nodes[1]
+        gprime = SampledFunction(mesh=mesh, values=gp)
+        finite, undefined = (
+            SampledFunction(mesh=mesh, values=np.r_[v, np.ones(64)]) for v in (1.0, np.nan)
+        )
+        [(u, res)] = volterra._forward_sweep(gprime, [undefined], mesh, 0.0)
+        assert np.all(np.isfinite(u.values[1:])) and res <= 1e-13
+        for Fs in ([finite], [finite, undefined], [undefined, finite]):
+            with pytest.raises(IllConditionedSystemError, match="at node 1:"):
+                volterra._forward_sweep(gprime, Fs, mesh, 0.0)
 
     def test_ill_conditioned_folded_first_step_names_node_1(self):
         # m = -2/t_1 at t_1 and 0 at every other node: row 1 reads
@@ -363,6 +406,65 @@ FOLD_LAYOUTS = {
     "both-fold": (1.0, 1.0 + 1e-6),
     "first-folds": (-1e-6, 0.0),
 }
+
+
+def sweep_oracle(gprime, F, mesh, eps):
+    """u of the second-kind system u + g' * u = F assembled in full, an
+    (N + 1)^2 lower-triangular matrix, and solved by scipy's triangular
+    solver.
+
+    Row i >= 1 reads u_i + sum_j w_ij m(t_i - t_j) u_j = F_i, where w_i are
+    the product weights of tau^(-eps) and m(tau) = g'(tau) tau^eps is
+    interpolated linearly at the lags, 0 at 0 for eps > 0 and continued
+    linearly from the first panel for eps = 0. For eps = 0, which
+    product_weights refuses, w_i are its formula at beta = 1, the
+    trapezoid rule with the same rounding: the far weight w_i0 loses
+    digits to cancellation, and a folded column puts it on u(t_1), its
+    largest value, so exact weights (h_j + h_(j+1)) / 2 would move a
+    folded u by 2.9e-11 relative at N = 600. When F(t_0) is
+    undefined, column 0 is folded onto column 1 and u_0 is left out (row 0
+    reads u_0 = 0).
+    """
+    solve_triangular = pytest.importorskip("scipy.linalg").solve_triangular
+    nodes, N = mesh.nodes, mesh.N
+    m = np.empty(N + 1)
+    m[1:] = gprime.values[1:] * nodes[1:] ** eps
+    m[0] = 0.0 if eps > 0.0 else m[1] - nodes[1] * (m[2] - m[1]) / (nodes[2] - nodes[1])
+    A = np.eye(N + 1)
+    for i in range(1, N + 1):
+        if eps > 0.0:
+            w = product_weights(mesh, i, 1.0 - eps)
+        else:
+            w = quadrature._moments(nodes[i] - nodes[: i + 1], np.diff(nodes[: i + 1]), 1.0, "right")
+        A[i, : i + 1] += w * np.interp(nodes[i] - nodes[: i + 1], nodes, m)
+    b = F.values.copy()
+    if not np.isfinite(b[0]):
+        A[1:, 1] += A[1:, 0]
+        A[1:, 0] = 0.0
+        b[0] = 0.0
+    return solve_triangular(A, b, lower=True)
+
+
+class TestSweepOracle:
+    """The blocked sweep against the whole system solved in one piece: on
+    80 panels under a 64-entry budget (blocks of one to seven rows), and
+    on 600 panels, where the row floor binds from row 501 on."""
+
+    @pytest.mark.parametrize("N", [80, 600])
+    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    @pytest.mark.parametrize("layout", list(FOLD_LAYOUTS))
+    def test_matches_the_assembled_system(self, layout, eps, N, request, pair_a):
+        if N == 80:
+            request.getfixturevalue("small_blocks")
+        mesh = graded_mesh(N, 2.0, pair_a.b)
+        gate = _gate_inputs(pair_a, mesh)
+        assert not np.isfinite(gate.gprime.values[0])  # eps = 0 continues m to 0
+        rhs = RhsSpec.from_polynomial([0.0, 1.0])
+        Fs = volterra._assemble_rhs_at(pair_a.K, rhs, mesh, FOLD_LAYOUTS[layout])
+        for F, (u, res) in zip(Fs, volterra._forward_sweep(gate.gprime, Fs, mesh, eps)):
+            want = sweep_oracle(gate.gprime, F, mesh, eps)
+            np.testing.assert_allclose(u.values[1:], want[1:], rtol=1e-13, atol=0.0)
+            assert res <= 1e-13
 
 
 def _counting_triangles(monkeypatch):

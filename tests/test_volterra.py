@@ -22,6 +22,7 @@ from sonine_kit import (
     check_gsc,
     classical_abel_kernel,
     classical_solution,
+    convergence_study,
     discover_associate,
     graded_mesh,
     kappa,
@@ -368,6 +369,52 @@ class TestSecondKindResidual:
         want = _second_kind_row_residual(report, gsc, mesh)
         assert want <= 1e-13  # u solves the rebuilt system to roundoff
         assert abs(report.residual_second_kind - want) <= 1e-15
+
+
+class TestConvergenceStudy:
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_errors_are_those_of_per_level_solves(self, which, classical_half, pair_a):
+        """Each level's error is that of solve_first_kind's u against the
+        closed form (classical) or the solve at 2N, bit for bit."""
+        pair = classical_half if which == "classical" else pair_a
+        rhs = RhsSpec.from_polynomial([0.0, 1.0])
+        report = convergence_study(pair, rhs, 64, 2.0)
+        assert report.N == (8, 16, 32, 64)
+        fine = solve_first_kind(pair, rhs, graded_mesh(128, 2.0, pair.b)).u.values
+        for n, err in zip(report.N, report.max_err):
+            mesh = graded_mesh(n, 2.0, pair.b)
+            u = solve_first_kind(pair, rhs, mesh).u.values[1:]
+            if which == "classical":
+                ref = classical_solution(0.5, [0.0, 1.0], mesh.nodes[1:])
+            else:
+                ref = fine[128 // n :: 128 // n]
+            window = mesh.nodes[1:] >= pair.b / 10.0
+            assert err == float(np.max(np.abs(u[window] - ref[window]) / np.abs(ref[window])))
+        assert math.isnan(report.order[0]) and len(report.order) == 4
+
+    def test_solves_without_push_back(self, monkeypatch, pair_a):
+        """Only u enters the errors: no level pushes u back through k * u,
+        and a variable pair sweeps five times (four levels and 2N)."""
+        sweeps = []
+        real = volterra._forward_sweep
+
+        def counting(gprime, Fs, mesh, eps):
+            sweeps.append(mesh.N)
+            return real(gprime, Fs, mesh, eps)
+
+        def no_push_back(*args):
+            raise AssertionError("convergence_study pushed u back through k * u")
+
+        monkeypatch.setattr(volterra, "_forward_sweep", counting)
+        monkeypatch.setattr(volterra, "_first_kind_residual", no_push_back)
+        report = convergence_study(pair_a, RhsSpec.from_polynomial([0.0, 1.0]), 64, 2.0)
+        assert sorted(sweeps) == [8, 16, 32, 64, 128]
+        assert report.max_err[-1] < report.max_err[0] and report.fitted_order > 0.8
+
+    @pytest.mark.parametrize("N, match", [(8, "too small"), (100, "divisible")])
+    def test_levels_must_nest(self, N, match, pair_a):
+        with pytest.raises(DomainError, match=match):
+            convergence_study(pair_a, RhsSpec.from_polynomial([0.0, 1.0]), N, 2.0)
 
 
 class TestDiscoverAssociate:

@@ -13,7 +13,7 @@ functions, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,7 +35,7 @@ __all__ = [
     "make_variable_exponent_pair",
 ]
 
-#: number of points used to spot-verify declared bounds of an exponent function
+#: number of points at which an exponent profile is validated
 VALIDATION_GRID = 1024
 
 GAMMA_MAX_ARG = 50.0
@@ -90,28 +90,14 @@ def _evaluate(fn: Callable, t):
 
 @dataclass(frozen=True, slots=True)
 class ExponentFunction:
-    """A differentiable exponent profile alpha(t) with declared bounds.
+    """A differentiable exponent profile alpha(t).
 
-    ``fn`` and ``dfn`` evaluate alpha and alpha'; ``L`` bounds |alpha'|,
-    and ``alpha_lo``/``alpha_hi`` bound alpha itself. Declared bounds are
-    spot-verified on a grid when the profile is attached to a pair;
-    profiles that violate them are rejected.
+    ``fn`` and ``dfn`` evaluate alpha and alpha'. :meth:`validate` checks
+    them on a grid before a kernel is built from the profile.
     """
 
     fn: Callable
     dfn: Callable
-    L: float
-    alpha_lo: float
-    alpha_hi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha_lo <= self.alpha_hi < 1.0:
-            raise DomainError(
-                "exponent bounds must satisfy 0 < alpha_lo <= alpha_hi < 1, "
-                f"got [{self.alpha_lo!r}, {self.alpha_hi!r}]"
-            )
-        if not math.isfinite(self.L) or self.L < 0.0:
-            raise DomainError(f"Lipschitz bound L must be finite and >= 0, got {self.L!r}")
 
     def eval(self, t):
         return _evaluate(self.fn, t)
@@ -120,25 +106,17 @@ class ExponentFunction:
         return _evaluate(self.dfn, t)
 
     def validate(self, b: float) -> None:
-        """Spot-verify the declared bounds on a grid over [0, b]."""
+        """Refuse a profile whose values leave (0, 1), or whose derivative
+        is not finite, at VALIDATION_GRID points of [0, b]."""
         grid = np.linspace(0.0, b, VALIDATION_GRID)
         vals = self.eval(grid)
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("exponent function produced non-finite values on [0, b]")
-        tol = 1e-12
-        if vals.min() < self.alpha_lo - tol or vals.max() > self.alpha_hi + tol:
+        if not np.all((vals > 0.0) & (vals < 1.0)):  # a NaN fails too
             raise DomainError(
-                f"exponent range [{vals.min()!r}, {vals.max()!r}] exits the declared "
-                f"bounds [{self.alpha_lo!r}, {self.alpha_hi!r}] on [0, {b!r}]"
+                f"exponent profile leaves (0, 1) on [0, {b!r}]: "
+                f"range [{np.min(vals)!r}, {np.max(vals)!r}]"
             )
-        dvals = self.deriv(grid)
-        if not np.all(np.isfinite(dvals)):
+        if not np.all(np.isfinite(self.deriv(grid))):
             raise DomainError("exponent derivative produced non-finite values on [0, b]")
-        if np.abs(dvals).max() > self.L + tol:
-            raise DomainError(
-                f"|alpha'| reaches {np.abs(dvals).max()!r}, above the declared "
-                f"Lipschitz bound {self.L!r}"
-            )
 
     def is_constant(self, b: float) -> bool:
         grid = np.linspace(0.0, b, VALIDATION_GRID)
@@ -147,7 +125,8 @@ class ExponentFunction:
 
 
 def affine_exponent(a0: float, a1: float, b: float) -> ExponentFunction:
-    """Profile alpha(t) = a0 + a1 t with exact bounds over [0, b]."""
+    """Profile alpha(t) = a0 + a1 t, refused unless its exact range over
+    [0, b] lies inside (0, 1)."""
     a0, a1, b = float(a0), float(a1), float(b)
     if not (math.isfinite(a0) and math.isfinite(a1) and math.isfinite(b) and b > 0):
         raise DomainError("affine profile needs finite a0, a1 and positive b")
@@ -160,9 +139,6 @@ def affine_exponent(a0: float, a1: float, b: float) -> ExponentFunction:
     return ExponentFunction(
         fn=lambda t: a0 + a1 * np.asarray(t, dtype=float),
         dfn=lambda t: np.full_like(np.asarray(t, dtype=float), a1),
-        L=abs(a1),
-        alpha_lo=lo,
-        alpha_hi=hi,
     )
 
 
@@ -170,15 +146,14 @@ def affine_exponent(a0: float, a1: float, b: float) -> ExponentFunction:
 class KernelSpec:
     """A weakly singular kernel on (0, b] in factored form.
 
-    ``fn`` evaluates the kernel for t > 0. ``local_exponent`` is the order
-    sigma of the t -> 0 blow-up, which the product quadrature factors out:
-    kernel(t) = t^(-sigma) * smooth(t) with smooth continuous on [0, b]
-    and smooth(0) = smooth0, a finite number. ``exponent`` is the profile
-    alpha of a kernel t^(-alpha(t)) (:func:`variable_exponent_kernel`),
-    None for every other kernel.
+    kernel(t) = t^(-sigma) * smooth(t) for t > 0: ``local_exponent`` is the
+    order sigma of the t -> 0 blow-up, which the product quadrature
+    factors out, and ``smooth_fn`` evaluates the bounded factor smooth,
+    continuous on [0, b] with smooth(0) = smooth0, a finite number.
+    ``exponent`` is the profile alpha of a kernel t^(-alpha(t))
+    (:func:`variable_exponent_kernel`), None for every other kernel.
     """
 
-    fn: Callable
     smooth_fn: Callable
     smooth0: float
     local_exponent: float
@@ -213,11 +188,12 @@ class KernelSpec:
         return False
 
     def eval(self, t):
-        """Kernel value for t in (0, b]. t = 0 is a domain error."""
+        """Kernel value smooth(t) t^(-local_exponent) for t in (0, b]. t = 0
+        is a domain error."""
         t_arr = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t_arr)
         self._check_domain(flat, allow_zero=False)
-        out = _call_elementwise(self.fn, flat)
+        out = _call_elementwise(self.smooth_fn, flat) * flat ** (-self.local_exponent)
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     def smooth(self, t):
@@ -284,12 +260,7 @@ class KernelSpec:
         def smooth_fn(t, _x=m_nodes, _y=m):
             return np.interp(np.asarray(t, dtype=float), _x, _y)
 
-        def fn(t, _x=m_nodes, _y=m, _s=sig):
-            t = np.asarray(t, dtype=float)
-            return np.interp(t, _x, _y) * t ** (-_s)
-
         return KernelSpec(
-            fn=fn,
             smooth_fn=smooth_fn,
             smooth0=float(m[0]),
             local_exponent=sig,
@@ -320,7 +291,6 @@ def power_kernel(coef: float, exponent: float, b: float) -> KernelSpec:
     if not math.isfinite(coef) or coef == 0.0:
         raise DomainError(f"power kernel coefficient must be finite and nonzero, got {coef!r}")
     return KernelSpec(
-        fn=lambda t: coef * np.asarray(t, dtype=float) ** (-exponent),
         smooth_fn=_ConstantFactor(coef),
         smooth0=coef,
         local_exponent=exponent,
@@ -346,16 +316,11 @@ def variable_exponent_kernel(af: ExponentFunction, b: float) -> KernelSpec:
     af.validate(b)
     alpha0 = float(af.eval(0.0))
 
-    def fn(t, _af=af):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-_af.eval(t) * np.log(t))
-
     def smooth_fn(t, _af=af, _a0=alpha0):
         t = np.asarray(t, dtype=float)
         return np.exp((_a0 - _af.eval(t)) * np.log(t))
 
     return KernelSpec(
-        fn=fn,
         smooth_fn=smooth_fn,
         smooth0=1.0,
         local_exponent=alpha0,
@@ -375,50 +340,40 @@ def _constant_factor(kernel: KernelSpec) -> float | None:
     return kernel.smooth0 if af is not None and af.is_constant(kernel.b) else None
 
 
-def _not_classical(k: KernelSpec, K: KernelSpec) -> str | None:
-    """None when K * k = 1 holds analytically: k = c_k t^(-sigma) and K =
+def _is_classical(k: KernelSpec, K: KernelSpec) -> bool:
+    """True when K * k = 1 holds analytically: k = c_k t^(-sigma) and K =
     c_K t^(sigma - 1) with constant bounded factors (:func:`_constant_factor`)
-    and c_k c_K kappa(sigma) = 1, both to 1e-12; otherwise why not."""
+    and c_k c_K kappa(sigma) = 1, both to 1e-12."""
     if abs(k.local_exponent + K.local_exponent - 1.0) > 1e-12:
-        return (
-            "a classical pair needs singularity orders summing to 1, "
-            f"got {k.local_exponent!r} + {K.local_exponent!r}"
-        )
+        return False
     c_k, c_K = _constant_factor(k), _constant_factor(K)
-    if c_k is None or c_K is None:
-        return (
-            "a classical pair needs constant bounded factors: pure powers "
-            "or kernels of a constant exponent profile"
-        )
-    product = c_k * c_K * kappa(k.local_exponent)
-    if abs(product - 1.0) > 1e-12:
-        return f"a classical pair needs c_k c_K kappa(sigma) = 1, got {product!r}"
-    return None
+    return (
+        c_k is not None
+        and c_K is not None
+        and abs(c_k * c_K * kappa(k.local_exponent) - 1.0) <= 1e-12
+    )
 
 
 @dataclass(frozen=True, slots=True)
 class SoninePair:
     """A kernel k and its associate K sharing the interval (0, b].
 
-    ``kappa`` is the normalization entering K when it is known (NaN for
-    hand-built pairs). ``is_classical`` asserts K*k == 1 identically, and
-    the solvers trust it (g' = 0, no sweep), so it is refused unless it
-    holds analytically (:func:`_not_classical`).
+    The pair is its two kernels. ``is_classical``, that K * k = 1 holds
+    analytically (:func:`_is_classical`), is derived from them once; the
+    solvers take the shortcut it allows (g' = 0, no sweep). The exponent
+    profile of a variable-exponent k is ``k.exponent``.
     """
 
     k: KernelSpec
     K: KernelSpec
-    kappa: float
-    is_classical: bool
-    exponent: ExponentFunction | None = None
+    is_classical: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.k.b != self.K.b:
             raise DomainError(
                 f"pair members live on different intervals: {self.k.b!r} vs {self.K.b!r}"
             )
-        if self.is_classical and (refusal := _not_classical(self.k, self.K)):
-            raise DomainError(refusal)
+        object.__setattr__(self, "is_classical", _is_classical(self.k, self.K))
 
     @property
     def b(self) -> float:
@@ -430,12 +385,9 @@ def make_classical_abel_pair(alpha: float, b: float) -> SoninePair:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    kap = kappa(alpha)
     return SoninePair(
         k=classical_abel_kernel(alpha, b),
-        K=power_kernel(1.0 / kap, 1.0 - alpha, b),
-        kappa=kap,
-        is_classical=True,
+        K=power_kernel(1.0 / kappa(alpha), 1.0 - alpha, b),
     )
 
 
@@ -446,13 +398,5 @@ def make_variable_exponent_pair(af: ExponentFunction, b: float) -> SoninePair:
     The pair is classical exactly when the profile is constant on [0, b].
     """
     k = variable_exponent_kernel(af, b)  # validates af on [0, b]
-    alpha0 = float(af.eval(0.0))
-    kap = kappa(alpha0)
-    K = power_kernel(1.0 / kap, 1.0 - alpha0, b)
-    return SoninePair(
-        k=k,
-        K=K,
-        kappa=kap,
-        is_classical=af.is_constant(b),
-        exponent=af,
-    )
+    alpha0 = k.local_exponent
+    return SoninePair(k=k, K=power_kernel(1.0 / kappa(alpha0), 1.0 - alpha0, b))

@@ -545,8 +545,8 @@ def _pair_convolution(K: KernelSpec, k: KernelSpec, t: np.ndarray, M: int) -> np
     :func:`convolve_pair_at` for the quadrature).
 
     For a block of times the integrands of a half form one matrix, so each
-    half costs one kernel call per factor and one matrix-vector product;
-    pure-power factors cost none (see :func:`_half_sums`).
+    half costs one call of each bounded factor and one matrix-vector
+    product; pure-power factors cost none (see :func:`_half_sums`).
     """
     sig_k, sig_K = k.local_exponent, K.local_exponent
     # every pair a pipeline convolves has orders summing to 1, so this is
@@ -567,19 +567,21 @@ def _half_sums(S: KernelSpec, E: KernelSpec, v: np.ndarray, w: np.ndarray):
     """The sums of one half of the split at t/2: for a block of times
     ``tb`` (a column), sum_j w_j S.smooth(s_j) E(t - s_j) at s_j = (t/2) v_j.
 
-    Pure-power factors fold into the weights once per call: S's bounded
-    factor is its constant, and E(t - s) = t^(-p) c (1 - v/2)^(-p) for E
-    = c t^(-p). A half whose factors both fold is one number per call
-    times t^(-p). The first node v_0 = 0 is s = 0, where S's bounded
+    E(t - s) = t^(-p) (1 - v/2)^(-p) E.smooth(t - s) for E's order p, so
+    E's power folds into the weights once per call and only bounded
+    factors are evaluated. So does the constant bounded factor of a pure
+    power, S's first: a half whose factors both fold is one number per
+    call times t^(-p). The first node v_0 = 0 is s = 0, where S's bounded
     factor is S.smooth0, so S is evaluated at the other nodes only.
     """
     lag_v = 1.0 - 0.5 * v  # (t - s) / t
-    p = 0.0
+    p = E.local_exponent
+    fold = lag_v**-p
     if S.power_coef is not None:
         w, S = w * S.power_coef, None
     if E.power_coef is not None:
-        p = E.local_exponent
-        w, E = w * (E.power_coef * lag_v**-p), None
+        fold, E = E.power_coef * fold, None
+    w = w * fold
     total = w.sum()
     s_v = 0.5 * v[1:]  # s / t past the first node
 
@@ -587,16 +589,16 @@ def _half_sums(S: KernelSpec, E: KernelSpec, v: np.ndarray, w: np.ndarray):
         if S is None and E is None:
             out = np.full(len(tb), total)
         elif S is None:
-            out = E.eval(tb * lag_v) @ w
+            out = E.smooth(tb * lag_v) @ w
         else:
             m = S.smooth(tb * s_v)
             first = S.smooth0 * w[0]
             if E is not None:
-                e = E.eval(tb * lag_v)
+                e = E.smooth(tb * lag_v)
                 m = m * e[:, 1:]
                 first = first * e[:, 0]
             out = m @ w[1:] + first
-        return out * tb[:, 0] ** -p if p else out
+        return out * tb[:, 0] ** -p
 
     return sums
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import KernelSpec, SoninePair, _not_classical, classical_abel_kernel, kappa
+from .kernels import KernelSpec, SoninePair, classical_abel_kernel, kappa
 from .mesh import Mesh, SampledFunction
 from .quadrature import (
     REF_PANELS,
@@ -119,12 +119,13 @@ def _substituted_route(pair: SoninePair, required: bool = False) -> tuple | None
     """(alpha, alpha0) when the substituted route computes pair.K *
     pair.k, else None, or DomainError when ``required``.
 
-    The route splits k = t^(-alpha0) E with E(t) = t^(alpha0 - alpha(t)),
-    whose classical part convolves with K = t^(alpha0 - 1) /
-    kappa(alpha0) to exactly 1, so it applies only when pair.K is that
-    power; a pair whose K was scaled or replaced takes the pointwise route.
+    The route splits k = t^(-alpha0) E with E(t) = t^(alpha0 - alpha(t))
+    for k's exponent profile alpha (``k.exponent``), whose classical part
+    convolves with K = t^(alpha0 - 1) / kappa(alpha0) to exactly 1, so it
+    applies only when pair.K is that power; a pair whose K was scaled or
+    replaced takes the pointwise route.
     """
-    af, K = pair.exponent, pair.K
+    af, K = pair.k.exponent, pair.K
     alpha0 = float(af.eval(0.0)) if af is not None else math.nan
     if 0.0 < alpha0 < 1.0 and (
         K.local_exponent == 1.0 - alpha0 and K.power_coef == 1.0 / kappa(alpha0)
@@ -132,27 +133,17 @@ def _substituted_route(pair: SoninePair, required: bool = False) -> tuple | None
         return af, alpha0
     if required:
         raise DomainError(
-            "this route needs an exponent profile attached to the pair and "
+            "this route needs a k with an exponent profile and "
             "K = t^(alpha(0) - 1) / kappa(alpha(0)); use convolve_pair for "
             "kernels given only pointwise"
         )
     return None
 
 
-def _classical_powers(k: KernelSpec, K: KernelSpec) -> bool:
-    """True when k = c_k t^(-sigma) and K = c_K t^(sigma - 1) are pure
-    powers (:attr:`KernelSpec.power_coef`) with c_k c_K kappa(sigma) = 1,
-    so that K * k = 1 exactly: a classical Abel pair, up to scaling."""
-    return (
-        k.power_coef is not None
-        and K.power_coef is not None
-        and _not_classical(k, K) is None
-    )
-
-
 def _classical_defect(K: KernelSpec, k: KernelSpec, M: int) -> float:
     """delta = Q[K * k] - 1, the error of the split-at-t/2 rule on two
-    pure powers whose exact convolution is 1 (:func:`_classical_powers`).
+    kernels of constant bounded factors whose exact convolution is 1
+    (:attr:`SoninePair.is_classical`).
 
     The rule scales exactly with t, so one time serves every t.
     """
@@ -210,7 +201,7 @@ def compute_g(
 
     g is :func:`convolve_pair`'s, minus the classical defect delta where
     the substituted route applies (see :func:`compute_g_substituted`) or
-    k and K are classical powers themselves (:func:`_classical_powers`);
+    the pair is classical (:attr:`SoninePair.is_classical`);
     route_diff is |delta| on the substituted route and NaN elsewhere. On
     that route the rule runs at the quadrature's Chebyshev points in ln t
     and is interpolated to the mesh, where the interpolant resolves it
@@ -221,7 +212,7 @@ def compute_g(
     route = _substituted_route(pair)
     if route is None:
         g = convolve_pair(pair.K, pair.k, mesh, M=M)
-        if _classical_powers(pair.k, pair.K):
+        if pair.is_classical:
             g = SampledFunction(mesh=mesh, values=g.values - _classical_defect(pair.K, pair.k, M))
         return g, float("nan")
     delta = _classical_defect(pair.K, classical_abel_kernel(route[1], pair.b), M)
@@ -241,7 +232,6 @@ def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
     :func:`sonine_kit.quadrature._in_log_t`) and then divided by t."""
     af, alpha0 = _substituted_route(pair, required=True)
     q = KernelSpec(
-        fn=lambda s: _dE(af, alpha0, s, 1.0 - alpha0),
         smooth_fn=lambda s: _dE(af, alpha0, s, 1.0),
         smooth0=0.0,
         local_exponent=alpha0,
@@ -391,7 +381,8 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInp
     g0 = estimate_g0(zip(t_geo, g_geo))
 
     window = (interior <= pair.b * EPS_WINDOW_FRACTION) & (np.arange(1, mesh.N + 1) >= 2)
-    alpha0 = float(pair.exponent.eval(0.0)) if pair.exponent is not None else None
+    af = pair.k.exponent
+    alpha0 = float(af.eval(0.0)) if af is not None else None
     eps_fit = _fit_eps(interior[window], gp[1:][window], alpha0)
 
     eps_c = float(np.clip(eps_fit.eps, 0.0, EPS_CLIP_MAX))

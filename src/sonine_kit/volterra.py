@@ -21,10 +21,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, GscConditionError, IllConditionedSystemError
-from .kernels import KernelSpec, SoninePair, _evaluate, _extrapolate_to_zero, gamma, kappa
+from .kernels import (
+    KernelSpec,
+    SoninePair,
+    _constant_factor,
+    _evaluate,
+    _extrapolate_to_zero,
+    gamma,
+    kappa,
+)
 from .mesh import Mesh, SampledFunction, graded_mesh
 from .quadrature import _triangle_blocks, convolve_pair, convolve_weakly_singular
-from .sonine import EPS_CLIP_MAX, GscReport, _classical_powers, _gate_inputs, _GateInputs
+from .sonine import EPS_CLIP_MAX, _gate_inputs, _GateInputs
 
 __all__ = [
     "ConvergenceReport",
@@ -420,21 +428,16 @@ def _push_back_split(k: KernelSpec, u: SampledFunction, mesh: Mesh) -> SampledFu
 
 
 def solve_first_kind(
-    pair: SoninePair,
-    rhs: RhsSpec,
-    mesh: Mesh,
-    M: int | None = None,
-    gsc: GscReport | None = None,
+    pair: SoninePair, rhs: RhsSpec, mesh: Mesh, M: int | None = None
 ) -> SolveReport:
     """Solve k * u = f through the second-kind transformation.
 
     Measures what the transformation needs of the generalized condition
     first, g(0+) and g' with its fit and L1 norm, without the rest of
-    :func:`check_gsc` (g on the mesh and route_diff); ``gsc`` reuses a
-    report the caller already has for this pair and mesh. Refuses to
+    :func:`check_gsc` (g on the mesh and route_diff). Refuses to
     transform when g(0+) strays from 1 (see :func:`_second_kind_solve`).
     """
-    gate = gsc if gsc is not None else _gate_inputs(pair, mesh, M)
+    gate = _gate_inputs(pair, mesh, M)
     [(u, F, r2)] = _second_kind_solve(pair, rhs, mesh, gate, (rhs.f0,))
     r1, ku = _first_kind_residual(pair.k, u, rhs, mesh, M)
     return SolveReport(
@@ -452,7 +455,7 @@ def _second_kind_solve(
     pair: SoninePair,
     rhs: RhsSpec,
     mesh: Mesh,
-    gate: GscReport | _GateInputs,
+    gate: _GateInputs,
     f0s: tuple[float, ...],
 ) -> list[tuple[SampledFunction, SampledFunction, float]]:
     """u, F and the second-kind residual of :func:`solve_first_kind` for the
@@ -488,11 +491,11 @@ def convergence_study(pair: SoninePair, rhs: RhsSpec, N: int, r: float) -> Conve
     """Errors of u from the second-kind solve of k * u = f on the graded
     meshes of N/8, N/4, N/2 and N panels of (0, b], grading r.
 
-    The reference is :func:`classical_solution` for a pure-power classical
-    pair and polynomial data, and otherwise the solve at 2N, whose nodes
-    nest those of every level. Every solve goes through the gate and the
-    forward sweep only: the errors read u alone, so none pushes u back
-    through k * u.
+    The reference is :func:`classical_solution` for a classical pair
+    (:attr:`SoninePair.is_classical`) and polynomial data, and otherwise
+    the solve at 2N, whose nodes nest those of every level. Every solve
+    goes through the gate and the forward sweep only: the errors read u
+    alone, so none pushes u back through k * u.
     """
     step = 2 ** (CONVERGE_LEVELS - 1)
     if N // step < 2:
@@ -507,8 +510,8 @@ def convergence_study(pair: SoninePair, rhs: RhsSpec, N: int, r: float) -> Conve
         [(u, _, _)] = _second_kind_solve(pair, rhs, mesh, _gate_inputs(pair, mesh), (rhs.f0,))
         return u.values[1:]
 
-    if _classical_powers(pair.k, pair.K) and isinstance(rhs.f, _Polynomial):
-        sigma, c = pair.k.local_exponent, pair.k.power_coef
+    if pair.is_classical and isinstance(rhs.f, _Polynomial):
+        sigma, c = pair.k.local_exponent, _constant_factor(pair.k)
 
         def reference(mesh: Mesh) -> np.ndarray:
             return classical_solution(sigma, rhs.f.coeffs, mesh.nodes[1:]) / c
@@ -556,20 +559,12 @@ def discover_associate(k: KernelSpec, Kg: KernelSpec, mesh: Mesh) -> SolveReport
     window as the first-kind residual (for f = 1 they are the same
     number).
     """
-    if k.b != Kg.b:
-        raise DomainError(f"kernels live on different intervals: {k.b!r} vs {Kg.b!r}")
+    pair = SoninePair(k=k, K=Kg)
     if Kg.smooth0 == 0.0:
         raise DomainError(
-            "the associate's bounded factor vanishes at 0, so Kg * k tends to 0, "
-            "not 1, at 0+ and no kappa = 1 / Kg.smooth0 normalises it"
+            "the associate's bounded factor vanishes at 0, so Kg * k tends to 0 "
+            "at 0+, not to 1"
         )
-    pair = SoninePair(
-        k=k,
-        K=Kg,
-        kappa=1.0 / Kg.smooth0,
-        is_classical=_classical_powers(k, Kg),
-        exponent=k.exponent,
-    )
     report = solve_first_kind(pair, RhsSpec.from_polynomial([1.0]), mesh)
     return replace(report, sc_residual_of_u=report.residual_first_kind)
 

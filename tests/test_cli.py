@@ -463,32 +463,47 @@ class TestCliErrors:
         capsys.readouterr()
 
 
+def _child_env():
+    """The environment of a child process that imports the same sonine_kit
+    as this one, installed or not."""
+    src = str(Path(sonine_kit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestConsoleScript:
-    @pytest.mark.skipif(shutil.which("sonine-kit") is None, reason="script not on PATH")
     def test_entry_point_runs(self, tmp_path):
+        """The installed ``sonine-kit`` script, or without one the target
+        that pyproject.toml's [project.scripts] names for it, run through
+        this interpreter: a renamed script or target fails here."""
         cfg_path = _write(tmp_path, _doc("verify-pair", N=64))
         out = tmp_path / "v.csv"
-        proc = subprocess.run(
-            ["sonine-kit", "verify-pair", "--config", cfg_path, "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
+        argv = ["verify-pair", "--config", cfg_path, "--out", str(out)]
+        script = shutil.which("sonine-kit")
+        if script is not None:
+            cmd = [script, *argv]
+        else:
+            tomllib = pytest.importorskip("tomllib")
+            pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+            with open(pyproject, "rb") as fh:
+                target = tomllib.load(fh)["project"]["scripts"]["sonine-kit"]
+            module, func = target.split(":")
+            code = f"import sys; from {module} import {func}; sys.exit({func}())"
+            cmd = [sys.executable, "-c", code, *argv]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
         assert "sc_residual=" in proc.stdout
         assert out.exists()
 
     def test_module_invocation(self, tmp_path):
         cfg_path = _write(tmp_path, _doc("verify-pair", N=64))
         out = tmp_path / "v.csv"
-        # the child imports the same sonine_kit as this process, installed or not
-        src = str(Path(sonine_kit.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "sonine_kit.cli", "verify-pair",
              "--config", cfg_path, "--out", str(out)],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert proc.stderr == ""  # no RuntimeWarning about sonine_kit.cli in sys.modules

@@ -27,6 +27,7 @@ from sonine_kit import (
     power_kernel,
     variable_exponent_kernel,
 )
+from sonine_kit.kernels import _is_classical
 
 
 class TestGamma:
@@ -79,7 +80,6 @@ class TestExponentFunction:
         assert af.eval(0.0) == 0.5
         assert af.eval(0.5) == 0.6
         assert af.deriv(0.25) == 0.2
-        assert af.alpha_lo == 0.5 and af.alpha_hi == 0.6
         af.validate(0.5)  # no raise
         assert not af.is_constant(0.5)
         assert affine_exponent(0.37, 0.0, 1.0).is_constant(1.0)
@@ -92,17 +92,27 @@ class TestExponentFunction:
         with pytest.raises(DomainError):
             affine_exponent(0.9, 0.3, 1.0)  # exits above 1
 
-    def test_declared_bounds_are_verified(self):
-        # claims a constant profile but actually varies
-        lying = ExponentFunction(
-            fn=lambda t: 0.5 + 0.2 * np.asarray(t, dtype=float),
-            dfn=lambda t: np.full_like(np.asarray(t, dtype=float), 0.2),
-            L=0.0,
-            alpha_lo=0.5,
-            alpha_hi=0.5,
+    def test_profile_leaving_the_unit_interval_is_refused(self):
+        """alpha(t) = 0.5 + 10 t (0.5 - t) is 0.5 at both ends of [0, 0.5]
+        but 1.125 at t = 0.25, so no kernel is built on it there; on [0,
+        0.05] it stays below 0.725. A derivative that is not finite is
+        refused too."""
+
+        def bump(t):
+            t = np.asarray(t, dtype=float)
+            return 0.5 + 10.0 * t * (0.5 - t)
+
+        af = ExponentFunction(fn=bump, dfn=lambda t: 5.0 - 20.0 * np.asarray(t, dtype=float))
+        with pytest.raises(DomainError, match="leaves"):
+            af.validate(0.5)
+        with pytest.raises(DomainError, match="leaves"):
+            variable_exponent_kernel(af, 0.5)
+        af.validate(0.05)  # no raise
+        no_slope = ExponentFunction(
+            fn=bump, dfn=lambda t: np.full_like(np.asarray(t, dtype=float), np.nan)
         )
-        with pytest.raises(DomainError):
-            lying.validate(0.5)
+        with pytest.raises(DomainError, match="derivative"):
+            no_slope.validate(0.05)
 
     def test_vector_eval(self):
         af = affine_exponent(0.5, 0.2, 0.5)
@@ -133,6 +143,23 @@ class TestKernelSpec:
         # the factored order is alpha(0), not the sup of alpha
         assert k.local_exponent == 0.5
         assert k.smooth(0.0) == 1.0
+
+    @pytest.mark.parametrize("which", ["power", "variable", "tabulated"])
+    def test_eval_is_the_factored_form(self, which):
+        """A kernel's value is its bounded factor times t^(-local_exponent),
+        bit for bit; for a pure power that is c t^(-sigma) itself."""
+        ts = np.array([1e-9, 0.01, 0.3, 0.5])
+        if which == "power":
+            k = power_kernel(0.7, 0.3, 0.5)
+            np.testing.assert_array_equal(k.eval(ts), 0.7 * ts**-0.3)
+        elif which == "variable":
+            k = variable_exponent_kernel(affine_exponent(0.5, 0.2, 0.5), 0.5)
+        else:
+            m = graded_mesh(32, 2.0, 0.5)
+            vals = np.full(33, np.nan)
+            vals[1:] = m.nodes[1:] ** -0.3 * (1.0 + m.nodes[1:])
+            k = KernelSpec.from_samples(SampledFunction(mesh=m, values=vals))
+        np.testing.assert_array_equal(k.eval(ts), k.smooth(ts) * ts ** -k.local_exponent)
 
     def test_smooth_factor_consistency(self):
         af = affine_exponent(0.5, 0.2, 0.5)
@@ -179,9 +206,7 @@ class TestKernelSpec:
         assert np.isnan(got[0]) and got[1] == k.smooth0 and got[2] == k.smooth(0.25)
 
     def test_smooth_never_returns_its_input(self):
-        ident = KernelSpec(
-            fn=lambda t: t ** 0.5, smooth_fn=lambda t: t, smooth0=0.0, local_exponent=0.5, b=1.0
-        )
+        ident = KernelSpec(smooth_fn=lambda t: t, smooth0=0.0, local_exponent=0.5, b=1.0)
         ts = np.array([0.25, 0.5])
         out = ident.smooth(ts)
         np.testing.assert_array_equal(out, ts)
@@ -193,9 +218,7 @@ class TestKernelSpec:
         """A kernel's bounded factor has a finite value at 0; a NaN there
         made convolve_pair_at return NaN without a warning."""
         with pytest.raises(DomainError, match="smooth0"):
-            KernelSpec(
-                fn=lambda t: t**-0.5, smooth_fn=np.ones_like, smooth0=bad, local_exponent=0.5, b=1.0
-            )
+            KernelSpec(smooth_fn=np.ones_like, smooth0=bad, local_exponent=0.5, b=1.0)
 
     def test_power_kernel_rejects_bad_args(self):
         with pytest.raises(DomainError):
@@ -222,60 +245,83 @@ class TestKernelSpec:
             KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
 
 
+def _tabulated_K():
+    """The paper pair's K from node samples: close to the same values, but
+    its bounded factor is an interpolant, not a constant."""
+    pair = make_variable_exponent_pair(affine_exponent(0.5, 0.2, 0.5), 0.5)
+    mesh = graded_mesh(64, 2.0, 0.5)
+    samples = np.full(65, np.nan)
+    samples[1:] = pair.K.eval(mesh.nodes[1:])
+    return KernelSpec.from_samples(SampledFunction(mesh=mesh, values=samples), 0.5)
+
+
+def _kernels(pair):
+    return pair.k, pair.K
+
+
+#: (k, K) builders and whether K * k = 1 holds analytically
+CLASSICAL_TABLE = {
+    "abel": (lambda: _kernels(make_classical_abel_pair(0.4, 1.0)), True),
+    "scaled powers": (
+        lambda: (power_kernel(2.0, 0.4, 1.0), power_kernel(0.5 / kappa(0.4), 0.6, 1.0)),
+        True,
+    ),
+    "constant profile": (
+        lambda: _kernels(make_variable_exponent_pair(affine_exponent(0.37, 0.0, 1.0), 1.0)),
+        True,
+    ),
+    "paper profile": (
+        lambda: _kernels(make_variable_exponent_pair(affine_exponent(0.5, 0.2, 0.5), 0.5)),
+        False,
+    ),
+    "tabulated K": (lambda: (classical_abel_kernel(0.5, 0.5), _tabulated_K()), False),
+    # orders summing to 1, but K * k = pi
+    "K = k": (lambda: (power_kernel(1.0, 0.5, 1.0),) * 2, False),
+    "orders not summing to 1": (
+        lambda: (classical_abel_kernel(0.5, 1.0), power_kernel(1.0 / kappa(0.5), 0.3, 1.0)),
+        False,
+    ),
+}
+
+
 class TestSoninePair:
     def test_classical_pair_structure(self):
         pair = make_classical_abel_pair(0.5, 1.0)
         assert pair.is_classical
-        assert abs(pair.kappa - math.pi) <= 1e-12
+        assert abs(pair.K.power_coef * math.pi - 1.0) <= 1e-12
         assert abs(pair.K.eval(0.25) - 0.25**-0.5 / math.pi) <= 1e-14
         assert pair.b == 1.0
 
     def test_variable_pair_structure(self):
-        pair = make_variable_exponent_pair(affine_exponent(0.5, 0.2, 0.5), 0.5)
+        af = affine_exponent(0.5, 0.2, 0.5)
+        pair = make_variable_exponent_pair(af, 0.5)
         assert not pair.is_classical
-        assert pair.exponent is not None
-        assert abs(pair.kappa - KAPPA_05) <= 1e-12 * KAPPA_05
+        assert pair.k.exponent is af
+        assert abs(1.0 / pair.K.power_coef - KAPPA_05) <= 1e-12 * KAPPA_05
         # associate has the constant order 1 - alpha(0)
         assert pair.K.local_exponent == 0.5
-
-    def test_constant_profile_is_classical(self):
-        pair = make_variable_exponent_pair(affine_exponent(0.37, 0.0, 1.0), 1.0)
-        assert pair.is_classical
 
     def test_mismatched_intervals_rejected(self):
         k1 = classical_abel_kernel(0.5, 1.0)
         k2 = classical_abel_kernel(0.5, 2.0)
         with pytest.raises(DomainError):
-            SoninePair(k=k1, K=k2, kappa=float("nan"), is_classical=False)
+            SoninePair(k=k1, K=k2)
 
-    def test_classical_claim_needs_order_sum_one(self):
-        k = classical_abel_kernel(0.5, 1.0)
-        K = power_kernel(1.0, 0.3, 1.0)
-        with pytest.raises(DomainError):
-            SoninePair(k=k, K=K, kappa=1.0, is_classical=True)
+    @pytest.mark.parametrize("case", list(CLASSICAL_TABLE))
+    def test_is_classical_is_derived(self, case):
+        """The solvers skip the sweep for a classical pair, so whether it is
+        one is read from the two kernels: constant bounded factors, orders
+        summing to 1 and c_k c_K kappa(sigma) = 1."""
+        build, expected = CLASSICAL_TABLE[case]
+        k, K = build()
+        assert SoninePair(k, K).is_classical == _is_classical(k, K) == expected
 
-    def test_classical_claim_needs_normalised_powers(self):
-        """The solvers skip the sweep for a classical pair, so the claim is
-        checked: k = K = t^(-1/2) has orders summing to 1, but K * k = pi,
-        and check_gsc read it as passing with sc_residual 2.14."""
-        k = power_kernel(1.0, 0.5, 1.0)
-        with pytest.raises(DomainError, match="kappa"):
-            SoninePair(k=k, K=k, kappa=1.0, is_classical=True)
+    def test_is_classical_cannot_be_set(self):
+        k, K = _kernels(make_classical_abel_pair(0.5, 1.0))
+        with pytest.raises(TypeError):
+            SoninePair(k=k, K=K, is_classical=False)
 
-    def test_classical_claim_needs_constant_factors(self):
-        pair = make_variable_exponent_pair(affine_exponent(0.5, 0.2, 0.5), 0.5)
-        with pytest.raises(DomainError, match="constant bounded factors"):
-            SoninePair(k=pair.k, K=pair.K, kappa=pair.kappa, is_classical=True)
-        mesh = graded_mesh(64, 2.0, 0.5)
-        samples = np.full(65, np.nan)
-        samples[1:] = pair.K.eval(mesh.nodes[1:])
-        K_tab = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=samples), 0.5)
-        k = classical_abel_kernel(0.5, 0.5)
-        with pytest.raises(DomainError, match="constant bounded factors"):
-            SoninePair(k=k, K=K_tab, kappa=pair.kappa, is_classical=True)
-
-    def test_scaled_classical_claim_kept(self):
+    def test_scaled_classical_pair_skips_the_sweep(self):
         k = power_kernel(2.0, 0.4, 1.0)
         K = power_kernel(0.5 / kappa(0.4), 0.6, 1.0)
-        assert SoninePair(k=k, K=K, kappa=kappa(0.4), is_classical=True).is_classical
         assert discover_associate(k, K, graded_mesh(64, 2.0, 1.0)).gprime_l1 == 0.0

@@ -36,9 +36,6 @@ def _kinked_pair():
     af = ExponentFunction(
         fn=lambda t: 0.5 + 0.2 * np.abs(np.asarray(t, dtype=float) - 0.2),
         dfn=lambda t: 0.2 * np.sign(np.asarray(t, dtype=float) - 0.2),
-        L=0.2,
-        alpha_lo=0.5,
-        alpha_hi=0.56,
     )
     return make_variable_exponent_pair(af, B)
 

@@ -30,6 +30,7 @@ from sonine_kit import (
     default_grading,
     estimate_gprime,
     graded_mesh,
+    kappa,
     make_classical_abel_pair,
     product_weights,
     solve_first_kind,
@@ -58,7 +59,7 @@ def pair_oracle(K, k, t, M):
 
 def substituted_oracle(pair, t, M, derivative):
     """g(t) (or g'(t)) of the substituted route, each half summed with math.fsum."""
-    af = pair.exponent
+    af = pair.k.exponent
     a0 = float(af.eval(0.0))
     r_ref = default_grading(a0, 1.0 - a0)
     vL, wL = _reference_rule(a0, M, r_ref)
@@ -78,7 +79,7 @@ def substituted_oracle(pair, t, M, derivative):
         wL[1:] * fn(t * zL) * zL**p * (1.0 - zL) ** (a0 - 1.0)
     )
     right = 0.5**a0 * math.fsum(wR * fn(t * zR) * zR ** (p - a0))
-    value = (left + right) / pair.kappa
+    value = (left + right) / kappa(a0)
     return value if derivative else 1.0 + value
 
 
@@ -538,8 +539,8 @@ class TestStabilityWithoutPushBack:
         rhs, delta = RhsSpec.from_polynomial([0.0, 1.0]), 1e-6
         gsc = check_gsc(pair, mesh)
         shifted = RhsSpec.from_polynomial([delta, 1.0])
-        base = solve_first_kind(pair, rhs, mesh, gsc=gsc)
-        moved = solve_first_kind(pair, shifted, mesh, gsc=gsc)
+        base = solve_first_kind(pair, rhs, mesh)
+        moved = solve_first_kind(pair, shifted, mesh)
         max_shift = np.max(np.abs(moved.u.values[1:] - base.u.values[1:]))
         bound = math.exp(gsc.gprime_l1) * np.max(np.abs(moved.F.values[1:] - base.F.values[1:]))
         got = stability_report(pair, rhs, delta, mesh)

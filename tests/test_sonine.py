@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,8 +258,6 @@ class TestCheckGsc:
             SoninePair(
                 k=power_kernel(2.0, alpha, 1.0),
                 K=power_kernel(0.5 / kappa(alpha), 1.0 - alpha, 1.0),
-                kappa=kappa(alpha),
-                is_classical=True,
             ),
         ]
         for pair in pairs:
@@ -281,7 +280,7 @@ class TestCheckGsc:
 
     def test_mismatched_pair_flags_failure(self):
         kk = power_kernel(1.0, 0.5, 1.0)
-        pair = SoninePair(k=kk, K=kk, kappa=float("nan"), is_classical=False)
+        pair = SoninePair(k=kk, K=kk)
         report = check_gsc(pair, graded_mesh(128, 2.0, 1.0))
         assert report.sc_residual > 2.0  # g is pi everywhere
         assert abs(report.g0_defect - (math.pi - 1.0)) <= 1e-3
@@ -291,15 +290,13 @@ class TestCheckGsc:
         """alpha(t) = 0.5 + 0.4t on (0, 1] meets g(0+) = 1 within the default
         tolerance (its defect was 1.5e-3 without the t basis function); with
         K scaled by 1 / 1.01, g(0+) moves by about 1% and fails it. The scaled
-        pair drops its profile, since the substituted route builds the
+        pair's k drops its profile, since the substituted route builds the
         normalization of K in, so g is convolved from K itself."""
         pair = make_variable_exponent_pair(affine_exponent(0.5, 0.4, 1.0), 1.0)
-        profile_less = SoninePair(k=pair.k, K=pair.K, kappa=pair.kappa, is_classical=False)
+        k = replace(pair.k, exponent=None)
+        profile_less = SoninePair(k=k, K=pair.K)
         scaled = SoninePair(
-            k=pair.k,
-            K=power_kernel(1.0 / (1.01 * pair.kappa), pair.K.local_exponent, 1.0),
-            kappa=1.01 * pair.kappa,
-            is_classical=False,
+            k=k, K=power_kernel(pair.K.power_coef / 1.01, pair.K.local_exponent, 1.0)
         )
         mesh = graded_mesh(256, 2.0, 1.0)
         assert check_gsc(pair, mesh).g0_defect <= G0_TOL_DEFAULT  # 4.0e-5
@@ -315,10 +312,8 @@ class TestCheckGsc:
         and passed it. Constructor-built pairs keep that route."""
         pair = make_variable_exponent_pair(affine_exponent(0.5, 0.4, 1.0), 1.0)
         scaled_K = power_kernel(pair.K.power_coef / 1.01, pair.K.local_exponent, 1.0)
-        kept = SoninePair(
-            k=pair.k, K=scaled_K, kappa=pair.kappa, is_classical=False, exponent=pair.exponent
-        )
-        dropped = SoninePair(k=pair.k, K=scaled_K, kappa=pair.kappa, is_classical=False)
+        kept = SoninePair(k=pair.k, K=scaled_K)
+        dropped = SoninePair(k=replace(pair.k, exponent=None), K=scaled_K)
         mesh = graded_mesh(128, 2.0, 1.0)
         report = check_gsc(kept, mesh)
         assert not report.gsc_pass
@@ -342,7 +337,7 @@ class TestCheckGsc:
     def test_eps_bound_when_profile_attached(self, pair_a, mesh_512_half):
         report = check_gsc(pair_a, mesh_512_half)
         if report.eps_fit.passed and report.eps_fit.C > 1e-6:
-            alpha0 = pair_a.exponent.eval(0.0)
+            alpha0 = pair_a.k.exponent.eval(0.0)
             assert report.eps_fit.eps < 1.0 - alpha0
 
     def test_nonnegative_diagnostics(self, pair_a, mesh_512_half):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from sonine_kit import (
     solve_second_kind,
     stability_probe,
     stability_report,
+    variable_exponent_kernel,
 )
 
 
@@ -181,20 +183,17 @@ class TestSolveFirstKind:
 
     def test_failing_pair_is_refused(self):
         kk = power_kernel(1.0, 0.5, 1.0)
-        pair = SoninePair(k=kk, K=kk, kappa=float("nan"), is_classical=False)
+        pair = SoninePair(k=kk, K=kk)
         with pytest.raises(GscConditionError):
             solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), graded_mesh(64, 2.0, 1.0))
 
     def test_linearity(self, pair_a, mesh_512_half):
-        report = check_gsc(pair_a, mesh_512_half)
-        u1 = solve_first_kind(
-            pair_a, RhsSpec.from_polynomial([0.0, 1.0]), mesh_512_half, gsc=report
-        ).u.values
+        u1 = solve_first_kind(pair_a, RhsSpec.from_polynomial([0.0, 1.0]), mesh_512_half).u.values
         u2 = solve_first_kind(
-            pair_a, RhsSpec.from_polynomial([0.0, 0.0, 1.0]), mesh_512_half, gsc=report
+            pair_a, RhsSpec.from_polynomial([0.0, 0.0, 1.0]), mesh_512_half
         ).u.values
         combo = solve_first_kind(
-            pair_a, RhsSpec.from_polynomial([0.0, 2.0, -3.0]), mesh_512_half, gsc=report
+            pair_a, RhsSpec.from_polynomial([0.0, 2.0, -3.0]), mesh_512_half
         ).u.values
         expect = 2.0 * u1 - 3.0 * u2
         scale = np.maximum(1.0, np.abs(expect))
@@ -218,9 +217,9 @@ class TestSolveFirstKind:
 
 
 def _profile_less(pair):
-    """The pair without its exponent profile and not marked classical, so
-    g is known only pointwise, as for kernels given by samples."""
-    return SoninePair(k=pair.k, K=pair.K, kappa=pair.kappa, is_classical=False)
+    """The pair with k's exponent profile dropped, so g is known only
+    pointwise, as for kernels given by samples."""
+    return SoninePair(k=replace(pair.k, exponent=None), K=pair.K)
 
 
 class TestSolveInputChecks:
@@ -249,8 +248,8 @@ class TestSolveInputChecks:
 
 
 class TestSolveReadsGateInputsOnly:
-    """Without a report, a solve measures only g(0+), g', its eps fit and
-    its L1 norm, and gets exactly what a full check_gsc report gives."""
+    """A solve measures only g(0+), g', its eps fit and its L1 norm, and
+    gets exactly what a full check_gsc report gives."""
 
     @pytest.mark.parametrize("which", ["classical", "variable", "profile-less"])
     def test_same_as_with_full_report(self, which, classical_half, pair_a):
@@ -262,13 +261,13 @@ class TestSolveReadsGateInputsOnly:
         mesh = graded_mesh(128, 2.0, pair.b)
         rhs = RhsSpec.from_polynomial([0.0, 1.0, -0.5])
         got = solve_first_kind(pair, rhs, mesh)
-        want = solve_first_kind(pair, rhs, mesh, gsc=check_gsc(pair, mesh))
-        np.testing.assert_array_equal(got.u.values, want.u.values)
-        np.testing.assert_array_equal(got.F.values, want.F.values)
-        np.testing.assert_array_equal(got.ku.values, want.ku.values)
-        assert got.residual_first_kind == want.residual_first_kind
-        assert got.residual_second_kind == want.residual_second_kind
-        assert got.gprime_l1 == want.gprime_l1
+        report = check_gsc(pair, mesh)
+        eps = float(np.clip(report.eps_fit.eps, 0.0, sonine.EPS_CLIP_MAX))
+        F = assemble_rhs(pair.K, rhs, mesh)
+        np.testing.assert_array_equal(got.F.values, F.values)
+        want = solve_second_kind(report.gprime, F, mesh, eps)
+        np.testing.assert_array_equal(got.u.values, want.values)
+        assert got.gprime_l1 == report.gprime_l1
 
     def test_no_g_on_the_mesh(self, monkeypatch, classical_half, pair_a):
         """Solves convolve no g, and evaluate the substituted g only at the
@@ -299,6 +298,42 @@ class TestSolveReadsGateInputsOnly:
         assert len(convolutions) == 1
 
 
+class TestHandBuiltPair:
+    """A pair is its two kernels: SoninePair(k, K) built by hand, from a
+    maker's kernels or from the same kernels built again, measures and
+    solves as the maker's pair does, bit for bit."""
+
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_same_report_and_solve_as_the_maker(self, which, classical_half, pair_a):
+        made = classical_half if which == "classical" else pair_a
+        sigma = made.k.local_exponent
+        if which == "classical":
+            k = classical_abel_kernel(sigma, made.b)
+        else:
+            k = variable_exponent_kernel(made.k.exponent, made.b)
+        K = power_kernel(1.0 / kappa(sigma), 1.0 - sigma, made.b)
+        mesh = graded_mesh(128, 2.0, made.b)
+        rhs = RhsSpec.from_polynomial([1.0, 0.5])
+        want_gsc, want = check_gsc(made, mesh), solve_first_kind(made, rhs, mesh)
+        for pair in (SoninePair(made.k, made.K), SoninePair(k, K)):
+            assert pair.is_classical == made.is_classical
+            got_gsc, got = check_gsc(pair, mesh), solve_first_kind(pair, rhs, mesh)
+            for name in ("g", "gprime"):
+                np.testing.assert_array_equal(
+                    getattr(got_gsc, name).values, getattr(want_gsc, name).values
+                )
+            for name in (
+                "g0", "sc_residual", "g0_defect", "eps_fit", "gprime_l1", "route_diff", "gsc_pass"
+            ):
+                np.testing.assert_equal(getattr(got_gsc, name), getattr(want_gsc, name))
+            for name in ("u", "F", "ku"):
+                np.testing.assert_array_equal(
+                    getattr(got, name).values, getattr(want, name).values
+                )
+            assert got.residual_first_kind == want.residual_first_kind
+            assert got.residual_second_kind == want.residual_second_kind
+
+
 class TestStabilityReport:
     def test_shares_the_solve_pipeline(self, pair_a, mesh_512_half):
         """One shared K * f' gives the report of two separate solves of f
@@ -308,8 +343,8 @@ class TestStabilityReport:
         moved = RhsSpec.from_polynomial([delta, 1.0])
         report = stability_report(pair_a, rhs, delta, mesh_512_half)
         gsc = check_gsc(pair_a, mesh_512_half)
-        u = solve_first_kind(pair_a, rhs, mesh_512_half, gsc=gsc)
-        u_moved = solve_first_kind(pair_a, moved, mesh_512_half, gsc=gsc)
+        u = solve_first_kind(pair_a, rhs, mesh_512_half)
+        u_moved = solve_first_kind(pair_a, moved, mesh_512_half)
         dF = np.max(np.abs(u_moved.F.values[1:] - u.F.values[1:]))
         assert report.max_shift == np.max(np.abs(u_moved.u.values[1:] - u.u.values[1:]))
         assert report.bound == math.exp(gsc.gprime_l1) * dF
@@ -364,7 +399,7 @@ class TestSecondKindResidual:
         pair = classical_half if which == "classical" else pair_a
         mesh = graded_mesh(128, 2.0, pair.b)
         gsc = check_gsc(pair, mesh)
-        report = solve_first_kind(pair, RhsSpec.from_polynomial(coeffs), mesh, gsc=gsc)
+        report = solve_first_kind(pair, RhsSpec.from_polynomial(coeffs), mesh)
         assert np.isfinite(report.F.values[0]) == (coeffs[0] == 0.0)
         want = _second_kind_row_residual(report, gsc, mesh)
         assert want <= 1e-13  # u solves the rebuilt system to roundoff
@@ -461,7 +496,6 @@ class TestDiscoverAssociate:
         b = 0.5
         kap = kappa(0.5)
         Kg = KernelSpec(
-            fn=lambda t: (1.0 + t) * t**-0.5 / kap,
             smooth_fn=lambda t: (1.0 + np.asarray(t, dtype=float)) / kap,
             smooth0=1.0 / kap,
             local_exponent=0.5,
@@ -489,7 +523,6 @@ class TestDiscoverAssociate:
         normalises it; that is a DomainError, not a division by zero."""
         b = 0.5
         Kg = KernelSpec(
-            fn=lambda t: t**0.5,
             smooth_fn=lambda t: np.asarray(t, dtype=float),
             smooth0=0.0,
             local_exponent=0.5,

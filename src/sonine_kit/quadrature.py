@@ -455,12 +455,17 @@ def _default_panels(N: int) -> int:
     return max(32, min(N // 2, REF_PANELS) // 2 * 2)
 
 
+def _check_same_interval(K: KernelSpec, k: KernelSpec) -> None:
+    """Refuse a convolution K * k of kernels on different intervals."""
+    if k.b != K.b:
+        raise DomainError(f"kernels live on different intervals: {k.b!r} vs {K.b!r}")
+
+
 def _pair_panels(K: KernelSpec, k: KernelSpec, mesh: Mesh, M: int | None) -> int:
     """The panel count per half for K * k on the mesh, ``M`` or by default
     :func:`_default_panels`, after refusing kernels on different
     intervals, a mesh past their end and a bad ``M``."""
-    if k.b != K.b:
-        raise DomainError(f"kernels live on different intervals: {k.b!r} vs {K.b!r}")
+    _check_same_interval(K, k)
     if mesh.b > k.b * (1.0 + 1e-12):
         raise DomainError(
             f"mesh endpoint {mesh.b!r} exceeds the kernels' domain (0, {k.b!r}]"
@@ -611,6 +616,7 @@ def convolve_pair_at(K: KernelSpec, k: KernelSpec, t: float, M: int) -> float:
     is evaluated on the scaled reference nodes and interpolated linearly.
     This is the one-row case of :func:`convolve_pair`'s blocked sums.
     """
+    _check_same_interval(K, k)
     if not 0.0 < t <= K.b * (1.0 + 1e-12):
         raise DomainError(f"t must lie in (0, {K.b!r}], got {t!r}")
     _check_panels(M)

@@ -53,7 +53,7 @@ __all__ = [
 #: check_gsc's verdict (1e-3, a conclusive eps fit, a finite L1 norm) on
 #: purpose: the transformation needs g(0+) near 1 and a finite g', and a
 #: coarse mesh can miss the eps fit's margin on a pair that solves and
-#: converges (see _second_kind_solve)
+#: converges (see _transform_eps)
 GATE_G0_TOL = 1e-2
 
 #: forward substitution aborts when a diagonal entry falls below this
@@ -90,7 +90,7 @@ _FD_SPOT_UNITS.setflags(write=False)
 class _Polynomial:
     """t -> sum_j coeffs[j] t^j by Horner's rule, for a nonempty ``coeffs``:
     a float for a scalar t, an array of t's shape for an array t.
-    :func:`_assemble_rhs_at` recognises polynomial data by this type, as
+    :func:`assemble_rhs` recognises polynomial data by this type, as
     :attr:`KernelSpec.power_coef` recognises a pure power."""
 
     coeffs: tuple[float, ...]
@@ -109,7 +109,7 @@ class RhsSpec:
     ``f0`` must equal f(0); ``fprime`` must be the derivative of ``f``.
     Both claims are spot-checked by :meth:`validate` before a solve. The
     data of :meth:`from_polynomial` carry their coefficients, so a pure
-    power K convolves f' in closed form (:func:`_assemble_rhs_at`); data
+    power K convolves f' in closed form (:func:`assemble_rhs`); data
     given as other callables, even of the same values, take the quadrature.
     """
 
@@ -206,15 +206,6 @@ def assemble_rhs(K: KernelSpec, rhs: RhsSpec, mesh: Mesh) -> SampledFunction:
     This is the derivative of the smoothing integral of f taken by parts,
     exact for f in C^1, so no numerical differentiation enters. F(t_0) is
     0 when f(0) = 0 and undefined (NaN) otherwise, since K blows up at 0.
-    """
-    return _assemble_rhs_at(K, rhs, mesh, (rhs.f0,))[0]
-
-
-def _assemble_rhs_at(
-    K: KernelSpec, rhs: RhsSpec, mesh: Mesh, f0s: tuple[float, ...]
-) -> list[SampledFunction]:
-    """:func:`assemble_rhs`'s F for the data f - f(0) + c, for each c of
-    ``f0s``. They share f', so K * f' is computed once.
 
     For a pure-power K (:attr:`KernelSpec.power_coef`) and the polynomial
     data of :meth:`RhsSpec.from_polynomial`, K * f' is a sum of Beta
@@ -231,14 +222,11 @@ def _assemble_rhs_at(
     else:
         fp = SampledFunction(mesh=mesh, values=rhs.eval_fprime(mesh.nodes))
         conv = convolve_weakly_singular(K, fp, mesh).values[1:]
-    K_nodes = K.eval(interior)  # refuses a mesh past K's end on either path
-    out = []
-    for c in f0s:
-        F = np.empty(mesh.N + 1)
-        F[0] = 0.0 if c == 0.0 else np.nan
-        F[1:] = c * K_nodes + conv
-        out.append(SampledFunction(mesh=mesh, values=F))
-    return out
+    F = np.empty(mesh.N + 1)
+    F[0] = 0.0 if rhs.f0 == 0.0 else np.nan
+    # K.eval refuses a mesh past K's end on either path
+    F[1:] = rhs.f0 * K.eval(interior) + conv
+    return SampledFunction(mesh=mesh, values=F)
 
 
 def _power_convolution(
@@ -294,33 +282,30 @@ def solve_second_kind(
     when F(t_0) is undefined the first panel's mass is folded onto node 1
     instead of touching the undefined value.
     """
-    [(u, _)] = _forward_sweep(gprime, (F,), mesh, eps)
-    return u
+    return _forward_sweep(gprime, F, mesh, eps)[0]
 
 
 def _forward_sweep(
-    gprime: SampledFunction, Fs: Sequence[SampledFunction], mesh: Mesh, eps: float
-) -> list[tuple[SampledFunction, float]]:
+    gprime: SampledFunction, F: SampledFunction, mesh: Mesh, eps: float
+) -> tuple[SampledFunction, float]:
     """:func:`solve_second_kind`'s u, and the relative row residual of the
-    discrete system, for each right-hand side of ``Fs``.
+    discrete system.
 
-    Blocked forward substitution over :func:`_triangle_blocks`, one pass
-    for all of ``Fs``. Each coefficient block is built once; 1 is added to
-    the diagonal of its own square T, which is checked against DIAG_TOL
-    once. Each column then solves T u_b = f_b - (history product) with a
-    solve of its own, so its u and residual are bit for bit those of a
-    sweep of its own. A block's row residuals are T u_b minus that right-
-    hand side, the full row of the system without a second history
-    product; they are scaled and reduced once per sweep.
+    Blocked forward substitution over :func:`_triangle_blocks`: 1 is added
+    to the diagonal of each block's own square T, which is checked against
+    DIAG_TOL once, and T u_b = f_b - (history product) is solved by one
+    LAPACK call. A block's row residuals are T u_b minus that right-hand
+    side, the full row of the system without a second history product;
+    they are scaled and reduced once per sweep.
 
-    A column with an undefined F(t_0) folds the first panel's mass onto
-    node 1: the first block solves it with C's column 0 added to T's
-    first column, checking row 1's step there, and u(t_0) then holds
-    u(t_1), so every later history product carries that mass on node 1,
-    until the sweep resets u(t_0) to F(t_0). g' = 0 leaves u = F and a
-    zero residual without a sweep.
+    An undefined F(t_0) folds the first panel's mass onto node 1: the
+    first block adds C's column 0 to T's first column in place, so row
+    1's folded step is the one checked, and u(t_0) then holds u(t_1), so
+    every later history product carries that mass on node 1, until the
+    sweep resets u(t_0) to F(t_0). g' = 0 leaves u = F and a zero
+    residual without a sweep.
     """
-    if not (gprime.mesh.same_nodes(mesh) and all(F.mesh.same_nodes(mesh) for F in Fs)):
+    if not (gprime.mesh.same_nodes(mesh) and F.mesh.same_nodes(mesh)):
         raise DomainError("g' and F must be sampled on the solve mesh")
     if not (math.isfinite(eps) and 0.0 <= eps <= EPS_CLIP_MAX):
         raise DomainError(f"eps must lie in [0, {EPS_CLIP_MAX}], got {eps!r}")
@@ -337,38 +322,29 @@ def _forward_sweep(
         m[0] = _extrapolate_to_zero(nodes, m)
     if not np.all(np.isfinite(m)):
         raise DomainError("g' samples must be finite at interior nodes")
-    fs = [F.values for F in Fs]
+    f = F.values
     if not m.any():  # g' = 0, as for a classical pair: u = F exactly
-        return [(SampledFunction(mesh=mesh, values=f.copy()), 0.0) for f in fs]
-    folds = [not np.isfinite(f[0]) for f in fs]
-    us = [f.copy() for f in fs]  # u(t_0) = F(t_0); the sweep sets the rest
-    resid = [np.zeros(mesh.N + 1) for _ in fs]  # row residuals, 0 at t_0
+        return SampledFunction(mesh=mesh, values=f.copy()), 0.0
+    fold = not np.isfinite(f[0])
+    u = f.copy()  # u(t_0) = F(t_0); the sweep sets the rest
+    res = np.zeros(mesh.N + 1)  # row residuals, 0 at t_0
     m_at = partial(np.interp, xp=nodes, fp=m)
     for i0, i1, C in _triangle_blocks(nodes, 1.0 - eps, m_at):
         T = C[:, i0:i1]
         np.einsum("ii->i", T)[:] += 1.0  # a writable view of T's diagonal
-        # row 1's unfolded step matters only to a column that does not fold
-        first = int(i0 == 1 and all(folds))
-        _check_steps(T.diagonal()[first:], i0 + first)
-        for f, u, res, fold in zip(fs, us, resid, folds):
-            if fold and i0 == 1:
-                A = T.copy()
-                A[:, 0] += C[:, 0]
-                _check_steps(A[:1, 0], 1)
-                rhs = f[1:i1]
-            else:
-                A = T
-                rhs = f[i0:i1] - C[:, :i0] @ u[:i0]
-            u[i0:i1] = np.linalg.solve(A, rhs)
-            res[i0:i1] = A @ u[i0:i1] - rhs
-            if fold and i0 == 1:
-                u[0] = u[1]
-    out = []
-    for f, u, res in zip(fs, us, resid):
-        u[0] = f[0]
-        scale = np.maximum(1.0, np.maximum(np.abs(f[1:]), np.abs(u[1:])))
-        out.append((SampledFunction(mesh=mesh, values=u), float(np.max(np.abs(res[1:]) / scale))))
-    return out
+        if fold and i0 == 1:
+            T[:, 0] += C[:, 0]
+            rhs = f[1:i1]
+        else:
+            rhs = f[i0:i1] - C[:, :i0] @ u[:i0]
+        _check_steps(T.diagonal(), i0)
+        u[i0:i1] = np.linalg.solve(T, rhs)
+        res[i0:i1] = T @ u[i0:i1] - rhs
+        if fold and i0 == 1:
+            u[0] = u[1]
+    u[0] = f[0]
+    scale = np.maximum(1.0, np.maximum(np.abs(f[1:]), np.abs(u[1:])))
+    return SampledFunction(mesh=mesh, values=u), float(np.max(np.abs(res[1:]) / scale))
 
 
 def _check_steps(diag: np.ndarray, i0: int) -> None:
@@ -435,10 +411,10 @@ def solve_first_kind(
     Measures what the transformation needs of the generalized condition
     first, g(0+) and g' with its fit and L1 norm, without the rest of
     :func:`check_gsc` (g on the mesh and route_diff). Refuses to
-    transform when g(0+) strays from 1 (see :func:`_second_kind_solve`).
+    transform when g(0+) strays from 1 (see :func:`_transform_eps`).
     """
     gate = _gate_inputs(pair, mesh, M)
-    [(u, F, r2)] = _second_kind_solve(pair, rhs, mesh, gate, (rhs.f0,))
+    u, F, r2 = _second_kind_solve(pair, rhs, mesh, gate)
     r1, ku = _first_kind_residual(pair.k, u, rhs, mesh, M)
     return SolveReport(
         u=u,
@@ -452,18 +428,21 @@ def solve_first_kind(
 
 
 def _second_kind_solve(
-    pair: SoninePair,
-    rhs: RhsSpec,
-    mesh: Mesh,
-    gate: _GateInputs,
-    f0s: tuple[float, ...],
-) -> list[tuple[SampledFunction, SampledFunction, float]]:
-    """u, F and the second-kind residual of :func:`solve_first_kind` for the
-    data f - f(0) + c, for each c of ``f0s``, after the gate on g(0+): the
-    reformulation divides by g(0), so a failing pair produces an equation
-    for a different problem. The data share f', so K * f' is convolved
-    once, and g', so all of them go through one forward sweep, which
-    builds the coefficient triangle once.
+    pair: SoninePair, rhs: RhsSpec, mesh: Mesh, gate: _GateInputs
+) -> tuple[SampledFunction, SampledFunction, float]:
+    """u, F and the second-kind residual of :func:`solve_first_kind`, after
+    the gate on g(0+) (:func:`_transform_eps`) and the check of ``rhs``."""
+    eps = _transform_eps(gate)
+    rhs.validate(pair.b)
+    F = assemble_rhs(pair.K, rhs, mesh)
+    u, r2 = _forward_sweep(gate.gprime, F, mesh, eps)
+    return u, F, r2
+
+
+def _transform_eps(gate: _GateInputs) -> float:
+    """The sweep's eps, g''s fitted blow-up clipped to [0, EPS_CLIP_MAX],
+    after the gate on g(0+): the reformulation divides by g(0), so a
+    failing pair produces an equation for a different problem.
 
     The gate is looser than :func:`check_gsc`'s verdict, which asks for
     |g(0+) - 1| <= 1e-3, a conclusive eps fit and a finite L1 norm. A
@@ -481,10 +460,7 @@ def _second_kind_solve(
             f"{gate.g0_defect!r} exceeds {GATE_G0_TOL}; the second-kind "
             "transformation is not available"
         )
-    rhs.validate(pair.b)
-    eps = float(np.clip(gate.eps_fit.eps, 0.0, EPS_CLIP_MAX))
-    Fs = _assemble_rhs_at(pair.K, rhs, mesh, f0s)
-    return [(u, F, r2) for F, (u, r2) in zip(Fs, _forward_sweep(gate.gprime, Fs, mesh, eps))]
+    return float(np.clip(gate.eps_fit.eps, 0.0, EPS_CLIP_MAX))
 
 
 def convergence_study(pair: SoninePair, rhs: RhsSpec, N: int, r: float) -> ConvergenceReport:
@@ -507,7 +483,7 @@ def convergence_study(pair: SoninePair, rhs: RhsSpec, N: int, r: float) -> Conve
     b = pair.b
 
     def solve(mesh: Mesh) -> np.ndarray:
-        [(u, _, _)] = _second_kind_solve(pair, rhs, mesh, _gate_inputs(pair, mesh), (rhs.f0,))
+        u, _, _ = _second_kind_solve(pair, rhs, mesh, _gate_inputs(pair, mesh))
         return u.values[1:]
 
     if pair.is_classical and isinstance(rhs.f, _Polynomial):
@@ -573,20 +549,21 @@ def stability_report(
     pair: SoninePair, rhs: RhsSpec, delta: float, mesh: Mesh
 ) -> StabilityReport:
     """Probe u under a constant data shift f -> f + delta and measure the
-    shift against its Gronwall budget. Both solves share one measurement
-    of the condition, so the probe isolates the data perturbation, one
-    K * f', since the shift leaves f' alone, and one coefficient triangle
-    of the forward sweep, since they share g'. Only u and F enter, so
-    neither solve pushes u back through k * u."""
+    shift against its Gronwall budget.
+
+    u + g' * u = F is linear and the shift moves F by dF = delta K, so u
+    moves by the solution du of du + g' * du = delta K, whatever f is:
+    one solve of the data f = delta. ``rhs`` is checked as a solve of it
+    would be (after the gate on g(0+)), but never solved. Only du and dF
+    enter, so nothing is pushed back through k * u."""
     if not (math.isfinite(delta) and delta > 0.0 and math.isfinite(rhs.f0 + delta)):
         raise DomainError(f"delta must be a small positive number, got {delta!r}")
     gate = _gate_inputs(pair, mesh)
-    (u, F, _), (u_moved, F_moved, _) = _second_kind_solve(
-        pair, rhs, mesh, gate, (rhs.f0, rhs.f0 + delta)
-    )
-    max_shift = float(np.max(np.abs(u_moved.values[1:] - u.values[1:])))
-    max_dF = float(np.max(np.abs(F_moved.values[1:] - F.values[1:])))
-    bound = math.exp(gate.gprime_l1) * max_dF
+    _transform_eps(gate)
+    rhs.validate(pair.b)
+    du, dF, _ = _second_kind_solve(pair, RhsSpec.from_polynomial([delta]), mesh, gate)
+    max_shift = float(np.max(np.abs(du.values[1:])))
+    bound = math.exp(gate.gprime_l1) * float(np.max(np.abs(dF.values[1:])))
     return StabilityReport(
         delta=delta,
         max_shift=max_shift,
@@ -608,7 +585,11 @@ def classical_solution(alpha: float, coeffs, t):
     For f(t) = sum_k c_k t^k the solution is
     u(t) = (Gamma(alpha) / kappa(alpha)) * sum_k c_k k! t^(k+alpha-1) /
     Gamma(k+alpha); each monomial is smoothed by the associate kernel and
-    differentiated in closed form. Used as a convergence reference.
+    differentiated in closed form. Used as a convergence reference, so it
+    shares no code with the solver's :func:`_power_convolution`. The
+    ratios k! / Gamma(k + alpha) follow from 1 / Gamma(alpha) by the
+    factors k / (k - 1 + alpha), so any degree is taken, while
+    :func:`gamma` refuses arguments above 50.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -621,10 +602,12 @@ def classical_solution(alpha: float, coeffs, t):
     if np.any(flat <= 0.0):
         raise DomainError("the classical solution is evaluated for t > 0")
     lead = gamma(alpha) / kappa(alpha)
+    ratio = 1.0 / gamma(alpha)  # k! / Gamma(k + alpha) at k = 0
     out = np.zeros_like(flat)
     for kdeg, ck in enumerate(c):
-        if ck == 0.0:
-            continue
-        out += ck * math.factorial(kdeg) / gamma(kdeg + alpha) * flat ** (kdeg + alpha - 1.0)
+        if kdeg:
+            ratio *= kdeg / (kdeg - 1.0 + alpha)
+        if ck != 0.0:
+            out += ck * ratio * flat ** (kdeg + alpha - 1.0)
     out *= lead
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)

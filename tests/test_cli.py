@@ -353,6 +353,15 @@ class TestCommands:
         assert len(lines) == 5
         assert all(float(line.split(",")[2]) <= 1e-12 for line in lines[1:])
 
+    def test_converge_classical_takes_any_degree(self, tmp_path, capsys):
+        # the closed-form reference of f of degree 51 reaches k! / Gamma(k +
+        # alpha) at k + alpha = 51.5, past gamma's range; solve takes it too
+        doc = _doc("converge", N=64, rhs={"coeffs": [1.0] * 52})
+        cfg_path = _write(tmp_path, doc)
+        out = tmp_path / "c.csv"
+        assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
+        assert all(float(line.split(",")[2]) <= 1e-12 for line in out.read_text().splitlines()[1:])
+
     def test_converge_variable_profile_order(self, tmp_path, capsys):
         doc = _doc("converge", kernel=VARIABLE_KERNEL, N=128)
         cfg_path = _write(tmp_path, doc)

@@ -330,3 +330,12 @@ class TestConvolvePair:
         for bad in (20.5, True, 15, 17, 33):
             with pytest.raises(DomainError, match="panel count"):
                 convolve_pair(pair.K, pair.k, m, M=bad)
+
+    def test_kernels_on_different_intervals_refused_by_both_entries(self):
+        # t = 0.8 lies inside K's interval but past k's; both pure powers
+        # fold into the weights, so no kernel evaluation can refuse it
+        K, k = power_kernel(1.0, 0.5, 1.0), power_kernel(1.0, 0.5, 0.5)
+        with pytest.raises(DomainError, match="different intervals"):
+            convolve_pair_at(K, k, 0.8, 32)
+        with pytest.raises(DomainError, match="different intervals"):
+            convolve_pair(K, k, graded_mesh(8, 2.0, 0.5))

@@ -21,6 +21,7 @@ from sonine_kit import (
     KernelSpec,
     RhsSpec,
     SampledFunction,
+    assemble_rhs,
     check_gsc,
     classical_abel_kernel,
     compute_g_substituted,
@@ -305,67 +306,65 @@ class TestBlockedForwardSubstitution:
         with pytest.raises(IllConditionedSystemError, match=f"at node {k}:"):
             solve_second_kind(SampledFunction(mesh=mesh, values=gp), F, mesh)
 
-    @pytest.mark.parametrize("f_at_0", [(1.0,), (np.nan,), (1.0, np.nan), (np.nan, 1.0)])
+    @pytest.mark.parametrize("f_at_0", [1.0, np.nan], ids=["finite", "undefined"])
     def test_ill_conditioned_diagonal_past_the_first_block_names_its_node(self, f_at_0):
         # default blocks: rows 1-90, then 91-145; m(0) cancels the trapezoid
         # diagonal 1 + m(0) h_i / 2 at node 120, in the second block, whether
-        # or not a column folds the first panel onto node 1
+        # or not the sweep folds the first panel onto node 1
         mesh = graded_mesh(256, 2.0, 1.0)
         spans = [(i0, i1) for i0, i1, _ in _triangle_blocks(mesh.nodes, 1.0, np.ones_like)]
         assert spans[:2] == [(1, 91), (91, 146)]
         k = 120
         gp = np.zeros(257)
         gp[0] = -2.0 / (mesh.nodes[k] - mesh.nodes[k - 1])
-        Fs = [SampledFunction(mesh=mesh, values=np.r_[v, np.ones(256)]) for v in f_at_0]
+        F = SampledFunction(mesh=mesh, values=np.r_[f_at_0, np.ones(256)])
         with pytest.raises(IllConditionedSystemError, match=f"at node {k}:"):
-            volterra._forward_sweep(SampledFunction(mesh=mesh, values=gp), Fs, mesh, 0.0)
+            volterra._forward_sweep(SampledFunction(mesh=mesh, values=gp), F, mesh, 0.0)
 
-    def test_two_column_sweep_agrees_across_floors(self, monkeypatch, pair_a):
+    @pytest.mark.parametrize("f0", [0.0, 1e-6], ids=["finite", "folded"])
+    def test_sweep_agrees_across_floors(self, f0, monkeypatch, pair_a):
         """The floor moves only the split between a block's history product
-        and its own solve: at N = 1024 (floored from node 501 on) the u of a
-        shared sweep, one column folded, agree with one-row blocks to
-        1e-14 relative."""
+        and its own solve: at N = 1024 (floored from node 501 on) the u of
+        a sweep, with F(t_0) finite or folded, agrees with one-row blocks
+        to 1e-14 relative."""
         mesh = graded_mesh(1024, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
-        rhs = RhsSpec.from_polynomial([0.0, 1.0])
-        Fs = volterra._assemble_rhs_at(pair_a.K, rhs, mesh, (0.0, 1e-6))
-        floored = volterra._forward_sweep(gate.gprime, Fs, mesh, 0.0)
+        F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 1.0]), mesh)
+        u, res = volterra._forward_sweep(gate.gprime, F, mesh, 0.0)
         monkeypatch.setattr(quadrature, "TRIANGLE_MIN_ROWS", 1)
-        one_row = volterra._forward_sweep(gate.gprime, Fs, mesh, 0.0)
-        for (u, res), (u1, res1) in zip(floored, one_row):
-            np.testing.assert_allclose(u.values[1:], u1.values[1:], rtol=1e-14, atol=0.0)
-            assert res <= 1e-13 and res1 <= 1e-13
+        u1, res1 = volterra._forward_sweep(gate.gprime, F, mesh, 0.0)
+        np.testing.assert_allclose(u.values[1:], u1.values[1:], rtol=1e-14, atol=0.0)
+        assert res <= 1e-13 and res1 <= 1e-13
 
     def test_row_residual_catches_a_wrong_block_solve(self, monkeypatch, pair_a):
         """A block's residual is T u_b minus its right-hand side, after the
-        history product that both share: a solve that is off by 1e-6 in
-        one entry must still show, in its own column only."""
+        history product: a solve that is off by 1e-6 in one entry of the
+        second block must still show."""
         mesh = graded_mesh(256, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
-        rhs = RhsSpec.from_polynomial([0.0, 1.0])
-        Fs = volterra._assemble_rhs_at(pair_a.K, rhs, mesh, FOLD_LAYOUTS["second-folds"])
-        clean = volterra._forward_sweep(gate.gprime, Fs, mesh, 0.25)
+        F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([1e-6, 1.0]), mesh)
+        clean_u, clean_res = volterra._forward_sweep(gate.gprime, F, mesh, 0.25)
         real_solve = np.linalg.solve
         calls = []
 
-        def off_in_block_2_of_column_1(A, b):
+        def off_in_block_2(A, b):
             x = real_solve(A, b)
             calls.append(len(b))
-            if len(calls) == 4:  # columns alternate: block 2 of column 1
+            if len(calls) == 2:
                 x[3] += 1e-6
             return x
 
-        monkeypatch.setattr(volterra.np.linalg, "solve", off_in_block_2_of_column_1)
-        (u0, res0), (u1, res1) = volterra._forward_sweep(gate.gprime, Fs, mesh, 0.25)
-        assert len(calls) > 4 and calls[3] > 3
-        np.testing.assert_array_equal(u0.values, clean[0][0].values)
-        assert res0 == clean[0][1] <= 1e-13
-        assert clean[1][1] <= 1e-13 < 1e-10 < res1
+        monkeypatch.setattr(volterra.np.linalg, "solve", off_in_block_2)
+        u, res = volterra._forward_sweep(gate.gprime, F, mesh, 0.25)
+        assert len(calls) > 2 and calls[1] > 3
+        first = 1 + calls[0]  # nodes up to the end of the first block
+        np.testing.assert_array_equal(u.values[1:first], clean_u.values[1:first])
+        assert clean_res <= 1e-13 < 1e-10 < res
 
-    def test_unfolded_first_step_is_checked_only_for_columns_that_read_it(self):
+    def test_unfolded_first_step_is_checked_only_when_F_t0_is_finite(self):
         # m(0) = -2/t_1 cancels row 1's own step, 1 + w_11 m(0) = 0, while
         # m(t_1) = 2/t_1 puts the first panel's mass w_10 m(t_1) = 1 on it
-        # when the column folds: only a column with a finite F(t_0) fails
+        # when the sweep folds: only a finite F(t_0) fails
         mesh = graded_mesh(64, 2.0, 1.0)
         gp = np.zeros(65)
         gp[0], gp[1] = -2.0 / mesh.nodes[1], 2.0 / mesh.nodes[1]
@@ -373,11 +372,10 @@ class TestBlockedForwardSubstitution:
         finite, undefined = (
             SampledFunction(mesh=mesh, values=np.r_[v, np.ones(64)]) for v in (1.0, np.nan)
         )
-        [(u, res)] = volterra._forward_sweep(gprime, [undefined], mesh, 0.0)
+        u, res = volterra._forward_sweep(gprime, undefined, mesh, 0.0)
         assert np.all(np.isfinite(u.values[1:])) and res <= 1e-13
-        for Fs in ([finite], [finite, undefined], [undefined, finite]):
-            with pytest.raises(IllConditionedSystemError, match="at node 1:"):
-                volterra._forward_sweep(gprime, Fs, mesh, 0.0)
+        with pytest.raises(IllConditionedSystemError, match="at node 1:"):
+            volterra._forward_sweep(gprime, finite, mesh, 0.0)
 
     def test_ill_conditioned_folded_first_step_names_node_1(self):
         # m = -2/t_1 at t_1 and 0 at every other node: row 1 reads
@@ -391,22 +389,10 @@ class TestBlockedForwardSubstitution:
         finite, undefined = (
             SampledFunction(mesh=mesh, values=np.r_[v, np.ones(64)]) for v in (1.0, np.nan)
         )
-        [(u, res)] = volterra._forward_sweep(gprime, [finite], mesh, 0.0)
+        u, res = volterra._forward_sweep(gprime, finite, mesh, 0.0)
         assert np.all(np.isfinite(u.values)) and res <= 1e-15
-        for Fs in ([undefined], [finite, undefined], [undefined, finite]):
-            with pytest.raises(IllConditionedSystemError, match="at node 1:"):
-                volterra._forward_sweep(gprime, Fs, mesh, 0.0)
-
-
-#: the f(0) of each right-hand side of one shared sweep, for a data shift
-#: of 1e-6; F(t_0) is finite only where f(0) = 0, so in turn only the
-#: second column folds the first panel onto node 1, both fold, or only the
-#: first does
-FOLD_LAYOUTS = {
-    "second-folds": (0.0, 1e-6),
-    "both-fold": (1.0, 1.0 + 1e-6),
-    "first-folds": (-1e-6, 0.0),
-}
+        with pytest.raises(IllConditionedSystemError, match="at node 1:"):
+            volterra._forward_sweep(gprime, undefined, mesh, 0.0)
 
 
 def sweep_oracle(gprime, F, mesh, eps):
@@ -420,7 +406,7 @@ def sweep_oracle(gprime, F, mesh, eps):
     linearly from the first panel for eps = 0. For eps = 0, which
     product_weights refuses, w_i are its formula at beta = 1, the
     trapezoid rule with the same rounding: the far weight w_i0 loses
-    digits to cancellation, and a folded column puts it on u(t_1), its
+    digits to cancellation, and a folded sweep puts it on u(t_1), its
     largest value, so exact weights (h_j + h_(j+1)) / 2 would move a
     folded u by 2.9e-11 relative at N = 600. When F(t_0) is
     undefined, column 0 is folded onto column 1 and u_0 is left out (row 0
@@ -449,23 +435,24 @@ def sweep_oracle(gprime, F, mesh, eps):
 class TestSweepOracle:
     """The blocked sweep against the whole system solved in one piece: on
     80 panels under a 64-entry budget (blocks of one to seven rows), and
-    on 600 panels, where the row floor binds from row 501 on."""
+    on 600 panels, where the row floor binds from row 501 on. F(t_0) is
+    finite for f(0) = 0 and folded otherwise."""
 
     @pytest.mark.parametrize("N", [80, 600])
     @pytest.mark.parametrize("eps", [0.0, 0.25])
-    @pytest.mark.parametrize("layout", list(FOLD_LAYOUTS))
-    def test_matches_the_assembled_system(self, layout, eps, N, request, pair_a):
+    @pytest.mark.parametrize("f0", [0.0, 1e-6, 1.0])
+    def test_matches_the_assembled_system(self, f0, eps, N, request, pair_a):
         if N == 80:
             request.getfixturevalue("small_blocks")
         mesh = graded_mesh(N, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         assert not np.isfinite(gate.gprime.values[0])  # eps = 0 continues m to 0
-        rhs = RhsSpec.from_polynomial([0.0, 1.0])
-        Fs = volterra._assemble_rhs_at(pair_a.K, rhs, mesh, FOLD_LAYOUTS[layout])
-        for F, (u, res) in zip(Fs, volterra._forward_sweep(gate.gprime, Fs, mesh, eps)):
-            want = sweep_oracle(gate.gprime, F, mesh, eps)
-            np.testing.assert_allclose(u.values[1:], want[1:], rtol=1e-13, atol=0.0)
-            assert res <= 1e-13
+        F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 1.0]), mesh)
+        assert np.isfinite(F.values[0]) == (f0 == 0.0)
+        u, res = volterra._forward_sweep(gate.gprime, F, mesh, eps)
+        want = sweep_oracle(gate.gprime, F, mesh, eps)
+        np.testing.assert_allclose(u.values[1:], want[1:], rtol=1e-13, atol=0.0)
+        assert res <= 1e-13
 
 
 def _counting_triangles(monkeypatch):
@@ -484,29 +471,9 @@ def _counting_triangles(monkeypatch):
 
 
 class TestSharedSweep:
-    """One forward sweep over several right-hand sides builds each
-    coefficient block once and gives each column the u and residual of a
-    sweep of its own, bit for bit."""
-
-    @pytest.mark.parametrize("blocks", ["small", "default"])
-    @pytest.mark.parametrize("eps", [0.0, 0.25])
-    @pytest.mark.parametrize("layout", list(FOLD_LAYOUTS))
-    def test_each_column_is_a_separate_solve(self, layout, eps, blocks, request, pair_a):
-        if blocks == "small":
-            request.getfixturevalue("small_blocks")
-        mesh = graded_mesh(80, 2.0, 0.5)
-        gate = _gate_inputs(pair_a, mesh)
-        f0s = FOLD_LAYOUTS[layout]
-        Fs = volterra._assemble_rhs_at(pair_a.K, RhsSpec.from_polynomial([0.0, 1.0]), mesh, f0s)
-        assert [bool(np.isfinite(F.values[0])) for F in Fs] == [c == 0.0 for c in f0s]
-        shared = volterra._forward_sweep(gate.gprime, Fs, mesh, eps)
-        assert len(shared) == 2
-        for F, (u, res) in zip(Fs, shared):
-            [(u_own, res_own)] = volterra._forward_sweep(gate.gprime, [F], mesh, eps)
-            np.testing.assert_array_equal(u.values, u_own.values)
-            np.testing.assert_array_equal(u.values, solve_second_kind(gate.gprime, F, mesh, eps).values)
-            assert res == res_own
-            assert res <= 1e-13
+    """The coefficient triangle of a forward sweep is built only for a
+    mesh that all of its inputs share, and a stability probe builds no
+    other."""
 
     def test_stability_builds_one_triangle(self, monkeypatch, classical_half, pair_a):
         """K * f' of polynomial data is a closed form for the pure-power K,
@@ -519,22 +486,23 @@ class TestSharedSweep:
         stability_report(classical_half, rhs, 1e-6, graded_mesh(256, 2.0, classical_half.b))
         assert opened == [257]
 
-    @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_foreign_mesh_refused_before_any_block(self, position, monkeypatch, pair_a):
-        mesh = graded_mesh(64, 2.0, 0.5)
-        gate = _gate_inputs(pair_a, mesh)
-        Fs = [SampledFunction(mesh=mesh, values=np.ones(65)) for _ in range(3)]
-        Fs[position] = SampledFunction(mesh=graded_mesh(64, 3.0, 0.5), values=np.ones(65))
+    @pytest.mark.parametrize("foreign", ["gprime", "F"])
+    def test_foreign_mesh_refused_before_any_block(self, foreign, monkeypatch):
+        mesh, other = graded_mesh(64, 2.0, 0.5), graded_mesh(64, 3.0, 0.5)
+        gprime = SampledFunction(mesh=other if foreign == "gprime" else mesh, values=np.ones(65))
+        F = SampledFunction(mesh=other if foreign == "F" else mesh, values=np.ones(65))
         opened = _counting_triangles(monkeypatch)
         with pytest.raises(DomainError, match="solve mesh"):
-            volterra._forward_sweep(gate.gprime, Fs, mesh, 0.25)
+            volterra._forward_sweep(gprime, F, mesh, 0.25)
         assert opened == []
 
 
 class TestStabilityWithoutPushBack:
-    @pytest.mark.parametrize("which", ["classical", "variable"])
-    def test_matches_two_solve_reference(self, which, classical_half, pair_a):
-        pair = classical_half if which == "classical" else pair_a
+    def test_classical_matches_two_solve_reference(self, classical_half):
+        """u = F for a classical pair, so the shift is that of two solves,
+        one of f and one of f + delta, to rounding (see
+        test_volterra.py::TestStabilityReport for the variable case)."""
+        pair = classical_half
         mesh = graded_mesh(256, 2.0, pair.b)
         rhs, delta = RhsSpec.from_polynomial([0.0, 1.0]), 1e-6
         gsc = check_gsc(pair, mesh)

@@ -335,20 +335,33 @@ class TestHandBuiltPair:
 
 
 class TestStabilityReport:
-    def test_shares_the_solve_pipeline(self, pair_a, mesh_512_half):
-        """One shared K * f' gives the report of two separate solves of f
-        and f + delta, bit for bit."""
-        delta = 1e-6
-        rhs = RhsSpec.from_polynomial([0.0, 1.0])
-        moved = RhsSpec.from_polynomial([delta, 1.0])
-        report = stability_report(pair_a, rhs, delta, mesh_512_half)
-        gsc = check_gsc(pair_a, mesh_512_half)
-        u = solve_first_kind(pair_a, rhs, mesh_512_half)
-        u_moved = solve_first_kind(pair_a, moved, mesh_512_half)
-        dF = np.max(np.abs(u_moved.F.values[1:] - u.F.values[1:]))
-        assert report.max_shift == np.max(np.abs(u_moved.u.values[1:] - u.u.values[1:]))
-        assert report.bound == math.exp(gsc.gprime_l1) * dF
+    def test_shift_is_the_response_to_delta_K(self, pair_a, mesh_512_half):
+        """u + g' * u = F is linear and the shift moves F by dF = delta K,
+        so the shift is the sweep of delta K alone, bit for bit, and the
+        budget reads max |dF|."""
+        delta, mesh = 1e-6, mesh_512_half
+        report = stability_report(pair_a, RhsSpec.from_polynomial([0.0, 1.0]), delta, mesh)
+        gsc = check_gsc(pair_a, mesh)
+        eps = float(np.clip(gsc.eps_fit.eps, 0.0, sonine.EPS_CLIP_MAX))
+        dF = np.r_[np.nan, delta * pair_a.K.eval(mesh.nodes[1:])]
+        du = solve_second_kind(gsc.gprime, SampledFunction(mesh=mesh, values=dF), mesh, eps)
+        assert report.max_shift == np.max(np.abs(du.values[1:]))
+        assert report.bound == math.exp(gsc.gprime_l1) * np.max(dF[1:])
         assert report.gprime_l1 == gsc.gprime_l1
+
+    def test_shift_does_not_depend_on_f(self, pair_a):
+        """Data with f(0) = 0, with f(0) != 0 and of degree 2 move u alike
+        under f -> f + delta. Two solves, of f and of f + delta, differ
+        here for f = t by 1.05e-3 relative: only the second folds the
+        first panel onto node 1, and that change of discretisation is no
+        response to the data."""
+        mesh = graded_mesh(128, 2.0, pair_a.b)
+        shifts = [
+            stability_report(pair_a, RhsSpec.from_polynomial(coeffs), 1e-6, mesh).max_shift
+            for coeffs in ([0.0, 1.0], [1.0, 0.5], [0.3, -1.0, 2.0])
+        ]
+        assert shifts[1] == pytest.approx(shifts[0], rel=1e-9, abs=0.0)
+        assert shifts[2] == pytest.approx(shifts[0], rel=1e-9, abs=0.0)
 
     def test_sweep_and_budget_clip_eps_alike(self):
         # the budget's L1 norm of g' is valid only for the sweep's own eps
@@ -603,6 +616,21 @@ class TestClassicalSolution:
             )
             f_t = sum(c * t**k for k, c in enumerate(coeffs))
             assert abs(val - f_t) <= 1e-8 * max(1.0, abs(f_t))
+
+    def test_any_degree_against_mpmath(self):
+        """Degree 60 takes k! / Gamma(k + alpha) past gamma's range (50)."""
+        mp = pytest.importorskip("mpmath")
+        alpha, ts = 0.3, [0.2, 0.7, 1.0]
+        for coeffs in ([0.0] * 60 + [1.0], [1.0 / (k + 1) for k in range(61)]):
+            got = classical_solution(alpha, coeffs, np.array(ts))
+            with mp.workdps(40):
+                a = mp.mpf(alpha)
+                for t, g in zip(ts, got):
+                    want = mp.fsum(
+                        mp.mpf(c) * mp.factorial(k) / mp.gamma(k + a) * mp.mpf(t) ** (k + a - 1)
+                        for k, c in enumerate(coeffs)
+                    ) / mp.gamma(1 - a)
+                    assert abs(g - want) <= 1e-13 * abs(want)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -471,9 +471,34 @@ def _counting_triangles(monkeypatch):
 
 
 class TestSharedSweep:
-    """The coefficient triangle of a forward sweep is built only for a
-    mesh that all of its inputs share, and a stability probe builds no
-    other."""
+    """The stability probe's one sweep of delta K is the shift of two
+    solves because the sweep is linear in F; its coefficient triangle is
+    built only for a mesh that all of its inputs share, and the probe
+    builds no other."""
+
+    @pytest.mark.parametrize("blocks", ["small", "default"])
+    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    @pytest.mark.parametrize("f0", [0.0, 1.0], ids=["finite", "folded"])
+    def test_sweep_is_linear_in_F(self, f0, eps, blocks, request, pair_a):
+        """Right-hand sides that agree on whether F(t_0) is defined share
+        one discrete system, so the sweep of F + G is the sum of their
+        sweeps to rounding, and it is solve_second_kind's u bit for bit."""
+        if blocks == "small":
+            request.getfixturevalue("small_blocks")
+        mesh = graded_mesh(80, 2.0, 0.5)
+        gate = _gate_inputs(pair_a, mesh)
+        F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 1.0]), mesh)
+        G = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 0.0, -3.0]), mesh)
+        S = SampledFunction(mesh=mesh, values=F.values + G.values)
+        assert np.isfinite(S.values[0]) == (f0 == 0.0)
+        (uF, _), (uG, _) = (volterra._forward_sweep(gate.gprime, H, mesh, eps) for H in (F, G))
+        uS, res = volterra._forward_sweep(gate.gprime, S, mesh, eps)
+        scale = np.max(np.abs(uS.values[1:]))
+        np.testing.assert_allclose(
+            uS.values[1:], uF.values[1:] + uG.values[1:], rtol=0.0, atol=1e-14 * scale
+        )
+        np.testing.assert_array_equal(uS.values, solve_second_kind(gate.gprime, S, mesh, eps).values)
+        assert res <= 1e-13
 
     def test_stability_builds_one_triangle(self, monkeypatch, classical_half, pair_a):
         """K * f' of polynomial data is a closed form for the pure-power K,
@@ -486,11 +511,12 @@ class TestSharedSweep:
         stability_report(classical_half, rhs, 1e-6, graded_mesh(256, 2.0, classical_half.b))
         assert opened == [257]
 
-    @pytest.mark.parametrize("foreign", ["gprime", "F"])
+    @pytest.mark.parametrize("foreign", ["gprime", "F", "both"])
     def test_foreign_mesh_refused_before_any_block(self, foreign, monkeypatch):
+        # "both": g' and F agree with each other but not with the solve mesh
         mesh, other = graded_mesh(64, 2.0, 0.5), graded_mesh(64, 3.0, 0.5)
-        gprime = SampledFunction(mesh=other if foreign == "gprime" else mesh, values=np.ones(65))
-        F = SampledFunction(mesh=other if foreign == "F" else mesh, values=np.ones(65))
+        gprime = SampledFunction(mesh=other if foreign != "F" else mesh, values=np.ones(65))
+        F = SampledFunction(mesh=other if foreign != "gprime" else mesh, values=np.ones(65))
         opened = _counting_triangles(monkeypatch)
         with pytest.raises(DomainError, match="solve mesh"):
             volterra._forward_sweep(gprime, F, mesh, 0.25)
@@ -498,21 +524,30 @@ class TestSharedSweep:
 
 
 class TestStabilityWithoutPushBack:
-    def test_classical_matches_two_solve_reference(self, classical_half):
-        """u = F for a classical pair, so the shift is that of two solves,
-        one of f and one of f + delta, to rounding (see
-        test_volterra.py::TestStabilityReport for the variable case)."""
-        pair = classical_half
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_matches_two_solve_reference(self, which, classical_half, pair_a):
+        """The report against two solves, one of f and one of f + delta.
+        u = F for a classical pair, so they agree to 1e-12 relative. For
+        the variable pair f(0) = 1, so both solves fold the first panel
+        onto node 1 and differ by the response to delta K alone: they
+        agree to the rounding of their difference, a few ulps of max |u|
+        and max |F| (for f(0) = 0 only the second folds; see
+        test_volterra.py::TestStabilityReport)."""
+        pair, f0 = (classical_half, 0.0) if which == "classical" else (pair_a, 1.0)
         mesh = graded_mesh(256, 2.0, pair.b)
-        rhs, delta = RhsSpec.from_polynomial([0.0, 1.0]), 1e-6
+        rhs, delta = RhsSpec.from_polynomial([f0, 1.0]), 1e-6
         gsc = check_gsc(pair, mesh)
-        shifted = RhsSpec.from_polynomial([delta, 1.0])
+        shifted = RhsSpec.from_polynomial([f0 + delta, 1.0])
         base = solve_first_kind(pair, rhs, mesh)
         moved = solve_first_kind(pair, shifted, mesh)
         max_shift = np.max(np.abs(moved.u.values[1:] - base.u.values[1:]))
-        bound = math.exp(gsc.gprime_l1) * np.max(np.abs(moved.F.values[1:] - base.F.values[1:]))
+        dF = np.max(np.abs(moved.F.values[1:] - base.F.values[1:]))
+        bound = math.exp(gsc.gprime_l1) * dF
+        ulps = 0.0 if which == "classical" else 4 * np.finfo(float).eps
+        u_round = ulps * np.max(np.abs(moved.u.values[1:]))
+        F_round = ulps * np.max(np.abs(moved.F.values[1:])) * math.exp(gsc.gprime_l1)
         got = stability_report(pair, rhs, delta, mesh)
-        assert got.max_shift == pytest.approx(max_shift, rel=1e-12, abs=0.0)
-        assert got.bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+        assert got.max_shift == pytest.approx(max_shift, rel=1e-12, abs=u_round)
+        assert got.bound == pytest.approx(bound, rel=1e-12, abs=F_round)
         assert got.gprime_l1 == gsc.gprime_l1
         assert got.holds == bool(max_shift <= bound * (1.0 + 1e-12))

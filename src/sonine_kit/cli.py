@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -220,13 +221,15 @@ JSON_CHUNK = 512
 _JSON_WORDS = {"nan": "null", "inf": "null", "-inf": "null", "True": "true", "False": "false"}
 
 
-def _json_chunks(record: dict):
+def _json_chunks(record: dict, plain=frozenset()):
     """The text of ``json.dump(record, fh, indent=1, sort_keys=True)`` for
     an object whose fields are Python numbers (bool, int or float, whose
     reprs json writes) or lists of them, with non-finite numbers written
     as null. json.dump's indented output runs its pure-Python encoder one
     token at a time; this joins the values of a list JSON_CHUNK at a time,
-    so a long column is never held as text whole."""
+    so a long column is never held as text whole. The lists named in
+    ``plain`` hold only finite ints and floats, whose reprs are their JSON,
+    and are joined without a per-value lookup."""
     if not record:
         yield "{}"
         return
@@ -243,11 +246,19 @@ def _json_chunks(record: dict):
             continue
         item_sep = "[\n  "
         for i in range(0, len(v), JSON_CHUNK):
-            words = [_JSON_WORDS.get(s, s) for s in map(repr, v[i : i + JSON_CHUNK])]
+            words = map(repr, v[i : i + JSON_CHUNK])
+            if key not in plain:
+                words = [_JSON_WORDS.get(s, s) for s in words]
             yield item_sep + ",\n  ".join(words)
             item_sep = ",\n  "
         yield "\n ]"
     yield "\n}"
+
+
+def _finite_numbers(a: np.ndarray) -> bool:
+    """Whether an array holds only finite ints and floats (not bools,
+    which math.isfinite passes)."""
+    return a.dtype.kind in "iu" or (a.dtype.kind == "f" and bool(np.isfinite(a).all()))
 
 
 def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
@@ -261,7 +272,8 @@ def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
     indents, and non-finite numbers written as null.
     """
     path = cfg.out_path or f"{cfg.command}.{cfg.out_format}"
-    table = {name: np.asarray(v).tolist() for name, v in columns.items()}
+    arrays = {name: np.asarray(v) for name, v in columns.items()}
+    table = {name: a.tolist() for name, a in arrays.items()}
     with open(path, "w", newline="") as fh:
         if cfg.out_format == "csv":
             lines = [",".join(table)]
@@ -269,7 +281,8 @@ def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
             fh.write("\n".join(lines) + "\n")
         else:
             fields = {k: np.asarray(v).tolist() for k, v in extra.items()}
-            fh.writelines(_json_chunks({**table, **fields}))
+            plain = {name for name, a in arrays.items() if _finite_numbers(a)}
+            fh.writelines(_json_chunks({**table, **fields}, plain))
             fh.write("\n")
     return path
 
@@ -396,7 +409,10 @@ def run(cfg: JobConfig) -> int:
     return 0 if ok else 2
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the
+    process: building it costs five times what parsing does."""
     parser = argparse.ArgumentParser(
         prog="sonine-kit",
         description="Generalized Sonine condition analysis and first-kind "
@@ -408,8 +424,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--format", choices=("csv", "json"), help="output format (overrides config)"
     )
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, but this tool reserves 2 for
         # tolerance failures: usage problems are plain errors

@@ -70,13 +70,13 @@ TRIANGLE_MIN_ROWS = 16
 #: O(N * #exp), instead of the dense O(N^2) triangle. One convolution of
 #: cos 7t + t on an r=2 mesh of (0, 0.5], kernel exponents 0.3, 0.5 and
 #: 0.7, best of 30, single-threaded BLAS on a 2-vCPU x86-64 host, dense
-#: against SOE: 0.66-0.73 against 0.93-1.00 ms at N=256, 0.94-1.02
-#: against 1.08-1.16 ms at 320, 1.23-1.28 against 1.27-1.34 ms at 384,
-#: 1.55-1.57 against 1.39-1.44 ms at 448, 1.94-1.99 against 1.56-1.58 ms
-#: at 512 and 2.70-2.85 against 1.82-1.93 ms at 640. Repeats on the same
-#: host put the crossover between 416 and 448; the triangle's row floor
-#: does not bind below row 501.
-SOE_MIN_N = 448
+#: against SOE: 0.70-0.73 against 0.83-0.89 ms at N=256, 0.97-1.20
+#: against 0.96-1.23 ms at 320, 1.04-1.32 against 0.96-1.25 ms at 336,
+#: 1.11-1.13 against 1.01-1.03 ms at 352, 1.26-1.29 against 1.03-1.04 ms
+#: at 384 and 2.08-2.39 against 1.26-1.60 ms at 512. Four runs on the same
+#: host put the crossover between 320 and 384 (a tie at 352 while the host
+#: was busy); the triangle's row floor does not bind below row 501.
+SOE_MIN_N = 352
 
 #: Chebyshev-Lobatto points in s = ln t at which :func:`_in_log_t` samples
 #: a mesh-wide g or t g'; meshes of fewer than 4 * LOG_T_POINTS interior
@@ -110,9 +110,32 @@ SOE_GAUSS_NODES = 16
 #: taken from its Taylor series, since the closed form cancels
 SOE_SERIES_Z = 0.25
 
-#: Taylor coefficients (-1)^k (k + 1) / (k + 2)! of that moment, highest
-#: first for Horner; twelve terms leave 1e-17 relative at SOE_SERIES_Z
-_SERIES = np.array([(-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(12)])[::-1]
+#: Taylor coefficients -(k + 1) / (k + 2)! of minus that moment in powers
+#: of -z, highest first for Horner; twelve terms leave 1e-17 relative at
+#: SOE_SERIES_Z
+_SERIES = np.array([-(k + 1) / math.factorial(k + 2) for k in range(12)])[::-1]
+
+#: row streams that :func:`_history_sums` advances together, one row of
+#: each per Python step. More streams mean fewer steps on wider arrays but
+#: more rows whose history is carried from their stream's anchor in closed
+#: form. Best / median ms of eleven interleaved runs of one call, exponent
+#: 0.5, phi = cos 7t + t, r = 2 on (0, 0.5], on a shared 2-vCPU x86-64
+#: host; 1 is the one-row-per-step recurrence. 8 to 16 tie within 2%, as
+#: in an earlier, noisier set; 16 is the count the benchmark ran:
+#:
+#:     streams     1          4          8          12         16         32
+#:     N = 448     1.33/1.37  1.08/1.10  1.07/1.10  1.11/1.14  1.10/1.12  1.31/1.34
+#:     N = 1024    2.71/2.82  2.04/2.13  2.04/2.09  2.08/2.13  2.09/2.17  2.25/2.29
+#:     N = 2048    5.33/5.53  3.80/4.00  3.77/3.90  3.89/4.02  3.84/3.98  3.94/4.09
+#:     N = 4096    10.5/10.5  7.35/7.48  7.02/7.17  7.09/7.23  7.19/7.27  8.05/8.23
+#:     N = 8192    21.1/21.3  14.4/14.5  13.6/13.8  14.3/14.4  13.4/13.7  14.6/14.9
+SOE_STREAMS = 16
+
+#: an exponential e^(-lambda t) with lambda t above this is below 4.3e-18
+#: and counts as decayed: :func:`_soe` stops at lambda = SOE_DECAYED / h_min,
+#: and :func:`_history_sums` carries a stream's anchor state to a row only
+#: through the exponentials with lambda (t_k - t_a) at most this
+SOE_DECAYED = 40.0
 
 
 def _moments(
@@ -254,7 +277,7 @@ def _soe(gamma: float, h_min: float, T: float) -> tuple[np.ndarray, np.ndarray]:
     measure, from Lanczos on diag(lambda) and the eigenvalues of its
     Jacobi matrix. Exponents ascend and every weight is positive.
     """
-    x_hi = math.log(40.0 / h_min)
+    x_hi = math.log(SOE_DECAYED / h_min)
     n = math.ceil((x_hi - math.log(SOE_TAIL / T)) / SOE_STEP)
     x = x_hi - SOE_STEP * np.arange(n, -1, -1)
     lam = np.exp(x)
@@ -299,8 +322,21 @@ def _history_sums(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray
     integral, exact for linear phi: h_i (g0(z) phi_i + g1(z) (phi_(i-1) -
     phi_i)) with g0 = (1 - e^-z)/z and g1 = (1 - e^-z (1 + z))/z^2. The
     decay is applied as S + expm1(-z) S, so its rounding does not compound
-    over the rows of a uniform mesh. Rows go in blocks of BLOCK_ENTRIES
-    entries in one scratch array, so memory stays flat at any N.
+    over the rows of a uniform mesh.
+
+    Rows 1..N are cut into SOE_STREAMS contiguous streams of L =
+    ceil(N / SOE_STREAMS) rows. Each stream starts from a zero state at
+    its anchor row a, the row before its first, and one Python step
+    advances every stream by one row: L steps, not N. The last stream
+    runs on past row N over copies of row N; those rows are dropped, and
+    no stream starts from the last one's state. Then the true state at
+    each anchor follows from the one before in closed form, S(a') =
+    S_local(a') + e^(-lambda (t_a' - t_a)) S(a), and each row k of a
+    stream gets sum_l w_l e^(-lambda_l (t_k - t_a)) S_l(a) over the
+    exponentials with lambda_l (t_k - t_a) <= SOE_DECAYED. Rows go in
+    blocks of BLOCK_ENTRIES entries in one scratch array, so memory stays
+    flat at any N. With one stream this is the row-by-row recurrence, bit
+    for bit.
     """
     h = np.diff(nodes)
     n = len(nodes)
@@ -311,42 +347,72 @@ def _history_sums(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray
     last[:, 0] = h
     last = _moments(last, h[:, None], beta, "right")
     out[1:] = last[:, 0] * phi[:-1] + last[:, 1] * phi[1:]
-    S = np.zeros(n_exp)
-    rows = max(1, BLOCK_ENTRIES // n_exp)
-    work = np.empty((5, rows * n_exp))
+    L = -(-(n - 1) // SOE_STREAMS)
+    G = -(-(n - 1) // L)  # no stream is all padding
+    pad = G * L - (n - 1)
+
+    def streamed(v):
+        """Per-row values as (step, stream), row N repeated to fill."""
+        return np.pad(v, (0, pad), mode="edge").reshape(G, L).T
+
+    h_s, phi_s, dphi_s = streamed(h), streamed(phi[1:]), streamed(phi[1:] - phi[:-1])
+    hist = np.empty(L * G)  # e^(-z) S @ w, step by step
+    S = np.zeros((G, n_exp))
+    steps = max(1, BLOCK_ENTRIES // (G * n_exp))
+    work = np.empty((4, steps * G * n_exp))
     mul, add = np.multiply, np.add
-    for i0 in range(1, n, rows):
-        i1 = min(n, i0 + rows)
-        z, em1, P, g1 = (_view(row, (i1 - i0, n_exp)) for row in work[:4])
-        h_b = h[i0 - 1 : i1 - 1, None]
-        np.multiply(h_b, lam, out=z)
-        np.negative(z, out=em1)
-        np.expm1(em1, out=em1)
-        np.divide(em1, z, out=P)
-        np.negative(P, out=P)  # g0
+    for j0 in range(0, L, steps):
+        j1 = min(L, j0 + steps)
+        x, em1, P, g1 = (_view(row, (j1 - j0, G, n_exp)) for row in work)
+        h_b = h_s[j0:j1, :, None]
+        np.multiply(h_b, -lam, out=x)  # -z
+        np.expm1(x, out=em1)
+        np.divide(em1, x, out=P)  # g0
         np.subtract(P, 1.0, out=g1)
         g1 -= em1
-        g1 /= z
-        # the entries with z < SOE_SERIES_Z lie in the first c columns,
-        # since the exponents ascend
-        c = int(np.searchsorted(lam, SOE_SERIES_Z / h_b.min()))
-        if c:
-            zs, acc = z[:, :c], _view(work[4], (i1 - i0, c))
-            acc[...] = _SERIES[0]
-            for coef in _SERIES[1:]:
-                acc *= zs
-                acc += coef
-            np.copyto(g1[:, :c], acc, where=zs < SOE_SERIES_Z)
-        P *= phi[i0:i1, None]
-        g1 *= (phi[i0 - 1 : i1 - 1] - phi[i0:i1])[:, None]
+        g1 /= x  # -g1
+        # a row's z below SOE_SERIES_Z fill its first columns, but how
+        # many differs from stream to stream
+        series = x > -SOE_SERIES_Z
+        xs = x[series]
+        acc = xs * _SERIES[0]
+        for coef in _SERIES[1:-1]:
+            acc += coef
+            acc *= xs
+        acc += _SERIES[-1]
+        g1[series] = acc
+        P *= phi_s[j0:j1, :, None]
+        g1 *= dphi_s[j0:j1, :, None]
         P += g1
         P *= h_b
-        H = g1  # H[i - i0] = e^(-z_i) S(i-1), the history seen from t_i
-        for e, row, p in zip(em1, H, P):  # the one O(N) Python loop
+        H = g1  # H[j - j0] = e^(-z) S, the history seen from each stream's row
+        for e, row, p in zip(em1, H, P):  # L steps in all
             mul(e, S, row)
             add(row, S, row)
             add(row, p, S)
-        out[i0:i1] += H @ w
+        np.matmul(H.reshape(-1, n_exp), w, out=hist[j0 * G : j1 * G])
+    out[1:] += hist.reshape(L, G).T.ravel()[: n - 1]
+    # S[g] becomes the true state at the anchor of stream g + 1
+    anchors = nodes[::L]
+    for g in range(1, G - 1):
+        S[g] += S[g - 1]
+        S[g] += np.expm1(-lam * (anchors[g + 1] - anchors[g])) * S[g - 1]
+    room = work.shape[1]
+    for g in range(1, G):
+        a = g * L
+        lag = nodes[a + 1 : a + L + 1] - nodes[a]
+        ws = w * S[g - 1]
+        i = 0
+        while i < len(lag):
+            # lambda ascends and the lag grows down the stream, so the
+            # block's first row keeps the most exponentials
+            c = int(np.searchsorted(lam, SOE_DECAYED / lag[i], side="right"))
+            i1 = min(len(lag), i + room // c)
+            E = _view(work[0], (i1 - i, c))
+            np.multiply(lag[i:i1, None], -lam[:c], out=E)
+            np.exp(E, out=E)
+            out[a + 1 + i : a + 1 + i1] += E @ ws[:c]
+            i = i1
     return out
 
 
@@ -515,8 +581,9 @@ def convolve_weakly_singular(
     kernel instead. The value at t_0 is set to 0.
 
     A pure-power kernel (:attr:`KernelSpec.power_coef` set) on SOE_MIN_N
-    or more panels takes :func:`_history_sums`, in O(N * #exp);
-    everything else runs the dense triangle of :func:`_triangle_blocks`.
+    or more panels takes :func:`_history_sums`: O(N * #exp) work in
+    ceil(N / SOE_STREAMS) Python steps, not one per row. Everything else
+    runs the dense triangle of :func:`_triangle_blocks`.
     """
     if not phi.mesh.same_nodes(mesh):
         raise DomainError("phi is sampled on a different mesh")

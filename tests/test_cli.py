@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -167,9 +168,9 @@ class TestEmission:
     def test_json_writer_is_json_dump(self, tmp_path, monkeypatch, chunk):
         """The JSON table is json.dump(record, indent=1, sort_keys=True) byte
         for byte, with non-finite numbers as null, for non-finite values, an
-        empty column, an int column, bool and float extras, and keys whose
-        sorted order is not their insertion order; also when a column spans
-        several chunks."""
+        empty column, an int column, an all-finite float column, a bool
+        column, bool and float extras, and keys whose sorted order is not
+        their insertion order; also when a column spans several chunks."""
         monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
         out = tmp_path / "t.json"
         doc = _doc("verify-pair", output={"path": str(out), "format": "json"})
@@ -179,6 +180,9 @@ class TestEmission:
             "g": np.array([np.nan, np.inf, -np.inf, 1.5, 2.0]),
             "empty": [],
             "N": [32, 64, 128, 256, 512],
+            # finite floats across several chunks, joined without lookups
+            "u": np.linspace(-1.0, 1.0, 7) ** 3 * 1e-17,
+            "flags": np.array([True, False, True]),
         }
         extra = {"z_flag": True, "a_flag": False, "m": np.float64(-np.inf), "b": np.float64(0.1)}
         cli._emit(cfg, columns, extra)
@@ -470,6 +474,27 @@ class TestCliErrors:
         assert main(["frobnicate", "--config", "x.json"]) == 1
         assert main(["solve"]) == 1
         capsys.readouterr()
+
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        """Every main() call parses with the one parser of the process, and
+        a usage error or --help does not spoil it for the next call."""
+        cfg_path = _write(tmp_path, _doc("verify-pair", N=64))
+        run = ["verify-pair", "--config", cfg_path, "--out", str(tmp_path / "v.csv")]
+        assert main(run) == 0
+        built = []
+
+        class CountingParser(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(argparse, "ArgumentParser", CountingParser)
+        assert main(["solve"]) == 1
+        assert main(["--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+        assert main(["verify-pair", "--config", cfg_path, "--format", "xml"]) == 1
+        assert main(run) == 0
+        assert built == []
 
 
 def _child_env():

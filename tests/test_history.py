@@ -3,9 +3,11 @@ triangle.
 
 A pure-power kernel on SOE_MIN_N or more panels is convolved by
 :func:`quadrature._history_sums`: the last panel exactly, the history
-[0, t_(i-1)] through a sum of exponentials of the kernel. The dense rows
-of ``_triangle_blocks`` (equal to ``product_weights`` bit for bit) are
-the oracle; every other kernel and mesh size must still take the dense
+[0, t_(i-1)] through a sum of exponentials of the kernel, stepped over
+SOE_STREAMS row streams at once. The dense rows of ``_triangle_blocks``
+(equal to ``product_weights`` bit for bit) are the oracle, and the same
+recurrence run as one stream, row by row, is the reference for the
+streams; every other kernel and mesh size must still take the dense
 path, bit for bit.
 """
 
@@ -30,7 +32,8 @@ from sonine_kit import (
     product_weights,
     solve_first_kind,
 )
-from sonine_kit.quadrature import SOE_MIN_N, _soe, _triangle_blocks
+from sonine_kit import quadrature
+from sonine_kit.quadrature import SOE_MIN_N, SOE_STREAMS, _history_sums, _soe, _triangle_blocks
 
 B = 0.5
 COEF = 1.3
@@ -123,6 +126,18 @@ class TestHistorySums:
         exact = classical_solution(0.4, coeffs, mesh.nodes[late])
         assert np.max(np.abs(report.u.values[late] / exact - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("gamma", EXPONENTS)
+    def test_streams_do_not_drift_on_a_uniform_mesh(self, gamma, oracle):
+        """phi = 1 on a uniform mesh, where every row decays by the same
+        factor: the streams stay at rounding level of the dense triangle
+        (4.6e-15 of the column maximum at most), while one stream of 8192
+        rows drifts to 5.9e-14."""
+        N = 8192
+        mesh = graded_mesh(N, 1.0, B)
+        rows, want = oracle[N, 1.0, gamma]
+        got = COEF * _history_sums(mesh.nodes, 1.0 - gamma, np.ones(N + 1))[rows]
+        assert np.max(np.abs(got - want[:, 0])) <= 1e-14 * np.max(np.abs(want[:, 0]))
+
     def test_memory_stays_flat(self):
         """No N x #exp array: the rows go in blocks of one scratch array."""
         N = 8192
@@ -137,6 +152,42 @@ class TestHistorySums:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 8 * (N + 1) * n_exp
+
+
+def first_stream_only(t):
+    """A phi that is 0 from the end of the first stream's panels on, so
+    every later stream sees it only through the carried anchor states."""
+    L = -(-(len(t) - 1) // SOE_STREAMS)
+    return np.where(np.arange(len(t)) < L, np.cos(7.0 * t) + 1.0, 0.0)
+
+
+class TestStreams:
+    """The streamed recurrence against itself run as one stream, row by
+    row. phi = 1 is left to the dense oracle above: on a uniform mesh the
+    one stream drifts from the triangle by 5.9e-14 of the column maximum
+    where the streams stay within 4.6e-15."""
+
+    @pytest.mark.parametrize("r", GRADINGS)
+    @pytest.mark.parametrize("N", [SOE_MIN_N, SOE_MIN_N + 1, 8192])
+    def test_matches_one_stream(self, N, r, monkeypatch):
+        """SOE_MIN_N + 1 rows leave the last stream short, and run it on
+        past row N."""
+        t = graded_mesh(N, r, B).nodes
+        phis = {"t": t, "cos 7t + t": np.cos(7.0 * t) + t, "first stream": first_stream_only(t)}
+        L = -(-N // SOE_STREAMS)
+        last = slice((SOE_STREAMS - 1) * L + 1, N + 1)  # the last stream's rows
+        for gamma in EXPONENTS:
+            got = {name: _history_sums(t, 1.0 - gamma, phi) for name, phi in phis.items()}
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "SOE_STREAMS", 1)
+                want = {name: _history_sums(t, 1.0 - gamma, phi) for name, phi in phis.items()}
+            for name in phis:
+                err = np.abs(got[name] - want[name])
+                assert np.max(err) <= 1e-14 * np.max(np.abs(want[name])), (gamma, name)
+            # the carry reaches the last stream, where phi has long been 0
+            tail_got, tail_want = got["first stream"][last], want["first stream"][last]
+            assert tail_want.min() > 0.0
+            assert np.max(np.abs(tail_got - tail_want)) <= 1e-14 * tail_want.max()
 
 
 def hand_built_power(coef, gamma):

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -221,18 +222,26 @@ JSON_CHUNK = 512
 _JSON_WORDS = {"nan": "null", "inf": "null", "-inf": "null", "True": "true", "False": "false"}
 
 
-def _json_chunks(record: dict, plain=frozenset()):
+def _json_chunks(record: dict, plain=frozenset(), twin=None):
     """The text of ``json.dump(record, fh, indent=1, sort_keys=True)`` for
     an object whose fields are Python numbers (bool, int or float, whose
     reprs json writes) or lists of them, with non-finite numbers written
     as null. json.dump's indented output runs its pure-Python encoder one
     token at a time; this joins the values of a list JSON_CHUNK at a time,
-    so a long column is never held as text whole. The lists named in
-    ``plain`` hold only finite ints and floats, whose reprs are their JSON,
-    and are joined without a per-value lookup."""
+    so a long column is not held as text whole, unless it has a twin. The
+    lists named in ``plain`` hold only finite ints and floats, whose reprs
+    are their JSON, and are joined without a per-value lookup.
+
+    ``twin`` maps a list's key to the key of a list with the same text
+    (see :func:`_twins`). Each such group is formatted once: the chunk
+    texts of its first key in sorted order are held until its last key is
+    written, about 90 KB for a column of 4096 floats."""
     if not record:
         yield "{}"
         return
+    twin = twin or {}
+    left = Counter(twin.get(key, key) for key in record)
+    held = {}
     sep = "{\n "
     for key in sorted(record):
         v = record[key]
@@ -244,21 +253,48 @@ def _json_chunks(record: dict, plain=frozenset()):
         if not v:
             yield "[]"
             continue
-        item_sep = "[\n  "
-        for i in range(0, len(v), JSON_CHUNK):
-            words = map(repr, v[i : i + JSON_CHUNK])
-            if key not in plain:
-                words = [_JSON_WORDS.get(s, s) for s in words]
-            yield item_sep + ",\n  ".join(words)
-            item_sep = ",\n  "
+        first = twin.get(key, key)
+        left[first] -= 1
+        texts = held.pop(first, None) or _list_chunks(v, key in plain)
+        if left[first]:
+            texts = held[first] = list(texts)
+        yield from texts
         yield "\n ]"
     yield "\n}"
+
+
+def _list_chunks(values: list, plain: bool):
+    """The JSON text of a nonempty list, up to its closing bracket, one
+    JSON_CHUNK of values per piece."""
+    item_sep = "[\n  "
+    for i in range(0, len(values), JSON_CHUNK):
+        words = map(repr, values[i : i + JSON_CHUNK])
+        if not plain:
+            words = [_JSON_WORDS.get(s, s) for s in words]
+        yield item_sep + ",\n  ".join(words)
+        item_sep = ",\n  "
 
 
 def _finite_numbers(a: np.ndarray) -> bool:
     """Whether an array holds only finite ints and floats (not bools,
     which math.isfinite passes)."""
     return a.dtype.kind in "iu" or (a.dtype.kind == "f" and bool(np.isfinite(a).all()))
+
+
+def _twins(arrays: dict) -> dict:
+    """Each column equal in bits to an earlier one (same dtype, shape and
+    bytes), mapped to the first such column's name. Equal values are not
+    enough: 0.0 and -0.0, or 1 and 1.0, are written differently."""
+    twin, firsts = {}, []
+    for name, a in arrays.items():
+        for first in firsts:
+            b = arrays[first]
+            if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+                twin[name] = first
+                break
+        else:
+            firsts.append(name)
+    return twin
 
 
 def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
@@ -269,20 +305,28 @@ def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
     stay integers. CSV is a header row and one row of 17-digit values per
     entry. JSON is one object holding the columns as lists and ``extra``'s
     fields, with sorted keys, indented as ``json.dump(..., indent=1)``
-    indents, and non-finite numbers written as null.
+    indents, and non-finite numbers written as null. A column equal in
+    bits to an earlier one (a classical solve's u and F) is converted and
+    formatted once, and its text written for both.
     """
     path = cfg.out_path or f"{cfg.command}.{cfg.out_format}"
     arrays = {name: np.asarray(v) for name, v in columns.items()}
-    table = {name: a.tolist() for name, a in arrays.items()}
+    twin = _twins(arrays)
+    table = {}
+    for name, a in arrays.items():
+        table[name] = table[twin[name]] if name in twin else a.tolist()
     with open(path, "w", newline="") as fh:
         if cfg.out_format == "csv":
+            texts = {}
+            for name, values in table.items():
+                texts[name] = texts[twin[name]] if name in twin else list(map(_fmt, values))
             lines = [",".join(table)]
-            lines += [",".join(map(_fmt, row)) for row in zip(*table.values())]
+            lines += map(",".join, zip(*texts.values()))
             fh.write("\n".join(lines) + "\n")
         else:
             fields = {k: np.asarray(v).tolist() for k, v in extra.items()}
             plain = {name for name, a in arrays.items() if _finite_numbers(a)}
-            fh.writelines(_json_chunks({**table, **fields}, plain))
+            fh.writelines(_json_chunks({**table, **fields}, plain, twin))
             fh.write("\n")
     return path
 
@@ -435,8 +479,12 @@ def main(argv=None) -> int:
         # tolerance failures: usage problems are plain errors
         return 0 if exc.code == 0 else 1
     try:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise DomainError(f"config is not valid UTF-8: {exc}") from exc
+        cfg = parse_config(text)
         if cfg.command != args.command:
             raise DomainError(
                 f"config field 'command': {cfg.command!r} does not match the "

@@ -50,6 +50,37 @@ def _write(tmp_path, doc, name="job.json"):
 VARIABLE_KERNEL = {"kind": "variable", "a0": 0.5, "a1": 0.2, "b": 0.5}
 
 
+def _json_dump_text(columns: dict, extra: dict) -> str:
+    """What json.dump writes for a table, non-finite numbers as null."""
+    record = {
+        k: [x if math.isfinite(x) else None for x in np.asarray(v).tolist()]
+        for k, v in columns.items()
+    }
+    record.update((k, v if math.isfinite(v) else None) for k, v in extra.items())
+    return json.dumps(record, indent=1, sort_keys=True) + "\n"
+
+
+def _twin_columns() -> dict:
+    """A table whose twin columns sort before and after each other, and
+    apart; and columns of equal values that must not share text."""
+    x = np.linspace(0.1, 1.0, 5) ** 3
+    return {
+        "u": x,
+        "t": x * x,
+        "F": x.copy(),  # twin of u, written first, with t and others between
+        "a": x / 3.0,
+        "b": x / 3.0,  # twin of a, adjacent
+        "zero": np.zeros(5),
+        "negzero": -np.zeros(5),  # equal to zero, not its bits
+        "ints": np.arange(5),
+        "floats": np.arange(5.0),  # equal to ints, not its dtype
+        "c": x / 3.0,  # third of a group, after b and apart from it
+        "nan": np.array([np.nan, 1.0, np.inf, -0.5, 2.0]),
+        "nan_twin": np.array([np.nan, 1.0, np.inf, -0.5, 2.0]),
+        "finite": np.array([0.0, 1.0, 1e300, -0.5, 2.0]),
+    }
+
+
 class TestParseConfig:
     def test_minimal_document_defaults(self):
         cfg = parse_config(
@@ -186,11 +217,59 @@ class TestEmission:
         }
         extra = {"z_flag": True, "a_flag": False, "m": np.float64(-np.inf), "b": np.float64(0.1)}
         cli._emit(cfg, columns, extra)
-        record = {k: [x if math.isfinite(x) else None for x in np.asarray(v).tolist()] for k, v in columns.items()}
-        record.update((k, v if math.isfinite(v) else None) for k, v in extra.items())
-        expected = json.dumps(record, indent=1, sort_keys=True) + "\n"
+        expected = _json_dump_text(columns, extra)
         assert out.read_text() == expected
         assert '"N": [\n  32,' in expected and '"empty": []' in expected
+
+    @pytest.mark.parametrize("chunk", [2, 512])
+    def test_twin_columns_json(self, tmp_path, monkeypatch, chunk):
+        """Columns equal in bits share their text in any sorted order, and
+        columns of equal values but other bits or dtype do not: the table is
+        still json.dump's."""
+        monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+        out = tmp_path / "t.json"
+        cfg = parse_config(json.dumps(_doc("solve", output={"path": str(out), "format": "json"})))
+        columns, extra = _twin_columns(), {"gprime_l1": 0.0}
+        cli._emit(cfg, columns, extra)
+        assert out.read_text() == _json_dump_text(columns, extra)
+
+    def test_twin_columns_csv(self, tmp_path):
+        """The CSV table is the per-row formatting of every value, twins or
+        not."""
+        out = tmp_path / "t.csv"
+        cfg = parse_config(json.dumps(_doc("solve", output={"path": str(out), "format": "csv"})))
+        columns = _twin_columns()
+        cli._emit(cfg, columns, {})
+        rows = zip(*(np.asarray(v).tolist() for v in columns.values()))
+        lines = [",".join(columns)]
+        lines += [",".join("{:.17g}".format(float(x)) for x in row) for row in rows]
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    def test_twins_are_equal_bits(self):
+        twins = cli._twins({k: np.asarray(v) for k, v in _twin_columns().items()})
+        assert twins == {"F": "u", "b": "a", "c": "a", "nan_twin": "nan"}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_twin_column_is_formatted_once(self, tmp_path, monkeypatch, fmt):
+        """A classical solve's u and F are one array's bits: each value of
+        the pair is formatted once, where distinct columns take one call per
+        value each."""
+        calls = []
+        name, fn = ("repr", repr) if fmt == "json" else ("_fmt", cli._fmt)
+
+        def counting(x):
+            calls.append(x)
+            return fn(x)
+
+        monkeypatch.setattr(cli, name, counting, raising=False)
+        out = tmp_path / f"t.{fmt}"
+        cfg = parse_config(json.dumps(_doc("solve", output={"path": str(out), "format": fmt})))
+        x = np.linspace(0.1, 1.0, 7)
+        cli._emit(cfg, {"t": x * x, "u": x, "F": x.copy()}, {})
+        assert len(calls) == 2 * len(x)
+        calls.clear()
+        cli._emit(cfg, {"t": x * x, "u": x, "F": -x}, {})
+        assert len(calls) == 3 * len(x)
 
     def test_default_output_path_is_command_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -448,6 +527,13 @@ class TestCliErrors:
         p.write_text("{oops")
         assert main(["solve", "--config", str(p)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe")
+        assert main(["solve", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid UTF-8") and err.count("\n") == 1
 
     def test_command_mismatch(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, _doc("solve"))

@@ -175,6 +175,24 @@ class TestSolveFirstKind:
         assert np.isnan(report.u.values[0])
         assert math.isfinite(report.residual_first_kind)
 
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [1.0, 1.0]])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_classical_u_is_F_bit_for_bit(self, alpha, coeffs):
+        """g' = 0 for a classical pair, so the sweep returns F as u, bit for
+        bit: the folded f = 1 + t too, whose F(t_0) is NaN. The CLI's writer
+        formats such twin columns once."""
+        mesh = graded_mesh(256, 2.0, 0.5)
+        pair = make_classical_abel_pair(alpha, 0.5)
+        report = solve_first_kind(pair, RhsSpec.from_polynomial(coeffs), mesh)
+        u, F = report.u.values, report.F.values
+        assert u.dtype == F.dtype and u.shape == F.shape
+        assert u.tobytes() == F.tobytes()
+        assert np.isnan(F[0]) == bool(coeffs[0])
+
+    def test_variable_u_differs_from_F(self, pair_a, mesh_512_half):
+        report = solve_first_kind(pair_a, RhsSpec.from_polynomial([0.0, 1.0]), mesh_512_half)
+        assert report.u.values.tobytes() != report.F.values.tobytes()
+
     def test_variable_profile_residual(self, pair_a):
         mesh = graded_mesh(1024, 2.0, 0.5)
         report = solve_first_kind(pair_a, RhsSpec.from_polynomial([0.0, 1.0]), mesh)

@@ -13,6 +13,10 @@ __all__ = ["Mesh", "SampledFunction", "graded_mesh", "default_grading"]
 #: hardest grading we ever apply; steeper meshes trade accuracy for roundoff
 MAX_GRADING = 4.0
 
+#: largest endpoint b whose square is finite: product weights at beta = 1 (as
+#: for the L1 norm of a bounded g') form d^2 for distances d up to b
+MAX_ENDPOINT = float(np.sqrt(np.finfo(float).max))
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -22,18 +26,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class Mesh:
-    """Nodes 0 = t_0 < t_1 < ... < t_N = b with t_j = b (j/N)^r.
+    """Nodes 0 = t_0 < t_1 < ... < t_N = b of :func:`graded_mesh`.
 
     Instances are immutable; ``nodes`` is a read-only array.
     """
 
     nodes: np.ndarray
-    r: float
-    b: float
 
     @property
     def N(self) -> int:
         return len(self.nodes) - 1
+
+    @property
+    def b(self) -> float:
+        return float(self.nodes[-1])
 
     def same_nodes(self, other: "Mesh") -> bool:
         return self.nodes.shape == other.nodes.shape and bool(
@@ -54,7 +60,8 @@ def graded_mesh(N: int, r: float, b: float) -> Mesh:
         grading so steep that t_1 = b N^-r underflows, leaving nodes that
         are not strictly increasing, raises :class:`DomainError`.
     b : float
-        Right endpoint of the interval, positive.
+        Right endpoint of the interval, positive and at most
+        ``MAX_ENDPOINT`` (about 1.34e154), past which b^2 overflows.
     """
     if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
         raise DomainError(f"N must be an integer, got {N!r}")
@@ -62,8 +69,8 @@ def graded_mesh(N: int, r: float, b: float) -> Mesh:
         raise DomainError(f"N must be at least 2, got {N}")
     if not np.isfinite(r) or r < 1.0:
         raise DomainError(f"grading exponent r must satisfy r >= 1, got {r!r}")
-    if not np.isfinite(b) or b <= 0.0:
-        raise DomainError(f"endpoint b must be positive and finite, got {b!r}")
+    if not 0.0 < b <= MAX_ENDPOINT:  # NaN fails both
+        raise DomainError(f"endpoint b must lie in (0, {MAX_ENDPOINT!r}] (b^2 finite), got {b!r}")
     j = np.arange(N + 1, dtype=float)
     nodes = b * (j / N) ** float(r)
     nodes[0] = 0.0
@@ -73,7 +80,7 @@ def graded_mesh(N: int, r: float, b: float) -> Mesh:
             f"graded mesh with N={N}, r={r!r} has nodes that are not strictly "
             f"increasing: t_1 = b N^-r = {float(nodes[1])!r} underflows; lower r or N"
         )
-    return Mesh(nodes=_readonly(nodes), r=float(r), b=float(b))
+    return Mesh(nodes=_readonly(nodes))
 
 
 def default_grading(*sing_exponents: float) -> float:

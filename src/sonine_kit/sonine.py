@@ -181,7 +181,8 @@ def compute_g_substituted(pair: SoninePair, t, M: int = REF_PANELS):
     small, well-behaved correction K * t^(-alpha0) (E - 1) alone.
 
     ``t`` may be a scalar or an array inside (0, b]; the result matches
-    its shape.
+    its shape. ``M`` defaults to REF_PANELS, not a mesh's min(N/2, 256):
+    below N = 512 these values differ from :func:`check_gsc`'s.
     """
     _, alpha0 = _substituted_route(pair, required=True)
     _check_panels(M)
@@ -194,9 +195,7 @@ def compute_g_substituted(pair: SoninePair, t, M: int = REF_PANELS):
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
-def compute_g(
-    pair: SoninePair, mesh: Mesh, M: int | None = None
-) -> tuple[SampledFunction, float]:
+def compute_g(pair: SoninePair, mesh: Mesh) -> tuple[SampledFunction, float]:
     """g = K * k at the interior mesh nodes, and ``route_diff``.
 
     g is :func:`convolve_pair`'s, minus the classical defect delta where
@@ -205,10 +204,10 @@ def compute_g(
     route_diff is |delta| on the substituted route and NaN elsewhere. On
     that route the rule runs at the quadrature's Chebyshev points in ln t
     and is interpolated to the mesh, where the interpolant resolves it
-    (see :func:`sonine_kit.quadrature._in_log_t`). ``M`` panels per half,
-    by default the quadrature's. g(t_0) is NaN.
+    (see :func:`sonine_kit.quadrature._in_log_t`). The mesh fixes the
+    panel count, as in :func:`convolve_pair`. g(t_0) is NaN.
     """
-    M = _pair_panels(pair.K, pair.k, mesh, M)
+    M = _pair_panels(pair.K, pair.k, mesh, None)
     route = _substituted_route(pair)
     if route is None:
         g = convolve_pair(pair.K, pair.k, mesh, M=M)
@@ -240,18 +239,16 @@ def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
     return _in_log_t(lambda t: _pair_convolution(pair.K, q, t, M), flat) / flat
 
 
-def estimate_gprime(pair: SoninePair, mesh: Mesh, M: int | None = None) -> SampledFunction:
+def estimate_gprime(pair: SoninePair, mesh: Mesh) -> SampledFunction:
     """g' at the interior mesh nodes for a variable-exponent pair, from the
     analytically differentiated substituted form (no finite differencing),
-    with ``M`` panels per half, by default the quadrature's (as in
-    :func:`check_gsc`).
+    with the mesh's panel count, as in :func:`check_gsc`.
 
     g'(t_0) is undefined (NaN): the derivative need not exist at 0, only
     be integrable near it.
     """
-    M = _pair_panels(pair.K, pair.k, mesh, M)
     vals = np.full(mesh.N + 1, np.nan)
-    vals[1:] = _gprime_flat(pair, mesh.nodes[1:], M)
+    vals[1:] = _gprime_flat(pair, mesh.nodes[1:], _pair_panels(pair.K, pair.k, mesh, None))
     return SampledFunction(mesh=mesh, values=vals)
 
 
@@ -348,7 +345,7 @@ class _GateInputs:
     g: SampledFunction | None
 
 
-def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInputs:
+def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     """g(0+) from the geometric samples, g' at the nodes, its eps fit and
     its weighted L1 norm, as :func:`check_gsc` reports them.
 
@@ -357,9 +354,9 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInp
     the profile implies) and that is not classical, whose g' is
     differenced from it.
     Refuses what :func:`convolve_pair` refuses: kernels on different
-    intervals, a mesh past their end and a bad ``M``.
+    intervals and a mesh past their end.
     """
-    m_used = _pair_panels(pair.K, pair.k, mesh, M)
+    M = _pair_panels(pair.K, pair.k, mesh, None)
     nodes = mesh.nodes
     interior = nodes[1:]
     substituted = _substituted_route(pair) is not None
@@ -371,12 +368,12 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInp
         g_geo = np.ones_like(t_geo)
         gp = np.zeros(mesh.N + 1)
     elif substituted:
-        g_geo = compute_g_substituted(pair, t_geo, M=m_used)
+        g_geo = compute_g_substituted(pair, t_geo, M=M)
         gp = np.full(mesh.N + 1, np.nan)
-        gp[1:] = _gprime_flat(pair, interior, m_used)
+        gp[1:] = _gprime_flat(pair, interior, M)
     else:
-        g_geo = _pair_convolution(pair.K, pair.k, t_geo, m_used)
-        g = convolve_pair(pair.K, pair.k, mesh, M=m_used)
+        g_geo = _pair_convolution(pair.K, pair.k, t_geo, M)
+        g = convolve_pair(pair.K, pair.k, mesh, M=M)
         gp = _fd_gprime(nodes, g.values)
     g0 = estimate_g0(zip(t_geo, g_geo))
 
@@ -400,9 +397,7 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh, M: int | None = None) -> _GateInp
     )
 
 
-def check_gsc(
-    pair: SoninePair, mesh: Mesh, M: int | None = None, g0_tol: float = G0_TOL_DEFAULT
-) -> GscReport:
+def check_gsc(pair: SoninePair, mesh: Mesh, g0_tol: float = G0_TOL_DEFAULT) -> GscReport:
     """Measure g = K * k on the mesh and decide the generalized condition.
 
     The verdict requires |g(0+) - 1| <= g0_tol, a conclusive power fit of
@@ -414,8 +409,8 @@ def check_gsc(
     """
     if not math.isfinite(g0_tol) or g0_tol <= 0.0:
         raise DomainError(f"g0_tol must be positive, got {g0_tol!r}")
-    gate = _gate_inputs(pair, mesh, M)
-    g, route_diff = (gate.g, float("nan")) if gate.g is not None else compute_g(pair, mesh, M)
+    gate = _gate_inputs(pair, mesh)
+    g, route_diff = (gate.g, float("nan")) if gate.g is not None else compute_g(pair, mesh)
     sc_residual = float(np.max(np.abs(g.values[1:] - 1.0)))
     gsc_pass = bool(
         gate.g0_defect <= g0_tol and gate.eps_fit.passed and math.isfinite(gate.gprime_l1)

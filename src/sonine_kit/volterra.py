@@ -14,7 +14,7 @@ associate of k whenever the generalized condition holds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -106,23 +106,22 @@ class _Polynomial:
 class RhsSpec:
     """Right-hand side f of a first-kind equation, with its derivative.
 
-    ``f0`` must equal f(0); ``fprime`` must be the derivative of ``f``.
-    Both claims are spot-checked by :meth:`validate` before a solve. The
-    data of :meth:`from_polynomial` carry their coefficients, so a pure
+    ``fprime`` must be the derivative of ``f``, as :meth:`validate`
+    spot-checks before a solve; ``f0`` = f(0) is derived and must be finite.
+    The data of :meth:`from_polynomial` carry their coefficients, so a pure
     power K convolves f' in closed form (:func:`assemble_rhs`); data
     given as other callables, even of the same values, take the quadrature.
     """
 
     f: Callable
     fprime: Callable
-    f0: float
+    f0: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.f0):
-            raise DomainError(f"f0 must be finite, got {self.f0!r}")
-        at0 = float(self.f(0.0))
-        if abs(at0 - self.f0) > 1e-12 * max(1.0, abs(self.f0)):
-            raise DomainError(f"f0={self.f0!r} disagrees with f(0)={at0!r}")
+        f0 = float(self.f(0.0))
+        if not math.isfinite(f0):
+            raise DomainError(f"f(0) must be finite, got {f0!r}")
+        object.__setattr__(self, "f0", f0)
 
     def eval(self, t):
         return _evaluate(self.f, t)
@@ -157,7 +156,7 @@ class RhsSpec:
         if len(c) == 0 or not all(math.isfinite(v) for v in c):
             raise DomainError("polynomial coefficients must be a nonempty finite list")
         dc = [k * c[k] for k in range(1, len(c))] or [0.0]
-        return RhsSpec(f=_Polynomial(tuple(c)), fprime=_Polynomial(tuple(dc)), f0=c[0])
+        return RhsSpec(f=_Polynomial(tuple(c)), fprime=_Polynomial(tuple(dc)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,7 +357,7 @@ def _check_steps(diag: np.ndarray, i0: int) -> None:
 
 
 def _first_kind_residual(
-    k: KernelSpec, u: SampledFunction, rhs: RhsSpec, mesh: Mesh, M: int | None
+    k: KernelSpec, u: SampledFunction, rhs: RhsSpec, mesh: Mesh
 ) -> tuple[float, SampledFunction]:
     """max |(k * u)(t_i) - f(t_i)| over nodes i >= RESID_FIRST_INDEX, and
     the node samples of k * u.
@@ -375,7 +374,7 @@ def _first_kind_residual(
         ku = _push_back_split(k, u, mesh)
     else:
         u_tab = KernelSpec.from_samples(u, sing_exponent=1.0 - k.local_exponent)
-        ku = convolve_pair(u_tab, k, mesh, M=M)
+        ku = convolve_pair(u_tab, k, mesh)
     i0 = min(RESID_FIRST_INDEX, mesh.N)
     f_nodes = rhs.eval(mesh.nodes[i0:])
     return float(np.max(np.abs(ku.values[i0:] - f_nodes))), ku
@@ -403,9 +402,7 @@ def _push_back_split(k: KernelSpec, u: SampledFunction, mesh: Mesh) -> SampledFu
     return SampledFunction(mesh=mesh, values=ku)
 
 
-def solve_first_kind(
-    pair: SoninePair, rhs: RhsSpec, mesh: Mesh, M: int | None = None
-) -> SolveReport:
+def solve_first_kind(pair: SoninePair, rhs: RhsSpec, mesh: Mesh) -> SolveReport:
     """Solve k * u = f through the second-kind transformation.
 
     Measures what the transformation needs of the generalized condition
@@ -413,9 +410,9 @@ def solve_first_kind(
     :func:`check_gsc` (g on the mesh and route_diff). Refuses to
     transform when g(0+) strays from 1 (see :func:`_transform_eps`).
     """
-    gate = _gate_inputs(pair, mesh, M)
+    gate = _gate_inputs(pair, mesh)
     u, F, r2 = _second_kind_solve(pair, rhs, mesh, gate)
-    r1, ku = _first_kind_residual(pair.k, u, rhs, mesh, M)
+    r1, ku = _first_kind_residual(pair.k, u, rhs, mesh)
     return SolveReport(
         u=u,
         F=F,

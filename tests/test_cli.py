@@ -555,6 +555,32 @@ class TestCliErrors:
         assert err.startswith("error: graded mesh with N=64, r=400.0")
         assert err.count("\n") == 1 and "Warning" not in err
 
+    @pytest.mark.parametrize(
+        "command, kind",
+        [("verify-pair", "classical"), ("stability", "classical"),
+         ("solve", "variable"), ("discover", "variable"), ("stability", "variable")],
+    )
+    def test_overflowing_endpoint_is_a_plain_error(self, command, kind, tmp_path, capsys):
+        # b^2 overflows past MAX_ENDPOINT, which made the gate's L1 weights
+        # inf; refused with the mesh, before any kernel is evaluated
+        kernel = (
+            {"kind": "classical", "alpha": 0.5, "b": 1e200}
+            if kind == "classical"
+            else {"kind": "variable", "a0": 0.5, "a1": 1e-201, "b": 1e200}
+        )
+        cfg_path = _write(tmp_path, _doc(command, kernel=kernel, N=64))
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: endpoint b must lie in (0, 1.3407807929942596e+154]")
+        assert err.count("\n") == 1 and "Warning" not in err
+
+    def test_long_interval_below_the_limit_passes(self, tmp_path, capsys):
+        kernel = {"kind": "classical", "alpha": 0.5, "b": 1e150}
+        cfg_path = _write(tmp_path, _doc("verify-pair", kernel=kernel, N=64))
+        assert main(["verify-pair", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "gprime_l1=0 " in out and "gsc_pass=true" in out
+
     def test_unknown_cli_command_is_usage_error(self, capsys):
         # exit 2 is reserved for tolerance failures; usage problems are errors
         assert main(["frobnicate", "--config", "x.json"]) == 1

@@ -143,7 +143,7 @@ class TestClosedFormF:
 def _hand_built(coeffs) -> RhsSpec:
     """The data of :meth:`RhsSpec.from_polynomial` as plain callables."""
     poly = RhsSpec.from_polynomial(coeffs)
-    return RhsSpec(f=lambda t: poly.f(t), fprime=lambda t: poly.fprime(t), f0=poly.f0)
+    return RhsSpec(f=lambda t: poly.f(t), fprime=lambda t: poly.fprime(t))
 
 
 class TestQuadraturePathKept:

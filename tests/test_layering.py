@@ -11,8 +11,11 @@ commands (``_run_*``) return their table and summary and do no I/O:
 ``run`` writes both, so the CLI has one output path. Only ``solve`` runs
 ``solve_first_kind``, once: a command that needs solves at several meshes
 calls the library function that runs them (``convergence_study``), so no
-solver pipeline grows back in the front end. Importing the package loads
-no numpy submodule it does not use, to keep start-up short.
+solver pipeline grows back in the front end. The pipeline functions of
+``sonine.py`` and ``volterra.py`` take the rule's panel count from the
+mesh, so none of them has an ``M`` parameter; ``compute_g_substituted``,
+which takes times and no mesh, keeps its own. Importing the package
+loads no numpy submodule it does not use, to keep start-up short.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import pytest
 
 import sonine_kit.cli
 import sonine_kit.sonine
+import sonine_kit.volterra
 
 FORBIDDEN_MODULES = {"quadrature"}
 
@@ -46,6 +50,10 @@ LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Genera
 
 #: the machinery of the split-at-t/2 rule, which only quadrature.py uses
 INTEGRATOR_PARTS = {"_reference_rule", "_row_blocks"}
+
+#: the one public function of the pipeline modules with a panel count
+#: parameter: it evaluates g at given times, with no mesh to fix the count
+PANEL_COUNT_TAKER = "compute_g_substituted"
 
 
 def _layering_violations(source: str) -> list[str]:
@@ -241,6 +249,46 @@ def test_integrator_guard_catches_violations(source):
 def test_integrator_guard_allows_the_pair_convolution():
     source = "from .quadrature import REF_PANELS, _pair_convolution, _pair_panels\n"
     assert _integrator_parts_used(source) == []
+
+
+def _panel_count_parameters(source: str) -> list[str]:
+    """Public module-level functions, other than PANEL_COUNT_TAKER, with a
+    parameter named ``M``."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            continue
+        a = fn.args
+        names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        if "M" in names and fn.name != PANEL_COUNT_TAKER:
+            found.append(f"line {fn.lineno}: {fn.name} takes M")
+    return found
+
+
+@pytest.mark.parametrize("module", [sonine_kit.sonine, sonine_kit.volterra])
+def test_pipeline_functions_take_no_panel_count(module):
+    assert _panel_count_parameters(Path(module.__file__).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def check_gsc(pair, mesh, M=None, g0_tol=1e-3):\n    pass",
+        "def solve_first_kind(pair, rhs, mesh, *, M=None):\n    pass",
+        "def estimate_gprime(pair, mesh, M, /):\n    pass",
+    ],
+)
+def test_panel_count_guard_catches_violations(source):
+    assert _panel_count_parameters(source)
+
+
+def test_panel_count_guard_allows_the_exception_and_private_helpers():
+    source = (
+        "def compute_g_substituted(pair, t, M=256):\n    pass\n"
+        "def _gprime_flat(pair, flat, M):\n    pass\n"
+        "class RhsSpec:\n    def eval(self, M):\n        pass\n"
+    )
+    assert _panel_count_parameters(source) == []
 
 
 def test_import_loads_no_unused_numpy_submodule():

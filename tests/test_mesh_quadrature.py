@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -25,6 +26,7 @@ from sonine_kit import (
     power_kernel,
     product_weights,
 )
+from sonine_kit.mesh import MAX_ENDPOINT
 from sonine_kit.quadrature import _moments
 
 
@@ -42,6 +44,7 @@ class TestGradedMesh:
     def test_endpoints_exact(self):
         m = graded_mesh(7, 3.7, 0.83)
         assert m.nodes[0] == 0.0 and m.nodes[-1] == 0.83
+        assert m.b == Mesh(nodes=m.nodes).b == 0.83 and type(m.b) is float
         assert np.all(np.diff(m.nodes) > 0)
 
     def test_validation(self):
@@ -55,6 +58,15 @@ class TestGradedMesh:
         # t_1 = N^-r rounds to 0, so t_0 = t_1 would contradict 0 = t_0 < t_1
         with pytest.raises(DomainError, match=f"N={N}, r={r!r}"):
             graded_mesh(N, r, 1.0)
+
+    def test_overflowing_endpoint_refused(self):
+        assert math.isfinite(MAX_ENDPOINT * MAX_ENDPOINT)
+        assert graded_mesh(4, 2.0, MAX_ENDPOINT).b == MAX_ENDPOINT
+        named = re.escape(f"(0, {MAX_ENDPOINT!r}] (b^2 finite), got")
+        with pytest.raises(DomainError, match=named):
+            graded_mesh(4, 2.0, math.nextafter(MAX_ENDPOINT, math.inf))
+        with pytest.raises(DomainError, match="b\\^2 finite"):
+            graded_mesh(4, 2.0, 1e200)
 
     def test_steep_representable_grading_kept(self):
         m = graded_mesh(64, 170.0, 1.0)  # t_1 = 2^-1020 is still a normal float

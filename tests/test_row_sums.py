@@ -29,7 +29,6 @@ from sonine_kit import (
     convolve_pair_at,
     convolve_weakly_singular,
     default_grading,
-    estimate_gprime,
     graded_mesh,
     kappa,
     make_classical_abel_pair,
@@ -40,7 +39,7 @@ from sonine_kit import (
 )
 from sonine_kit import quadrature, volterra
 from sonine_kit.quadrature import BLOCK_ENTRIES, _reference_rule, _triangle_blocks
-from sonine_kit.sonine import _gate_inputs
+from sonine_kit.sonine import _gate_inputs, _gprime_flat
 
 RTOL = 1e-13
 
@@ -146,7 +145,7 @@ class TestBlockedSubstitutedRoute:
         M = 128
         mesh = graded_mesh(2 * rows_per_block(M) + 5, 2.0, 0.5)
         for pair in (pair_a, pair_b):
-            got = estimate_gprime(pair, mesh, M=M).values[1:]
+            got = _gprime_flat(pair, mesh.nodes[1:], M)
             want = [substituted_oracle(pair, float(t), M, True) for t in mesh.nodes[1:]]
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
@@ -154,7 +153,7 @@ class TestBlockedSubstitutedRoute:
         M = BLOCK_ENTRIES
         mesh = graded_mesh(3, 2.0, 0.5)
         got_g = compute_g_substituted(pair_a, mesh.nodes[1:], M=M)
-        got_gp = estimate_gprime(pair_a, mesh, M=M).values[1:]
+        got_gp = _gprime_flat(pair_a, mesh.nodes[1:], M)
         for t, g, gp in zip(mesh.nodes[1:], got_g, got_gp):
             assert g == pytest.approx(substituted_oracle(pair_a, t, M, False), rel=RTOL, abs=0.0)
             assert gp == pytest.approx(substituted_oracle(pair_a, t, M, True), rel=RTOL, abs=0.0)

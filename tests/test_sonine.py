@@ -33,7 +33,7 @@ from sonine_kit import (
 )
 from sonine_kit import quadrature, sonine
 from sonine_kit.quadrature import _default_panels
-from sonine_kit.sonine import G0_TOL_DEFAULT
+from sonine_kit.sonine import G0_TOL_DEFAULT, _gprime_flat
 
 
 class TestComputeGSubstituted:
@@ -118,39 +118,64 @@ class TestOneRule:
         assert sum(rows) <= quadrature.LOG_T_POINTS + 2
 
 
-class TestEstimateGprime:
-    @pytest.mark.parametrize("N", [128, 1024])
-    def test_default_panels_are_check_gsc_s(self, N, pair_a):
+class TestPanelCountPolicy:
+    """The mesh alone fixes the rule's panel count for every pipeline
+    function: _default_panels(N), as convolve_pair takes by default."""
+
+    @pytest.mark.parametrize("N", [128, 1024], ids=["direct", "log-t"])
+    def test_estimate_gprime_is_the_default_panels_rule(self, N, pair_a):
+        """Bit for bit, with g' summed at every node (N = 128) and through
+        the ln t interpolant (N = 1024)."""
         mesh = graded_mesh(N, 2.0, pair_a.b)
+        got = estimate_gprime(pair_a, mesh).values
         np.testing.assert_array_equal(
-            estimate_gprime(pair_a, mesh).values, check_gsc(pair_a, mesh).gprime.values
+            got[1:], _gprime_flat(pair_a, mesh.nodes[1:], _default_panels(N))
         )
+        np.testing.assert_array_equal(got, check_gsc(pair_a, mesh).gprime.values)
+
+    @pytest.mark.parametrize("route", ["classical", "substituted", "pointwise"])
+    def test_check_gsc_g_is_compute_g(self, route, pair_a):
+        pair = {
+            "classical": make_classical_abel_pair(0.5, pair_a.b),
+            "substituted": pair_a,
+            "pointwise": SoninePair(k=replace(pair_a.k, exponent=None), K=pair_a.K),
+        }[route]
+        mesh = graded_mesh(128, 2.0, pair.b)
+        np.testing.assert_array_equal(
+            check_gsc(pair, mesh).g.values, compute_g(pair, mesh)[0].values
+        )
+
+
+class TestEstimateGprime:
+    """Tests that vary the panel count call _gprime_flat, the rule that
+    estimate_gprime runs at the mesh's count."""
 
     def test_oracle_value(self, pair_a):
         mesh = graded_mesh(2, 1.0, 0.5)  # nodes 0, 0.25, 0.5
-        gp = estimate_gprime(pair_a, mesh, M=1024)
-        assert abs(gp.values[1] - GPRIME_A_025) <= 1e-6 * GPRIME_A_025
-        assert np.isnan(gp.values[0])
+        gp = _gprime_flat(pair_a, mesh.nodes[1:], 1024)
+        assert abs(gp[0] - GPRIME_A_025) <= 1e-6 * GPRIME_A_025
+        assert np.isnan(estimate_gprime(pair_a, mesh).values[0])
 
     def test_agrees_with_finite_difference(self, pair_a):
         mesh = graded_mesh(2, 1.0, 0.5)
-        gp = estimate_gprime(pair_a, mesh, M=256)
+        gp = _gprime_flat(pair_a, mesh.nodes[1:], 256)
         h = 1e-4
         fd = (
             compute_g_substituted(pair_a, 0.25 + h, M=256)
             - compute_g_substituted(pair_a, 0.25 - h, M=256)
         ) / (2.0 * h)
-        assert abs(gp.values[1] - fd) <= 1e-5
+        assert abs(gp[0] - fd) <= 1e-5
 
     def test_constant_profile_derivative_vanishes(self):
         pair = make_variable_exponent_pair(affine_exponent(0.5, 0.0, 1.0), 1.0)
-        gp = estimate_gprime(pair, graded_mesh(16, 2.0, 1.0), M=64)
-        assert np.max(np.abs(gp.values[1:])) <= 1e-8
+        gp = _gprime_flat(pair, graded_mesh(16, 2.0, 1.0).nodes[1:], 64)
+        assert np.max(np.abs(gp)) <= 1e-8
 
     def test_fd_consistency_across_nodes(self, pair_a):
         """Analytic derivative vs central differences of g, away from 0."""
         mesh = graded_mesh(64, 1.0, 0.5)
-        gp = estimate_gprime(pair_a, mesh, M=256)
+        gp = np.full(mesh.N + 1, np.nan)
+        gp[1:] = _gprime_flat(pair_a, mesh.nodes[1:], 256)
         nodes = mesh.nodes
         sel = np.arange(2, 63)
         sel = sel[nodes[sel] >= 0.05]  # t >= b/10
@@ -159,7 +184,7 @@ class TestEstimateGprime:
         fd = (g_plus - g_minus) / (nodes[sel + 1] - nodes[sel - 1])
         # the gap is the central-difference truncation h^2 g'''/6, largest
         # at the left edge of the window where g''' ~ 30
-        assert np.max(np.abs(gp.values[sel] - fd)) <= 1e-3
+        assert np.max(np.abs(gp[sel] - fd)) <= 1e-3
 
     def test_requires_profile(self, classical_half):
         with pytest.raises(DomainError):
@@ -169,8 +194,7 @@ class TestEstimateGprime:
         """|g'| follows a power law milder than t^{-1/2} approaching 0."""
         ts = 0.5 * 0.5 ** np.arange(2, 13, dtype=float)
         mesh_vals = [
-            estimate_gprime(pair_a, graded_mesh(2, 1.0, 2.0 * t), M=128).values[1]
-            for t in ts
+            _gprime_flat(pair_a, graded_mesh(2, 1.0, 2.0 * t).nodes[1:], 128)[0] for t in ts
         ]
         y = np.log(np.abs(mesh_vals))
         x = np.log(ts)

@@ -48,12 +48,19 @@ class TestRhsSpec:
         assert rhs.eval_fprime(2.0) == -2.0 + 12.0
         rhs.validate(1.0)  # no raise
 
-    def test_f0_must_match_f(self):
-        with pytest.raises(DomainError):
-            RhsSpec(f=lambda t: t + 1.0, fprime=lambda t: 1.0, f0=0.0)
+    def test_f0_is_f_at_zero(self):
+        rhs = RhsSpec(f=lambda t: math.cos(t) + 0.5, fprime=lambda t: -math.sin(t))
+        assert rhs.f0 == 1.5
+        with pytest.raises(TypeError):
+            RhsSpec(f=lambda t: t, fprime=lambda t: 1.0, f0=0.0)
+
+    @pytest.mark.parametrize("at0", [math.inf, math.nan])
+    def test_non_finite_f0_rejected(self, at0):
+        with pytest.raises(DomainError, match="f\\(0\\) must be finite"):
+            RhsSpec(f=lambda t: at0 if t == 0.0 else t, fprime=lambda t: 1.0)
 
     def test_wrong_derivative_is_caught(self):
-        rhs = RhsSpec(f=lambda t: t * t, fprime=lambda t: 3.0 * t, f0=0.0)
+        rhs = RhsSpec(f=lambda t: t * t, fprime=lambda t: 3.0 * t)
         with pytest.raises(DomainError):
             rhs.validate(1.0)
 
@@ -69,7 +76,7 @@ class TestRhsSpec:
         h = volterra.FD_STEP_FRAC * b
         want = np.random.default_rng(160693).uniform(2 * h, b - 2 * h, size=volterra.FD_SPOT_COUNT)
         seen = []
-        rhs = RhsSpec(f=lambda t: t * t, fprime=lambda t: seen.append(t) or 2.0 * t, f0=0.0)
+        rhs = RhsSpec(f=lambda t: t * t, fprime=lambda t: seen.append(t) or 2.0 * t)
         rhs.validate(b)
         np.testing.assert_array_equal(seen, want)
 
@@ -241,16 +248,8 @@ def _profile_less(pair):
 
 
 class TestSolveInputChecks:
-    """A bad panel count and a mesh past the pair's interval fail loudly,
-    also for a classical pair, whose solve convolves nothing with M."""
-
-    @pytest.mark.parametrize("M", [8, 17, 33, 2.5, True])
-    @pytest.mark.parametrize("which", ["classical", "variable"])
-    def test_bad_panel_count(self, which, M, classical_half, pair_a):
-        pair = classical_half if which == "classical" else pair_a
-        mesh = graded_mesh(64, 2.0, pair.b)
-        with pytest.raises(DomainError, match="panel count"):
-            solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), mesh, M=M)
+    """A mesh past the pair's interval fails loudly, also for a classical
+    pair, whose solve convolves nothing."""
 
     @pytest.mark.parametrize("which", ["classical", "variable"])
     def test_mesh_past_interval(self, which, classical_half, pair_a):
@@ -669,7 +668,6 @@ class TestRhsArrayEvaluation:
         rhs = RhsSpec(
             f=lambda t: calls.append("f") or poly.f(t),
             fprime=lambda t: calls.append("fprime") or poly.fprime(t),
-            f0=0.5,
         )
         ts = graded_mesh(300, 2.0, 0.5).nodes
         calls.clear()
@@ -679,13 +677,13 @@ class TestRhsArrayEvaluation:
         np.testing.assert_array_equal(got_fp, [float(poly.fprime(v)) for v in ts])
 
     def test_scalar_only_callables_fall_back(self):
-        rhs = RhsSpec(f=lambda t: math.sin(t), fprime=lambda t: math.cos(t), f0=0.0)
+        rhs = RhsSpec(f=lambda t: math.sin(t), fprime=lambda t: math.cos(t))
         ts = np.array([[0.1, 0.2], [0.3, 0.4]])
         np.testing.assert_array_equal(rhs.eval(ts), [[math.sin(v) for v in row] for row in ts])
         np.testing.assert_array_equal(rhs.eval_fprime(ts), [[math.cos(v) for v in row] for row in ts])
         assert rhs.eval(0.5) == math.sin(0.5)
 
     def test_constant_data_fill_the_array(self):
-        rhs = RhsSpec(f=lambda t: 2.0, fprime=lambda t: 0.0, f0=2.0)
+        rhs = RhsSpec(f=lambda t: 2.0, fprime=lambda t: 0.0)
         np.testing.assert_array_equal(rhs.eval(np.linspace(0.0, 1.0, 5)), np.full(5, 2.0))
         np.testing.assert_array_equal(rhs.eval_fprime(np.linspace(0.0, 1.0, 5)), np.zeros(5))

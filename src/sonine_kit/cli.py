@@ -222,7 +222,7 @@ JSON_CHUNK = 512
 _JSON_WORDS = {"nan": "null", "inf": "null", "-inf": "null", "True": "true", "False": "false"}
 
 
-def _json_chunks(record: dict, plain=frozenset(), twin=None):
+def _json_chunks(record: dict, plain: set, bits: dict):
     """The text of ``json.dump(record, fh, indent=1, sort_keys=True)`` for
     an object whose fields are Python numbers (bool, int or float, whose
     reprs json writes) or lists of them, with non-finite numbers written
@@ -232,15 +232,15 @@ def _json_chunks(record: dict, plain=frozenset(), twin=None):
     lists named in ``plain`` hold only finite ints and floats, whose reprs
     are their JSON, and are joined without a per-value lookup.
 
-    ``twin`` maps a list's key to the key of a list with the same text
-    (see :func:`_twins`). Each such group is formatted once: the chunk
-    texts of its first key in sorted order are held until its last key is
-    written, about 90 KB for a column of 4096 floats."""
+    ``bits`` maps a list's key to its column's bits key (see
+    :func:`_emit`); lists with one bits key have one text. Each such
+    group is formatted once: the chunk texts of its first key in sorted
+    order are held until its last key is written, about 90 KB for a
+    column of 4096 floats."""
     if not record:
         yield "{}"
         return
-    twin = twin or {}
-    left = Counter(twin.get(key, key) for key in record)
+    left = Counter(bits.get(key, key) for key in record)
     held = {}
     sep = "{\n "
     for key in sorted(record):
@@ -253,11 +253,11 @@ def _json_chunks(record: dict, plain=frozenset(), twin=None):
         if not v:
             yield "[]"
             continue
-        first = twin.get(key, key)
-        left[first] -= 1
-        texts = held.pop(first, None) or _list_chunks(v, key in plain)
-        if left[first]:
-            texts = held[first] = list(texts)
+        group = bits.get(key, key)
+        left[group] -= 1
+        texts = held.pop(group, None) or _list_chunks(v, key in plain)
+        if left[group]:
+            texts = held[group] = list(texts)
         yield from texts
         yield "\n ]"
     yield "\n}"
@@ -281,22 +281,6 @@ def _finite_numbers(a: np.ndarray) -> bool:
     return a.dtype.kind in "iu" or (a.dtype.kind == "f" and bool(np.isfinite(a).all()))
 
 
-def _twins(arrays: dict) -> dict:
-    """Each column equal in bits to an earlier one (same dtype, shape and
-    bytes), mapped to the first such column's name. Equal values are not
-    enough: 0.0 and -0.0, or 1 and 1.0, are written differently."""
-    twin, firsts = {}, []
-    for name, a in arrays.items():
-        for first in firsts:
-            b = arrays[first]
-            if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
-                twin[name] = first
-                break
-        else:
-            firsts.append(name)
-    return twin
-
-
 def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
     """Write one job's table and return the path written.
 
@@ -305,28 +289,30 @@ def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
     stay integers. CSV is a header row and one row of 17-digit values per
     entry. JSON is one object holding the columns as lists and ``extra``'s
     fields, with sorted keys, indented as ``json.dump(..., indent=1)``
-    indents, and non-finite numbers written as null. A column equal in
-    bits to an earlier one (a classical solve's u and F) is converted and
-    formatted once, and its text written for both.
+    indents, and non-finite numbers written as null. Columns are keyed by
+    their bits (dtype, shape and bytes; equal values are not enough, since
+    0.0 and -0.0, or 1 and 1.0, are written differently), so twin columns
+    (a classical solve's u and F) are converted and formatted once, and
+    their text written for each.
     """
     path = cfg.out_path or f"{cfg.command}.{cfg.out_format}"
     arrays = {name: np.asarray(v) for name, v in columns.items()}
-    twin = _twins(arrays)
-    table = {}
+    bits = {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()}
+    lists = {}
     for name, a in arrays.items():
-        table[name] = table[twin[name]] if name in twin else a.tolist()
+        if bits[name] not in lists:
+            lists[bits[name]] = a.tolist()
+    table = {name: lists[bits[name]] for name in arrays}
     with open(path, "w", newline="") as fh:
         if cfg.out_format == "csv":
-            texts = {}
-            for name, values in table.items():
-                texts[name] = texts[twin[name]] if name in twin else list(map(_fmt, values))
+            texts = {key: list(map(_fmt, values)) for key, values in lists.items()}
             lines = [",".join(table)]
-            lines += map(",".join, zip(*texts.values()))
+            lines += map(",".join, zip(*(texts[bits[name]] for name in table)))
             fh.write("\n".join(lines) + "\n")
         else:
             fields = {k: np.asarray(v).tolist() for k, v in extra.items()}
             plain = {name for name, a in arrays.items() if _finite_numbers(a)}
-            fh.writelines(_json_chunks({**table, **fields}, plain, twin))
+            fh.writelines(_json_chunks({**table, **fields}, plain, bits))
             fh.write("\n")
     return path
 

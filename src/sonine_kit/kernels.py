@@ -163,9 +163,12 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.smooth0):
             raise DomainError(f"smooth0 must be finite, got {self.smooth0!r}")
-        if not 0.0 < self.local_exponent < 1.0:
+        # the quadrature's beta = 1 - local_exponent must lie in (0, 1) as
+        # well, and rounds to 1 for a local_exponent up to 2^-54
+        if not 0.0 < 1.0 - self.local_exponent < 1.0:
             raise DomainError(
-                f"local_exponent must lie in (0, 1), got {self.local_exponent!r}"
+                f"local_exponent must lie in (0, 1) with 1 - local_exponent < 1, "
+                f"got {self.local_exponent!r}"
             )
         if not math.isfinite(self.b) or self.b <= 0.0:
             raise DomainError(f"kernel endpoint b must be positive, got {self.b!r}")
@@ -221,17 +224,15 @@ class KernelSpec:
         return fn.value if isinstance(fn, _ConstantFactor) else None
 
     @staticmethod
-    def from_samples(
-        phi: SampledFunction,
-        sing_exponent: float | None = None,
-        smooth0: float | None = None,
-    ) -> "KernelSpec":
+    def from_samples(phi: SampledFunction, sing_exponent: float | None = None) -> "KernelSpec":
         """Wrap node samples of a singular function as a tabulated kernel.
 
         The singularity order, the kernel's ``local_exponent``, is fitted
         from the first two interior nodes unless supplied as
         ``sing_exponent``. The bounded factor is interpolated piecewise
-        linearly between nodes, with its t = 0 value extrapolated.
+        linearly between nodes. Its t = 0 value is 0 for a finite phi(0),
+        which t^sigma kills, and otherwise extrapolated
+        (:func:`_extrapolate_to_zero`).
         """
         nodes = phi.mesh.nodes
         vals = phi.values
@@ -249,9 +250,7 @@ class KernelSpec:
         sig = float(sing_exponent)
         m = np.empty_like(vals)
         m[1:] = vals[1:] * nodes[1:] ** sig
-        if smooth0 is not None:
-            m[0] = smooth0
-        elif np.isfinite(vals[0]):
+        if np.isfinite(vals[0]):
             m[0] = 0.0  # t^sig * (finite value) vanishes at t = 0
         else:
             m[0] = _extrapolate_to_zero(nodes, m)

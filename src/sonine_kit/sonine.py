@@ -334,13 +334,16 @@ def _fd_gprime(nodes: np.ndarray, g: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, slots=True)
 class _GateInputs:
     """The part of a :class:`GscReport` a second-kind solve reads (see
-    :func:`_gate_inputs`). ``g`` is the samples of g on the mesh when g'
-    was differenced from them, else None."""
+    :func:`_gate_inputs`). ``eps`` is the fitted eps clipped to [0,
+    EPS_CLIP_MAX], the one ``gprime_l1`` was computed with and the sweep
+    uses. ``g`` is the samples of g on the mesh when g' was differenced
+    from them, else None."""
 
     gprime: SampledFunction
     g0: float
     g0_defect: float
     eps_fit: EpsFit
+    eps: float
     gprime_l1: float
     g: SampledFunction | None
 
@@ -382,16 +385,17 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     alpha0 = float(af.eval(0.0)) if af is not None else None
     eps_fit = _fit_eps(interior[window], gp[1:][window], alpha0)
 
-    eps_c = float(np.clip(eps_fit.eps, 0.0, EPS_CLIP_MAX))
-    w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps_c, "left")
+    eps = float(np.clip(eps_fit.eps, 0.0, EPS_CLIP_MAX))
+    w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps, "left")
     m_fac = np.zeros(mesh.N + 1)
-    m_fac[1:] = np.abs(gp[1:]) * interior**eps_c
+    m_fac[1:] = np.abs(gp[1:]) * interior**eps
     gprime_l1 = float(math.fsum(w_l1 * m_fac)) if np.all(np.isfinite(gp[1:])) else float("nan")
     return _GateInputs(
         gprime=SampledFunction(mesh=mesh, values=gp),
         g0=g0,
         g0_defect=abs(g0 - 1.0),
         eps_fit=eps_fit,
+        eps=eps,
         gprime_l1=gprime_l1,
         g=g,
     )

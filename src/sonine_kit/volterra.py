@@ -166,9 +166,10 @@ class SolveReport:
     ``residual_second_kind`` is the relative row residual of the discrete
     triangular system (should sit at roundoff); ``residual_first_kind``
     pushes u back through the original convolution and compares with f,
-    excluding the first two interior nodes where interpolating a singular
-    u is least accurate. ``ku`` holds the node samples of that push-back,
-    k * u (0 at t_0 for a bounded u, NaN for an unbounded one).
+    as max |k * u - f| / max(1, max |f|), excluding the first two
+    interior nodes where interpolating a singular u is least accurate.
+    ``ku`` holds the node samples of that push-back, k * u (0 at t_0 for
+    a bounded u, NaN for an unbounded one).
     ``sc_residual_of_u`` is set only by
     :func:`discover_associate`.
     """
@@ -220,7 +221,7 @@ def assemble_rhs(K: KernelSpec, rhs: RhsSpec, mesh: Mesh) -> SampledFunction:
         )
     else:
         fp = SampledFunction(mesh=mesh, values=rhs.eval_fprime(mesh.nodes))
-        conv = convolve_weakly_singular(K, fp, mesh).values[1:]
+        conv = convolve_weakly_singular(K, fp).values[1:]
     F = np.empty(mesh.N + 1)
     F[0] = 0.0 if rhs.f0 == 0.0 else np.nan
     # K.eval refuses a mesh past K's end on either path
@@ -359,8 +360,10 @@ def _check_steps(diag: np.ndarray, i0: int) -> None:
 def _first_kind_residual(
     k: KernelSpec, u: SampledFunction, rhs: RhsSpec, mesh: Mesh
 ) -> tuple[float, SampledFunction]:
-    """max |(k * u)(t_i) - f(t_i)| over nodes i >= RESID_FIRST_INDEX, and
-    the node samples of k * u.
+    """max |(k * u)(t_i) - f(t_i)| / max(1, max |f(t_i)|) over nodes i >=
+    RESID_FIRST_INDEX, and the node samples of k * u. Relative to f, so
+    the verdict does not depend on the interval's scale; for |f| <= 1 on
+    the window it is the absolute residual.
 
     A u that is finite at t_0 convolves directly. An unbounded u has a
     known order: k ~ t^(-sigma) with f(0) != 0 makes u ~ t^(sigma - 1).
@@ -369,7 +372,7 @@ def _first_kind_residual(
     is integrated by the doubly singular route of :func:`convolve_pair`.
     """
     if np.isfinite(u.values[0]):
-        ku = convolve_weakly_singular(k, u, mesh)
+        ku = convolve_weakly_singular(k, u)
     elif k.power_coef is not None:
         ku = _push_back_split(k, u, mesh)
     else:
@@ -377,7 +380,8 @@ def _first_kind_residual(
         ku = convolve_pair(u_tab, k, mesh)
     i0 = min(RESID_FIRST_INDEX, mesh.N)
     f_nodes = rhs.eval(mesh.nodes[i0:])
-    return float(np.max(np.abs(ku.values[i0:] - f_nodes))), ku
+    scale = max(1.0, float(np.max(np.abs(f_nodes))))
+    return float(np.max(np.abs(ku.values[i0:] - f_nodes))) / scale, ku
 
 
 def _push_back_split(k: KernelSpec, u: SampledFunction, mesh: Mesh) -> SampledFunction:
@@ -397,7 +401,7 @@ def _push_back_split(k: KernelSpec, u: SampledFunction, mesh: Mesh) -> SampledFu
     reg = np.zeros(mesh.N + 1)
     reg[1:] = (m[1:] - m0) / scale[1:]
     ku = np.full(mesh.N + 1, np.nan)
-    ku[1:] = convolve_weakly_singular(k, SampledFunction(mesh=mesh, values=reg), mesh).values[1:]
+    ku[1:] = convolve_weakly_singular(k, SampledFunction(mesh=mesh, values=reg)).values[1:]
     ku[1:] += _power_convolution(k.power_coef, sigma, (m0,), sigma - 1.0, nodes[1:])
     return SampledFunction(mesh=mesh, values=ku)
 
@@ -437,9 +441,11 @@ def _second_kind_solve(
 
 
 def _transform_eps(gate: _GateInputs) -> float:
-    """The sweep's eps, g''s fitted blow-up clipped to [0, EPS_CLIP_MAX],
-    after the gate on g(0+): the reformulation divides by g(0), so a
-    failing pair produces an equation for a different problem.
+    """The sweep's eps, ``gate.eps``: the clipped eps that the gate's
+    L1 norm of g' was computed with, so that the Gronwall budget bounds
+    the sweep. Returned after the gate on g(0+): the reformulation
+    divides by g(0), so a failing pair produces an equation for a
+    different problem.
 
     The gate is looser than :func:`check_gsc`'s verdict, which asks for
     |g(0+) - 1| <= 1e-3, a conclusive eps fit and a finite L1 norm. A
@@ -457,7 +463,7 @@ def _transform_eps(gate: _GateInputs) -> float:
             f"{gate.g0_defect!r} exceeds {GATE_G0_TOL}; the second-kind "
             "transformation is not available"
         )
-    return float(np.clip(gate.eps_fit.eps, 0.0, EPS_CLIP_MAX))
+    return gate.eps
 
 
 def convergence_study(pair: SoninePair, rhs: RhsSpec, N: int, r: float) -> ConvergenceReport:

@@ -245,9 +245,32 @@ class TestEmission:
         lines += [",".join("{:.17g}".format(float(x)) for x in row) for row in rows]
         assert out.read_text() == "\n".join(lines) + "\n"
 
-    def test_twins_are_equal_bits(self):
-        twins = cli._twins({k: np.asarray(v) for k, v in _twin_columns().items()})
-        assert twins == {"F": "u", "b": "a", "c": "a", "nan_twin": "nan"}
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "a, b, shared",
+        [
+            (np.zeros(5), -np.zeros(5), False),  # equal values, other bits
+            (np.arange(5), np.arange(5.0), False),  # equal values, other dtype
+            (np.zeros(5, dtype=np.int64), np.zeros(5), False),  # equal bytes, other dtype
+            (np.array([np.nan, 1.0, np.inf]), np.array([np.nan, 1.0, np.inf]), True),
+        ],
+        ids=["zero-negzero", "int-float", "int-float-zero-bytes", "nan-twins"],
+    )
+    def test_twins_are_equal_bits(self, tmp_path, monkeypatch, fmt, a, b, shared):
+        """Two columns share one formatting exactly when their dtype, shape
+        and bytes agree: equal values are not enough."""
+        calls = []
+        name, fn = ("repr", repr) if fmt == "json" else ("_fmt", cli._fmt)
+
+        def counting(x):
+            calls.append(x)
+            return fn(x)
+
+        monkeypatch.setattr(cli, name, counting, raising=False)
+        out = tmp_path / f"t.{fmt}"
+        cfg = parse_config(json.dumps(_doc("solve", output={"path": str(out), "format": fmt})))
+        cli._emit(cfg, {"a": a, "b": b}, {})
+        assert len(calls) == (1 if shared else 2) * len(a)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_twin_column_is_formatted_once(self, tmp_path, monkeypatch, fmt):
@@ -394,6 +417,26 @@ class TestCommands:
             "solve", kernel=VARIABLE_KERNEL, N=128,
             tolerances={"residual_first_kind": 1e-12},
         )
+        cfg_path = _write(tmp_path, doc)
+        out = tmp_path / "u.csv"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("b", [1.0, 100.0, 1e4])
+    def test_solve_residual_is_relative_to_f(self, tmp_path, capsys, b):
+        """The profile 0.5 + (0.2/b) t with f = t on (0, b] solves alike at
+        every scale: relative to max |f| = b the residual reads about 1e-3,
+        where the absolute one read 9.7e-4, 0.108 and 12.6 and failed the
+        last two."""
+        kernel = {"kind": "variable", "a0": 0.5, "a1": 0.2 / b, "b": b}
+        cfg_path = _write(tmp_path, _doc("solve", kernel=kernel, N=512))
+        out = tmp_path / "u.csv"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
+        summary = dict(p.split("=") for p in capsys.readouterr().out.split()[:2])
+        assert 9e-4 <= float(summary["residual_first_kind"]) <= 1.4e-3
+
+    def test_relative_residual_still_fails_a_tight_tolerance(self, tmp_path, capsys):
+        kernel = {"kind": "variable", "a0": 0.5, "a1": 0.002, "b": 100.0}
+        doc = _doc("solve", kernel=kernel, N=512, tolerances={"residual_first_kind": 1e-4})
         cfg_path = _write(tmp_path, doc)
         out = tmp_path / "u.csv"
         assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 2

@@ -99,7 +99,7 @@ class TestHistorySums:
         rows, want = oracle[N, r, gamma]
         for j, name in enumerate(PHIS):
             phi = SampledFunction(mesh=mesh, values=phi_columns(mesh.nodes)[:, j].copy())
-            got = convolve_weakly_singular(kernel, phi, mesh).values[rows]
+            got = convolve_weakly_singular(kernel, phi).values[rows]
             scale = np.max(np.abs(want[:, j]))
             assert np.max(np.abs(got - want[:, j])) <= 1e-12 * scale, name
 
@@ -147,7 +147,7 @@ class TestHistorySums:
         n_exp = len(_soe(0.5, mesh.nodes[1], B)[0])
         tracemalloc.start()
         try:
-            convolve_weakly_singular(kernel, phi, mesh)
+            convolve_weakly_singular(kernel, phi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -211,7 +211,7 @@ class TestDensePathKept:
         mesh = graded_mesh(SOE_MIN_N - 1, 2.0, B)
         kernel = power_kernel(COEF, 0.3, B)
         phi = np.cos(7.0 * mesh.nodes) + mesh.nodes
-        got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi), mesh)
+        got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi))
         np.testing.assert_array_equal(got.values, dense(kernel, phi, mesh))
 
     @pytest.mark.parametrize("which", ["hand_built", "identity", "variable", "tabulated"])
@@ -229,7 +229,7 @@ class TestDensePathKept:
             vals = np.full(mesh.N + 1, np.nan)
             vals[1:] = mesh.nodes[1:] ** -0.3 * (1.0 + mesh.nodes[1:])
             kernel = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
-        got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi), mesh)
+        got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi))
         np.testing.assert_array_equal(got.values, dense(kernel, phi, mesh))
 
 

@@ -225,6 +225,10 @@ class TestKernelSpec:
             power_kernel(0.0, 0.5, 1.0)
         with pytest.raises(DomainError):
             power_kernel(1.0, 1.2, 1.0)
+        # 1 - 1e-20 is 1.0: beta = 1 took the SOE path to math.gamma(0)
+        with pytest.raises(DomainError, match="1 - local_exponent < 1"):
+            power_kernel(1.0, 1e-20, 1.0)
+        assert power_kernel(1.0, 2.0**-53, 1.0).local_exponent == 2.0**-53
         with pytest.raises(DomainError):
             power_kernel(1.0, 0.5, -1.0)
 

@@ -14,7 +14,11 @@ calls the library function that runs them (``convergence_study``), so no
 solver pipeline grows back in the front end. The pipeline functions of
 ``sonine.py`` and ``volterra.py`` take the rule's panel count from the
 mesh, so none of them has an ``M`` parameter; ``compute_g_substituted``,
-which takes times and no mesh, keeps its own. Importing the package
+which takes times and no mesh, keeps its own. A sampled function carries
+its mesh, so no public function of ``quadrature.py`` or ``volterra.py``
+takes one beside a ``mesh`` it would have to match, except
+``solve_second_kind``, whose two samples and mesh are its documented
+interface. Importing the package
 loads no numpy submodule it does not use, to keep start-up short.
 """
 
@@ -28,6 +32,7 @@ from pathlib import Path
 import pytest
 
 import sonine_kit.cli
+import sonine_kit.quadrature
 import sonine_kit.sonine
 import sonine_kit.volterra
 
@@ -54,6 +59,9 @@ INTEGRATOR_PARTS = {"_reference_rule", "_row_blocks"}
 #: the one public function of the pipeline modules with a panel count
 #: parameter: it evaluates g at given times, with no mesh to fix the count
 PANEL_COUNT_TAKER = "compute_g_substituted"
+
+#: the one public function that takes samples and a mesh together
+SAMPLES_AND_MESH_TAKER = "solve_second_kind"
 
 
 def _layering_violations(source: str) -> list[str]:
@@ -289,6 +297,53 @@ def test_panel_count_guard_allows_the_exception_and_private_helpers():
         "class RhsSpec:\n    def eval(self, M):\n        pass\n"
     )
     assert _panel_count_parameters(source) == []
+
+
+def _redundant_mesh_parameters(source: str) -> list[str]:
+    """Public module-level functions, other than SAMPLES_AND_MESH_TAKER,
+    with a parameter annotated ``SampledFunction`` and one named ``mesh``."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs
+        sampled = any(
+            p.annotation is not None and "SampledFunction" in ast.unparse(p.annotation)
+            for p in params
+        )
+        if sampled and "mesh" in {p.arg for p in params} and fn.name != SAMPLES_AND_MESH_TAKER:
+            found.append(f"line {fn.lineno}: {fn.name} takes a SampledFunction and a mesh")
+    return found
+
+
+@pytest.mark.parametrize("module", [sonine_kit.quadrature, sonine_kit.volterra])
+def test_sampled_functions_bring_their_mesh(module):
+    assert _redundant_mesh_parameters(Path(module.__file__).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def convolve_weakly_singular(kernel, phi: SampledFunction, mesh: Mesh):\n    pass",
+        "def push(k, u: 'SampledFunction', *, mesh=None):\n    pass",
+        "def convolve(k, phi: SampledFunction | None, mesh):\n    pass",
+    ],
+)
+def test_mesh_guard_catches_violations(source):
+    assert _redundant_mesh_parameters(source)
+
+
+def test_mesh_guard_allows_the_exception_and_private_helpers():
+    source = (
+        "def solve_second_kind(gprime: SampledFunction, F: SampledFunction, mesh, eps=0.0):\n"
+        "    pass\n"
+        "def _forward_sweep(gprime: SampledFunction, F: SampledFunction, mesh, eps):\n"
+        "    pass\n"
+        "def assemble_rhs(K: KernelSpec, rhs: RhsSpec, mesh: Mesh) -> SampledFunction:\n"
+        "    pass\n"
+    )
+    assert _redundant_mesh_parameters(source) == []
 
 
 def test_import_loads_no_unused_numpy_submodule():

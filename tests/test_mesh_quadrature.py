@@ -223,7 +223,7 @@ class TestConvolveWeaklySingular:
         k = classical_abel_kernel(alpha, 1.0)
         m = graded_mesh(32, 2.0, 1.0)
         ones = SampledFunction(mesh=m, values=np.ones(33))
-        conv = convolve_weakly_singular(k, ones, m)
+        conv = convolve_weakly_singular(k, ones)
         exact = m.nodes[1:] ** (1.0 - alpha) / (1.0 - alpha)
         np.testing.assert_allclose(conv.values[1:], exact, rtol=1e-12)
         assert conv.values[0] == 0.0
@@ -233,7 +233,7 @@ class TestConvolveWeaklySingular:
         k = classical_abel_kernel(alpha, 1.0)
         m = graded_mesh(32, 2.0, 1.0)
         phi = SampledFunction(mesh=m, values=m.nodes)
-        conv = convolve_weakly_singular(k, phi, m)
+        conv = convolve_weakly_singular(k, phi)
         # int (t-s)^{-1/2} s ds = t^{3/2} B(2, 1/2) = (4/3) t^{3/2}
         exact = 4.0 / 3.0 * m.nodes[1:] ** 1.5
         np.testing.assert_allclose(conv.values[1:], exact, rtol=1e-12)
@@ -244,7 +244,7 @@ class TestConvolveWeaklySingular:
         k = classical_abel_kernel(alpha, 1.0)
         m = graded_mesh(256, 2.0, 1.0)
         phi = SampledFunction(mesh=m, values=np.cos(3.0 * m.nodes))
-        conv = convolve_weakly_singular(k, phi, m)
+        conv = convolve_weakly_singular(k, phi)
         for i in (64, 128, 256):
             t = m.nodes[i]
             # quad applies the weight (s-0)^0 (t-s)^{-alpha} itself
@@ -259,20 +259,13 @@ class TestConvolveWeaklySingular:
         vals = np.ones(9)
         vals[0] = np.nan
         with pytest.raises(DomainError):
-            convolve_weakly_singular(k, SampledFunction(mesh=m, values=vals), m)
-
-    def test_rejects_foreign_mesh(self):
-        k = classical_abel_kernel(0.5, 1.0)
-        m1 = graded_mesh(8, 2.0, 1.0)
-        m2 = graded_mesh(8, 3.0, 1.0)
-        with pytest.raises(DomainError):
-            convolve_weakly_singular(k, SampledFunction(mesh=m2, values=np.ones(9)), m1)
+            convolve_weakly_singular(k, SampledFunction(mesh=m, values=vals))
 
     def test_rejects_mesh_beyond_kernel_domain(self):
         k = classical_abel_kernel(0.5, 0.5)
         m = graded_mesh(8, 2.0, 1.0)
         with pytest.raises(DomainError):
-            convolve_weakly_singular(k, SampledFunction(mesh=m, values=np.ones(9)), m)
+            convolve_weakly_singular(k, SampledFunction(mesh=m, values=np.ones(9)))
 
 
 class TestConvolvePair:

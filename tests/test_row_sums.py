@@ -216,7 +216,7 @@ class TestTriangleBlocks:
             kernel = tabulated_pair()[0]
         mesh = graded_mesh(80, 2.0, 0.5)
         phi = SampledFunction(mesh=mesh, values=1.0 + mesh.nodes)
-        got = convolve_weakly_singular(kernel, phi, mesh).values
+        got = convolve_weakly_singular(kernel, phi).values
         np.testing.assert_allclose(got, triangle_oracle(kernel, phi, mesh), rtol=RTOL, atol=0.0)
 
     def test_default_layout_has_a_row_floor(self, monkeypatch):
@@ -273,7 +273,7 @@ class TestTriangleBlocks:
         kernel = tabulated_pair()[0]
         tracemalloc.start()
         try:
-            convolve_weakly_singular(kernel, phi, mesh)
+            convolve_weakly_singular(kernel, phi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -282,7 +282,7 @@ class TestTriangleBlocks:
     def test_zero_phi_convolves_to_zero(self, pair_a):
         mesh = graded_mesh(64, 2.0, 0.5)
         phi = SampledFunction(mesh=mesh, values=np.zeros(65))
-        np.testing.assert_array_equal(convolve_weakly_singular(pair_a.k, phi, mesh).values, 0.0)
+        np.testing.assert_array_equal(convolve_weakly_singular(pair_a.k, phi).values, 0.0)
 
 
 class TestBlockedForwardSubstitution:

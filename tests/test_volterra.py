@@ -384,6 +384,28 @@ class TestStabilityReport:
         # the budget's L1 norm of g' is valid only for the sweep's own eps
         assert volterra.EPS_CLIP_MAX is sonine.EPS_CLIP_MAX
 
+    @pytest.mark.parametrize("which", ["paper", "classical"])
+    def test_budget_and_sweep_share_one_eps(self, which, pair_a, classical_half):
+        """The gate clips the fitted eps once: the sweep gets that float,
+        and the L1 norm of g' is the one whose weights are built at
+        beta = 1 - eps. The weights here are each panel's moments of
+        s^(beta-1) against its two hat functions, summed by fsum."""
+        pair = pair_a if which == "paper" else classical_half
+        mesh = graded_mesh(128, 2.0, pair.b)
+        gate = sonine._gate_inputs(pair, mesh)
+        assert gate.eps == np.clip(gate.eps_fit.eps, 0.0, sonine.EPS_CLIP_MAX)
+        assert (gate.eps > 0.0) == (which == "paper")
+        assert volterra._transform_eps(gate) == gate.eps
+        beta = 1.0 - gate.eps
+        nodes = mesh.nodes.tolist()
+        m = [0.0] + [abs(g) * t**gate.eps for g, t in zip(gate.gprime.values[1:], nodes[1:])]
+        terms = []
+        for j, (a, c) in enumerate(zip(nodes, nodes[1:])):
+            i0 = (c**beta - a**beta) / beta  # int_a^c s^(beta-1) ds
+            i1 = (c ** (beta + 1.0) - a ** (beta + 1.0)) / (beta + 1.0)  # of s^beta
+            terms += [(c * i0 - i1) / (c - a) * m[j], (i1 - a * i0) / (c - a) * m[j + 1]]
+        assert gate.gprime_l1 == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0)
+
 
 def _second_kind_row_residual(report, gsc, mesh):
     """Max relative row residual of the discrete second-kind system for the
@@ -511,9 +533,9 @@ class TestDiscoverAssociate:
         orders = []
         wrapped = KernelSpec.from_samples
 
-        def recording(phi, sing_exponent=None, smooth0=None):
+        def recording(phi, sing_exponent=None):
             orders.append(sing_exponent)
-            return wrapped(phi, sing_exponent, smooth0)
+            return wrapped(phi, sing_exponent)
 
         monkeypatch.setattr(KernelSpec, "from_samples", staticmethod(recording))
         discover_associate(pair_a.k, pair_a.K, graded_mesh(128, 2.0, 0.5))

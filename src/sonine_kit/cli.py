@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -215,64 +214,8 @@ def _fmt(x) -> str:
     return _FLOAT_FMT.format(float(x))
 
 
-#: list values that :func:`_json_chunks` formats per write
-JSON_CHUNK = 512
-
 #: JSON for the reprs of Python numbers that JSON spells differently
 _JSON_WORDS = {"nan": "null", "inf": "null", "-inf": "null", "True": "true", "False": "false"}
-
-
-def _json_chunks(record: dict, plain: set, bits: dict):
-    """The text of ``json.dump(record, fh, indent=1, sort_keys=True)`` for
-    an object whose fields are Python numbers (bool, int or float, whose
-    reprs json writes) or lists of them, with non-finite numbers written
-    as null. json.dump's indented output runs its pure-Python encoder one
-    token at a time; this joins the values of a list JSON_CHUNK at a time,
-    so a long column is not held as text whole, unless it has a twin. The
-    lists named in ``plain`` hold only finite ints and floats, whose reprs
-    are their JSON, and are joined without a per-value lookup.
-
-    ``bits`` maps a list's key to its column's bits key (see
-    :func:`_emit`); lists with one bits key have one text. Each such
-    group is formatted once: the chunk texts of its first key in sorted
-    order are held until its last key is written, about 90 KB for a
-    column of 4096 floats."""
-    if not record:
-        yield "{}"
-        return
-    left = Counter(bits.get(key, key) for key in record)
-    held = {}
-    sep = "{\n "
-    for key in sorted(record):
-        v = record[key]
-        yield f"{sep}{json.dumps(key)}: "
-        sep = ",\n "
-        if not isinstance(v, list):
-            yield _JSON_WORDS.get(repr(v), repr(v))
-            continue
-        if not v:
-            yield "[]"
-            continue
-        group = bits.get(key, key)
-        left[group] -= 1
-        texts = held.pop(group, None) or _list_chunks(v, key in plain)
-        if left[group]:
-            texts = held[group] = list(texts)
-        yield from texts
-        yield "\n ]"
-    yield "\n}"
-
-
-def _list_chunks(values: list, plain: bool):
-    """The JSON text of a nonempty list, up to its closing bracket, one
-    JSON_CHUNK of values per piece."""
-    item_sep = "[\n  "
-    for i in range(0, len(values), JSON_CHUNK):
-        words = map(repr, values[i : i + JSON_CHUNK])
-        if not plain:
-            words = [_JSON_WORDS.get(s, s) for s in words]
-        yield item_sep + ",\n  ".join(words)
-        item_sep = ",\n  "
 
 
 def _finite_numbers(a: np.ndarray) -> bool:
@@ -281,39 +224,64 @@ def _finite_numbers(a: np.ndarray) -> bool:
     return a.dtype.kind in "iu" or (a.dtype.kind == "f" and bool(np.isfinite(a).all()))
 
 
+def _column_text(a: np.ndarray, fmt: str):
+    """A column's words for CSV, or its whole JSON list text as
+    ``json.dump(..., indent=1)`` indents it inside an object. A column of
+    finite ints and floats is joined from its values' reprs, which are
+    their JSON; any other maps each repr to its JSON spelling."""
+    values = a.tolist()
+    if fmt == "csv":
+        return list(map(_fmt, values))
+    words = map(repr, values)
+    if not _finite_numbers(a):
+        words = [_JSON_WORDS.get(s, s) for s in words]
+    return "[\n  " + ",\n  ".join(words) + "\n ]" if values else "[]"
+
+
+def _json_pieces(texts: dict):
+    """The text of ``json.dump(record, fh, indent=1, sort_keys=True)``, in
+    pieces, for a record whose values' JSON texts are ``texts``."""
+    sep = "{\n "
+    for key in sorted(texts):
+        yield f"{sep}{json.dumps(key)}: "
+        yield texts[key]
+        sep = ",\n "
+    yield "\n}\n" if texts else "{}\n"
+
+
 def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
     """Write one job's table and return the path written.
 
     ``columns`` maps each column name, in output order, to an array or
-    list; each is converted to Python numbers once, so integer columns
-    stay integers. CSV is a header row and one row of 17-digit values per
-    entry. JSON is one object holding the columns as lists and ``extra``'s
-    fields, with sorted keys, indented as ``json.dump(..., indent=1)``
-    indents, and non-finite numbers written as null. Columns are keyed by
-    their bits (dtype, shape and bytes; equal values are not enough, since
-    0.0 and -0.0, or 1 and 1.0, are written differently), so twin columns
-    (a classical solve's u and F) are converted and formatted once, and
-    their text written for each.
+    list; each is converted to Python numbers, so integer columns stay
+    integers. CSV is a header row and one row of 17-digit values per
+    entry. JSON is one object holding the columns as lists and
+    ``extra``'s scalar fields, with sorted keys, indented as
+    ``json.dump(..., indent=1)`` indents, and non-finite numbers written
+    as null. Columns are keyed by their bits (dtype, shape and bytes;
+    equal values are not enough, since 0.0 and -0.0, or 1 and 1.0, are
+    written differently): each distinct column's text is formatted once
+    and written whole for every column that shares it, such as a
+    classical solve's u and F.
     """
     path = cfg.out_path or f"{cfg.command}.{cfg.out_format}"
     arrays = {name: np.asarray(v) for name, v in columns.items()}
     bits = {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()}
-    lists = {}
+    texts = {}
     for name, a in arrays.items():
-        if bits[name] not in lists:
-            lists[bits[name]] = a.tolist()
-    table = {name: lists[bits[name]] for name in arrays}
+        if bits[name] not in texts:
+            texts[bits[name]] = _column_text(a, cfg.out_format)
     with open(path, "w", newline="") as fh:
         if cfg.out_format == "csv":
-            texts = {key: list(map(_fmt, values)) for key, values in lists.items()}
-            lines = [",".join(table)]
-            lines += map(",".join, zip(*(texts[bits[name]] for name in table)))
+            lines = [",".join(arrays)]
+            lines += map(",".join, zip(*(texts[bits[name]] for name in arrays)))
             fh.write("\n".join(lines) + "\n")
         else:
-            fields = {k: np.asarray(v).tolist() for k, v in extra.items()}
-            plain = {name for name, a in arrays.items() if _finite_numbers(a)}
-            fh.writelines(_json_chunks({**table, **fields}, plain, bits))
-            fh.write("\n")
+            record = {name: texts[bits[name]] for name in arrays}
+            for key, v in extra.items():
+                word = repr(np.asarray(v).tolist())
+                record[key] = _JSON_WORDS.get(word, word)
+            fh.writelines(_json_pieces(record))
     return path
 
 

@@ -49,11 +49,16 @@ __all__ = [
     "classical_solution",
 ]
 
-#: a solve refuses to proceed when |g(0+) - 1| exceeds this. Looser than
-#: check_gsc's verdict (1e-3, a conclusive eps fit, a finite L1 norm) on
-#: purpose: the transformation needs g(0+) near 1 and a finite g', and a
-#: coarse mesh can miss the eps fit's margin on a pair that solves and
-#: converges (see _transform_eps)
+#: a solve refuses to proceed when |g(0+) - 1| exceeds this: the
+#: reformulation divides by g(0), so a failing pair produces an equation for
+#: a different problem. Looser than check_gsc's verdict (1e-3, a conclusive
+#: eps fit, a finite L1 norm) on purpose: the transformation needs g(0+)
+#: near 1 and a finite g', and a coarse mesh can miss the eps fit's margin
+#: on a pair that solves and converges. For alpha(t) = 0.693966 + 0.168935 t
+#: on (0, 0.5], the N=32 level of a converge run fits eps 9e-4 past the
+#: margin (still below 1 - alpha(0)), and its error halves at N=64 like the
+#: finer levels'. A g' that is not finite at the nodes already makes
+#: _forward_sweep raise DomainError, and the L1 norm is NaN only there.
 GATE_G0_TOL = 1e-2
 
 #: forward substitution aborts when a diagonal entry falls below this
@@ -178,7 +183,6 @@ class SolveReport:
     F: SampledFunction
     residual_first_kind: float
     residual_second_kind: float
-    mesh: Mesh
     gprime_l1: float
     ku: SampledFunction
     sc_residual_of_u: float | None = None
@@ -358,7 +362,7 @@ def _check_steps(diag: np.ndarray, i0: int) -> None:
 
 
 def _first_kind_residual(
-    k: KernelSpec, u: SampledFunction, rhs: RhsSpec, mesh: Mesh
+    k: KernelSpec, u: SampledFunction, rhs: RhsSpec
 ) -> tuple[float, SampledFunction]:
     """max |(k * u)(t_i) - f(t_i)| / max(1, max |f(t_i)|) over nodes i >=
     RESID_FIRST_INDEX, and the node samples of k * u. Relative to f, so
@@ -371,10 +375,11 @@ def _first_kind_residual(
     other k it is wrapped as a tabulated singular kernel so its blow-up
     is integrated by the doubly singular route of :func:`convolve_pair`.
     """
+    mesh = u.mesh
     if np.isfinite(u.values[0]):
         ku = convolve_weakly_singular(k, u)
     elif k.power_coef is not None:
-        ku = _push_back_split(k, u, mesh)
+        ku = _push_back_split(k, u)
     else:
         u_tab = KernelSpec.from_samples(u, sing_exponent=1.0 - k.local_exponent)
         ku = convolve_pair(u_tab, k, mesh)
@@ -384,7 +389,7 @@ def _first_kind_residual(
     return float(np.max(np.abs(ku.values[i0:] - f_nodes))) / scale, ku
 
 
-def _push_back_split(k: KernelSpec, u: SampledFunction, mesh: Mesh) -> SampledFunction:
+def _push_back_split(k: KernelSpec, u: SampledFunction) -> SampledFunction:
     """k * u for a pure power k = c t^(-sigma) and a u that blows up at 0
     as t^(sigma - 1), at the interior nodes (NaN at t_0).
 
@@ -394,6 +399,7 @@ def _push_back_split(k: KernelSpec, u: SampledFunction, mesh: Mesh) -> SampledFu
     (:func:`_power_convolution`). u_reg is bounded, 0 at t_0, and goes
     through :func:`convolve_weakly_singular`.
     """
+    mesh = u.mesh
     sigma, nodes = k.local_exponent, mesh.nodes
     scale = nodes ** (1.0 - sigma)
     m = u.values * scale  # u's bounded factor, NaN at t_0
@@ -412,58 +418,39 @@ def solve_first_kind(pair: SoninePair, rhs: RhsSpec, mesh: Mesh) -> SolveReport:
     Measures what the transformation needs of the generalized condition
     first, g(0+) and g' with its fit and L1 norm, without the rest of
     :func:`check_gsc` (g on the mesh and route_diff). Refuses to
-    transform when g(0+) strays from 1 (see :func:`_transform_eps`).
+    transform when g(0+) strays from 1 (see GATE_G0_TOL).
     """
     gate = _gate_inputs(pair, mesh)
     u, F, r2 = _second_kind_solve(pair, rhs, mesh, gate)
-    r1, ku = _first_kind_residual(pair.k, u, rhs, mesh)
+    r1, ku = _first_kind_residual(pair.k, u, rhs)
     return SolveReport(
         u=u,
         F=F,
         residual_first_kind=r1,
         residual_second_kind=r2,
-        mesh=mesh,
         gprime_l1=gate.gprime_l1,
         ku=ku,
     )
 
 
 def _second_kind_solve(
-    pair: SoninePair, rhs: RhsSpec, mesh: Mesh, gate: _GateInputs
+    pair: SoninePair, rhs: RhsSpec, mesh: Mesh, gate: _GateInputs, data: RhsSpec | None = None
 ) -> tuple[SampledFunction, SampledFunction, float]:
-    """u, F and the second-kind residual of :func:`solve_first_kind`, after
-    the gate on g(0+) (:func:`_transform_eps`) and the check of ``rhs``."""
-    eps = _transform_eps(gate)
-    rhs.validate(pair.b)
-    F = assemble_rhs(pair.K, rhs, mesh)
-    u, r2 = _forward_sweep(gate.gprime, F, mesh, eps)
-    return u, F, r2
-
-
-def _transform_eps(gate: _GateInputs) -> float:
-    """The sweep's eps, ``gate.eps``: the clipped eps that the gate's
-    L1 norm of g' was computed with, so that the Gronwall budget bounds
-    the sweep. Returned after the gate on g(0+): the reformulation
-    divides by g(0), so a failing pair produces an equation for a
-    different problem.
-
-    The gate is looser than :func:`check_gsc`'s verdict, which asks for
-    |g(0+) - 1| <= 1e-3, a conclusive eps fit and a finite L1 norm. A
-    coarse mesh can miss the eps fit's margin on a pair that solves: for
-    alpha(t) = 0.693966 + 0.168935 t on (0, 0.5], the N=32 level of a
-    ``converge`` run fits eps 9e-4 past the margin (still below
-    1 - alpha(0)), and its error halves at N=64 like the finer levels'.
-    A g' that is not finite at the nodes already makes
-    :func:`_forward_sweep` raise DomainError, and the L1 norm is NaN only
-    where g' is not finite.
-    """
+    """u, F and the second-kind residual of :func:`solve_first_kind` for
+    the data ``data`` (``rhs`` when None), after the gate on g(0+) (see
+    GATE_G0_TOL) and the check of ``rhs``. The sweep takes ``gate.eps``,
+    the clipped eps that the gate's L1 norm of g' was computed with, so
+    that the Gronwall budget bounds the sweep."""
     if not math.isfinite(gate.g0_defect) or gate.g0_defect > GATE_G0_TOL:
         raise GscConditionError(
             f"pair fails the generalized condition: |g(0+) - 1| = "
             f"{gate.g0_defect!r} exceeds {GATE_G0_TOL}; the second-kind "
             "transformation is not available"
         )
-    return gate.eps
+    rhs.validate(pair.b)
+    F = assemble_rhs(pair.K, rhs if data is None else data, mesh)
+    u, r2 = _forward_sweep(gate.gprime, F, mesh, gate.eps)
+    return u, F, r2
 
 
 def convergence_study(pair: SoninePair, rhs: RhsSpec, N: int, r: float) -> ConvergenceReport:
@@ -562,9 +549,8 @@ def stability_report(
     if not (math.isfinite(delta) and delta > 0.0 and math.isfinite(rhs.f0 + delta)):
         raise DomainError(f"delta must be a small positive number, got {delta!r}")
     gate = _gate_inputs(pair, mesh)
-    _transform_eps(gate)
-    rhs.validate(pair.b)
-    du, dF, _ = _second_kind_solve(pair, RhsSpec.from_polynomial([delta]), mesh, gate)
+    shift = RhsSpec.from_polynomial([delta])
+    du, dF, _ = _second_kind_solve(pair, rhs, mesh, gate, shift)
     max_shift = float(np.max(np.abs(du.values[1:])))
     bound = math.exp(gate.gprime_l1) * float(np.max(np.abs(dF.values[1:])))
     return StabilityReport(

@@ -195,14 +195,12 @@ class TestEmission:
         assert all(v is not None for v in record["g"])
         assert list(record) == sorted(record)
 
-    @pytest.mark.parametrize("chunk", [2, 512])
-    def test_json_writer_is_json_dump(self, tmp_path, monkeypatch, chunk):
+    def test_json_writer_is_json_dump(self, tmp_path):
         """The JSON table is json.dump(record, indent=1, sort_keys=True) byte
         for byte, with non-finite numbers as null, for non-finite values, an
         empty column, an int column, an all-finite float column, a bool
         column, bool and float extras, and keys whose sorted order is not
-        their insertion order; also when a column spans several chunks."""
-        monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+        their insertion order."""
         out = tmp_path / "t.json"
         doc = _doc("verify-pair", output={"path": str(out), "format": "json"})
         cfg = parse_config(json.dumps(doc))
@@ -211,7 +209,7 @@ class TestEmission:
             "g": np.array([np.nan, np.inf, -np.inf, 1.5, 2.0]),
             "empty": [],
             "N": [32, 64, 128, 256, 512],
-            # finite floats across several chunks, joined without lookups
+            # finite floats, joined without lookups
             "u": np.linspace(-1.0, 1.0, 7) ** 3 * 1e-17,
             "flags": np.array([True, False, True]),
         }
@@ -221,12 +219,10 @@ class TestEmission:
         assert out.read_text() == expected
         assert '"N": [\n  32,' in expected and '"empty": []' in expected
 
-    @pytest.mark.parametrize("chunk", [2, 512])
-    def test_twin_columns_json(self, tmp_path, monkeypatch, chunk):
+    def test_twin_columns_json(self, tmp_path):
         """Columns equal in bits share their text in any sorted order, and
         columns of equal values but other bits or dtype do not: the table is
         still json.dump's."""
-        monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
         out = tmp_path / "t.json"
         cfg = parse_config(json.dumps(_doc("solve", output={"path": str(out), "format": "json"})))
         columns, extra = _twin_columns(), {"gprime_l1": 0.0}
@@ -347,6 +343,8 @@ class TestCsvJsonAgree:
         rc_json, json_text, summary_json = self._run(tmp_path, capsys, command, kernel, "json")
         assert rc_csv == rc_json and summary_csv == summary_json
         record = json.loads(json_text)
+        # the real table is json.dump's text of its own record, byte for byte
+        assert json.dumps(record, indent=1, sort_keys=True) + "\n" == json_text
 
         header, *rows = [line.split(",") for line in csv_text.splitlines()]
         assert all(len(row) == len(header) for row in rows)

@@ -206,11 +206,36 @@ class TestSolveFirstKind:
         assert report.residual_first_kind <= 5e-3
         assert report.residual_second_kind <= 1e-12
 
-    def test_failing_pair_is_refused(self):
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "solve_first_kind",
+            "discover_associate",
+            "stability_report",
+            "convergence_study",
+            "stability_report-bad-rhs",
+        ],
+    )
+    def test_failing_pair_is_refused(self, entry):
+        """Every entry point that transforms refuses a pair whose g(0+) is
+        far from 1 (here g = k * k = pi). stability_report gates g(0+)
+        before it checks the caller's data, so data whose fprime is not
+        f's derivative is refused with the pair, not as data."""
         kk = power_kernel(1.0, 0.5, 1.0)
         pair = SoninePair(k=kk, K=kk)
+        rhs, mesh = RhsSpec.from_polynomial([0.0, 1.0]), graded_mesh(64, 2.0, 1.0)
+        bad = RhsSpec(f=lambda t: t, fprime=lambda t: 2.0 + 0.0 * t)
+        with pytest.raises(DomainError, match="finite difference"):
+            bad.validate(1.0)
+        run = {
+            "solve_first_kind": lambda: solve_first_kind(pair, rhs, mesh),
+            "discover_associate": lambda: discover_associate(kk, kk, mesh),
+            "stability_report": lambda: stability_report(pair, rhs, 1e-6, mesh),
+            "convergence_study": lambda: convergence_study(pair, rhs, 64, 2.0),
+            "stability_report-bad-rhs": lambda: stability_report(pair, bad, 1e-6, mesh),
+        }[entry]
         with pytest.raises(GscConditionError):
-            solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), graded_mesh(64, 2.0, 1.0))
+            run()
 
     def test_linearity(self, pair_a, mesh_512_half):
         u1 = solve_first_kind(pair_a, RhsSpec.from_polynomial([0.0, 1.0]), mesh_512_half).u.values
@@ -385,7 +410,7 @@ class TestStabilityReport:
         assert volterra.EPS_CLIP_MAX is sonine.EPS_CLIP_MAX
 
     @pytest.mark.parametrize("which", ["paper", "classical"])
-    def test_budget_and_sweep_share_one_eps(self, which, pair_a, classical_half):
+    def test_budget_and_sweep_share_one_eps(self, which, pair_a, classical_half, monkeypatch):
         """The gate clips the fitted eps once: the sweep gets that float,
         and the L1 norm of g' is the one whose weights are built at
         beta = 1 - eps. The weights here are each panel's moments of
@@ -395,7 +420,16 @@ class TestStabilityReport:
         gate = sonine._gate_inputs(pair, mesh)
         assert gate.eps == np.clip(gate.eps_fit.eps, 0.0, sonine.EPS_CLIP_MAX)
         assert (gate.eps > 0.0) == (which == "paper")
-        assert volterra._transform_eps(gate) == gate.eps
+        swept = []
+        real = volterra._forward_sweep
+
+        def recording(gprime, F, mesh, eps):
+            swept.append(eps)
+            return real(gprime, F, mesh, eps)
+
+        monkeypatch.setattr(volterra, "_forward_sweep", recording)
+        solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), mesh)
+        assert swept == [gate.eps]
         beta = 1.0 - gate.eps
         nodes = mesh.nodes.tolist()
         m = [0.0] + [abs(g) * t**gate.eps for g, t in zip(gate.gprime.values[1:], nodes[1:])]

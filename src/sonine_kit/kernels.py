@@ -118,11 +118,6 @@ class ExponentFunction:
         if not np.all(np.isfinite(self.deriv(grid))):
             raise DomainError("exponent derivative produced non-finite values on [0, b]")
 
-    def is_constant(self, b: float) -> bool:
-        grid = np.linspace(0.0, b, VALIDATION_GRID)
-        vals = self.eval(grid)
-        return bool(vals.max() == vals.min()) and bool(np.all(self.deriv(grid) == 0.0))
-
 
 def affine_exponent(a0: float, a1: float, b: float) -> ExponentFunction:
     """Profile alpha(t) = a0 + a1 t, refused unless its exact range over
@@ -150,15 +145,15 @@ class KernelSpec:
     order sigma of the t -> 0 blow-up, which the product quadrature
     factors out, and ``smooth_fn`` evaluates the bounded factor smooth,
     continuous on [0, b] with smooth(0) = smooth0, a finite number.
-    ``exponent`` is the profile alpha of a kernel t^(-alpha(t))
-    (:func:`variable_exponent_kernel`), None for every other kernel.
+    ``smooth_log_deriv`` evaluates t smooth'(t) on (0, b], which must tend
+    to 0 at t = 0; it is None when not known.
     """
 
     smooth_fn: Callable
     smooth0: float
     local_exponent: float
     b: float
-    exponent: ExponentFunction | None = None
+    smooth_log_deriv: Callable | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.smooth0):
@@ -324,19 +319,40 @@ def variable_exponent_kernel(af: ExponentFunction, b: float) -> KernelSpec:
         smooth0=1.0,
         local_exponent=alpha0,
         b=float(b),
-        exponent=af,
+        smooth_log_deriv=lambda t: _dE(af, alpha0, t),
     )
+
+
+def _dE(af: ExponentFunction, alpha0: float, x) -> np.ndarray:
+    """x E'(x) for x > 0, where E(x) = x^(alpha0 - alpha(x)).
+
+    x E'(x) = E(x) (q - alpha'(x) x ln x) with q = alpha0 - alpha(x);
+    the bracket vanishes at 0, where E' diverges only logarithmically.
+    """
+    x = np.asarray(x, dtype=float)
+    lx = np.log(x)
+    # in place and without a division: a fresh block-sized array per step
+    # cost about 10% of the N = 4096 gate, a division for q / x about 5%
+    q = np.subtract(alpha0, af.eval(x))
+    e = q * lx
+    np.exp(e, out=e)
+    d = af.deriv(x)
+    d *= lx
+    d *= x
+    q -= d
+    q *= e
+    return q
 
 
 def _constant_factor(kernel: KernelSpec) -> float | None:
     """c when the kernel's bounded factor is the constant c, else None: a
-    pure power (:attr:`KernelSpec.power_coef`), or t^(-alpha(t)) of
-    :func:`variable_exponent_kernel` for a constant profile, whose bounded
-    factor t^(alpha(0) - alpha(t)) is its smooth0 = 1 at every t."""
+    pure power (:attr:`KernelSpec.power_coef`), or a kernel whose
+    ``smooth_log_deriv`` is 0 at the positive points of the validation
+    grid of [0, b] (t^(-alpha(t)) for a constant profile): its smooth0."""
     if kernel.power_coef is not None:
         return kernel.power_coef
-    af = kernel.exponent
-    return kernel.smooth0 if af is not None and af.is_constant(kernel.b) else None
+    d, grid = kernel.smooth_log_deriv, np.linspace(0.0, kernel.b, VALIDATION_GRID)[1:]
+    return kernel.smooth0 if d is not None and np.all(_evaluate(d, grid) == 0.0) else None
 
 
 def _is_classical(k: KernelSpec, K: KernelSpec) -> bool:
@@ -359,8 +375,8 @@ class SoninePair:
 
     The pair is its two kernels. ``is_classical``, that K * k = 1 holds
     analytically (:func:`_is_classical`), is derived from them once; the
-    solvers take the shortcut it allows (g' = 0, no sweep). The exponent
-    profile of a variable-exponent k is ``k.exponent``.
+    solvers take the shortcut it allows (g' = 0, no sweep). Which pairs have
+    an analytic g' is read from both (:func:`sonine_kit.sonine._substituted_route`).
     """
 
     k: KernelSpec

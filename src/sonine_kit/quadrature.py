@@ -166,14 +166,16 @@ def _moments(
     from the singular point: a weight carries a relative rounding error of
     about eps (d/h)^2.
 
-    Rows of ``d`` must be contiguous (or of positive stride): np.power can
-    round a reversed view differently in the last bit, which the far
-    weights amplify (to 2.8e-10 relative at 257 nodes, beta = 0.05).
+    A reversed (negative-stride) row of ``d`` is refused: np.power can
+    round it differently in the last bit, which the far weights amplify
+    (to 2.8e-10 relative at 257 nodes, beta = 0.05).
 
     ``work``, of shape (2, >= d.size), takes the slopes in its first row
     and the result in its second, which the result then views; without it
     they are allocated.
     """
+    if d.strides[-1] < 0:
+        raise DomainError("product weights need rows of d of non-negative stride")
     panels = d.shape[:-1] + (d.shape[-1] - 1,)
     if work is None:
         D, w = np.empty(panels), np.empty(d.shape)

@@ -1,9 +1,9 @@
 """Generalized Sonine condition: computing g = K * k and checking it.
 
 g and g' come from the quadrature's split-at-t/2 rule for two singular
-factors (:func:`sonine_kit.quadrature.convolve_pair`). For a pair with an
-exponent profile and K = t^(alpha0 - 1) / kappa(alpha0), the classical
-part t^(-alpha0) of k convolves with K to exactly 1; the rule's error on
+factors (:func:`sonine_kit.quadrature.convolve_pair`). For k = t^(-sigma)
+S(t) with S(0) = 1 and K = t^(sigma - 1) / kappa(sigma), the classical
+part t^(-sigma) of k convolves with K to exactly 1; the rule's error on
 it, delta, is the same at every t, and the substituted g subtracts it
 (``route_diff`` = |delta|); so does the g of a pair of pure powers that
 convolve to 1. g' is the same rule on t g'(t) = (K * q)(t).
@@ -59,7 +59,7 @@ EPS_WINDOW_FRACTION = 0.25
 #: minimum R^2 for the power fit to count as conclusive
 EPS_FIT_MIN_R2 = 0.9
 
-#: fitted exponent must stay below 1 - alpha(0) by this margin
+#: fitted exponent must stay below 1 - sigma, k's order, by this margin
 EPS_MARGIN = 0.01
 
 #: |g'| below this is treated as identically zero
@@ -115,27 +115,26 @@ class GscReport:
     gsc_pass: bool
 
 
-def _substituted_route(pair: SoninePair, required: bool = False) -> tuple | None:
-    """(alpha, alpha0) when the substituted route computes pair.K *
-    pair.k, else None, or DomainError when ``required``.
+def _substituted_route(pair: SoninePair, required: bool = False) -> float | None:
+    """sigma = k.local_exponent when the substituted route computes pair.K
+    * pair.k, else None, or DomainError when ``required``.
 
-    The route splits k = t^(-alpha0) E with E(t) = t^(alpha0 - alpha(t))
-    for k's exponent profile alpha (``k.exponent``), whose classical part
-    convolves with K = t^(alpha0 - 1) / kappa(alpha0) to exactly 1, so it
-    applies only when pair.K is that power; a pair whose K was scaled or
-    replaced takes the pointwise route.
+    The route splits k = t^(-sigma) S, whose classical part t^(-sigma)
+    convolves with K = t^(sigma - 1) / kappa(sigma) to exactly 1, so it
+    applies only when S(0) = k.smooth0 is 1, pair.K is that power and t
+    S'(t) is known (``k.smooth_log_deriv``); every other pair, a K scaled
+    or replaced, takes the pointwise route.
     """
-    af, K = pair.k.exponent, pair.K
-    alpha0 = float(af.eval(0.0)) if af is not None else math.nan
-    if 0.0 < alpha0 < 1.0 and (
-        K.local_exponent == 1.0 - alpha0 and K.power_coef == 1.0 / kappa(alpha0)
+    k, K, sigma = pair.k, pair.K, pair.k.local_exponent
+    if k.smooth_log_deriv is not None and k.smooth0 == 1.0 and (
+        K.local_exponent == 1.0 - sigma and K.power_coef == 1.0 / kappa(sigma)
     ):
-        return af, alpha0
+        return sigma
     if required:
         raise DomainError(
-            "this route needs a k with an exponent profile and "
-            "K = t^(alpha(0) - 1) / kappa(alpha(0)); use convolve_pair for "
-            "kernels given only pointwise"
+            "this route needs k = t^(-sigma) S(t) with S(0) = 1 and a known "
+            "t S'(t) (KernelSpec.smooth_log_deriv), and K = t^(sigma - 1) / "
+            "kappa(sigma); use convolve_pair for kernels given only pointwise"
         )
     return None
 
@@ -150,47 +149,25 @@ def _classical_defect(K: KernelSpec, k: KernelSpec, M: int) -> float:
     return float(_pair_convolution(K, k, np.array([K.b]), M)[0]) - 1.0
 
 
-def _dE(af, alpha0: float, x: np.ndarray, p: float) -> np.ndarray:
-    """x^p E'(x) for x > 0, where E(x) = x^(alpha0 - alpha(x)).
-
-    E'(x) = x^(q - 1) (q - alpha'(x) x ln x) with q = alpha0 - alpha(x);
-    the bracket vanishes at 0, where E' diverges only logarithmically.
-    """
-    x = np.asarray(x, dtype=float)
-    lx = np.log(x)
-    # in place and without a division: a fresh block-sized array per step
-    # cost about 10% of the N = 4096 gate, a division for q / x about 5%
-    q = np.subtract(alpha0, af.eval(x))
-    e = q + (p - 1.0)
-    e *= lx
-    np.exp(e, out=e)
-    d = af.deriv(x)
-    d *= lx
-    d *= x
-    q -= d
-    q *= e
-    return q
-
-
 def compute_g_substituted(pair: SoninePair, t, M: int = REF_PANELS):
-    """g(t) for a variable-exponent pair: :func:`convolve_pair`'s rule
-    minus its error delta on the classical part t^(-alpha0) of k
-    (:func:`_classical_defect`).
+    """g(t) for a pair on the substituted route (:func:`_substituted_route`):
+    :func:`convolve_pair`'s rule minus its error delta on the classical
+    part t^(-sigma) of k (:func:`_classical_defect`).
 
-    With k = t^(-alpha0) (1 + (E - 1)), that leaves the rule's error on the
-    small, well-behaved correction K * t^(-alpha0) (E - 1) alone.
+    With k = t^(-sigma) (1 + (S - 1)), that leaves the rule's error on the
+    small, well-behaved correction K * t^(-sigma) (S - 1) alone.
 
     ``t`` may be a scalar or an array inside (0, b]; the result matches
     its shape. ``M`` defaults to REF_PANELS, not a mesh's min(N/2, 256):
     below N = 512 these values differ from :func:`check_gsc`'s.
     """
-    _, alpha0 = _substituted_route(pair, required=True)
+    sigma = _substituted_route(pair, required=True)
     _check_panels(M)
     t_arr = np.asarray(t, dtype=float)
     flat = np.ravel(t_arr)
     if not np.all((flat > 0.0) & (flat <= pair.b * (1.0 + 1e-12))):  # NaN fails both
         raise DomainError(f"t must lie in (0, {pair.b!r}]")
-    delta = _classical_defect(pair.K, classical_abel_kernel(alpha0, pair.b), M)
+    delta = _classical_defect(pair.K, classical_abel_kernel(sigma, pair.b), M)
     out = _pair_convolution(pair.K, pair.k, flat, M) - delta
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
@@ -208,13 +185,13 @@ def compute_g(pair: SoninePair, mesh: Mesh) -> tuple[SampledFunction, float]:
     panel count, as in :func:`convolve_pair`. g(t_0) is NaN.
     """
     M = _pair_panels(pair.K, pair.k, mesh, None)
-    route = _substituted_route(pair)
-    if route is None:
+    sigma = _substituted_route(pair)
+    if sigma is None:
         g = convolve_pair(pair.K, pair.k, mesh, M=M)
         if pair.is_classical:
             g = SampledFunction(mesh=mesh, values=g.values - _classical_defect(pair.K, pair.k, M))
         return g, float("nan")
-    delta = _classical_defect(pair.K, classical_abel_kernel(route[1], pair.b), M)
+    delta = _classical_defect(pair.K, classical_abel_kernel(sigma, pair.b), M)
     g = np.full(mesh.N + 1, np.nan)
     g[1:] = _in_log_t(lambda t: _pair_convolution(pair.K, pair.k, t, M), mesh.nodes[1:])
     g[1:] -= delta
@@ -224,25 +201,25 @@ def compute_g(pair: SoninePair, mesh: Mesh) -> tuple[SampledFunction, float]:
 def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
     """g' at strictly positive times, increasing ones when there are 4 *
     LOG_T_POINTS or more. Differentiating the substituted form under the
-    integral (d/dt E(t z) = z E'(t z)) and putting s = t z back gives
-    t g'(t) = (K * q)(t) for q(s) = s^(1 - alpha0) E'(s), a kernel of
-    local order alpha0 whose bounded factor s E'(s) vanishes at 0. t g',
-    which goes as t ln t near 0, is sampled in ln t (see
-    :func:`sonine_kit.quadrature._in_log_t`) and then divided by t."""
-    af, alpha0 = _substituted_route(pair, required=True)
+    integral (d/dt S(t z) = z S'(t z)) and putting s = t z back gives
+    t g'(t) = (K * q)(t) for q(s) = s^(1 - sigma) S'(s), a kernel of
+    local order sigma whose bounded factor s S'(s), k.smooth_log_deriv,
+    vanishes at 0. t g', which goes as t ln t near 0, is sampled in ln t
+    (see :func:`sonine_kit.quadrature._in_log_t`) and then divided by t."""
+    sigma = _substituted_route(pair, required=True)
     q = KernelSpec(
-        smooth_fn=lambda s: _dE(af, alpha0, s, 1.0),
+        smooth_fn=pair.k.smooth_log_deriv,
         smooth0=0.0,
-        local_exponent=alpha0,
+        local_exponent=sigma,
         b=pair.b,
     )
     return _in_log_t(lambda t: _pair_convolution(pair.K, q, t, M), flat) / flat
 
 
 def estimate_gprime(pair: SoninePair, mesh: Mesh) -> SampledFunction:
-    """g' at the interior mesh nodes for a variable-exponent pair, from the
-    analytically differentiated substituted form (no finite differencing),
-    with the mesh's panel count, as in :func:`check_gsc`.
+    """g' at the interior mesh nodes of a pair on the substituted route,
+    from the analytically differentiated substituted form (no finite
+    differencing), with the mesh's panel count, as in :func:`check_gsc`.
 
     g'(t_0) is undefined (NaN): the derivative need not exist at 0, only
     be integrable near it.
@@ -297,7 +274,7 @@ def _fit_g0(samples) -> tuple[float, float, float]:
     return float(g_bar - phi_bar @ c), float(c[0]), float(c[1])
 
 
-def _fit_eps(tw: np.ndarray, gp: np.ndarray, alpha0: float | None) -> EpsFit:
+def _fit_eps(tw: np.ndarray, gp: np.ndarray, sigma: float | None) -> EpsFit:
     """Power-law fit |g'| ~ C t^(-eps) on the near-origin window."""
     amax = float(np.max(np.abs(gp))) if len(gp) else 0.0
     if amax <= GPRIME_FLOOR:
@@ -316,8 +293,8 @@ def _fit_eps(tw: np.ndarray, gp: np.ndarray, alpha0: float | None) -> EpsFit:
     if C <= AMPLITUDE_FLOOR:
         return EpsFit(C=C, eps=0.0, passed=True, r_squared=r2)
     ok = r2 >= EPS_FIT_MIN_R2
-    if alpha0 is not None:
-        ok = ok and eps <= 1.0 - alpha0 - EPS_MARGIN
+    if sigma is not None:
+        ok = ok and eps <= 1.0 - sigma - EPS_MARGIN
     return EpsFit(C=C, eps=eps, passed=bool(ok), r_squared=r2)
 
 
@@ -353,9 +330,9 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     its weighted L1 norm, as :func:`check_gsc` reports them.
 
     g itself on the mesh is computed only for a pair the substituted route
-    does not apply to (given pointwise, or with a K other than the one
-    the profile implies) and that is not classical, whose g' is
-    differenced from it.
+    does not apply to (:func:`_substituted_route`) and that is not
+    classical, whose g' is differenced from it. The eps fit's margin reads
+    k's order when k has a ``smooth_log_deriv``.
     Refuses what :func:`convolve_pair` refuses: kernels on different
     intervals and a mesh past their end.
     """
@@ -381,9 +358,8 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     g0 = estimate_g0(zip(t_geo, g_geo))
 
     window = (interior <= pair.b * EPS_WINDOW_FRACTION) & (np.arange(1, mesh.N + 1) >= 2)
-    af = pair.k.exponent
-    alpha0 = float(af.eval(0.0)) if af is not None else None
-    eps_fit = _fit_eps(interior[window], gp[1:][window], alpha0)
+    sigma = pair.k.local_exponent if pair.k.smooth_log_deriv is not None else None
+    eps_fit = _fit_eps(interior[window], gp[1:][window], sigma)
 
     eps = float(np.clip(eps_fit.eps, 0.0, EPS_CLIP_MAX))
     w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps, "left")
@@ -406,8 +382,8 @@ def check_gsc(pair: SoninePair, mesh: Mesh, g0_tol: float = G0_TOL_DEFAULT) -> G
 
     The verdict requires |g(0+) - 1| <= g0_tol, a conclusive power fit of
     |g'| compatible with integrability, and a finite weighted L1 norm of
-    g'. For variable-exponent pairs the substituted route provides g(0)
-    samples, the analytic g' and g itself (see :func:`compute_g`).
+    g'. Where the substituted route applies it provides g(0) samples, the
+    analytic g' and g itself (see :func:`compute_g`).
     This is the full diagnostic; a solve reads only the g(0+), g', fit and
     L1 parts and does not compute g on the mesh.
     """

@@ -38,11 +38,13 @@ KAPPA_05 = 3.141592653589793
 KAPPA_075 = 4.442882938158366
 
 # profile A: alpha(t) = 0.5 + t/5 on [0, 0.5]
+PROFILE_A = affine_exponent(0.5, 0.2, 0.5)
 G_A_025 = 1.0455940748395565  # g(0.25)
 G_A_05 = 1.055753018805894  # g(0.5)
 GPRIME_A_025 = 0.08138322441535338  # g'(0.25)
 
 # profile B: alpha(t) = 0.6 - t/10 on [0, 0.5]
+PROFILE_B = affine_exponent(0.6, -0.1, 0.5)
 G_B_025 = 0.981543461841188
 G_B_05 = 0.9768163354904672
 
@@ -53,12 +55,12 @@ VAR_KERNEL_AT_025 = 2.1435469250725863  # 0.25^(-0.55)
 
 @pytest.fixture(scope="session")
 def pair_a():
-    return make_variable_exponent_pair(affine_exponent(0.5, 0.2, 0.5), 0.5)
+    return make_variable_exponent_pair(PROFILE_A, 0.5)
 
 
 @pytest.fixture(scope="session")
 def pair_b():
-    return make_variable_exponent_pair(affine_exponent(0.6, -0.1, 0.5), 0.5)
+    return make_variable_exponent_pair(PROFILE_B, 0.5)
 
 
 @pytest.fixture(scope="session")

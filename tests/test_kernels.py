@@ -81,8 +81,6 @@ class TestExponentFunction:
         assert af.eval(0.5) == 0.6
         assert af.deriv(0.25) == 0.2
         af.validate(0.5)  # no raise
-        assert not af.is_constant(0.5)
-        assert affine_exponent(0.37, 0.0, 1.0).is_constant(1.0)
 
     def test_affine_range_rejected(self):
         with pytest.raises(DomainError):
@@ -160,6 +158,18 @@ class TestKernelSpec:
             vals[1:] = m.nodes[1:] ** -0.3 * (1.0 + m.nodes[1:])
             k = KernelSpec.from_samples(SampledFunction(mesh=m, values=vals))
         np.testing.assert_array_equal(k.eval(ts), k.smooth(ts) * ts ** -k.local_exponent)
+
+    def test_variable_kernel_log_derivative(self):
+        """t E'(t) for E(t) = t^(alpha(0) - alpha(t)) = t^(-a1 t) is
+        -a1 t (ln t + 1) E(t), and tends to 0 at the origin. Near 0 the
+        rounding of alpha(0) - alpha(t) shows: 1.2e-13 relative at 1e-4."""
+        a1 = 0.2
+        k = variable_exponent_kernel(affine_exponent(0.5, a1, 0.5), 0.5)
+        ts = np.array([1e-4, 0.01, 0.3, 0.5])
+        want = -a1 * ts * (np.log(ts) + 1.0) * ts ** (-a1 * ts)
+        np.testing.assert_allclose(k.smooth_log_deriv(ts), want, rtol=1e-12, atol=0.0)
+        assert 0.0 < k.smooth_log_deriv(np.array([1e-300]))[0] <= 1e-297
+        assert classical_abel_kernel(0.5, 1.0).smooth_log_deriv is None
 
     def test_smooth_factor_consistency(self):
         af = affine_exponent(0.5, 0.2, 0.5)
@@ -274,6 +284,19 @@ CLASSICAL_TABLE = {
         lambda: _kernels(make_variable_exponent_pair(affine_exponent(0.37, 0.0, 1.0), 1.0)),
         True,
     ),
+    "constant factor, zero log-derivative": (
+        lambda: (
+            KernelSpec(
+                smooth_fn=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0),
+                smooth0=2.0,
+                local_exponent=0.4,
+                b=1.0,
+                smooth_log_deriv=np.zeros_like,
+            ),
+            power_kernel(0.5 / kappa(0.4), 0.6, 1.0),
+        ),
+        True,
+    ),
     "paper profile": (
         lambda: _kernels(make_variable_exponent_pair(affine_exponent(0.5, 0.2, 0.5), 0.5)),
         False,
@@ -300,10 +323,18 @@ class TestSoninePair:
         af = affine_exponent(0.5, 0.2, 0.5)
         pair = make_variable_exponent_pair(af, 0.5)
         assert not pair.is_classical
-        assert pair.k.exponent is af
+        assert pair.k.smooth_log_deriv is not None
         assert abs(1.0 / pair.K.power_coef - KAPPA_05) <= 1e-12 * KAPPA_05
         # associate has the constant order 1 - alpha(0)
         assert pair.K.local_exponent == 0.5
+
+    @pytest.mark.parametrize("a0, b", [(0.05, 0.5), (0.37, 1.0), (0.5, 0.5), (0.93, 3.0)])
+    def test_constant_profiles_stay_classical(self, a0, b):
+        """alpha(t) = a0 + 0 t gives a bounded factor whose log-derivative is
+        exactly 0 on the grid, also where ln t > 0; a slope of 1e-300, which
+        leaves every alpha(t) at a0, does not."""
+        assert make_variable_exponent_pair(affine_exponent(a0, 0.0, b), b).is_classical
+        assert not make_variable_exponent_pair(affine_exponent(a0, 1e-300, b), b).is_classical
 
     def test_mismatched_intervals_rejected(self):
         k1 = classical_abel_kernel(0.5, 1.0)

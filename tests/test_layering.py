@@ -6,7 +6,10 @@ reach into the quadrature layer or into another module's private names,
 which is how copies of library pipelines end up in the front end.
 ``sonine.py`` computes g and g' through the quadrature's pair convolution
 and may not import the reference rule or the row blocks behind it, which
-is how a second split-at-t/2 integrator would come back. The CLI's
+is how a second split-at-t/2 integrator would come back. Nor does it read
+exponent profiles: the analytic g' route takes what it needs from
+``KernelSpec.smooth_log_deriv``, so any kernel that carries it gets the
+route, not only t^(-alpha(t)). The CLI's
 commands (``_run_*``) return their table and summary and do no I/O:
 ``run`` writes both, so the CLI has one output path. Only ``solve`` runs
 ``solve_first_kind``, once: a command that needs solves at several meshes
@@ -55,6 +58,10 @@ LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Genera
 
 #: the machinery of the split-at-t/2 rule, which only quadrature.py uses
 INTEGRATOR_PARTS = {"_reference_rule", "_row_blocks"}
+
+#: what sonine.py may not name: the profile type and the profile attribute
+PROFILE_NAMES = {"ExponentFunction"}
+PROFILE_ATTRIBUTES = {"exponent"}
 
 #: the one public function of the pipeline modules with a panel count
 #: parameter: it evaluates g at given times, with no mesh to fix the count
@@ -257,6 +264,42 @@ def test_integrator_guard_catches_violations(source):
 def test_integrator_guard_allows_the_pair_convolution():
     source = "from .quadrature import REF_PANELS, _pair_convolution, _pair_panels\n"
     assert _integrator_parts_used(source) == []
+
+
+def _profile_reads(source: str) -> list[str]:
+    """Names and imports of ExponentFunction, and ``.exponent`` accesses."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in PROFILE_NAMES:
+            found.append(f"line {node.lineno}: names {node.id}")
+        elif isinstance(node, ast.alias) and node.name in PROFILE_NAMES:
+            found.append(f"line {node.lineno}: imports {node.name}")
+        elif isinstance(node, ast.Attribute) and node.attr in PROFILE_ATTRIBUTES:
+            found.append(f"line {node.lineno}: reads .{node.attr}")
+    return found
+
+
+def test_sonine_reads_no_exponent_profile():
+    source = Path(sonine_kit.sonine.__file__).read_text()
+    assert _profile_reads(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .kernels import ExponentFunction",
+        "def f(af: ExponentFunction):\n    pass",
+        "af = pair.k.exponent",
+        "alpha0 = float(k.exponent.eval(0.0))",
+    ],
+)
+def test_profile_guard_catches_violations(source):
+    assert _profile_reads(source)
+
+
+def test_profile_guard_allows_the_kernel_fields():
+    source = "sigma = k.local_exponent\nq = k.smooth_log_deriv\n"
+    assert _profile_reads(source) == []
 
 
 def _panel_count_parameters(source: str) -> list[str]:

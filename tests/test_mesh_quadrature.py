@@ -115,6 +115,22 @@ class TestProductWeights:
         assert abs(math.fsum(w) - 2.0) <= 1e-14
         assert abs(float(w @ m.nodes[:2]) - 4.0 / 3.0) <= 1e-14
 
+    def test_reversed_distances_are_refused(self):
+        """np.power rounds a reversed view of d differently in the last bit,
+        which the far weights amplify (2.8e-10 relative at 257 nodes, beta
+        = 0.05), so such a row is refused before any arithmetic; its
+        contiguous copy and a positive-stride view are not."""
+        v = np.linspace(0.0, 1.0, 257)
+        d = (1.0 - v)[::-1]
+        work = np.full((2, 2 * d.size), 7.0)
+        for rows in (d, np.stack([1.0 - v, 1.0 - v])[:, ::-1]):
+            with pytest.raises(DomainError, match="stride"):
+                _moments(rows, np.diff(d), 0.05, "left", work)
+        assert np.all(work == 7.0)
+        w = _moments(d.copy(), np.diff(d), 0.05, "left")
+        assert abs(math.fsum(w) - 1.0 / 0.05) <= 1e-12
+        _moments(v[::2], np.diff(v[::2]), 0.05, "left")
+
     def test_weight_sum_identity(self):
         m = graded_mesh(64, 3.0, 0.7)
         for i in (1, 5, 64):

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import PROFILE_A, PROFILE_B
 from sonine_kit import (
     DomainError,
     IllConditionedSystemError,
@@ -57,9 +58,9 @@ def pair_oracle(K, k, t, M):
     return left + right
 
 
-def substituted_oracle(pair, t, M, derivative):
-    """g(t) (or g'(t)) of the substituted route, each half summed with math.fsum."""
-    af = pair.k.exponent
+def substituted_oracle(af, t, M, derivative):
+    """g(t) (or g'(t)) of the substituted route for the profile af, each
+    half summed with math.fsum."""
     a0 = float(af.eval(0.0))
     r_ref = default_grading(a0, 1.0 - a0)
     vL, wL = _reference_rule(a0, M, r_ref)
@@ -136,17 +137,17 @@ class TestBlockedSubstitutedRoute:
     def test_g_matches_fsum_oracle(self, pair_a, pair_b):
         M = 128
         ts = graded_mesh(2 * rows_per_block(M) + 5, 2.0, 0.5).nodes[1:]
-        for pair in (pair_a, pair_b):
+        for pair, af in ((pair_a, PROFILE_A), (pair_b, PROFILE_B)):
             got = compute_g_substituted(pair, ts, M=M)
-            want = [substituted_oracle(pair, float(t), M, False) for t in ts]
+            want = [substituted_oracle(af, float(t), M, False) for t in ts]
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
     def test_gprime_matches_fsum_oracle(self, pair_a, pair_b):
         M = 128
         mesh = graded_mesh(2 * rows_per_block(M) + 5, 2.0, 0.5)
-        for pair in (pair_a, pair_b):
+        for pair, af in ((pair_a, PROFILE_A), (pair_b, PROFILE_B)):
             got = _gprime_flat(pair, mesh.nodes[1:], M)
-            want = [substituted_oracle(pair, float(t), M, True) for t in mesh.nodes[1:]]
+            want = [substituted_oracle(af, float(t), M, True) for t in mesh.nodes[1:]]
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
     def test_one_row_per_block_above_budget(self, pair_a):
@@ -155,8 +156,8 @@ class TestBlockedSubstitutedRoute:
         got_g = compute_g_substituted(pair_a, mesh.nodes[1:], M=M)
         got_gp = _gprime_flat(pair_a, mesh.nodes[1:], M)
         for t, g, gp in zip(mesh.nodes[1:], got_g, got_gp):
-            assert g == pytest.approx(substituted_oracle(pair_a, t, M, False), rel=RTOL, abs=0.0)
-            assert gp == pytest.approx(substituted_oracle(pair_a, t, M, True), rel=RTOL, abs=0.0)
+            assert g == pytest.approx(substituted_oracle(PROFILE_A, t, M, False), rel=RTOL, abs=0.0)
+            assert gp == pytest.approx(substituted_oracle(PROFILE_A, t, M, True), rel=RTOL, abs=0.0)
 
     def test_multidimensional_times_keep_their_shape(self, pair_a):
         ts = np.array([[0.05, 0.1], [0.25, 0.5]])

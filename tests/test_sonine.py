@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from conftest import (
 )
 from sonine_kit import (
     DomainError,
+    KernelSpec,
     SoninePair,
     affine_exponent,
     check_gsc,
@@ -33,7 +35,7 @@ from sonine_kit import (
 )
 from sonine_kit import quadrature, sonine
 from sonine_kit.quadrature import _default_panels
-from sonine_kit.sonine import G0_TOL_DEFAULT, _gprime_flat
+from sonine_kit.sonine import G0_TOL_DEFAULT, _gprime_flat, _substituted_route
 
 
 class TestComputeGSubstituted:
@@ -138,7 +140,7 @@ class TestPanelCountPolicy:
         pair = {
             "classical": make_classical_abel_pair(0.5, pair_a.b),
             "substituted": pair_a,
-            "pointwise": SoninePair(k=replace(pair_a.k, exponent=None), K=pair_a.K),
+            "pointwise": SoninePair(k=replace(pair_a.k, smooth_log_deriv=None), K=pair_a.K),
         }[route]
         mesh = graded_mesh(128, 2.0, pair.b)
         np.testing.assert_array_equal(
@@ -200,6 +202,64 @@ class TestEstimateGprime:
         x = np.log(ts)
         slope = np.polyfit(x, y, 1)[0]
         assert -slope < 0.5
+
+
+#: the tempered Abel kernel t^(-ALPHA) e^(-LAM t) on (0, B]
+LAM, ALPHA, B = 2.0, 0.5, 0.5
+
+
+def tempered_pair(smooth0: float = 1.0, log_deriv: bool = True) -> SoninePair:
+    """k = smooth0 t^(-1/2) e^(-2t), with its t S'(t) = -2 smooth0 t e^(-2t)
+    unless ``log_deriv`` is False, and K = t^(-1/2) / kappa(1/2)."""
+
+    def smooth(t):
+        return smooth0 * np.exp(-LAM * np.asarray(t, dtype=float))
+
+    k = KernelSpec(
+        smooth_fn=smooth,
+        smooth0=smooth0,
+        local_exponent=ALPHA,
+        b=B,
+        smooth_log_deriv=(lambda t: -LAM * t * smooth(t)) if log_deriv else None,
+    )
+    return SoninePair(k=k, K=power_kernel(1.0 / kappa(ALPHA), 1.0 - ALPHA, B))
+
+
+class TestTemperedKernel:
+    """k = t^(-sigma) S(t) with S(0) = 1 and a known t S'(t) takes the
+    analytic route whatever S is. For S = e^(-lambda t), g = 1F1(1 - alpha;
+    1; -lambda t) and g' = -lambda (1 - alpha) 1F1(2 - alpha; 2; -lambda t)."""
+
+    def test_takes_the_analytic_route(self):
+        pair = tempered_pair()
+        assert not pair.is_classical
+        assert _substituted_route(pair) == ALPHA
+        _, route_diff = compute_g(pair, graded_mesh(512, 2.0, B))
+        assert math.isfinite(route_diff)  # 9.2e-10
+
+    def test_gprime_matches_the_hypergeometric_closed_form(self):
+        """Largest relative error 9.2e-10, at the first of the four nodes."""
+        mesh = graded_mesh(512, 2.0, B)
+        gp = estimate_gprime(tempered_pair(), mesh).values
+        for t in (B / 1000, B / 100, B / 2, B):
+            i = int(np.argmin(np.abs(mesh.nodes - t)))
+            with mp.workdps(30):
+                exact = -LAM * (1 - ALPHA) * mp.hyp1f1(2 - ALPHA, 2, -LAM * mp.mpf(mesh.nodes[i]))
+            assert abs(gp[i] / float(exact) - 1.0) <= 1e-7, (i, gp[i], exact)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [tempered_pair(log_deriv=False), tempered_pair(smooth0=2.0)],
+        ids=["no log-derivative", "smooth0 = 2"],
+    )
+    def test_takes_the_pointwise_route(self, pair):
+        """Without t S'(t) g' cannot be built; with S(0) = 2 the classical
+        part is 2 t^(-1/2), which K does not convolve to 1."""
+        assert _substituted_route(pair) is None
+        _, route_diff = compute_g(pair, graded_mesh(64, 2.0, B))
+        assert math.isnan(route_diff)
+        with pytest.raises(DomainError, match="smooth_log_deriv"):
+            compute_g_substituted(pair, B)
 
 
 def _fd_gprime_loop(nodes, g):
@@ -317,7 +377,7 @@ class TestCheckGsc:
         pair's k drops its profile, since the substituted route builds the
         normalization of K in, so g is convolved from K itself."""
         pair = make_variable_exponent_pair(affine_exponent(0.5, 0.4, 1.0), 1.0)
-        k = replace(pair.k, exponent=None)
+        k = replace(pair.k, smooth_log_deriv=None)
         profile_less = SoninePair(k=k, K=pair.K)
         scaled = SoninePair(
             k=k, K=power_kernel(pair.K.power_coef / 1.01, pair.K.local_exponent, 1.0)
@@ -337,14 +397,14 @@ class TestCheckGsc:
         pair = make_variable_exponent_pair(affine_exponent(0.5, 0.4, 1.0), 1.0)
         scaled_K = power_kernel(pair.K.power_coef / 1.01, pair.K.local_exponent, 1.0)
         kept = SoninePair(k=pair.k, K=scaled_K)
-        dropped = SoninePair(k=replace(pair.k, exponent=None), K=scaled_K)
+        dropped = SoninePair(k=replace(pair.k, smooth_log_deriv=None), K=scaled_K)
         mesh = graded_mesh(128, 2.0, 1.0)
         report = check_gsc(kept, mesh)
         assert not report.gsc_pass
         assert report.g0_defect > G0_TOL_DEFAULT
         assert math.isnan(report.route_diff)
         assert report.g0_defect == check_gsc(dropped, mesh).g0_defect
-        with pytest.raises(DomainError, match="exponent profile"):
+        with pytest.raises(DomainError, match="smooth_log_deriv"):
             compute_g_substituted(kept, 0.5)
         built = check_gsc(pair, mesh)
         assert built.gsc_pass and math.isfinite(built.route_diff)
@@ -361,8 +421,7 @@ class TestCheckGsc:
     def test_eps_bound_when_profile_attached(self, pair_a, mesh_512_half):
         report = check_gsc(pair_a, mesh_512_half)
         if report.eps_fit.passed and report.eps_fit.C > 1e-6:
-            alpha0 = pair_a.k.exponent.eval(0.0)
-            assert report.eps_fit.eps < 1.0 - alpha0
+            assert report.eps_fit.eps < 1.0 - pair_a.k.local_exponent
 
     def test_nonnegative_diagnostics(self, pair_a, mesh_512_half):
         report = check_gsc(pair_a, mesh_512_half)

@@ -10,7 +10,7 @@ import pytest
 
 import sonine_kit.sonine as sonine
 import sonine_kit.volterra as volterra
-from conftest import EXP_MINUS_1, TWO_OVER_PI
+from conftest import EXP_MINUS_1, PROFILE_A, TWO_OVER_PI
 from sonine_kit import (
     DomainError,
     GscConditionError,
@@ -269,7 +269,7 @@ class TestSolveFirstKind:
 def _profile_less(pair):
     """The pair with k's exponent profile dropped, so g is known only
     pointwise, as for kernels given by samples."""
-    return SoninePair(k=replace(pair.k, exponent=None), K=pair.K)
+    return SoninePair(k=replace(pair.k, smooth_log_deriv=None), K=pair.K)
 
 
 class TestSolveInputChecks:
@@ -352,7 +352,7 @@ class TestHandBuiltPair:
         if which == "classical":
             k = classical_abel_kernel(sigma, made.b)
         else:
-            k = variable_exponent_kernel(made.k.exponent, made.b)
+            k = variable_exponent_kernel(PROFILE_A, made.b)
         K = power_kernel(1.0 / kappa(sigma), 1.0 - sigma, made.b)
         mesh = graded_mesh(128, 2.0, made.b)
         rhs = RhsSpec.from_polynomial([1.0, 0.5])

@@ -285,8 +285,7 @@ def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
     return path
 
 
-def _run_verify_pair(cfg: JobConfig) -> _Result:
-    pair = _build_pair(cfg.kernel)
+def _run_verify_pair(cfg: JobConfig, pair: SoninePair) -> _Result:
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     report = check_gsc(pair, mesh, g0_tol=cfg.tolerances["g0"])
     columns = {"t": mesh.nodes[1:], "g": report.g.values[1:]}
@@ -306,8 +305,7 @@ def _run_verify_pair(cfg: JobConfig) -> _Result:
     return columns, extra, summary, report.gsc_pass
 
 
-def _run_compute_g(cfg: JobConfig) -> _Result:
-    pair = _build_pair(cfg.kernel)
+def _run_compute_g(cfg: JobConfig, pair: SoninePair) -> _Result:
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     g_fn, route_diff = compute_g(pair, mesh)
     g = g_fn.values[1:]
@@ -317,8 +315,7 @@ def _run_compute_g(cfg: JobConfig) -> _Result:
     return {"t": mesh.nodes[1:], "g": g}, summary, summary, ok
 
 
-def _run_solve(cfg: JobConfig) -> _Result:
-    pair = _build_pair(cfg.kernel)
+def _run_solve(cfg: JobConfig, pair: SoninePair) -> _Result:
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     rhs = RhsSpec.from_polynomial(cfg.rhs_coeffs)
     report = solve_first_kind(pair, rhs, mesh)
@@ -332,8 +329,7 @@ def _run_solve(cfg: JobConfig) -> _Result:
     return columns, extra, summary, ok
 
 
-def _run_discover(cfg: JobConfig) -> _Result:
-    pair = _build_pair(cfg.kernel)
+def _run_discover(cfg: JobConfig, pair: SoninePair) -> _Result:
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
     report = discover_associate(pair.k, pair.K, mesh)
     columns = {
@@ -351,8 +347,7 @@ def _run_discover(cfg: JobConfig) -> _Result:
     return columns, extra, summary, ok
 
 
-def _run_converge(cfg: JobConfig) -> _Result:
-    pair = _build_pair(cfg.kernel)
+def _run_converge(cfg: JobConfig, pair: SoninePair) -> _Result:
     rhs = RhsSpec.from_polynomial(cfg.rhs_coeffs)
     report = convergence_study(pair, rhs, cfg.N, cfg.r)
     b = cfg.kernel.b
@@ -367,11 +362,9 @@ def _run_converge(cfg: JobConfig) -> _Result:
     return columns, {"fitted_order": report.fitted_order}, summary, ok
 
 
-def _run_stability(cfg: JobConfig) -> _Result:
-    pair = _build_pair(cfg.kernel)
+def _run_stability(cfg: JobConfig, pair: SoninePair) -> _Result:
     mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
-    rhs = RhsSpec.from_polynomial(cfg.rhs_coeffs)
-    report = stability_report(pair, rhs, cfg.tolerances["delta"], mesh)
+    report = stability_report(pair, cfg.tolerances["delta"], mesh)
     columns = {
         name: [getattr(report, name)] for name in ("delta", "max_shift", "gprime_l1", "bound")
     }
@@ -396,12 +389,13 @@ def _show(v) -> str:
 def run(cfg: JobConfig) -> int:
     """Execute one validated job; returns the process exit status.
 
-    The command computes its table, JSON-only fields, summary pairs and
+    The pair is built once from the config's kernel and handed to the
+    command, which computes its table, JSON-only fields, summary pairs and
     pass flag without I/O; this writes the table with :func:`_emit`,
     prints the summary as ``name=value`` pairs followed by ``-> path``,
     and returns 0 on pass and 2 on a tolerance failure.
     """
-    columns, extra, summary, ok = _DISPATCH[cfg.command](cfg)
+    columns, extra, summary, ok = _DISPATCH[cfg.command](cfg, _build_pair(cfg.kernel))
     path = _emit(cfg, columns, extra)
     print(" ".join(f"{k}={_show(v)}" for k, v in summary.items()) + f" -> {path}")
     return 0 if ok else 2

@@ -329,9 +329,10 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     """g(0+) from the geometric samples, g' at the nodes, its eps fit and
     its weighted L1 norm, as :func:`check_gsc` reports them.
 
-    g itself on the mesh is computed only for a pair the substituted route
-    does not apply to (:func:`_substituted_route`) and that is not
-    classical, whose g' is differenced from it. The eps fit's margin reads
+    g' is :func:`estimate_gprime`'s on the substituted route
+    (:func:`_substituted_route`). g itself on the mesh is computed, by
+    :func:`compute_g`, only for a pair off that route and not classical,
+    whose g' is differenced from it. The eps fit's margin reads
     k's order when k has a ``smooth_log_deriv``.
     Refuses what :func:`convolve_pair` refuses: kernels on different
     intervals and a mesh past their end.
@@ -339,7 +340,6 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     M = _pair_panels(pair.K, pair.k, mesh, None)
     nodes = mesh.nodes
     interior = nodes[1:]
-    substituted = _substituted_route(pair) is not None
     t_geo = pair.b * 0.5 ** np.arange(
         _GEOMETRIC_LEVELS.start, _GEOMETRIC_LEVELS.stop, dtype=float
     )
@@ -347,13 +347,12 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     if pair.is_classical:
         g_geo = np.ones_like(t_geo)
         gp = np.zeros(mesh.N + 1)
-    elif substituted:
+    elif _substituted_route(pair) is not None:
         g_geo = compute_g_substituted(pair, t_geo, M=M)
-        gp = np.full(mesh.N + 1, np.nan)
-        gp[1:] = _gprime_flat(pair, interior, M)
+        gp = estimate_gprime(pair, mesh).values
     else:
         g_geo = _pair_convolution(pair.K, pair.k, t_geo, M)
-        g = convolve_pair(pair.K, pair.k, mesh, M=M)
+        g = compute_g(pair, mesh)[0]
         gp = _fd_gprime(nodes, g.values)
     g0 = estimate_g0(zip(t_geo, g_geo))
 

@@ -17,7 +17,6 @@ import pytest
 import sonine_kit
 from sonine_kit import (
     DomainError,
-    RhsSpec,
     affine_exponent,
     discover_associate,
     graded_mesh,
@@ -510,6 +509,21 @@ class TestCommands:
         row = [float(v) for v in lines[1].split(",")]
         assert row[1] <= row[3] * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stability_does_not_read_f(self, tmp_path, capsys, fmt):
+        """The shift of u under f -> f + delta does not depend on f, so
+        stability writes the same bytes for any rhs.coeffs."""
+        tables, summaries = [], []
+        for i, coeffs in enumerate(([0.0, 1.0], [1.0, -2.0, 3.0])):
+            doc = _doc("stability", kernel=VARIABLE_KERNEL, rhs={"coeffs": coeffs})
+            out = tmp_path / f"s{i}.{fmt}"
+            args = ["stability", "--config", _write(tmp_path, doc), "--out", str(out)]
+            assert main([*args, "--format", fmt]) == 0
+            tables.append(out.read_bytes())
+            summaries.append(capsys.readouterr().out.rpartition(" -> ")[0])
+        assert tables[0] == tables[1]
+        assert summaries[0] == summaries[1]
+
 
 class TestLibraryFolds:
     """discover and stability emit library reports; the CLI only formats."""
@@ -549,10 +563,7 @@ class TestLibraryFolds:
         capsys.readouterr()
         record = json.loads(out.read_text())
         pair = make()
-        report = stability_report(
-            pair, RhsSpec.from_polynomial([0.0, 1.0]), TOL_DEFAULTS["delta"],
-            graded_mesh(128, 2.0, pair.b),
-        )
+        report = stability_report(pair, TOL_DEFAULTS["delta"], graded_mesh(128, 2.0, pair.b))
         for name in ("delta", "max_shift", "gprime_l1", "bound"):
             assert record[name] == [getattr(report, name)]
         assert record["holds"] is report.holds is True

@@ -228,7 +228,7 @@ class TestDensePathKept:
         elif which == "tabulated":
             vals = np.full(mesh.N + 1, np.nan)
             vals[1:] = mesh.nodes[1:] ** -0.3 * (1.0 + mesh.nodes[1:])
-            kernel = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
+            kernel = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals), 0.3)
         got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi))
         np.testing.assert_array_equal(got.values, dense(kernel, phi, mesh))
 
@@ -242,7 +242,7 @@ class TestPairFold:
         mesh = graded_mesh(64, 2.0, B)
         vals = np.full(65, np.nan)
         vals[1:] = mesh.nodes[1:] ** -0.7 * (1.0 + mesh.nodes[1:])
-        u_tab = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
+        u_tab = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals), 0.7)
         names = {id(k): "classical_abel", id(u_tab): "tabulated"}
         seen = []
         for name in ("eval", "smooth"):

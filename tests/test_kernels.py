@@ -14,6 +14,7 @@ from sonine_kit import (
     DomainError,
     ExponentFunction,
     KernelSpec,
+    Mesh,
     SampledFunction,
     SoninePair,
     affine_exponent,
@@ -156,7 +157,7 @@ class TestKernelSpec:
             m = graded_mesh(32, 2.0, 0.5)
             vals = np.full(33, np.nan)
             vals[1:] = m.nodes[1:] ** -0.3 * (1.0 + m.nodes[1:])
-            k = KernelSpec.from_samples(SampledFunction(mesh=m, values=vals))
+            k = KernelSpec.from_samples(SampledFunction(mesh=m, values=vals), 0.3)
         np.testing.assert_array_equal(k.eval(ts), k.smooth(ts) * ts ** -k.local_exponent)
 
     def test_variable_kernel_log_derivative(self):
@@ -170,6 +171,17 @@ class TestKernelSpec:
         np.testing.assert_allclose(k.smooth_log_deriv(ts), want, rtol=1e-12, atol=0.0)
         assert 0.0 < k.smooth_log_deriv(np.array([1e-300]))[0] <= 1e-297
         assert classical_abel_kernel(0.5, 1.0).smooth_log_deriv is None
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-4, 0.1, 0.5])
+    def test_log_derivative_of_a_scalar(self, t):
+        """A Python float and a 0-d array give a float, the 1-element
+        array's value bit for bit; the in-place exp once refused both."""
+        k = variable_exponent_kernel(affine_exponent(0.5, 0.2, 0.5), 0.5)
+        want = k.smooth_log_deriv(np.array([t]))[0]
+        for scalar in (t, np.array(t), np.float64(t)):
+            got = k.smooth_log_deriv(scalar)
+            assert type(got) is float
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
     def test_smooth_factor_consistency(self):
         af = affine_exponent(0.5, 0.2, 0.5)
@@ -187,7 +199,7 @@ class TestKernelSpec:
             m = graded_mesh(32, 2.0, 0.5)
             vals = np.full(33, np.nan)
             vals[1:] = m.nodes[1:] ** -0.3 * (1.0 + m.nodes[1:])
-            k = KernelSpec.from_samples(SampledFunction(mesh=m, values=vals))
+            k = KernelSpec.from_samples(SampledFunction(mesh=m, values=vals), 0.3)
         ts = np.array([[0.0, 0.1, 0.5], [0.25, 0.0, 1e-9]])
         got = k.smooth(ts)
         assert got.shape == (2, 3)
@@ -247,16 +259,18 @@ class TestKernelSpec:
         vals = np.empty(65)
         vals[0] = np.nan
         vals[1:] = 0.7 * mesh.nodes[1:] ** -0.3
-        tab = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
-        assert abs(tab.local_exponent - 0.3) <= 1e-10
+        tab = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals), 0.3)
+        assert tab.local_exponent == 0.3
+        np.testing.assert_allclose(tab.smooth(mesh.nodes[1:]), 0.7, rtol=1e-14, atol=0.0)
         for t in (0.01, 0.2, 0.9):
             assert abs(tab.eval(t) - 0.7 * t**-0.3) <= 1e-3 * abs(0.7 * t**-0.3)
 
     def test_from_samples_needs_enough_nodes(self):
-        mesh = graded_mesh(2, 1.0, 1.0)
-        vals = np.array([np.nan, -1.0, -2.0])
-        with pytest.raises(DomainError):
-            KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals))
+        """The continuation to t = 0 reads the first two interior nodes."""
+        mesh = Mesh(nodes=np.array([0.0, 1.0]))
+        vals = np.array([np.nan, 1.0])
+        with pytest.raises(DomainError, match="two interior nodes"):
+            KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals), 0.5)
 
 
 def _tabulated_K():

@@ -11,7 +11,9 @@ exponent profiles: the analytic g' route takes what it needs from
 ``KernelSpec.smooth_log_deriv``, so any kernel that carries it gets the
 route, not only t^(-alpha(t)). The CLI's
 commands (``_run_*``) return their table and summary and do no I/O:
-``run`` writes both, so the CLI has one output path. Only ``solve`` runs
+``run`` writes both, so the CLI has one output path. ``run`` also builds
+the job's pair, once, and hands it to the command, which builds none. Only
+``solve`` runs
 ``solve_first_kind``, once: a command that needs solves at several meshes
 calls the library function that runs them (``convergence_study``), so no
 solver pipeline grows back in the front end. The pipeline functions of
@@ -35,6 +37,7 @@ from pathlib import Path
 import pytest
 
 import sonine_kit.cli
+import sonine_kit.kernels
 import sonine_kit.quadrature
 import sonine_kit.sonine
 import sonine_kit.volterra
@@ -49,6 +52,11 @@ OUTPUT_CALLS = {"print", "open", "_emit"}
 #: interpolant in ln t is plain numpy, and the derivative spot-check's points
 #: are fixed numbers)
 UNUSED_NUMPY = ("numpy.polynomial", "numpy.random")
+
+#: what builds a pair: the CLI's helper and the pair type and constructors
+PAIR_BUILDERS = {"_build_pair"} | {
+    name for name in sonine_kit.kernels.__all__ if name.lower().endswith("pair")
+}
 
 #: the one command that calls solve_first_kind
 SOLVE_COMMAND = "_run_solve"
@@ -179,6 +187,49 @@ def test_output_guard_allows_run_to_write():
         "def run(cfg):\n    print(_emit(cfg, {}, {}))\n"
     )
     assert _command_output(source) == []
+
+
+def _pair_builds(source: str) -> list[str]:
+    """Calls of a PAIR_BUILDERS name (by name or as an attribute) inside a
+    ``_run_*`` function, nested functions included."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_run_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in PAIR_BUILDERS:
+                    found.append(f"line {node.lineno}: {fn.name} calls {name}")
+    return found
+
+
+def test_cli_commands_build_no_pair():
+    source = Path(sonine_kit.cli.__file__).read_text()
+    assert _pair_builds(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _run_solve(cfg, pair):\n    pair = _build_pair(cfg.kernel)",
+        "def _run_stability(cfg):\n    pair = make_classical_abel_pair(0.5, cfg.kernel.b)",
+        "from . import kernels\ndef _run_discover(cfg):\n    kernels.make_variable_exponent_pair(af, 1.0)",
+        "def _run_discover(cfg, pair):\n    pair = SoninePair(k=pair.k, K=pair.K)",
+        "def _run_converge(cfg):\n    def build():\n        return _build_pair(cfg.kernel)",
+    ],
+)
+def test_pair_guard_catches_violations(source):
+    assert _pair_builds(source)
+
+
+def test_pair_guard_allows_run_to_build():
+    source = (
+        "def _run_solve(cfg, pair):\n    return solve_first_kind(pair, rhs, mesh)\n"
+        "def run(cfg):\n    return _DISPATCH[cfg.command](cfg, _build_pair(cfg.kernel))\n"
+    )
+    assert _pair_builds(source) == []
+    assert {"SoninePair", "make_classical_abel_pair", "make_variable_exponent_pair"} < PAIR_BUILDERS
 
 
 def _solve_calls(source: str) -> list[str]:

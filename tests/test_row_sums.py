@@ -90,7 +90,7 @@ def tabulated_pair():
     vals = np.full(65, np.nan)
     t = m.nodes[1:]
     vals[1:] = t**-0.3 * (1.0 + t)
-    K = KernelSpec.from_samples(SampledFunction(mesh=m, values=vals))
+    K = KernelSpec.from_samples(SampledFunction(mesh=m, values=vals), 0.3)
     return K, classical_abel_kernel(0.4, 0.5)
 
 
@@ -501,14 +501,13 @@ class TestSharedSweep:
         assert res <= 1e-13
 
     def test_stability_builds_one_triangle(self, monkeypatch, classical_half, pair_a):
-        """K * f' of polynomial data is a closed form for the pure-power K,
+        """The shift's data delta K are a closed form for the pure-power K,
         so the only triangle is the sweep's: one for a variable pair, none
         for a classical pair (g' = 0)."""
         opened = _counting_triangles(monkeypatch)
-        rhs = RhsSpec.from_polynomial([0.0, 1.0])
-        stability_report(pair_a, rhs, 1e-6, graded_mesh(256, 2.0, pair_a.b))
+        stability_report(pair_a, 1e-6, graded_mesh(256, 2.0, pair_a.b))
         assert opened == [257]
-        stability_report(classical_half, rhs, 1e-6, graded_mesh(256, 2.0, classical_half.b))
+        stability_report(classical_half, 1e-6, graded_mesh(256, 2.0, classical_half.b))
         assert opened == [257]
 
     @pytest.mark.parametrize("foreign", ["gprime", "F", "both"])
@@ -546,7 +545,7 @@ class TestStabilityWithoutPushBack:
         ulps = 0.0 if which == "classical" else 4 * np.finfo(float).eps
         u_round = ulps * np.max(np.abs(moved.u.values[1:]))
         F_round = ulps * np.max(np.abs(moved.F.values[1:])) * math.exp(gsc.gprime_l1)
-        got = stability_report(pair, rhs, delta, mesh)
+        got = stability_report(pair, delta, mesh)
         assert got.max_shift == pytest.approx(max_shift, rel=1e-12, abs=u_round)
         assert got.bound == pytest.approx(bound, rel=1e-12, abs=F_round)
         assert got.gprime_l1 == gsc.gprime_l1

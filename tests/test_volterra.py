@@ -213,12 +213,12 @@ class TestSolveFirstKind:
             "discover_associate",
             "stability_report",
             "convergence_study",
-            "stability_report-bad-rhs",
+            "stability_probe-bad-rhs",
         ],
     )
     def test_failing_pair_is_refused(self, entry):
         """Every entry point that transforms refuses a pair whose g(0+) is
-        far from 1 (here g = k * k = pi). stability_report gates g(0+)
+        far from 1 (here g = k * k = pi). stability_probe gates g(0+)
         before it checks the caller's data, so data whose fprime is not
         f's derivative is refused with the pair, not as data."""
         kk = power_kernel(1.0, 0.5, 1.0)
@@ -230,9 +230,9 @@ class TestSolveFirstKind:
         run = {
             "solve_first_kind": lambda: solve_first_kind(pair, rhs, mesh),
             "discover_associate": lambda: discover_associate(kk, kk, mesh),
-            "stability_report": lambda: stability_report(pair, rhs, 1e-6, mesh),
+            "stability_report": lambda: stability_report(pair, 1e-6, mesh),
             "convergence_study": lambda: convergence_study(pair, rhs, 64, 2.0),
-            "stability_report-bad-rhs": lambda: stability_report(pair, bad, 1e-6, mesh),
+            "stability_probe-bad-rhs": lambda: stability_probe(pair, bad, 1e-6, mesh),
         }[entry]
         with pytest.raises(GscConditionError):
             run()
@@ -286,7 +286,7 @@ class TestSolveInputChecks:
         with pytest.raises(DomainError, match="exceeds"):
             discover_associate(pair.k, pair.K, mesh)
         with pytest.raises(DomainError, match="exceeds"):
-            stability_report(pair, rhs, 1e-6, mesh)
+            stability_report(pair, 1e-6, mesh)
 
 
 class TestSolveReadsGateInputsOnly:
@@ -332,7 +332,7 @@ class TestSolveReadsGateInputsOnly:
         for pair in (classical_half, pair_a):
             mesh = graded_mesh(128, 2.0, pair.b)
             solve_first_kind(pair, rhs, mesh)
-            stability_report(pair, rhs, 1e-6, mesh)
+            stability_report(pair, 1e-6, mesh)
             discover_associate(pair.k, pair.K, mesh)
         assert convolutions == []
         assert substituted == [11, 11, 11]
@@ -382,7 +382,7 @@ class TestStabilityReport:
         so the shift is the sweep of delta K alone, bit for bit, and the
         budget reads max |dF|."""
         delta, mesh = 1e-6, mesh_512_half
-        report = stability_report(pair_a, RhsSpec.from_polynomial([0.0, 1.0]), delta, mesh)
+        report = stability_report(pair_a, delta, mesh)
         gsc = check_gsc(pair_a, mesh)
         eps = float(np.clip(gsc.eps_fit.eps, 0.0, sonine.EPS_CLIP_MAX))
         dF = np.r_[np.nan, delta * pair_a.K.eval(mesh.nodes[1:])]
@@ -390,20 +390,6 @@ class TestStabilityReport:
         assert report.max_shift == np.max(np.abs(du.values[1:]))
         assert report.bound == math.exp(gsc.gprime_l1) * np.max(dF[1:])
         assert report.gprime_l1 == gsc.gprime_l1
-
-    def test_shift_does_not_depend_on_f(self, pair_a):
-        """Data with f(0) = 0, with f(0) != 0 and of degree 2 move u alike
-        under f -> f + delta. Two solves, of f and of f + delta, differ
-        here for f = t by 1.05e-3 relative: only the second folds the
-        first panel onto node 1, and that change of discretisation is no
-        response to the data."""
-        mesh = graded_mesh(128, 2.0, pair_a.b)
-        shifts = [
-            stability_report(pair_a, RhsSpec.from_polynomial(coeffs), 1e-6, mesh).max_shift
-            for coeffs in ([0.0, 1.0], [1.0, 0.5], [0.3, -1.0, 2.0])
-        ]
-        assert shifts[1] == pytest.approx(shifts[0], rel=1e-9, abs=0.0)
-        assert shifts[2] == pytest.approx(shifts[0], rel=1e-9, abs=0.0)
 
     def test_sweep_and_budget_clip_eps_alike(self):
         # the budget's L1 norm of g' is valid only for the sweep's own eps
@@ -624,6 +610,26 @@ class TestDiscoverAssociate:
 
 
 class TestStabilityProbe:
+    def test_shift_does_not_depend_on_f(self, pair_a):
+        """Data with f(0) = 0, with f(0) != 0 and of degree 2 move u alike
+        under f -> f + delta: the probe returns the report's max_shift, bit
+        for bit. Two solves, of f and of f + delta, differ here for f = t
+        by 1.05e-3 relative: only the second folds the first panel onto
+        node 1, and that change of discretisation is no response to the
+        data."""
+        mesh = graded_mesh(128, 2.0, pair_a.b)
+        want = stability_report(pair_a, 1e-6, mesh).max_shift
+        for coeffs in ([0.0, 1.0], [1.0, 0.5], [0.3, -1.0, 2.0]):
+            got = stability_probe(pair_a, RhsSpec.from_polynomial(coeffs), 1e-6, mesh)
+            assert got == want
+
+    def test_bad_rhs_is_refused(self, pair_a):
+        """f is never solved, but data whose fprime is not f's derivative
+        is refused as a solve of it would be."""
+        bad = RhsSpec(f=lambda t: t, fprime=lambda t: 2.0 + 0.0 * t)
+        with pytest.raises(DomainError, match="finite difference"):
+            stability_probe(pair_a, bad, 1e-6, graded_mesh(64, 2.0, pair_a.b))
+
     def test_classical_shift_is_linear(self, classical_half, mesh_512_unit):
         delta = 1e-6
         got = stability_probe(

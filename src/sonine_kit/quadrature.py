@@ -65,6 +65,43 @@ REF_PANELS = 256
 #:     stability          38/40    35/36    35/36    36/37
 TRIANGLE_MIN_ROWS = 16
 
+#: panel count N from which :func:`_triangle_blocks` sums each super-block's
+#: far columns through an interpolant in the row's time; smaller meshes keep
+#: the dense triangle bit for bit. Best / median ms of 21 interleaved runs,
+#: single-threaded BLAS on a shared 2-vCPU x86-64 host, pair 0.5 + 0.2t, r = 2
+#: on (0, 0.5], "sweep" one forward sweep and "conv" one convolution of the
+#: variable k, dense against far field. 512 is `batch-small`'s largest mesh:
+#:
+#:     N        512        576        640        768        1024
+#:     sweep    3.30/3.47  3.86/4.06  4.46/4.69  6.54/6.91  10.5/10.9   dense
+#:              3.15/3.32  3.96/4.16  3.99/4.21  5.25/5.52  7.44/7.64   far
+#:     conv     2.47/2.60  3.04/3.16  3.64/3.76  5.23/5.64  8.65/8.86   dense
+#:              2.35/2.48  3.10/3.20  3.06/3.19  3.91/4.11  5.35/5.63   far
+FAR_MIN_N = 640
+
+#: rows per super-block, FAR_POINTS interpolation points per super-block,
+#: and the gap, in super-block spans, between a super-block and its far
+#: columns (see :func:`_triangle_blocks`). A gap of 1 puts the nearest
+#: singularity of the far sums 3 half-spans from the middle of the
+#: super-block, where 16 points interpolate to 1e-14 of the largest value.
+#: Best / median ms of seven runs as above, on (0, 1]; "err" is the
+#: largest gap to the dense triangle, relative to its largest value, of
+#: the convolution of cos 7t + t by three affine profiles at N = 2048 and r
+#: in {1, 2, 4}, and of the sweep of f = t at N = 2048. 16 points keep the
+#: scratch at TRIANGLE_MIN_ROWS rows, as 24 would not, and fall on distinct
+#: rows of every super-block of 93 rows or more:
+#:
+#:     points, gap, rows   sweep 2048  conv 2048  sweep 8192  conv 8192  conv err  sweep err
+#:     16, 0.5, 128        14.4/15.4   11.1/12.8  107/108     78.9/83.0  2.2e-11   1.8e-10
+#:     16, 1,   128        16.0/16.4   12.2/12.3  109/134     84.9/91.7  1.7e-14   1.5e-10
+#:     24, 0.5, 128        15.7/16.4   12.2/12.3  134/163     104/106    2.7e-15   1.7e-10
+#:     16, 1,   192        20.1/21.8   15.1/17.2  108/128     81.1/117   3.0e-14   9.3e-11
+#:     24, 0.5, 192        16.5/17.3   12.5/12.8  108/115     81.5/84.9  3.0e-15   1.2e-10
+#:     16, 1,   256        21.0/21.6   16.5/16.9  113/118     84.9/86.9  4.1e-14   1.2e-10
+FAR_ROWS = 128
+FAR_POINTS = 16
+FAR_GAP = 1.0
+
 #: panel count N from which :func:`convolve_weakly_singular` sums the
 #: history of a pure-power kernel by sum-of-exponentials recurrence, in
 #: O(N * #exp), instead of the dense O(N^2) triangle. One convolution of
@@ -228,44 +265,127 @@ def product_weights(mesh: Mesh, i: int, beta: float) -> np.ndarray:
     return _moments(nodes[-1] - nodes, np.diff(nodes), beta, "right")
 
 
-def _triangle_blocks(nodes: np.ndarray, beta: float, factor):
-    """Row blocks of the product-integration operator on nodes t_0..t_N.
+def _triangle_blocks(nodes: np.ndarray, beta: float, factor, x: np.ndarray):
+    """Row blocks of the product-integration operator on nodes t_0..t_N,
+    applied to the node values ``x``.
 
-    Yields (i0, i1, C) for consecutive row ranges i0 <= i < i1 covering
-    1..N, where C[i - i0, j] = w_ij * factor(t_i - t_j) for j < i1 and w_i
-    are the weights of :func:`product_weights` for node i;
-    entries past the diagonal (j > i) are exactly 0. A block has as many
-    rows as fit in BLOCK_ENTRIES entries, but never fewer than
-    TRIANGLE_MIN_ROWS (the last block may have fewer). The layout depends
-    on row indices only: the budget rules up to row 501 and the floor from
-    there on, so the scratch, three rows of max(BLOCK_ENTRIES,
-    TRIANGLE_MIN_ROWS (N + 1)) floats, grows as O(TRIANGLE_MIN_ROWS * N)
-    (0.8 MB at N = 2048). Each block builds its lag
-    matrix max(t_i - t_j, 0) once and calls ``factor`` once on it. C lives
-    in scratch that the next block overwrites, so the caller may write
-    into it, as the forward sweep adds 1 to the diagonal of the block's
-    own square C[:, i0:i1]. The caller checks beta once; beta = 1 is the
-    bounded (trapezoid) limit.
+    Yields (i0, i1, j0, C, far) for consecutive row ranges i0 <= i < i1
+    covering 1..N. C[i - i0, j - j0] = w_ij * factor(t_i - t_j) for
+    columns j0 <= j < i1, where w_i are the weights of
+    :func:`product_weights` for node i, except that column j0 > 0 keeps
+    only the right half of its hat; entries past the diagonal (j > i) are
+    exactly 0. ``far`` is None when j0 = 0, and otherwise holds each row's
+    integral over [t_0, t_j0] (the rest of the row applied to x), so row i
+    of the operator applied to x is far + C @ x[j0:i1].
+
+    Below FAR_MIN_N panels j0 is always 0, and the blocks are the dense
+    triangle, bit for bit. From FAR_MIN_N panels on, rows go in
+    super-blocks of FAR_ROWS rows (the last takes the remainder) on
+    [a, b] = [t_s0, t_(s1-1)], and j0 is the last node at least FAR_GAP
+    (b - a) left of a. The far integral is then a smooth function of the
+    row's time: :func:`_far_sums` evaluates it exactly at FAR_POINTS of
+    the super-block's rows and interpolates it to the others. It reads
+    x[:j0 + 1] once, when the super-block's first block is requested, so
+    a forward sweep that writes its solved rows into x before it asks for
+    the next block has them in place (j0 < s0). Past column j0 each
+    weight is the dense row's, bit for bit. Only t_0 lies left of the
+    first super-block, so it has no far columns. A row costs O(FAR_ROWS)
+    near entries and a super-block FAR_POINTS far rows, so the triangle
+    costs O(N^2 FAR_POINTS / FAR_ROWS + N FAR_ROWS) entries instead of
+    N^2 / 2.
+
+    A block has as many rows as fit in BLOCK_ENTRIES entries of its own
+    columns, but never fewer than TRIANGLE_MIN_ROWS (the last block of a
+    super-block may have fewer). Without far columns the budget rules up
+    to row 501 and the floor from there on. The scratch, three rows of
+    max(BLOCK_ENTRIES, max(TRIANGLE_MIN_ROWS, FAR_POINTS) (N + 1)) floats,
+    grows as O(N) (0.8 MB at N = 2048); it also holds the far rows while
+    they are summed. Each block builds its lag matrix max(t_i - t_j, 0)
+    once and calls ``factor`` once on it. C lives in scratch that the
+    next block overwrites, so the caller may write into it, as the forward
+    sweep adds 1 to the diagonal of the block's own square C[:, i0 - j0:].
+    The caller checks beta once; beta = 1 is the bounded (trapezoid) limit.
     """
     h = np.diff(nodes)
-    i0, n = 1, len(nodes)
+    n = len(nodes)
     floor = TRIANGLE_MIN_ROWS
     # every block reuses one scratch array: block-sized temporaries freed
     # at the heap top make glibc trim it, and the next block then faults
     # the same pages back in
-    work = np.empty((3, max(BLOCK_ENTRIES, floor * n)))
-    while i0 < n:
-        # largest row count c with c * (i0 + c) <= BLOCK_ENTRIES, at least floor
-        c = max(floor, (math.isqrt(i0 * i0 + 4 * BLOCK_ENTRIES) - i0) // 2)
-        i1 = min(n, i0 + c)
-        lag = _view(work[2], (i1 - i0, i1))
-        np.subtract(nodes[i0:i1, None], nodes[:i1], out=lag)
-        # t_i - t_j > 0 for j < i0 <= i: only the block's own columns clip
-        np.maximum(lag[:, i0:], 0.0, out=lag[:, i0:])
-        C = _moments(lag, h[: i1 - 1], beta, "right", work[:2])
-        C *= factor(lag)
-        yield i0, i1, C
-        i0 = i1
+    work = np.empty((3, max(BLOCK_ENTRIES, max(floor, FAR_POINTS) * n)))
+    rows = FAR_ROWS if n - 1 >= FAR_MIN_N else n - 1
+    count = (n - 1) // rows  # super-blocks; the last takes the remainder
+    for k in range(count):
+        s0 = 1 + k * rows
+        s1 = n if k == count - 1 else s0 + rows
+        a, b = nodes[s0], nodes[s1 - 1]
+        # the last node at least FAR_GAP (b - a) left of a; only t_0 lies
+        # left of the first super-block's a, so it has no far columns
+        jf = max(0, int(np.searchsorted(nodes, a - FAR_GAP * (b - a), side="right")) - 1)
+        if jf:
+            far = _far_sums(nodes[: jf + 1], h[:jf], beta, factor, x[: jf + 1], nodes[s0:s1], work)
+        i0 = s0
+        while i0 < s1:
+            # largest row count c with c * (i0 - jf + c) <= BLOCK_ENTRIES,
+            # at least floor
+            width = i0 - jf
+            c = max(floor, (math.isqrt(width * width + 4 * BLOCK_ENTRIES) - width) // 2)
+            i1 = min(s1, i0 + c)
+            lag = _view(work[2], (i1 - i0, i1 - jf))
+            np.subtract(nodes[i0:i1, None], nodes[jf:i1], out=lag)
+            # t_i - t_j > 0 for j < i0 <= i: only the block's own columns clip
+            np.maximum(lag[:, i0 - jf :], 0.0, out=lag[:, i0 - jf :])
+            C = _moments(lag, h[jf : i1 - 1], beta, "right", work[:2])
+            C *= factor(lag)
+            yield i0, i1, jf, C, far[i0 - s0 : i1 - s0] if jf else None
+            i0 = i1
+
+
+def _far_sums(
+    nodes: np.ndarray,
+    h: np.ndarray,
+    beta: float,
+    factor,
+    x: np.ndarray,
+    t: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """The product rule over [t_0, t_jf] for a row with singular point t,
+    sum_j w_j(t) factor(t - t_j) x_j, at every time of the increasing array
+    ``t``, for ``nodes`` t_0..t_jf left of t[0] and ``x`` = x_0..x_jf.
+
+    The sums are formed exactly at the rows of ``t`` nearest the
+    FAR_POINTS Chebyshev-Lobatto points of its index range, its ends among
+    them, and interpolated to the other rows by the barycentric formula (a
+    row on a point takes that point's value). At a point s the weights are
+    :func:`_moments`' for nodes t_0..t_jf with singular point s; the last
+    hat is cut at t_jf, so its weight loses Phi's slope d^beta / beta
+    there. Points on rows, not at the Chebyshev points themselves, keep
+    the lags that the near field sees: on a uniform mesh every lag is a
+    node, where a piecewise-linear factor is exact, and the sweep agrees
+    with the dense triangle to rounding. ``work`` is
+    :func:`_triangle_blocks`' scratch.
+    """
+    x_k = _lobatto(FAR_POINTS)[0]
+    s = t[np.rint(0.5 * (len(t) - 1) * (1.0 + x_k)).astype(int)]
+    lag = _view(work[2], (len(s), len(nodes)))
+    np.subtract(s[:, None], nodes, out=lag)
+    F = _moments(lag, h, beta, "right", work[:2])
+    F[:, -1] -= lag[:, -1] ** beta / beta
+    F *= factor(lag)
+    v = F @ x
+    # barycentric weights of the points, scaled to [0, 1]
+    z = (s - s[0]) / (s[-1] - s[0])
+    dz = z[:, None] - z
+    np.fill_diagonal(dz, 1.0)
+    bary = 1.0 / dz.prod(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = bary / (t[:, None] - s)
+        L /= L.sum(axis=1, keepdims=True)
+    # a time on a point divides by 0 there and by inf at the others:
+    # NaN at the point, 0 elsewhere
+    L[np.isnan(L)] = 1.0
+    return L @ v
 
 
 def _soe(gamma: float, h_min: float, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -430,7 +550,7 @@ def _row_blocks(n_rows: int, n_cols: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _lobatto(P: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The P ascending Chebyshev-Lobatto points x_k = -cos(pi k / (P-1))
     on [-1, 1], their barycentric weights (-1)^k (halved at the ends), and
@@ -587,7 +707,10 @@ def convolve_weakly_singular(kernel: KernelSpec, phi: SampledFunction) -> Sample
     A pure-power kernel (:attr:`KernelSpec.power_coef` set) on SOE_MIN_N
     or more panels takes :func:`_history_sums`: O(N * #exp) work in
     ceil(N / SOE_STREAMS) Python steps, not one per row. Everything else
-    runs the dense triangle of :func:`_triangle_blocks`.
+    runs the triangle of :func:`_triangle_blocks`: dense below FAR_MIN_N
+    panels, and from there on with each super-block's far columns
+    interpolated in t_i, which agrees with the dense triangle to within
+    5e-14 of max |k * phi| for a smooth bounded factor.
     """
     mesh = phi.mesh
     if mesh.b > kernel.b * (1.0 + 1e-12):
@@ -606,8 +729,10 @@ def convolve_weakly_singular(kernel: KernelSpec, phi: SampledFunction) -> Sample
     if kernel.power_coef is not None and mesh.N >= SOE_MIN_N:
         out = kernel.power_coef * _history_sums(mesh.nodes, beta, phi.values)
     else:
-        for i0, i1, C in _triangle_blocks(mesh.nodes, beta, kernel.smooth):
-            out[i0:i1] = C @ phi.values[:i1]
+        for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, kernel.smooth, phi.values):
+            out[i0:i1] = C @ phi.values[j0:i1]
+            if far is not None:
+                out[i0:i1] += far
     return SampledFunction(mesh=mesh, values=out)
 
 

@@ -53,7 +53,8 @@ def dense(kernel, phi, mesh):
     """The dense triangle's (kernel * phi)(t_i); phi may hold columns."""
     out = np.zeros((mesh.N + 1,) + phi.shape[1:])
     beta = 1.0 - kernel.local_exponent
-    for i0, i1, C in _triangle_blocks(mesh.nodes, beta, kernel.smooth):
+    for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, kernel.smooth, phi):
+        assert j0 == 0 and far is None  # below FAR_MIN_N
         out[i0:i1] = C @ phi[:i1]
     return out
 

@@ -23,7 +23,8 @@ which takes times and no mesh, keeps its own. A sampled function carries
 its mesh, so no public function of ``quadrature.py`` or ``volterra.py``
 takes one beside a ``mesh`` it would have to match, except
 ``solve_second_kind``, whose two samples and mesh are its documented
-interface. Importing the package
+interface. The forward sweep builds no interpolant of its own: the far
+field of its history sums is the quadrature operator's. Importing the package
 loads no numpy submodule it does not use, to keep start-up short.
 """
 
@@ -66,6 +67,12 @@ LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Genera
 
 #: the machinery of the split-at-t/2 rule, which only quadrature.py uses
 INTEGRATOR_PARTS = {"_reference_rule", "_row_blocks"}
+
+#: what volterra.py may not name, whole or (INTERPOLANT_PARTS) in part,
+#: besides the FAR_* constants: a far field interpolated in the row's time
+#: is _triangle_blocks' business
+INTERPOLANT_NAMES = {"cos", "arccos", "_far_sums"}
+INTERPOLANT_PARTS = ("cheb", "lobatto", "lagrange", "bary")
 
 #: what sonine.py may not name: the profile type and the profile attribute
 PROFILE_NAMES = {"ExponentFunction"}
@@ -315,6 +322,67 @@ def test_integrator_guard_catches_violations(source):
 def test_integrator_guard_allows_the_pair_convolution():
     source = "from .quadrature import REF_PANELS, _pair_convolution, _pair_panels\n"
     assert _integrator_parts_used(source) == []
+
+
+def _interpolant_parts(source: str) -> list[str]:
+    """Names and attributes that build a Chebyshev or Lagrange
+    interpolant: cosines (the points), Chebyshev, Lobatto, Lagrange or
+    barycentric anything, and the quadrature's far-field helper and
+    constants."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name in INTERPOLANT_NAMES
+            or name.startswith("FAR_")
+            or any(part in name.lower() for part in INTERPOLANT_PARTS)
+        ]
+    return found
+
+
+def test_sweep_builds_no_interpolant():
+    """The far field of the history sums belongs to _triangle_blocks alone:
+    the forward sweep takes its far sums from the operator and builds no
+    interpolation points or basis of its own."""
+    source = Path(sonine_kit.volterra.__file__).read_text()
+    assert _interpolant_parts(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nx = np.cos(np.pi * np.arange(16) / 15)",
+        "import math\nx = [math.cos(k) for k in range(16)]",
+        "from .quadrature import _lobatto\nx, w, _ = _lobatto(16)",
+        "from .quadrature import FAR_POINTS, _triangle_blocks",
+        "from . import quadrature\nfar = quadrature._far_sums(nodes, h, 0.5, f, x, t, work)",
+        "def lagrange_basis(t, s):\n    pass",
+        "bary = 1.0 / (t[:, None] - s)",
+        "from numpy.polynomial import chebyshev",
+    ],
+)
+def test_interpolant_guard_catches_violations(source):
+    assert _interpolant_parts(source)
+
+
+def test_interpolant_guard_allows_the_sweep():
+    source = (
+        "from .quadrature import _triangle_blocks\n"
+        "for i0, i1, j0, C, far in _triangle_blocks(nodes, 1.0 - eps, m_at, u):\n"
+        "    rhs = f[i0:i1] - C[:, : i0 - j0] @ u[j0:i0]\n"
+    )
+    assert _interpolant_parts(source) == []
 
 
 def _profile_reads(source: str) -> list[str]:

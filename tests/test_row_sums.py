@@ -193,7 +193,7 @@ def triangle_oracle(kernel, phi, mesh):
 class TestTriangleBlocks:
     def test_block_layout(self, small_blocks):
         nodes = graded_mesh(80, 2.0, 0.5).nodes
-        spans = [(i0, i1) for i0, i1, _ in _triangle_blocks(nodes, 0.5, np.ones_like)]
+        spans = [(i0, i1) for i0, i1, *_ in _triangle_blocks(nodes, 0.5, np.ones_like, nodes)]
         assert spans[0] == (1, 8) and spans[-1] == (80, 81)
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         assert all((i1 - i0) * i1 <= SMALL_BLOCK or i1 - i0 == 1 for i0, i1 in spans)
@@ -202,7 +202,8 @@ class TestTriangleBlocks:
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.8])
     def test_rows_are_product_weights_bit_for_bit(self, beta, small_blocks):
         mesh = graded_mesh(80, 2.0, 0.5)
-        for i0, i1, C in _triangle_blocks(mesh.nodes, beta, np.ones_like):
+        for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, np.ones_like, mesh.nodes):
+            assert j0 == 0 and far is None
             for i in range(i0, i1):
                 np.testing.assert_array_equal(C[i - i0, : i + 1], product_weights(mesh, i, beta))
                 assert not np.any(C[i - i0, i + 1 :])  # exactly 0 past the diagonal
@@ -221,15 +222,17 @@ class TestTriangleBlocks:
         np.testing.assert_allclose(got, triangle_oracle(kernel, phi, mesh), rtol=RTOL, atol=0.0)
 
     def test_default_layout_has_a_row_floor(self, monkeypatch):
-        """Blocks tile rows 1..N. Once the budget would give fewer rows
-        than TRIANGLE_MIN_ROWS (from node 501 on), every block but the
-        last has exactly that many; meshes up to N = 512 keep the layout
-        of one-row floors."""
+        """Blocks of the dense triangle (the far field switched off) tile
+        rows 1..N. Once the budget would give fewer rows than
+        TRIANGLE_MIN_ROWS (from node 501 on), every block but the last has
+        exactly that many; meshes up to N = 512 keep the layout of one-row
+        floors."""
         floor = quadrature.TRIANGLE_MIN_ROWS
+        monkeypatch.setattr(quadrature, "FAR_MIN_N", 10**9)
 
         def spans(N):
             nodes = graded_mesh(N, 2.0, 0.5).nodes
-            return [(i0, i1) for i0, i1, _ in _triangle_blocks(nodes, 0.5, np.ones_like)]
+            return [(i0, i1) for i0, i1, *_ in _triangle_blocks(nodes, 0.5, np.ones_like, nodes)]
 
         layouts = {N: spans(N) for N in (512, 2048, 8192)}
         for N, n_blocks in ((512, 18), (2048, 114), (8192, 498)):
@@ -256,7 +259,8 @@ class TestTriangleBlocks:
         else:
             mesh = graded_mesh(600, 2.0, 0.5)
         spans = []
-        for i0, i1, C in _triangle_blocks(mesh.nodes, beta, np.ones_like):
+        for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, np.ones_like, mesh.nodes):
+            assert j0 == 0 and far is None  # 600 < FAR_MIN_N
             spans.append((i0, i1))
             for i in range(i0, i1):
                 np.testing.assert_array_equal(C[i - i0, : i + 1], product_weights(mesh, i, beta))
@@ -312,7 +316,7 @@ class TestBlockedForwardSubstitution:
         # diagonal 1 + m(0) h_i / 2 at node 120, in the second block, whether
         # or not the sweep folds the first panel onto node 1
         mesh = graded_mesh(256, 2.0, 1.0)
-        spans = [(i0, i1) for i0, i1, _ in _triangle_blocks(mesh.nodes, 1.0, np.ones_like)]
+        spans = [(i0, i1) for i0, i1, *_ in _triangle_blocks(mesh.nodes, 1.0, np.ones_like, mesh.nodes)]
         assert spans[:2] == [(1, 91), (91, 146)]
         k = 120
         gp = np.zeros(257)

@@ -40,7 +40,6 @@ from .sonine import (
     check_gsc,
     compute_g,
     compute_g_substituted,
-    estimate_g0,
     estimate_gprime,
 )
 from .volterra import (
@@ -88,7 +87,6 @@ __all__ = [
     "check_gsc",
     "compute_g",
     "compute_g_substituted",
-    "estimate_g0",
     "estimate_gprime",
     "ConvergenceReport",
     "RhsSpec",

@@ -821,7 +821,7 @@ def convolve_pair(
 
     Handles a singularity of k at s = 0 and of K at s = t simultaneously.
     The value at t_0 is undefined (NaN); a limit there is the business of
-    the g(0) extrapolation, not of the quadrature.
+    the g(0+) reading, not of the quadrature.
     """
     M = _pair_panels(K, k, mesh, M)
     out = np.full(mesh.N + 1, np.nan)

@@ -10,14 +10,13 @@ convolve to 1. g' is the same rule on t g'(t) = (K * q)(t).
 On a mesh, g and t g' are smooth in ln t (they go as t ln t and t near 0),
 so the rule runs at the quadrature's 64 Chebyshev points in ln t and an
 interpolant carries it to every node, unless its coefficients show it
-unresolved (:func:`sonine_kit.quadrature._in_log_t`); g at the geometric
-times of the g(0+) fit, delta and :func:`compute_g_substituted` stay
-direct sums.
+unresolved (:func:`sonine_kit.quadrature._in_log_t`); delta and
+:func:`compute_g_substituted` stay direct sums.
 
-The condition has three parts: g(0) = 1 (checked through extrapolation of
-g along a geometric sequence of times), an integrable derivative (checked
-through a power-law fit of |g'| near 0), and a finite weighted L1 norm of
-g' used later as a stability budget.
+The condition has three parts: g(0+) = 1 (read as g(b) minus the integral
+of g' over [0, b]), an integrable derivative (checked through a power-law
+fit of |g'| near 0), and a finite weighted L1 norm of g' used later as a
+stability budget.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import KernelSpec, SoninePair, classical_abel_kernel, kappa
+from .kernels import KernelSpec, SoninePair, _extrapolate_to_zero, classical_abel_kernel, kappa
 from .mesh import Mesh, SampledFunction
 from .quadrature import (
     REF_PANELS,
@@ -46,7 +45,6 @@ __all__ = [
     "compute_g",
     "compute_g_substituted",
     "estimate_gprime",
-    "estimate_g0",
     "check_gsc",
 ]
 
@@ -73,8 +71,6 @@ EPS_CLIP_MAX = 0.95
 #: fitted amplitude below this means g' is negligible however it scales
 AMPLITUDE_FLOOR = 1e-6
 
-_GEOMETRIC_LEVELS = range(2, 13)
-
 
 @dataclass(frozen=True, slots=True)
 class EpsFit:
@@ -95,7 +91,8 @@ class GscReport:
     """Everything measured about one pair on one mesh.
 
     ``sc_residual`` is max |g - 1| over interior nodes (small only for a
-    classical pair); ``g0_defect`` is |g(0+) - 1| from extrapolation;
+    classical pair); ``g0_defect`` is |g(0+) - 1|, g(0+) read as g(b)
+    minus the integral of g' over [0, b] (see :func:`_gate_inputs`);
     ``gprime_l1`` integrates |g'| over [0, b] with the singular part
     handled by product weights; ``route_diff`` is |delta|, the rule's error
     on the classical part that the substituted g takes out (NaN for a pair
@@ -229,51 +226,6 @@ def estimate_gprime(pair: SoninePair, mesh: Mesh) -> SampledFunction:
     return SampledFunction(mesh=mesh, values=vals)
 
 
-def estimate_g0(samples) -> float:
-    """Extrapolate g to t = 0 from (t, g(t)) pairs on a decreasing
-    geometric sequence of times.
-
-    Least-squares fit of the near-origin model g(t) = g0 + c1 t |ln t| +
-    c2 t (see :func:`_fit_g0`). Needs at least three strictly decreasing
-    positive times with roughly geometric spacing.
-    """
-    return _fit_g0(samples)[0]
-
-
-def _fit_g0(samples) -> tuple[float, float, float]:
-    """(g0, c1, c2) of :func:`estimate_g0`'s fit.
-
-    For a variable exponent, g(t) = 1 + a t ln t + b t + O(t ln^2 t) near 0
-    with a = -alpha'(0) B(2 - alpha0, alpha0) / kappa(alpha0), so c1 fits
-    -a; c2 also absorbs the t ln^2 t term, which the samples cannot tell
-    from t. A fit without the t basis function leaves b and that term in
-    g0: 2.6e-4 off on alpha(t) = 0.5 + t/5 over (0, 0.5], against 9e-7.
-    """
-    pts = list(samples)
-    if len(pts) < 3:
-        raise DomainError("need at least three (t, g) samples")
-    t = np.array([float(p[0]) for p in pts])
-    g = np.array([float(p[1]) for p in pts])
-    if np.any(~np.isfinite(t)) or np.any(~np.isfinite(g)) or np.any(t <= 0.0):
-        raise DomainError("samples must be finite with strictly positive times")
-    ratios = t[1:] / t[:-1]
-    if np.any(ratios >= 0.95):
-        raise DomainError(
-            "times must decrease geometrically (each at most 0.95 of the last); "
-            "extrapolation from nearly equal times is ill-conditioned"
-        )
-    # centered regression on the basis {1, t |ln t|, t}: exact when the
-    # data is constant, equivalent to least squares otherwise
-    phi = np.column_stack([t * np.abs(np.log(t)), t])
-    n = len(t)
-    phi_bar = phi.mean(axis=0)
-    g_bar = math.fsum(g) / n
-    c, _, rank, _ = np.linalg.lstsq(phi - phi_bar, g - g_bar, rcond=None)
-    if rank < 2:
-        raise DomainError("extrapolation basis is degenerate on these times")
-    return float(g_bar - phi_bar @ c), float(c[0]), float(c[1])
-
-
 def _fit_eps(tw: np.ndarray, gp: np.ndarray, sigma: float | None) -> EpsFit:
     """Power-law fit |g'| ~ C t^(-eps) on the near-origin window."""
     amax = float(np.max(np.abs(gp))) if len(gp) else 0.0
@@ -326,35 +278,45 @@ class _GateInputs:
 
 
 def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
-    """g(0+) from the geometric samples, g' at the nodes, its eps fit and
-    its weighted L1 norm, as :func:`check_gsc` reports them.
+    """g(0+), g' at the nodes, its eps fit and its weighted L1 norm, as
+    :func:`check_gsc` reports them.
 
     g' is :func:`estimate_gprime`'s on the substituted route
     (:func:`_substituted_route`). g itself on the mesh is computed, by
     :func:`compute_g`, only for a pair off that route and not classical,
     whose g' is differenced from it. The eps fit's margin reads
     k's order when k has a ``smooth_log_deriv``.
+
+    g(0+) is g at the mesh's end b minus the integral of g' over [0, b],
+    the L1 norm's product rule applied to g' itself: the weights of
+    s^(-eps) times the bounded factor m = g' s^eps, with m(0) continued
+    from the first two interior nodes. g(b) is 1 for a classical pair,
+    one :func:`compute_g_substituted` value on the substituted route and
+    the last sample of g otherwise. The L1 norm takes |m| with m(0) = 0.
+
     Refuses what :func:`convolve_pair` refuses: kernels on different
-    intervals and a mesh past their end.
+    intervals and a mesh past their end; a mesh of one panel, since m(0)
+    is continued from two interior nodes; and a g(b) or an interior g'
+    that is not finite.
     """
     M = _pair_panels(pair.K, pair.k, mesh, None)
+    if mesh.N < 2:
+        raise DomainError("the g(0+) reading needs at least two interior nodes")
     nodes = mesh.nodes
     interior = nodes[1:]
-    t_geo = pair.b * 0.5 ** np.arange(
-        _GEOMETRIC_LEVELS.start, _GEOMETRIC_LEVELS.stop, dtype=float
-    )
     g = None
     if pair.is_classical:
-        g_geo = np.ones_like(t_geo)
+        g_end = 1.0
         gp = np.zeros(mesh.N + 1)
     elif _substituted_route(pair) is not None:
-        g_geo = compute_g_substituted(pair, t_geo, M=M)
+        g_end = compute_g_substituted(pair, mesh.b, M=M)
         gp = estimate_gprime(pair, mesh).values
     else:
-        g_geo = _pair_convolution(pair.K, pair.k, t_geo, M)
         g = compute_g(pair, mesh)[0]
+        g_end = float(g.values[-1])
         gp = _fd_gprime(nodes, g.values)
-    g0 = estimate_g0(zip(t_geo, g_geo))
+    if not (math.isfinite(g_end) and np.all(np.isfinite(gp[1:]))):
+        raise DomainError("g at the mesh's end and g' at its interior nodes must be finite")
 
     window = (interior <= pair.b * EPS_WINDOW_FRACTION) & (np.arange(1, mesh.N + 1) >= 2)
     sigma = pair.k.local_exponent if pair.k.smooth_log_deriv is not None else None
@@ -363,8 +325,10 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     eps = float(np.clip(eps_fit.eps, 0.0, EPS_CLIP_MAX))
     w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps, "left")
     m_fac = np.zeros(mesh.N + 1)
-    m_fac[1:] = np.abs(gp[1:]) * interior**eps
-    gprime_l1 = float(math.fsum(w_l1 * m_fac)) if np.all(np.isfinite(gp[1:])) else float("nan")
+    m_fac[1:] = gp[1:] * interior**eps
+    gprime_l1 = float(math.fsum(w_l1 * np.abs(m_fac)))
+    m_fac[0] = _extrapolate_to_zero(nodes, m_fac)
+    g0 = g_end - math.fsum(w_l1 * m_fac)
     return _GateInputs(
         gprime=SampledFunction(mesh=mesh, values=gp),
         g0=g0,
@@ -381,8 +345,9 @@ def check_gsc(pair: SoninePair, mesh: Mesh, g0_tol: float = G0_TOL_DEFAULT) -> G
 
     The verdict requires |g(0+) - 1| <= g0_tol, a conclusive power fit of
     |g'| compatible with integrability, and a finite weighted L1 norm of
-    g'. Where the substituted route applies it provides g(0) samples, the
-    analytic g' and g itself (see :func:`compute_g`).
+    g'. g(0+) is g(b) minus the integral of g' (see :func:`_gate_inputs`).
+    Where the substituted route applies it provides g(b), the analytic g'
+    and g itself (see :func:`compute_g`).
     This is the full diagnostic; a solve reads only the g(0+), g', fit and
     L1 parts and does not compute g on the mesh.
     """

@@ -8,14 +8,20 @@ the package against references it did not produce.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from sonine_kit import (
+    KernelSpec,
+    SoninePair,
     affine_exponent,
     graded_mesh,
+    kappa,
     make_classical_abel_pair,
     make_variable_exponent_pair,
+    power_kernel,
 )
 
 # gamma function references: (x, Gamma(x)) at 50-digit precision, rounded once
@@ -78,6 +84,18 @@ def mesh_512_unit():
     return graded_mesh(512, 2.0, 1.0)
 
 
-def geometric_times(b: float) -> np.ndarray:
-    """The decreasing sample times b 2^-m, m = 2..12."""
-    return b * 0.5 ** np.arange(2, 13, dtype=float)
+def two_term_pair(a: float, beta: float, lam: float, b: float) -> SoninePair:
+    """The two-term pair of Yu. Luchko, Mathematics 9 (2021) 594, with k
+    scaled by Gamma(1 - beta): k = t^(-beta) (1 + c t^a), c = lam
+    Gamma(1 - beta) / Gamma(1 - beta + a), and K = t^(beta - 1) /
+    kappa(beta). Its g = 1 + lam t^a / Gamma(1 + a) is exact, so g(0+) = 1,
+    and g' = lam t^(a - 1) / Gamma(a) blows up as t^(-eps), eps = 1 - a."""
+    c = lam * math.gamma(1.0 - beta) / math.gamma(1.0 - beta + a)
+    k = KernelSpec(
+        smooth_fn=lambda t: 1.0 + c * np.asarray(t, dtype=float) ** a,
+        smooth0=1.0,
+        local_exponent=beta,
+        b=b,
+        smooth_log_deriv=lambda t: c * a * np.asarray(t, dtype=float) ** a,
+    )
+    return SoninePair(k=k, K=power_kernel(1.0 / kappa(beta), 1.0 - beta, b))

@@ -9,7 +9,8 @@ and may not import the reference rule or the row blocks behind it, which
 is how a second split-at-t/2 integrator would come back. Nor does it read
 exponent profiles: the analytic g' route takes what it needs from
 ``KernelSpec.smooth_log_deriv``, so any kernel that carries it gets the
-route, not only t^(-alpha(t)). The CLI's
+route, not only t^(-alpha(t)). It reads g(0+) as g(b) minus the integral
+of its own g', with no fit of g at geometric times. The CLI's
 commands (``_run_*``) return their table and summary and do no I/O:
 ``run`` writes both, so the CLI has one output path. ``run`` also builds
 the job's pair, once, and hands it to the command, which builds none. Only
@@ -77,6 +78,12 @@ INTERPOLANT_PARTS = ("cheb", "lobatto", "lagrange", "bary")
 #: what sonine.py may not name: the profile type and the profile attribute
 PROFILE_NAMES = {"ExponentFunction"}
 PROFILE_ATTRIBUTES = {"exponent"}
+
+#: what sonine.py may not define or call: the fit of g at geometric times
+#: that g(0+) was once read from, and the least-squares solver behind it;
+#: g(0+) is g(b) minus the integral of the gate's own g'
+G0_FIT_FUNCTIONS = {"estimate_g0", "_fit_g0"}
+G0_FIT_CALLS = {"lstsq"}
 
 #: the one public function of the pipeline modules with a panel count
 #: parameter: it evaluates g at given times, with no mesh to fix the count
@@ -419,6 +426,50 @@ def test_profile_guard_catches_violations(source):
 def test_profile_guard_allows_the_kernel_fields():
     source = "sigma = k.local_exponent\nq = k.smooth_log_deriv\n"
     assert _profile_reads(source) == []
+
+
+def _g0_fit_parts(source: str) -> list[str]:
+    """Definitions of the g(0+) fit's functions, and imports or calls of
+    a least-squares solver, whole or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in G0_FIT_FUNCTIONS:
+            found.append(f"line {node.lineno}: defines {node.name}")
+        elif isinstance(node, ast.alias) and node.name in G0_FIT_CALLS:
+            found.append(f"line {node.lineno}: imports {node.name}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in G0_FIT_CALLS:
+                found.append(f"line {node.lineno}: calls {name}")
+    return found
+
+
+def test_sonine_reads_g0_without_a_fit():
+    source = Path(sonine_kit.sonine.__file__).read_text()
+    assert _g0_fit_parts(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def estimate_g0(samples):\n    pass",
+        "def _fit_g0(samples):\n    return 1.0, 0.0, 0.0",
+        "c, _, rank, _ = np.linalg.lstsq(phi, g, rcond=None)",
+        "from numpy.linalg import lstsq as fit",
+    ],
+)
+def test_g0_fit_guard_catches_violations(source):
+    assert _g0_fit_parts(source)
+
+
+def test_g0_fit_guard_allows_the_integral_reading():
+    source = (
+        "m_fac[0] = _extrapolate_to_zero(nodes, m_fac)\n"
+        "g0 = g_end - math.fsum(w_l1 * m_fac)\n"
+        "slope, intercept = np.polyfit(x, y, 1)\n"
+    )
+    assert _g0_fit_parts(source) == []
 
 
 def _panel_count_parameters(source: str) -> list[str]:

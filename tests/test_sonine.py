@@ -1,4 +1,4 @@
-"""The g = K * k analysis: routes, extrapolation, derivative, verdict."""
+"""The g = K * k analysis: routes, g(0+), derivative, verdict."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from conftest import (
     G_A_025,
     G_A_05,
     GPRIME_A_025,
-    geometric_times,
+    two_term_pair,
 )
 from sonine_kit import (
     DomainError,
@@ -25,7 +25,6 @@ from sonine_kit import (
     compute_g_substituted,
     convolve_pair,
     convolve_pair_at,
-    estimate_g0,
     estimate_gprime,
     graded_mesh,
     kappa,
@@ -35,7 +34,13 @@ from sonine_kit import (
 )
 from sonine_kit import quadrature, sonine
 from sonine_kit.quadrature import _default_panels
-from sonine_kit.sonine import G0_TOL_DEFAULT, _gprime_flat, _substituted_route
+from sonine_kit.sonine import (
+    EPS_FIT_MIN_R2,
+    EPS_MARGIN,
+    G0_TOL_DEFAULT,
+    _gprime_flat,
+    _substituted_route,
+)
 
 
 class TestComputeGSubstituted:
@@ -285,41 +290,65 @@ class TestFiniteDifferences:
         np.testing.assert_array_equal(sonine._fd_gprime(nodes, g), _fd_gprime_loop(nodes, g))
 
 
-class TestEstimateG0:
-    def test_recovers_constructed_limit(self):
-        ts = [1e-2, 1e-3, 1e-4]
-        samples = [(t, 1.0 + t * math.log(1.0 / t)) for t in ts]
-        assert abs(estimate_g0(samples) - 1.0) <= 1e-3
+#: exact pairs of Luchko's two-term family, (a, beta, lambda, b)
+TWO_TERM = {
+    "two-term (0.7, 0.5)": (0.7, 0.5, 1.0, 1.0),
+    "two-term (0.9, 0.3)": (0.9, 0.3, 2.0, 0.5),
+    "two-term (0.3, 0.5)": (0.3, 0.5, 1.0, 1.0),
+}
 
-    def test_constant_data_exact(self):
-        assert estimate_g0([(1e-2, 1.0), (1e-3, 1.0), (1e-4, 1.0)]) == 1.0
 
-    def test_profile_samples(self, pair_a):
-        ts = geometric_times(0.5)
-        gs = compute_g_substituted(pair_a, ts, M=256)
-        assert abs(estimate_g0(zip(ts, gs)) - 1.0) <= 1e-3
+class TestG0Reading:
+    """g(0+) is read as g(b) minus the integral of the gate's own g' over
+    [0, b]. On pairs whose g(0) is exactly 1 it reads 1 to the rule's
+    accuracy, also where g - 1 goes as t^a or t near 0, which the deleted
+    fit of g at geometric times on {1, t |ln t|, t} read as defect: 2.2e-4
+    on the tempered pair and 5.3e-3, 3.0e-4 and 0.138 on the two-term
+    pairs at N = 512."""
 
-    def test_fit_matches_start_point_asymptotics(self, pair_a):
-        """g = 1 + c1 t ln t + O(t) near 0 with c1 = -alpha'(0) B(2 - alpha0,
-        alpha0) / kappa(alpha0), -0.1 for alpha(t) = 0.5 + t/5; the fit's
-        t |ln t| coefficient is -c1 (the t coefficient also absorbs t ln^2 t,
-        so it is not pinned)."""
-        a0, a1 = 0.5, 0.2
-        c1 = -a1 * math.gamma(2.0 - a0) * math.gamma(a0) / kappa(a0)
-        ts = geometric_times(0.5)
-        g0, c_log, _ = sonine._fit_g0(zip(ts, compute_g_substituted(pair_a, ts, M=256)))
-        assert abs(c_log + c1) <= 0.03 * abs(c1)  # fit 0.0987
-        assert abs(g0 - 1.0) <= 5e-6  # 9.1e-7; 2.6e-4 without the t term
+    @pytest.mark.parametrize("N", [512, 2048])
+    @pytest.mark.parametrize("name", ["tempered", *TWO_TERM])
+    def test_exact_pairs_read_one(self, name, N):
+        """4.0e-8 and 4.1e-9 on the tempered pair, at most 9e-16 on the
+        two-term pairs."""
+        pair = tempered_pair() if name == "tempered" else two_term_pair(*TWO_TERM[name])
+        assert check_gsc(pair, graded_mesh(N, 2.0, pair.b)).g0_defect <= 1e-6
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            estimate_g0([(1e-2, 1.0), (1e-3, 1.0)])  # too few
-        with pytest.raises(DomainError):
-            estimate_g0([(1e-2, 1.0), (9.9e-3, 1.0), (9.8e-3, 1.0)])  # not geometric
-        with pytest.raises(DomainError):
-            estimate_g0([(1e-2, 1.0), (1e-3, float("nan")), (1e-4, 1.0)])
-        with pytest.raises(DomainError):
-            estimate_g0([(0.0, 1.0), (1e-3, 1.0), (1e-4, 1.0)])  # t must be positive
+    def test_paper_pair(self, pair_a, mesh_512_half):
+        """alpha(t) = 0.5 + t/5 on (0, 0.5] reads 8.7e-8; the fit read 9.1e-7."""
+        assert check_gsc(pair_a, mesh_512_half).g0_defect <= 1e-7
+
+    @pytest.mark.parametrize("N", [512, 2048])
+    @pytest.mark.parametrize("name", ["two-term (0.7, 0.5)", "two-term (0.9, 0.3)"])
+    def test_two_term_pairs_in_the_margin_pass(self, name, N):
+        """eps = 1 - a = 0.3 and 0.1 lie inside the margin below 1 - beta;
+        (0.7, 0.5) failed on the fit's g(0+) before."""
+        pair = two_term_pair(*TWO_TERM[name])
+        assert check_gsc(pair, graded_mesh(N, 2.0, pair.b)).gsc_pass
+
+    def test_two_term_pair_past_the_margin_fails_on_eps_alone(self):
+        """eps = 1 - a = 0.7 is past 1 - beta - EPS_MARGIN = 0.49; g(0+)
+        and the fit's R^2 are fine."""
+        pair = two_term_pair(*TWO_TERM["two-term (0.3, 0.5)"])
+        report = check_gsc(pair, graded_mesh(512, 2.0, pair.b))
+        assert not report.gsc_pass
+        assert report.g0_defect <= 1e-6
+        assert report.eps_fit.r_squared >= EPS_FIT_MIN_R2
+        assert report.eps_fit.eps > 1.0 - pair.k.local_exponent - EPS_MARGIN
+        assert math.isfinite(report.gprime_l1)
+
+
+#: factors on K that must fail the verdict: 1% and 0.2% either way
+SCALES = (1.01, 1.002, 1.0 / 1.002, 1.0 / 1.01)
+
+#: pairs with g(0+) = 1 whose K is scaled in the scaled-K guard
+SCALED_K_PAIRS = {
+    "steep profile": lambda: make_variable_exponent_pair(affine_exponent(0.5, 0.4, 1.0), 1.0),
+    "paper profile": lambda: make_variable_exponent_pair(affine_exponent(0.5, 0.2, 0.5), 0.5),
+    "tempered": tempered_pair,
+    "two-term (0.7, 0.5)": lambda: two_term_pair(*TWO_TERM["two-term (0.7, 0.5)"]),
+    "two-term (0.9, 0.3)": lambda: two_term_pair(*TWO_TERM["two-term (0.9, 0.3)"]),
+}
 
 
 class TestCheckGsc:
@@ -330,6 +359,7 @@ class TestCheckGsc:
         assert report.gprime_l1 <= 1e-3
         assert report.gsc_pass
         assert math.isnan(report.route_diff)
+        assert report.g0 == 1.0
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_classical_g_is_one_to_rounding(self, alpha):
@@ -353,6 +383,7 @@ class TestCheckGsc:
                 report = check_gsc(pair, mesh)
                 np.testing.assert_array_equal(report.g.values, g.values)
                 assert math.isnan(report.route_diff)
+                assert report.g0 == 1.0
 
     def test_variable_report(self, pair_a, mesh_512_half):
         report = check_gsc(pair_a, mesh_512_half)
@@ -370,24 +401,31 @@ class TestCheckGsc:
         assert abs(report.g0_defect - (math.pi - 1.0)) <= 1e-3
         assert not report.gsc_pass
 
-    def test_steep_profile_passes_g0_and_scaled_kappa_fails(self):
-        """alpha(t) = 0.5 + 0.4t on (0, 1] meets g(0+) = 1 within the default
-        tolerance (its defect was 1.5e-3 without the t basis function); with
-        K scaled by 1 / 1.01, g(0+) moves by about 1% and fails it. The scaled
-        pair's k drops its profile, since the substituted route builds the
-        normalization of K in, so g is convolved from K itself."""
-        pair = make_variable_exponent_pair(affine_exponent(0.5, 0.4, 1.0), 1.0)
-        k = replace(pair.k, smooth_log_deriv=None)
-        profile_less = SoninePair(k=k, K=pair.K)
-        scaled = SoninePair(
-            k=k, K=power_kernel(pair.K.power_coef / 1.01, pair.K.local_exponent, 1.0)
-        )
-        mesh = graded_mesh(256, 2.0, 1.0)
-        assert check_gsc(pair, mesh).g0_defect <= G0_TOL_DEFAULT  # 4.0e-5
+    @pytest.mark.parametrize("N", [128, 256, 512, 2048])
+    @pytest.mark.parametrize("name", [*SCALED_K_PAIRS])
+    def test_steep_profile_passes_g0_and_scaled_kappa_fails(self, name, N):
+        """Each pair meets g(0+) = 1 within the default tolerance, also with
+        k's t S'(t) dropped, so that g is convolved from K and k pointwise
+        (the steep profile alpha(t) = 0.5 + 0.4t on (0, 1] read 4.7e-5 so at
+        N = 128). With K scaled by s, g(0+) moves by s - 1, and every s in
+        SCALES fails the verdict on it. The defect reads |s - 1| within 10%
+        from N = 512 on (5% measured; the fit of g at geometric times was
+        off by up to 3.7 times on two-term (0.7, 0.5)), and at N = 256 for
+        the 1% factors (2.4% measured; the 0.2% factors read 12% off on
+        two-term (0.7, 0.5) there). A scaled pair keeps k's t S'(t), so the
+        eps margin still reads k's order, and takes the pointwise route."""
+        pair = SCALED_K_PAIRS[name]()
+        mesh = graded_mesh(N, 2.0, pair.b)
+        profile_less = SoninePair(k=replace(pair.k, smooth_log_deriv=None), K=pair.K)
+        assert check_gsc(pair, mesh).g0_defect <= G0_TOL_DEFAULT
         assert check_gsc(profile_less, mesh).g0_defect <= G0_TOL_DEFAULT
-        defect = check_gsc(scaled, mesh).g0_defect
-        assert defect > G0_TOL_DEFAULT
-        assert abs(defect - (1.0 - 1.0 / 1.01)) <= 1e-3
+        for s in SCALES:
+            K = power_kernel(pair.K.power_coef * s, pair.K.local_exponent, pair.b)
+            report = check_gsc(SoninePair(k=pair.k, K=K), mesh)
+            assert not report.gsc_pass
+            assert report.g0_defect > G0_TOL_DEFAULT
+            if N >= 512 or (N == 256 and abs(s - 1.0) > 0.005):
+                assert abs(report.g0_defect / abs(s - 1.0) - 1.0) <= 0.1, s
 
     def test_profile_with_scaled_K_takes_the_pointwise_route(self):
         """A pair that keeps its profile but whose K is scaled by 1 / 1.01 is

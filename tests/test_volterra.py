@@ -10,12 +10,13 @@ import pytest
 
 import sonine_kit.sonine as sonine
 import sonine_kit.volterra as volterra
-from conftest import EXP_MINUS_1, PROFILE_A, TWO_OVER_PI
+from conftest import EXP_MINUS_1, PROFILE_A, TWO_OVER_PI, two_term_pair
 from sonine_kit import (
     DomainError,
     GscConditionError,
     IllConditionedSystemError,
     KernelSpec,
+    Mesh,
     RhsSpec,
     SampledFunction,
     SoninePair,
@@ -265,6 +266,20 @@ class TestSolveFirstKind:
         assert residuals[1] <= residuals[0] / 1.5
         assert residuals[2] <= residuals[1] / 1.5
 
+    def test_two_term_pair_past_the_eps_margin_solves(self):
+        """The two-term pair (a, beta, lambda) = (0.3, 0.5, 1) on (0, 1] has
+        g(0) = 1 exactly but eps = 0.7 past check_gsc's margin. The fit of g
+        at geometric times read its g(0+) 0.138 off, so the gate refused it;
+        with f = t the residual reads 0.129, 0.085 and 0.056."""
+        pair = two_term_pair(0.3, 0.5, 1.0, 1.0)
+        rhs = RhsSpec.from_polynomial([0.0, 1.0])
+        residuals = [
+            solve_first_kind(pair, rhs, graded_mesh(n, 2.0, 1.0)).residual_first_kind
+            for n in (128, 512, 2048)
+        ]
+        assert residuals[0] > residuals[1] > residuals[2]
+        assert residuals[2] <= 0.06
+
 
 def _profile_less(pair):
     """The pair with k's exponent profile dropped, so g is known only
@@ -274,7 +289,8 @@ def _profile_less(pair):
 
 class TestSolveInputChecks:
     """A mesh past the pair's interval fails loudly, also for a classical
-    pair, whose solve convolves nothing."""
+    pair, whose solve convolves nothing; so do a mesh of one panel and a
+    kernel that is not finite."""
 
     @pytest.mark.parametrize("which", ["classical", "variable"])
     def test_mesh_past_interval(self, which, classical_half, pair_a):
@@ -287,6 +303,39 @@ class TestSolveInputChecks:
             discover_associate(pair.k, pair.K, mesh)
         with pytest.raises(DomainError, match="exceeds"):
             stability_report(pair, 1e-6, mesh)
+
+    @pytest.mark.parametrize("which", ["classical", "variable"])
+    def test_one_panel_mesh_is_refused(self, which, classical_half, pair_a):
+        """m(0) of the g(0+) reading is continued from two interior nodes."""
+        pair = classical_half if which == "classical" else pair_a
+        mesh = Mesh(nodes=np.array([0.0, pair.b]))
+        with pytest.raises(DomainError, match="two interior nodes"):
+            check_gsc(pair, mesh)
+        with pytest.raises(DomainError, match="two interior nodes"):
+            solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), mesh)
+
+    @pytest.mark.parametrize("route", ["pointwise", "substituted"])
+    def test_non_finite_kernel_is_refused(self, route):
+        """A k whose bounded factor is NaN past b/2 makes g NaN there. Given
+        pointwise, its g samples are refused as they are made; with a finite
+        t S'(t), g' is finite and only g(b) is NaN, which the gate refuses
+        before anything reads a g(0+) from it. check_gsc refuses as the
+        solve does."""
+        b = 0.5
+        k = KernelSpec(
+            smooth_fn=lambda t: np.where(np.asarray(t) > b / 2, np.nan, 1.0),
+            smooth0=1.0,
+            local_exponent=0.5,
+            b=b,
+            smooth_log_deriv=(lambda t: -t) if route == "substituted" else None,
+        )
+        pair = SoninePair(k=k, K=power_kernel(1.0 / kappa(0.5), 0.5, b))
+        mesh = graded_mesh(64, 2.0, b)
+        message = {"pointwise": "sampled values", "substituted": "g at the mesh's end"}[route]
+        with pytest.raises(DomainError, match=message):
+            check_gsc(pair, mesh)
+        with pytest.raises(DomainError, match=message):
+            solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), mesh)
 
 
 class TestSolveReadsGateInputsOnly:
@@ -312,9 +361,10 @@ class TestSolveReadsGateInputsOnly:
         assert got.gprime_l1 == report.gprime_l1
 
     def test_no_g_on_the_mesh(self, monkeypatch, classical_half, pair_a):
-        """Solves convolve no g, and evaluate the substituted g only at the
-        eleven geometric times of the g(0+) fit; check_gsc convolves g once
-        for a pair given pointwise, whose g' is differenced from it."""
+        """Solves convolve no g, and evaluate the substituted g only at t = b,
+        where g(0+) is read as g(b) minus the integral of g'; check_gsc
+        convolves g once for a pair given pointwise, whose g' is differenced
+        from it."""
         convolutions, substituted = [], []
         real_convolve, real_substituted = sonine.convolve_pair, sonine.compute_g_substituted
 
@@ -335,7 +385,7 @@ class TestSolveReadsGateInputsOnly:
             stability_report(pair, 1e-6, mesh)
             discover_associate(pair.k, pair.K, mesh)
         assert convolutions == []
-        assert substituted == [11, 11, 11]
+        assert substituted == [1, 1, 1]
         check_gsc(_profile_less(pair_a), graded_mesh(128, 2.0, pair_a.b))
         assert len(convolutions) == 1
 

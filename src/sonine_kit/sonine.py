@@ -13,10 +13,10 @@ interpolant carries it to every node, unless its coefficients show it
 unresolved (:func:`sonine_kit.quadrature._in_log_t`); delta and
 :func:`compute_g_substituted` stay direct sums.
 
-The condition has three parts: g(0+) = 1 (read as g(b) minus the integral
-of g' over [0, b]), an integrable derivative (checked through a power-law
-fit of |g'| near 0), and a finite weighted L1 norm of g' used later as a
-stability budget.
+The condition has three parts: g(0+) = 1 (g at the first node less a
+model of g' integrated over the first panel), an integrable derivative
+(checked through a power-law fit of |g'| near 0), and a finite weighted
+L1 norm of g' used later as a stability budget.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import KernelSpec, SoninePair, _extrapolate_to_zero, classical_abel_kernel, kappa
+from .kernels import KernelSpec, SoninePair, classical_abel_kernel, kappa
 from .mesh import Mesh, SampledFunction
 from .quadrature import (
     REF_PANELS,
@@ -91,8 +91,7 @@ class GscReport:
     """Everything measured about one pair on one mesh.
 
     ``sc_residual`` is max |g - 1| over interior nodes (small only for a
-    classical pair); ``g0_defect`` is |g(0+) - 1|, g(0+) read as g(b)
-    minus the integral of g' over [0, b] (see :func:`_gate_inputs`);
+    classical pair); ``g0_defect`` is |g(0+) - 1| (see :func:`_gate_inputs`);
     ``gprime_l1`` integrates |g'| over [0, b] with the singular part
     handled by product weights; ``route_diff`` is |delta|, the rule's error
     on the classical part that the substituted g takes out (NaN for a pair
@@ -260,6 +259,57 @@ def _fd_gprime(nodes: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _near_origin_integral(t: np.ndarray, y: np.ndarray, means: bool) -> float:
+    """The integral of g' over [0, t_1] under a model of g' near 0, from
+    ``y``: g' at the mesh nodes ``t``, or with ``means`` g there, whose
+    differences give the means of g' over the first panels, exact where
+    g' is itself differenced from g.
+
+    In x = s / t_1 two models compete. c0 + c1 ln x + c2 (x - 1), fitted
+    to the first three samples, holds a log blow-up, the profile pair's,
+    and a bounded g'. C x^(-eps) with eps in [0, EPS_CLIP_MAX], fitted to
+    the first two where they fall off as such a power can, is exact for a
+    power blow-up, the two-term pair's. The model that predicts the
+    fourth sample more closely is integrated exactly. With fewer samples
+    there is nothing to judge by, and the first model is read without c2.
+    """
+    x = t[1 : 6 if means else 5] / t[1]
+    y = np.diff(y[1:6]) / np.diff(t[1:6]) if means else y[1:5]
+
+    def sample(f, F):
+        """Samples of the functions f at x, or with ``means`` their means
+        over the panels between, from their antiderivatives F."""
+        return np.diff(F(x), axis=0) / np.diff(x)[:, None] if means else f(x)
+
+    A = sample(
+        lambda x: np.column_stack([np.ones_like(x), np.log(x), x - 1.0]),
+        lambda x: np.column_stack([x, x * np.log(x) - x, 0.5 * x * x - x]),
+    )
+    judged = len(y) == 4
+    k = 3 if judged else min(len(y), 2)
+    c = np.linalg.solve(A[:k, :k], y[:k])
+    models = [(A[:, :k] @ c, float(c @ np.array([1.0, -1.0, -0.5])[:k]))]
+
+    def falloff(eps):
+        """The power's second sample over its first (x_1 = 1), in floats."""
+        if not means:
+            return float(x[1]) ** -eps
+        p, x2, x3 = 1.0 - eps, float(x[1]), float(x[2])
+        return (x3**p - x2**p) * (x2 - 1.0) / ((x2**p - 1.0) * (x3 - x2))
+
+    if judged and y[0] * y[1] > 0.0 and falloff(EPS_CLIP_MAX) < y[1] / y[0] < 1.0:
+        lo, hi = 0.0, EPS_CLIP_MAX
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:  # bisection, down to adjacent floats
+            lo, hi = (mid, hi) if falloff(mid) > y[1] / y[0] else (lo, mid)
+            mid = 0.5 * (lo + hi)
+        p = sample(lambda x: x[:, None] ** -lo, lambda x: x[:, None] ** (1.0 - lo) / (1.0 - lo))
+        models.append((y[0] / p[0, 0] * p[:, 0], y[0] / p[0, 0] / (1.0 - lo)))
+    if judged:
+        models.sort(key=lambda model: abs(model[0][3] - y[3]))
+    return float(t[1] * models[0][1])
+
+
 @dataclass(frozen=True, slots=True)
 class _GateInputs:
     """The part of a :class:`GscReport` a second-kind solve reads (see
@@ -287,16 +337,14 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     whose g' is differenced from it. The eps fit's margin reads
     k's order when k has a ``smooth_log_deriv``.
 
-    g(0+) is g at the mesh's end b minus the integral of g' over [0, b],
-    the L1 norm's product rule applied to g' itself: the weights of
-    s^(-eps) times the bounded factor m = g' s^eps, with m(0) continued
-    from the first two interior nodes. g(b) is 1 for a classical pair,
-    one :func:`compute_g_substituted` value on the substituted route and
-    the last sample of g otherwise. The L1 norm takes |m| with m(0) = 0.
+    g(0+) is g(t_1) less the integral of g' over [0, t_1], from g' at the
+    first interior nodes or, where g' is differenced from g, from g there
+    (:func:`_near_origin_integral`). g(t_1) is 1 for a classical pair, one
+    :func:`compute_g_substituted` value, or the first sample of g.
 
     Refuses what :func:`convolve_pair` refuses: kernels on different
-    intervals and a mesh past their end; a mesh of one panel, since m(0)
-    is continued from two interior nodes; and a g(b) or an interior g'
+    intervals and a mesh past their end; a mesh of one panel, since the
+    model of g' needs two interior nodes; and a g(t_1) or an interior g'
     that is not finite.
     """
     M = _pair_panels(pair.K, pair.k, mesh, None)
@@ -306,17 +354,21 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     interior = nodes[1:]
     g = None
     if pair.is_classical:
-        g_end = 1.0
+        g_first = 1.0
         gp = np.zeros(mesh.N + 1)
     elif _substituted_route(pair) is not None:
-        g_end = compute_g_substituted(pair, mesh.b, M=M)
+        g_first = compute_g_substituted(pair, nodes[1], M=M)
         gp = estimate_gprime(pair, mesh).values
     else:
         g = compute_g(pair, mesh)[0]
-        g_end = float(g.values[-1])
+        g_first = float(g.values[1])
         gp = _fd_gprime(nodes, g.values)
-    if not (math.isfinite(g_end) and np.all(np.isfinite(gp[1:]))):
-        raise DomainError("g at the mesh's end and g' at its interior nodes must be finite")
+    if not (math.isfinite(g_first) and np.all(np.isfinite(gp[1:]))):
+        raise DomainError("g at the first node and g' at the interior nodes must be finite")
+    if g is None:
+        g0 = g_first - _near_origin_integral(nodes, gp, means=False)
+    else:
+        g0 = g_first - _near_origin_integral(nodes, g.values, means=True)
 
     window = (interior <= pair.b * EPS_WINDOW_FRACTION) & (np.arange(1, mesh.N + 1) >= 2)
     sigma = pair.k.local_exponent if pair.k.smooth_log_deriv is not None else None
@@ -325,10 +377,8 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     eps = float(np.clip(eps_fit.eps, 0.0, EPS_CLIP_MAX))
     w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps, "left")
     m_fac = np.zeros(mesh.N + 1)
-    m_fac[1:] = gp[1:] * interior**eps
-    gprime_l1 = float(math.fsum(w_l1 * np.abs(m_fac)))
-    m_fac[0] = _extrapolate_to_zero(nodes, m_fac)
-    g0 = g_end - math.fsum(w_l1 * m_fac)
+    m_fac[1:] = np.abs(gp[1:]) * interior**eps
+    gprime_l1 = float(math.fsum(w_l1 * m_fac))
     return _GateInputs(
         gprime=SampledFunction(mesh=mesh, values=gp),
         g0=g0,
@@ -345,9 +395,8 @@ def check_gsc(pair: SoninePair, mesh: Mesh, g0_tol: float = G0_TOL_DEFAULT) -> G
 
     The verdict requires |g(0+) - 1| <= g0_tol, a conclusive power fit of
     |g'| compatible with integrability, and a finite weighted L1 norm of
-    g'. g(0+) is g(b) minus the integral of g' (see :func:`_gate_inputs`).
-    Where the substituted route applies it provides g(b), the analytic g'
-    and g itself (see :func:`compute_g`).
+    g' (see :func:`_gate_inputs`). Where the substituted route applies it
+    provides g(t_1), the analytic g' and g itself (see :func:`compute_g`).
     This is the full diagnostic; a solve reads only the g(0+), g', fit and
     L1 parts and does not compute g on the mesh.
     """

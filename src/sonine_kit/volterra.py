@@ -57,7 +57,7 @@ __all__ = [
 #: on a pair that solves and converges. For alpha(t) = 0.693966 + 0.168935 t
 #: on (0, 0.5], the N=32 level of a converge run fits eps 9e-4 past the
 #: margin (still below 1 - alpha(0)), and its error halves at N=64 like the
-#: finer levels'. The gate itself refuses a g(b) or an interior g' that is
+#: finer levels'. The gate itself refuses a g(t_1) or an interior g' that is
 #: not finite with DomainError.
 GATE_G0_TOL = 1e-2
 

@@ -494,6 +494,17 @@ class TestCommands:
         errs = [float(r.split(",")[2]) for r in rows]
         assert errs[-1] < errs[0]  # finer meshes genuinely improve
 
+    def test_converge_solves_its_coarsest_level(self, tmp_path, capsys):
+        """alpha(t) = 0.1 + 0.6t on (0, 1] at N = 64 solves N = 8 first,
+        where g(0+) reads 3.1e-4 (s^(-eps) times a line as the model of g'
+        read 0.18 there, and the gate refused the run)."""
+        kernel = {"kind": "variable", "a0": 0.1, "a1": 0.6, "b": 1.0}
+        cfg_path = _write(tmp_path, _doc("converge", kernel=kernel, N=64))
+        out = tmp_path / "c.csv"
+        assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [8, 16, 32, 64]
+
     def test_converge_needs_nesting(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, _doc("converge", N=100))
         assert main(["converge", "--config", cfg_path]) == 1

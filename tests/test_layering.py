@@ -9,8 +9,9 @@ and may not import the reference rule or the row blocks behind it, which
 is how a second split-at-t/2 integrator would come back. Nor does it read
 exponent profiles: the analytic g' route takes what it needs from
 ``KernelSpec.smooth_log_deriv``, so any kernel that carries it gets the
-route, not only t^(-alpha(t)). It reads g(0+) as g(b) minus the integral
-of its own g', with no fit of g at geometric times. The CLI's
+route, not only t^(-alpha(t)). It reads g(0+) as g at the first node
+minus the integral of a model of its own g' over the first panel, with no
+fit of g at geometric times. The CLI's
 commands (``_run_*``) return their table and summary and do no I/O:
 ``run`` writes both, so the CLI has one output path. ``run`` also builds
 the job's pair, once, and hands it to the command, which builds none. Only
@@ -81,7 +82,7 @@ PROFILE_ATTRIBUTES = {"exponent"}
 
 #: what sonine.py may not define or call: the fit of g at geometric times
 #: that g(0+) was once read from, and the least-squares solver behind it;
-#: g(0+) is g(b) minus the integral of the gate's own g'
+#: g(0+) is g(t_1) minus the integral of a model of the gate's own g'
 G0_FIT_FUNCTIONS = {"estimate_g0", "_fit_g0"}
 G0_FIT_CALLS = {"lstsq"}
 
@@ -465,8 +466,8 @@ def test_g0_fit_guard_catches_violations(source):
 
 def test_g0_fit_guard_allows_the_integral_reading():
     source = (
-        "m_fac[0] = _extrapolate_to_zero(nodes, m_fac)\n"
-        "g0 = g_end - math.fsum(w_l1 * m_fac)\n"
+        "c[:k] = np.linalg.solve(basis[:k, :k], y[:k])\n"
+        "g0 = g_first - _near_origin_integral(nodes, gp)\n"
         "slope, intercept = np.polyfit(x, y, 1)\n"
     )
     assert _g0_fit_parts(source) == []

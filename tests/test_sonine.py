@@ -299,43 +299,68 @@ TWO_TERM = {
 
 
 class TestG0Reading:
-    """g(0+) is read as g(b) minus the integral of the gate's own g' over
-    [0, b]. On pairs whose g(0) is exactly 1 it reads 1 to the rule's
+    """g(0+) is read as g at the first node t_1 minus the integral of a
+    model of g' over [0, t_1], fitted to the gate's own g' at the first
+    nodes. On pairs whose g(0) is exactly 1 it reads 1 to the rule's
     accuracy, also where g - 1 goes as t^a or t near 0, which the deleted
     fit of g at geometric times on {1, t |ln t|, t} read as defect: 2.2e-4
     on the tempered pair and 5.3e-3, 3.0e-4 and 0.138 on the two-term
     pairs at N = 512."""
 
     @pytest.mark.parametrize("N", [512, 2048])
-    @pytest.mark.parametrize("name", ["tempered", *TWO_TERM])
-    def test_exact_pairs_read_one(self, name, N):
-        """4.0e-8 and 4.1e-9 on the tempered pair, at most 9e-16 on the
-        two-term pairs."""
+    @pytest.mark.parametrize(
+        "name, verdict",
+        [
+            ("tempered", None),
+            ("two-term (0.7, 0.5)", True),
+            ("two-term (0.9, 0.3)", True),
+            ("two-term (0.3, 0.5)", False),
+        ],
+    )
+    def test_exact_pairs_read_one(self, name, verdict, N):
+        """At most 2.2e-16 on the tempered pair and 7.8e-16 on the two-term
+        pairs. eps = 1 - a is 0.3 and 0.1 inside the margin below 1 - beta,
+        and 0.7 past it for (0.3, 0.5), which fails on that alone;
+        (0.7, 0.5) failed on the fit's g(0+) before. The tempered pair's
+        verdict is not judged here: the power fit reads its bounded g' with
+        R^2 0.61 (ROADMAP item 11)."""
         pair = tempered_pair() if name == "tempered" else two_term_pair(*TWO_TERM[name])
-        assert check_gsc(pair, graded_mesh(N, 2.0, pair.b)).g0_defect <= 1e-6
+        report = check_gsc(pair, graded_mesh(N, 2.0, pair.b))
+        assert report.g0_defect <= 1e-6
+        assert math.isfinite(report.gprime_l1)
+        if verdict is not None:
+            assert report.gsc_pass == verdict
+            assert report.eps_fit.r_squared >= EPS_FIT_MIN_R2
+            past_margin = report.eps_fit.eps > 1.0 - pair.k.local_exponent - EPS_MARGIN
+            assert past_margin == (not verdict)
 
     def test_paper_pair(self, pair_a, mesh_512_half):
-        """alpha(t) = 0.5 + t/5 on (0, 0.5] reads 8.7e-8; the fit read 9.1e-7."""
-        assert check_gsc(pair_a, mesh_512_half).g0_defect <= 1e-7
+        """alpha(t) = 0.5 + t/5 on (0, 0.5] reads 2.1e-12; the fit read 9.1e-7."""
+        assert check_gsc(pair_a, mesh_512_half).g0_defect <= 1e-10
 
-    @pytest.mark.parametrize("N", [512, 2048])
-    @pytest.mark.parametrize("name", ["two-term (0.7, 0.5)", "two-term (0.9, 0.3)"])
-    def test_two_term_pairs_in_the_margin_pass(self, name, N):
-        """eps = 1 - a = 0.3 and 0.1 lie inside the margin below 1 - beta;
-        (0.7, 0.5) failed on the fit's g(0+) before."""
-        pair = two_term_pair(*TWO_TERM[name])
-        assert check_gsc(pair, graded_mesh(N, 2.0, pair.b)).gsc_pass
+    @pytest.mark.parametrize(
+        "a0, r, N",
+        [(0.1, 1.0, 512), (0.1, 1.0, 128), (0.3, 1.0, 128), (0.1, 1.5, 16), (0.1, 2.0, 16)],
+    )
+    def test_steep_profile_passes_on_coarse_and_uniform_meshes(self, a0, r, N):
+        """alpha(t) = a0 + 0.6t on (0, 1] passes on uniform and coarse
+        meshes, as it did when g(0+) was fitted to g at geometric times
+        (2.7e-4 and 1.7e-4 on every mesh). The reading is 6.4e-6, 6.4e-5,
+        4.6e-5, 2.5e-4 and 4.2e-5; a model of g' whose error spreads over
+        every panel, such as s^(-eps) times a line, read 3.6e-3 to 4.9e-2
+        here."""
+        pair = make_variable_exponent_pair(affine_exponent(a0, 0.6, 1.0), 1.0)
+        report = check_gsc(pair, graded_mesh(N, r, 1.0))
+        assert report.g0_defect <= 3e-4
+        assert report.gsc_pass
 
-    def test_two_term_pair_past_the_margin_fails_on_eps_alone(self):
-        """eps = 1 - a = 0.7 is past 1 - beta - EPS_MARGIN = 0.49; g(0+)
-        and the fit's R^2 are fine."""
-        pair = two_term_pair(*TWO_TERM["two-term (0.3, 0.5)"])
-        report = check_gsc(pair, graded_mesh(512, 2.0, pair.b))
-        assert not report.gsc_pass
-        assert report.g0_defect <= 1e-6
-        assert report.eps_fit.r_squared >= EPS_FIT_MIN_R2
-        assert report.eps_fit.eps > 1.0 - pair.k.local_exponent - EPS_MARGIN
-        assert math.isfinite(report.gprime_l1)
+    def test_mesh_of_two_or_three_panels(self, pair_a):
+        """Without a node 4 to judge the models by, the log model through
+        nodes 1 and 2 is read; g(0+) is still near 1 (1.2e-3 and 7.1e-4 at
+        r = 1, 6.2e-4 and 1.3e-4 at r = 2)."""
+        for r in (1.0, 2.0):
+            for N in (2, 3):
+                assert check_gsc(pair_a, graded_mesh(N, r, pair_a.b)).g0_defect <= 2e-3
 
 
 #: factors on K that must fail the verdict: 1% and 0.2% either way
@@ -406,14 +431,12 @@ class TestCheckGsc:
     def test_steep_profile_passes_g0_and_scaled_kappa_fails(self, name, N):
         """Each pair meets g(0+) = 1 within the default tolerance, also with
         k's t S'(t) dropped, so that g is convolved from K and k pointwise
-        (the steep profile alpha(t) = 0.5 + 0.4t on (0, 1] read 4.7e-5 so at
-        N = 128). With K scaled by s, g(0+) moves by s - 1, and every s in
-        SCALES fails the verdict on it. The defect reads |s - 1| within 10%
-        from N = 512 on (5% measured; the fit of g at geometric times was
-        off by up to 3.7 times on two-term (0.7, 0.5)), and at N = 256 for
-        the 1% factors (2.4% measured; the 0.2% factors read 12% off on
-        two-term (0.7, 0.5) there). A scaled pair keeps k's t S'(t), so the
-        eps margin still reads k's order, and takes the pointwise route."""
+        (at most 2.5e-7 so at N = 128). With K scaled by s, g(0+) moves by
+        s - 1, and every s in SCALES fails the verdict on it. The defect
+        reads |s - 1| within 1% at every N here (1.2e-4 relative measured;
+        the fit of g at geometric times was off by up to 3.7 times on
+        two-term (0.7, 0.5)). A scaled pair keeps k's t S'(t), so the eps
+        margin still reads k's order, and takes the pointwise route."""
         pair = SCALED_K_PAIRS[name]()
         mesh = graded_mesh(N, 2.0, pair.b)
         profile_less = SoninePair(k=replace(pair.k, smooth_log_deriv=None), K=pair.K)
@@ -424,8 +447,7 @@ class TestCheckGsc:
             report = check_gsc(SoninePair(k=pair.k, K=K), mesh)
             assert not report.gsc_pass
             assert report.g0_defect > G0_TOL_DEFAULT
-            if N >= 512 or (N == 256 and abs(s - 1.0) > 0.005):
-                assert abs(report.g0_defect / abs(s - 1.0) - 1.0) <= 0.1, s
+            assert abs(report.g0_defect / abs(s - 1.0) - 1.0) <= 0.01, s
 
     def test_profile_with_scaled_K_takes_the_pointwise_route(self):
         """A pair that keeps its profile but whose K is scaled by 1 / 1.01 is
@@ -468,8 +490,9 @@ class TestCheckGsc:
         assert report.gprime_l1 >= 0.0
 
     def test_g0_tol_is_respected(self, pair_a, mesh_512_half):
-        strict = check_gsc(pair_a, mesh_512_half, g0_tol=1e-9)
-        assert not strict.gsc_pass
+        defect = check_gsc(pair_a, mesh_512_half).g0_defect
+        assert check_gsc(pair_a, mesh_512_half, g0_tol=2.0 * defect).gsc_pass
+        assert not check_gsc(pair_a, mesh_512_half, g0_tol=0.5 * defect).gsc_pass
         with pytest.raises(DomainError):
             check_gsc(pair_a, mesh_512_half, g0_tol=0.0)
 

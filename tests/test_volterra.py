@@ -266,6 +266,20 @@ class TestSolveFirstKind:
         assert residuals[1] <= residuals[0] / 1.5
         assert residuals[2] <= residuals[1] / 1.5
 
+    @pytest.mark.parametrize(
+        "a0, a1, r, N",
+        [(0.5, 0.4, 1.0, 16), (0.1, 0.6, 1.0, 32), (0.1, 0.6, 1.5, 16), (0.1, 0.6, 2.0, 8)],
+    )
+    def test_coarse_and_uniform_meshes_solve(self, a0, a1, r, N):
+        """Steep profiles on (0, 1] on uniform and coarse meshes pass the
+        gate: g(0+) reads at most 4.7e-4 here (a model of g' whose error
+        spreads over every panel, s^(-eps) times a line, read 0.049 to
+        0.26), and f = t gives first-kind residuals of 0.011, 0.0099, 0.042
+        and 0.080, as when g(0+) was fitted to g at geometric times."""
+        pair = make_variable_exponent_pair(affine_exponent(a0, a1, 1.0), 1.0)
+        result = solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), graded_mesh(N, r, 1.0))
+        assert result.residual_first_kind <= 0.1
+
     def test_two_term_pair_past_the_eps_margin_solves(self):
         """The two-term pair (a, beta, lambda) = (0.3, 0.5, 1) on (0, 1] has
         g(0) = 1 exactly but eps = 0.7 past check_gsc's margin. The fit of g
@@ -306,7 +320,7 @@ class TestSolveInputChecks:
 
     @pytest.mark.parametrize("which", ["classical", "variable"])
     def test_one_panel_mesh_is_refused(self, which, classical_half, pair_a):
-        """m(0) of the g(0+) reading is continued from two interior nodes."""
+        """The g(0+) reading's model of g' goes through two interior nodes."""
         pair = classical_half if which == "classical" else pair_a
         mesh = Mesh(nodes=np.array([0.0, pair.b]))
         with pytest.raises(DomainError, match="two interior nodes"):
@@ -314,16 +328,30 @@ class TestSolveInputChecks:
         with pytest.raises(DomainError, match="two interior nodes"):
             solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), mesh)
 
-    @pytest.mark.parametrize("route", ["pointwise", "substituted"])
-    def test_non_finite_kernel_is_refused(self, route):
+    @pytest.mark.parametrize(
+        "route, nan_past, message",
+        [
+            ("pointwise", True, "sampled values"),
+            ("substituted", True, "sampled values"),
+            ("substituted", False, "g at the first node"),
+        ],
+    )
+    def test_non_finite_kernel_is_refused(self, route, nan_past, message):
         """A k whose bounded factor is NaN past b/2 makes g NaN there. Given
-        pointwise, its g samples are refused as they are made; with a finite
-        t S'(t), g' is finite and only g(b) is NaN, which the gate refuses
+        pointwise, its g samples are refused as they are made. With a finite
+        t S'(t), g' is finite, and so is g near 0, where g(0+) is read; g on
+        the mesh and the solve's convolutions refuse the NaN instead. NaN
+        below b/2 makes g at the first node NaN, which the gate refuses
         before anything reads a g(0+) from it. check_gsc refuses as the
         solve does."""
         b = 0.5
+
+        def smooth(t):
+            t = np.asarray(t)
+            return np.where((t > b / 2) == nan_past, np.nan, 1.0)
+
         k = KernelSpec(
-            smooth_fn=lambda t: np.where(np.asarray(t) > b / 2, np.nan, 1.0),
+            smooth_fn=smooth,
             smooth0=1.0,
             local_exponent=0.5,
             b=b,
@@ -331,7 +359,6 @@ class TestSolveInputChecks:
         )
         pair = SoninePair(k=k, K=power_kernel(1.0 / kappa(0.5), 0.5, b))
         mesh = graded_mesh(64, 2.0, b)
-        message = {"pointwise": "sampled values", "substituted": "g at the mesh's end"}[route]
         with pytest.raises(DomainError, match=message):
             check_gsc(pair, mesh)
         with pytest.raises(DomainError, match=message):
@@ -361,10 +388,10 @@ class TestSolveReadsGateInputsOnly:
         assert got.gprime_l1 == report.gprime_l1
 
     def test_no_g_on_the_mesh(self, monkeypatch, classical_half, pair_a):
-        """Solves convolve no g, and evaluate the substituted g only at t = b,
-        where g(0+) is read as g(b) minus the integral of g'; check_gsc
-        convolves g once for a pair given pointwise, whose g' is differenced
-        from it."""
+        """Solves convolve no g, and evaluate the substituted g once, at the
+        first node t_1, where g(0+) is read as g(t_1) minus the integral of
+        g' over [0, t_1]; check_gsc convolves g once for a pair given
+        pointwise, whose g' is differenced from it."""
         convolutions, substituted = [], []
         real_convolve, real_substituted = sonine.convolve_pair, sonine.compute_g_substituted
 
@@ -373,7 +400,7 @@ class TestSolveReadsGateInputsOnly:
             return real_convolve(*args, **kwargs)
 
         def substitute(pair, t, **kwargs):
-            substituted.append(np.size(t))
+            substituted.append(np.asarray(t).tolist())
             return real_substituted(pair, t, **kwargs)
 
         monkeypatch.setattr(sonine, "convolve_pair", convolve)
@@ -385,7 +412,7 @@ class TestSolveReadsGateInputsOnly:
             stability_report(pair, 1e-6, mesh)
             discover_associate(pair.k, pair.K, mesh)
         assert convolutions == []
-        assert substituted == [1, 1, 1]
+        assert substituted == [graded_mesh(128, 2.0, pair_a.b).nodes[1]] * 3
         check_gsc(_profile_less(pair_a), graded_mesh(128, 2.0, pair_a.b))
         assert len(convolutions) == 1
 

@@ -40,6 +40,23 @@ VALIDATION_GRID = 1024
 
 GAMMA_MAX_ARG = 50.0
 
+#: derivative spot-check: sample count, relative step, tolerance
+FD_SPOT_COUNT = 16
+FD_STEP_FRAC = 1e-6
+FD_TOL = 1e-5
+
+#: the spot-check's points as fractions of its interval: the FD_SPOT_COUNT
+#: values of np.random.default_rng(160693).random(), written out so that
+#: no call builds a generator and the import does not load numpy.random
+#: (13 ms); lo + (hi - lo) * U is that seed's rng.uniform(lo, hi) bit for bit
+_FD_SPOT_UNITS = np.array([
+    0.0026916255453282023, 0.1539874298151227, 0.46004904277016834, 0.09563111576497885,
+    0.6062327261088063, 0.4002811625901471, 0.5774417878013248, 0.4449300100754138,
+    0.12817436740447707, 0.24649348555221295, 0.919559302808306, 0.13888924811018755,
+    0.5808366370868774, 0.8243386141856652, 0.964511303762873, 0.7395375760871438,
+])
+_FD_SPOT_UNITS.setflags(write=False)
+
 
 def gamma(x: float) -> float:
     """Gamma function on (0, 50].
@@ -86,6 +103,24 @@ def _evaluate(fn: Callable, t):
     t_arr = np.asarray(t, dtype=float)
     out = _call_elementwise(fn, np.atleast_1d(t_arr))
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+
+
+def _check_derivative(f: Callable, fprime: Callable, b: float, what: str) -> None:
+    """Refuse an ``fprime``, named ``what``, that differs from a central
+    difference of ``f`` (step FD_STEP_FRAC * b) by more than FD_TOL * max(1,
+    |difference|), or is NaN, at the fixed spot points of (0, b)."""
+    h = FD_STEP_FRAC * b
+    lo, hi = 2 * h, b - 2 * h
+    t = lo + (hi - lo) * _FD_SPOT_UNITS
+    fd = (_evaluate(f, t + h) - _evaluate(f, t - h)) / (2.0 * h)
+    got = _evaluate(fprime, t)
+    bad = ~(np.abs(fd - got) <= FD_TOL * np.maximum(1.0, np.abs(fd)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"{what} disagrees with a finite difference at t={float(t[i])!r}: "
+            f"{float(got[i])!r} vs {float(fd[i])!r}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +181,8 @@ class KernelSpec:
     factors out, and ``smooth_fn`` evaluates the bounded factor smooth,
     continuous on [0, b] with smooth(0) = smooth0, a finite number.
     ``smooth_log_deriv`` evaluates t smooth'(t) on (0, b], which must tend
-    to 0 at t = 0; it is None when not known.
+    to 0 at t = 0; it is None when not known, and spot-checked against
+    ``smooth_fn`` when given (:func:`_check_derivative`).
     """
 
     smooth_fn: Callable
@@ -167,6 +203,11 @@ class KernelSpec:
             )
         if not math.isfinite(self.b) or self.b <= 0.0:
             raise DomainError(f"kernel endpoint b must be positive, got {self.b!r}")
+        if self.smooth_log_deriv is not None:
+            d = self.smooth_log_deriv
+            _check_derivative(
+                self.smooth_fn, lambda t: _evaluate(d, t) / t, self.b, "smooth_log_deriv / t"
+            )
 
     def _check_domain(self, t: np.ndarray, allow_zero: bool) -> bool:
         """Refuse t outside (0, b], or [0, b] with ``allow_zero``; True when

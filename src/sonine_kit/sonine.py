@@ -13,10 +13,11 @@ interpolant carries it to every node, unless its coefficients show it
 unresolved (:func:`sonine_kit.quadrature._in_log_t`); delta and
 :func:`compute_g_substituted` stay direct sums.
 
-The condition has three parts: g(0+) = 1 (g at the first node less a
-model of g' integrated over the first panel), an integrable derivative
-(checked through a power-law fit of |g'| near 0), and a finite weighted
-L1 norm of g' used later as a stability budget.
+The condition has three parts: g(0+) = 1, an integrable derivative, and
+a finite weighted L1 norm of g' used later as a stability budget. One
+model of g' near 0, a log or a power blow-up, gives g(0+) (g at the first
+node less its integral), judges integrability, and factors g' for the
+L1 norm and the sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import KernelSpec, SoninePair, classical_abel_kernel, kappa
+from .kernels import KernelSpec, SoninePair, _extrapolate_to_zero, classical_abel_kernel, kappa
 from .mesh import Mesh, SampledFunction
 from .quadrature import (
     REF_PANELS,
@@ -51,33 +52,28 @@ __all__ = [
 #: default tolerance on |g(0) - 1| for the overall verdict
 G0_TOL_DEFAULT = 1e-3
 
-#: the |g'| power fit uses nodes with t <= b * EPS_WINDOW_FRACTION
+#: a log-singular g' takes the sweep's and the L1 norm's eps from the nodes
+#: with t <= b * EPS_WINDOW_FRACTION (:func:`_window_slope`), which keeps
+#: every profile table. eps = EPS_CLIP_MAX would delete that fit and cut
+#: residuals 2.5-3x at r <= 3, but at r = 4, whose far weights are noise,
+#: it failed 12 of 224 unbounded-u solves that pass with the slope
 EPS_WINDOW_FRACTION = 0.25
 
-#: minimum R^2 for the power fit to count as conclusive
-EPS_FIT_MIN_R2 = 0.9
-
-#: fitted exponent must stay below 1 - sigma, k's order, by this margin
+#: a power model's eps must stay below 1 - sigma, k's order, by this margin
 EPS_MARGIN = 0.01
 
-#: |g'| below this is treated as identically zero
-GPRIME_FLOOR = 1e-12
-
-#: the fitted eps is clipped to [0, this] for the weighted L1 norm of g'
-#: and for the second-kind weights; the Gronwall budget holds only if both
-#: use the same eps
+#: eps is clipped to [0, this] for the weighted L1 norm of g' and for the
+#: second-kind weights; the Gronwall budget holds only if both use the
+#: same eps
 EPS_CLIP_MAX = 0.95
-
-#: fitted amplitude below this means g' is negligible however it scales
-AMPLITUDE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
 class EpsFit:
-    """Result of fitting |g'(t)| ~ C * t^(-eps) near t = 0.
-
-    ``passed`` means the fit is conclusive and the exponent is compatible
-    with an integrable derivative.
+    """The model of g' near t = 0 (:func:`_near_origin_model`): C and eps of
+    a power blow-up |g'| ~ C t^(-eps), or eps = 0 and C = |g'(t_1)| for a
+    log or bounded g'. ``passed`` means it is conclusive and g' integrable;
+    ``r_squared`` is its R^2 over the samples it was fitted and judged on.
     """
 
     C: float
@@ -93,11 +89,12 @@ class GscReport:
     ``sc_residual`` is max |g - 1| over interior nodes (small only for a
     classical pair); ``g0_defect`` is |g(0+) - 1| (see :func:`_gate_inputs`);
     ``gprime_l1`` integrates |g'| over [0, b] with the singular part
-    handled by product weights; ``route_diff`` is |delta|, the rule's error
+    handled by product weights, from the factored g' = t^(-eps) m(t) that
+    a solve's sweep reads; ``route_diff`` is |delta|, the rule's error
     on the classical part that the substituted g takes out (NaN for a pair
     without the substituted route). ``gsc_pass`` is the generalized
-    verdict: g(0) = 1 within tolerance, a conclusive integrability fit,
-    and a finite weighted L1 norm.
+    verdict: g(0) = 1 within tolerance, a conclusive model of g' near 0
+    that makes it integrable (``eps_fit``), and a finite weighted L1 norm.
     """
 
     g: SampledFunction
@@ -225,28 +222,35 @@ def estimate_gprime(pair: SoninePair, mesh: Mesh) -> SampledFunction:
     return SampledFunction(mesh=mesh, values=vals)
 
 
-def _fit_eps(tw: np.ndarray, gp: np.ndarray, sigma: float | None) -> EpsFit:
-    """Power-law fit |g'| ~ C t^(-eps) on the near-origin window."""
-    amax = float(np.max(np.abs(gp))) if len(gp) else 0.0
-    if amax <= GPRIME_FLOOR:
-        return EpsFit(C=0.0, eps=0.0, passed=True, r_squared=1.0)
+def _window_slope(tw: np.ndarray, gp: np.ndarray) -> float:
+    """A log-singular g''s eps: minus the slope of ln |g'| against ln t on
+    the window, clipped to [0, EPS_CLIP_MAX]; 0 below three nonzero g'."""
     mask = np.abs(gp) > 0.0
     if int(mask.sum()) < 3:
-        return EpsFit(C=amax, eps=0.0, passed=False, r_squared=0.0)
-    x = np.log(tw[mask])
-    y = np.log(np.abs(gp[mask]))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
-    eps = -float(slope)
-    C = float(math.exp(intercept))
-    if C <= AMPLITUDE_FLOOR:
-        return EpsFit(C=C, eps=0.0, passed=True, r_squared=r2)
-    ok = r2 >= EPS_FIT_MIN_R2
-    if sigma is not None:
-        ok = ok and eps <= 1.0 - sigma - EPS_MARGIN
-    return EpsFit(C=C, eps=eps, passed=bool(ok), r_squared=r2)
+        return 0.0
+    slope = np.polyfit(np.log(tw[mask]), np.log(np.abs(gp[mask])), 1)[0]
+    return float(np.clip(-float(slope), 0.0, EPS_CLIP_MAX))
+
+
+def _bounded_factor(
+    gprime: SampledFunction, eps: float, m0: float | None = None
+) -> SampledFunction:
+    """m = g' t^eps at the nodes, the bounded factor of g' = t^(-eps) m that
+    the L1 norm of g' and the sweep read. m(0) is ``m0`` when given, a power
+    model's limit; else 0 for eps > 0, a log blow-up's limit, and for eps =
+    0 g'(t_0) if finite, else the first panel continued linearly."""
+    nodes = gprime.mesh.nodes
+    m = np.empty(len(nodes))
+    m[1:] = gprime.values[1:] * nodes[1:] ** eps
+    if m0 is not None:
+        m[0] = m0
+    elif eps > 0.0:
+        m[0] = 0.0
+    elif np.isfinite(gprime.values[0]):
+        m[0] = gprime.values[0]
+    else:
+        m[0] = _extrapolate_to_zero(nodes, m)
+    return SampledFunction(mesh=gprime.mesh, values=m)
 
 
 def _fd_gprime(nodes: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -259,19 +263,24 @@ def _fd_gprime(nodes: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _near_origin_integral(t: np.ndarray, y: np.ndarray, means: bool) -> float:
-    """The integral of g' over [0, t_1] under a model of g' near 0, from
-    ``y``: g' at the mesh nodes ``t``, or with ``means`` g there, whose
-    differences give the means of g' over the first panels, exact where
-    g' is itself differenced from g.
+def _near_origin_model(
+    t: np.ndarray, y: np.ndarray, means: bool, sigma: float | None
+) -> tuple[float, EpsFit, float | None]:
+    """The integral of g' over [0, t_1] under a model of g' near 0, the
+    model as an :class:`EpsFit`, and a power model's m(0) = lim s^eps g'
+    (else None), from ``y``: g' at the nodes ``t``, or with ``means`` g,
+    whose differences give g''s means over the first panels.
 
     In x = s / t_1 two models compete. c0 + c1 ln x + c2 (x - 1), fitted
     to the first three samples, holds a log blow-up, the profile pair's,
     and a bounded g'. C x^(-eps) with eps in [0, EPS_CLIP_MAX], fitted to
     the first two where they fall off as such a power can, is exact for a
     power blow-up, the two-term pair's. The model that predicts the
-    fourth sample more closely is integrated exactly. With fewer samples
-    there is nothing to judge by, and the first model is read without c2.
+    fourth sample more closely is chosen. With fewer samples there is
+    nothing to judge by, and the first model is read without c2. A log or
+    bounded g' is integrable; a power, when eps <= 1 - sigma - EPS_MARGIN
+    (any eps for a ``sigma`` of None). Too few samples, or first ones that
+    fall off as fast as x^(-EPS_CLIP_MAX), are not conclusive.
     """
     x = t[1 : 6 if means else 5] / t[1]
     y = np.diff(y[1:6]) / np.diff(t[1:6]) if means else y[1:5]
@@ -288,7 +297,7 @@ def _near_origin_integral(t: np.ndarray, y: np.ndarray, means: bool) -> float:
     judged = len(y) == 4
     k = 3 if judged else min(len(y), 2)
     c = np.linalg.solve(A[:k, :k], y[:k])
-    models = [(A[:, :k] @ c, float(c @ np.array([1.0, -1.0, -0.5])[:k]))]
+    models = [(A[:, :k] @ c, float(c @ np.array([1.0, -1.0, -0.5])[:k]), (0.0, None))]
 
     def falloff(eps):
         """The power's second sample over its first (x_1 = 1), in floats."""
@@ -297,50 +306,64 @@ def _near_origin_integral(t: np.ndarray, y: np.ndarray, means: bool) -> float:
         p, x2, x3 = 1.0 - eps, float(x[1]), float(x[2])
         return (x3**p - x2**p) * (x2 - 1.0) / ((x2**p - 1.0) * (x3 - x2))
 
-    if judged and y[0] * y[1] > 0.0 and falloff(EPS_CLIP_MAX) < y[1] / y[0] < 1.0:
+    falling = judged and y[0] * y[1] > 0.0 and y[1] / y[0] < 1.0
+    steep = falling and y[1] / y[0] <= falloff(EPS_CLIP_MAX)
+    if falling and not steep:
         lo, hi = 0.0, EPS_CLIP_MAX
         mid = 0.5 * (lo + hi)
         while lo < mid < hi:  # bisection, down to adjacent floats
             lo, hi = (mid, hi) if falloff(mid) > y[1] / y[0] else (lo, mid)
             mid = 0.5 * (lo + hi)
         p = sample(lambda x: x[:, None] ** -lo, lambda x: x[:, None] ** (1.0 - lo) / (1.0 - lo))
-        models.append((y[0] / p[0, 0] * p[:, 0], y[0] / p[0, 0] / (1.0 - lo)))
+        C = y[0] / p[0, 0]
+        models.append((C * p[:, 0], C / (1.0 - lo), (lo, float(C * t[1] ** lo))))
     if judged:
         models.sort(key=lambda model: abs(model[0][3] - y[3]))
-    return float(t[1] * models[0][1])
+    fit, integral, (eps, m0) = models[0]
+    n = len(y) if judged else k
+    ss_tot = float(np.sum((y[:n] - y[:n].mean()) ** 2))
+    r2 = 1.0 - float(np.sum((fit[:n] - y[:n]) ** 2)) / ss_tot if ss_tot > 0.0 else 1.0
+    if m0 is None:  # a log or bounded g'
+        return float(t[1] * integral), EpsFit(abs(float(y[0])), eps, judged and not steep, r2), None
+    passed = sigma is None or eps <= 1.0 - sigma - EPS_MARGIN
+    return float(t[1] * integral), EpsFit(abs(m0), eps, passed, r2), m0
 
 
 @dataclass(frozen=True, slots=True)
 class _GateInputs:
     """The part of a :class:`GscReport` a second-kind solve reads (see
-    :func:`_gate_inputs`). ``eps`` is the fitted eps clipped to [0,
-    EPS_CLIP_MAX], the one ``gprime_l1`` was computed with and the sweep
-    uses. ``g`` is the samples of g on the mesh when g' was differenced
-    from them, else None."""
+    :func:`_gate_inputs`). g' is factored as t^(-eps) m(t): ``eps`` and
+    ``m``, m(0) included, are what ``gprime_l1`` was computed from and
+    what the sweep reads. ``g`` is the samples of g on the mesh when g'
+    was differenced from them, else None."""
 
     gprime: SampledFunction
     g0: float
     g0_defect: float
     eps_fit: EpsFit
     eps: float
+    m: SampledFunction
     gprime_l1: float
     g: SampledFunction | None
 
 
 def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
-    """g(0+), g' at the nodes, its eps fit and its weighted L1 norm, as
-    :func:`check_gsc` reports them.
+    """g(0+), g' at the nodes, the model of g' near 0 and the weighted L1
+    norm of g', as :func:`check_gsc` reports them.
 
     g' is :func:`estimate_gprime`'s on the substituted route
     (:func:`_substituted_route`). g itself on the mesh is computed, by
     :func:`compute_g`, only for a pair off that route and not classical,
-    whose g' is differenced from it. The eps fit's margin reads
-    k's order when k has a ``smooth_log_deriv``.
+    whose g' is differenced from it.
 
-    g(0+) is g(t_1) less the integral of g' over [0, t_1], from g' at the
-    first interior nodes or, where g' is differenced from g, from g there
-    (:func:`_near_origin_integral`). g(t_1) is 1 for a classical pair, one
-    :func:`compute_g_substituted` value, or the first sample of g.
+    One model of g' near 0 (:func:`_near_origin_model`), from g' at the
+    first nodes or, where g' is differenced from g, from g there, gives
+    g(0+) as g(t_1) less its integral over [0, t_1] (g(t_1) is 1 for a
+    classical pair, one :func:`compute_g_substituted` value, or the first
+    sample of g); the verdict, whose eps margin reads k's order when k has
+    a ``smooth_log_deriv``; and g' = t^(-eps) m(t) for the L1 norm and
+    the sweep: a power's own eps and m(0), or for a log or bounded g' the
+    window slope (:func:`_window_slope`) and :func:`_bounded_factor`'s m(0).
 
     Refuses what :func:`convolve_pair` refuses: kernels on different
     intervals and a mesh past their end; a mesh of one panel, since the
@@ -365,27 +388,23 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
         gp = _fd_gprime(nodes, g.values)
     if not (math.isfinite(g_first) and np.all(np.isfinite(gp[1:]))):
         raise DomainError("g at the first node and g' at the interior nodes must be finite")
-    if g is None:
-        g0 = g_first - _near_origin_integral(nodes, gp, means=False)
-    else:
-        g0 = g_first - _near_origin_integral(nodes, g.values, means=True)
-
-    window = (interior <= pair.b * EPS_WINDOW_FRACTION) & (np.arange(1, mesh.N + 1) >= 2)
     sigma = pair.k.local_exponent if pair.k.smooth_log_deriv is not None else None
-    eps_fit = _fit_eps(interior[window], gp[1:][window], sigma)
-
-    eps = float(np.clip(eps_fit.eps, 0.0, EPS_CLIP_MAX))
+    samples = gp if g is None else g.values
+    integral, eps_fit, m0 = _near_origin_model(nodes, samples, g is not None, sigma)
+    g0 = g_first - integral
+    window = (interior <= pair.b * EPS_WINDOW_FRACTION) & (np.arange(1, mesh.N + 1) >= 2)
+    eps = eps_fit.eps if m0 is not None else _window_slope(interior[window], gp[1:][window])
+    gprime = SampledFunction(mesh=mesh, values=gp)
+    m = _bounded_factor(gprime, eps, m0)
     w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps, "left")
-    m_fac = np.zeros(mesh.N + 1)
-    m_fac[1:] = np.abs(gp[1:]) * interior**eps
-    gprime_l1 = float(math.fsum(w_l1 * m_fac))
     return _GateInputs(
-        gprime=SampledFunction(mesh=mesh, values=gp),
+        gprime=gprime,
         g0=g0,
         g0_defect=abs(g0 - 1.0),
         eps_fit=eps_fit,
         eps=eps,
-        gprime_l1=gprime_l1,
+        m=m,
+        gprime_l1=float(math.fsum(w_l1 * np.abs(m.values))),
         g=g,
     )
 
@@ -393,12 +412,12 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
 def check_gsc(pair: SoninePair, mesh: Mesh, g0_tol: float = G0_TOL_DEFAULT) -> GscReport:
     """Measure g = K * k on the mesh and decide the generalized condition.
 
-    The verdict requires |g(0+) - 1| <= g0_tol, a conclusive power fit of
-    |g'| compatible with integrability, and a finite weighted L1 norm of
-    g' (see :func:`_gate_inputs`). Where the substituted route applies it
+    The verdict requires |g(0+) - 1| <= g0_tol, a model of g' near 0 that
+    makes it integrable, and a finite weighted L1 norm of g' (see
+    :func:`_gate_inputs`). Where the substituted route applies it
     provides g(t_1), the analytic g' and g itself (see :func:`compute_g`).
-    This is the full diagnostic; a solve reads only the g(0+), g', fit and
-    L1 parts and does not compute g on the mesh.
+    This is the full diagnostic; a solve reads only the g(0+), g', model
+    and L1 parts and does not compute g on the mesh.
     """
     if not math.isfinite(g0_tol) or g0_tol <= 0.0:
         raise DomainError(f"g0_tol must be positive, got {g0_tol!r}")

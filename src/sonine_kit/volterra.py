@@ -24,6 +24,7 @@ from .errors import DomainError, GscConditionError, IllConditionedSystemError
 from .kernels import (
     KernelSpec,
     SoninePair,
+    _check_derivative,
     _constant_factor,
     _evaluate,
     _extrapolate_to_zero,
@@ -32,7 +33,7 @@ from .kernels import (
 )
 from .mesh import Mesh, SampledFunction, graded_mesh
 from .quadrature import _triangle_blocks, convolve_pair, convolve_weakly_singular
-from .sonine import EPS_CLIP_MAX, _gate_inputs, _GateInputs
+from .sonine import EPS_CLIP_MAX, _bounded_factor, _gate_inputs, _GateInputs
 
 __all__ = [
     "ConvergenceReport",
@@ -52,13 +53,13 @@ __all__ = [
 #: a solve refuses to proceed when |g(0+) - 1| exceeds this: the
 #: reformulation divides by g(0), so a failing pair produces an equation for
 #: a different problem. Looser than check_gsc's verdict (1e-3, a conclusive
-#: eps fit, a finite L1 norm) on purpose: the transformation needs g(0+)
-#: near 1 and a finite g', and a coarse mesh can miss the eps fit's margin
-#: on a pair that solves and converges. For alpha(t) = 0.693966 + 0.168935 t
-#: on (0, 0.5], the N=32 level of a converge run fits eps 9e-4 past the
-#: margin (still below 1 - alpha(0)), and its error halves at N=64 like the
-#: finer levels'. The gate itself refuses a g(t_1) or an interior g' that is
-#: not finite with DomainError.
+#: model of g' near 0, a finite L1 norm) on purpose: the transformation
+#: needs g(0+) near 1 and a finite g', and a coarse mesh can leave the
+#: model inconclusive on a pair that solves. For alpha(t) = 0.3 - 0.1 t on
+#: (0, 1], N = 8 at r = 1, the first samples of g' fall off faster than
+#: x^(-EPS_CLIP_MAX), while g(0+) reads 5.6e-5 and f = t solves to a
+#: first-kind residual of 2.4e-2. The gate itself refuses a g(t_1) or an
+#: interior g' that is not finite with DomainError.
 GATE_G0_TOL = 1e-2
 
 #: forward substitution aborts when a diagonal entry falls below this
@@ -72,23 +73,6 @@ CONVERGE_LEVELS = 4
 
 #: errors at or below this count as converged to rounding in order fits
 ORDER_FLOOR = 1e-12
-
-#: derivative spot-check: sample count, relative step, tolerance
-FD_SPOT_COUNT = 16
-FD_STEP_FRAC = 1e-6
-FD_TOL = 1e-5
-
-#: the spot-check's points as fractions of its interval: the FD_SPOT_COUNT
-#: values of np.random.default_rng(160693).random(), written out so that
-#: no call builds a generator and the import does not load numpy.random
-#: (13 ms); lo + (hi - lo) * U is that seed's rng.uniform(lo, hi) bit for bit
-_FD_SPOT_UNITS = np.array([
-    0.0026916255453282023, 0.1539874298151227, 0.46004904277016834, 0.09563111576497885,
-    0.6062327261088063, 0.4002811625901471, 0.5774417878013248, 0.4449300100754138,
-    0.12817436740447707, 0.24649348555221295, 0.919559302808306, 0.13888924811018755,
-    0.5808366370868774, 0.8243386141856652, 0.964511303762873, 0.7395375760871438,
-])
-_FD_SPOT_UNITS.setflags(write=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,22 +119,11 @@ class RhsSpec:
         return _evaluate(self.fprime, t)
 
     def validate(self, b: float) -> None:
-        """Spot-check that fprime differentiates f on (0, b).
-
-        Sixteen fixed pseudo-random interior points (seeded, so every run
-        checks the same ones) with a central difference of step 1e-6 * b.
-        """
+        """Spot-check that fprime differentiates f on (0, b)
+        (:func:`sonine_kit.kernels._check_derivative`)."""
         if not math.isfinite(b) or b <= 0.0:
             raise DomainError(f"endpoint b must be positive, got {b!r}")
-        h = FD_STEP_FRAC * b
-        lo, hi = 2 * h, b - 2 * h
-        for t in lo + (hi - lo) * _FD_SPOT_UNITS:
-            fd = (float(self.f(t + h)) - float(self.f(t - h))) / (2.0 * h)
-            if abs(fd - float(self.fprime(t))) > FD_TOL * max(1.0, abs(fd)):
-                raise DomainError(
-                    f"fprime disagrees with a finite difference of f at t={t!r}: "
-                    f"{self.fprime(t)!r} vs {fd!r}"
-                )
+        _check_derivative(self.f, self.fprime, b, "fprime")
 
     @staticmethod
     def from_polynomial(coeffs) -> "RhsSpec":
@@ -282,7 +255,9 @@ def solve_second_kind(
     The convolution is discretized with product weights for the factored
     kernel g'(tau) = tau^(-eps) m(tau), m interpolated linearly between
     nodes, so the lag m(t_i - t_j) never evaluates g' off the sample
-    grid. eps = 0 means g' is treated as bounded. Each block of rows of
+    grid. eps = 0 means g' is treated as bounded. m(0) follows
+    :func:`sonine_kit.sonine._bounded_factor`'s rule for g' alone: 0 for
+    eps > 0, as for a log blow-up. Each block of rows of
     the lower-triangular system is solved by one LAPACK call once the
     rows before it are known. From FAR_MIN_N panels on, the history of
     each super-block of rows from columns well to its left is formed at a
@@ -292,14 +267,14 @@ def solve_second_kind(
     convention; when F(t_0) is undefined the first panel's mass is folded
     onto node 1 instead of touching the undefined value.
     """
-    return _forward_sweep(gprime, F, mesh, eps)[0]
+    return _forward_sweep(_bounded_factor(gprime, eps), F, mesh, eps)[0]
 
 
 def _forward_sweep(
-    gprime: SampledFunction, F: SampledFunction, mesh: Mesh, eps: float
+    m: SampledFunction, F: SampledFunction, mesh: Mesh, eps: float
 ) -> tuple[SampledFunction, float]:
-    """:func:`solve_second_kind`'s u, and the relative row residual of the
-    discrete system.
+    """:func:`solve_second_kind`'s u for g' = tau^(-eps) m, from m at every
+    node, and the relative row residual of the discrete system.
 
     Blocked forward substitution over :func:`_triangle_blocks`: 1 is added
     to the diagonal of each block's own square T, which is checked against
@@ -315,30 +290,16 @@ def _forward_sweep(
     first block adds C's column 0 to T's first column in place, so row
     1's folded step is the one checked, and u(t_0) then holds u(t_1), so
     every later history product carries that mass on node 1, until the
-    sweep resets u(t_0) to F(t_0). g' = 0 leaves u = F and a zero
+    sweep resets u(t_0) to F(t_0). m = 0 leaves u = F and a zero
     residual without a sweep.
     """
-    if not (gprime.mesh.same_nodes(mesh) and F.mesh.same_nodes(mesh)):
+    if not (m.mesh.same_nodes(mesh) and F.mesh.same_nodes(mesh)):
         raise DomainError("g' and F must be sampled on the solve mesh")
     if not (math.isfinite(eps) and 0.0 <= eps <= EPS_CLIP_MAX):
         raise DomainError(f"eps must lie in [0, {EPS_CLIP_MAX}], got {eps!r}")
-    nodes = mesh.nodes
-    # node samples of the bounded factor m(tau) = g'(tau) tau^eps
-    m = np.empty(len(nodes))
-    m[1:] = gprime.values[1:] * nodes[1:] ** eps
-    if eps > 0.0:
-        # m(0) = lim tau^eps g'(tau) is 0 for the logarithmic blow-up of a
-        # profile pair's g', not for a power blow-up C tau^(-eps), whose
-        # limit is C: for g' = t^(-0.3) on (0, 1] the sweep then converges
-        # at order 0.7 in N, against 2 with m(0) = C
-        m[0] = 0.0
-    elif np.isfinite(gprime.values[0]):
-        m[0] = gprime.values[0]
-    else:
-        # eps = 0 with g' unsampled at 0: extend linearly from the first panel
-        m[0] = _extrapolate_to_zero(nodes, m)
-    if not np.all(np.isfinite(m)):
-        raise DomainError("g' samples must be finite at interior nodes")
+    nodes, m = mesh.nodes, m.values
+    if not math.isfinite(m[0]):
+        raise DomainError("m(0), the bounded factor of g' at t = 0, must be finite")
     f = F.values
     if not m.any():  # g' = 0, as for a classical pair: u = F exactly
         return SampledFunction(mesh=mesh, values=f.copy()), 0.0
@@ -431,7 +392,7 @@ def solve_first_kind(pair: SoninePair, rhs: RhsSpec, mesh: Mesh) -> SolveReport:
     """Solve k * u = f through the second-kind transformation.
 
     Measures what the transformation needs of the generalized condition
-    first, g(0+) and g' with its fit and L1 norm, without the rest of
+    first, g(0+) and g' with its model near 0 and L1 norm, without the rest of
     :func:`check_gsc` (g on the mesh and route_diff). Refuses to
     transform when g(0+) strays from 1 (see GATE_G0_TOL).
     """
@@ -453,9 +414,9 @@ def _second_kind_solve(
 ) -> tuple[SampledFunction, SampledFunction, float]:
     """u, F and the second-kind residual of :func:`solve_first_kind` for
     the data ``rhs``, after the gate on g(0+) (see GATE_G0_TOL) and the
-    check of ``rhs``. The sweep takes ``gate.eps``, the clipped eps that
-    the gate's L1 norm of g' was computed with, so that the Gronwall budget
-    bounds the sweep."""
+    check of ``rhs``. The sweep reads the gate's factored g' (``gate.m``
+    and ``gate.eps``), the one its L1 norm of g' was computed from, so that
+    the Gronwall budget bounds the sweep."""
     if not math.isfinite(gate.g0_defect) or gate.g0_defect > GATE_G0_TOL:
         raise GscConditionError(
             f"pair fails the generalized condition: |g(0+) - 1| = "
@@ -464,7 +425,7 @@ def _second_kind_solve(
         )
     rhs.validate(pair.b)
     F = assemble_rhs(pair.K, rhs, mesh)
-    u, r2 = _forward_sweep(gate.gprime, F, mesh, gate.eps)
+    u, r2 = _forward_sweep(gate.m, F, mesh, gate.eps)
     return u, F, r2
 
 

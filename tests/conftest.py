@@ -23,6 +23,8 @@ from sonine_kit import (
     make_variable_exponent_pair,
     power_kernel,
 )
+from sonine_kit import volterra
+from sonine_kit.sonine import _bounded_factor
 
 # gamma function references: (x, Gamma(x)) at 50-digit precision, rounded once
 GAMMA_REFS = [
@@ -99,3 +101,10 @@ def two_term_pair(a: float, beta: float, lam: float, b: float) -> SoninePair:
         smooth_log_deriv=lambda t: c * a * np.asarray(t, dtype=float) ** a,
     )
     return SoninePair(k=k, K=power_kernel(1.0 / kappa(beta), 1.0 - beta, b))
+
+
+def sweep(gprime, F, mesh, eps):
+    """The forward sweep of u + g' * u = F for g' = t^(-eps) m(t), with m
+    and its m(0) by :func:`sonine_kit.solve_second_kind`'s rule: u and the
+    relative row residual."""
+    return volterra._forward_sweep(_bounded_factor(gprime, eps), F, mesh, eps)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import PROFILE_A, PROFILE_B
+from conftest import PROFILE_A, PROFILE_B, sweep
 from sonine_kit import (
     IllConditionedSystemError,
     KernelSpec,
@@ -125,8 +125,8 @@ class TestSweepAgreesWithDense:
     @pytest.mark.parametrize("N", SIZES)
     def test_agrees(self, N, r, eps, f0, sweep_inputs, monkeypatch):
         mesh, gprime, F = sweep_inputs(N, r, f0)
-        u, res = volterra._forward_sweep(gprime, F, mesh, eps)
-        want, _ = dense(monkeypatch, lambda: volterra._forward_sweep(gprime, F, mesh, eps))
+        u, res = sweep(gprime, F, mesh, eps)
+        want, _ = dense(monkeypatch, lambda: sweep(gprime, F, mesh, eps))
         scale = np.max(np.abs(want.values[1:]))
         gap = np.max(np.abs(u.values[1:] - want.values[1:]))
         assert res <= 1e-13
@@ -145,8 +145,8 @@ class TestSweepAgreesWithDense:
         mesh = graded_mesh(8192, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([1e-6, 1.0]), mesh)
-        u, res = volterra._forward_sweep(gate.gprime, F, mesh, gate.eps)
-        want, _ = dense(monkeypatch, lambda: volterra._forward_sweep(gate.gprime, F, mesh, gate.eps))
+        u, res = volterra._forward_sweep(gate.m, F, mesh, gate.eps)
+        want, _ = dense(monkeypatch, lambda: volterra._forward_sweep(gate.m, F, mesh, gate.eps))
         scale = np.max(np.abs(want.values[1:]))
         assert np.max(np.abs(u.values[1:] - want.values[1:])) <= SWEEP_RTOL * scale
         assert res <= 1e-13
@@ -189,7 +189,7 @@ class TestCrossover:
         phi = SampledFunction(mesh=mesh, values=np.cos(7.0 * mesh.nodes) + mesh.nodes)
 
         def run():
-            u, res = volterra._forward_sweep(gate.gprime, F, mesh, gate.eps)
+            u, res = volterra._forward_sweep(gate.m, F, mesh, gate.eps)
             return u.values, res, convolve_weakly_singular(pair_a.k, phi).values
 
         got, want = run(), dense(monkeypatch, run)
@@ -272,7 +272,7 @@ class TestChecksAboveTheCrossover:
         mesh = graded_mesh(2048, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([1e-6, 1.0]), mesh)
-        clean_u, clean_res = volterra._forward_sweep(gate.gprime, F, mesh, 0.25)
+        clean_u, clean_res = sweep(gate.gprime, F, mesh, 0.25)
         spans = far_spans(mesh.nodes)
         target = next(n for n, (i0, _, _, has_far) in enumerate(spans) if has_far and i0 > 1024)
         real_solve = np.linalg.solve
@@ -286,7 +286,7 @@ class TestChecksAboveTheCrossover:
             return x
 
         monkeypatch.setattr(volterra.np.linalg, "solve", off_in_target)
-        u, res = volterra._forward_sweep(gate.gprime, F, mesh, 0.25)
+        u, res = sweep(gate.gprime, F, mesh, 0.25)
         assert len(calls) == len(spans)
         first = spans[target][0]
         np.testing.assert_array_equal(u.values[1:first], clean_u.values[1:first])

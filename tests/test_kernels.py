@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GAMMA_REFS, KAPPA_025, KAPPA_05, KAPPA_075, VAR_KERNEL_AT_025
+from conftest import GAMMA_REFS, KAPPA_025, KAPPA_05, KAPPA_075, VAR_KERNEL_AT_025, two_term_pair
 from sonine_kit import (
     DomainError,
     ExponentFunction,
@@ -374,3 +374,43 @@ class TestSoninePair:
         k = power_kernel(2.0, 0.4, 1.0)
         K = power_kernel(0.5 / kappa(0.4), 0.6, 1.0)
         assert discover_associate(k, K, graded_mesh(64, 2.0, 1.0)).gprime_l1 == 0.0
+
+
+class TestLogDerivativeCheck:
+    """A kernel's t S'(t) is spot-checked against a central difference of
+    S, since the analytic g' and the classical shortcut trust it."""
+
+    def test_wrong_log_derivative_is_refused(self):
+        """k = t^(-1/2) (1 + t) with t S'(t) given as 0 read as classical,
+        passed check_gsc and solved with a first-kind residual of 0.0625;
+        its S' is 1 where the given t S'(t) / t reads 0."""
+        with pytest.raises(DomainError, match="smooth_log_deriv / t disagrees"):
+            KernelSpec(
+                smooth_fn=lambda t: 1.0 + np.asarray(t, dtype=float),
+                smooth0=1.0,
+                local_exponent=0.5,
+                b=0.5,
+                smooth_log_deriv=np.zeros_like,
+            )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: variable_exponent_kernel(affine_exponent(0.5, 0.2, 0.5), 0.5),
+            lambda: variable_exponent_kernel(affine_exponent(0.1, 0.8, 1.0), 1.0),
+            lambda: variable_exponent_kernel(affine_exponent(0.5, 2e-4, 1e3), 1e3),
+            lambda: KernelSpec(
+                smooth_fn=lambda t: np.exp(-2.0 * np.asarray(t, dtype=float)),
+                smooth0=1.0,
+                local_exponent=0.5,
+                b=0.5,
+                smooth_log_deriv=lambda t: -2.0 * t * np.exp(-2.0 * np.asarray(t, dtype=float)),
+            ),
+            lambda: two_term_pair(0.7, 0.5, 1.0, 1.0).k,
+            lambda: two_term_pair(0.03, 0.5, 1.0, 1.0).k,
+        ],
+        ids=["paper", "steep", "b=1e3", "tempered", "two-term", "two-term a=0.03"],
+    )
+    def test_true_log_derivatives_pass(self, build):
+        """They agree with the difference to 4.4e-8 relative at most."""
+        assert build().smooth_log_deriv is not None

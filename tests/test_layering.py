@@ -86,6 +86,10 @@ PROFILE_ATTRIBUTES = {"exponent"}
 G0_FIT_FUNCTIONS = {"estimate_g0", "_fit_g0"}
 G0_FIT_CALLS = {"lstsq"}
 
+#: what sonine.py may not define: the thresholds of the R^2-gated power fit
+#: that once decided integrability beside the model of g' near 0
+DELETED_FIT_CONSTANTS = {"EPS_FIT_MIN_R2", "GPRIME_FLOOR", "AMPLITUDE_FLOOR"}
+
 #: the one public function of the pipeline modules with a panel count
 #: parameter: it evaluates g at given times, with no mesh to fix the count
 PANEL_COUNT_TAKER = "compute_g_substituted"
@@ -467,7 +471,7 @@ def test_g0_fit_guard_catches_violations(source):
 def test_g0_fit_guard_allows_the_integral_reading():
     source = (
         "c[:k] = np.linalg.solve(basis[:k, :k], y[:k])\n"
-        "g0 = g_first - _near_origin_integral(nodes, gp)\n"
+        "integral, eps_fit, m0 = _near_origin_model(nodes, gp, False, sigma)\n"
         "slope, intercept = np.polyfit(x, y, 1)\n"
     )
     assert _g0_fit_parts(source) == []
@@ -568,3 +572,60 @@ def test_import_loads_no_unused_numpy_submodule():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _second_model_parts(source: str) -> list[str]:
+    """Module-level definitions of the deleted fit's constants, and calls
+    of _extrapolate_to_zero inside _forward_sweep, which reads m(0) from
+    its caller."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        found += [
+            f"line {node.lineno}: defines {t.id}"
+            for t in targets
+            if isinstance(t, ast.Name) and t.id in DELETED_FIT_CONSTANTS
+        ]
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == "_forward_sweep"):
+            continue
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+                if name == "_extrapolate_to_zero":
+                    found.append(f"line {call.lineno}: _forward_sweep calls {name}")
+    return found
+
+
+@pytest.mark.parametrize("module", [sonine_kit.sonine, sonine_kit.volterra])
+def test_one_model_of_gprime_near_0(module):
+    """The verdict, g(0+), the L1 norm and the sweep's m(0) read one model
+    of g' near 0: no R^2 threshold or floor of a second fit, and no m(0)
+    of the sweep's own."""
+    assert _second_model_parts(Path(module.__file__).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "EPS_FIT_MIN_R2 = 0.9",
+        "GPRIME_FLOOR: float = 1e-12",
+        "AMPLITUDE_FLOOR = 1e-6",
+        "def _forward_sweep(gprime, F, mesh, eps):\n    m[0] = _extrapolate_to_zero(nodes, m)\n",
+        "def _forward_sweep(gprime, F, mesh, eps):\n    m0 = kernels._extrapolate_to_zero(t, m)\n",
+    ],
+)
+def test_second_model_guard_catches_violations(source):
+    assert _second_model_parts(source)
+
+
+def test_second_model_guard_allows_the_model_and_the_public_rule():
+    source = (
+        "EPS_MARGIN = 0.01\n"
+        "def _bounded_factor(gprime, eps, m0=None):\n"
+        "    return _extrapolate_to_zero(nodes, m)\n"
+        "def _forward_sweep(m, F, mesh, eps):\n"
+        "    nodes, m = mesh.nodes, m.values\n"
+    )
+    assert _second_model_parts(source) == []

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import PROFILE_A, PROFILE_B
+from conftest import PROFILE_A, PROFILE_B, sweep
 from sonine_kit import (
     DomainError,
     IllConditionedSystemError,
@@ -334,9 +334,9 @@ class TestBlockedForwardSubstitution:
         mesh = graded_mesh(1024, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 1.0]), mesh)
-        u, res = volterra._forward_sweep(gate.gprime, F, mesh, 0.0)
+        u, res = sweep(gate.gprime, F, mesh, 0.0)
         monkeypatch.setattr(quadrature, "TRIANGLE_MIN_ROWS", 1)
-        u1, res1 = volterra._forward_sweep(gate.gprime, F, mesh, 0.0)
+        u1, res1 = sweep(gate.gprime, F, mesh, 0.0)
         np.testing.assert_allclose(u.values[1:], u1.values[1:], rtol=1e-14, atol=0.0)
         assert res <= 1e-13 and res1 <= 1e-13
 
@@ -347,7 +347,7 @@ class TestBlockedForwardSubstitution:
         mesh = graded_mesh(256, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([1e-6, 1.0]), mesh)
-        clean_u, clean_res = volterra._forward_sweep(gate.gprime, F, mesh, 0.25)
+        clean_u, clean_res = sweep(gate.gprime, F, mesh, 0.25)
         real_solve = np.linalg.solve
         calls = []
 
@@ -359,7 +359,7 @@ class TestBlockedForwardSubstitution:
             return x
 
         monkeypatch.setattr(volterra.np.linalg, "solve", off_in_block_2)
-        u, res = volterra._forward_sweep(gate.gprime, F, mesh, 0.25)
+        u, res = sweep(gate.gprime, F, mesh, 0.25)
         assert len(calls) > 2 and calls[1] > 3
         first = 1 + calls[0]  # nodes up to the end of the first block
         np.testing.assert_array_equal(u.values[1:first], clean_u.values[1:first])
@@ -453,7 +453,7 @@ class TestSweepOracle:
         assert not np.isfinite(gate.gprime.values[0])  # eps = 0 continues m to 0
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 1.0]), mesh)
         assert np.isfinite(F.values[0]) == (f0 == 0.0)
-        u, res = volterra._forward_sweep(gate.gprime, F, mesh, eps)
+        u, res = sweep(gate.gprime, F, mesh, eps)
         want = sweep_oracle(gate.gprime, F, mesh, eps)
         np.testing.assert_allclose(u.values[1:], want[1:], rtol=1e-13, atol=0.0)
         assert res <= 1e-13
@@ -495,8 +495,8 @@ class TestSharedSweep:
         G = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 0.0, -3.0]), mesh)
         S = SampledFunction(mesh=mesh, values=F.values + G.values)
         assert np.isfinite(S.values[0]) == (f0 == 0.0)
-        (uF, _), (uG, _) = (volterra._forward_sweep(gate.gprime, H, mesh, eps) for H in (F, G))
-        uS, res = volterra._forward_sweep(gate.gprime, S, mesh, eps)
+        (uF, _), (uG, _) = (sweep(gate.gprime, H, mesh, eps) for H in (F, G))
+        uS, res = sweep(gate.gprime, S, mesh, eps)
         scale = np.max(np.abs(uS.values[1:]))
         np.testing.assert_allclose(
             uS.values[1:], uF.values[1:] + uG.values[1:], rtol=0.0, atol=1e-14 * scale

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sonine_kit.kernels as kernels
 import sonine_kit.sonine as sonine
 import sonine_kit.volterra as volterra
 from conftest import EXP_MINUS_1, PROFILE_A, TWO_OVER_PI, two_term_pair
@@ -74,12 +75,12 @@ class TestRhsSpec:
     def test_spot_points_are_the_seeded_draw(self, b):
         """validate checks f' at fixed fractions of [2h, b - 2h], which
         equal a fresh seeded uniform draw on it bit for bit."""
-        h = volterra.FD_STEP_FRAC * b
-        want = np.random.default_rng(160693).uniform(2 * h, b - 2 * h, size=volterra.FD_SPOT_COUNT)
+        h = kernels.FD_STEP_FRAC * b
+        want = np.random.default_rng(160693).uniform(2 * h, b - 2 * h, size=kernels.FD_SPOT_COUNT)
         seen = []
         rhs = RhsSpec(f=lambda t: t * t, fprime=lambda t: seen.append(t) or 2.0 * t)
         rhs.validate(b)
-        np.testing.assert_array_equal(seen, want)
+        np.testing.assert_array_equal(np.ravel(seen), want)
 
     def test_empty_coefficients_rejected(self):
         with pytest.raises(DomainError):
@@ -164,6 +165,16 @@ class TestSolveSecondKind:
 
 
 class TestSolveFirstKind:
+    def test_power_blow_up_sweeps_with_its_limit(self):
+        """The two-term pair (0.9, 0.3, 2, 0.5) has g' = 2 t^(-0.1) /
+        Gamma(0.9). Its sweep reads m(0) = C from the model of g' near 0,
+        and f = t solves to a first-kind residual of 2.3e-5 at N = 128;
+        with m(0) = 0, right only for a log blow-up, it read 3.1e-3."""
+        pair = two_term_pair(0.9, 0.3, 2.0, 0.5)
+        mesh = graded_mesh(128, 2.0, 0.5)
+        report = solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), mesh)
+        assert report.residual_first_kind <= 1e-4
+
     def test_classical_linear_f(self, classical_half):
         mesh = graded_mesh(1024, 3.0, 1.0)
         report = solve_first_kind(classical_half, RhsSpec.from_polynomial([0.0, 1.0]), mesh)
@@ -329,34 +340,41 @@ class TestSolveInputChecks:
             solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), mesh)
 
     @pytest.mark.parametrize(
-        "route, nan_past, message",
+        "route, nan_below, message",
         [
-            ("pointwise", True, "sampled values"),
-            ("substituted", True, "sampled values"),
-            ("substituted", False, "g at the first node"),
+            ("pointwise", False, "sampled values"),
+            ("substituted", False, "smooth_log_deriv / t disagrees"),
+            ("substituted", True, "g at the first node"),
         ],
     )
-    def test_non_finite_kernel_is_refused(self, route, nan_past, message):
+    def test_non_finite_kernel_is_refused(self, route, nan_below, message):
         """A k whose bounded factor is NaN past b/2 makes g NaN there. Given
-        pointwise, its g samples are refused as they are made. With a finite
-        t S'(t), g' is finite, and so is g near 0, where g(0+) is read; g on
-        the mesh and the solve's convolutions refuse the NaN instead. NaN
-        below b/2 makes g at the first node NaN, which the gate refuses
-        before anything reads a g(0+) from it. check_gsc refuses as the
-        solve does."""
+        pointwise, its g samples are refused as they are made. With a t
+        S'(t), the kernel is refused as it is built: the spot-check of t
+        S'(t) against S meets the NaN. NaN below b/1000, under every spot
+        point, makes g at the first node NaN, which the gate refuses before
+        anything reads a g(0+) from it. check_gsc refuses as the solve
+        does."""
         b = 0.5
 
         def smooth(t):
             t = np.asarray(t)
-            return np.where((t > b / 2) == nan_past, np.nan, 1.0)
+            return np.where(t < b / 1000 if nan_below else t > b / 2, np.nan, np.exp(-t))
 
-        k = KernelSpec(
-            smooth_fn=smooth,
-            smooth0=1.0,
-            local_exponent=0.5,
-            b=b,
-            smooth_log_deriv=(lambda t: -t) if route == "substituted" else None,
-        )
+        def build():
+            return KernelSpec(
+                smooth_fn=smooth,
+                smooth0=1.0,
+                local_exponent=0.5,
+                b=b,
+                smooth_log_deriv=(lambda t: -t * np.exp(-t)) if route == "substituted" else None,
+            )
+
+        if route == "substituted" and not nan_below:
+            with pytest.raises(DomainError, match=message):
+                build()
+            return
+        k = build()
         pair = SoninePair(k=k, K=power_kernel(1.0 / kappa(0.5), 0.5, b))
         mesh = graded_mesh(64, 2.0, b)
         with pytest.raises(DomainError, match=message):
@@ -366,26 +384,38 @@ class TestSolveInputChecks:
 
 
 class TestSolveReadsGateInputsOnly:
-    """A solve measures only g(0+), g', its eps fit and its L1 norm, and
-    gets exactly what a full check_gsc report gives."""
+    """A solve measures only g(0+), g', its near-origin model and its L1
+    norm, and gets exactly what a full check_gsc report gives."""
 
-    @pytest.mark.parametrize("which", ["classical", "variable", "profile-less"])
+    @pytest.mark.parametrize("which", ["classical", "variable", "profile-less", "two-term"])
     def test_same_as_with_full_report(self, which, classical_half, pair_a):
+        """The sweep reads the gate's factored g'. For a log or bounded g'
+        that is solve_second_kind's m(0) rule at the gate's eps; a power
+        blow-up's m(0) is the model's limit instead."""
         pair = {
             "classical": classical_half,
             "variable": pair_a,
             "profile-less": _profile_less(pair_a),
+            "two-term": two_term_pair(0.7, 0.5, 1.0, 1.0),
         }[which]
         mesh = graded_mesh(128, 2.0, pair.b)
         rhs = RhsSpec.from_polynomial([0.0, 1.0, -0.5])
         got = solve_first_kind(pair, rhs, mesh)
         report = check_gsc(pair, mesh)
-        eps = float(np.clip(report.eps_fit.eps, 0.0, sonine.EPS_CLIP_MAX))
+        gate = sonine._gate_inputs(pair, mesh)
+        np.testing.assert_array_equal(gate.gprime.values, report.gprime.values)
+        assert gate.eps_fit == report.eps_fit
         F = assemble_rhs(pair.K, rhs, mesh)
         np.testing.assert_array_equal(got.F.values, F.values)
-        want = solve_second_kind(report.gprime, F, mesh, eps)
+        want, _ = volterra._forward_sweep(gate.m, F, mesh, gate.eps)
         np.testing.assert_array_equal(got.u.values, want.values)
         assert got.gprime_l1 == report.gprime_l1
+        public = solve_second_kind(report.gprime, F, mesh, gate.eps)
+        if which == "two-term":
+            assert gate.eps == report.eps_fit.eps and gate.m.values[0] == report.eps_fit.C > 0.0
+            assert not np.array_equal(got.u.values, public.values)
+        else:
+            np.testing.assert_array_equal(got.u.values, public.values)
 
     def test_no_g_on_the_mesh(self, monkeypatch, classical_half, pair_a):
         """Solves convolve no g, and evaluate the substituted g once, at the
@@ -460,42 +490,56 @@ class TestStabilityReport:
         budget reads max |dF|."""
         delta, mesh = 1e-6, mesh_512_half
         report = stability_report(pair_a, delta, mesh)
-        gsc = check_gsc(pair_a, mesh)
-        eps = float(np.clip(gsc.eps_fit.eps, 0.0, sonine.EPS_CLIP_MAX))
+        gate = sonine._gate_inputs(pair_a, mesh)
         dF = np.r_[np.nan, delta * pair_a.K.eval(mesh.nodes[1:])]
-        du = solve_second_kind(gsc.gprime, SampledFunction(mesh=mesh, values=dF), mesh, eps)
+        dF_s = SampledFunction(mesh=mesh, values=dF)
+        du, _ = volterra._forward_sweep(gate.m, dF_s, mesh, gate.eps)
         assert report.max_shift == np.max(np.abs(du.values[1:]))
-        assert report.bound == math.exp(gsc.gprime_l1) * np.max(dF[1:])
-        assert report.gprime_l1 == gsc.gprime_l1
+        assert report.bound == math.exp(gate.gprime_l1) * np.max(dF[1:])
+        assert report.gprime_l1 == check_gsc(pair_a, mesh).gprime_l1
 
     def test_sweep_and_budget_clip_eps_alike(self):
         # the budget's L1 norm of g' is valid only for the sweep's own eps
         assert volterra.EPS_CLIP_MAX is sonine.EPS_CLIP_MAX
 
-    @pytest.mark.parametrize("which", ["paper", "classical"])
+    @pytest.mark.parametrize("which", ["paper", "classical", "two-term"])
     def test_budget_and_sweep_share_one_eps(self, which, pair_a, classical_half, monkeypatch):
-        """The gate clips the fitted eps once: the sweep gets that float,
-        and the L1 norm of g' is the one whose weights are built at
-        beta = 1 - eps. The weights here are each panel's moments of
+        """The gate factors g' once, as t^(-eps) m(t): the sweep gets that
+        eps and that m, and the L1 norm of g' is the one whose weights are
+        built at beta = 1 - eps. eps is the window slope of a log-singular
+        g' (the paper pair) with m(0) = 0, 0 for the classical g' = 0, and
+        a power blow-up's own eps = 1 - a with m(0) its limit C (the
+        two-term pair). The weights here are each panel's moments of
         s^(beta-1) against its two hat functions, summed by fsum."""
-        pair = pair_a if which == "paper" else classical_half
+        pair = {"paper": pair_a, "classical": classical_half}.get(which)
+        pair = pair or two_term_pair(0.7, 0.5, 1.0, 1.0)
         mesh = graded_mesh(128, 2.0, pair.b)
         gate = sonine._gate_inputs(pair, mesh)
-        assert gate.eps == np.clip(gate.eps_fit.eps, 0.0, sonine.EPS_CLIP_MAX)
-        assert (gate.eps > 0.0) == (which == "paper")
+        eps, m0 = {
+            "paper": (gate.eps, 0.0),
+            "classical": (0.0, 0.0),
+            "two-term": (gate.eps_fit.eps, gate.eps_fit.C),
+        }[which]
+        assert gate.eps == eps and gate.m.values[0] == m0
+        assert 0.0 < gate.eps < sonine.EPS_CLIP_MAX or which == "classical"
+        if which == "two-term":
+            assert abs(gate.eps - 0.3) <= 1e-6
+        np.testing.assert_array_equal(
+            gate.m.values[1:], gate.gprime.values[1:] * mesh.nodes[1:] ** gate.eps
+        )
         swept = []
         real = volterra._forward_sweep
 
-        def recording(gprime, F, mesh, eps):
-            swept.append(eps)
-            return real(gprime, F, mesh, eps)
+        def recording(m, F, mesh, eps):
+            swept.append((m, eps))
+            return real(m, F, mesh, eps)
 
         monkeypatch.setattr(volterra, "_forward_sweep", recording)
         solve_first_kind(pair, RhsSpec.from_polynomial([0.0, 1.0]), mesh)
-        assert swept == [gate.eps]
+        assert [eps for _, eps in swept] == [gate.eps]
+        np.testing.assert_array_equal(swept[0][0].values, gate.m.values)
         beta = 1.0 - gate.eps
-        nodes = mesh.nodes.tolist()
-        m = [0.0] + [abs(g) * t**gate.eps for g, t in zip(gate.gprime.values[1:], nodes[1:])]
+        nodes, m = mesh.nodes.tolist(), np.abs(gate.m.values).tolist()
         terms = []
         for j, (a, c) in enumerate(zip(nodes, nodes[1:])):
             i0 = (c**beta - a**beta) / beta  # int_a^c s^(beta-1) ds
@@ -504,21 +548,18 @@ class TestStabilityReport:
         assert gate.gprime_l1 == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0)
 
 
-def _second_kind_row_residual(report, gsc, mesh):
+def _second_kind_row_residual(report, gate, mesh):
     """Max relative row residual of the discrete second-kind system for the
     report's u, with the system rebuilt from public weights.
 
     Row i reads sum_j w_ij m(t_i - t_j) u_j + u_i = F_i, where w_i are the
     product weights of the lag power tau^(-eps) (trapezoid weights when
-    eps = 0) and m(tau) = g'(tau) tau^eps is interpolated linearly at the
-    lags. When F(t_0) is undefined, the coefficient of u_0 is folded onto
-    u_1.
+    eps = 0) and m(tau) = g'(tau) tau^eps, the gate's, is interpolated
+    linearly at the lags. When F(t_0) is undefined, the coefficient of u_0
+    is folded onto u_1.
     """
     nodes, u, F = mesh.nodes, report.u.values, report.F.values
-    eps = float(np.clip(gsc.eps_fit.eps, 0.0, 0.95))
-    m = np.empty(mesh.N + 1)
-    m[1:] = gsc.gprime.values[1:] * nodes[1:] ** eps
-    m[0] = 0.0 if eps > 0.0 else gsc.gprime.values[0]
+    eps, m = gate.eps, gate.m.values
     assert np.all(np.isfinite(m))
     fold = not np.isfinite(F[0])
     worst = 0.0
@@ -547,10 +588,10 @@ class TestSecondKindResidual:
     def test_matches_independent_system(self, which, coeffs, classical_half, pair_a):
         pair = classical_half if which == "classical" else pair_a
         mesh = graded_mesh(128, 2.0, pair.b)
-        gsc = check_gsc(pair, mesh)
+        gate = sonine._gate_inputs(pair, mesh)
         report = solve_first_kind(pair, RhsSpec.from_polynomial(coeffs), mesh)
         assert np.isfinite(report.F.values[0]) == (coeffs[0] == 0.0)
-        want = _second_kind_row_residual(report, gsc, mesh)
+        want = _second_kind_row_residual(report, gate, mesh)
         assert want <= 1e-13  # u solves the rebuilt system to roundoff
         assert abs(report.residual_second_kind - want) <= 1e-15
 
@@ -582,9 +623,9 @@ class TestConvergenceStudy:
         sweeps = []
         real = volterra._forward_sweep
 
-        def counting(gprime, Fs, mesh, eps):
+        def counting(m, Fs, mesh, eps):
             sweeps.append(mesh.N)
-            return real(gprime, Fs, mesh, eps)
+            return real(m, Fs, mesh, eps)
 
         def no_push_back(*args):
             raise AssertionError("convergence_study pushed u back through k * u")

@@ -142,9 +142,9 @@ class SolveReport:
     """Outcome of one first-kind solve on one mesh.
 
     ``residual_second_kind`` is the relative row residual of the discrete
-    triangular system as solved (should sit at roundoff): from FAR_MIN_N
-    panels on, that system's far history is interpolated in t_i (see
-    :func:`_forward_sweep`); ``residual_first_kind``
+    triangular system as solved (should sit at roundoff): that system's
+    far history is interpolated in t_i, band by band of a row-cluster tree
+    (see :func:`_forward_sweep`); ``residual_first_kind``
     pushes u back through the original convolution and compares with f,
     as max |k * u - f| / max(1, max |f|), excluding the first two
     interior nodes where interpolating a singular u is least accurate.
@@ -257,15 +257,16 @@ def solve_second_kind(
     nodes, so the lag m(t_i - t_j) never evaluates g' off the sample
     grid. eps = 0 means g' is treated as bounded. m(0) follows
     :func:`sonine_kit.sonine._bounded_factor`'s rule for g' alone: 0 for
-    eps > 0, as for a log blow-up. Each block of rows of
-    the lower-triangular system is solved by one LAPACK call once the
-    rows before it are known. From FAR_MIN_N panels on, the history of
-    each super-block of rows from columns well to its left is formed at a
-    few of its rows and interpolated in t_i to the others, a third of the
-    dense work at N = 2048, which moves u by at most about 1e-9 of max |u|
-    (see README, "Numerical notes"). u(t_0) adopts F(t_0) as a limit
-    convention; when F(t_0) is undefined the first panel's mass is folded
-    onto node 1 instead of touching the undefined value.
+    eps > 0, as for a log blow-up. Each block of rows of the
+    lower-triangular system, at most 32 rows, is solved by one LAPACK call
+    once the rows before it are known. The rows go in a binary tree of
+    clusters; each cluster's history from a band of columns well to its
+    left is formed at a few of its rows and interpolated in t_i to the
+    others, a fifth of the dense work at N = 2048, which moves u by at
+    most about 2e-9 of max |u| on meshes with r <= 2 (see README,
+    "Numerical notes"). u(t_0) adopts F(t_0) as a limit convention; when
+    F(t_0) is undefined the first panel's mass is folded onto node 1
+    instead of touching the undefined value.
     """
     return _forward_sweep(_bounded_factor(gprime, eps), F, mesh, eps)[0]
 
@@ -280,9 +281,9 @@ def _forward_sweep(
     to the diagonal of each block's own square T, which is checked against
     DIAG_TOL once, and T u_b = f_b - (history) is solved by one LAPACK
     call. The history is the product of the block's near columns with u,
-    plus, in a super-block with far columns, the operator's far sums,
-    which read u up to their last column once the rows before the
-    super-block are solved. A block's row residuals are T u_b minus that
+    plus, in a leaf with far columns, the operator's far sums, whose
+    bands each read u up to their last column once the rows before their
+    cluster are solved. A block's row residuals are T u_b minus that
     right-hand side, the full row of the system as solved without a
     second history product; they are scaled and reduced once per sweep.
 

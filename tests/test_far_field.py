@@ -1,16 +1,17 @@
 """The far field of the product-integration triangle against the dense
 triangle.
 
-From FAR_MIN_N panels on, ``_triangle_blocks`` sums each super-block's far
-columns exactly at FAR_POINTS of its rows and interpolates them to the
-others; the near columns keep the dense rule. The dense triangle, reached
-by raising FAR_MIN_N, is the oracle: the convolution of a smooth bounded
-factor agrees with it to rounding, and the sweep, whose lag factor is the
-piecewise-linear interpolant of m, to about 1e-9. On steep meshes the
-dense far weights are themselves rounding noise (their relative error
-grows as eps (d/h)^2), and a sweep whose F(t_0) is undefined puts the
-first panel's mass on them, so there both are held to a system assembled
-with cancellation-free weights instead.
+``_triangle_blocks`` puts the rows in a binary tree of clusters over
+leaves of LEAF_ROWS rows. Each cluster sums its own band of columns, from
+its parent's far boundary to its own, exactly at FAR_POINTS of its rows
+and interpolates it to the others; a leaf's near columns keep the dense
+rule. The dense triangle, reached with FAR_GAP = inf, is the oracle: the
+convolution of a smooth bounded factor agrees with it to rounding, and
+the sweep, whose lag factor is the piecewise-linear interpolant of m, to
+about 1e-9. On steep meshes the dense far weights are themselves rounding
+noise (their relative error grows as eps (d/h)^2), and a sweep whose
+F(t_0) is undefined puts the first panel's mass on them, so there both
+are held to a system assembled with cancellation-free weights instead.
 """
 
 from __future__ import annotations
@@ -32,13 +33,30 @@ from sonine_kit import (
     product_weights,
 )
 from sonine_kit import quadrature, volterra
-from sonine_kit.quadrature import FAR_GAP, FAR_MIN_N, FAR_ROWS, _triangle_blocks
+from sonine_kit.quadrature import (
+    BLOCK_ROWS,
+    FAR_GAP,
+    FAR_POINTS,
+    LEAF_ROWS,
+    _cluster_tree,
+    _far_rows,
+    _triangle_blocks,
+)
 from sonine_kit.sonine import _gate_inputs
 
 SIZES = (1024, 2048)
 GRADINGS = (1.0, 2.0, 4.0)
 EPS = (0.0, 0.25, 0.9)
 F0 = (0.0, 1e-6, 1.0)
+
+#: (N, r) of every agreement test: SIZES at every grading, and 512 and
+#: 8192 at r <= 2, where the dense far weights are not noise
+CASES = [(N, r) for N in SIZES for r in GRADINGS]
+CASES += [(N, r) for N in (512, 8192) for r in (1.0, 2.0)]
+
+#: (eps, f0) of the sweeps at N = 8192, where each dense sweep takes a
+#: second: every eps, with F(t_0) finite, folded small and folded large
+EPS_F0_8192 = ((0.0, 0.0), (0.25, 1e-6), (0.9, 1.0))
 
 #: largest |u - u_dense| / max |u_dense| of a sweep
 SWEEP_RTOL = 1e-8
@@ -50,10 +68,26 @@ TABULATED_RTOL = 1e-8
 
 
 def dense(monkeypatch, fn):
-    """fn() on the dense triangle at every N, as below FAR_MIN_N."""
+    """fn() on the dense triangle: with FAR_GAP = inf no cluster has far
+    columns."""
     with monkeypatch.context() as mp:
-        mp.setattr(quadrature, "FAR_MIN_N", 10**9)
+        mp.setattr(quadrature, "FAR_GAP", np.inf)
         return fn()
+
+
+def dense_convolutions(monkeypatch, kernel, mesh, columns):
+    """(kernel * phi)(t_i) of the dense triangle for each column phi of
+    ``columns``, from one pass over the blocks with a 2-D x."""
+
+    def run():
+        out = np.zeros(columns.shape)
+        beta = 1.0 - kernel.local_exponent
+        for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, kernel.smooth, columns):
+            assert j0 == 0 and far is None
+            out[i0:i1] = C @ columns[:i1]
+        return out
+
+    return dense(monkeypatch, run)
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +155,7 @@ def far_spans(nodes):
 class TestSweepAgreesWithDense:
     @pytest.mark.parametrize("f0", F0)
     @pytest.mark.parametrize("eps", EPS)
-    @pytest.mark.parametrize("r", GRADINGS)
-    @pytest.mark.parametrize("N", SIZES)
+    @pytest.mark.parametrize("N, r", [case for case in CASES if case[0] < 8192])
     def test_agrees(self, N, r, eps, f0, sweep_inputs, monkeypatch):
         mesh, gprime, F = sweep_inputs(N, r, f0)
         u, res = sweep(gprime, F, mesh, eps)
@@ -141,7 +174,17 @@ class TestSweepAgreesWithDense:
         else:
             assert gap <= SWEEP_RTOL * scale
 
-    def test_agrees_at_8192(self, pair_a, monkeypatch):
+    @pytest.mark.parametrize("eps, f0", EPS_F0_8192)
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_agrees_at_8192(self, r, eps, f0, sweep_inputs, monkeypatch):
+        mesh, gprime, F = sweep_inputs(8192, r, f0)
+        u, res = sweep(gprime, F, mesh, eps)
+        want, _ = dense(monkeypatch, lambda: sweep(gprime, F, mesh, eps))
+        scale = np.max(np.abs(want.values[1:]))
+        assert np.max(np.abs(u.values[1:] - want.values[1:])) <= SWEEP_RTOL * scale
+        assert res <= 1e-13
+
+    def test_agrees_at_8192_with_the_gate_model(self, pair_a, monkeypatch):
         mesh = graded_mesh(8192, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([1e-6, 1.0]), mesh)
@@ -153,21 +196,20 @@ class TestSweepAgreesWithDense:
 
 
 class TestConvolutionAgreesWithDense:
-    @pytest.mark.parametrize("r", GRADINGS)
-    @pytest.mark.parametrize("N", SIZES)
+    @pytest.mark.parametrize("N, r", CASES)
     @pytest.mark.parametrize("profile", ["A", "B", "steep"])
     def test_variable_kernel(self, profile, N, r, monkeypatch):
         af = {"A": PROFILE_A, "B": PROFILE_B, "steep": affine_exponent(0.3, 0.6, 0.5)}[profile]
         kernel = make_variable_exponent_pair(af, 0.5).k
         mesh = graded_mesh(N, r, 0.5)
-        for values in (1.0 + mesh.nodes, np.cos(7.0 * mesh.nodes) + mesh.nodes):
-            phi = SampledFunction(mesh=mesh, values=values)
+        columns = np.column_stack([1.0 + mesh.nodes, np.cos(7.0 * mesh.nodes) + mesh.nodes])
+        want = dense_convolutions(monkeypatch, kernel, mesh, columns)
+        for values, dense_values in zip(columns.T, want.T):
+            phi = SampledFunction(mesh=mesh, values=values.copy())
             got = convolve_weakly_singular(kernel, phi).values
-            want = dense(monkeypatch, lambda: convolve_weakly_singular(kernel, phi).values)
-            assert np.max(np.abs(got - want)) <= CONV_RTOL * np.max(np.abs(want))
+            assert np.max(np.abs(got - dense_values)) <= CONV_RTOL * np.max(np.abs(dense_values))
 
-    @pytest.mark.parametrize("r", GRADINGS)
-    @pytest.mark.parametrize("N", SIZES)
+    @pytest.mark.parametrize("N, r", CASES)
     def test_tabulated_kernel(self, N, r, monkeypatch):
         mesh = graded_mesh(N, r, 0.5)
         t = mesh.nodes
@@ -179,56 +221,127 @@ class TestConvolutionAgreesWithDense:
         want = dense(monkeypatch, lambda: convolve_weakly_singular(kernel, phi).values)
         assert np.max(np.abs(got - want)) <= TABULATED_RTOL * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("N", [512, 2048 + 77])
+    def test_columns_of_x_are_convolved_alike(self, N, pair_a):
+        """A 2-D x carries the far sums of each of its columns: the
+        operator applied to two columns at once is the operator applied to
+        each, to rounding of the largest value."""
+        mesh = graded_mesh(N, 2.0, 0.5)
+        columns = np.column_stack([np.cos(7.0 * mesh.nodes), 1.0 + mesh.nodes])
+        both = np.zeros(columns.shape)
+        seen_far = False
+        for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, 0.5, pair_a.k.smooth, columns):
+            both[i0:i1] = C @ columns[j0:i1]
+            if far is not None:
+                assert far.shape == (i1 - i0, 2)
+                both[i0:i1] += far
+                seen_far = True
+        assert seen_far
+        for values, got in zip(columns.T, both.T):
+            phi = SampledFunction(mesh=mesh, values=values.copy())
+            want = convolve_weakly_singular(pair_a.k, phi)
+            scale = np.max(np.abs(want.values))
+            np.testing.assert_allclose(got, want.values, rtol=0.0, atol=1e-15 * scale)
 
-class TestCrossover:
-    def test_one_panel_below_is_dense_bit_for_bit(self, pair_a, monkeypatch):
-        mesh = graded_mesh(FAR_MIN_N - 1, 2.0, pair_a.b)
-        assert not any(has_far for *_, has_far in far_spans(mesh.nodes))
-        gate = _gate_inputs(pair_a, mesh)
-        F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([1e-6, 1.0]), mesh)
-        phi = SampledFunction(mesh=mesh, values=np.cos(7.0 * mesh.nodes) + mesh.nodes)
 
-        def run():
-            u, res = volterra._forward_sweep(gate.m, F, mesh, gate.eps)
-            return u.values, res, convolve_weakly_singular(pair_a.k, phi).values
-
-        got, want = run(), dense(monkeypatch, run)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-
-    def test_far_field_from_the_crossover_on(self):
-        spans = far_spans(graded_mesh(FAR_MIN_N, 2.0, 0.5).nodes)
-        assert any(has_far for *_, has_far in spans)
+def leaf_bands(nodes):
+    """Per leaf (s0, s1, jf): the leaf's rows, its far boundary, and the
+    bands (jp, jc) of the clusters that hold it, in column order."""
+    starts, jf, bands = _cluster_tree(nodes)
+    out = []
+    for s0, s1, j in zip(starts, starts[1:], jf):
+        held = sorted(
+            (jp, jc) for leaf in bands for c0, c1, jp, jc in leaf if c0 <= s0 and s1 <= c1
+        )
+        out.append((s0, s1, j, held))
+    return out
 
 
 class TestLayout:
     @pytest.mark.parametrize("r", GRADINGS)
-    @pytest.mark.parametrize("N", [FAR_MIN_N, 2048, 2048 + 77])
-    def test_super_blocks(self, N, r):
-        """Blocks tile rows 1..N and never straddle a super-block; the last
-        super-block takes the remainder. Within a super-block every block
-        starts at the same column j0, the last node at least FAR_GAP spans
-        left of it, and far sums come with every j0 > 0; the first
-        super-block has none."""
+    @pytest.mark.parametrize("N", [30, 512, 2048, 2048 + 77, 8192])
+    def test_blocks(self, N, r):
+        """Every row lies in exactly one block of at most BLOCK_ROWS rows,
+        and no block straddles a leaf: leaves of LEAF_ROWS rows from row 1
+        on, the last with the remainder. Within a leaf every block starts
+        at the leaf's far boundary j0, and far sums come with every j0 > 0."""
         nodes = graded_mesh(N, r, 0.5).nodes
         spans = far_spans(nodes)
-        assert spans[0][0] == 1 and spans[-1][1] == N + 1
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        count = N // FAR_ROWS
-        starts = [1 + k * FAR_ROWS for k in range(count)]
-        for k, s0 in enumerate(starts):
-            s1 = N + 1 if k == count - 1 else s0 + FAR_ROWS
+        covered = np.concatenate([np.arange(i0, i1) for i0, i1, *_ in spans])
+        np.testing.assert_array_equal(covered, np.arange(1, N + 1))
+        assert all(0 < i1 - i0 <= BLOCK_ROWS for i0, i1, *_ in spans)
+        leaves = leaf_bands(nodes)
+        assert [s0 for s0, *_ in leaves] == [1 + k * LEAF_ROWS for k in range(len(leaves))]
+        assert leaves[-1][1] == N + 1
+        assert LEAF_ROWS <= N + 1 - leaves[-1][0] < 2 * LEAF_ROWS or len(leaves) == 1
+        for s0, s1, j, _ in leaves:
             mine = [sp for sp in spans if s0 <= sp[0] < s1]
             assert mine[0][0] == s0 and mine[-1][1] == s1
-            j0 = {sp[2] for sp in mine}
-            assert len(j0) == 1
-            (j0,) = j0
-            assert all(has_far == (j0 > 0) for *_, has_far in mine)
-            a, b = nodes[s0], nodes[s1 - 1]
-            limit = a - FAR_GAP * (b - a)
-            assert j0 == 0 and limit < nodes[1] or nodes[j0] <= limit < nodes[j0 + 1]
-        # at FAR_MIN_N and r = 4 even the last super-block is near t_0
-        assert spans[0][2] == 0 and (spans[-1][2] > 0 or N == FAR_MIN_N)
+            assert all(j0 == j and has_far == (j > 0) for _, _, j0, has_far in mine)
+        # the first leaf is near t_0, and at these sizes the last is not
+        assert leaves[0][2] == 0 and (leaves[-1][2] > 0 or N < 512)
+
+    @pytest.mark.parametrize("r", GRADINGS)
+    @pytest.mark.parametrize("N", [512, 2048, 2048 + 77, 8192])
+    def test_bands_tile_the_far_columns(self, N, r):
+        """Each leaf's ancestor bands, itself included, tile [t_0, t_jf]
+        once, and each cluster's boundary jc is the last node at least
+        FAR_GAP of its spans left of its first row."""
+        nodes = graded_mesh(N, r, 0.5).nodes
+        for s0, s1, jf, held in leaf_bands(nodes):
+            ends = [0] + [jc for _, jc in held]
+            assert [jp for jp, _ in held] == ends[:-1] and ends[-1] == jf
+        for leaf in _cluster_tree(nodes)[2]:
+            for c0, c1, jp, jc in leaf:
+                limit = nodes[c0] - FAR_GAP * (nodes[c1 - 1] - nodes[c0])
+                assert 0 <= jp < jc and nodes[jc] <= limit < nodes[jc + 1]
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("r", GRADINGS)
+    def test_far_plus_near_telescopes(self, r, beta):
+        """With x = 1 and a factor of 1, far plus near is the row's weight
+        sum, t_i^beta / beta, to rounding."""
+        nodes = graded_mesh(2048 + 77, r, 0.5).nodes
+        ones = np.ones(len(nodes))
+        row = np.zeros(len(nodes))
+        for i0, i1, j0, C, far in _triangle_blocks(nodes, beta, np.ones_like, ones):
+            row[i0:i1] = C.sum(axis=1) + (0.0 if far is None else far)
+        want = nodes[1:] ** beta / beta
+        np.testing.assert_allclose(row[1:], want, rtol=2e-14, atol=0.0)
+
+    def test_points_lie_on_distinct_rows(self):
+        """Every cluster that is interpolated, down to a remainder leaf of
+        LEAF_ROWS rows, puts its FAR_POINTS points on distinct rows, its
+        first and last among them, so no barycentric weight divides by 0."""
+        for n in range(LEAF_ROWS, 64 * LEAF_ROWS):
+            rows, others = _far_rows(n)
+            assert len(rows) == FAR_POINTS and np.all(np.diff(rows) > 0), n
+            assert rows[0] == 0 and rows[-1] == n - 1
+            np.testing.assert_array_equal(np.sort(np.r_[rows, others]), np.arange(n))
+        sizes = {
+            c1 - c0
+            for N in (512, 2048 + 77, 8192 + 64 + 5)
+            for r in GRADINGS
+            for leaf in _cluster_tree(graded_mesh(N, r, 0.5).nodes)[2]
+            for c0, c1, *_ in leaf
+        }
+        assert min(sizes) >= LEAF_ROWS and any(n % LEAF_ROWS for n in sizes)
+
+    @pytest.mark.parametrize("N, most", [(2048, 450_000), (8192, 2_300_000)])
+    def test_entries_summed(self, N, most):
+        """The entries the lag factor is evaluated at, near and far, on an
+        r = 2 mesh: 429,664 at N = 2048 and 2,134,812 at 8192, against
+        676,875 and 5,774,561 for the two-level layout and N^2 / 2 dense."""
+        nodes = graded_mesh(N, 2.0, 0.5).nodes
+        seen = []
+
+        def counting(lag):
+            seen.append(lag.size)
+            return np.ones_like(lag)
+
+        for _ in _triangle_blocks(nodes, 0.5, counting, np.ones(N + 1)):
+            pass
+        assert sum(seen) <= most
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 1.0])
     def test_near_rows_are_product_weights(self, beta, pair_a):
@@ -252,11 +365,11 @@ class TestLayout:
         assert seen == 4
 
 
-class TestChecksAboveTheCrossover:
-    def test_ill_conditioned_step_in_a_far_super_block_names_its_node(self):
+class TestChecksInTheFarField:
+    def test_ill_conditioned_step_in_a_far_leaf_names_its_node(self):
         # trapezoid weights (eps = 0): the diagonal of row i is 1 + m(0)
-        # h_i / 2, and m(0) cancels it at node 700, in a super-block with
-        # far columns; m is 0 at every node past t_0, so no far sum moves
+        # h_i / 2, and m(0) cancels it at node 700, in a leaf with far
+        # columns; m is 0 at every node past t_0, so no far sum moves
         mesh = graded_mesh(1024, 2.0, 1.0)
         k = 700
         assert any(i0 <= k < i1 and has_far for i0, i1, _, has_far in far_spans(mesh.nodes))
@@ -267,8 +380,8 @@ class TestChecksAboveTheCrossover:
             volterra._forward_sweep(SampledFunction(mesh=mesh, values=gp), F, mesh, 0.0)
 
     def test_row_residual_catches_a_wrong_block_solve(self, monkeypatch, pair_a):
-        """A block solve off by 1e-6 in one entry, in a super-block past
-        N / 2 with far columns, must show in the row residual at N = 2048."""
+        """A block solve off by 1e-6 in one entry, in a leaf past N / 2
+        with far columns, must show in the row residual at N = 2048."""
         mesh = graded_mesh(2048, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([1e-6, 1.0]), mesh)

@@ -5,10 +5,10 @@ A pure-power kernel on SOE_MIN_N or more panels is convolved by
 :func:`quadrature._history_sums`: the last panel exactly, the history
 [0, t_(i-1)] through a sum of exponentials of the kernel, stepped over
 SOE_STREAMS row streams at once. The dense rows of ``_triangle_blocks``
-(equal to ``product_weights`` bit for bit) are the oracle, and the same
-recurrence run as one stream, row by row, is the reference for the
-streams; every other kernel and mesh size must still take the dense
-path, bit for bit.
+under FAR_GAP = inf (equal to ``product_weights`` bit for bit) are the
+oracle, and the same recurrence run as one stream, row by row, is the
+reference for the streams; every other kernel and mesh size must still
+take the triangle, far field and all, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,14 +49,24 @@ def phi_columns(t):
     return np.column_stack([np.ones_like(t), t, np.cos(7.0 * t) + t])
 
 
-def dense(kernel, phi, mesh):
-    """The dense triangle's (kernel * phi)(t_i); phi may hold columns."""
+def triangle(kernel, phi, mesh):
+    """The triangle's (kernel * phi)(t_i), far sums and near blocks; phi
+    may hold columns."""
     out = np.zeros((mesh.N + 1,) + phi.shape[1:])
     beta = 1.0 - kernel.local_exponent
     for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, kernel.smooth, phi):
-        assert j0 == 0 and far is None  # below FAR_MIN_N
-        out[i0:i1] = C @ phi[:i1]
+        out[i0:i1] = C @ phi[j0:i1]
+        if far is not None:
+            out[i0:i1] += far
     return out
+
+
+def dense(kernel, phi, mesh):
+    """The dense triangle's (kernel * phi)(t_i): with FAR_GAP = inf no
+    cluster has far columns."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "FAR_GAP", np.inf)
+        return triangle(kernel, phi, mesh)
 
 
 def sampled_rows(N):
@@ -208,15 +218,15 @@ class TestDensePathKept:
         assert pair_a.k.power_coef is None
         assert hand_built_power(COEF, 0.3).power_coef is None
 
-    def test_below_crossover_is_dense(self):
+    def test_below_crossover_is_the_triangle(self):
         mesh = graded_mesh(SOE_MIN_N - 1, 2.0, B)
         kernel = power_kernel(COEF, 0.3, B)
         phi = np.cos(7.0 * mesh.nodes) + mesh.nodes
         got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi))
-        np.testing.assert_array_equal(got.values, dense(kernel, phi, mesh))
+        np.testing.assert_array_equal(got.values, triangle(kernel, phi, mesh))
 
     @pytest.mark.parametrize("which", ["hand_built", "identity", "variable", "tabulated"])
-    def test_other_kernels_are_dense(self, which, pair_a):
+    def test_other_kernels_take_the_triangle(self, which, pair_a):
         mesh = graded_mesh(SOE_MIN_N, 2.0, B)
         phi = np.cos(7.0 * mesh.nodes) + mesh.nodes
         if which == "hand_built":
@@ -231,7 +241,7 @@ class TestDensePathKept:
             vals[1:] = mesh.nodes[1:] ** -0.3 * (1.0 + mesh.nodes[1:])
             kernel = KernelSpec.from_samples(SampledFunction(mesh=mesh, values=vals), 0.3)
         got = convolve_weakly_singular(kernel, SampledFunction(mesh=mesh, values=phi))
-        np.testing.assert_array_equal(got.values, dense(kernel, phi, mesh))
+        np.testing.assert_array_equal(got.values, triangle(kernel, phi, mesh))
 
 
 class TestPairFold:

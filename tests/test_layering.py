@@ -26,7 +26,9 @@ its mesh, so no public function of ``quadrature.py`` or ``volterra.py``
 takes one beside a ``mesh`` it would have to match, except
 ``solve_second_kind``, whose two samples and mesh are its documented
 interface. The forward sweep builds no interpolant of its own: the far
-field of its history sums is the quadrature operator's. Importing the package
+field of its history sums is the quadrature operator's, whose row-cluster
+tree has one layout at every N, with no dense crossover, super-block size
+or row floor, and no entry budget. Importing the package
 loads no numpy submodule it does not use, to keep start-up short.
 """
 
@@ -89,6 +91,16 @@ G0_FIT_CALLS = {"lstsq"}
 #: what sonine.py may not define: the thresholds of the R^2-gated power fit
 #: that once decided integrability beside the model of g' near 0
 DELETED_FIT_CONSTANTS = {"EPS_FIT_MIN_R2", "GPRIME_FLOOR", "AMPLITUDE_FLOOR"}
+
+#: what quadrature.py may not define: the crossover to the dense triangle,
+#: the super-block size and the row floor of the two-level layout that the
+#: row-cluster tree replaced, whose one layout serves every N
+DELETED_TRIANGLE_CONSTANTS = {"FAR_MIN_N", "FAR_ROWS", "TRIANGLE_MIN_ROWS"}
+
+#: the triangle's functions, which size their blocks by rows, not by the
+#: entry budget of the O(N M) sums
+TRIANGLE_FUNCTIONS = {"_triangle_blocks", "_cluster_tree", "_far_sums", "_far_rows"}
+BLOCK_BUDGET = "BLOCK_ENTRIES"
 
 #: the one public function of the pipeline modules with a panel count
 #: parameter: it evaluates g at given times, with no mesh to fix the count
@@ -629,3 +641,59 @@ def test_second_model_guard_allows_the_model_and_the_public_rule():
         "    nodes, m = mesh.nodes, m.values\n"
     )
     assert _second_model_parts(source) == []
+
+
+def _two_level_layout_parts(source: str) -> list[str]:
+    """Module-level definitions of the two-level layout's constants, and
+    reads of the entry budget in the triangle's functions."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        found += [
+            f"line {node.lineno}: defines {t.id}"
+            for t in targets
+            if isinstance(t, ast.Name) and t.id in DELETED_TRIANGLE_CONSTANTS
+        ]
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in TRIANGLE_FUNCTIONS):
+            continue
+        for node in ast.walk(fn):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name == BLOCK_BUDGET:
+                found.append(f"line {node.lineno}: {fn.name} reads {name}")
+    return found
+
+
+def test_triangle_has_one_layout():
+    """The triangle's row-cluster tree serves every N: no dense crossover,
+    super-blocks or row floor, and blocks of BLOCK_ROWS rows rather than
+    the O(N M) sums' entry budget."""
+    assert _two_level_layout_parts(Path(sonine_kit.quadrature.__file__).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "FAR_MIN_N = 640",
+        "FAR_ROWS: int = 128",
+        "TRIANGLE_MIN_ROWS = 16",
+        "def _triangle_blocks(nodes, beta, factor, x):\n    c = BLOCK_ENTRIES // len(nodes)\n",
+        "def _far_sums(nodes, h, beta, factor, x, t, work):\n    n = quadrature.BLOCK_ENTRIES\n",
+    ],
+)
+def test_layout_guard_catches_violations(source):
+    assert _two_level_layout_parts(source)
+
+
+def test_layout_guard_allows_the_tree_and_the_row_sums():
+    source = (
+        "BLOCK_ENTRIES = 8192\n"
+        "LEAF_ROWS = 64\n"
+        "def _row_blocks(n_rows, n_cols):\n"
+        "    step = max(1, BLOCK_ENTRIES // n_cols)\n"
+        "def _triangle_blocks(nodes, beta, factor, x):\n"
+        "    for i0 in range(s0, s1, BLOCK_ROWS):\n"
+        "        pass\n"
+    )
+    assert _two_level_layout_parts(source) == []

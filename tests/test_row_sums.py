@@ -167,16 +167,21 @@ class TestBlockedSubstitutedRoute:
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-#: a block budget small enough that an 80-panel mesh has multi-row blocks
-#: split mid-mesh (rows 1-7, 8-11, 12-15, ...) and, with the row floor
-#: lowered to 1, one-row blocks from node 63
-SMALL_BLOCK = 64
+#: rows per block small enough that an 80-panel mesh, one leaf, splits
+#: into 27 blocks (rows 1-3, 4-6, ..., 79-80)
+SMALL_BLOCK = 3
 
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", SMALL_BLOCK)
-    monkeypatch.setattr(quadrature, "TRIANGLE_MIN_ROWS", 1)
+    monkeypatch.setattr(quadrature, "BLOCK_ROWS", SMALL_BLOCK)
+
+
+@pytest.fixture
+def dense_triangle(monkeypatch):
+    """The dense triangle at every N: with FAR_GAP = inf no cluster has far
+    columns."""
+    monkeypatch.setattr(quadrature, "FAR_GAP", np.inf)
 
 
 def triangle_oracle(kernel, phi, mesh):
@@ -194,10 +199,7 @@ class TestTriangleBlocks:
     def test_block_layout(self, small_blocks):
         nodes = graded_mesh(80, 2.0, 0.5).nodes
         spans = [(i0, i1) for i0, i1, *_ in _triangle_blocks(nodes, 0.5, np.ones_like, nodes)]
-        assert spans[0] == (1, 8) and spans[-1] == (80, 81)
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        assert all((i1 - i0) * i1 <= SMALL_BLOCK or i1 - i0 == 1 for i0, i1 in spans)
-        assert any(i1 - i0 == 1 for i0, i1 in spans) and any(i1 - i0 > 2 for i0, i1 in spans)
+        assert spans == [(i, min(i + SMALL_BLOCK, 81)) for i in range(1, 81, SMALL_BLOCK)]
 
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.8])
     def test_rows_are_product_weights_bit_for_bit(self, beta, small_blocks):
@@ -221,59 +223,45 @@ class TestTriangleBlocks:
         got = convolve_weakly_singular(kernel, phi).values
         np.testing.assert_allclose(got, triangle_oracle(kernel, phi, mesh), rtol=RTOL, atol=0.0)
 
-    def test_default_layout_has_a_row_floor(self, monkeypatch):
-        """Blocks of the dense triangle (the far field switched off) tile
-        rows 1..N. Once the budget would give fewer rows than
-        TRIANGLE_MIN_ROWS (from node 501 on), every block but the last has
-        exactly that many; meshes up to N = 512 keep the layout of one-row
-        floors."""
-        floor = quadrature.TRIANGLE_MIN_ROWS
-        monkeypatch.setattr(quadrature, "FAR_MIN_N", 10**9)
-
-        def spans(N):
+    def test_default_layout(self, dense_triangle):
+        """Blocks of the dense triangle tile rows 1..N in blocks of
+        BLOCK_ROWS rows, leaf by leaf: leaves of LEAF_ROWS rows from row 1
+        on, the last taking the remainder, and so its last block fewer."""
+        rows, leaf = quadrature.BLOCK_ROWS, quadrature.LEAF_ROWS
+        for N, n_blocks in ((512, 16), (2048, 64), (2048 + 77, 67), (8192, 256)):
             nodes = graded_mesh(N, 2.0, 0.5).nodes
-            return [(i0, i1) for i0, i1, *_ in _triangle_blocks(nodes, 0.5, np.ones_like, nodes)]
-
-        layouts = {N: spans(N) for N in (512, 2048, 8192)}
-        for N, n_blocks in ((512, 18), (2048, 114), (8192, 498)):
-            got = layouts[N]
-            assert got[0][0] == 1 and got[-1][1] == N + 1
-            assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
-            assert all(i1 - i0 >= floor for i0, i1 in got[:-1])
+            got = [(i0, i1) for i0, i1, *_ in _triangle_blocks(nodes, 0.5, np.ones_like, nodes)]
             assert len(got) == n_blocks
-            within = [(i0, i1) for i0, i1 in got if (i1 - i0) * i1 <= BLOCK_ENTRIES]
-            assert within == got[: len(within)] and within[-1][1] <= 501 + floor
-            assert all(i1 - i0 == floor for i0, i1 in got[len(within) : -1])
-        monkeypatch.setattr(quadrature, "TRIANGLE_MIN_ROWS", 1)
-        assert spans(512) == layouts[512]
-        assert len(spans(2048)) == 280 and len(spans(8192)) == 5287
+            last_leaf = 1 + (N // leaf - 1) * leaf
+            want = [(i, i + rows) for i in range(1, last_leaf, rows)]
+            want += [(i, min(i + rows, N + 1)) for i in range(last_leaf, N + 1, rows)]
+            assert got == want
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
-    @pytest.mark.parametrize("budget", ["default", "tiny"])
-    def test_floored_rows_are_product_weights_bit_for_bit(self, beta, budget, monkeypatch):
-        """Under the floor, past node 501 by default and everywhere under a
-        budget of 64 entries, the rows are still product_weights'."""
-        if budget == "tiny":
-            monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", SMALL_BLOCK)
-            mesh = graded_mesh(80, 2.0, 0.5)
-        else:
-            mesh = graded_mesh(600, 2.0, 0.5)
+    @pytest.mark.parametrize("blocks", ["default", "small"])
+    def test_dense_rows_are_product_weights_bit_for_bit(self, beta, blocks, request, dense_triangle):
+        """Under the dense switch, on 600 panels in blocks of BLOCK_ROWS
+        and on 80 in blocks of three rows, the rows are product_weights'."""
+        if blocks == "small":
+            request.getfixturevalue("small_blocks")
+        mesh = graded_mesh(600 if blocks == "default" else 80, 2.0, 0.5)
         spans = []
         for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, np.ones_like, mesh.nodes):
-            assert j0 == 0 and far is None  # 600 < FAR_MIN_N
+            assert j0 == 0 and far is None
             spans.append((i0, i1))
             for i in range(i0, i1):
                 np.testing.assert_array_equal(C[i - i0, : i + 1], product_weights(mesh, i, beta))
                 assert not np.any(C[i - i0, i + 1 :])
-        assert spans[-2][1] - spans[-2][0] == quadrature.TRIANGLE_MIN_ROWS
+        assert spans[-2][1] - spans[-2][0] == quadrature.BLOCK_ROWS
 
-    def test_memory_is_linear_in_the_floor_and_N(self):
-        """The triangle's scratch and a block's temporaries are a few
-        blocks of TRIANGLE_MIN_ROWS rows of N + 1 floats, not N^2: one
-        convolution of a tabulated kernel at N = 8192 peaks at 5.5 MB
-        traced, about 5.3 such blocks."""
+    @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
+    def test_memory_is_linear_in_the_points_and_N(self, r):
+        """The triangle's scratch holds a leaf's lags or a far sum's
+        FAR_POINTS rows of at most N + 1 floats, not N^2: one convolution
+        of a tabulated kernel at N = 8192 peaks at 2.4 MB traced at r = 2,
+        2.1 times FAR_POINTS rows (2.5 at r = 1, 2.9 at r = 4)."""
         N = 8192
-        mesh = graded_mesh(N, 2.0, 0.5)
+        mesh = graded_mesh(N, r, 0.5)
         phi = SampledFunction(mesh=mesh, values=np.cos(7.0 * mesh.nodes))
         kernel = tabulated_pair()[0]
         tracemalloc.start()
@@ -282,7 +270,7 @@ class TestTriangleBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7 * quadrature.TRIANGLE_MIN_ROWS * (N + 1) * 8
+        assert peak < 3.5 * quadrature.FAR_POINTS * (N + 1) * 8
 
     def test_zero_phi_convolves_to_zero(self, pair_a):
         mesh = graded_mesh(64, 2.0, 0.5)
@@ -301,9 +289,9 @@ class TestBlockedForwardSubstitution:
     def test_ill_conditioned_diagonal_mid_block_names_its_node(self, small_blocks):
         # trapezoid weights (eps = 0): the diagonal of row i is 1 + m(0) h_i / 2
         # with h_i = t_i - t_(i-1), which grows with i on a graded mesh; m(0)
-        # cancels it at node 9, the second row of the block of rows 8-11
+        # cancels it at node 8, the second row of the block of rows 7-9
         mesh = graded_mesh(40, 2.0, 1.0)
-        k = 9
+        k = 8
         gp = np.zeros(41)
         gp[0] = -2.0 / (mesh.nodes[k] - mesh.nodes[k - 1])
         F = SampledFunction(mesh=mesh, values=np.ones(41))
@@ -312,13 +300,13 @@ class TestBlockedForwardSubstitution:
 
     @pytest.mark.parametrize("f_at_0", [1.0, np.nan], ids=["finite", "undefined"])
     def test_ill_conditioned_diagonal_past_the_first_block_names_its_node(self, f_at_0):
-        # default blocks: rows 1-90, then 91-145; m(0) cancels the trapezoid
-        # diagonal 1 + m(0) h_i / 2 at node 120, in the second block, whether
+        # default blocks: rows 1-32, then 33-64; m(0) cancels the trapezoid
+        # diagonal 1 + m(0) h_i / 2 at node 40, in the second block, whether
         # or not the sweep folds the first panel onto node 1
         mesh = graded_mesh(256, 2.0, 1.0)
         spans = [(i0, i1) for i0, i1, *_ in _triangle_blocks(mesh.nodes, 1.0, np.ones_like, mesh.nodes)]
-        assert spans[:2] == [(1, 91), (91, 146)]
-        k = 120
+        assert spans[:2] == [(1, 33), (33, 65)]
+        k = 40
         gp = np.zeros(257)
         gp[0] = -2.0 / (mesh.nodes[k] - mesh.nodes[k - 1])
         F = SampledFunction(mesh=mesh, values=np.r_[f_at_0, np.ones(256)])
@@ -326,16 +314,16 @@ class TestBlockedForwardSubstitution:
             volterra._forward_sweep(SampledFunction(mesh=mesh, values=gp), F, mesh, 0.0)
 
     @pytest.mark.parametrize("f0", [0.0, 1e-6], ids=["finite", "folded"])
-    def test_sweep_agrees_across_floors(self, f0, monkeypatch, pair_a):
-        """The floor moves only the split between a block's history product
-        and its own solve: at N = 1024 (floored from node 501 on) the u of
-        a sweep, with F(t_0) finite or folded, agrees with one-row blocks
-        to 1e-14 relative."""
+    def test_sweep_agrees_across_block_sizes(self, f0, monkeypatch, pair_a):
+        """The block size moves only the split between a block's history
+        product and its own solve: at N = 1024 the u of a sweep, with
+        F(t_0) finite or folded, agrees with one-row blocks to 1e-14
+        relative."""
         mesh = graded_mesh(1024, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 1.0]), mesh)
         u, res = sweep(gate.gprime, F, mesh, 0.0)
-        monkeypatch.setattr(quadrature, "TRIANGLE_MIN_ROWS", 1)
+        monkeypatch.setattr(quadrature, "BLOCK_ROWS", 1)
         u1, res1 = sweep(gate.gprime, F, mesh, 0.0)
         np.testing.assert_allclose(u.values[1:], u1.values[1:], rtol=1e-14, atol=0.0)
         assert res <= 1e-13 and res1 <= 1e-13
@@ -438,14 +426,15 @@ def sweep_oracle(gprime, F, mesh, eps):
 
 class TestSweepOracle:
     """The blocked sweep against the whole system solved in one piece: on
-    80 panels under a 64-entry budget (blocks of one to seven rows), and
-    on 600 panels, where the row floor binds from row 501 on. F(t_0) is
-    finite for f(0) = 0 and folded otherwise."""
+    80 panels in blocks of three rows, and on 600 panels of the dense
+    triangle in blocks of BLOCK_ROWS, ten leaves (the far field against
+    the dense triangle is test_far_field.py's). F(t_0) is finite for f(0)
+    = 0 and folded otherwise."""
 
     @pytest.mark.parametrize("N", [80, 600])
     @pytest.mark.parametrize("eps", [0.0, 0.25])
     @pytest.mark.parametrize("f0", [0.0, 1e-6, 1.0])
-    def test_matches_the_assembled_system(self, f0, eps, N, request, pair_a):
+    def test_matches_the_assembled_system(self, f0, eps, N, request, pair_a, dense_triangle):
         if N == 80:
             request.getfixturevalue("small_blocks")
         mesh = graded_mesh(N, 2.0, pair_a.b)

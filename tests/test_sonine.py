@@ -251,6 +251,21 @@ class TestTemperedKernel:
                 exact = -LAM * (1 - ALPHA) * mp.hyp1f1(2 - ALPHA, 2, -LAM * mp.mpf(mesh.nodes[i]))
             assert abs(gp[i] / float(exact) - 1.0) <= 1e-7, (i, gp[i], exact)
 
+    @pytest.mark.parametrize("N", [512, 2048])
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    def test_flat_gprime_reads_a_perfect_fit(self, r, N):
+        """g' = -1 + O(t) is flat near 0: its first samples spread by 4e-3
+        of their size at r = 1, N = 512, down to 5.2e-9 at r = 3, N = 2048,
+        inside the rule's accuracy, where R^2 is reported as 1 (it read
+        -4.12, the ratio of two noise levels)."""
+        fit = check_gsc(tempered_pair(), graded_mesh(N, r, B)).eps_fit
+        assert fit.passed and 0.9999 <= fit.r_squared <= 1.0
+        gp = estimate_gprime(tempered_pair(), graded_mesh(N, r, B)).values[1:5]
+        flat = np.ptp(gp) <= sonine.FLAT_RTOL * np.max(np.abs(gp))
+        assert flat == ((r, N) == (3.0, 2048))
+        if flat:
+            assert fit.r_squared == 1.0
+
     @pytest.mark.parametrize(
         "pair",
         [tempered_pair(log_deriv=False), tempered_pair(smooth0=2.0)],

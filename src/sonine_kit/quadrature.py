@@ -33,7 +33,7 @@ __all__ = [
 #: Larger blocks made glibc trim the heap each time a block's temporaries
 #: were freed, and fault the same pages back in for the next block. The
 #: O(N^2) triangle of :func:`_triangle_blocks` sizes its blocks by rows
-#: instead (LEAF_ROWS, BLOCK_ROWS)
+#: instead (LEAF_ROWS)
 BLOCK_ENTRIES = 8192
 
 #: panel count per half of the reference rule for K * k on meshes of
@@ -46,11 +46,10 @@ BLOCK_ENTRIES = 8192
 REF_PANELS = 256
 
 #: rows per leaf of :func:`_triangle_blocks`' row-cluster tree (the last
-#: leaf takes the remainder), rows per block of a leaf's near field (the
-#: last block of a leaf may have fewer), FAR_POINTS interpolation points
-#: per cluster, and the gap, in cluster spans, between a cluster and its
-#: far columns. A gap of 1 puts the nearest singularity of a cluster's
-#: band 3 half-spans from the cluster's middle. Best ms of 25
+#: leaf takes the remainder), FAR_POINTS interpolation points per
+#: cluster, and the gap, in cluster spans, between a cluster and its far
+#: columns. A gap of 1 puts the nearest singularity of a cluster's band 3
+#: half-spans from the cluster's middle. Best/median ms of 25
 #: interleaved runs, single-threaded BLAS on a shared 2-vCPU x86-64 host,
 #: pair 0.5 + 0.2t, r = 2 on (0, 0.5], "sweep" one forward sweep of f = t
 #: and "conv" one convolution of the variable k; "entries" are the
@@ -60,29 +59,28 @@ REF_PANELS = 256
 #: "tab" is the largest relative error of the tabulated K * 1 of
 #: tests/test_closed_form.py at N = 1408 to 8192, pinned at 1e-14. Every
 #: sweep is within 1.0e-10 of the dense one's max |u|. 16 points miss the
-#: pin, and 17 on a gap of 1 are the fewest entries that meet it; blocks
-#: of 64 rows tie with 32 but solve 64 x 64 systems, blocks of 16 pay
-#: their fixed cost twice as often, and leaves of 128 rows sum 38% more
-#: entries for no gain. Only clusters of 54 rows or more put 17 points on
-#: distinct rows, so leaves of 32 rows cannot take them:
+#: pin, and 17 on a gap of 1 are the fewest entries that meet it; leaves
+#: of 128 rows sum 50% more entries and are slower. Only clusters of 54
+#: rows or more put 17 points on distinct rows, so leaves of 32 rows
+#: cannot take them:
 #:
-#:     leaf  block  points  gap   entries     conv err  tab      sweep       conv
-#:                                2048  8192                     2048  8192  2048  8192
-#:     64    32     16      1     419k  2.06M  5.1e-14  1.1e-14  14.2  71.7  10.5  49.7
-#:     64    32     17      1     430k  2.13M  8.6e-15  2.0e-15  14.0  71.6  10.8  51.2
-#:     64    32     18      1     441k  2.21M  2.2e-15  1.2e-15  14.4  74.3  10.6  52.9
-#:     64    32     16      1.25  473k  2.35M  3.4e-15  1.4e-15  14.7  76.5  11.2  54.6
-#:     64    32     16      1.5   524k  2.61M  1.9e-15  9.7e-16  15.7  79.2  11.3  57.9
-#:     64    16     17      1     413k  2.07M  8.6e-15  2.0e-15  16.5  81.7  11.7  54.7
-#:     64    64     17      1     462k  2.27M  8.6e-15  2.0e-15  14.2  68.9  10.8  51.0
-#:     128   32     17      1     593k  2.74M  8.2e-15  1.8e-15  14.6  71.4  11.1  50.0
-#:     128   64     17      1     626k  2.87M  8.2e-15  1.8e-15  15.0  74.0  11.0  52.6
+#:   leaf  points  gap   entries       conv err tab      sweep                  conv
+#:                       2048  8192                     2048       8192        2048       8192
+#:   64    16      1     451k  2.20M  5.1e-14  1.1e-14  13.8/15.2  64.6/76.9   10.8/11.9  48.4/56.6
+#:   64    17      1     462k  2.27M  8.6e-15  2.0e-15  13.9/15.8  69.7/80.2   10.9/12.4  50.5/57.1
+#:   64    18      1     473k  2.34M  2.2e-15  1.2e-15  14.0/16.5  67.7/82.4   10.8/11.7  51.0/58.0
+#:   64    16      1.25  505k  2.48M  3.4e-15  1.4e-15  14.6/17.5  74.1/81.9   11.2/13.5  53.9/60.9
+#:   64    16      1.5   556k  2.75M  1.9e-15  9.7e-16  15.0/17.8  75.2/96.6   11.8/15.7  57.6/66.8
+#:   128   17      1     691k  3.14M  8.2e-15  1.8e-15  17.5/20.9  82.5/101.6  12.6/14.3  56.7/65.2
 #:
-#: (times are the best of the 25; the medians, 21-25 ms for the sweep at
-#: 2048, rank the rows alike within the host's noise). FAR_GAP = inf leaves
-#: every cluster without far columns: the dense triangle, the tests' oracle.
+#: Each leaf is one block. Leaves cut into blocks of 32 rows, whose lags
+#: shared one call of the lag factor, ran in the same 25 runs at
+#: 14.6/16.4 and 72.2/83.4 ms for the sweep and 11.3/13.1 and 52.5/57.1
+#: for the convolution, with 430k and 2.13M entries, the same errors,
+#: and two to four weight blocks and LU solves per leaf instead of one.
+#: FAR_GAP = inf leaves every cluster without far columns: the dense
+#: triangle, the tests' oracle.
 LEAF_ROWS = 64
-BLOCK_ROWS = 32
 FAR_POINTS = 17
 FAR_GAP = 1.0
 
@@ -311,30 +309,28 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor, x: np.ndarray):
     cluster's rows and interpolates it to the others. A row's far sum is
     the sum of the bands of the clusters that hold it, which tile [t_0,
     t_j0] for its leaf's j0 once. Each band reads x[:jc + 1] when the
-    cluster's first block is requested, so a forward sweep that writes
-    its solved rows into x before it asks for the next block has them in
-    place (jc < s0). A leaf's near columns, from j0 on, go in blocks of
-    BLOCK_ROWS rows (the last block of a leaf may have fewer); past column
-    j0 each weight is the dense row's, bit for bit. A row then costs
-    O(LEAF_ROWS) near entries and each level of the tree O(FAR_POINTS N)
-    far ones, so the triangle costs O(N FAR_POINTS log(N / LEAF_ROWS) + N
-    LEAF_ROWS) entries instead of N^2 / 2: 0.43M at N = 2048 and 2.1M at
-    8192 on an r = 2 mesh. FAR_GAP = inf gives every cluster jc = 0 and
-    so the dense triangle.
+    cluster's first leaf is requested, so a forward sweep that writes its
+    solved rows into x before it asks for the next block has them in
+    place (jc < s0). Each leaf is one block: its near columns run from j0
+    on, and past column j0 each weight is the dense row's, bit for bit. A
+    row then costs O(LEAF_ROWS) near entries and each level of the tree
+    O(FAR_POINTS N) far ones, so the triangle costs O(N FAR_POINTS log(N /
+    LEAF_ROWS) + N LEAF_ROWS) entries instead of N^2 / 2: 0.46M at N =
+    2048 and 2.3M at 8192 on an r = 2 mesh. FAR_GAP = inf gives every
+    cluster jc = 0 and so the dense triangle.
 
-    Each block builds its lag matrix max(t_i - t_j, 0) once. A leaf keeps
-    its blocks' lags end to end and calls ``factor``, an elementwise
-    function, once on them all: a call of a variable kernel's bounded
-    factor costs tens of µs whatever its size. One scratch array of three
-    rows holds a leaf's lags and a block's slopes and weights, or a far
-    sum's points: its rows have max((s1 - s0) (s1 - j0), FAR_POINTS (jc -
-    jp + 1)) floats, O(FAR_POINTS N) on a graded mesh (2.4 MB traced at
-    N = 8192, r = 2). ``far`` holds N + 1 rows, of x's trailing shape, so
-    a 2-D x is summed column by column. C lives in scratch that the next
-    block overwrites, so the caller may write into it, as the forward
-    sweep adds 1 to the diagonal of the block's own square C[:, i0 - j0:].
-    The caller checks beta once; beta = 1 is the bounded (trapezoid)
-    limit.
+    Each leaf builds its lag matrix max(t_i - t_j, 0) once and calls
+    ``factor``, an elementwise function, once on it: a call of a variable
+    kernel's bounded factor costs tens of µs whatever its size. One
+    scratch array of three rows holds a leaf's lags, slopes and weights,
+    or a far sum's points: its rows have max((s1 - s0) (s1 - j0),
+    FAR_POINTS (jc - jp + 1)) floats, O(FAR_POINTS N) on a graded mesh
+    (2.4 MB traced at N = 8192, r = 2). ``far`` holds N + 1 rows, of x's
+    trailing shape, so a 2-D x is summed column by column. C lives in
+    scratch that the next block overwrites, so the caller may write into
+    it, as the forward sweep adds 1 to the diagonal of the block's own
+    square C[:, i0 - j0:]. The caller checks beta once; beta = 1 is the
+    bounded (trapezoid) limit.
     """
     h = np.diff(nodes)
     starts, jf, bands = _cluster_tree(nodes)
@@ -358,22 +354,13 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor, x: np.ndarray):
                 far_rows(c1 - c0),
                 work,
             )
-        # the leaf's blocks keep their lags end to end in work[2], so that
-        # the lag factor is called once per leaf
-        blocks, end = [], 0
-        for i0 in range(s0, s1, BLOCK_ROWS):
-            i1 = min(s1, i0 + BLOCK_ROWS)
-            lag = _view(work[2, end:], (i1 - i0, i1 - j0))
-            np.subtract(nodes[i0:i1, None], nodes[j0:i1], out=lag)
-            # t_i - t_j > 0 for j < i0 <= i: only the block's own columns clip
-            np.maximum(lag[:, i0 - j0 :], 0.0, out=lag[:, i0 - j0 :])
-            blocks.append((i0, i1, end, lag))
-            end += lag.size
-        factors = factor(work[2, :end])
-        for i0, i1, start, lag in blocks:
-            C = _moments(lag, h[j0 : i1 - 1], beta, "right", work[:2])
-            C *= _view(factors[start:], lag.shape)
-            yield i0, i1, j0, C, far[i0:i1] if j0 else None
+        lag = _view(work[2], (s1 - s0, s1 - j0))
+        np.subtract(nodes[s0:s1, None], nodes[j0:s1], out=lag)
+        # t_i - t_j > 0 for j < s0 <= i: only the leaf's own columns clip
+        np.maximum(lag[:, s0 - j0 :], 0.0, out=lag[:, s0 - j0 :])
+        C = _moments(lag, h[j0 : s1 - 1], beta, "right", work[:2])
+        C *= factor(lag)
+        yield s0, s1, j0, C, far[s0:s1] if j0 else None
 
 
 def _far_rows(n: int) -> tuple[np.ndarray, np.ndarray]:

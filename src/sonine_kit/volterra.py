@@ -257,14 +257,14 @@ def solve_second_kind(
     nodes, so the lag m(t_i - t_j) never evaluates g' off the sample
     grid. eps = 0 means g' is treated as bounded. m(0) follows
     :func:`sonine_kit.sonine._bounded_factor`'s rule for g' alone: 0 for
-    eps > 0, as for a log blow-up. Each block of rows of the
-    lower-triangular system, at most 32 rows, is solved by one LAPACK call
-    once the rows before it are known. The rows go in a binary tree of
-    clusters; each cluster's history from a band of columns well to its
-    left is formed at a few of its rows and interpolated in t_i to the
-    others, a fifth of the dense work at N = 2048, which moves u by at
-    most about 2e-9 of max |u| on meshes with r <= 2 (see README,
-    "Numerical notes"). u(t_0) adopts F(t_0) as a limit convention; when
+    eps > 0, as for a log blow-up. The rows go in a binary tree of
+    clusters, and each leaf of the lower-triangular system, at most 127
+    rows, is solved by one LAPACK call once the rows before it are known.
+    Each cluster's history from a band of columns well to its left is
+    formed at a few of its rows and interpolated in t_i to the others, a
+    fifth of the dense work at N = 2048, which moves u by at most about
+    2e-9 of max |u| on meshes with r <= 2 (see README, "Numerical
+    notes"). u(t_0) adopts F(t_0) as a limit convention; when
     F(t_0) is undefined the first panel's mass is folded onto node 1
     instead of touching the undefined value.
     """

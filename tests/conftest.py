@@ -8,6 +8,7 @@ the package against references it did not produce.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from sonine_kit import (
     make_variable_exponent_pair,
     power_kernel,
 )
-from sonine_kit import volterra
+from sonine_kit import quadrature, volterra
 from sonine_kit.sonine import _bounded_factor
 
 # gamma function references: (x, Gamma(x)) at 50-digit precision, rounded once
@@ -74,6 +75,21 @@ def pair_b():
 @pytest.fixture(scope="session")
 def classical_half():
     return make_classical_abel_pair(0.5, 1.0)
+
+
+@pytest.fixture(scope="session")
+def dense_triangle():
+    """A context in which the product-integration triangle is dense: with
+    FAR_GAP = inf no row cluster has far columns. Session-scoped, so that
+    module-scoped oracles can enter it too."""
+
+    @contextlib.contextmanager
+    def dense():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "FAR_GAP", np.inf)
+            yield
+
+    return dense
 
 
 @pytest.fixture(scope="session")

@@ -61,14 +61,6 @@ def triangle(kernel, phi, mesh):
     return out
 
 
-def dense(kernel, phi, mesh):
-    """The dense triangle's (kernel * phi)(t_i): with FAR_GAP = inf no
-    cluster has far columns."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "FAR_GAP", np.inf)
-        return triangle(kernel, phi, mesh)
-
-
 def sampled_rows(N):
     """Rows checked above the crossover, where the full triangle costs
     seconds: the first sixteen, 128 evenly spaced and the last. A wrong
@@ -77,7 +69,7 @@ def sampled_rows(N):
 
 
 @pytest.fixture(scope="module")
-def oracle():
+def oracle(dense_triangle):
     """Dense values per (N, r, exponent): every row of the triangle at the
     crossover, the rows of :func:`sampled_rows` (from ``product_weights``,
     equal to the triangle's rows bit for bit) above it. Tabulated once for
@@ -90,7 +82,8 @@ def oracle():
             for gamma in EXPONENTS:
                 if N == SOE_MIN_N:
                     rows = np.arange(N + 1)
-                    want = dense(power_kernel(COEF, gamma, B), phi, mesh)
+                    with dense_triangle():
+                        want = triangle(power_kernel(COEF, gamma, B), phi, mesh)
                 else:
                     rows = sampled_rows(N)
                     want = np.array(

@@ -97,6 +97,10 @@ DELETED_FIT_CONSTANTS = {"EPS_FIT_MIN_R2", "GPRIME_FLOOR", "AMPLITUDE_FLOOR"}
 #: row-cluster tree replaced, whose one layout serves every N
 DELETED_TRIANGLE_CONSTANTS = {"FAR_MIN_N", "FAR_ROWS", "TRIANGLE_MIN_ROWS"}
 
+#: what quadrature.py may not name: the row count of the blocks a leaf was
+#: once cut into; the leaf is the block
+LEAF_BLOCK_ROWS = "BLOCK_ROWS"
+
 #: the triangle's functions, which size their blocks by rows, not by the
 #: entry budget of the O(N M) sums
 TRIANGLE_FUNCTIONS = {"_triangle_blocks", "_cluster_tree", "_far_sums", "_far_rows"}
@@ -644,8 +648,10 @@ def test_second_model_guard_allows_the_model_and_the_public_rule():
 
 
 def _two_level_layout_parts(source: str) -> list[str]:
-    """Module-level definitions of the two-level layout's constants, and
-    reads of the entry budget in the triangle's functions."""
+    """Module-level definitions of the two-level layout's constants, reads
+    of the entry budget in the triangle's functions, any use of BLOCK_ROWS,
+    and loops over a strided range of rows in _triangle_blocks: its blocks
+    are the leaves of the cluster tree."""
     tree = ast.parse(source)
     found = []
     for node in tree.body:
@@ -662,13 +668,25 @@ def _two_level_layout_parts(source: str) -> list[str]:
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if isinstance(node, (ast.Name, ast.Attribute)) and name == BLOCK_BUDGET:
                 found.append(f"line {node.lineno}: {fn.name} reads {name}")
+            if (
+                fn.name == "_triangle_blocks"
+                and isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.iter, ast.Call)
+                and getattr(node.iter.func, "id", None) == "range"
+                and len(node.iter.args) == 3
+            ):
+                found.append(f"line {node.iter.lineno}: {fn.name} loops over row blocks")
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name == LEAF_BLOCK_ROWS:
+            found.append(f"line {node.lineno}: uses {name}")
     return found
 
 
 def test_triangle_has_one_layout():
     """The triangle's row-cluster tree serves every N: no dense crossover,
-    super-blocks or row floor, and blocks of BLOCK_ROWS rows rather than
-    the O(N M) sums' entry budget."""
+    super-blocks or row floor, and one block per leaf, sized by
+    LEAF_ROWS rather than the O(N M) sums' entry budget."""
     assert _two_level_layout_parts(Path(sonine_kit.quadrature.__file__).read_text()) == []
 
 
@@ -680,6 +698,13 @@ def test_triangle_has_one_layout():
         "TRIANGLE_MIN_ROWS = 16",
         "def _triangle_blocks(nodes, beta, factor, x):\n    c = BLOCK_ENTRIES // len(nodes)\n",
         "def _far_sums(nodes, h, beta, factor, x, t, work):\n    n = quadrature.BLOCK_ENTRIES\n",
+        "BLOCK_ROWS = 32",
+        "def f(x):\n    return quadrature.BLOCK_ROWS\n",
+        "def _triangle_blocks(nodes, beta, factor, x):\n"
+        "    for i0 in range(s0, s1, rows):\n"
+        "        pass\n",
+        "def _triangle_blocks(nodes, beta, factor, x):\n"
+        "    blocks = [(i0, i0 + 32) for i0 in range(s0, s1, 32)]\n",
     ],
 )
 def test_layout_guard_catches_violations(source):
@@ -693,7 +718,11 @@ def test_layout_guard_allows_the_tree_and_the_row_sums():
         "def _row_blocks(n_rows, n_cols):\n"
         "    step = max(1, BLOCK_ENTRIES // n_cols)\n"
         "def _triangle_blocks(nodes, beta, factor, x):\n"
-        "    for i0 in range(s0, s1, BLOCK_ROWS):\n"
+        "    for s0, s1, j0, leaf in zip(starts, starts[1:], jf, bands):\n"
+        "        for c0, c1, jp, jc in leaf:\n"
+        "            pass\n"
+        "def _history_sums(nodes, beta, phi):\n"
+        "    for j0 in range(0, L, steps):\n"
         "        pass\n"
     )
     assert _two_level_layout_parts(source) == []

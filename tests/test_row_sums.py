@@ -167,21 +167,18 @@ class TestBlockedSubstitutedRoute:
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-#: rows per block small enough that an 80-panel mesh, one leaf, splits
-#: into 27 blocks (rows 1-3, 4-6, ..., 79-80)
-SMALL_BLOCK = 3
+#: rows per leaf small enough that an 80-panel mesh splits into 26
+#: leaves (rows 1-3, 4-6, ..., 73-75, and 76-80 with the remainder)
+SMALL_LEAF = 3
 
 
 @pytest.fixture
-def small_blocks(monkeypatch):
-    monkeypatch.setattr(quadrature, "BLOCK_ROWS", SMALL_BLOCK)
-
-
-@pytest.fixture
-def dense_triangle(monkeypatch):
-    """The dense triangle at every N: with FAR_GAP = inf no cluster has far
-    columns."""
-    monkeypatch.setattr(quadrature, "FAR_GAP", np.inf)
+def small_leaves(monkeypatch, dense_triangle):
+    """Leaves of SMALL_LEAF rows on the dense triangle: a cluster of a few
+    rows cannot hold FAR_POINTS points."""
+    monkeypatch.setattr(quadrature, "LEAF_ROWS", SMALL_LEAF)
+    with dense_triangle():
+        yield
 
 
 def triangle_oracle(kernel, phi, mesh):
@@ -196,13 +193,13 @@ def triangle_oracle(kernel, phi, mesh):
 
 
 class TestTriangleBlocks:
-    def test_block_layout(self, small_blocks):
+    def test_block_layout(self, small_leaves):
         nodes = graded_mesh(80, 2.0, 0.5).nodes
         spans = [(i0, i1) for i0, i1, *_ in _triangle_blocks(nodes, 0.5, np.ones_like, nodes)]
-        assert spans == [(i, min(i + SMALL_BLOCK, 81)) for i in range(1, 81, SMALL_BLOCK)]
+        assert spans == [(i, i + SMALL_LEAF) for i in range(1, 76, SMALL_LEAF)] + [(76, 81)]
 
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.8])
-    def test_rows_are_product_weights_bit_for_bit(self, beta, small_blocks):
+    def test_rows_are_product_weights_bit_for_bit(self, beta, small_leaves):
         mesh = graded_mesh(80, 2.0, 0.5)
         for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, np.ones_like, mesh.nodes):
             assert j0 == 0 and far is None
@@ -211,7 +208,7 @@ class TestTriangleBlocks:
                 assert not np.any(C[i - i0, i + 1 :])  # exactly 0 past the diagonal
 
     @pytest.mark.parametrize("kind", ["classical", "variable", "tabulated"])
-    def test_convolve_matches_fsum_oracle(self, kind, small_blocks, pair_a):
+    def test_convolve_matches_fsum_oracle(self, kind, small_leaves, pair_a):
         if kind == "classical":
             kernel = classical_abel_kernel(0.3, 0.5)
         elif kind == "variable":
@@ -224,35 +221,34 @@ class TestTriangleBlocks:
         np.testing.assert_allclose(got, triangle_oracle(kernel, phi, mesh), rtol=RTOL, atol=0.0)
 
     def test_default_layout(self, dense_triangle):
-        """Blocks of the dense triangle tile rows 1..N in blocks of
-        BLOCK_ROWS rows, leaf by leaf: leaves of LEAF_ROWS rows from row 1
-        on, the last taking the remainder, and so its last block fewer."""
-        rows, leaf = quadrature.BLOCK_ROWS, quadrature.LEAF_ROWS
-        for N, n_blocks in ((512, 16), (2048, 64), (2048 + 77, 67), (8192, 256)):
+        """The dense triangle yields one block per leaf: leaves of
+        LEAF_ROWS rows from row 1 on, the last taking the remainder."""
+        leaf = quadrature.LEAF_ROWS
+        for N, n_blocks in ((512, 8), (2048, 32), (2048 + 77, 33), (8192, 128)):
             nodes = graded_mesh(N, 2.0, 0.5).nodes
-            got = [(i0, i1) for i0, i1, *_ in _triangle_blocks(nodes, 0.5, np.ones_like, nodes)]
+            with dense_triangle():
+                got = [(i0, i1) for i0, i1, *_ in _triangle_blocks(nodes, 0.5, np.ones_like, nodes)]
             assert len(got) == n_blocks
             last_leaf = 1 + (N // leaf - 1) * leaf
-            want = [(i, i + rows) for i in range(1, last_leaf, rows)]
-            want += [(i, min(i + rows, N + 1)) for i in range(last_leaf, N + 1, rows)]
-            assert got == want
+            assert got == [(i, i + leaf) for i in range(1, last_leaf, leaf)] + [(last_leaf, N + 1)]
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
-    @pytest.mark.parametrize("blocks", ["default", "small"])
-    def test_dense_rows_are_product_weights_bit_for_bit(self, beta, blocks, request, dense_triangle):
-        """Under the dense switch, on 600 panels in blocks of BLOCK_ROWS
-        and on 80 in blocks of three rows, the rows are product_weights'."""
-        if blocks == "small":
-            request.getfixturevalue("small_blocks")
-        mesh = graded_mesh(600 if blocks == "default" else 80, 2.0, 0.5)
+    @pytest.mark.parametrize("leaves", ["default", "small"])
+    def test_dense_rows_are_product_weights_bit_for_bit(self, beta, leaves, request, dense_triangle):
+        """Under the dense switch, on 600 panels in leaves of LEAF_ROWS
+        and on 80 in leaves of three rows, the rows are product_weights'."""
+        if leaves == "small":
+            request.getfixturevalue("small_leaves")
+        mesh = graded_mesh(600 if leaves == "default" else 80, 2.0, 0.5)
         spans = []
-        for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, np.ones_like, mesh.nodes):
-            assert j0 == 0 and far is None
-            spans.append((i0, i1))
-            for i in range(i0, i1):
-                np.testing.assert_array_equal(C[i - i0, : i + 1], product_weights(mesh, i, beta))
-                assert not np.any(C[i - i0, i + 1 :])
-        assert spans[-2][1] - spans[-2][0] == quadrature.BLOCK_ROWS
+        with dense_triangle():
+            for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, np.ones_like, mesh.nodes):
+                assert j0 == 0 and far is None
+                spans.append((i0, i1))
+                for i in range(i0, i1):
+                    np.testing.assert_array_equal(C[i - i0, : i + 1], product_weights(mesh, i, beta))
+                    assert not np.any(C[i - i0, i + 1 :])
+        assert spans[-2][1] - spans[-2][0] == quadrature.LEAF_ROWS
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
     def test_memory_is_linear_in_the_points_and_N(self, r):
@@ -286,10 +282,10 @@ class TestBlockedForwardSubstitution:
         np.testing.assert_array_equal(report.u.values, report.F.values)  # NaN at t_0 for f0 = 1
         assert report.residual_second_kind == 0.0
 
-    def test_ill_conditioned_diagonal_mid_block_names_its_node(self, small_blocks):
+    def test_ill_conditioned_diagonal_mid_leaf_names_its_node(self, small_leaves):
         # trapezoid weights (eps = 0): the diagonal of row i is 1 + m(0) h_i / 2
         # with h_i = t_i - t_(i-1), which grows with i on a graded mesh; m(0)
-        # cancels it at node 8, the second row of the block of rows 7-9
+        # cancels it at node 8, the second row of the leaf of rows 7-9
         mesh = graded_mesh(40, 2.0, 1.0)
         k = 8
         gp = np.zeros(41)
@@ -299,14 +295,14 @@ class TestBlockedForwardSubstitution:
             solve_second_kind(SampledFunction(mesh=mesh, values=gp), F, mesh)
 
     @pytest.mark.parametrize("f_at_0", [1.0, np.nan], ids=["finite", "undefined"])
-    def test_ill_conditioned_diagonal_past_the_first_block_names_its_node(self, f_at_0):
-        # default blocks: rows 1-32, then 33-64; m(0) cancels the trapezoid
-        # diagonal 1 + m(0) h_i / 2 at node 40, in the second block, whether
+    def test_ill_conditioned_diagonal_past_the_first_leaf_names_its_node(self, f_at_0):
+        # default leaves: rows 1-64, then 65-128; m(0) cancels the trapezoid
+        # diagonal 1 + m(0) h_i / 2 at node 100, in the second leaf, whether
         # or not the sweep folds the first panel onto node 1
         mesh = graded_mesh(256, 2.0, 1.0)
         spans = [(i0, i1) for i0, i1, *_ in _triangle_blocks(mesh.nodes, 1.0, np.ones_like, mesh.nodes)]
-        assert spans[:2] == [(1, 33), (33, 65)]
-        k = 40
+        assert spans[:2] == [(1, 65), (65, 129)]
+        k = 100
         gp = np.zeros(257)
         gp[0] = -2.0 / (mesh.nodes[k] - mesh.nodes[k - 1])
         F = SampledFunction(mesh=mesh, values=np.r_[f_at_0, np.ones(256)])
@@ -314,24 +310,26 @@ class TestBlockedForwardSubstitution:
             volterra._forward_sweep(SampledFunction(mesh=mesh, values=gp), F, mesh, 0.0)
 
     @pytest.mark.parametrize("f0", [0.0, 1e-6], ids=["finite", "folded"])
-    def test_sweep_agrees_across_block_sizes(self, f0, monkeypatch, pair_a):
-        """The block size moves only the split between a block's history
-        product and its own solve: at N = 1024 the u of a sweep, with
-        F(t_0) finite or folded, agrees with one-row blocks to 1e-14
-        relative."""
+    def test_sweep_agrees_across_leaf_sizes(self, f0, monkeypatch, pair_a, dense_triangle):
+        """On the dense triangle the leaf size moves only the split between
+        a leaf's history product and its own solve: at N = 1024 the u of a
+        sweep, with F(t_0) finite or folded, agrees with two-row leaves to
+        1e-14 relative (a one-row cluster has no span to scale FAR_GAP
+        by)."""
         mesh = graded_mesh(1024, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 1.0]), mesh)
-        u, res = sweep(gate.gprime, F, mesh, 0.0)
-        monkeypatch.setattr(quadrature, "BLOCK_ROWS", 1)
-        u1, res1 = sweep(gate.gprime, F, mesh, 0.0)
+        with dense_triangle():
+            u, res = sweep(gate.gprime, F, mesh, 0.0)
+            monkeypatch.setattr(quadrature, "LEAF_ROWS", 2)
+            u1, res1 = sweep(gate.gprime, F, mesh, 0.0)
         np.testing.assert_allclose(u.values[1:], u1.values[1:], rtol=1e-14, atol=0.0)
         assert res <= 1e-13 and res1 <= 1e-13
 
     def test_row_residual_catches_a_wrong_block_solve(self, monkeypatch, pair_a):
         """A block's residual is T u_b minus its right-hand side, after the
         history product: a solve that is off by 1e-6 in one entry of the
-        second block must still show."""
+        second leaf must still show."""
         mesh = graded_mesh(256, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([1e-6, 1.0]), mesh)
@@ -349,7 +347,7 @@ class TestBlockedForwardSubstitution:
         monkeypatch.setattr(volterra.np.linalg, "solve", off_in_block_2)
         u, res = sweep(gate.gprime, F, mesh, 0.25)
         assert len(calls) > 2 and calls[1] > 3
-        first = 1 + calls[0]  # nodes up to the end of the first block
+        first = 1 + calls[0]  # nodes up to the end of the first leaf
         np.testing.assert_array_equal(u.values[1:first], clean_u.values[1:first])
         assert clean_res <= 1e-13 < 1e-10 < res
 
@@ -425,24 +423,25 @@ def sweep_oracle(gprime, F, mesh, eps):
 
 
 class TestSweepOracle:
-    """The blocked sweep against the whole system solved in one piece: on
-    80 panels in blocks of three rows, and on 600 panels of the dense
-    triangle in blocks of BLOCK_ROWS, ten leaves (the far field against
-    the dense triangle is test_far_field.py's). F(t_0) is finite for f(0)
-    = 0 and folded otherwise."""
+    """The blocked sweep against the whole system solved in one piece, on
+    the dense triangle: on 80 panels in leaves of three rows, and on 600
+    panels in leaves of LEAF_ROWS, nine leaves (the far field against the
+    dense triangle is test_far_field.py's). F(t_0) is finite for f(0) = 0
+    and folded otherwise."""
 
     @pytest.mark.parametrize("N", [80, 600])
     @pytest.mark.parametrize("eps", [0.0, 0.25])
     @pytest.mark.parametrize("f0", [0.0, 1e-6, 1.0])
     def test_matches_the_assembled_system(self, f0, eps, N, request, pair_a, dense_triangle):
         if N == 80:
-            request.getfixturevalue("small_blocks")
+            request.getfixturevalue("small_leaves")
         mesh = graded_mesh(N, 2.0, pair_a.b)
         gate = _gate_inputs(pair_a, mesh)
         assert not np.isfinite(gate.gprime.values[0])  # eps = 0 continues m to 0
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 1.0]), mesh)
         assert np.isfinite(F.values[0]) == (f0 == 0.0)
-        u, res = sweep(gate.gprime, F, mesh, eps)
+        with dense_triangle():
+            u, res = sweep(gate.gprime, F, mesh, eps)
         want = sweep_oracle(gate.gprime, F, mesh, eps)
         np.testing.assert_allclose(u.values[1:], want[1:], rtol=1e-13, atol=0.0)
         assert res <= 1e-13
@@ -469,15 +468,15 @@ class TestSharedSweep:
     built only for a mesh that all of its inputs share, and the probe
     builds no other."""
 
-    @pytest.mark.parametrize("blocks", ["small", "default"])
+    @pytest.mark.parametrize("leaves", ["small", "default"])
     @pytest.mark.parametrize("eps", [0.0, 0.25])
     @pytest.mark.parametrize("f0", [0.0, 1.0], ids=["finite", "folded"])
-    def test_sweep_is_linear_in_F(self, f0, eps, blocks, request, pair_a):
+    def test_sweep_is_linear_in_F(self, f0, eps, leaves, request, pair_a):
         """Right-hand sides that agree on whether F(t_0) is defined share
         one discrete system, so the sweep of F + G is the sum of their
         sweeps to rounding, and it is solve_second_kind's u bit for bit."""
-        if blocks == "small":
-            request.getfixturevalue("small_blocks")
+        if leaves == "small":
+            request.getfixturevalue("small_leaves")
         mesh = graded_mesh(80, 2.0, 0.5)
         gate = _gate_inputs(pair_a, mesh)
         F = assemble_rhs(pair_a.K, RhsSpec.from_polynomial([f0, 1.0]), mesh)

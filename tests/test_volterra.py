@@ -642,6 +642,69 @@ class TestConvergenceStudy:
             convergence_study(pair_a, RhsSpec.from_polynomial([0.0, 1.0]), N, 2.0)
 
 
+#: max |u - t| of the variable solve of the manufactured u = t on nested
+#: r = 2 meshes of (0, 0.5] at N = MANUFACTURED_SIZES, per affine profile
+#: (a0, a1) of k = t^(-(a0 + a1 t))
+MANUFACTURED_SIZES = (128, 256, 512, 1024)
+MANUFACTURED = {
+    (0.5, 0.2): (1.052e-3, 5.881e-4, 3.245e-4, 1.774e-4),
+    (0.4, 0.4): (2.391e-3, 1.334e-3, 7.358e-4, 4.022e-4),
+    (0.3, 0.6): (3.925e-3, 2.188e-3, 1.206e-3, 6.596e-4),
+}
+
+
+def manufactured_rhs(a0, a1):
+    """The data of u = t for k = t^(-(a0 + a1 t)): f(t) = int_0^t (t - x)
+    k(x) dx and f'(t) = int_0^t k(x) dx, from scipy's quad with the
+    algebraic weight x^(-a0) (t - x)^p, p = 1 and 0, against k's bounded
+    factor x^(-a1 x) written out here. Each time is integrated once, so
+    nested meshes share their nodes' values."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    cache = {0.0: (0.0, 0.0)}
+
+    def moments(t):
+        if t not in cache:
+            cache[t] = tuple(
+                quad(lambda x: x ** (-a1 * x), 0.0, t, weight="alg", wvar=(-a0, p),
+                     epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for p in (1.0, 0.0)
+            )
+        return cache[t]
+
+    def by_quad(i):
+        return lambda t: np.vectorize(lambda s: moments(float(s))[i], otypes=[float])(t)
+
+    return RhsSpec(f=by_quad(0), fprime=by_quad(1))
+
+
+@pytest.fixture(scope="module")
+def manufactured_errors():
+    """max |u - t| per profile of MANUFACTURED, at each of MANUFACTURED_SIZES."""
+    out = {}
+    for a0, a1 in MANUFACTURED:
+        pair = make_variable_exponent_pair(affine_exponent(a0, a1, 0.5), 0.5)
+        rhs = manufactured_rhs(a0, a1)
+        out[a0, a1] = [
+            float(np.max(np.abs(solve_first_kind(pair, rhs, mesh).u.values - mesh.nodes)))
+            for mesh in (graded_mesh(N, 2.0, 0.5) for N in MANUFACTURED_SIZES)
+        ]
+    return out
+
+
+class TestManufacturedSolution:
+    """u = t against its variable solves: the oracle is the data, built by
+    adaptive quadrature outside the package. The floor is linear
+    interpolation of g', which is log-singular at 0, so the order is
+    below 1 (0.84-0.87)."""
+
+    @pytest.mark.parametrize("profile", list(MANUFACTURED))
+    def test_error_and_order(self, profile, manufactured_errors):
+        errs = manufactured_errors[profile]
+        np.testing.assert_allclose(errs, MANUFACTURED[profile], rtol=0.05)
+        orders = np.log2(np.divide(errs[:-1], errs[1:]))
+        assert orders.min() >= 0.8, orders
+
+
 class TestDiscoverAssociate:
     def test_classical_shortcut_is_exact(self, classical_half):
         mesh = graded_mesh(256, 2.0, 1.0)

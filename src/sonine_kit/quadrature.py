@@ -12,7 +12,7 @@ t^beta / beta.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -60,24 +60,25 @@ REF_PANELS = 256
 #: tests/test_closed_form.py at N = 1408 to 8192, pinned at 1e-14. Every
 #: sweep is within 1.0e-10 of the dense one's max |u|. 16 points miss the
 #: pin, and 17 on a gap of 1 are the fewest entries that meet it; leaves
-#: of 128 rows sum 50% more entries and are slower. Only clusters of 54
+#: of 128 rows sum 41% more entries and are slower. Only clusters of 54
 #: rows or more put 17 points on distinct rows, so leaves of 32 rows
 #: cannot take them:
 #:
 #:   leaf  points  gap   entries       conv err tab      sweep                  conv
 #:                       2048  8192                     2048       8192        2048       8192
-#:   64    16      1     451k  2.20M  5.1e-14  1.1e-14  13.8/15.2  64.6/76.9   10.8/11.9  48.4/56.6
-#:   64    17      1     462k  2.27M  8.6e-15  2.0e-15  13.9/15.8  69.7/80.2   10.9/12.4  50.5/57.1
-#:   64    18      1     473k  2.34M  2.2e-15  1.2e-15  14.0/16.5  67.7/82.4   10.8/11.7  51.0/58.0
-#:   64    16      1.25  505k  2.48M  3.4e-15  1.4e-15  14.6/17.5  74.1/81.9   11.2/13.5  53.9/60.9
-#:   64    16      1.5   556k  2.75M  1.9e-15  9.7e-16  15.0/17.8  75.2/96.6   11.8/15.7  57.6/66.8
-#:   128   17      1     691k  3.14M  8.2e-15  1.8e-15  17.5/20.9  82.5/101.6  12.6/14.3  56.7/65.2
+#:   64    16      1     386k  1.94M  5.1e-14  1.1e-14  13.1/14.2  63.8/67.8   10.1/10.6  47.8/49.9
+#:   64    17      1     397k  2.01M  8.6e-15  2.0e-15  13.6/14.1  65.4/70.0   10.4/11.0  48.3/50.4
+#:   64    18      1     409k  2.08M  2.2e-15  1.2e-15  13.6/14.4  66.9/70.6   10.6/11.0  49.4/51.2
+#:   64    16      1.25  440k  2.22M  3.4e-15  1.4e-15  14.0/14.8  68.9/72.3   10.9/11.3  51.1/53.3
+#:   64    16      1.5   492k  2.49M  1.9e-15  9.7e-16  14.4/15.4  74.2/77.8   11.2/11.8  53.0/56.6
+#:   128   17      1     561k  2.62M  8.2e-15  1.8e-15  16.3/17.1  73.8/80.1   11.8/12.8  51.7/53.5
 #:
-#: Each leaf is one block. Leaves cut into blocks of 32 rows, whose lags
-#: shared one call of the lag factor, ran in the same 25 runs at
-#: 14.6/16.4 and 72.2/83.4 ms for the sweep and 11.3/13.1 and 52.5/57.1
-#: for the convolution, with 430k and 2.13M entries, the same errors,
-#: and two to four weight blocks and LU solves per leaf instead of one.
+#: Each leaf is one block, whose lag factor is evaluated on and below the
+#: diagonal only. Leaves cut into blocks of 32 rows, whose lags shared
+#: one call of the lag factor, ran in the same 25 runs at 12.8/13.9 and
+#: 62.2/66.6 ms for the sweep and 9.5/10.7 and 44.5/49.7 for the
+#: convolution, with 430k and 2.13M entries and the same errors, but two
+#: to four weight blocks and LU solves per leaf instead of one.
 #: FAR_GAP = inf leaves every cluster without far columns: the dense
 #: triangle, the tests' oracle.
 LEAF_ROWS = 64
@@ -209,8 +210,11 @@ def _moments(
         from the singular point."""
         return (x[..., :-1], x[..., 1:]) if left else (x[..., 1:], x[..., :-1])
 
-    # w holds beta (beta+1) Phi at the nodes until the differences replace it
-    np.power(d, beta + 1.0, out=w)
+    # w holds beta (beta+1) Phi at the nodes until the differences replace
+    # it; np.power is slow at 0, which a leaf of the triangle holds past its
+    # diagonal, so Phi(0) = 0 is filled in
+    w.fill(0.0)
+    np.power(d, beta + 1.0, out=w, where=d != 0.0)
     np.subtract(*reversed(ends(w)), out=D)
     D /= h * (beta * (beta + 1.0))
     far, near = (-1, 0) if left else (0, -1)
@@ -285,6 +289,10 @@ def _cluster_tree(nodes: np.ndarray) -> tuple[list, list, list]:
     return starts, jf, bands
 
 
+#: the entries on or below a leaf's diagonal, by rows, columns and offset
+_lower = lru_cache(maxsize=128)(partial(np.tri, dtype=bool))
+
+
 def _triangle_blocks(nodes: np.ndarray, beta: float, factor, x: np.ndarray):
     """Row blocks of the product-integration operator on nodes t_0..t_N,
     applied to the node values ``x``.
@@ -315,13 +323,14 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor, x: np.ndarray):
     on, and past column j0 each weight is the dense row's, bit for bit. A
     row then costs O(LEAF_ROWS) near entries and each level of the tree
     O(FAR_POINTS N) far ones, so the triangle costs O(N FAR_POINTS log(N /
-    LEAF_ROWS) + N LEAF_ROWS) entries instead of N^2 / 2: 0.46M at N =
-    2048 and 2.3M at 8192 on an r = 2 mesh. FAR_GAP = inf gives every
+    LEAF_ROWS) + N LEAF_ROWS) entries instead of N^2 / 2: 0.40M at N =
+    2048 and 2.0M at 8192 on an r = 2 mesh. FAR_GAP = inf gives every
     cluster jc = 0 and so the dense triangle.
 
     Each leaf builds its lag matrix max(t_i - t_j, 0) once and calls
-    ``factor``, an elementwise function, once on it: a call of a variable
-    kernel's bounded factor costs tens of µs whatever its size. One
+    ``factor``, an elementwise function, once on its entries on or below
+    the diagonal: a call of a variable kernel's bounded factor costs tens
+    of µs whatever its size, and C is 0 past the diagonal anyway. One
     scratch array of three rows holds a leaf's lags, slopes and weights,
     or a far sum's points: its rows have max((s1 - s0) (s1 - j0),
     FAR_POINTS (jc - jp + 1)) floats, O(FAR_POINTS N) on a graded mesh
@@ -359,7 +368,8 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor, x: np.ndarray):
         # t_i - t_j > 0 for j < s0 <= i: only the leaf's own columns clip
         np.maximum(lag[:, s0 - j0 :], 0.0, out=lag[:, s0 - j0 :])
         C = _moments(lag, h[j0 : s1 - 1], beta, "right", work[:2])
-        C *= factor(lag)
+        low = _lower(s1 - s0, s1 - j0, s0 - j0)
+        C[low] *= factor(lag[low])
         yield s0, s1, j0, C, far[s0:s1] if j0 else None
 
 

@@ -312,13 +312,13 @@ class TestLayout:
         }
         assert min(sizes) >= LEAF_ROWS and any(n % LEAF_ROWS for n in sizes)
 
-    @pytest.mark.parametrize("N, most", [(2048, 470_000), (8192, 2_300_000)])
+    @pytest.mark.parametrize("N, most", [(2048, 450_000), (8192, 2_300_000)])
     def test_entries_summed(self, N, most):
         """The entries the lag factor is evaluated at, near and far, on an
-        r = 2 mesh: 462,432 at N = 2048 and 2,265,884 at 8192, against
+        r = 2 mesh: 397,920 at N = 2048 and 2,007,836 at 8192, against
         676,875 and 5,774,561 for the two-level layout and N^2 / 2 dense.
-        Each leaf's block is its whole rectangle of rows by near columns,
-        so the zeros past its diagonal count too."""
+        A leaf's near entries past its diagonal, which are 0, are not
+        evaluated."""
         nodes = graded_mesh(N, 2.0, 0.5).nodes
         seen = []
 

@@ -289,6 +289,60 @@ class TestEmission:
         cli._emit(cfg, {"t": x * x, "u": x, "F": -x}, {})
         assert len(calls) == 3 * len(x)
 
+    def test_json_writer_is_json_dump_above_the_crossover(self, tmp_path):
+        """Columns long enough for the shortest-repr kernel are still
+        json.dump's bytes: a finite column over many decades, one holding
+        -0.0, a column with NaN and infinities (which keeps the mapped
+        path), and a twin pair."""
+        n = cli.SHORTEST_MIN_VALUES
+        x = np.linspace(-3.0, 3.0, n) ** 3 / 7.0
+        zeros = x.copy()
+        zeros[::3], zeros[1::3] = -0.0, 0.0
+        non_finite = x.copy()
+        non_finite[::5], non_finite[1::5], non_finite[2::5] = np.nan, np.inf, -np.inf
+        columns = {
+            "t": np.geomspace(1e-9, 1e20, n),
+            "u": x,
+            "F": x.copy(),
+            "zeros": zeros,
+            "nan": non_finite,
+        }
+        extra = {"gprime_l1": 0.25}
+        out = tmp_path / "t.json"
+        cfg = parse_config(json.dumps(_doc("solve", output={"path": str(out), "format": "json"})))
+        cli._emit(cfg, columns, extra)
+        assert out.read_text() == _json_dump_text(columns, extra)
+
+    def test_twin_column_is_formatted_once_above_the_crossover(self, tmp_path, monkeypatch):
+        """From the crossover on, a classical solve's u and F take one
+        kernel call between them, where distinct columns take one each, and
+        no value goes through repr; one value fewer takes repr."""
+        calls, reprs = [], []
+        kernel = cli._shortest_words
+
+        def counting_kernel(a):
+            calls.append(a.size)
+            return kernel(a)
+
+        def counting_repr(x):
+            reprs.append(x)
+            return repr(x)
+
+        monkeypatch.setattr(cli, "_shortest_words", counting_kernel)
+        monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+        out = tmp_path / "t.json"
+        cfg = parse_config(json.dumps(_doc("solve", output={"path": str(out), "format": "json"})))
+        x = np.linspace(0.1, 1.0, cli.SHORTEST_MIN_VALUES)
+        cli._emit(cfg, {"t": x * x, "u": x, "F": x.copy()}, {})
+        assert calls == [x.size] * 2
+        calls.clear()
+        cli._emit(cfg, {"t": x * x, "u": x, "F": -x}, {})
+        assert calls == [x.size] * 3
+        assert reprs == []
+        calls.clear()
+        cli._emit(cfg, {"t": x[1:]}, {})
+        assert calls == [] and len(reprs) == x.size - 1
+
     def test_default_output_path_is_command_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg_path = _write(tmp_path, _doc("verify-pair", N=64))

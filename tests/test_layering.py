@@ -590,6 +590,19 @@ def test_import_loads_no_unused_numpy_submodule():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_builds_no_power_of_ten():
+    """Importing the package and its CLI builds none of the shortest-repr
+    kernel's powers of ten: each is built on first use of its decimal
+    exponent, since the whole table of 617 costs far more than start-up."""
+    src = str(Path(sonine_kit.cli.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import sonine_kit; "
+        "from sonine_kit import cli; print(cli._pow10_limbs.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
 def _second_model_parts(source: str) -> list[str]:
     """Module-level definitions of the deleted fit's constants, and calls
     of _extrapolate_to_zero inside _forward_sweep, which reads m(0) from

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -546,3 +547,49 @@ class TestCheckGsc:
         np.testing.assert_array_equal(r1.gprime.values[1:], r2.gprime.values[1:])
         assert r1.g0 == r2.g0
         assert r1.gprime_l1 == r2.gprime_l1
+
+
+#: the verdict grid: affine profiles a0 + a1 t on (0, b] that stay inside
+#: (0, 1), each on r-graded meshes of N panels
+VERDICT_PROFILES = tuple(
+    itertools.product((0.1, 0.3, 0.5, 0.7, 0.9), (-0.4, -0.1, 0.2, 0.5, 0.8), (0.5, 1.0))
+)
+VERDICT_MESHES = tuple(itertools.product((1.0, 1.5, 2.0, 3.0, 4.0), (8, 16, 64, 256, 1024)))
+
+#: the (a0, a1, b, r, N) cases of the grid that check_gsc fails; it passes
+#: the other 839. All are coarse meshes at r <= 1.5: the first samples of
+#: g' fall off too steeply to call the model, or g(0+) misses 1e-3
+VERDICT_FAILURES = {
+    (0.1, 0.2, 1.0, 1.0, 8),
+    (0.1, 0.5, 1.0, 1.0, 8),
+    (0.1, 0.8, 0.5, 1.0, 8),
+    (0.1, 0.8, 1.0, 1.0, 8),
+    (0.1, 0.8, 1.0, 1.0, 16),
+    (0.1, 0.8, 1.0, 1.5, 8),
+    (0.3, -0.1, 1.0, 1.0, 8),
+    (0.3, 0.2, 1.0, 1.0, 8),
+    (0.3, 0.5, 1.0, 1.0, 8),
+    (0.3, 0.8, 0.5, 1.0, 8),
+    (0.5, -0.4, 1.0, 1.0, 8),
+}
+
+
+def test_verdict_map():
+    """check_gsc's verdict on each of the 850 grid cases is the checked-in
+    one; every case that changes is printed. A change to the verdict on
+    purpose updates VERDICT_FAILURES and lists the flipped cases."""
+    changed = []
+    cases = 0
+    for a0, a1, b in VERDICT_PROFILES:
+        if not 0.0 < min(a0, a0 + a1 * b) <= max(a0, a0 + a1 * b) < 1.0:
+            continue
+        pair = make_variable_exponent_pair(affine_exponent(a0, a1, b), b)
+        for r, N in VERDICT_MESHES:
+            case = (a0, a1, b, r, N)
+            passed = check_gsc(pair, graded_mesh(N, r, b)).gsc_pass
+            cases += 1
+            if passed != (case not in VERDICT_FAILURES):
+                changed.append(case)
+                print(f"verdict changed: a0, a1, b, r, N = {case}: now {'pass' if passed else 'fail'}")
+    assert cases == 850
+    assert changed == []

@@ -28,12 +28,13 @@ __all__ = [
 ]
 
 #: float64 entries in one block matrix of a blocked O(N M) row sum (64 KiB)
-#: and of a step of the sum-of-exponentials history sums: fixed so the
-#: block matrices stay in cache and peak memory stays flat at any N and M.
-#: Larger blocks made glibc trim the heap each time a block's temporaries
-#: were freed, and fault the same pages back in for the next block. The
-#: O(N^2) triangle of :func:`_triangle_blocks` sizes its blocks by rows
-#: instead (LEAF_ROWS)
+#: and of the anchor carry of the sum-of-exponentials history sums: fixed
+#: so the block matrices stay in cache and peak memory stays flat at any N
+#: and M. Larger blocks made glibc trim the heap each time a block's
+#: temporaries were freed, and fault the same pages back in for the next
+#: block. The O(N^2) triangle of :func:`_triangle_blocks` and the history
+#: sums' steps size their blocks by rows instead (LEAF_ROWS,
+#: SOE_BLOCK_ROWS), into one scratch array per call, which no block frees
 BLOCK_ENTRIES = 8192
 
 #: panel count per half of the reference rule for K * k on meshes of
@@ -89,15 +90,20 @@ FAR_GAP = 1.0
 #: history of a pure-power kernel by sum-of-exponentials recurrence, in
 #: O(N * #exp), instead of the O(N^2) triangle. One convolution of
 #: cos 7t + t on an r=2 mesh of (0, 0.5], kernel exponents 0.3, 0.5 and
-#: 0.7, best of 30, single-threaded BLAS on a 2-vCPU x86-64 host, dense
-#: against SOE: 0.70-0.73 against 0.83-0.89 ms at N=256, 0.97-1.20
-#: against 0.96-1.23 ms at 320, 1.04-1.32 against 0.96-1.25 ms at 336,
-#: 1.11-1.13 against 1.01-1.03 ms at 352, 1.26-1.29 against 1.03-1.04 ms
-#: at 384 and 2.08-2.39 against 1.26-1.60 ms at 512. Four runs on the same
-#: host put the crossover between 320 and 384 (a tie at 352 while the host
-#: was busy). With the row-cluster tree of :func:`_triangle_blocks` the
-#: triangle took 1.05, 1.24 and 1.31 ms against the SOE's 0.96, 1.03 and
-#: 1.08 at 320, 352 and 384 (best of 60), so the crossover stands.
+#: 0.7, in ms, best of 60 runs interleaved over every N, single-threaded
+#: BLAS on a shared 2-vCPU x86-64 host; the triangle is the row-cluster
+#: tree of :func:`_triangle_blocks`, the SOE :func:`_history_sums` with
+#: its exact first leaf and 256-row blocks:
+#:
+#:     N          256        288        320        352        384        416        448
+#:     triangle   0.84-0.87  1.26-1.43  1.09-1.22  1.74-1.81  1.37-1.47  1.63-1.93  1.72-1.75
+#:     SOE        1.04-1.07  1.27-1.29  1.13-1.18  1.34-1.36  1.19-1.25  1.35       1.31-1.33
+#:
+#: So the crossover lies between 320 and 352, where the SOE without its
+#: first leaf put it too (1.07-1.13 and 1.22-1.23 ms there, beside a
+#: triangle of 1.13-1.19 and 1.39-1.43). The triangle's 288 reads high:
+#: calls alternating with SOE calls made it fault up to 280 pages back in
+#: a call, with either SOE (resource.getrusage minor faults).
 SOE_MIN_N = 352
 
 #: Chebyshev-Lobatto points in s = ln t at which :func:`_in_log_t` samples
@@ -129,13 +135,16 @@ SOE_GAUSS_CUT = 8.0
 SOE_GAUSS_NODES = 16
 
 #: below this lambda * h the panel moment (1 - e^-z (1 + z)) / z^2 is
-#: taken from its Taylor series, since the closed form cancels
-SOE_SERIES_Z = 0.25
+#: taken from its Taylor series, since the closed form cancels: against
+#: 40-digit mpmath the closed form errs at most 1.8e-15 relative from z =
+#: 0.1 on (1.3e-15 from 0.25 on, 4.3e-15 from 0.05 on). The series takes
+#: 47% of the entries of an N = 4096, r = 2 call; a cut at 0.25, 52%
+SOE_SERIES_Z = 0.1
 
 #: Taylor coefficients -(k + 1) / (k + 2)! of minus that moment in powers
-#: of -z, highest first for Horner; twelve terms leave 1e-17 relative at
-#: SOE_SERIES_Z
-_SERIES = np.array([-(k + 1) / math.factorial(k + 2) for k in range(12)])[::-1]
+#: of -z, highest first for Horner; nine terms leave at most 4.4e-16
+#: relative below SOE_SERIES_Z (eight leave 5e-14)
+_SERIES = np.array([-(k + 1) / math.factorial(k + 2) for k in range(9)])[::-1]
 
 #: row streams that :func:`_history_sums` advances together, one row of
 #: each per Python step. More streams mean fewer steps on wider arrays but
@@ -158,6 +167,23 @@ SOE_STREAMS = 16
 #: and :func:`_history_sums` carries a stream's anchor state to a row only
 #: through the exponentials with lambda (t_k - t_a) at most this
 SOE_DECAYED = 40.0
+
+#: rows that one block of :func:`_history_sums`' steps forms the panel
+#: integrals of, SOE_BLOCK_ROWS // SOE_STREAMS steps of every stream; its
+#: scratch has 4 SOE_BLOCK_ROWS #exp floats (0.62 MB at N = 8192, r = 2,
+#: 76 exponentials), allocated once per call. Best / median ms of 40
+#: interleaved calls, exponent 0.5, phi = cos 7t + t, r = 2 on (0, 0.5],
+#: on a shared 2-vCPU x86-64 host; the entry budget of BLOCK_ENTRIES
+#: gave 80 rows at N = 4096. No size faulted a page back in between calls
+#: (resource.getrusage minor faults, 0 a call from the fourth on):
+#:
+#:     rows        80           128          256          512          1024
+#:     N = 512     1.40/1.62    1.31/1.54    1.28/1.50    1.32/1.52    1.35/1.55
+#:     N = 1024    2.25/2.54    2.06/2.31    1.96/2.25    2.06/2.29    2.13/2.48
+#:     N = 2048    3.62/4.04    3.30/3.72    3.37/3.57    3.45/3.61    3.60/3.81
+#:     N = 4096    6.67/7.47    6.45/6.74    6.15/6.37    6.05/6.37    6.46/6.78
+#:     N = 8192    12.41/13.54  12.05/12.54  11.39/11.86  11.32/11.74  12.05/12.66
+SOE_BLOCK_ROWS = 256
 
 
 def _moments(
@@ -433,7 +459,9 @@ def _far_sums(
 
 def _soe(gamma: float, h_min: float, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Exponents lambda_l and weights w_l with t^(-gamma) = sum_l w_l
-    e^(-lambda_l t) to about 1e-14 relative on [h_min, T].
+    e^(-lambda_l t) to about 1e-14 relative on [h_min, T]. Built afresh on
+    every call: :func:`_history_sums` passes the smallest lag its history
+    sums see, so the count follows the mesh.
 
     The trapezoid rule of step SOE_STEP in x = ln(lambda) on
     t^(-gamma) = Gamma(gamma)^-1 int e^(-t e^x + gamma x) dx. Above
@@ -481,17 +509,23 @@ def _history_sums(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray
     """int_0^{t_i} (t_i - s)^(beta-1) phi(s) ds at every node, phi
     interpolated linearly between its samples; 0 at t_0.
 
-    Row i splits at t_(i-1). The last panel is product-integrated exactly
+    Rows 1..LEAF_ROWS are the first leaf of :func:`_triangle_blocks`,
+    the dense rows bit for bit; N must exceed LEAF_ROWS. Every later row
+    i splits at t_(i-1). The last panel is product-integrated exactly
     with :func:`_moments`' weights. On the history [0, t_(i-1)] the lags
-    t_i - s lie in [h_min, T] (the smallest panel width and the mesh
-    length), where the kernel is the sum of exponentials of :func:`_soe`.
-    Each exponential carries the integral S_l(i) over [0, t_i] of
-    e^(-lambda_l (t_i - s)) phi(s) by the recurrence S_l(i) = e^(-z)
-    S_l(i-1) + P_l(i), z = lambda_l h_i, where P_l(i) is the last panel's
-    integral, exact for linear phi: h_i (g0(z) phi_i + g1(z) (phi_(i-1) -
-    phi_i)) with g0 = (1 - e^-z)/z and g1 = (1 - e^-z (1 + z))/z^2. The
-    decay is applied as S + expm1(-z) S, so its rounding does not compound
-    over the rows of a uniform mesh.
+    t_i - s lie in [h_min, T], for h_min the smallest width of the panels
+    past the first leaf's (h_i for i > LEAF_ROWS) and T the mesh length,
+    where the kernel is the sum of exponentials of :func:`_soe`: on an r
+    = 2 mesh of N = 4096 panels 70 exponentials, where the whole mesh's
+    h_1 would take 89. Each exponential carries the integral S_l(i) over
+    [0, t_i] of e^(-lambda_l (t_i - s)) phi(s) by the recurrence S_l(i) =
+    e^(-z) S_l(i-1) + P_l(i), z = lambda_l h_i, where P_l(i) is the last
+    panel's integral, exact for linear phi: h_i (g0(z) phi_i + g1(z)
+    (phi_(i-1) - phi_i)) with g0 = (1 - e^-z)/z and g1 = (1 - e^-z (1 +
+    z))/z^2. The decay is applied as S + expm1(-z) S, so its rounding does
+    not compound over the rows of a uniform mesh. The recurrence runs
+    through the first leaf's rows too: each S_l is exact whatever the
+    lags, and only those rows' sums would miss the lags below h_min.
 
     Rows 1..N are cut into SOE_STREAMS contiguous streams of L =
     ceil(N / SOE_STREAMS) rows. Each stream starts from a zero state at
@@ -502,14 +536,15 @@ def _history_sums(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray
     each anchor follows from the one before in closed form, S(a') =
     S_local(a') + e^(-lambda (t_a' - t_a)) S(a), and each row k of a
     stream gets sum_l w_l e^(-lambda_l (t_k - t_a)) S_l(a) over the
-    exponentials with lambda_l (t_k - t_a) <= SOE_DECAYED. Rows go in
-    blocks of BLOCK_ENTRIES entries in one scratch array, so memory stays
-    flat at any N. With one stream this is the row-by-row recurrence, bit
-    for bit.
+    exponentials with lambda_l (t_k - t_a) <= SOE_DECAYED. The steps go
+    in blocks of SOE_BLOCK_ROWS rows, and the carry in blocks of at most
+    BLOCK_ENTRIES entries, in one scratch array, so memory grows with
+    #exp, as log N, and not with N #exp. With one stream this is the
+    row-by-row recurrence, bit for bit.
     """
     h = np.diff(nodes)
     n = len(nodes)
-    lam, w = _soe(1.0 - beta, float(h.min()), float(nodes[-1] - nodes[0]))
+    lam, w = _soe(1.0 - beta, float(h[LEAF_ROWS:].min()), float(nodes[-1] - nodes[0]))
     n_exp = len(lam)
     out = np.zeros(n)
     last = np.zeros((n - 1, 2))
@@ -527,8 +562,8 @@ def _history_sums(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray
     h_s, phi_s, dphi_s = streamed(h), streamed(phi[1:]), streamed(phi[1:] - phi[:-1])
     hist = np.empty(L * G)  # e^(-z) S @ w, step by step
     S = np.zeros((G, n_exp))
-    steps = max(1, BLOCK_ENTRIES // (G * n_exp))
-    work = np.empty((4, steps * G * n_exp))
+    steps = max(1, SOE_BLOCK_ROWS // G)
+    work = np.empty((4, max(steps * G * n_exp, BLOCK_ENTRIES)))
     mul, add = np.multiply, np.add
     for j0 in range(0, L, steps):
         j1 = min(L, j0 + steps)
@@ -566,7 +601,6 @@ def _history_sums(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray
     for g in range(1, G - 1):
         S[g] += S[g - 1]
         S[g] += np.expm1(-lam * (anchors[g + 1] - anchors[g])) * S[g - 1]
-    room = work.shape[1]
     for g in range(1, G):
         a = g * L
         lag = nodes[a + 1 : a + L + 1] - nodes[a]
@@ -576,12 +610,17 @@ def _history_sums(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray
             # lambda ascends and the lag grows down the stream, so the
             # block's first row keeps the most exponentials
             c = int(np.searchsorted(lam, SOE_DECAYED / lag[i], side="right"))
-            i1 = min(len(lag), i + room // c)
+            i1 = min(len(lag), i + BLOCK_ENTRIES // c)
             E = _view(work[0], (i1 - i, c))
             np.multiply(lag[i:i1, None], -lam[:c], out=E)
             np.exp(E, out=E)
             out[a + 1 + i : a + 1 + i1] += E @ ws[:c]
             i = i1
+    # rows 1..LEAF_ROWS see lags below the SOE's interval: the triangle's
+    # first leaf, with the pure power's lag factor 1
+    first = slice(0, LEAF_ROWS + 1)
+    C = next(_triangle_blocks(nodes[first], beta, np.ones_like, phi[first]))[3]
+    out[1 : LEAF_ROWS + 1] = C @ phi[first]
     return out
 
 

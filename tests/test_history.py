@@ -2,7 +2,8 @@
 triangle.
 
 A pure-power kernel on SOE_MIN_N or more panels is convolved by
-:func:`quadrature._history_sums`: the last panel exactly, the history
+:func:`quadrature._history_sums`: rows 1..LEAF_ROWS as the triangle's
+first leaf, and each later row's last panel exactly and its history
 [0, t_(i-1)] through a sum of exponentials of the kernel, stepped over
 SOE_STREAMS row streams at once. The dense rows of ``_triangle_blocks``
 under FAR_GAP = inf (equal to ``product_weights`` bit for bit) are the
@@ -20,6 +21,7 @@ import pytest
 
 from sonine_kit import (
     KernelSpec,
+    Mesh,
     RhsSpec,
     SampledFunction,
     classical_abel_kernel,
@@ -33,7 +35,14 @@ from sonine_kit import (
     solve_first_kind,
 )
 from sonine_kit import quadrature
-from sonine_kit.quadrature import SOE_MIN_N, SOE_STREAMS, _history_sums, _soe, _triangle_blocks
+from sonine_kit.quadrature import (
+    LEAF_ROWS,
+    SOE_MIN_N,
+    SOE_STREAMS,
+    _history_sums,
+    _soe,
+    _triangle_blocks,
+)
 
 B = 0.5
 COEF = 1.3
@@ -143,12 +152,15 @@ class TestHistorySums:
         assert np.max(np.abs(got - want[:, 0])) <= 1e-14 * np.max(np.abs(want[:, 0]))
 
     def test_memory_stays_flat(self):
-        """No N x #exp array: the rows go in blocks of one scratch array."""
+        """No N x #exp array: the rows go in blocks of one scratch array.
+        The bound counts the exponentials of the SOE the call builds, on
+        the panels past the first leaf (76 at N = 8192, where h_1 would
+        give 95)."""
         N = 8192
         mesh = graded_mesh(N, 2.0, B)
         phi = SampledFunction(mesh=mesh, values=np.cos(7.0 * mesh.nodes))
         kernel = power_kernel(COEF, 0.5, B)
-        n_exp = len(_soe(0.5, mesh.nodes[1], B)[0])
+        n_exp = len(_soe(0.5, np.diff(mesh.nodes)[LEAF_ROWS:].min(), B)[0])
         tracemalloc.start()
         try:
             convolve_weakly_singular(kernel, phi)
@@ -156,6 +168,54 @@ class TestHistorySums:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 8 * (N + 1) * n_exp
+
+
+class TestFirstLeaf:
+    """Rows 1..LEAF_ROWS are the triangle's first leaf, and the SOE covers
+    the smallest lag that any later row's history sees, wherever the
+    narrowest panel lies."""
+
+    N = 1024
+
+    def split_mesh(self):
+        """An r = 2 mesh with a node split in two, 1e-9 apart, eight
+        panels before the end: its narrowest panel lies far past the first
+        leaf, and is far narrower than the panel that ends the leaf."""
+        t = graded_mesh(self.N, 2.0, B).nodes
+        k = self.N - 8
+        return Mesh(nodes=np.insert(t, k + 1, t[k] + 1e-9))
+
+    @pytest.fixture(scope="class")
+    def dense(self, dense_triangle):
+        """The dense triangle of each phi alone, as _history_sums sums it:
+        a matrix product over the three columns at once rounds otherwise."""
+        mesh = self.split_mesh()
+        phi = phi_columns(mesh.nodes)
+        with dense_triangle():
+            return {
+                gamma: np.column_stack(
+                    [triangle(power_kernel(1.0, gamma, B), col.copy(), mesh) for col in phi.T]
+                )
+                for gamma in EXPONENTS
+            }
+
+    def test_mesh(self):
+        h = np.diff(self.split_mesh().nodes)
+        assert SOE_MIN_N <= self.N and LEAF_ROWS < SOE_MIN_N
+        assert h.argmin() > LEAF_ROWS and h.min() < 1e-3 * h[LEAF_ROWS]
+
+    @pytest.mark.parametrize("gamma", EXPONENTS)
+    def test_matches_dense_triangle(self, gamma, dense):
+        """Every row within 1e-12 of the column maximum, which an SOE
+        built from the panel that ends the first leaf misses, and the
+        first leaf's rows bit for bit."""
+        mesh = self.split_mesh()
+        phi = phi_columns(mesh.nodes)
+        for j, name in enumerate(PHIS):
+            got = _history_sums(mesh.nodes, 1.0 - gamma, phi[:, j].copy())
+            want = dense[gamma][:, j]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+            np.testing.assert_array_equal(got[1 : LEAF_ROWS + 1], want[1 : LEAF_ROWS + 1])
 
 
 def first_stream_only(t):

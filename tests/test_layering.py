@@ -29,7 +29,9 @@ interface. The forward sweep builds no interpolant of its own: the far
 field of its history sums is the quadrature operator's, whose row-cluster
 tree has one layout at every N, with no dense crossover, super-block size
 or row floor, and no entry budget. Importing the package
-loads no numpy submodule it does not use, to keep start-up short.
+loads no numpy submodule it does not use, to keep start-up short. The sum
+of exponentials of pure-power convolutions is built on every call, neither
+cached nor built at import.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ OUTPUT_CALLS = {"print", "open", "_emit"}
 #: interpolant in ln t is plain numpy, and the derivative spot-check's points
 #: are fixed numbers)
 UNUSED_NUMPY = ("numpy.polynomial", "numpy.random")
+
+#: the sum-of-exponentials functions, which build the SOE afresh on every
+#: call: the benchmark empties only ``_reference_rule``'s cache between
+#: passes, so a memoised SOE would make later passes cheaper than a fresh
+#: CLI process, which pays for it once
+SOE_FUNCTIONS = ("_soe", "_history_sums")
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
 
 #: what builds a pair: the CLI's helper and the pair type and constructors
 PAIR_BUILDERS = {"_build_pair"} | {
@@ -601,6 +610,78 @@ def test_import_builds_no_power_of_ten():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+def _soe_caches(source: str) -> list[str]:
+    """Cache decorators on the SOE functions, and module-level statements
+    that name them: a table built at import, or a cached rebinding."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            if node.name in SOE_FUNCTIONS:
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = getattr(target, "id", None) or getattr(target, "attr", None)
+                    if name in CACHE_DECORATORS:
+                        found.append(f"line {dec.lineno}: {node.name} is decorated with {name}")
+            continue
+        for sub in ast.walk(node):
+            name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and name in SOE_FUNCTIONS:
+                found.append(f"line {sub.lineno}: module level names {name}")
+    return found
+
+
+def test_soe_is_built_per_call():
+    """No cache holds an SOE across calls, in the source or at run time."""
+    assert _soe_caches(Path(sonine_kit.quadrature.__file__).read_text()) == []
+    for name in SOE_FUNCTIONS:
+        assert not hasattr(getattr(sonine_kit.quadrature, name), "cache_info"), name
+
+
+def test_import_builds_no_soe():
+    """Importing the package and its CLI calls neither SOE function."""
+    src = str(Path(sonine_kit.cli.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); calls = []\n"
+        "def spy(frame, event, arg):\n"
+        f"    if event == 'call' and frame.f_code.co_name in {SOE_FUNCTIONS!r}:\n"
+        "        calls.append(frame.f_code.co_name)\n"
+        "sys.setprofile(spy)\n"
+        "import sonine_kit.cli\n"
+        "sys.setprofile(None)\n"
+        "print(calls)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "@lru_cache(maxsize=8)\ndef _soe(gamma, h_min, T):\n    pass\n",
+        "@functools.cache\ndef _history_sums(nodes, beta, phi):\n    pass\n",
+        "_soe = lru_cache(maxsize=None)(_soe)",
+        "_HALF = _soe(0.5, 1e-8, 1.0)",
+        "if True:\n    TABLE = {g: quadrature._soe(g, 1e-8, 1.0) for g in (0.3, 0.5)}\n",
+    ],
+)
+def test_soe_cache_guard_catches_violations(source):
+    assert _soe_caches(source)
+
+
+def test_soe_cache_guard_allows_other_caches_and_calls_inside_functions():
+    source = (
+        "@lru_cache(maxsize=2)\n"
+        "def _lobatto(P):\n"
+        "    pass\n"
+        "def _history_sums(nodes, beta, phi):\n"
+        "    lam, w = _soe(1.0 - beta, h_min, T)\n"
+        "def convolve_weakly_singular(kernel, phi):\n"
+        "    return _history_sums(nodes, beta, phi)\n"
+    )
+    assert _soe_caches(source) == []
 
 
 def _second_model_parts(source: str) -> list[str]:

@@ -187,32 +187,30 @@ SOE_BLOCK_ROWS = 256
 
 
 def _moments(
-    d: np.ndarray,
-    h: np.ndarray,
-    beta: float,
-    singular_end: str,
-    work: np.ndarray | None = None,
+    d: np.ndarray, h: np.ndarray, beta: float, work: np.ndarray | None = None
 ) -> np.ndarray:
     """Product-integration weights along the last axis of ``d``.
 
-    ``d`` holds each node's distance to the singular point and ``h`` the
-    panel widths. The weights w satisfy sum_j w_j phi(s_j) = int w(s)
-    phi(s) ds for w(s) = (distance)^(beta-1), exactly for piecewise-linear
-    phi. The singular point sits at the first node ("left") or the last
-    ("right"), where d is 0; a row of ``d`` may end in zeros, whose panels
-    then have weight exactly 0. The farthest node of a row must have d > 0.
-    Valid for beta in (0, 1]; beta = 1 is the trapezoid rule.
+    ``d`` holds each node's distance to the singular point, which lies on
+    or past a row's last node, and ``h`` the panel widths. The weights w
+    satisfy sum_j w_j phi(s_j) = int w(s) phi(s) ds for w(s) =
+    (distance)^(beta-1) over the row's nodes, exactly for piecewise-linear
+    phi. A row of ``d`` may end in zeros, whose panels then have weight
+    exactly 0; its first node must have d > 0. Valid for beta in (0, 1];
+    beta = 1 is the trapezoid rule. :func:`_mirrored_moments` serves a
+    singular point at the first node.
 
     Phi(d) = d^(beta+1) / (beta (beta+1)) has Phi'' = d^(beta-1), so each
-    weight is Phi's second divided difference across its hat function.
-    With the singular point on the right, w_j = D_(j-1) - D_j, where D_k =
-    (Phi(d_k) - Phi(d_(k+1))) / h_k is Phi's slope across panel k (on the
-    left, mirrored). At the two end nodes the missing panel's slope is
-    Phi'(d) = d^beta / beta: 0 at the singular node and (beta+1) Phi(d) /
-    d at the far node, so a row costs one power per node, and its weights
-    telescope to d_far^beta / beta. Neighbouring slopes nearly cancel far
-    from the singular point: a weight carries a relative rounding error of
-    about eps (d/h)^2.
+    weight is Phi's second divided difference across its hat function:
+    w_j = D_(j-1) - D_j, where D_k = (Phi(d_k) - Phi(d_(k+1))) / h_k is
+    Phi's slope across panel k. At the two end nodes the missing panel's
+    slope is Phi'(d) = d^beta / beta: (beta+1) Phi(d) / d at the first
+    node, and at the last, whose hat is cut there, d_last^beta / beta,
+    exactly 0 on the singular node. A row costs one power per node and
+    one for the cut; with d_last = 0 its weights telescope to d_first^beta
+    / beta.
+    Neighbouring slopes nearly cancel far from the singular point: a
+    weight carries a relative rounding error of about eps (d/h)^2.
 
     A reversed (negative-stride) row of ``d`` is refused: np.power can
     round it differently in the last bit, which the far weights amplify
@@ -229,26 +227,25 @@ def _moments(
         D, w = np.empty(panels), np.empty(d.shape)
     else:
         D, w = _view(work[0], panels), _view(work[1], d.shape)
-    left = singular_end == "left"
-
-    def ends(x):
-        """(lo, hi) panel-end views of x: the ends nearer to and farther
-        from the singular point."""
-        return (x[..., :-1], x[..., 1:]) if left else (x[..., 1:], x[..., :-1])
-
     # w holds beta (beta+1) Phi at the nodes until the differences replace
     # it; np.power is slow at 0, which a leaf of the triangle holds past its
     # diagonal, so Phi(0) = 0 is filled in
     w.fill(0.0)
     np.power(d, beta + 1.0, out=w, where=d != 0.0)
-    np.subtract(*reversed(ends(w)), out=D)
+    np.subtract(w[..., :-1], w[..., 1:], out=D)
     D /= h * (beta * (beta + 1.0))
-    far, near = (-1, 0) if left else (0, -1)
-    slope_far = w[..., far] / (d[..., far] * beta)
-    np.subtract(*reversed(ends(D)), out=w[..., 1:-1])
-    w[..., near] = D[..., near]
-    np.subtract(slope_far, D[..., far], out=w[..., far])
+    slope_first = w[..., 0] / (d[..., 0] * beta)
+    np.subtract(D[..., :-1], D[..., 1:], out=w[..., 1:-1])
+    w[..., -1] = D[..., -1] - d[..., -1] ** beta / beta
+    np.subtract(slope_first, D[..., 0], out=w[..., 0])
     return w
+
+
+def _mirrored_moments(d: np.ndarray, h: np.ndarray, beta: float) -> np.ndarray:
+    """:func:`_moments` for a singular point on or before the first node of
+    the row ``d``, through its contiguous reversed copy; the weights are
+    returned contiguous, in the row's order."""
+    return _moments(d[::-1].copy(), h[::-1], beta)[::-1].copy()
 
 
 def _view(row: np.ndarray, shape: tuple) -> np.ndarray:
@@ -276,7 +273,7 @@ def product_weights(mesh: Mesh, i: int, beta: float) -> np.ndarray:
     if not (math.isfinite(beta) and 0.0 < beta < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta!r}")
     nodes = mesh.nodes[: i + 1]
-    return _moments(nodes[-1] - nodes, np.diff(nodes), beta, "right")
+    return _moments(nodes[-1] - nodes, np.diff(nodes), beta)
 
 
 def _cluster_tree(nodes: np.ndarray) -> tuple[list, list, list]:
@@ -353,7 +350,9 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor, x: np.ndarray):
     2048 and 2.0M at 8192 on an r = 2 mesh. FAR_GAP = inf gives every
     cluster jc = 0 and so the dense triangle.
 
-    Each leaf builds its lag matrix max(t_i - t_j, 0) once and calls
+    Each leaf builds its lag matrix max(t_i - t_j, 0) once, takes C's
+    weights from one :func:`_moments` call on it, whose rows end in 0 at
+    the leaf's last column, so no row's last hat is cut, and calls
     ``factor``, an elementwise function, once on its entries on or below
     the diagonal: a call of a variable kernel's bounded factor costs tens
     of µs whatever its size, and C is 0 past the diagonal anyway. One
@@ -393,7 +392,7 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor, x: np.ndarray):
         np.subtract(nodes[s0:s1, None], nodes[j0:s1], out=lag)
         # t_i - t_j > 0 for j < s0 <= i: only the leaf's own columns clip
         np.maximum(lag[:, s0 - j0 :], 0.0, out=lag[:, s0 - j0 :])
-        C = _moments(lag, h[j0 : s1 - 1], beta, "right", work[:2])
+        C = _moments(lag, h[j0 : s1 - 1], beta, work[:2])
         low = _lower(s1 - s0, s1 - j0, s0 - j0)
         C[low] *= factor(lag[low])
         yield s0, s1, j0, C, far[s0:s1] if j0 else None
@@ -426,20 +425,18 @@ def _far_sums(
     The sums are formed exactly at the rows ``points`` of
     :func:`_far_rows` and interpolated to the others by the barycentric
     formula. At a point s the weights are :func:`_moments`' for nodes
-    t_jp..t_jc with singular point s: the first hat keeps its right half,
-    and the last is cut at t_jc, so its weight loses Phi's slope d^beta /
-    beta there. Points on rows, not at the Chebyshev points themselves,
-    keep the lags that the near field sees: on a uniform mesh every lag is
-    a node, where a piecewise-linear factor is exact, and the sweep agrees
-    with the dense triangle to rounding. ``work`` is
-    :func:`_triangle_blocks`' scratch.
+    t_jp..t_jc with singular point s past them: the first hat keeps its
+    right half, and :func:`_moments` cuts the last at t_jc. Points on
+    rows, not at the Chebyshev points themselves, keep the lags that the
+    near field sees: on a uniform mesh every lag is a node, where a
+    piecewise-linear factor is exact, and the sweep agrees with the dense
+    triangle to rounding. ``work`` is :func:`_triangle_blocks`' scratch.
     """
     rows, others = points
     s = t[rows]
     lag = _view(work[2], (len(s), len(nodes)))
     np.subtract(s[:, None], nodes, out=lag)
-    F = _moments(lag, h, beta, "right", work[:2])
-    F[:, -1] -= lag[:, -1] ** beta / beta
+    F = _moments(lag, h, beta, work[:2])
     F *= factor(lag)
     v = F @ x
     # barycentric weights of the points, scaled to [0, 1]
@@ -549,7 +546,7 @@ def _history_sums(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray
     out = np.zeros(n)
     last = np.zeros((n - 1, 2))
     last[:, 0] = h
-    last = _moments(last, h[:, None], beta, "right")
+    last = _moments(last, h[:, None], beta)
     out[1:] = last[:, 0] * phi[:-1] + last[:, 1] * phi[1:]
     L = -(-(n - 1) // SOE_STREAMS)
     G = -(-(n - 1) // L)  # no stream is all padding
@@ -763,15 +760,17 @@ def _reference_rule(sigma: float, M: int, r: float) -> tuple[np.ndarray, np.ndar
     It stays exact on linear phi. Its weights alternate about 2/3 and 4/3
     of a panel weight, as in Simpson's rule, and are positive past v = 0;
     the weight at v = 0 dips below 0 on strongly graded rules with a weak
-    singularity (down to -0.19 of its neighbour for r <= 4).
+    singularity (down to -0.19 of its neighbour for r <= 4). The singular
+    point is the first node, so both rules are :func:`_moments`' on the
+    mirrored rows (:func:`_mirrored_moments`).
     """
     v = (np.arange(M + 1, dtype=float) / M) ** r
     v[-1] = 1.0
     beta = 1.0 - sigma
-    w = _moments(v, np.diff(v), beta, "left")
+    w = _mirrored_moments(v, np.diff(v), beta)
     coarse = v[::2]
     w *= 4.0 / 3.0
-    w[::2] -= _moments(coarse, np.diff(coarse), beta, "left") / 3.0
+    w[::2] -= _mirrored_moments(coarse, np.diff(coarse), beta) / 3.0
     v.setflags(write=False)
     w.setflags(write=False)
     return v, w

@@ -34,7 +34,7 @@ from .quadrature import (
     REF_PANELS,
     _check_panels,
     _in_log_t,
-    _moments,
+    _mirrored_moments,
     _pair_convolution,
     _pair_panels,
     convolve_pair,
@@ -330,10 +330,15 @@ def _near_origin_model(
         models.sort(key=lambda model: abs(model[0][3] - y[3]))
     fit, integral, (eps, m0) = models[0]
     n = len(y) if judged else k
-    if np.ptp(y[:n]) <= FLAT_RTOL * np.max(np.abs(y[:n])):
+    top = np.max(np.abs(y[:n]))
+    if np.ptp(y[:n]) <= FLAT_RTOL * top:
         r2 = 1.0
     else:
-        r2 = 1.0 - float(np.sum((fit[:n] - y[:n]) ** 2) / np.sum((y[:n] - y[:n].mean()) ** 2))
+        # scaled by a power of two, exactly, so the squares of a tiny g'
+        # do not underflow to 0 / 0
+        scale = np.ldexp(1.0, -np.frexp(top)[1])
+        res, dev = (fit[:n] - y[:n]) * scale, (y[:n] - y[:n].mean()) * scale
+        r2 = 1.0 - float(np.sum(res**2) / np.sum(dev**2))
     if m0 is None:  # a log or bounded g'
         return float(t[1] * integral), EpsFit(abs(float(y[0])), eps, judged and not steep, r2), None
     passed = sigma is None or eps <= 1.0 - sigma - EPS_MARGIN
@@ -407,7 +412,7 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     eps = eps_fit.eps if m0 is not None else _window_slope(interior[window], gp[1:][window])
     gprime = SampledFunction(mesh=mesh, values=gp)
     m = _bounded_factor(gprime, eps, m0)
-    w_l1 = _moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps, "left")
+    w_l1 = _mirrored_moments(nodes - nodes[0], np.diff(nodes), 1.0 - eps)
     return _GateInputs(
         gprime=gprime,
         g0=g0,

@@ -130,6 +130,15 @@ class TestParseConfig:
         with pytest.raises(DomainError, match="tolerances.nope"):
             parse_config(json.dumps(_doc(tolerances={"nope": 1.0})))
 
+    def test_route_diff_is_not_a_tolerance(self, tmp_path):
+        """route_diff is |delta|, the rule's own error on the classical part,
+        which no CLI data moves past 2.2e-5: a tolerance on it cannot test
+        the pair, so a config that names one is refused."""
+        doc = _doc("compute-g", kernel=VARIABLE_KERNEL, tolerances={"route_diff": 1e-12})
+        with pytest.raises(DomainError, match=r"tolerances\.route_diff.*unknown tolerance"):
+            parse_config(json.dumps(doc))
+        assert main(["compute-g", "--config", _write(tmp_path, doc)]) == 1
+
     def test_invalid_json_rejected(self):
         with pytest.raises(DomainError, match="not valid JSON"):
             parse_config("{command:")

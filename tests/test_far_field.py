@@ -344,7 +344,7 @@ class TestLayout:
             row = far + C @ x[j0:i1]
             for i in range(i0, i1):
                 w = quadrature._moments(
-                    mesh.nodes[i] - mesh.nodes[: i + 1], np.diff(mesh.nodes[: i + 1]), beta, "right"
+                    mesh.nodes[i] - mesh.nodes[: i + 1], np.diff(mesh.nodes[: i + 1]), beta
                 ) if beta == 1.0 else product_weights(mesh, i, beta)
                 full = w * pair_a.k.smooth(mesh.nodes[i] - mesh.nodes[: i + 1])
                 np.testing.assert_array_equal(C[i - i0, 1 : i + 1 - j0], full[j0 + 1 :])

@@ -820,3 +820,75 @@ def test_layout_guard_allows_the_tree_and_the_row_sums():
         "        pass\n"
     )
     assert _two_level_layout_parts(source) == []
+
+
+#: the one product-weight contract: the singular point lies on or past a
+#: row's last node, so _moments takes no orientation switch, and the far
+#: bands' cut last hat is its business, not its callers'
+MOMENTS_PARAMETERS = ["d", "h", "beta", "work"]
+SOURCE_FILES = sorted(Path(sonine_kit.quadrature.__file__).parent.glob("*.py"))
+
+
+def _moments_contract_breaks(source: str) -> list[str]:
+    """A _moments whose parameters are not (d, h, beta, work), calls of
+    _moments that pass a string, and powers of beta outside _moments,
+    such as an end cut patched on after the call."""
+    tree = ast.parse(source)
+    found = []
+    inside = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_moments":
+            names = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+            if names != MOMENTS_PARAMETERS or fn.args.vararg or fn.args.kwarg:
+                found.append(f"line {fn.lineno}: _moments takes {names}")
+            inside |= {id(node) for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        callee = getattr(node, "func", None)
+        name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+        if isinstance(node, ast.Call) and name == "_moments":
+            args = node.args + [k.value for k in node.keywords]
+            if any(isinstance(a, ast.Constant) and isinstance(a.value, str) for a in args):
+                found.append(f"line {node.lineno}: _moments is passed a string")
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and getattr(node.right, "id", None) == "beta"
+            and id(node) not in inside
+        ):
+            found.append(f"line {node.lineno}: a power of beta outside _moments")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCE_FILES, ids=lambda p: p.name)
+def test_one_product_weight_contract(path):
+    """_moments takes (d, h, beta, work) with no orientation, no call
+    passes it one, and no caller patches a weight with a power of beta."""
+    assert _moments_contract_breaks(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _moments(d, h, beta, singular_end, work=None):\n    pass\n",
+        "def _moments(d, h, beta, work=None, *, left=False):\n    pass\n",
+        "w = _moments(v, np.diff(v), beta, 'left')\n",
+        "w = quadrature._moments(d, h, 1.0, singular_end='right')\n",
+        "def _far_sums(nodes, h, beta, factor, x, t, points, work):\n"
+        "    F = _moments(lag, h, beta, work[:2])\n"
+        "    F[:, -1] -= lag[:, -1] ** beta / beta\n",
+    ],
+)
+def test_moments_guard_catches_violations(source):
+    assert _moments_contract_breaks(source)
+
+
+def test_moments_guard_allows_the_contract_and_its_mirror():
+    source = (
+        "def _moments(d, h, beta, work=None):\n"
+        "    w[..., -1] = D[..., -1] - d[..., -1] ** beta / beta\n"
+        "def _mirrored_moments(d, h, beta):\n"
+        "    return _moments(d[::-1].copy(), h[::-1], beta)[::-1].copy()\n"
+        "C = _moments(lag, h[j0 : s1 - 1], beta, work[:2])\n"
+        "y = x ** (beta + 1.0)\n"
+    )
+    assert _moments_contract_breaks(source) == []

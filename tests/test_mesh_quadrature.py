@@ -27,7 +27,7 @@ from sonine_kit import (
     product_weights,
 )
 from sonine_kit.mesh import MAX_ENDPOINT
-from sonine_kit.quadrature import _moments
+from sonine_kit.quadrature import _mirrored_moments, _moments
 
 
 class TestGradedMesh:
@@ -121,15 +121,15 @@ class TestProductWeights:
         = 0.05), so such a row is refused before any arithmetic; its
         contiguous copy and a positive-stride view are not."""
         v = np.linspace(0.0, 1.0, 257)
-        d = (1.0 - v)[::-1]
+        d = v[::-1]  # distances to a singular point at the right end
         work = np.full((2, 2 * d.size), 7.0)
-        for rows in (d, np.stack([1.0 - v, 1.0 - v])[:, ::-1]):
+        for rows in (d, np.stack([v, v])[:, ::-1]):
             with pytest.raises(DomainError, match="stride"):
-                _moments(rows, np.diff(d), 0.05, "left", work)
+                _moments(rows, -np.diff(d), 0.05, work)
         assert np.all(work == 7.0)
-        w = _moments(d.copy(), np.diff(d), 0.05, "left")
+        w = _moments(d.copy(), -np.diff(d), 0.05)
         assert abs(math.fsum(w) - 1.0 / 0.05) <= 1e-12
-        _moments(v[::2], np.diff(v[::2]), 0.05, "left")
+        _moments((1.0 - v)[::2], -np.diff((1.0 - v)[::2]), 0.05)
 
     def test_weight_sum_identity(self):
         m = graded_mesh(64, 3.0, 0.7)
@@ -220,7 +220,7 @@ class TestWeightsAgainstMpmath:
             if singular_end == "right":
                 w = product_weights(mesh, i, beta)
             else:  # the reference rule's end
-                w = _moments(nodes, np.diff(nodes), beta, "left")
+                w = _mirrored_moments(nodes, np.diff(nodes), beta)
             exact = _exact_weights(nodes, beta, singular_end)
             with mp.workdps(50):
                 got = [mp.mpf(float(x)) for x in w]

@@ -412,7 +412,7 @@ def sweep_oracle(gprime, F, mesh, eps):
         if eps > 0.0:
             w = product_weights(mesh, i, 1.0 - eps)
         else:
-            w = quadrature._moments(nodes[i] - nodes[: i + 1], np.diff(nodes[: i + 1]), 1.0, "right")
+            w = quadrature._moments(nodes[i] - nodes[: i + 1], np.diff(nodes[: i + 1]), 1.0)
         A[i, : i + 1] += w * np.interp(nodes[i] - nodes[: i + 1], nodes, m)
     b = F.values.copy()
     if not np.isfinite(b[0]):

@@ -18,7 +18,9 @@ from conftest import (
 )
 from sonine_kit import (
     DomainError,
+    GscConditionError,
     KernelSpec,
+    RhsSpec,
     SoninePair,
     affine_exponent,
     check_gsc,
@@ -32,6 +34,7 @@ from sonine_kit import (
     make_classical_abel_pair,
     make_variable_exponent_pair,
     power_kernel,
+    solve_first_kind,
 )
 from sonine_kit import quadrature, sonine
 from sonine_kit.quadrature import _default_panels
@@ -522,6 +525,22 @@ class TestCheckGsc:
         assert report.route_diff <= 5e-5
         assert report.gsc_pass
 
+    @pytest.mark.parametrize("a1", [1e-300, -1e-300, 1e-200])
+    def test_tiny_slope_reads_a_finite_r_squared(self, a1):
+        """A g' of about 1e-300 passes the CLI's range check; its R^2 is
+        formed from residuals scaled by a power of two, whose squares do
+        not underflow to 0 / 0 (a NaN, and a RuntimeWarning). It reads what
+        a1 = 1e-100 reads, where nothing underflows."""
+        mesh = graded_mesh(64, 2.0, 1.0)
+
+        def fit(slope):
+            pair = make_variable_exponent_pair(affine_exponent(0.5, slope, 1.0), 1.0)
+            return check_gsc(pair, mesh).eps_fit
+
+        tiny = fit(a1)
+        assert 0.0 < abs(tiny.C) < 1e-160 and tiny.passed
+        assert tiny.r_squared == fit(math.copysign(1e-100, a1)).r_squared
+
     def test_eps_bound_when_profile_attached(self, pair_a, mesh_512_half):
         report = check_gsc(pair_a, mesh_512_half)
         if report.eps_fit.passed and report.eps_fit.C > 1e-6:
@@ -592,4 +611,78 @@ def test_verdict_map():
                 changed.append(case)
                 print(f"verdict changed: a0, a1, b, r, N = {case}: now {'pass' if passed else 'fail'}")
     assert cases == 850
+    assert changed == []
+
+
+#: the gate map: the verdict grid's valid profiles, solved with f = t on
+#: the coarse meshes where the model of g' has fewest samples
+GATE_MESHES = tuple(itertools.product((1.0, 1.5, 2.0, 3.0), (2, 3, 4, 5, 6, 8, 16, 64)))
+
+#: the (a0, a1, b, r, N) cases of the gate map whose solve the gate on g(0+)
+#: refuses; it solves the other 1052. All are at N <= 6, on the steepest
+#: profiles, where the first samples of g' leave g(0+) past the gate
+GATE_REFUSALS = {
+    (0.1, 0.5, 0.5, 1.0, 2),
+    (0.1, 0.5, 0.5, 1.0, 3),
+    (0.1, 0.5, 0.5, 1.5, 2),
+    (0.1, 0.5, 1.0, 1.0, 2),
+    (0.1, 0.5, 1.0, 1.0, 3),
+    (0.1, 0.5, 1.0, 1.0, 4),
+    (0.1, 0.5, 1.0, 1.0, 5),
+    (0.1, 0.5, 1.0, 1.5, 3),
+    (0.1, 0.8, 0.5, 1.0, 2),
+    (0.1, 0.8, 0.5, 1.0, 3),
+    (0.1, 0.8, 0.5, 1.5, 2),
+    (0.1, 0.8, 0.5, 1.5, 3),
+    (0.1, 0.8, 0.5, 2.0, 2),
+    (0.1, 0.8, 0.5, 3.0, 2),
+    (0.1, 0.8, 1.0, 1.0, 2),
+    (0.1, 0.8, 1.0, 1.0, 3),
+    (0.1, 0.8, 1.0, 1.0, 4),
+    (0.1, 0.8, 1.0, 1.0, 5),
+    (0.1, 0.8, 1.0, 1.0, 6),
+    (0.1, 0.8, 1.0, 1.5, 2),
+    (0.1, 0.8, 1.0, 1.5, 3),
+    (0.1, 0.8, 1.0, 1.5, 4),
+    (0.1, 0.8, 1.0, 2.0, 3),
+    (0.1, 0.8, 1.0, 3.0, 2),
+    (0.3, 0.5, 0.5, 1.0, 2),
+    (0.3, 0.5, 1.0, 1.0, 2),
+    (0.3, 0.5, 1.0, 1.0, 3),
+    (0.3, 0.5, 1.0, 1.0, 4),
+    (0.3, 0.8, 0.5, 1.0, 2),
+    (0.3, 0.8, 0.5, 1.0, 3),
+    (0.3, 0.8, 0.5, 1.5, 2),
+    (0.3, 0.8, 0.5, 2.0, 2),
+    (0.5, 0.8, 0.5, 1.0, 2),
+    (0.5, 0.8, 0.5, 1.0, 3),
+    (0.5, 0.8, 0.5, 1.5, 2),
+    (0.5, 0.8, 0.5, 2.0, 2),
+}
+
+
+def test_gate_map():
+    """solve_first_kind with f = t is refused by its gate on each of the
+    1088 grid cases in GATE_REFUSALS and solves every other one; every
+    case that changes is printed. A change to the gate on purpose updates
+    GATE_REFUSALS and lists the flipped cases."""
+    rhs = RhsSpec.from_polynomial((0.0, 1.0))
+    changed = []
+    cases = 0
+    for a0, a1, b in VERDICT_PROFILES:
+        if not 0.0 < min(a0, a0 + a1 * b) <= max(a0, a0 + a1 * b) < 1.0:
+            continue
+        pair = make_variable_exponent_pair(affine_exponent(a0, a1, b), b)
+        for r, N in GATE_MESHES:
+            case = (a0, a1, b, r, N)
+            try:
+                solve_first_kind(pair, rhs, graded_mesh(N, r, b))
+                refused = False
+            except GscConditionError:
+                refused = True
+            cases += 1
+            if refused != (case in GATE_REFUSALS):
+                changed.append(case)
+                print(f"gate changed: a0, a1, b, r, N = {case}: now {'refused' if refused else 'solved'}")
+    assert cases == 1088
     assert changed == []

@@ -423,14 +423,15 @@ def _far_sums(
     ``t``, for ``nodes`` t_jp..t_jc left of t[0] and ``x`` = x_jp..x_jc.
 
     The sums are formed exactly at the rows ``points`` of
-    :func:`_far_rows` and interpolated to the others by the barycentric
-    formula. At a point s the weights are :func:`_moments`' for nodes
-    t_jp..t_jc with singular point s past them: the first hat keeps its
-    right half, and :func:`_moments` cuts the last at t_jc. Points on
-    rows, not at the Chebyshev points themselves, keep the lags that the
-    near field sees: on a uniform mesh every lag is a node, where a
-    piecewise-linear factor is exact, and the sweep agrees with the dense
-    triangle to rounding. ``work`` is :func:`_triangle_blocks`' scratch.
+    :func:`_far_rows` and interpolated to the others by
+    :func:`_barycentric`. At a point s the weights are :func:`_moments`'
+    for nodes t_jp..t_jc with singular point s past them: the first hat
+    keeps its right half, and :func:`_moments` cuts the last at t_jc.
+    Points on rows, not at the Chebyshev points themselves, keep the lags
+    that the near field sees: on a uniform mesh every lag is a node, where
+    a piecewise-linear factor is exact, and the sweep agrees with the
+    dense triangle to rounding. ``work`` is :func:`_triangle_blocks`'
+    scratch.
     """
     rows, others = points
     s = t[rows]
@@ -438,19 +439,13 @@ def _far_sums(
     np.subtract(s[:, None], nodes, out=lag)
     F = _moments(lag, h, beta, work[:2])
     F *= factor(lag)
-    v = F @ x
+    out = np.empty((len(t),) + x.shape[1:])
+    out[rows] = F @ x
     # barycentric weights of the points, scaled to [0, 1]
     dz = np.subtract.outer(s, s)
     dz /= s[-1] - s[0]
     dz.flat[:: len(s) + 1] = 1.0
-    bary = 1.0 / dz.prod(axis=1)
-    # no other row lies on a point, so no difference is 0
-    L = t[others, None] - s
-    np.divide(bary, L, out=L)
-    L /= L.sum(axis=1, keepdims=True)
-    out = np.empty((len(t),) + x.shape[1:])
-    out[rows] = v
-    out[others] = L @ v
+    out[others] = _barycentric(s, 1.0 / dz.prod(axis=1), out[rows], t[others])
     return out
 
 
@@ -629,34 +624,52 @@ def _row_blocks(n_rows: int, n_cols: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
-@lru_cache(maxsize=2)
-def _lobatto(P: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The P ascending Chebyshev-Lobatto points x_k = -cos(pi k / (P-1))
-    on [-1, 1], their barycentric weights (-1)^k (halved at the ends), and
-    the matrix of the DCT-I that maps values at the points to the
-    coefficients of the interpolant in Chebyshev polynomials T_j.
+def _barycentric(
+    points: np.ndarray, weights: np.ndarray, values: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """The interpolant through ``values`` at the ascending ``points``, of
+    barycentric ``weights``, at every time of the flat array ``x``:
+    values along the first axis of a 1-D or 2-D array.
 
-    T_j(x_k) = cos(pi j (P-1-k) / (P-1)) is looked up in a table of the
-    2(P-1) angles pi m / (P-1), reduced exactly in integers: the cosine of
-    the unreduced product j (pi - theta_k) is off by up to 3e-14 at P = 64.
+    The second barycentric formula (d @ (weights values)) / (d @ weights),
+    d = 1 / (x - points) (Berrut and Trefethen, SIAM Review 46, 2004),
+    in blocks of BLOCK_ENTRIES entries of d, so memory stays flat at any
+    len(x). An x on a point divides by 0 there, and takes the point's
+    value; a NaN among the values stays NaN at every other x.
     """
-    n = P - 1
-    cos = [math.cos(math.pi * m / n) for m in range(2 * n)]
-    x = np.array([-cos[k] for k in range(P)])
+    trailing = (1,) * (values.ndim - 1)
+    weighted = weights.reshape(weights.shape + trailing) * values
+    out = np.empty(x.shape + values.shape[1:])
+    work = np.empty(BLOCK_ENTRIES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in _row_blocks(len(x), len(points)):
+            d = _view(work, (rows.stop - rows.start, len(points)))
+            np.subtract(x[rows, None], points, out=d)
+            np.divide(1.0, d, out=d)
+            # two matrix-vector products on 1-D values: one matrix product
+            # with both columns makes BLAS set up its GEMM buffers, 0.1-0.25
+            # MB more peak RSS in a process that has not used them
+            den = d @ weights
+            np.divide(d @ weighted, den.reshape(den.shape + trailing), out=out[rows])
+    if np.isnan(out).any():
+        at = np.minimum(np.searchsorted(points, x), len(points) - 1)
+        on_point = points[at] == x
+        out[on_point] = values[at[on_point]]
+    return out
+
+
+@lru_cache(maxsize=2)
+def _lobatto(P: int) -> tuple[np.ndarray, np.ndarray]:
+    """The P ascending Chebyshev-Lobatto points x_k = -cos(pi k / (P-1))
+    on [-1, 1] and their barycentric weights (-1)^k, halved at the ends."""
+    x = np.array([-math.cos(math.pi * k / (P - 1)) for k in range(P)])
     x[0], x[-1] = -1.0, 1.0
     bary = np.ones(P)
     bary[1::2] = -1.0
     bary[[0, -1]] *= 0.5
-    to_coef = np.empty((P, P))
-    for j, row in enumerate(to_coef):
-        row[:] = [cos[j * (n - k) % (2 * n)] for k in range(P)]
-    # the DCT-I sum halves its end terms, and so do c_0 and c_(P-1)
-    to_coef *= 2.0 / n
-    to_coef[:, [0, -1]] *= 0.5
-    to_coef[[0, -1]] *= 0.5
-    for a in (x, bary, to_coef):
+    for a in (x, bary):
         a.setflags(write=False)
-    return x, bary, to_coef
+    return x, bary
 
 
 def _in_log_t(f, t: np.ndarray) -> np.ndarray:
@@ -665,11 +678,11 @@ def _in_log_t(f, t: np.ndarray) -> np.ndarray:
     instead of len(t).
 
     f is called once, at the Chebyshev-Lobatto points of s on [ln t[0],
-    ln t[-1]], whose end points are t[0] and t[-1] exactly. When the last
-    four Chebyshev coefficients of the interpolant are at most LOG_T_TAIL
-    times the largest, the interpolant is evaluated at every other t by
-    the barycentric formula, in blocks of BLOCK_ENTRIES entries, so memory
-    stays flat at any len(t). Otherwise, and for fewer than
+    ln t[-1]], whose end points are t[0] and t[-1] exactly. The
+    interpolant's Chebyshev coefficients are the DCT-I of the samples,
+    taken from one FFT of their even extension. When the last four are at
+    most LOG_T_TAIL times the largest, the interpolant is evaluated at
+    every other t by :func:`_barycentric`. Otherwise, and for fewer than
     4 * LOG_T_POINTS times, the result is f(t) itself. The rule's output
     is as smooth in ln t as g is: its nodes are fixed, and near 0 its
     terms go as t ln t and t (see README, "Numerical notes").
@@ -677,38 +690,23 @@ def _in_log_t(f, t: np.ndarray) -> np.ndarray:
     P = LOG_T_POINTS
     if len(t) < 4 * P:
         return f(t)
-    x_k, bary, to_coef = _lobatto(P)
+    x_k, bary = _lobatto(P)
     s0, s1 = math.log(t[0]), math.log(t[-1])
     mid, half = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
     t_k = np.exp(mid + half * x_k)
     t_k[0], t_k[-1] = t[0], t[-1]
     f_k = f(t_k)
-    c = np.abs(to_coef @ f_k)
+    # (P - 1) c_j: the DCT-I sum halves its end terms, and so do c_0 and
+    # c_(P-1); ascending points flip the sign of every odd c_j
+    c = np.abs(np.fft.rfft(np.concatenate([f_k, f_k[-2:0:-1]])).real)
+    c[[0, -1]] *= 0.5
     if not c[-4:].max() <= LOG_T_TAIL * c.max():  # a NaN fails too
         return f(t)
-    out = np.empty(len(t))
-    out[0], out[-1] = f_k[0], f_k[-1]
-    inner = out[1:-1]
     x = np.log(t[1:-1])
     x -= mid
     x /= half
     np.clip(x, -1.0, 1.0, out=x)
-    weighted = bary * f_k
-    work = np.empty(BLOCK_ENTRIES)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for rows in _row_blocks(len(x), P):
-            d = _view(work, (rows.stop - rows.start, P))
-            np.subtract(x[rows, None], x_k, out=d)
-            np.divide(1.0, d, out=d)
-            # two matrix-vector products: one matrix product with both
-            # columns makes BLAS set up its GEMM buffers, 0.1-0.25 MB more
-            # peak RSS in a process that has not used them
-            np.divide(d @ weighted, d @ bary, out=inner[rows])
-    # a time on a point divides by 0 there, and takes the point's value
-    on_point = np.isnan(inner)
-    if on_point.any():
-        inner[on_point] = f_k[np.searchsorted(x_k, x[on_point])]
-    return out
+    return np.concatenate([f_k[:1], _barycentric(x_k, bary, f_k, x), f_k[-1:]])
 
 
 def _check_panels(M) -> None:

@@ -55,8 +55,13 @@ G0_TOL_DEFAULT = 1e-3
 #: a log-singular g' takes the sweep's and the L1 norm's eps from the nodes
 #: with t <= b * EPS_WINDOW_FRACTION (:func:`_window_slope`), which keeps
 #: every profile table. eps = EPS_CLIP_MAX would delete that fit and cut
-#: residuals 2.5-3x at r <= 3, but at r = 4, whose far weights are noise,
-#: it failed 12 of 224 unbounded-u solves that pass with the slope
+#: residuals 2.5-3x at r <= 3: batch-small's residual_first_kind_max
+#: 3.47e-3 to 2.00e-3, its converge_order_min 1.142 to 1.262, and the
+#: errors of u = t on 0.5 + 0.2t (r = 2, N = 128 to 1024) 2.2-2.7x, order
+#: 0.84-0.87 to 0.96. But at r = 4, whose far weights are noise, discover
+#: on the 34 valid profiles of the verdict grid passes 30/26/14/11 times
+#: at N = 128/256/512/1024, against 25/28/20/12 with the slope (r = 3:
+#: 27/28/28/28 against 23/28/28/28)
 EPS_WINDOW_FRACTION = 0.25
 
 #: a power model's eps must stay below 1 - sigma, k's order, by this margin
@@ -273,7 +278,7 @@ def _fd_gprime(nodes: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _near_origin_model(
-    t: np.ndarray, y: np.ndarray, means: bool, sigma: float | None
+    t: np.ndarray, y: np.ndarray, means: bool, sigma: float
 ) -> tuple[float, EpsFit, float | None]:
     """The integral of g' over [0, t_1] under a model of g' near 0, the
     model as an :class:`EpsFit`, and a power model's m(0) = lim s^eps g'
@@ -288,7 +293,7 @@ def _near_origin_model(
     fourth sample more closely is chosen. With fewer samples there is
     nothing to judge by, and the first model is read without c2. A log or
     bounded g' is integrable; a power, when eps <= 1 - sigma - EPS_MARGIN
-    (any eps for a ``sigma`` of None). Too few samples, or first ones that
+    for k's order ``sigma``. Too few samples, or first ones that
     fall off as fast as x^(-EPS_CLIP_MAX), are not conclusive.
     """
     x = t[1 : 6 if means else 5] / t[1]
@@ -341,7 +346,7 @@ def _near_origin_model(
         r2 = 1.0 - float(np.sum(res**2) / np.sum(dev**2))
     if m0 is None:  # a log or bounded g'
         return float(t[1] * integral), EpsFit(abs(float(y[0])), eps, judged and not steep, r2), None
-    passed = sigma is None or eps <= 1.0 - sigma - EPS_MARGIN
+    passed = eps <= 1.0 - sigma - EPS_MARGIN
     return float(t[1] * integral), EpsFit(abs(m0), eps, passed, r2), m0
 
 
@@ -376,8 +381,8 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     first nodes or, where g' is differenced from g, from g there, gives
     g(0+) as g(t_1) less its integral over [0, t_1] (g(t_1) is 1 for a
     classical pair, one :func:`compute_g_substituted` value, or the first
-    sample of g); the verdict, whose eps margin reads k's order when k has
-    a ``smooth_log_deriv``; and g' = t^(-eps) m(t) for the L1 norm and
+    sample of g); the verdict, whose eps margin reads k's order however k
+    is given; and g' = t^(-eps) m(t) for the L1 norm and
     the sweep: a power's own eps and m(0), or for a log or bounded g' the
     window slope (:func:`_window_slope`) and :func:`_bounded_factor`'s m(0).
 
@@ -404,7 +409,7 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
         gp = _fd_gprime(nodes, g.values)
     if not (math.isfinite(g_first) and np.all(np.isfinite(gp[1:]))):
         raise DomainError("g at the first node and g' at the interior nodes must be finite")
-    sigma = pair.k.local_exponent if pair.k.smooth_log_deriv is not None else None
+    sigma = pair.k.local_exponent
     samples = gp if g is None else g.values
     integral, eps_fit, m0 = _near_origin_model(nodes, samples, g is not None, sigma)
     g0 = g_first - integral

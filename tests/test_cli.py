@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sonine_kit
 from sonine_kit import (
@@ -25,7 +30,7 @@ from sonine_kit import (
     parse_config,
     stability_report,
 )
-from sonine_kit import cli
+from sonine_kit import cli, volterra
 from sonine_kit.cli import COMMANDS, TOL_DEFAULTS, main
 from sonine_kit.volterra import RESID_FIRST_INDEX
 
@@ -780,3 +785,63 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stderr == ""  # no RuntimeWarning about sonine_kit.cli in sys.modules
         assert out.exists()
+
+
+def _documented_nulls(job: dict, record: dict) -> set:
+    """(field, row) of each null that README documents for this job: row
+    None for a scalar field."""
+    allowed = set()
+    if job["kernel"]["kind"] == "classical":
+        allowed.add(("route_diff", None))  # one g route, no second to compare
+    if job["command"] == "converge":
+        floor = [e <= volterra.ORDER_FLOOR for e in record["max_err"]]
+        # no predecessor at the first level; an error at rounding leaves no order
+        allowed |= {("order", i) for i in range(len(floor)) if i == 0 or floor[i] or floor[i - 1]}
+        if sum(not f for f in floor) < 2:
+            allowed.add(("fitted_order", None))
+    return allowed
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(deadline=None, max_examples=100, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["classical", "variable"]),
+    a0=st.floats(min_value=0.02, max_value=0.98),
+    slope=st.floats(min_value=-1.0, max_value=1.0),
+    log_b=st.floats(min_value=-4.0, max_value=4.0),
+    r=st.floats(min_value=1.0, max_value=4.0),
+    N=st.one_of(st.integers(min_value=2, max_value=512), st.integers(2, 64).map(lambda k: 8 * k)),
+    coeffs=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=3),
+)
+def test_no_silent_nan(command, kind, a0, slope, log_b, r, N, coeffs):
+    """Over CLI configs, a command either exits 0, or 2 on a tolerance
+    failure, with its one-line summary on stdout and a table whose values
+    are finite except where README documents a null; or exits 1 with one
+    line on stderr. A numpy warning, which the suite turns into an error,
+    or any other exception fails the property. The profile's slope a1 is
+    drawn as a multiple of 1 / b, so most profiles stay inside (0, 1)."""
+    b = 10.0**log_b
+    kernel = {"kind": kind, "b": b}
+    kernel.update({"alpha": a0} if kind == "classical" else {"a0": a0, "a1": slope / b})
+    job = _doc(command, kernel=kernel, N=N, r=r, rhs={"coeffs": coeffs})
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "job.json", Path(tmp) / "out.json"
+        cfg.write_text(json.dumps(job))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main([command, "--config", str(cfg), "--out", str(out), "--format", "json"])
+        if rc == 1:
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("error: ")
+            assert stderr.getvalue().count("\n") == 1
+            return
+        assert rc in (0, 2)
+        assert stderr.getvalue() == "" and stdout.getvalue().count("\n") == 1
+        record = json.loads(out.read_text())
+    nulls = {
+        (key, i if isinstance(value, list) else None)
+        for key, value in record.items()
+        for i, v in (enumerate(value) if isinstance(value, list) else [(None, value)])
+        if v is None
+    }
+    assert nulls <= _documented_nulls(job, record), (job, nulls)

@@ -23,7 +23,13 @@ from sonine_kit import (
     make_variable_exponent_pair,
 )
 from sonine_kit import sonine
-from sonine_kit.quadrature import LOG_T_POINTS, _default_panels, _in_log_t
+from sonine_kit.quadrature import (
+    LOG_T_POINTS,
+    _barycentric,
+    _default_panels,
+    _in_log_t,
+    _lobatto,
+)
 
 B = 0.5
 
@@ -146,6 +152,31 @@ class TestSampler:
         out = _in_log_t(lambda x: np.where(x > 0.1, np.nan, x), t)
         np.testing.assert_array_equal(out, np.where(t > 0.1, np.nan, t))
 
+
+
+class TestBarycentric:
+    """The one interpolator of the ln t sampler and the far field."""
+
+    def test_points_take_their_values_and_columns_interpolate_apart(self):
+        """A time on a point takes the point's value exactly; 2-D values
+        interpolate column by column, as 1-D values would, to rounding of
+        the values' size (a matrix product sums in another order than a
+        matrix-vector product)."""
+        x_k, bary = _lobatto(17)
+        f = np.column_stack([np.exp(x_k), np.cos(3.0 * x_k)])
+        x = np.r_[x_k[3], np.linspace(-0.99, 0.99, 9), x_k[-1]]
+        out = _barycentric(x_k, bary, f, x)
+        np.testing.assert_array_equal(out[[0, -1]], f[[3, -1]])
+        for j in range(2):
+            np.testing.assert_allclose(out[:, j], _barycentric(x_k, bary, f[:, j], x), atol=1e-15)
+        np.testing.assert_allclose(out[1:-1, 0], np.exp(x[1:-1]), rtol=1e-13)
+
+    def test_nan_value_stays_nan_off_the_points(self):
+        x_k, bary = _lobatto(17)
+        f = np.exp(x_k)
+        f[5] = np.nan
+        out = _barycentric(x_k, bary, f, np.r_[x_k[2], 0.1234])
+        assert out[0] == f[2] and np.isnan(out[1])
 
 def test_check_gsc_memory_stays_flat(pair_a):
     """No N x LOG_T_POINTS matrix: check_gsc at N = 8192 peaks below a

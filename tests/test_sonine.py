@@ -614,6 +614,77 @@ def test_verdict_map():
     assert changed == []
 
 
+#: the pairs off the profile grid: the tempered pair and the two-term pairs
+PAIR_MAP_PAIRS = {
+    "tempered": tempered_pair,
+    **{name: (lambda p=p: two_term_pair(*p)) for name, p in TWO_TERM.items()},
+}
+
+#: the factors on K of the pair map: as built, and 1% either way
+PAIR_MAP_SCALES = (1.0, 1.01, 1.0 / 1.01)
+PAIR_MAP_MESHES = tuple(itertools.product((1.5, 2.0, 3.0), (64, 256, 1024)))
+
+#: the (pair, with t S'(t), r, N) cases of the pair map whose unscaled pair
+#: check_gsc fails: the two-term pair (0.3, 0.5), whose eps = 0.7 lies
+#: past the margin below 1 - beta, with k's t S'(t) or without
+PAIR_MAP_FAILURES = {
+    ("two-term (0.3, 0.5)", log_deriv, r, N)
+    for log_deriv in (True, False)
+    for r, N in PAIR_MAP_MESHES
+}
+
+
+def _pair_case(name: str, scale: float, log_deriv: bool) -> SoninePair:
+    """The named pair with K scaled by ``scale``, and without k's t S'(t)
+    unless ``log_deriv``."""
+    pair = PAIR_MAP_PAIRS[name]()
+    K = pair.K
+    if scale != 1.0:
+        K = power_kernel(K.power_coef * scale, K.local_exponent, pair.b)
+    k = pair.k if log_deriv else replace(pair.k, smooth_log_deriv=None)
+    return SoninePair(k=k, K=K)
+
+
+def test_pair_verdict_map():
+    """check_gsc's verdict on the 216 cases of the pairs off the profile
+    grid: each pair as built, with K scaled by 1.01 and by 1/1.01, and
+    with and without k's t S'(t), at r in {1.5, 2, 3} and N in {64, 256,
+    1024}. Every scaled pair fails; the pairs as built fail only as
+    PAIR_MAP_FAILURES says. Every case that changes is printed."""
+    changed = []
+    cases = 0
+    for name, scale, log_deriv in itertools.product(
+        PAIR_MAP_PAIRS, PAIR_MAP_SCALES, (True, False)
+    ):
+        pair = _pair_case(name, scale, log_deriv)
+        for r, N in PAIR_MAP_MESHES:
+            passed = check_gsc(pair, graded_mesh(N, r, pair.b)).gsc_pass
+            expected = scale == 1.0 and (name, log_deriv, r, N) not in PAIR_MAP_FAILURES
+            cases += 1
+            if passed != expected:
+                changed.append((name, scale, log_deriv, r, N))
+                print(
+                    f"verdict changed: {name}, K x {scale:.6g}, t S'(t) {log_deriv}, "
+                    f"r = {r}, N = {N}: now {'pass' if passed else 'fail'}"
+                )
+    assert cases == 216
+    assert changed == []
+
+
+@pytest.mark.parametrize("N", [512, 2048])
+@pytest.mark.parametrize("name", [*PAIR_MAP_PAIRS])
+def test_verdict_does_not_depend_on_how_k_is_given(name, N):
+    """A pair gets one verdict and one model of g' near 0 whether k
+    carries its t S'(t) or not: the eps margin reads k's order, which
+    every kernel states. The two-term pair (0.3, 0.5), eps = 0.7, failed
+    with t S'(t) and passed without it, when the margin was read only
+    from a k that had one."""
+    mesh = graded_mesh(N, 2.0, PAIR_MAP_PAIRS[name]().b)
+    built, bare = (check_gsc(_pair_case(name, 1.0, d), mesh) for d in (True, False))
+    assert built.gsc_pass == bare.gsc_pass
+    assert built.eps_fit.passed == bare.eps_fit.passed
+
+
 #: the gate map: the verdict grid's valid profiles, solved with f = t on
 #: the coarse meshes where the model of g' has fewest samples
 GATE_MESHES = tuple(itertools.product((1.0, 1.5, 2.0, 3.0), (2, 3, 4, 5, 6, 8, 16, 64)))

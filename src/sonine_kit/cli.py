@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .kernels import (
     make_variable_exponent_pair,
 )
 from .mesh import graded_mesh
-from .sonine import check_gsc, compute_g
+from .sonine import G0_TOL_DEFAULT, check_gsc, compute_g
 from .volterra import (
     RhsSpec,
     convergence_study,
@@ -41,7 +42,7 @@ COMMANDS = ("verify-pair", "compute-g", "solve", "discover", "converge", "stabil
 
 #: tolerance defaults; any key may be overridden in the config's "tolerances" map
 TOL_DEFAULTS = {
-    "g0": 1e-3,
+    "g0": G0_TOL_DEFAULT,
     "residual_first_kind": 5e-3,
     "sc_residual_of_u": 5e-3,
     "min_order": 0.8,
@@ -56,26 +57,31 @@ _Result = tuple[dict, dict, dict, bool]
 
 
 @dataclass(frozen=True, slots=True)
-class KernelConfig:
-    kind: str  # "classical" or "variable"
-    alpha: float | None
-    a0: float | None
-    a1: float | None
-    b: float
-
-
-@dataclass(frozen=True, slots=True)
 class JobConfig:
-    """One validated job: what to run, on what, and where results go."""
+    """One validated job: what to run, on what, and where results go;
+    ``kernel`` holds the kernel fields that built ``pair``."""
 
     command: str
-    kernel: KernelConfig
+    kernel: SimpleNamespace
+    pair: SoninePair
     N: int
     r: float
-    rhs_coeffs: tuple
+    rhs: RhsSpec
     out_path: str | None
     out_format: str
     tolerances: dict
+
+
+def _variable_pair(a0: float, a1: float, b: float) -> SoninePair:
+    return make_variable_exponent_pair(affine_exponent(a0, a1, b), b)
+
+
+#: the kernel kinds: each kind's own fields and the library call that
+#: builds its pair from them and b, which refuses what it cannot build
+_KINDS = {
+    "classical": (("alpha",), make_classical_abel_pair),
+    "variable": (("a0", "a1"), _variable_pair),
+}
 
 
 def _cfg_error(field: str, msg: str) -> DomainError:
@@ -99,37 +105,34 @@ def _as_real(obj: dict, key: str, where: str, default=None):
     return float(v)
 
 
-def _parse_kernel(doc: dict) -> KernelConfig:
+def _parse_kernel(doc: dict) -> tuple[SimpleNamespace, SoninePair]:
+    """The kernel's fields and the pair they build (:func:`parse_config`)."""
     if "kernel" not in doc or not isinstance(doc["kernel"], dict):
         raise _cfg_error("kernel", "missing required object")
     kd = doc["kernel"]
-    _take(kd, ("kind", "alpha", "a0", "a1", "b"), "kernel.")
+    _take(kd, ("kind", "b", *(f for fields, _ in _KINDS.values() for f in fields)), "kernel.")
     kind = kd.get("kind")
-    if kind not in ("classical", "variable"):
-        raise _cfg_error("kernel.kind", f"must be 'classical' or 'variable', got {kind!r}")
+    if kind not in _KINDS:
+        raise _cfg_error("kernel.kind", f"must be {' or '.join(map(repr, _KINDS))}, got {kind!r}")
     b = _as_real(kd, "b", "kernel.")
     if b <= 0.0:
         raise _cfg_error("kernel.b", f"must be positive, got {b!r}")
-    if kind == "classical":
-        alpha = _as_real(kd, "alpha", "kernel.")
-        if not 0.0 < alpha < 1.0:
-            raise _cfg_error("kernel.alpha", f"must lie in (0, 1), got {alpha!r}")
-        return KernelConfig(kind=kind, alpha=alpha, a0=None, a1=None, b=b)
-    a0 = _as_real(kd, "a0", "kernel.")
-    a1 = _as_real(kd, "a1", "kernel.")
-    lo, hi = min(a0, a0 + a1 * b), max(a0, a0 + a1 * b)
-    if not 0.0 < lo <= hi < 1.0:
-        raise _cfg_error(
-            "kernel.a0", f"affine profile leaves (0, 1) on [0, {b!r}]: range [{lo!r}, {hi!r}]"
-        )
-    return KernelConfig(kind=kind, alpha=None, a0=a0, a1=a1, b=b)
+    fields, build = _KINDS[kind]
+    values = {name: _as_real(kd, name, "kernel.") for name in fields}
+    try:
+        pair = build(*values.values(), b)
+    except DomainError as exc:
+        raise _cfg_error(f"kernel.{fields[0]}", str(exc)) from exc
+    return SimpleNamespace(kind=kind, b=b, **values), pair
 
 
 def parse_config(text: str) -> JobConfig:
     """Parse and validate a JSON job document into a JobConfig.
 
-    Defaults: mesh N=512, r=2, rhs f(t)=t, format csv. Violations are
-    reported with the offending field's dotted name.
+    Defaults: mesh N=512, r=2, rhs f(t)=t, format csv. The pair and the
+    data are built here, once. Violations are reported with the offending
+    field's dotted name, and a kernel the library refuses with its kind's
+    first field (``kernel.alpha``, ``kernel.a0``).
     """
     try:
         doc = json.loads(text)
@@ -143,7 +146,7 @@ def parse_config(text: str) -> JobConfig:
     if command not in COMMANDS:
         raise _cfg_error("command", f"must be one of {', '.join(COMMANDS)}, got {command!r}")
 
-    kernel = _parse_kernel(doc)
+    kernel, pair = _parse_kernel(doc)
 
     mesh_doc = doc.get("mesh", {})
     if not isinstance(mesh_doc, dict):
@@ -161,13 +164,14 @@ def parse_config(text: str) -> JobConfig:
         raise _cfg_error("rhs", "must be an object with coeffs")
     _take(rhs_doc, ("coeffs",), "rhs.")
     coeffs = rhs_doc.get("coeffs", [0.0, 1.0])
-    if (
-        not isinstance(coeffs, list)
-        or len(coeffs) == 0
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in coeffs)
-        or any(not math.isfinite(float(v)) for v in coeffs)
+    if not isinstance(coeffs, list) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in coeffs
     ):
-        raise _cfg_error("rhs.coeffs", f"must be a nonempty list of finite numbers, got {coeffs!r}")
+        raise _cfg_error("rhs.coeffs", f"must be a list of numbers, got {coeffs!r}")
+    try:
+        rhs = RhsSpec.from_polynomial(coeffs)
+    except DomainError as exc:
+        raise _cfg_error("rhs.coeffs", str(exc)) from exc
 
     out_doc = doc.get("output", {})
     if not isinstance(out_doc, dict):
@@ -194,19 +198,14 @@ def parse_config(text: str) -> JobConfig:
     return JobConfig(
         command=command,
         kernel=kernel,
+        pair=pair,
         N=n_raw,
         r=r,
-        rhs_coeffs=tuple(float(v) for v in coeffs),
+        rhs=rhs,
         out_path=out_path,
         out_format=fmt,
         tolerances=tolerances,
     )
-
-
-def _build_pair(kc: KernelConfig) -> SoninePair:
-    if kc.kind == "classical":
-        return make_classical_abel_pair(kc.alpha, kc.b)
-    return make_variable_exponent_pair(affine_exponent(kc.a0, kc.a1, kc.b), kc.b)
 
 
 def _fmt(x) -> str:
@@ -509,9 +508,9 @@ def _emit(cfg: JobConfig, columns: dict, extra: dict) -> str:
     return path
 
 
-def _run_verify_pair(cfg: JobConfig, pair: SoninePair) -> _Result:
-    mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
-    report = check_gsc(pair, mesh, g0_tol=cfg.tolerances["g0"])
+def _run_verify_pair(cfg: JobConfig) -> _Result:
+    mesh = graded_mesh(cfg.N, cfg.r, cfg.pair.b)
+    report = check_gsc(cfg.pair, mesh, g0_tol=cfg.tolerances["g0"])
     columns = {"t": mesh.nodes[1:], "g": report.g.values[1:]}
     extra = {
         "g0": report.g0,
@@ -529,19 +528,18 @@ def _run_verify_pair(cfg: JobConfig, pair: SoninePair) -> _Result:
     return columns, extra, summary, report.gsc_pass
 
 
-def _run_compute_g(cfg: JobConfig, pair: SoninePair) -> _Result:
-    mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
-    g_fn, route_diff = compute_g(pair, mesh)
+def _run_compute_g(cfg: JobConfig) -> _Result:
+    mesh = graded_mesh(cfg.N, cfg.r, cfg.pair.b)
+    g_fn, route_diff = compute_g(cfg.pair, mesh)
     g = g_fn.values[1:]
     max_defect = float(np.max(np.abs(g - 1.0)))
     summary = {"max_defect": max_defect, "route_diff": route_diff}
     return {"t": mesh.nodes[1:], "g": g}, summary, summary, True
 
 
-def _run_solve(cfg: JobConfig, pair: SoninePair) -> _Result:
-    mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
-    rhs = RhsSpec.from_polynomial(cfg.rhs_coeffs)
-    report = solve_first_kind(pair, rhs, mesh)
+def _run_solve(cfg: JobConfig) -> _Result:
+    mesh = graded_mesh(cfg.N, cfg.r, cfg.pair.b)
+    report = solve_first_kind(cfg.pair, cfg.rhs, mesh)
     columns = {"t": mesh.nodes[1:], "u": report.u.values[1:], "F": report.F.values[1:]}
     summary = {
         "residual_first_kind": report.residual_first_kind,
@@ -552,9 +550,9 @@ def _run_solve(cfg: JobConfig, pair: SoninePair) -> _Result:
     return columns, extra, summary, ok
 
 
-def _run_discover(cfg: JobConfig, pair: SoninePair) -> _Result:
-    mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
-    report = discover_associate(pair.k, pair.K, mesh)
+def _run_discover(cfg: JobConfig) -> _Result:
+    mesh = graded_mesh(cfg.N, cfg.r, cfg.pair.b)
+    report = discover_associate(cfg.pair.k, cfg.pair.K, mesh)
     columns = {
         "t": mesh.nodes[1:],
         "u": report.u.values[1:],
@@ -570,10 +568,9 @@ def _run_discover(cfg: JobConfig, pair: SoninePair) -> _Result:
     return columns, extra, summary, ok
 
 
-def _run_converge(cfg: JobConfig, pair: SoninePair) -> _Result:
-    rhs = RhsSpec.from_polynomial(cfg.rhs_coeffs)
-    report = convergence_study(pair, rhs, cfg.N, cfg.r)
-    b = cfg.kernel.b
+def _run_converge(cfg: JobConfig) -> _Result:
+    report = convergence_study(cfg.pair, cfg.rhs, cfg.N, cfg.r)
+    b = cfg.pair.b
     columns = {
         "N": report.N,
         "h": [b / n for n in report.N],
@@ -585,9 +582,9 @@ def _run_converge(cfg: JobConfig, pair: SoninePair) -> _Result:
     return columns, {"fitted_order": report.fitted_order}, summary, ok
 
 
-def _run_stability(cfg: JobConfig, pair: SoninePair) -> _Result:
-    mesh = graded_mesh(cfg.N, cfg.r, cfg.kernel.b)
-    report = stability_report(pair, cfg.tolerances["delta"], mesh)
+def _run_stability(cfg: JobConfig) -> _Result:
+    mesh = graded_mesh(cfg.N, cfg.r, cfg.pair.b)
+    report = stability_report(cfg.pair, cfg.tolerances["delta"], mesh)
     columns = {
         name: [getattr(report, name)] for name in ("delta", "max_shift", "gprime_l1", "bound")
     }
@@ -612,13 +609,12 @@ def _show(v) -> str:
 def run(cfg: JobConfig) -> int:
     """Execute one validated job; returns the process exit status.
 
-    The pair is built once from the config's kernel and handed to the
-    command, which computes its table, JSON-only fields, summary pairs and
+    The command computes its table, JSON-only fields, summary pairs and
     pass flag without I/O; this writes the table with :func:`_emit`,
     prints the summary as ``name=value`` pairs followed by ``-> path``,
     and returns 0 on pass and 2 on a tolerance failure.
     """
-    columns, extra, summary, ok = _DISPATCH[cfg.command](cfg, _build_pair(cfg.kernel))
+    columns, extra, summary, ok = _DISPATCH[cfg.command](cfg)
     path = _emit(cfg, columns, extra)
     print(" ".join(f"{k}={_show(v)}" for k, v in summary.items()) + f" -> {path}")
     return 0 if ok else 2

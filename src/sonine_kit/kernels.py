@@ -294,8 +294,13 @@ class KernelSpec:
 
 def _extrapolate_to_zero(nodes: np.ndarray, m: np.ndarray) -> float:
     """The value at t = 0 of the line through (t_1, m_1) and (t_2, m_2):
-    how a tabulated bounded factor is continued to the origin."""
-    return float(m[1] - nodes[1] * (m[2] - m[1]) / (nodes[2] - nodes[1]))
+    how a tabulated bounded factor is continued to the origin. In Python
+    floats, which overflow without a warning: where t_1 (m_2 - m_1)
+    overflows on a long interval, the slope is scaled by t_1 / (t_2 - t_1)
+    instead."""
+    t1, t2, m1, m2 = float(nodes[1]), float(nodes[2]), float(m[1]), float(m[2])
+    m0 = m1 - t1 * (m2 - m1) / (t2 - t1)
+    return m0 if math.isfinite(m0) else m1 - (m2 - m1) * (t1 / (t2 - t1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -426,7 +431,11 @@ class SoninePair:
 
 
 def make_classical_abel_pair(alpha: float, b: float) -> SoninePair:
-    """Pair k = t^(-alpha), K = t^(alpha-1) / kappa(alpha)."""
+    """Pair k = t^(-alpha), K = t^(alpha-1) / kappa(alpha), for alpha in
+    (0, 1)."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:  # a NaN fails too
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     return SoninePair(
         k=classical_abel_kernel(alpha, b),
         K=power_kernel(1.0 / kappa(alpha), 1.0 - alpha, b),

@@ -320,7 +320,8 @@ def _near_origin_model(
         p, x2, x3 = 1.0 - eps, float(x[1]), float(x[2])
         return (x3**p - x2**p) * (x2 - 1.0) / ((x2**p - 1.0) * (x3 - x2))
 
-    falling = judged and y[0] * y[1] > 0.0 and y[1] / y[0] < 1.0
+    # by signs and magnitudes: the product y[0] y[1] can overflow
+    falling = judged and np.sign(y[0]) == np.sign(y[1]) != 0.0 and abs(y[1]) < abs(y[0])
     steep = falling and y[1] / y[0] <= falloff(EPS_CLIP_MAX)
     if falling and not steep:
         lo, hi = 0.0, EPS_CLIP_MAX

@@ -90,13 +90,18 @@ class _Polynomial:
             acc = acc * t + v
         return acc
 
+    def derivative(self) -> "_Polynomial":
+        """The exact derivative; a constant's is the zero polynomial (0.0,)."""
+        c = self.coeffs
+        return _Polynomial(tuple(k * c[k] for k in range(1, len(c))) or (0.0,))
+
 
 @dataclass(frozen=True, slots=True)
 class RhsSpec:
     """Right-hand side f of a first-kind equation, with its derivative.
 
     ``fprime`` must be the derivative of ``f``, as :meth:`validate`
-    spot-checks before a solve; ``f0`` = f(0) is derived and must be finite.
+    checks before a solve; ``f0`` = f(0) is derived and must be finite.
     The data of :meth:`from_polynomial` carry their coefficients, so a pure
     power K convolves f' in closed form (:func:`assemble_rhs`); data
     given as other callables, even of the same values, take the quadrature.
@@ -119,22 +124,33 @@ class RhsSpec:
         return _evaluate(self.fprime, t)
 
     def validate(self, b: float) -> None:
-        """Spot-check that fprime differentiates f on (0, b)
-        (:func:`sonine_kit.kernels._check_derivative`)."""
+        """Refuse data that a solve on (0, b] cannot use. The data of
+        :meth:`from_polynomial`, whose derivative is exact, must not
+        overflow on [0, b]: Horner's rule on the absolute coefficients of f
+        and of fprime stays finite at b. Other data are spot-checked, that
+        fprime differentiates f (:func:`sonine_kit.kernels._check_derivative`)."""
         if not math.isfinite(b) or b <= 0.0:
             raise DomainError(f"endpoint b must be positive, got {b!r}")
-        _check_derivative(self.f, self.fprime, b, "fprime")
+        if not (isinstance(self.f, _Polynomial) and self.fprime == self.f.derivative()):
+            _check_derivative(self.f, self.fprime, b, "fprime")
+            return
+        for name, p in (("f", self.f), ("fprime", self.fprime)):
+            if not math.isfinite(_Polynomial(tuple(map(abs, p.coeffs)))(b)):
+                raise DomainError(
+                    f"polynomial {name} overflows on [0, {b!r}]: the sum of its "
+                    "terms' magnitudes at b is not a finite float"
+                )
 
     @staticmethod
     def from_polynomial(coeffs) -> "RhsSpec":
         """f(t) = sum_k coeffs[k] t^k with the exact derivative, both
         :class:`_Polynomial` (the derivative of a constant is the zero
         polynomial (0.0,))."""
-        c = [float(v) for v in coeffs]
+        c = tuple(float(v) for v in coeffs)
         if len(c) == 0 or not all(math.isfinite(v) for v in c):
             raise DomainError("polynomial coefficients must be a nonempty finite list")
-        dc = [k * c[k] for k in range(1, len(c))] or [0.0]
-        return RhsSpec(f=_Polynomial(tuple(c)), fprime=_Polynomial(tuple(dc)))
+        f = _Polynomial(c)
+        return RhsSpec(f=f, fprime=f.derivative())
 
 
 @dataclass(frozen=True, slots=True)
@@ -519,13 +535,22 @@ def stability_report(pair: SoninePair, delta: float, mesh: Mesh) -> StabilityRep
     u + g' * u = F is linear and the shift moves F by dF = delta K, so u
     moves by the solution du of du + g' * du = delta K, whatever f is:
     this is one solve of the data f = delta, after the gate on g(0+). Only
-    du and dF enter, so nothing is pushed back through k * u."""
+    du and dF enter, so nothing is pushed back through k * u. A budget
+    past the largest float (||g'||_L1 above about 709) is refused."""
     if not (math.isfinite(delta) and delta > 0.0):
         raise DomainError(f"delta must be a small positive number, got {delta!r}")
     gate = _gate_inputs(pair, mesh)
     du, dF, _ = _second_kind_solve(pair, RhsSpec.from_polynomial([delta]), mesh, gate)
     max_shift = float(np.max(np.abs(du.values[1:])))
-    bound = math.exp(gate.gprime_l1) * float(np.max(np.abs(dF.values[1:])))
+    try:
+        bound = math.exp(gate.gprime_l1) * float(np.max(np.abs(dF.values[1:])))
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise DomainError(
+            "the Gronwall budget exp(||g'||_L1) max |dF| is not a finite float: "
+            f"||g'||_L1 = {gate.gprime_l1!r}"
+        )
     return StabilityReport(
         delta=delta,
         max_shift=max_shift,

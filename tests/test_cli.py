@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ import sonine_kit
 from sonine_kit import (
     DomainError,
     affine_exponent,
+    check_gsc,
     discover_associate,
     graded_mesh,
     make_classical_abel_pair,
@@ -30,9 +33,9 @@ from sonine_kit import (
     parse_config,
     stability_report,
 )
-from sonine_kit import cli, volterra
+from sonine_kit import cli, sonine, volterra
 from sonine_kit.cli import COMMANDS, TOL_DEFAULTS, main
-from sonine_kit.volterra import RESID_FIRST_INDEX
+from sonine_kit.volterra import RESID_FIRST_INDEX, RhsSpec
 
 
 def _doc(command="verify-pair", *, kernel=None, N=128, r=2.0, **extra):
@@ -93,7 +96,7 @@ class TestParseConfig:
         assert cfg.command == "solve"
         assert cfg.N == 512
         assert cfg.r == 2.0
-        assert cfg.rhs_coeffs == (0.0, 1.0)
+        assert cfg.rhs == RhsSpec.from_polynomial([0.0, 1.0])
         assert cfg.out_path is None
         assert cfg.out_format == "csv"
         assert cfg.tolerances == TOL_DEFAULTS
@@ -108,10 +111,11 @@ class TestParseConfig:
             output={"path": "out.json", "format": "json"},
             tolerances={"sc_residual_of_u": 1e-2},
         )))
-        assert cfg.kernel.kind == "variable"
-        assert (cfg.kernel.a0, cfg.kernel.a1) == (0.5, 0.2)
+        t = np.linspace(0.05, 0.5, 10)
+        assert not cfg.pair.is_classical and cfg.pair.b == 0.5
+        np.testing.assert_allclose(cfg.pair.k.eval(t), t ** -(0.5 + 0.2 * t), rtol=1e-14)
         assert cfg.N == 256 and cfg.r == 3.0
-        assert cfg.rhs_coeffs == (1.0, 0.0, 2.0)
+        assert cfg.rhs == RhsSpec.from_polynomial([1.0, 0.0, 2.0])
         assert cfg.out_path == "out.json" and cfg.out_format == "json"
         assert cfg.tolerances["sc_residual_of_u"] == 1e-2
         assert cfg.tolerances["g0"] == TOL_DEFAULTS["g0"]  # untouched defaults stay
@@ -165,6 +169,37 @@ class TestParseConfig:
             parse_config(json.dumps(_doc(N=True)))
         with pytest.raises(DomainError, match="mesh.r"):
             parse_config(json.dumps(_doc(r=0.5)))
+
+    @pytest.mark.parametrize(
+        "kernel, coeffs, label",
+        [
+            ({"kind": "abel", "alpha": 0.5, "b": 1.0}, None, "kernel.kind"),
+            ({"kind": "classical", "alpha": 0.5, "b": 0.0}, None, "kernel.b"),
+            ({"kind": "classical", "alpha": 1.0, "b": 1.0}, None, "kernel.alpha"),
+            ({"kind": "classical", "alpha": 0.0, "b": 1.0}, None, "kernel.alpha"),
+            # 1 - alpha rounds to 1: refused by the kernel, not by a range
+            ({"kind": "classical", "alpha": 1e-17, "b": 1.0}, None, "kernel.alpha"),
+            ({"kind": "variable", "a0": 0.5, "a1": -0.5, "b": 1.0}, None, "kernel.a0"),
+            ({"kind": "variable", "a0": 1.0, "a1": 0.0, "b": 1.0}, None, "kernel.a0"),
+            (None, [], "rhs.coeffs"),
+            (None, [1.0, math.nan], "rhs.coeffs"),
+            (None, [math.inf], "rhs.coeffs"),
+        ],
+    )
+    def test_refusals_name_the_field(self, kernel, coeffs, label, tmp_path, capsys):
+        """A kernel the library refuses is reported against its kind's
+        first field, and non-finite coefficients (which Python's json
+        reads as NaN and Infinity) against rhs.coeffs, in one line."""
+        doc = _doc(kernel=kernel, **({} if coeffs is None else {"rhs": {"coeffs": coeffs}}))
+        with pytest.raises(DomainError, match=f"config field '{label}'"):
+            parse_config(json.dumps(doc))
+        assert main(["verify-pair", "--config", _write(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{label}'") and err.count("\n") == 1
+
+    def test_g0_default_is_the_library_default(self):
+        g0_tol = inspect.signature(check_gsc).parameters["g0_tol"].default
+        assert TOL_DEFAULTS["g0"] == g0_tol == sonine.G0_TOL_DEFAULT
 
     def test_rhs_and_output_validation(self):
         with pytest.raises(DomainError, match="rhs.coeffs"):
@@ -705,6 +740,62 @@ class TestCliErrors:
         assert err.startswith("error: endpoint b must lie in (0, 1.3407807929942596e+154]")
         assert err.count("\n") == 1 and "Warning" not in err
 
+    def test_overflowing_gronwall_budget_is_a_plain_error(self, tmp_path, capsys):
+        # ||g'||_L1 = 803 puts exp(||g'||_L1) past the largest float
+        kernel = {"kind": "variable", "a0": 0.5, "a1": -0.25e-14, "b": 1e14}
+        cfg_path = _write(tmp_path, _doc("stability", kernel=kernel, N=8, r=2.0))
+        assert main(["stability", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the Gronwall budget") and "||g'||_L1 = 802.9" in err
+        assert err.count("\n") == 1
+
+    def test_steep_profile_on_a_short_interval_has_no_overflow(self, tmp_path, capsys):
+        # g' at the first nodes is about 1e101: their product overflowed
+        b = 1e-115
+        kernel = {"kind": "variable", "a0": 0.0625, "a1": 0.875 / b, "b": b}
+        cfg_path = _write(tmp_path, _doc("verify-pair", kernel=kernel, N=4, r=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = ["--out", str(tmp_path / "x.csv")]
+            assert main(["verify-pair", "--config", cfg_path, *out]) == 2
+        assert "gsc_pass=false" in capsys.readouterr().out
+
+    def test_overflowing_polynomial_data_is_a_plain_error(self, tmp_path, capsys):
+        # t^3 overflows at b = 1e103; a finite difference of it read inf - inf
+        doc = _doc(
+            "converge",
+            kernel={"kind": "classical", "alpha": 0.5, "b": 1e103},
+            N=64,
+            rhs={"coeffs": [0.0, 0.0, 0.0, 1.0]},
+        )
+        cfg_path = _write(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["converge", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: polynomial f overflows on [0, 1e+103]")
+        assert err.count("\n") == 1
+
+    def test_long_interval_extrapolates_without_overflow(self, tmp_path, capsys):
+        # the residual continues u's bounded factor to t = 0 along the line
+        # through its first two nodes, whose slope times t_1 overflowed
+        doc = _doc(
+            "solve",
+            kernel={"kind": "classical", "alpha": 0.5, "b": 1e103},
+            N=2,
+            r=1.0,
+            rhs={"coeffs": [1.0, 0.0, 1.0]},
+        )
+        cfg_path = _write(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = ["--out", str(tmp_path / "x.json"), "--format", "json"]
+            assert main(["solve", "--config", cfg_path, *out]) == 2
+        capsys.readouterr()
+        record = json.loads((tmp_path / "x.json").read_text())
+        assert all(map(math.isfinite, record["u"]))
+        assert math.isfinite(record["residual_first_kind"])
+
     def test_long_interval_below_the_limit_passes(self, tmp_path, capsys):
         kernel = {"kind": "classical", "alpha": 0.5, "b": 1e150}
         cfg_path = _write(tmp_path, _doc("verify-pair", kernel=kernel, N=64))
@@ -808,7 +899,7 @@ def _documented_nulls(job: dict, record: dict) -> set:
     kind=st.sampled_from(["classical", "variable"]),
     a0=st.floats(min_value=0.02, max_value=0.98),
     slope=st.floats(min_value=-1.0, max_value=1.0),
-    log_b=st.floats(min_value=-4.0, max_value=4.0),
+    log_b=st.floats(min_value=-120.0, max_value=120.0),
     r=st.floats(min_value=1.0, max_value=4.0),
     N=st.one_of(st.integers(min_value=2, max_value=512), st.integers(2, 64).map(lambda k: 8 * k)),
     coeffs=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=3),

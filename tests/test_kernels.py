@@ -254,6 +254,11 @@ class TestKernelSpec:
         with pytest.raises(DomainError):
             power_kernel(1.0, 0.5, -1.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.2, -0.5, math.nan])
+    def test_classical_pair_refuses_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\)"):
+            make_classical_abel_pair(alpha, 1.0)
+
     def test_from_samples_roundtrip(self):
         mesh = graded_mesh(64, 2.0, 1.0)
         vals = np.empty(65)

@@ -13,8 +13,9 @@ route, not only t^(-alpha(t)). It reads g(0+) as g at the first node
 minus the integral of a model of its own g' over the first panel, with no
 fit of g at geometric times. The CLI's
 commands (``_run_*``) return their table and summary and do no I/O:
-``run`` writes both, so the CLI has one output path. ``run`` also builds
-the job's pair, once, and hands it to the command, which builds none. Only
+``run`` writes both, so the CLI has one output path. ``parse_config``
+builds the job's pair, once, and no command builds one; kernel kinds are
+named only as the keys of the CLI's table of kinds. Only
 ``solve`` runs
 ``solve_first_kind``, once: a command that needs solves at several meshes
 calls the library function that runs them (``convergence_study``), so no
@@ -71,6 +72,10 @@ CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
 PAIR_BUILDERS = {"_build_pair"} | {
     name for name in sonine_kit.kernels.__all__ if name.lower().endswith("pair")
 }
+
+#: the CLI's table of kernel kinds, whose keys are the only place a kind
+#: is named
+KIND_TABLE = "_KINDS"
 
 #: the one command that calls solve_first_kind
 SOLVE_COMMAND = "_run_solve"
@@ -274,6 +279,54 @@ def test_pair_guard_allows_run_to_build():
     )
     assert _pair_builds(source) == []
     assert {"SoninePair", "make_classical_abel_pair", "make_variable_exponent_pair"} < PAIR_BUILDERS
+
+
+def _kind_names(source: str, kinds) -> list[str]:
+    """String constants that name a kernel kind anywhere but as a key of
+    the KIND_TABLE dict."""
+    tree = ast.parse(source)
+    keys = {
+        id(key)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == KIND_TABLE for t in node.targets)
+        and isinstance(node.value, ast.Dict)
+        for key in node.value.keys
+    }
+    return [
+        f"line {node.lineno}: names kind {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in kinds and id(node) not in keys
+    ]
+
+
+def test_cli_names_kernel_kinds_only_in_the_table():
+    """A kind is one entry of the table, its fields and its builder, so
+    a new kind adds an entry and no branch."""
+    source = Path(sonine_kit.cli.__file__).read_text()
+    kinds = set(getattr(sonine_kit.cli, KIND_TABLE))
+    assert kinds and _kind_names(source, kinds) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "_KINDS = {'classical': 1}\nif kind == 'classical':\n    pass",
+        "def _build(kc):\n    return f(kc) if kc.kind == 'variable' else g(kc)",
+        "_KINDS = {'classical': 1, 'variable': 2}\nKNOWN = ('classical', 'variable')",
+        "_OTHER = {'classical': 1}",
+    ],
+)
+def test_kind_guard_catches_violations(source):
+    assert _kind_names(source, {"classical", "variable"})
+
+
+def test_kind_guard_allows_the_table():
+    source = (
+        "_KINDS = {'classical': (('alpha',), f), 'variable': (('a0', 'a1'), g)}\n"
+        "if kind not in _KINDS:\n    raise ValueError(' or '.join(map(repr, _KINDS)))\n"
+    )
+    assert _kind_names(source, {"classical", "variable"}) == []
 
 
 def _solve_calls(source: str) -> list[str]:

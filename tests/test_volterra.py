@@ -86,6 +86,26 @@ class TestRhsSpec:
         with pytest.raises(DomainError):
             RhsSpec.from_polynomial([])
 
+    def test_polynomial_data_are_checked_for_overflow(self):
+        """The derivative of polynomial data is exact, so validate checks
+        that f and f' cannot overflow on [0, b]: the sum of each one's
+        terms' magnitudes at b is a finite float."""
+        cube = RhsSpec.from_polynomial([0.0, 0.0, 0.0, 1.0])
+        cube.validate(1e102)  # no raise
+        with pytest.raises(DomainError, match=r"polynomial f overflows on \[0, 1e\+103\]"):
+            cube.validate(1e103)
+        # finite values on [0, 1], but not the sum of the magnitudes
+        with pytest.raises(DomainError, match="polynomial f overflows"):
+            RhsSpec.from_polynomial([1e308, -1e308]).validate(1.0)
+        with pytest.raises(DomainError, match="polynomial fprime overflows"):
+            RhsSpec.from_polynomial([0.0, 0.0, 1e308]).validate(0.25)
+
+    def test_polynomials_with_a_wrong_derivative_are_spot_checked(self):
+        square, wrong = volterra._Polynomial((0.0, 0.0, 1.0)), volterra._Polynomial((0.0, 3.0))
+        rhs = RhsSpec(f=square, fprime=wrong)
+        with pytest.raises(DomainError, match="fprime disagrees"):
+            rhs.validate(1.0)
+
 
 class TestAssembleRhs:
     def test_constant_f_gives_kernel(self, classical_half):

@@ -100,7 +100,7 @@ def _as_real(obj: dict, key: str, where: str, default=None):
             return default
         raise _cfg_error(where + key, "missing required field")
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(float(v)):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
         raise _cfg_error(where + key, f"must be a finite number, got {v!r}")
     return float(v)
 
@@ -136,7 +136,7 @@ def parse_config(text: str) -> JobConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise DomainError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object at top level")
@@ -191,9 +191,7 @@ def parse_config(text: str) -> JobConfig:
     for key, v in tol_doc.items():
         if key not in TOL_DEFAULTS:
             raise _cfg_error(f"tolerances.{key}", "unknown tolerance name")
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-            raise _cfg_error(f"tolerances.{key}", f"must be a finite number, got {v!r}")
-        tolerances[key] = float(v)
+        tolerances[key] = _as_real(tol_doc, key, "tolerances.")
 
     return JobConfig(
         command=command,

@@ -410,8 +410,8 @@ class SoninePair:
 
     The pair is its two kernels. ``is_classical``, that K * k = 1 holds
     analytically (:func:`_is_classical`), is derived from them once; the
-    solvers take the shortcut it allows (g' = 0, no sweep). Which pairs have
-    an analytic g' is read from both (:func:`sonine_kit.sonine._substituted_route`).
+    solvers take the shortcut it allows (g' = 0, no sweep). g reads the
+    same test on k's leading term (:func:`sonine_kit.sonine._defect`).
     """
 
     k: KernelSpec

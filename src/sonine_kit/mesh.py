@@ -53,7 +53,7 @@ def graded_mesh(N: int, r: float, b: float) -> Mesh:
     Parameters
     ----------
     N : int
-        Number of panels, at least 2.
+        Number of panels, 2 to 2**53, past which j / N merges neighbours.
     r : float
         Grading exponent, at least 1. r = 1 gives a uniform mesh; larger
         values cluster nodes at t = 0 where kernels are singular. A
@@ -65,8 +65,8 @@ def graded_mesh(N: int, r: float, b: float) -> Mesh:
     """
     if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
         raise DomainError(f"N must be an integer, got {N!r}")
-    if N < 2:
-        raise DomainError(f"N must be at least 2, got {N}")
+    if not 2 <= N <= 2**53:
+        raise DomainError(f"N must lie in [2, 2**53], got {N}")
     if not np.isfinite(r) or r < 1.0:
         raise DomainError(f"grading exponent r must satisfy r >= 1, got {r!r}")
     if not 0.0 < b <= MAX_ENDPOINT:  # NaN fails both

@@ -1,12 +1,11 @@
 """Generalized Sonine condition: computing g = K * k and checking it.
 
 g and g' come from the quadrature's split-at-t/2 rule for two singular
-factors (:func:`sonine_kit.quadrature.convolve_pair`). For k = t^(-sigma)
-S(t) with S(0) = 1 and K = t^(sigma - 1) / kappa(sigma), the classical
-part t^(-sigma) of k convolves with K to exactly 1; the rule's error on
-it, delta, is the same at every t, and the substituted g subtracts it
-(``route_diff`` = |delta|); so does the g of a pair of pure powers that
-convolve to 1. g' is the same rule on t g'(t) = (K * q)(t).
+factors (:func:`sonine_kit.quadrature.convolve_pair`). g is the rule less
+its error delta on k's leading term where K convolves that term to
+exactly 1 (``route_diff`` = |delta|, see :func:`_defect`). g' is the same
+rule on t g' = K_A * k + K * k_B where the kernels' t S'(t) are known
+(:func:`_gprime_terms`), and differenced from g on the mesh elsewhere.
 On a mesh, g and t g' are smooth in ln t (they go as t ln t and t near 0),
 so the rule runs at the quadrature's 64 Chebyshev points in ln t and an
 interpolant carries it to every node, unless its coefficients show it
@@ -23,12 +22,12 @@ L1 norm and the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
-from .kernels import KernelSpec, SoninePair, _extrapolate_to_zero, classical_abel_kernel, kappa
+from .kernels import KernelSpec, SoninePair, _extrapolate_to_zero, _is_classical, power_kernel
 from .mesh import Mesh, SampledFunction
 from .quadrature import (
     REF_PANELS,
@@ -37,7 +36,6 @@ from .quadrature import (
     _mirrored_moments,
     _pair_convolution,
     _pair_panels,
-    convolve_pair,
 )
 
 __all__ = [
@@ -104,9 +102,9 @@ class GscReport:
     classical pair); ``g0_defect`` is |g(0+) - 1| (see :func:`_gate_inputs`);
     ``gprime_l1`` integrates |g'| over [0, b] with the singular part
     handled by product weights, from the factored g' = t^(-eps) m(t) that
-    a solve's sweep reads; ``route_diff`` is |delta|, the rule's error
-    on the classical part that the substituted g takes out (NaN for a pair
-    without the substituted route). ``gsc_pass`` is the generalized
+    a solve's sweep reads; ``route_diff`` is |delta| (:func:`compute_g`),
+    and a differenced ``gprime`` reads g''s mean over [t_1, t_2] at t_1
+    (:func:`estimate_gprime`). ``gsc_pass`` is the generalized
     verdict: g(0) = 1 within tolerance, a conclusive model of g' near 0
     that makes it integrable (``eps_fit``), and a finite weighted L1 norm.
     """
@@ -122,59 +120,64 @@ class GscReport:
     gsc_pass: bool
 
 
-def _substituted_route(pair: SoninePair, required: bool = False) -> float | None:
-    """sigma = k.local_exponent when the substituted route computes pair.K
-    * pair.k, else None, or DomainError when ``required``.
+def _defect(pair: SoninePair, M: int) -> float | None:
+    """The g rule's delta = Q[K * k0] - 1, the error of the split-at-t/2
+    rule on k's leading term k0 = S(0) t^(-sigma) where K convolves it to
+    exactly 1 (:func:`sonine_kit.kernels._is_classical`), else None. A
+    classical pair is its own leading term. The rule scales exactly with
+    t, so one time serves every t."""
+    k, K = pair.k, pair.K
+    k0 = power_kernel(k.smooth0, k.local_exponent, pair.b) if k.smooth0 else None
+    if k0 is None or not _is_classical(k0, K):
+        return None
+    return float(_pair_convolution(K, k0, np.array([K.b]), M)[0]) - 1.0
 
-    The route splits k = t^(-sigma) S, whose classical part t^(-sigma)
-    convolves with K = t^(sigma - 1) / kappa(sigma) to exactly 1, so it
-    applies only when S(0) = k.smooth0 is 1, pair.K is that power and t
-    S'(t) is known (``k.smooth_log_deriv``); every other pair, a K scaled
-    or replaced, takes the pointwise route.
-    """
-    k, K, sigma = pair.k, pair.K, pair.k.local_exponent
-    if k.smooth_log_deriv is not None and k.smooth0 == 1.0 and (
-        K.local_exponent == 1.0 - sigma and K.power_coef == 1.0 / kappa(sigma)
+
+def _gprime_terms(pair: SoninePair) -> list[tuple[KernelSpec, KernelSpec]] | None:
+    """The g' rule: the pairs whose convolutions sum to t g'(t), or None
+    where g' is differenced from g. Differentiating g(t) = t^(1 - sigma_K
+    - sigma_k) int_0^1 (1 - z)^(-sigma_K) z^(-sigma_k) A(t (1 - z)) B(t z)
+    dz, for K = t^(-sigma_K) A and k = t^(-sigma_k) B, under the integral
+    gives t g' = (1 - sigma_K - sigma_k) g + K_A * k + K * k_B, where K_A
+    has K's order and the bounded factor t A'(t), k_B likewise. So it
+    needs orders that sum to 1 and ``smooth_log_deriv`` on every kernel
+    but a pure power, which adds no term."""
+    K, k = pair.K, pair.k
+    if K.local_exponent != 1.0 - k.local_exponent or any(
+        x.power_coef is None and x.smooth_log_deriv is None for x in (K, k)
     ):
-        return sigma
-    if required:
-        raise DomainError(
-            "this route needs k = t^(-sigma) S(t) with S(0) = 1 and a known "
-            "t S'(t) (KernelSpec.smooth_log_deriv), and K = t^(sigma - 1) / "
-            "kappa(sigma); use convolve_pair for kernels given only pointwise"
-        )
-    return None
+        return None
 
+    def derived(x: KernelSpec) -> KernelSpec:
+        return replace(x, smooth_fn=x.smooth_log_deriv, smooth0=0.0, smooth_log_deriv=None)
 
-def _classical_defect(K: KernelSpec, k: KernelSpec, M: int) -> float:
-    """delta = Q[K * k] - 1, the error of the split-at-t/2 rule on two
-    kernels of constant bounded factors whose exact convolution is 1
-    (:attr:`SoninePair.is_classical`).
-
-    The rule scales exactly with t, so one time serves every t.
-    """
-    return float(_pair_convolution(K, k, np.array([K.b]), M)[0]) - 1.0
+    terms = [(derived(K), k)] if K.power_coef is None else []
+    if k.power_coef is None:
+        terms.append((K, derived(k)))
+    return terms
 
 
 def compute_g_substituted(pair: SoninePair, t, M: int = REF_PANELS):
-    """g(t) for a pair on the substituted route (:func:`_substituted_route`):
-    :func:`convolve_pair`'s rule minus its error delta on the classical
-    part t^(-sigma) of k (:func:`_classical_defect`).
-
-    With k = t^(-sigma) (1 + (S - 1)), that leaves the rule's error on the
-    small, well-behaved correction K * t^(-sigma) (S - 1) alone.
+    """g(t) for a k that carries t S'(t) and a K that convolves its leading
+    term to 1: :func:`convolve_pair`'s rule minus its error delta on that
+    term (:func:`_defect`), which leaves the rule's error on the small,
+    well-behaved rest of k alone.
 
     ``t`` may be a scalar or an array inside (0, b]; the result matches
     its shape. ``M`` defaults to REF_PANELS, not a mesh's min(N/2, 256):
     below N = 512 these values differ from :func:`check_gsc`'s.
     """
-    sigma = _substituted_route(pair, required=True)
     _check_panels(M)
     t_arr = np.asarray(t, dtype=float)
     flat = np.ravel(t_arr)
     if not np.all((flat > 0.0) & (flat <= pair.b * (1.0 + 1e-12))):  # NaN fails both
         raise DomainError(f"t must lie in (0, {pair.b!r}]")
-    delta = _classical_defect(pair.K, classical_abel_kernel(sigma, pair.b), M)
+    delta = _defect(pair, M)
+    if delta is None or pair.k.smooth_log_deriv is None:
+        raise DomainError(
+            "this route needs k's t S'(t) (KernelSpec.smooth_log_deriv) and a K that convolves "
+            "k's leading term to exactly 1; use convolve_pair for kernels given only pointwise"
+        )
     out = _pair_convolution(pair.K, pair.k, flat, M) - delta
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
@@ -182,51 +185,47 @@ def compute_g_substituted(pair: SoninePair, t, M: int = REF_PANELS):
 def compute_g(pair: SoninePair, mesh: Mesh) -> tuple[SampledFunction, float]:
     """g = K * k at the interior mesh nodes, and ``route_diff``.
 
-    g is :func:`convolve_pair`'s, minus the classical defect delta where
-    the substituted route applies (see :func:`compute_g_substituted`) or
-    the pair is classical (:attr:`SoninePair.is_classical`);
-    route_diff is |delta| on the substituted route and NaN elsewhere. On
-    that route the rule runs at the quadrature's Chebyshev points in ln t
-    and is interpolated to the mesh, where the interpolant resolves it
-    (see :func:`sonine_kit.quadrature._in_log_t`). The mesh fixes the
-    panel count, as in :func:`convolve_pair`. g(t_0) is NaN.
+    g is :func:`convolve_pair`'s rule less delta (:func:`_defect`) where
+    that exists; route_diff is |delta| where k also carries t S'(t), else
+    NaN. Where g' is analytic (:func:`_gprime_terms`) and some factor
+    varies, the rule runs at the quadrature's Chebyshev points in ln t and
+    is interpolated to the mesh, where the interpolant resolves it (see
+    :func:`sonine_kit.quadrature._in_log_t`). The mesh fixes the panel
+    count, as in :func:`convolve_pair`. g(t_0) is NaN.
     """
     M = _pair_panels(pair.K, pair.k, mesh, None)
-    sigma = _substituted_route(pair)
-    if sigma is None:
-        g = convolve_pair(pair.K, pair.k, mesh, M=M)
-        if pair.is_classical:
-            g = SampledFunction(mesh=mesh, values=g.values - _classical_defect(pair.K, pair.k, M))
-        return g, float("nan")
-    delta = _classical_defect(pair.K, classical_abel_kernel(sigma, pair.b), M)
+    delta = _defect(pair, M)
     g = np.full(mesh.N + 1, np.nan)
-    g[1:] = _in_log_t(lambda t: _pair_convolution(pair.K, pair.k, t, M), mesh.nodes[1:])
-    g[1:] -= delta
-    return SampledFunction(mesh=mesh, values=g), abs(delta)
+    sample = _in_log_t if _gprime_terms(pair) else (lambda f, t: f(t))
+    g[1:] = sample(lambda t: _pair_convolution(pair.K, pair.k, t, M), mesh.nodes[1:])
+    g[1:] -= delta or 0.0
+    route = delta is not None and pair.k.smooth_log_deriv is not None
+    return SampledFunction(mesh=mesh, values=g), abs(delta) if route else float("nan")
 
 
 def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
     """g' at strictly positive times, increasing ones when there are 4 *
-    LOG_T_POINTS or more. Differentiating the substituted form under the
-    integral (d/dt S(t z) = z S'(t z)) and putting s = t z back gives
-    t g'(t) = (K * q)(t) for q(s) = s^(1 - sigma) S'(s), a kernel of
-    local order sigma whose bounded factor s S'(s), k.smooth_log_deriv,
-    vanishes at 0. t g', which goes as t ln t near 0, is sampled in ln t
-    (see :func:`sonine_kit.quadrature._in_log_t`) and then divided by t."""
-    sigma = _substituted_route(pair, required=True)
-    q = KernelSpec(
-        smooth_fn=pair.k.smooth_log_deriv,
-        smooth0=0.0,
-        local_exponent=sigma,
-        b=pair.b,
-    )
-    return _in_log_t(lambda t: _pair_convolution(pair.K, q, t, M), flat) / flat
+    LOG_T_POINTS or more, by the g' rule (:func:`_gprime_terms`). t g',
+    which goes as t ln t near 0, is sampled in ln t (see
+    :func:`sonine_kit.quadrature._in_log_t`) and then divided by t."""
+    terms = _gprime_terms(pair)
+    if terms is None:
+        raise DomainError(
+            "an analytic g' needs orders that sum to 1 and a known t S'(t) "
+            "(KernelSpec.smooth_log_deriv) of every kernel but a pure power"
+        )
+
+    def t_gprime(t):
+        return sum((_pair_convolution(A, B, t, M) for A, B in terms), np.zeros(len(t)))
+
+    return _in_log_t(t_gprime, flat) / flat
 
 
 def estimate_gprime(pair: SoninePair, mesh: Mesh) -> SampledFunction:
-    """g' at the interior mesh nodes of a pair on the substituted route,
-    from the analytically differentiated substituted form (no finite
-    differencing), with the mesh's panel count, as in :func:`check_gsc`.
+    """g' at the interior mesh nodes by the analytic rule, refusing a pair
+    off it (:func:`_gprime_terms`), with the mesh's panel count, as in
+    :func:`check_gsc`, which differences such a pair's g' from g: there
+    g'(t_1) is the mean of g' over [t_1, t_2], not its value at t_1.
 
     g'(t_0) is undefined (NaN): the derivative need not exist at 0, only
     be integrable near it.
@@ -373,15 +372,15 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     """g(0+), g' at the nodes, the model of g' near 0 and the weighted L1
     norm of g', as :func:`check_gsc` reports them.
 
-    g' is :func:`estimate_gprime`'s on the substituted route
-    (:func:`_substituted_route`). g itself on the mesh is computed, by
-    :func:`compute_g`, only for a pair off that route and not classical,
+    g' is :func:`estimate_gprime`'s where the analytic rule applies
+    (:func:`_gprime_terms`). g itself on the mesh is computed, by
+    :func:`compute_g`, only for a pair off that rule and not classical,
     whose g' is differenced from it.
 
     One model of g' near 0 (:func:`_near_origin_model`), from g' at the
     first nodes or, where g' is differenced from g, from g there, gives
     g(0+) as g(t_1) less its integral over [0, t_1] (g(t_1) is 1 for a
-    classical pair, one :func:`compute_g_substituted` value, or the first
+    classical pair, one row of the g rule (:func:`_defect`), or the first
     sample of g); the verdict, whose eps margin reads k's order however k
     is given; and g' = t^(-eps) m(t) for the L1 norm and
     the sweep: a power's own eps and m(0), or for a log or bounded g' the
@@ -401,8 +400,9 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     if pair.is_classical:
         g_first = 1.0
         gp = np.zeros(mesh.N + 1)
-    elif _substituted_route(pair) is not None:
-        g_first = compute_g_substituted(pair, nodes[1], M=M)
+    elif _gprime_terms(pair) is not None:
+        g_first = float(_pair_convolution(pair.K, pair.k, interior[:1], M)[0])
+        g_first -= _defect(pair, M) or 0.0
         gp = estimate_gprime(pair, mesh).values
     else:
         g = compute_g(pair, mesh)[0]
@@ -436,8 +436,7 @@ def check_gsc(pair: SoninePair, mesh: Mesh, g0_tol: float = G0_TOL_DEFAULT) -> G
 
     The verdict requires |g(0+) - 1| <= g0_tol, a model of g' near 0 that
     makes it integrable, and a finite weighted L1 norm of g' (see
-    :func:`_gate_inputs`). Where the substituted route applies it
-    provides g(t_1), the analytic g' and g itself (see :func:`compute_g`).
+    :func:`_gate_inputs`), and g itself comes from :func:`compute_g`.
     This is the full diagnostic; a solve reads only the g(0+), g', model
     and L1 parts and does not compute g on the mesh.
     """

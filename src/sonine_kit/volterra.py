@@ -146,7 +146,10 @@ class RhsSpec:
         """f(t) = sum_k coeffs[k] t^k with the exact derivative, both
         :class:`_Polynomial` (the derivative of a constant is the zero
         polynomial (0.0,))."""
-        c = tuple(float(v) for v in coeffs)
+        try:
+            c = tuple(float(v) for v in coeffs)
+        except OverflowError:  # an integer past the float range
+            c = ()
         if len(c) == 0 or not all(math.isfinite(v) for v in c):
             raise DomainError("polynomial coefficients must be a nonempty finite list")
         f = _Polynomial(c)

@@ -197,6 +197,31 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{label}'") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "label", ["kernel.alpha", "kernel.b", "rhs.coeffs", "tolerances.g0", "mesh.r", "mesh.N"]
+    )
+    def test_integer_past_the_float_range_is_refused(self, label, tmp_path, capsys):
+        """A JSON integer too large for a float exits 1 with one error line
+        that names its field, not an OverflowError. mesh.N is refused by
+        graded_mesh, whose N stops at 2**53, before numpy sizes any array."""
+        doc = _doc("solve")
+        where, _, key = label.partition(".")
+        doc.setdefault(where, {})[key] = [0.0, 10**400] if key == "coeffs" else 10**400
+        out = str(tmp_path / "u.csv")
+        assert main(["solve", "--config", _write(tmp_path, doc), "--out", out]) == 1
+        err = capsys.readouterr().err
+        named = "N must lie in [2, 2**53]" if label == "mesh.N" else f"config field '{label}'"
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+
+    def test_integer_of_too_many_digits_is_not_valid_json(self, tmp_path, capsys):
+        """Python's json refuses integers past 4300 digits with a ValueError
+        that is not a JSONDecodeError; it is reported as invalid JSON."""
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(_doc("solve")).replace('"alpha": 0.5', '"alpha": ' + "1" * 5000))
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON") and err.count("\n") == 1
+
     def test_g0_default_is_the_library_default(self):
         g0_tol = inspect.signature(check_gsc).parameters["g0_tol"].default
         assert TOL_DEFAULTS["g0"] == g0_tol == sonine.G0_TOL_DEFAULT

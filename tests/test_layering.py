@@ -106,6 +106,13 @@ G0_FIT_CALLS = {"lstsq"}
 #: that once decided integrability beside the model of g' near 0
 DELETED_FIT_CONSTANTS = {"EPS_FIT_MIN_R2", "GPRIME_FLOOR", "AMPLITUDE_FLOOR"}
 
+#: what sonine.py may not import: the pieces of a second copy of the
+#: classical-pair test, which kernels._is_classical makes on k's leading term
+CLASSICAL_PARTS = {"kappa", "classical_abel_kernel"}
+
+#: what sonine.py may not define: the route that copied that test
+CLASSICAL_COPY = "_substituted_route"
+
 #: what quadrature.py may not define: the crossover to the dense triangle,
 #: the super-block size and the row floor of the two-level layout that the
 #: row-cluster tree replaced, whose one layout serves every N
@@ -509,6 +516,54 @@ def test_profile_guard_catches_violations(source):
 def test_profile_guard_allows_the_kernel_fields():
     source = "sigma = k.local_exponent\nq = k.smooth_log_deriv\n"
     assert _profile_reads(source) == []
+
+
+def _classical_copy_parts(source: str) -> list[str]:
+    """Imports and attribute reads of kappa or classical_abel_kernel, and a
+    definition of the substituted route; empty also requires an import of
+    kernels._is_classical."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name in CLASSICAL_PARTS:
+            found.append(f"line {node.lineno}: imports {node.name}")
+        elif isinstance(node, ast.Attribute) and node.attr in CLASSICAL_PARTS:
+            found.append(f"line {node.lineno}: reads .{node.attr}")
+        elif isinstance(node, ast.FunctionDef) and node.name == CLASSICAL_COPY:
+            found.append(f"line {node.lineno}: defines {node.name}")
+    if "_is_classical" not in source:
+        found.append("never reads _is_classical")
+    return found
+
+
+def test_sonine_decides_the_defect_with_is_classical():
+    """Which g has the rule's error on k's leading term taken out is
+    decided by kernels._is_classical, the test SoninePair.is_classical
+    reads, not by a copy of it in sonine.py."""
+    source = Path(sonine_kit.sonine.__file__).read_text()
+    assert _classical_copy_parts(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .kernels import _is_classical, kappa",
+        "from .kernels import _is_classical, classical_abel_kernel as abel",
+        "from . import kernels, _is_classical\nc = 1.0 / kernels.kappa(sigma)",
+        "from .kernels import _is_classical\ndef _substituted_route(pair):\n    pass",
+        "from .kernels import power_kernel",
+    ],
+)
+def test_classical_copy_guard_catches_violations(source):
+    assert _classical_copy_parts(source)
+
+
+def test_classical_copy_guard_allows_the_leading_term():
+    source = (
+        "from .kernels import _is_classical, power_kernel\n"
+        "k0 = power_kernel(k.smooth0, k.local_exponent, pair.b)\n"
+        "if _is_classical(k0, pair.K):\n    pass\n"
+    )
+    assert _classical_copy_parts(source) == []
 
 
 def _g0_fit_parts(source: str) -> list[str]:

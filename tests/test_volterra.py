@@ -438,33 +438,32 @@ class TestSolveReadsGateInputsOnly:
             np.testing.assert_array_equal(got.u.values, public.values)
 
     def test_no_g_on_the_mesh(self, monkeypatch, classical_half, pair_a):
-        """Solves convolve no g, and evaluate the substituted g once, at the
-        first node t_1, where g(0+) is read as g(t_1) minus the integral of
-        g' over [0, t_1]; check_gsc convolves g once for a pair given
-        pointwise, whose g' is differenced from it."""
-        convolutions, substituted = [], []
-        real_convolve, real_substituted = sonine.convolve_pair, sonine.compute_g_substituted
+        """Solves convolve no g, and evaluate g once, at the first node t_1,
+        where g(0+) is read as g(t_1) minus the integral of g' over [0,
+        t_1]; check_gsc convolves g once for a pair given pointwise, whose
+        g' is differenced from it. Rows of the rule on K * k are counted:
+        g' and the rule's error on k's leading term convolve other kernels."""
+        profile_less = _profile_less(pair_a)
+        g_rows = []
+        real = sonine._pair_convolution
 
-        def convolve(*args, **kwargs):
-            convolutions.append(args)
-            return real_convolve(*args, **kwargs)
+        def counting(K, k, t, M):
+            if any(k is pair.k for pair in (classical_half, pair_a, profile_less)):
+                g_rows.append(np.asarray(t).tolist())
+            return real(K, k, t, M)
 
-        def substitute(pair, t, **kwargs):
-            substituted.append(np.asarray(t).tolist())
-            return real_substituted(pair, t, **kwargs)
-
-        monkeypatch.setattr(sonine, "convolve_pair", convolve)
-        monkeypatch.setattr(sonine, "compute_g_substituted", substitute)
+        monkeypatch.setattr(sonine, "_pair_convolution", counting)
         rhs = RhsSpec.from_polynomial([0.0, 1.0])
         for pair in (classical_half, pair_a):
             mesh = graded_mesh(128, 2.0, pair.b)
             solve_first_kind(pair, rhs, mesh)
             stability_report(pair, 1e-6, mesh)
             discover_associate(pair.k, pair.K, mesh)
-        assert convolutions == []
-        assert substituted == [graded_mesh(128, 2.0, pair_a.b).nodes[1]] * 3
-        check_gsc(_profile_less(pair_a), graded_mesh(128, 2.0, pair_a.b))
-        assert len(convolutions) == 1
+        mesh = graded_mesh(128, 2.0, pair_a.b)
+        assert g_rows == [[mesh.nodes[1]]] * 3
+        g_rows.clear()
+        check_gsc(profile_less, mesh)
+        assert [len(rows) for rows in g_rows] == [mesh.N]
 
 
 class TestHandBuiltPair:

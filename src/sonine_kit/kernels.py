@@ -181,8 +181,11 @@ class KernelSpec:
     factors out, and ``smooth_fn`` evaluates the bounded factor smooth,
     continuous on [0, b] with smooth(0) = smooth0, a finite number.
     ``smooth_log_deriv`` evaluates t smooth'(t) on (0, b], which must tend
-    to 0 at t = 0; it is None when not known, and spot-checked against
-    ``smooth_fn`` when given (:func:`_check_derivative`).
+    to 0 at t = 0, and is spot-checked against ``smooth_fn`` when given
+    (:func:`_check_derivative`). g' of a pair is built from it, so a
+    kernel that is not a pure power and leaves it None makes
+    :func:`sonine_kit.sonine.check_gsc` and the solvers refuse its pair
+    unless the pair is classical.
     """
 
     smooth_fn: Callable

@@ -4,10 +4,10 @@ g and g' come from the quadrature's split-at-t/2 rule for two singular
 factors (:func:`sonine_kit.quadrature.convolve_pair`). g is the rule less
 its error delta on k's leading term where K convolves that term to
 exactly 1 (``route_diff`` = |delta|, see :func:`_defect`). g' is the same
-rule on t g' = K_A * k + K * k_B where the kernels' t S'(t) are known
-(:func:`_gprime_terms`), and differenced from g on the mesh elsewhere.
-On a mesh, g and t g' are smooth in ln t (they go as t ln t and t near 0),
-so the rule runs at the quadrature's 64 Chebyshev points in ln t and an
+rule on t g' = K_A * k + K * k_B, from the kernels' t S'(t)
+(:func:`_gprime_terms`); a pair off it is checked and solved only if it
+is classical. On a mesh, g and t g' are smooth in ln t (they go as t ln t
+and t near 0), so the rule runs at the quadrature's 64 Chebyshev points in ln t and an
 interpolant carries it to every node, unless its coefficients show it
 unresolved (:func:`sonine_kit.quadrature._in_log_t`); delta and
 :func:`compute_g_substituted` stay direct sums.
@@ -102,9 +102,9 @@ class GscReport:
     classical pair); ``g0_defect`` is |g(0+) - 1| (see :func:`_gate_inputs`);
     ``gprime_l1`` integrates |g'| over [0, b] with the singular part
     handled by product weights, from the factored g' = t^(-eps) m(t) that
-    a solve's sweep reads; ``route_diff`` is |delta| (:func:`compute_g`),
-    and a differenced ``gprime`` reads g''s mean over [t_1, t_2] at t_1
-    (:func:`estimate_gprime`). ``gsc_pass`` is the generalized
+    a solve's sweep reads; ``route_diff`` is |delta| (:func:`compute_g`);
+    ``gprime`` is :func:`estimate_gprime`'s, or 0 for a classical pair.
+    ``gsc_pass`` is the generalized
     verdict: g(0) = 1 within tolerance, a conclusive model of g' near 0
     that makes it integrable (``eps_fit``), and a finite weighted L1 norm.
     """
@@ -133,9 +133,17 @@ def _defect(pair: SoninePair, M: int) -> float | None:
     return float(_pair_convolution(K, k0, np.array([K.b]), M)[0]) - 1.0
 
 
+#: the refusal of a pair off the g' rule (:func:`_gprime_terms`), by
+#: :func:`estimate_gprime` and by the gate of the condition and the solves
+_NO_GPRIME = (
+    "an analytic g' needs orders that sum to 1 and a known t S'(t) "
+    "(KernelSpec.smooth_log_deriv) of every kernel but a pure power"
+)
+
+
 def _gprime_terms(pair: SoninePair) -> list[tuple[KernelSpec, KernelSpec]] | None:
     """The g' rule: the pairs whose convolutions sum to t g'(t), or None
-    where g' is differenced from g. Differentiating g(t) = t^(1 - sigma_K
+    where there is none. Differentiating g(t) = t^(1 - sigma_K
     - sigma_k) int_0^1 (1 - z)^(-sigma_K) z^(-sigma_k) A(t (1 - z)) B(t z)
     dz, for K = t^(-sigma_K) A and k = t^(-sigma_k) B, under the integral
     gives t g' = (1 - sigma_K - sigma_k) g + K_A * k + K * k_B, where K_A
@@ -194,9 +202,14 @@ def compute_g(pair: SoninePair, mesh: Mesh) -> tuple[SampledFunction, float]:
     count, as in :func:`convolve_pair`. g(t_0) is NaN.
     """
     M = _pair_panels(pair.K, pair.k, mesh, None)
-    delta = _defect(pair, M)
+    return _g_on_mesh(pair, mesh, M, _defect(pair, M), _gprime_terms(pair))
+
+
+def _g_on_mesh(pair: SoninePair, mesh: Mesh, M: int, delta, terms) -> tuple[SampledFunction, float]:
+    """:func:`compute_g` given the panel count, :func:`_defect` and
+    :func:`_gprime_terms`."""
     g = np.full(mesh.N + 1, np.nan)
-    sample = _in_log_t if _gprime_terms(pair) else (lambda f, t: f(t))
+    sample = _in_log_t if terms else (lambda f, t: f(t))
     g[1:] = sample(lambda t: _pair_convolution(pair.K, pair.k, t, M), mesh.nodes[1:])
     g[1:] -= delta or 0.0
     route = delta is not None and pair.k.smooth_log_deriv is not None
@@ -205,15 +218,18 @@ def compute_g(pair: SoninePair, mesh: Mesh) -> tuple[SampledFunction, float]:
 
 def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
     """g' at strictly positive times, increasing ones when there are 4 *
-    LOG_T_POINTS or more, by the g' rule (:func:`_gprime_terms`). t g',
-    which goes as t ln t near 0, is sampled in ln t (see
-    :func:`sonine_kit.quadrature._in_log_t`) and then divided by t."""
+    LOG_T_POINTS or more, by the g' rule (:func:`_gprime_terms`), refusing
+    a pair off it."""
     terms = _gprime_terms(pair)
     if terms is None:
-        raise DomainError(
-            "an analytic g' needs orders that sum to 1 and a known t S'(t) "
-            "(KernelSpec.smooth_log_deriv) of every kernel but a pure power"
-        )
+        raise DomainError(_NO_GPRIME)
+    return _gprime_from_terms(terms, flat, M)
+
+
+def _gprime_from_terms(terms: list, flat: np.ndarray, M: int) -> np.ndarray:
+    """:func:`_gprime_flat` given :func:`_gprime_terms`. t g', which goes as
+    t ln t near 0, is sampled in ln t (see
+    :func:`sonine_kit.quadrature._in_log_t`) and then divided by t."""
 
     def t_gprime(t):
         return sum((_pair_convolution(A, B, t, M) for A, B in terms), np.zeros(len(t)))
@@ -224,8 +240,8 @@ def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
 def estimate_gprime(pair: SoninePair, mesh: Mesh) -> SampledFunction:
     """g' at the interior mesh nodes by the analytic rule, refusing a pair
     off it (:func:`_gprime_terms`), with the mesh's panel count, as in
-    :func:`check_gsc`, which differences such a pair's g' from g: there
-    g'(t_1) is the mean of g' over [t_1, t_2], not its value at t_1.
+    :func:`check_gsc`, whose gate refuses the same pairs unless they are
+    classical.
 
     g'(t_0) is undefined (NaN): the derivative need not exist at 0, only
     be integrable near it.
@@ -266,23 +282,12 @@ def _bounded_factor(
     return SampledFunction(mesh=gprime.mesh, values=m)
 
 
-def _fd_gprime(nodes: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Differences of g at the interior nodes of a mesh (N >= 2): forward
-    at node 1, centred inside, backward at node N; NaN at t_0."""
-    out = np.full(len(nodes), np.nan)
-    out[1] = (g[2] - g[1]) / (nodes[2] - nodes[1])
-    out[2:-1] = (g[3:] - g[1:-2]) / (nodes[3:] - nodes[1:-2])
-    out[-1] = (g[-1] - g[-2]) / (nodes[-1] - nodes[-2])
-    return out
-
-
 def _near_origin_model(
-    t: np.ndarray, y: np.ndarray, means: bool, sigma: float
+    t: np.ndarray, y: np.ndarray, sigma: float
 ) -> tuple[float, EpsFit, float | None]:
     """The integral of g' over [0, t_1] under a model of g' near 0, the
     model as an :class:`EpsFit`, and a power model's m(0) = lim s^eps g'
-    (else None), from ``y``: g' at the nodes ``t``, or with ``means`` g,
-    whose differences give g''s means over the first panels.
+    (else None), from ``y``, g' at the nodes ``t``.
 
     In x = s / t_1 two models compete. c0 + c1 ln x + c2 (x - 1), fitted
     to the first three samples, holds a log blow-up, the profile pair's,
@@ -295,42 +300,25 @@ def _near_origin_model(
     for k's order ``sigma``. Too few samples, or first ones that
     fall off as fast as x^(-EPS_CLIP_MAX), are not conclusive.
     """
-    x = t[1 : 6 if means else 5] / t[1]
-    y = np.diff(y[1:6]) / np.diff(t[1:6]) if means else y[1:5]
-
-    def sample(f, F):
-        """Samples of the functions f at x, or with ``means`` their means
-        over the panels between, from their antiderivatives F."""
-        return np.diff(F(x), axis=0) / np.diff(x)[:, None] if means else f(x)
-
-    A = sample(
-        lambda x: np.column_stack([np.ones_like(x), np.log(x), x - 1.0]),
-        lambda x: np.column_stack([x, x * np.log(x) - x, 0.5 * x * x - x]),
-    )
+    x, y = t[1:5] / t[1], y[1:5]
+    A = np.column_stack([np.ones_like(x), np.log(x), x - 1.0])
     judged = len(y) == 4
     k = 3 if judged else min(len(y), 2)
     c = np.linalg.solve(A[:k, :k], y[:k])
     models = [(A[:, :k] @ c, float(c @ np.array([1.0, -1.0, -0.5])[:k]), (0.0, None))]
 
-    def falloff(eps):
-        """The power's second sample over its first (x_1 = 1), in floats."""
-        if not means:
-            return float(x[1]) ** -eps
-        p, x2, x3 = 1.0 - eps, float(x[1]), float(x[2])
-        return (x3**p - x2**p) * (x2 - 1.0) / ((x2**p - 1.0) * (x3 - x2))
-
+    x2 = float(x[1])  # a power's second sample over its first is x2^(-eps)
     # by signs and magnitudes: the product y[0] y[1] can overflow
     falling = judged and np.sign(y[0]) == np.sign(y[1]) != 0.0 and abs(y[1]) < abs(y[0])
-    steep = falling and y[1] / y[0] <= falloff(EPS_CLIP_MAX)
+    steep = falling and y[1] / y[0] <= x2**-EPS_CLIP_MAX
     if falling and not steep:
         lo, hi = 0.0, EPS_CLIP_MAX
         mid = 0.5 * (lo + hi)
         while lo < mid < hi:  # bisection, down to adjacent floats
-            lo, hi = (mid, hi) if falloff(mid) > y[1] / y[0] else (lo, mid)
+            lo, hi = (mid, hi) if x2**-mid > y[1] / y[0] else (lo, mid)
             mid = 0.5 * (lo + hi)
-        p = sample(lambda x: x[:, None] ** -lo, lambda x: x[:, None] ** (1.0 - lo) / (1.0 - lo))
-        C = y[0] / p[0, 0]
-        models.append((C * p[:, 0], C / (1.0 - lo), (lo, float(C * t[1] ** lo))))
+        C = float(y[0])  # the power is 1 at x = 1
+        models.append((C * x**-lo, C / (1.0 - lo), (lo, float(C * t[1] ** lo))))
     if judged:
         models.sort(key=lambda model: abs(model[0][3] - y[3]))
     fit, integral, (eps, m0) = models[0]
@@ -355,8 +343,9 @@ class _GateInputs:
     """The part of a :class:`GscReport` a second-kind solve reads (see
     :func:`_gate_inputs`). g' is factored as t^(-eps) m(t): ``eps`` and
     ``m``, m(0) included, are what ``gprime_l1`` was computed from and
-    what the sweep reads. ``g`` is the samples of g on the mesh when g'
-    was differenced from them, else None."""
+    what the sweep reads. :func:`check_gsc`'s g reuses the panel count
+    ``M``, ``terms`` (:func:`_gprime_terms`) and ``delta`` (:func:`_defect`,
+    left None for a classical pair, whose g(t_1) is 1)."""
 
     gprime: SampledFunction
     g0: float
@@ -365,24 +354,25 @@ class _GateInputs:
     eps: float
     m: SampledFunction
     gprime_l1: float
-    g: SampledFunction | None
+    M: int
+    terms: list | None
+    delta: float | None
 
 
 def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     """g(0+), g' at the nodes, the model of g' near 0 and the weighted L1
     norm of g', as :func:`check_gsc` reports them.
 
-    g' is :func:`estimate_gprime`'s where the analytic rule applies
-    (:func:`_gprime_terms`). g itself on the mesh is computed, by
-    :func:`compute_g`, only for a pair off that rule and not classical,
-    whose g' is differenced from it.
+    g' is 0 for a classical pair and else the analytic rule's
+    (:func:`estimate_gprime`), and a pair off that rule
+    (:func:`_gprime_terms`) is refused with a DomainError naming
+    ``smooth_log_deriv``. g on the mesh is not computed.
 
     One model of g' near 0 (:func:`_near_origin_model`), from g' at the
-    first nodes or, where g' is differenced from g, from g there, gives
-    g(0+) as g(t_1) less its integral over [0, t_1] (g(t_1) is 1 for a
-    classical pair, one row of the g rule (:func:`_defect`), or the first
-    sample of g); the verdict, whose eps margin reads k's order however k
-    is given; and g' = t^(-eps) m(t) for the L1 norm and
+    first nodes, gives g(0+) as g(t_1) less its integral over [0, t_1]
+    (g(t_1) is 1 for a classical pair, else one row of the g rule less
+    delta (:func:`_defect`)); the verdict, whose eps margin reads k's
+    order; and g' = t^(-eps) m(t) for the L1 norm and
     the sweep: a power's own eps and m(0), or for a log or bounded g' the
     window slope (:func:`_window_slope`) and :func:`_bounded_factor`'s m(0).
 
@@ -396,23 +386,20 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
         raise DomainError("the g(0+) reading needs at least two interior nodes")
     nodes = mesh.nodes
     interior = nodes[1:]
-    g = None
+    terms = _gprime_terms(pair)
+    delta = None
     if pair.is_classical:
         g_first = 1.0
         gp = np.zeros(mesh.N + 1)
-    elif _gprime_terms(pair) is not None:
-        g_first = float(_pair_convolution(pair.K, pair.k, interior[:1], M)[0])
-        g_first -= _defect(pair, M) or 0.0
-        gp = estimate_gprime(pair, mesh).values
+    elif terms is None:
+        raise DomainError(_NO_GPRIME)
     else:
-        g = compute_g(pair, mesh)[0]
-        g_first = float(g.values[1])
-        gp = _fd_gprime(nodes, g.values)
+        delta = _defect(pair, M)
+        g_first = float(_pair_convolution(pair.K, pair.k, interior[:1], M)[0]) - (delta or 0.0)
+        gp = np.r_[np.nan, _gprime_from_terms(terms, interior, M)]
     if not (math.isfinite(g_first) and np.all(np.isfinite(gp[1:]))):
         raise DomainError("g at the first node and g' at the interior nodes must be finite")
-    sigma = pair.k.local_exponent
-    samples = gp if g is None else g.values
-    integral, eps_fit, m0 = _near_origin_model(nodes, samples, g is not None, sigma)
+    integral, eps_fit, m0 = _near_origin_model(nodes, gp, pair.k.local_exponent)
     g0 = g_first - integral
     window = (interior <= pair.b * EPS_WINDOW_FRACTION) & (np.arange(1, mesh.N + 1) >= 2)
     eps = eps_fit.eps if m0 is not None else _window_slope(interior[window], gp[1:][window])
@@ -427,7 +414,9 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
         eps=eps,
         m=m,
         gprime_l1=float(math.fsum(w_l1 * np.abs(m.values))),
-        g=g,
+        M=M,
+        terms=terms,
+        delta=delta,
     )
 
 
@@ -436,14 +425,16 @@ def check_gsc(pair: SoninePair, mesh: Mesh, g0_tol: float = G0_TOL_DEFAULT) -> G
 
     The verdict requires |g(0+) - 1| <= g0_tol, a model of g' near 0 that
     makes it integrable, and a finite weighted L1 norm of g' (see
-    :func:`_gate_inputs`), and g itself comes from :func:`compute_g`.
+    :func:`_gate_inputs`), which refuses a pair that is neither classical
+    nor on the analytic g' rule, and g itself is :func:`compute_g`'s.
     This is the full diagnostic; a solve reads only the g(0+), g', model
     and L1 parts and does not compute g on the mesh.
     """
     if not math.isfinite(g0_tol) or g0_tol <= 0.0:
         raise DomainError(f"g0_tol must be positive, got {g0_tol!r}")
     gate = _gate_inputs(pair, mesh)
-    g, route_diff = (gate.g, float("nan")) if gate.g is not None else compute_g(pair, mesh)
+    delta = _defect(pair, gate.M) if pair.is_classical else gate.delta
+    g, route_diff = _g_on_mesh(pair, mesh, gate.M, delta, gate.terms)
     sc_residual = float(np.max(np.abs(g.values[1:] - 1.0)))
     gsc_pass = bool(
         gate.g0_defect <= g0_tol and gate.eps_fit.passed and math.isfinite(gate.gprime_l1)

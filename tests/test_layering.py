@@ -9,7 +9,9 @@ and may not import the reference rule or the row blocks behind it, which
 is how a second split-at-t/2 integrator would come back. Nor does it read
 exponent profiles: the analytic g' route takes what it needs from
 ``KernelSpec.smooth_log_deriv``, so any kernel that carries it gets the
-route, not only t^(-alpha(t)). It reads g(0+) as g at the first node
+route, not only t^(-alpha(t)). That route is g''s only one: a pair off it
+that is not classical is refused with one message, and nothing differences
+g. It reads g(0+) as g at the first node
 minus the integral of a model of its own g' over the first panel, with no
 fit of g at geometric times. The CLI's
 commands (``_run_*``) return their table and summary and do no I/O:
@@ -112,6 +114,18 @@ CLASSICAL_PARTS = {"kappa", "classical_abel_kernel"}
 
 #: what sonine.py may not define: the route that copied that test
 CLASSICAL_COPY = "_substituted_route"
+
+#: what sonine.py may not have of the g' once differenced from g: the
+#: function, the near-origin model's parameter for g's means over the first
+#: panels, and the gate's field for g on the mesh
+DIFFERENCED_FUNCTION = "_fd_gprime"
+DIFFERENCED_MODEL, MEANS = "_near_origin_model", "means"
+GATE_INPUTS, GATE_G = "_GateInputs", "g"
+
+#: the module constant of sonine.py that is the refusal of a pair off the
+#: g' rule, and the functions that raise it
+NO_GPRIME = "_NO_GPRIME"
+NO_GPRIME_RAISERS = ("_gprime_flat", "_gate_inputs")
 
 #: what quadrature.py may not define: the crossover to the dense triangle,
 #: the super-block size and the row floor of the two-level layout that the
@@ -1000,3 +1014,99 @@ def test_moments_guard_allows_the_contract_and_its_mirror():
         "y = x ** (beta + 1.0)\n"
     )
     assert _moments_contract_breaks(source) == []
+
+
+def _second_gprime_route_parts(source: str) -> list[str]:
+    """What is left of the differenced g' in sonine.py's source, and
+    breaks of the one refusal: NO_GPRIME assigned other than once at
+    module level, its text in another string, or a NO_GPRIME_RAISERS
+    function that does not read it."""
+    tree = ast.parse(source)
+    defs = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    found = []
+    if DIFFERENCED_FUNCTION in defs:
+        found.append(f"line {defs[DIFFERENCED_FUNCTION].lineno}: defines {DIFFERENCED_FUNCTION}")
+    model = defs.get(DIFFERENCED_MODEL)
+    if model is not None:
+        a = model.args
+        if MEANS in [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]:
+            found.append(f"line {model.lineno}: {DIFFERENCED_MODEL} takes {MEANS}")
+    gate = defs.get(GATE_INPUTS)
+    if gate is not None:
+        found += [
+            f"line {node.lineno}: {GATE_INPUTS} has {GATE_G}"
+            for node in gate.body
+            if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == GATE_G
+        ]
+    messages = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == NO_GPRIME for target in node.targets)
+    ]
+    if len(messages) != 1:
+        found.append(f"assigns {NO_GPRIME} {len(messages)} times at module level")
+    elif isinstance(messages[0].value, ast.Constant):
+        text = messages[0].value.value[:24]
+        found += [
+            f"line {node.lineno}: copies the text of {NO_GPRIME}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and text in node.value
+            and node is not messages[0].value
+        ]
+    for name in NO_GPRIME_RAISERS:
+        fn = defs.get(name)
+        if fn is None or not any(
+            isinstance(node, ast.Name) and node.id == NO_GPRIME for node in ast.walk(fn)
+        ):
+            found.append(f"{name} does not read {NO_GPRIME}")
+    return found
+
+
+def test_one_gprime_route():
+    """g' has one route, the analytic rule: sonine.py differences no g,
+    and a pair off the rule that is not classical is refused with one
+    message, shared by estimate_gprime's rule and the gate."""
+    source = Path(sonine_kit.sonine.__file__).read_text()
+    assert _second_gprime_route_parts(source) == []
+
+
+#: a source with the one route and the one refusal
+ONE_ROUTE = (
+    "_NO_GPRIME = (\n    \"an analytic g' needs orders that sum to 1 \"\n    \"and t S'(t)\"\n)\n"
+    "def _near_origin_model(t, y, sigma):\n    pass\n"
+    "class _GateInputs:\n    gprime: SampledFunction\n    delta: float | None\n"
+    "def _gprime_flat(pair, flat, M):\n    raise DomainError(_NO_GPRIME)\n"
+    "def _gate_inputs(pair, mesh):\n    raise DomainError(_NO_GPRIME)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ONE_ROUTE + "def _fd_gprime(nodes, g):\n    pass\n",
+        ONE_ROUTE.replace("(t, y, sigma)", "(t, y, means, sigma)"),
+        ONE_ROUTE.replace("(t, y, sigma)", "(t, y, sigma, *, means=False)"),
+        ONE_ROUTE.replace("delta: float | None", "g: SampledFunction | None"),
+        ONE_ROUTE + "_NO_GPRIME = \"g' has no rule\"\n",
+        ONE_ROUTE.replace(
+            "def _gate_inputs(pair, mesh):\n    raise DomainError(_NO_GPRIME)",
+            "def _gate_inputs(pair, mesh):\n"
+            "    raise DomainError(\"an analytic g' needs orders that sum to 1\")",
+        ),
+        ONE_ROUTE.replace("def _gprime_flat(pair, flat, M):", "def _gprime_rule(pair, flat, M):"),
+    ],
+    ids=["fd", "means", "keyword means", "gate g", "two messages", "copied text", "no raiser"],
+)
+def test_gprime_route_guard_catches_violations(source):
+    assert _second_gprime_route_parts(source)
+
+
+def test_gprime_route_guard_allows_the_one_route():
+    assert _second_gprime_route_parts(ONE_ROUTE) == []

@@ -26,8 +26,10 @@ from sonine_kit import (
     check_gsc,
     compute_g,
     compute_g_substituted,
+    convergence_study,
     convolve_pair,
     convolve_pair_at,
+    discover_associate,
     estimate_gprime,
     graded_mesh,
     kappa,
@@ -35,6 +37,7 @@ from sonine_kit import (
     make_variable_exponent_pair,
     power_kernel,
     solve_first_kind,
+    stability_report,
 )
 from sonine_kit import quadrature, sonine
 from sonine_kit.quadrature import _default_panels
@@ -119,6 +122,27 @@ class TestOneRule:
         assert sum(rows) == mesh.N + 1
         np.testing.assert_array_equal(g.values[1:], compute_g_substituted(pair_a, mesh.nodes[1:], M=64))
 
+    @pytest.mark.parametrize("which", ["classical", "variable", "two-term"])
+    def test_check_gsc_reads_delta_and_the_terms_once(self, which, monkeypatch, pair_a):
+        """One check_gsc call computes the rule's error on k's leading term
+        (_defect) and the g' rule's terms (_gprime_terms) once each, and g
+        reuses the gate's; it computed them twice and three times."""
+        pair = {
+            "classical": make_classical_abel_pair(0.5, 1.0),
+            "variable": pair_a,
+            "two-term": two_term_pair(0.7, 0.5, 1.0, 1.0),
+        }[which]
+        calls = {"_defect": 0, "_gprime_terms": 0}
+        for name in calls:
+
+            def counting(*args, real=getattr(sonine, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(sonine, name, counting)
+        check_gsc(pair, graded_mesh(128, 2.0, pair.b))
+        assert calls == {"_defect": 1, "_gprime_terms": 1}
+
     def test_compute_g_on_a_long_mesh_samples_in_ln_t(self, monkeypatch, pair_a):
         """At N = 4096 the rule runs at the LOG_T_POINTS points of the
         interpolant in ln t, and once for delta."""
@@ -144,12 +168,17 @@ class TestPanelCountPolicy:
 
     @pytest.mark.parametrize("route", ["classical", "substituted", "pointwise"])
     def test_check_gsc_g_is_compute_g(self, route, pair_a):
+        """A k given pointwise, without its t S'(t), is refused instead."""
         pair = {
             "classical": make_classical_abel_pair(0.5, pair_a.b),
             "substituted": pair_a,
             "pointwise": SoninePair(k=replace(pair_a.k, smooth_log_deriv=None), K=pair_a.K),
         }[route]
         mesh = graded_mesh(128, 2.0, pair.b)
+        if route == "pointwise":
+            with pytest.raises(DomainError, match="smooth_log_deriv"):
+                check_gsc(pair, mesh)
+            return
         np.testing.assert_array_equal(
             check_gsc(pair, mesh).g.values, compute_g(pair, mesh)[0].values
         )
@@ -378,44 +407,53 @@ class TestGprimeIdentity:
         assert report.gsc_pass
 
 
-#: relative gap of ||g'||_L1 between k without and with its t S'(t), for
-#: the profile 0.5 + 0.4t on (0, 1] at N = 256, by grading r: the
-#: differenced g' is first order, the analytic one is not differenced
-DERIVATIVE_LESS_GAP = {1.0: 1.631e-3, 2.0: 1.158e-4}
+#: pairs off the g' rule: no t S'(t) of a kernel that needs one, or orders
+#: that do not sum to 1
+OFF_RULE_PAIRS = {
+    "k without t S'(t)": lambda: tempered_pair(log_deriv=False),
+    "K without t A'(t)": lambda: SoninePair(
+        k=tempered_associate().k, K=replace(tempered_associate().K, smooth_log_deriv=None)
+    ),
+    "orders sum to 0.8": lambda: SoninePair(
+        k=power_kernel(1.0, ALPHA, B), K=power_kernel(1.0 / kappa(ALPHA), 0.3, B)
+    ),
+}
+
+#: the public entries that read g', each on a pair and a mesh
+GATED_ENTRIES = {
+    "check_gsc": check_gsc,
+    "solve_first_kind": lambda pair, mesh: solve_first_kind(
+        pair, RhsSpec.from_polynomial((0.0, 1.0)), mesh
+    ),
+    "discover_associate": lambda pair, mesh: discover_associate(pair.k, pair.K, mesh),
+    "stability_report": lambda pair, mesh: stability_report(pair, 1e-6, mesh),
+    "convergence_study": lambda pair, mesh: convergence_study(
+        pair, RhsSpec.from_polynomial((0.0, 1.0)), mesh.N, 2.0
+    ),
+}
 
 
-@pytest.mark.parametrize("r", [*DERIVATIVE_LESS_GAP])
-def test_derivative_less_gap(r):
-    """Today's cost of a k given without t S'(t), pinned within 5% so that
-    a better derivative-less g' has a target to tighten."""
-    pair = make_variable_exponent_pair(affine_exponent(0.5, 0.4, 1.0), 1.0)
-    bare = SoninePair(k=replace(pair.k, smooth_log_deriv=None), K=pair.K)
-    mesh = graded_mesh(256, r, 1.0)
-    built, given_bare = (check_gsc(p, mesh).gprime_l1 for p in (pair, bare))
-    np.testing.assert_allclose(abs(given_bare - built) / built, DERIVATIVE_LESS_GAP[r], rtol=0.05)
+class TestRefusedOffTheRule:
+    """A pair that is not classical and whose g' the analytic rule cannot
+    build is refused by every entry that reads g', with a DomainError that
+    names smooth_log_deriv. Its g' was differenced from g, first order and
+    off by up to 2.0e-3 of max |u| at r = 1, N = 64; with orders that do
+    not sum to 1 it got a failed verdict. Its g still convolves."""
 
+    @pytest.mark.parametrize("entry", [*GATED_ENTRIES])
+    @pytest.mark.parametrize("name", [*OFF_RULE_PAIRS])
+    def test_every_entry_refuses(self, name, entry):
+        pair = OFF_RULE_PAIRS[name]()
+        with pytest.raises(DomainError, match="smooth_log_deriv"):
+            GATED_ENTRIES[entry](pair, graded_mesh(64, 2.0, pair.b))
 
-def _fd_gprime_loop(nodes, g):
-    """The per-node differences that sonine._fd_gprime vectorises."""
-    n = len(nodes)
-    out = np.full(n, np.nan)
-    for i in range(1, n):
-        lo = i if i == 1 or not np.isfinite(g[i - 1]) else i - 1
-        hi = i + 1 if i < n - 1 else i
-        if hi > lo and np.isfinite(g[lo]) and np.isfinite(g[hi]):
-            out[i] = (g[hi] - g[lo]) / (nodes[hi] - nodes[lo])
-    return out
-
-
-class TestFiniteDifferences:
-    @pytest.mark.parametrize("N", [2, 3, 128])
-    def test_matches_the_per_node_loop(self, N):
-        """Forward at node 1, centred inside, backward at node N, bit for
-        bit the loop's, on a g that is undefined at t_0."""
-        nodes = graded_mesh(N, 2.0, 0.5).nodes
-        g = np.full(N + 1, np.nan)
-        g[1:] = 1.0 + nodes[1:] * np.log(nodes[1:])
-        np.testing.assert_array_equal(sonine._fd_gprime(nodes, g), _fd_gprime_loop(nodes, g))
+    @pytest.mark.parametrize("name", [*OFF_RULE_PAIRS])
+    def test_g_still_convolves(self, name):
+        """compute_g needs no g': g is finite and route_diff NaN."""
+        pair = OFF_RULE_PAIRS[name]()
+        g, route_diff = compute_g(pair, graded_mesh(64, 2.0, pair.b))
+        assert np.all(np.isfinite(g.values[1:]))
+        assert math.isnan(route_diff)
 
 
 #: exact pairs of Luchko's two-term family, (a, beta, lambda, b)
@@ -586,19 +624,19 @@ class TestCheckGsc:
     @pytest.mark.parametrize("N", [128, 256, 512, 2048])
     @pytest.mark.parametrize("name", [*SCALED_K_PAIRS])
     def test_steep_profile_passes_g0_and_scaled_kappa_fails(self, name, N):
-        """Each pair meets g(0+) = 1 within the default tolerance, also with
-        k's t S'(t) dropped, so that g is convolved from K and k pointwise
-        (at most 2.5e-7 so at N = 128). With K scaled by s, g(0+) moves by
-        s - 1, and every s in SCALES fails the verdict on it. The defect
-        reads |s - 1| within 1% at every N here (1.2e-4 relative measured;
-        the fit of g at geometric times was off by up to 3.7 times on
-        two-term (0.7, 0.5)). A scaled pair keeps k's t S'(t), so the eps
-        margin still reads k's order, and takes the pointwise route."""
+        """Each pair meets g(0+) = 1 within the default tolerance; with k's
+        t S'(t) dropped it is refused, since its g' has no rule. With K
+        scaled by s, g(0+) moves by s - 1, and every s in SCALES fails the
+        verdict on it. The defect reads |s - 1| within 1% at every N here
+        (1.2e-4 relative measured; the fit of g at geometric times was off
+        by up to 3.7 times on two-term (0.7, 0.5)). A scaled pair keeps k's
+        t S'(t), so the eps margin still reads k's order."""
         pair = SCALED_K_PAIRS[name]()
         mesh = graded_mesh(N, 2.0, pair.b)
         profile_less = SoninePair(k=replace(pair.k, smooth_log_deriv=None), K=pair.K)
         assert check_gsc(pair, mesh).g0_defect <= G0_TOL_DEFAULT
-        assert check_gsc(profile_less, mesh).g0_defect <= G0_TOL_DEFAULT
+        with pytest.raises(DomainError, match="smooth_log_deriv"):
+            check_gsc(profile_less, mesh)
         for s in SCALES:
             K = power_kernel(pair.K.power_coef * s, pair.K.local_exponent, pair.b)
             report = check_gsc(SoninePair(k=pair.k, K=K), mesh)
@@ -611,12 +649,10 @@ class TestCheckGsc:
         measured from K itself, as without the profile: the substituted
         route, which builds the profile's own K in, read g0_defect 4.0e-5
         and passed it. Constructor-built pairs keep that route. Its g' comes
-        from the analytic rule, the profile-less pair's is differenced, so
-        their g0_defect agree to 8.7e-9, not bit for bit."""
+        from the analytic rule."""
         pair = make_variable_exponent_pair(affine_exponent(0.5, 0.4, 1.0), 1.0)
         scaled_K = power_kernel(pair.K.power_coef / 1.01, pair.K.local_exponent, 1.0)
         kept = SoninePair(k=pair.k, K=scaled_K)
-        dropped = SoninePair(k=replace(pair.k, smooth_log_deriv=None), K=scaled_K)
         mesh = graded_mesh(128, 2.0, 1.0)
         report = check_gsc(kept, mesh)
         assert not report.gsc_pass
@@ -737,12 +773,8 @@ PAIR_MAP_MESHES = tuple(itertools.product((1.5, 2.0, 3.0), (64, 256, 1024)))
 
 #: the (pair, with t S'(t), r, N) cases of the pair map whose unscaled pair
 #: check_gsc fails: the two-term pair (0.3, 0.5), whose eps = 0.7 lies
-#: past the margin below 1 - beta, with k's t S'(t) or without
-PAIR_MAP_FAILURES = {
-    ("two-term (0.3, 0.5)", log_deriv, r, N)
-    for log_deriv in (True, False)
-    for r, N in PAIR_MAP_MESHES
-}
+#: past the margin below 1 - beta. A k without its t S'(t) is refused
+PAIR_MAP_FAILURES = {("two-term (0.3, 0.5)", True, r, N) for r, N in PAIR_MAP_MESHES}
 
 
 def _pair_case(name: str, scale: float, log_deriv: bool) -> SoninePair:
@@ -760,8 +792,9 @@ def test_pair_verdict_map():
     """check_gsc's verdict on the 216 cases of the pairs off the profile
     grid: each pair as built, with K scaled by 1.01 and by 1/1.01, and
     with and without k's t S'(t), at r in {1.5, 2, 3} and N in {64, 256,
-    1024}. Every scaled pair fails; the pairs as built fail only as
-    PAIR_MAP_FAILURES says. Every case that changes is printed."""
+    1024}. Every pair without k's t S'(t) is refused; every scaled pair
+    with it fails; the pairs as built fail only as PAIR_MAP_FAILURES says.
+    Every case that changes is printed."""
     changed = []
     cases = 0
     for name, scale, log_deriv in itertools.product(
@@ -769,14 +802,18 @@ def test_pair_verdict_map():
     ):
         pair = _pair_case(name, scale, log_deriv)
         for r, N in PAIR_MAP_MESHES:
-            passed = check_gsc(pair, graded_mesh(N, r, pair.b)).gsc_pass
-            expected = scale == 1.0 and (name, log_deriv, r, N) not in PAIR_MAP_FAILURES
+            try:
+                verdict = "pass" if check_gsc(pair, graded_mesh(N, r, pair.b)).gsc_pass else "fail"
+            except DomainError as exc:
+                verdict = "refused" if "smooth_log_deriv" in str(exc) else repr(exc)
+            passes = scale == 1.0 and (name, log_deriv, r, N) not in PAIR_MAP_FAILURES
+            expected = "refused" if not log_deriv else "pass" if passes else "fail"
             cases += 1
-            if passed != expected:
+            if verdict != expected:
                 changed.append((name, scale, log_deriv, r, N))
                 print(
                     f"verdict changed: {name}, K x {scale:.6g}, t S'(t) {log_deriv}, "
-                    f"r = {r}, N = {N}: now {'pass' if passed else 'fail'}"
+                    f"r = {r}, N = {N}: now {verdict}"
                 )
     assert cases == 216
     assert changed == []
@@ -785,15 +822,15 @@ def test_pair_verdict_map():
 @pytest.mark.parametrize("N", [512, 2048])
 @pytest.mark.parametrize("name", [*PAIR_MAP_PAIRS])
 def test_verdict_does_not_depend_on_how_k_is_given(name, N):
-    """A pair gets one verdict and one model of g' near 0 whether k
-    carries its t S'(t) or not: the eps margin reads k's order, which
-    every kernel states. The two-term pair (0.3, 0.5), eps = 0.7, failed
-    with t S'(t) and passed without it, when the margin was read only
-    from a k that had one."""
+    """A pair gets no verdict that depends on how k is given: with its t
+    S'(t) it gets the map's verdict, and without it it is refused. The
+    two-term pair (0.3, 0.5), eps = 0.7, failed with t S'(t) and passed
+    without it, when the margin was read only from a k that had one."""
     mesh = graded_mesh(N, 2.0, PAIR_MAP_PAIRS[name]().b)
-    built, bare = (check_gsc(_pair_case(name, 1.0, d), mesh) for d in (True, False))
-    assert built.gsc_pass == bare.gsc_pass
-    assert built.eps_fit.passed == bare.eps_fit.passed
+    built = check_gsc(_pair_case(name, 1.0, True), mesh)
+    with pytest.raises(DomainError, match="smooth_log_deriv"):
+        check_gsc(_pair_case(name, 1.0, False), mesh)
+    assert built.gsc_pass == built.eps_fit.passed == (name != "two-term (0.3, 0.5)")
 
 
 #: the gate map: the verdict grid's valid profiles, solved with f = t on

@@ -327,8 +327,7 @@ class TestSolveFirstKind:
 
 
 def _profile_less(pair):
-    """The pair with k's exponent profile dropped, so g is known only
-    pointwise, as for kernels given by samples."""
+    """The pair with k's exponent profile dropped, so g' has no rule."""
     return SoninePair(k=replace(pair.k, smooth_log_deriv=None), K=pair.K)
 
 
@@ -362,19 +361,19 @@ class TestSolveInputChecks:
     @pytest.mark.parametrize(
         "route, nan_below, message",
         [
-            ("pointwise", False, "sampled values"),
+            ("pointwise", False, "smooth_log_deriv"),
             ("substituted", False, "smooth_log_deriv / t disagrees"),
             ("substituted", True, "g at the first node"),
         ],
     )
     def test_non_finite_kernel_is_refused(self, route, nan_below, message):
         """A k whose bounded factor is NaN past b/2 makes g NaN there. Given
-        pointwise, its g samples are refused as they are made. With a t
-        S'(t), the kernel is refused as it is built: the spot-check of t
-        S'(t) against S meets the NaN. NaN below b/1000, under every spot
-        point, makes g at the first node NaN, which the gate refuses before
-        anything reads a g(0+) from it. check_gsc refuses as the solve
-        does."""
+        pointwise, it is refused before anything is convolved, since its g'
+        has no rule. With a t S'(t), the kernel is refused as it is built:
+        the spot-check of t S'(t) against S meets the NaN. NaN below
+        b/1000, under every spot point, makes g at the first node NaN,
+        which the gate refuses before anything reads a g(0+) from it.
+        check_gsc refuses as the solve does."""
         b = 0.5
 
         def smooth(t):
@@ -411,7 +410,8 @@ class TestSolveReadsGateInputsOnly:
     def test_same_as_with_full_report(self, which, classical_half, pair_a):
         """The sweep reads the gate's factored g'. For a log or bounded g'
         that is solve_second_kind's m(0) rule at the gate's eps; a power
-        blow-up's m(0) is the model's limit instead."""
+        blow-up's m(0) is the model's limit instead. A pair without k's
+        t S'(t) is refused by both."""
         pair = {
             "classical": classical_half,
             "variable": pair_a,
@@ -420,6 +420,11 @@ class TestSolveReadsGateInputsOnly:
         }[which]
         mesh = graded_mesh(128, 2.0, pair.b)
         rhs = RhsSpec.from_polynomial([0.0, 1.0, -0.5])
+        if which == "profile-less":
+            for run in (lambda: solve_first_kind(pair, rhs, mesh), lambda: check_gsc(pair, mesh)):
+                with pytest.raises(DomainError, match="smooth_log_deriv"):
+                    run()
+            return
         got = solve_first_kind(pair, rhs, mesh)
         report = check_gsc(pair, mesh)
         gate = sonine._gate_inputs(pair, mesh)
@@ -440,9 +445,10 @@ class TestSolveReadsGateInputsOnly:
     def test_no_g_on_the_mesh(self, monkeypatch, classical_half, pair_a):
         """Solves convolve no g, and evaluate g once, at the first node t_1,
         where g(0+) is read as g(t_1) minus the integral of g' over [0,
-        t_1]; check_gsc convolves g once for a pair given pointwise, whose
-        g' is differenced from it. Rows of the rule on K * k are counted:
-        g' and the rule's error on k's leading term convolve other kernels."""
+        t_1]; check_gsc refuses a pair given pointwise, whose g' has no
+        rule, before it convolves anything. Rows of the rule on K * k are
+        counted: g' and the rule's error on k's leading term convolve other
+        kernels."""
         profile_less = _profile_less(pair_a)
         g_rows = []
         real = sonine._pair_convolution
@@ -462,8 +468,9 @@ class TestSolveReadsGateInputsOnly:
         mesh = graded_mesh(128, 2.0, pair_a.b)
         assert g_rows == [[mesh.nodes[1]]] * 3
         g_rows.clear()
-        check_gsc(profile_less, mesh)
-        assert [len(rows) for rows in g_rows] == [mesh.N]
+        with pytest.raises(DomainError, match="smooth_log_deriv"):
+            check_gsc(profile_less, mesh)
+        assert g_rows == []
 
 
 class TestHandBuiltPair:
@@ -764,7 +771,8 @@ class TestDiscoverAssociate:
     def test_hand_built_associate_is_swept(self):
         """Kg = (1 + t) t^(-1/2) / kappa(1/2) shares the classical associate's
         order and its value at 0 but is not a power, so its g' is not 0 and
-        u must come from the sweep; taking u = F read sc_residual_of_u 0.25."""
+        u must come from the sweep; taking u = F read sc_residual_of_u 0.25.
+        Its t A'(t) = t / kappa(1/2) gives g' its rule."""
         b = 0.5
         kap = kappa(0.5)
         Kg = KernelSpec(
@@ -772,6 +780,7 @@ class TestDiscoverAssociate:
             smooth0=1.0 / kap,
             local_exponent=0.5,
             b=b,
+            smooth_log_deriv=lambda t: np.asarray(t, dtype=float) / kap,
         )
         report = discover_associate(classical_abel_kernel(0.5, b), Kg, graded_mesh(512, 2.0, b))
         assert not np.array_equal(report.u.values[1:], report.F.values[1:])

@@ -30,7 +30,6 @@ from .kernels import (
 from .mesh import Mesh, SampledFunction, default_grading, graded_mesh
 from .quadrature import (
     convolve_pair,
-    convolve_pair_at,
     convolve_weakly_singular,
     product_weights,
 )
@@ -39,7 +38,6 @@ from .sonine import (
     GscReport,
     check_gsc,
     compute_g,
-    compute_g_substituted,
     estimate_gprime,
 )
 from .volterra import (
@@ -79,14 +77,12 @@ __all__ = [
     "default_grading",
     "graded_mesh",
     "convolve_pair",
-    "convolve_pair_at",
     "convolve_weakly_singular",
     "product_weights",
     "EpsFit",
     "GscReport",
     "check_gsc",
     "compute_g",
-    "compute_g_substituted",
     "estimate_gprime",
     "ConvergenceReport",
     "RhsSpec",

@@ -120,6 +120,13 @@ class SampledFunction:
         return bool(np.isfinite(self.values[0]))
 
     def __call__(self, t):
-        """Interpolate linearly at ``t``."""
-        out = np.interp(np.asarray(t, dtype=float), self.mesh.nodes, self.values)
+        """Interpolate linearly at ``t`` in [0, b], or in [t_1, b] for a
+        function undefined at t_0, refusing any other t (NaN included)
+        rather than clamping it to an end value or reading the NaN."""
+        t_arr = np.asarray(t, dtype=float)
+        lo = 0.0 if self.defined_at_zero else self.mesh.nodes[1]
+        if not np.all((t_arr >= lo) & (t_arr <= self.mesh.b * (1.0 + 1e-12))):  # NaN fails both
+            where = "[0, b]" if self.defined_at_zero else "[t_1, b] (undefined at t_0)"
+            raise DomainError(f"sampled function evaluated outside {where} with b={self.mesh.b!r}")
+        out = np.interp(t_arr, self.mesh.nodes, self.values)
         return float(out) if np.isscalar(t) else out

@@ -24,7 +24,6 @@ __all__ = [
     "product_weights",
     "convolve_weakly_singular",
     "convolve_pair",
-    "convolve_pair_at",
 ]
 
 #: float64 entries in one block matrix of a blocked O(N M) row sum (64 KiB)
@@ -39,11 +38,11 @@ BLOCK_ENTRIES = 8192
 
 #: panel count per half of the reference rule for K * k on meshes of
 #: 2 * REF_PANELS panels or more (see :func:`_default_panels`): the smallest
-#: power of two at which g, the substituted g and g' are no less accurate than
-#: the plain rule at M = N/2 for every N up to 16384. Largest relative
-#: error against mpmath on four affine profiles, three times each: g 9.2e-10
-#: (direct) and 1.0e-10 (substituted), g' 1.1e-8; the plain rule at M =
-#: 8192 (N = 16384) gives 2.6e-9, 8.7e-10 and 6.9e-8
+#: power of two at which g, g less delta (sonine's ``_defect``) and g' are no
+#: less accurate than the plain rule at M = N/2 for every N up to 16384.
+#: Largest relative error against mpmath on four affine profiles, three
+#: times each: g 9.2e-10 (direct) and 1.0e-10 (less delta), g' 1.1e-8;
+#: the plain rule at M = 8192 (N = 16384) gives 2.6e-9, 8.7e-10 and 6.9e-8
 REF_PANELS = 256
 
 #: rows per leaf of :func:`_triangle_blocks`' row-cluster tree (the last
@@ -709,13 +708,6 @@ def _in_log_t(f, t: np.ndarray) -> np.ndarray:
     return np.concatenate([f_k[:1], _barycentric(x_k, bary, f_k, x), f_k[-1:]])
 
 
-def _check_panels(M) -> None:
-    """Refuse a panel count per half that is not an even integer >= 16
-    (the reference rule's coarse half-rule needs an even M)."""
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 16 or M % 2:
-        raise DomainError(f"need an even integer panel count of at least 16, got {M!r}")
-
-
 def _default_panels(N: int) -> int:
     # M no longer couples to N: the integrands on [0, 1] have the same
     # endpoint structure at every t, so the reference rule's O(M^-4) error
@@ -730,19 +722,16 @@ def _check_same_interval(K: KernelSpec, k: KernelSpec) -> None:
         raise DomainError(f"kernels live on different intervals: {k.b!r} vs {K.b!r}")
 
 
-def _pair_panels(K: KernelSpec, k: KernelSpec, mesh: Mesh, M: int | None) -> int:
-    """The panel count per half for K * k on the mesh, ``M`` or by default
+def _pair_panels(K: KernelSpec, k: KernelSpec, mesh: Mesh) -> int:
+    """The panel count per half for K * k on the mesh,
     :func:`_default_panels`, after refusing kernels on different
-    intervals, a mesh past their end and a bad ``M``."""
+    intervals and a mesh past their end."""
     _check_same_interval(K, k)
     if mesh.b > k.b * (1.0 + 1e-12):
         raise DomainError(
             f"mesh endpoint {mesh.b!r} exceeds the kernels' domain (0, {k.b!r}]"
         )
-    if M is None:
-        M = _default_panels(mesh.N)
-    _check_panels(M)
-    return M
+    return _default_panels(mesh.N)
 
 
 @lru_cache(maxsize=128)
@@ -817,9 +806,12 @@ def convolve_weakly_singular(kernel: KernelSpec, phi: SampledFunction) -> Sample
 
 
 def _pair_convolution(K: KernelSpec, k: KernelSpec, t: np.ndarray, M: int) -> np.ndarray:
-    """(K * k)(t_j) at every time of the flat array ``t`` (see
-    :func:`convolve_pair_at` for the quadrature).
+    """(K * k)(t_j) at every time of the flat array ``t``, by splitting at
+    t_j/2, with ``M`` panels per half (an even count).
 
+    Each half scales a fixed graded reference rule on [0, 1]: the factor
+    singular on that half supplies exact product weights, the other factor
+    is evaluated on the scaled reference nodes and interpolated linearly.
     For a block of times the integrands of a half form one matrix, so each
     half costs one call of each bounded factor and one matrix-vector
     product; pure-power factors cost none (see :func:`_half_sums`).
@@ -879,31 +871,16 @@ def _half_sums(S: KernelSpec, E: KernelSpec, v: np.ndarray, w: np.ndarray):
     return sums
 
 
-def convolve_pair_at(K: KernelSpec, k: KernelSpec, t: float, M: int) -> float:
-    """(K * k)(t) for two singular kernels, by splitting at t/2.
-
-    Each half scales a fixed graded reference rule on [0, 1]: the factor
-    singular on that half supplies exact product weights, the other factor
-    is evaluated on the scaled reference nodes and interpolated linearly.
-    This is the one-row case of :func:`convolve_pair`'s blocked sums.
-    """
-    _check_same_interval(K, k)
-    if not 0.0 < t <= K.b * (1.0 + 1e-12):
-        raise DomainError(f"t must lie in (0, {K.b!r}], got {t!r}")
-    _check_panels(M)
-    return float(_pair_convolution(K, k, np.array([float(t)]), M)[0])
-
-
-def convolve_pair(
-    K: KernelSpec, k: KernelSpec, mesh: Mesh, M: int | None = None
-) -> SampledFunction:
+def convolve_pair(K: KernelSpec, k: KernelSpec, mesh: Mesh) -> SampledFunction:
     """Convolution K * k at every interior mesh node.
 
-    Handles a singularity of k at s = 0 and of K at s = t simultaneously.
-    The value at t_0 is undefined (NaN); a limit there is the business of
-    the g(0+) reading, not of the quadrature.
+    Handles a singularity of k at s = 0 and of K at s = t simultaneously,
+    by :func:`_pair_convolution`'s rule with the mesh's panel count
+    (:func:`_default_panels`). The value at t_0 is undefined (NaN); a
+    limit there is the business of the g(0+) reading, not of the
+    quadrature.
     """
-    M = _pair_panels(K, k, mesh, M)
+    M = _pair_panels(K, k, mesh)
     out = np.full(mesh.N + 1, np.nan)
     out[1:] = _pair_convolution(K, k, mesh.nodes[1:], M)
     return SampledFunction(mesh=mesh, values=out)

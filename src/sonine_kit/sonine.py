@@ -9,8 +9,8 @@ rule on t g' = K_A * k + K * k_B, from the kernels' t S'(t)
 is classical. On a mesh, g and t g' are smooth in ln t (they go as t ln t
 and t near 0), so the rule runs at the quadrature's 64 Chebyshev points in ln t and an
 interpolant carries it to every node, unless its coefficients show it
-unresolved (:func:`sonine_kit.quadrature._in_log_t`); delta and
-:func:`compute_g_substituted` stay direct sums.
+unresolved (:func:`sonine_kit.quadrature._in_log_t`); delta stays a
+direct sum.
 
 The condition has three parts: g(0+) = 1, an integrable derivative, and
 a finite weighted L1 norm of g' used later as a stability budget. One
@@ -30,8 +30,6 @@ from .errors import DomainError
 from .kernels import KernelSpec, SoninePair, _extrapolate_to_zero, _is_classical, power_kernel
 from .mesh import Mesh, SampledFunction
 from .quadrature import (
-    REF_PANELS,
-    _check_panels,
     _in_log_t,
     _mirrored_moments,
     _pair_convolution,
@@ -42,7 +40,6 @@ __all__ = [
     "EpsFit",
     "GscReport",
     "compute_g",
-    "compute_g_substituted",
     "estimate_gprime",
     "check_gsc",
 ]
@@ -165,31 +162,6 @@ def _gprime_terms(pair: SoninePair) -> list[tuple[KernelSpec, KernelSpec]] | Non
     return terms
 
 
-def compute_g_substituted(pair: SoninePair, t, M: int = REF_PANELS):
-    """g(t) for a k that carries t S'(t) and a K that convolves its leading
-    term to 1: :func:`convolve_pair`'s rule minus its error delta on that
-    term (:func:`_defect`), which leaves the rule's error on the small,
-    well-behaved rest of k alone.
-
-    ``t`` may be a scalar or an array inside (0, b]; the result matches
-    its shape. ``M`` defaults to REF_PANELS, not a mesh's min(N/2, 256):
-    below N = 512 these values differ from :func:`check_gsc`'s.
-    """
-    _check_panels(M)
-    t_arr = np.asarray(t, dtype=float)
-    flat = np.ravel(t_arr)
-    if not np.all((flat > 0.0) & (flat <= pair.b * (1.0 + 1e-12))):  # NaN fails both
-        raise DomainError(f"t must lie in (0, {pair.b!r}]")
-    delta = _defect(pair, M)
-    if delta is None or pair.k.smooth_log_deriv is None:
-        raise DomainError(
-            "this route needs k's t S'(t) (KernelSpec.smooth_log_deriv) and a K that convolves "
-            "k's leading term to exactly 1; use convolve_pair for kernels given only pointwise"
-        )
-    out = _pair_convolution(pair.K, pair.k, flat, M) - delta
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
-
-
 def compute_g(pair: SoninePair, mesh: Mesh) -> tuple[SampledFunction, float]:
     """g = K * k at the interior mesh nodes, and ``route_diff``.
 
@@ -201,7 +173,7 @@ def compute_g(pair: SoninePair, mesh: Mesh) -> tuple[SampledFunction, float]:
     :func:`sonine_kit.quadrature._in_log_t`). The mesh fixes the panel
     count, as in :func:`convolve_pair`. g(t_0) is NaN.
     """
-    M = _pair_panels(pair.K, pair.k, mesh, None)
+    M = _pair_panels(pair.K, pair.k, mesh)
     return _g_on_mesh(pair, mesh, M, _defect(pair, M), _gprime_terms(pair))
 
 
@@ -247,7 +219,7 @@ def estimate_gprime(pair: SoninePair, mesh: Mesh) -> SampledFunction:
     be integrable near it.
     """
     vals = np.full(mesh.N + 1, np.nan)
-    vals[1:] = _gprime_flat(pair, mesh.nodes[1:], _pair_panels(pair.K, pair.k, mesh, None))
+    vals[1:] = _gprime_flat(pair, mesh.nodes[1:], _pair_panels(pair.K, pair.k, mesh))
     return SampledFunction(mesh=mesh, values=vals)
 
 
@@ -381,7 +353,7 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     model of g' needs two interior nodes; and a g(t_1) or an interior g'
     that is not finite.
     """
-    M = _pair_panels(pair.K, pair.k, mesh, None)
+    M = _pair_panels(pair.K, pair.k, mesh)
     if mesh.N < 2:
         raise DomainError("the g(0+) reading needs at least two interior nodes")
     nodes = mesh.nodes

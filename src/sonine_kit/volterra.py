@@ -593,8 +593,8 @@ def classical_solution(alpha: float, coeffs, t):
         raise DomainError("polynomial coefficients must be a nonempty finite list")
     t_arr = np.asarray(t, dtype=float)
     flat = np.atleast_1d(t_arr)
-    if np.any(flat <= 0.0):
-        raise DomainError("the classical solution is evaluated for t > 0")
+    if not np.all((flat > 0.0) & (flat < np.inf)):  # NaN fails both
+        raise DomainError("the classical solution is evaluated for finite t > 0")
     lead = gamma(alpha) / kappa(alpha)
     ratio = 1.0 / gamma(alpha)  # k! / Gamma(k + alpha) at k = 0
     out = np.zeros_like(flat)

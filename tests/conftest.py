@@ -25,7 +25,7 @@ from sonine_kit import (
     power_kernel,
 )
 from sonine_kit import quadrature, volterra
-from sonine_kit.sonine import _bounded_factor
+from sonine_kit.sonine import _bounded_factor, _defect
 
 # gamma function references: (x, Gamma(x)) at 50-digit precision, rounded once
 GAMMA_REFS = [
@@ -124,3 +124,13 @@ def sweep(gprime, F, mesh, eps):
     and its m(0) by :func:`sonine_kit.solve_second_kind`'s rule: u and the
     relative row residual."""
     return volterra._forward_sweep(_bounded_factor(gprime, eps), F, mesh, eps)
+
+
+def g_less_delta(pair: SoninePair, t, M: int):
+    """g at a time or a flat array of times ``t`` inside (0, b] by the pair
+    rule with ``M`` panels per half, less its delta on k's leading term
+    where there is one (:func:`sonine_kit.sonine._defect`):
+    :func:`sonine_kit.compute_g`'s g at chosen times and panel count."""
+    flat = np.atleast_1d(np.asarray(t, dtype=float))
+    out = quadrature._pair_convolution(pair.K, pair.k, flat, M) - (_defect(pair, M) or 0.0)
+    return float(out[0]) if np.ndim(t) == 0 else out

@@ -317,7 +317,7 @@ class TestPairFold:
                 return _original(self, t)
 
             monkeypatch.setattr(KernelSpec, name, spy)
-        convolve_pair(u_tab, k, mesh, M=64)
+        quadrature._pair_convolution(u_tab, k, mesh.nodes[1:], 64)
         assert ("classical_abel", "smooth") not in seen
         assert ("tabulated", "smooth") in seen
         assert [call for call in seen if call[1] == "eval"] == []
@@ -335,7 +335,7 @@ class TestPairFold:
                 return kernel
             return hand_built_power(kernel.power_coef, kernel.local_exponent)
 
-        mesh = graded_mesh(512, 2.0, B)
-        got = convolve_pair(K, k, mesh, M=256).values[1:]
-        want = convolve_pair(twin(K), twin(k), mesh, M=256).values[1:]
+        mesh = graded_mesh(512, 2.0, B)  # the mesh's panel count is 256
+        got = convolve_pair(K, k, mesh).values[1:]
+        want = convolve_pair(twin(K), twin(k), mesh).values[1:]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

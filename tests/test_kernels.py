@@ -238,7 +238,7 @@ class TestKernelSpec:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_smooth0_is_refused(self, bad):
         """A kernel's bounded factor has a finite value at 0; a NaN there
-        made convolve_pair_at return NaN without a warning."""
+        made the pair rule return NaN without a warning."""
         with pytest.raises(DomainError, match="smooth0"):
             KernelSpec(smooth_fn=np.ones_like, smooth0=bad, local_exponent=0.5, b=1.0)
 

@@ -21,10 +21,11 @@ named only as the keys of the CLI's table of kinds. Only
 ``solve`` runs
 ``solve_first_kind``, once: a command that needs solves at several meshes
 calls the library function that runs them (``convergence_study``), so no
-solver pipeline grows back in the front end. The pipeline functions of
-``sonine.py`` and ``volterra.py`` take the rule's panel count from the
-mesh, so none of them has an ``M`` parameter; ``compute_g_substituted``,
-which takes times and no mesh, keeps its own. A sampled function carries
+solver pipeline grows back in the front end. The public functions of
+``quadrature.py``, ``sonine.py`` and ``volterra.py`` take the rule's panel
+count from the mesh, so none of them has an ``M`` parameter, and the
+package has one public entry to the pair rule on a mesh for each of K * k
+(``convolve_pair``) and g (``compute_g``). A sampled function carries
 its mesh, so no public function of ``quadrature.py`` or ``volterra.py``
 takes one beside a ``mesh`` it would have to match, except
 ``solve_second_kind``, whose two samples and mesh are its documented
@@ -141,9 +142,9 @@ LEAF_BLOCK_ROWS = "BLOCK_ROWS"
 TRIANGLE_FUNCTIONS = {"_triangle_blocks", "_cluster_tree", "_far_sums", "_far_rows"}
 BLOCK_BUDGET = "BLOCK_ENTRIES"
 
-#: the one public function of the pipeline modules with a panel count
-#: parameter: it evaluates g at given times, with no mesh to fix the count
-PANEL_COUNT_TAKER = "compute_g_substituted"
+#: the deleted public entries that evaluated the pair rule at given times
+#: and panel counts, beside convolve_pair and compute_g on a mesh
+DELETED_PAIR_ENTRIES = {"convolve_pair_at", "compute_g_substituted"}
 
 #: the one public function that takes samples and a mesh together
 SAMPLES_AND_MESH_TAKER = "solve_second_kind"
@@ -625,22 +626,29 @@ def test_g0_fit_guard_allows_the_integral_reading():
 
 
 def _panel_count_parameters(source: str) -> list[str]:
-    """Public module-level functions, other than PANEL_COUNT_TAKER, with a
-    parameter named ``M``."""
+    """Public module-level functions with a parameter named ``M``."""
     found = []
     for fn in ast.parse(source).body:
         if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
             continue
         a = fn.args
         names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
-        if "M" in names and fn.name != PANEL_COUNT_TAKER:
+        if "M" in names:
             found.append(f"line {fn.lineno}: {fn.name} takes M")
     return found
 
 
-@pytest.mark.parametrize("module", [sonine_kit.sonine, sonine_kit.volterra])
+@pytest.mark.parametrize(
+    "module", [sonine_kit.quadrature, sonine_kit.sonine, sonine_kit.volterra]
+)
 def test_pipeline_functions_take_no_panel_count(module):
     assert _panel_count_parameters(Path(module.__file__).read_text()) == []
+
+
+def test_pair_rule_has_no_entry_at_given_times():
+    assert DELETED_PAIR_ENTRIES.isdisjoint(sonine_kit.__all__)
+    for module in (sonine_kit, sonine_kit.quadrature, sonine_kit.sonine):
+        assert DELETED_PAIR_ENTRIES.isdisjoint(vars(module)), module.__name__
 
 
 @pytest.mark.parametrize(
@@ -649,15 +657,17 @@ def test_pipeline_functions_take_no_panel_count(module):
         "def check_gsc(pair, mesh, M=None, g0_tol=1e-3):\n    pass",
         "def solve_first_kind(pair, rhs, mesh, *, M=None):\n    pass",
         "def estimate_gprime(pair, mesh, M, /):\n    pass",
+        "def convolve_pair(K, k, mesh, M=None):\n    pass",
+        "def compute_g_substituted(pair, t, M=256):\n    pass",
     ],
 )
 def test_panel_count_guard_catches_violations(source):
     assert _panel_count_parameters(source)
 
 
-def test_panel_count_guard_allows_the_exception_and_private_helpers():
+def test_panel_count_guard_allows_private_helpers():
     source = (
-        "def compute_g_substituted(pair, t, M=256):\n    pass\n"
+        "def _pair_convolution(K, k, t, M):\n    pass\n"
         "def _gprime_flat(pair, flat, M):\n    pass\n"
         "class RhsSpec:\n    def eval(self, M):\n        pass\n"
     )

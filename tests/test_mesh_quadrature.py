@@ -18,7 +18,6 @@ from sonine_kit import (
     SampledFunction,
     classical_abel_kernel,
     convolve_pair,
-    convolve_pair_at,
     convolve_weakly_singular,
     default_grading,
     graded_mesh,
@@ -27,7 +26,7 @@ from sonine_kit import (
     product_weights,
 )
 from sonine_kit.mesh import MAX_ENDPOINT
-from sonine_kit.quadrature import _mirrored_moments, _moments
+from sonine_kit.quadrature import _mirrored_moments, _moments, _pair_convolution
 
 
 class TestGradedMesh:
@@ -99,6 +98,25 @@ class TestSampledFunction:
         vals = np.array([np.nan, 1.0, 2.0, 3.0, 4.0])
         sf = SampledFunction(mesh=m, values=vals)
         assert not sf.defined_at_zero
+
+    def test_refuses_t_off_its_domain(self):
+        """It clamped t past either end to the end value and read NaN for
+        t = NaN, and on [0, t_1) for a function undefined at t_0. The slack
+        at b is KernelSpec's, 1e-12 relative."""
+        m = graded_mesh(4, 1.0, 1.0)
+        sf = SampledFunction(mesh=m, values=2.0 * m.nodes)
+        assert sf(0.0) == 0.0 and sf(1.0 + 1e-13) == 2.0
+        for bad in (2.0, -1.0, 1.0 + 1e-11, math.nan, -0.0 - 1e-300):
+            with pytest.raises(DomainError, match=r"outside \[0, b\]"):
+                sf(bad)
+        with pytest.raises(DomainError):
+            sf(np.array([0.5, math.nan]))
+        undefined = SampledFunction(mesh=m, values=np.array([np.nan, 1.0, 2.0, 3.0, 4.0]))
+        assert undefined(0.25) == 1.0
+        np.testing.assert_array_equal(undefined(np.array([0.25, 0.375, 1.0])), [1.0, 1.5, 4.0])
+        for bad in (0.0, 0.2, math.nan):
+            with pytest.raises(DomainError, match="undefined at t_0"):
+                undefined(bad)
 
     def test_interior_nan_rejected(self):
         m = graded_mesh(4, 1.0, 1.0)
@@ -285,30 +303,34 @@ class TestConvolveWeaklySingular:
 
 
 class TestConvolvePair:
+    """convolve_pair's rule, _pair_convolution, at chosen times and panel
+    counts; convolve_pair runs it at the mesh's count."""
+
     def test_classical_identity(self):
         m = graded_mesh(64, 2.0, 1.0)
         for alpha in (0.25, 0.5, 0.75):
             pair = make_classical_abel_pair(alpha, 1.0)
-            g = convolve_pair(pair.K, pair.k, m, M=128)
-            assert np.nanmax(np.abs(g.values[1:] - 1.0)) <= 1e-4
-            assert np.isnan(g.values[0])
+            g = _pair_convolution(pair.K, pair.k, m.nodes[1:], 128)
+            assert np.max(np.abs(g - 1.0)) <= 1e-4
+            assert np.isnan(convolve_pair(pair.K, pair.k, m).values[0])
 
     def test_mismatched_pair_gives_pi(self):
         kk = power_kernel(1.0, 0.5, 1.0)
         m = graded_mesh(32, 2.0, 1.0)
-        g = convolve_pair(kk, kk, m, M=128)
-        np.testing.assert_allclose(g.values[1:], math.pi, rtol=1e-3)
+        g = _pair_convolution(kk, kk, m.nodes[1:], 128)
+        np.testing.assert_allclose(g, math.pi, rtol=1e-3)
 
     def test_variable_pair_oracle_values(self, pair_a, pair_b):
         for pair, refs in ((pair_a, (G_A_025, G_A_05)), (pair_b, (G_B_025, G_B_05))):
             for t, ref in zip((0.25, 0.5), refs):
-                got = convolve_pair_at(pair.K, pair.k, t, 512)
+                got = _pair_convolution(pair.K, pair.k, np.array([t]), 512)[0]
                 assert abs(got - ref) <= 2e-6 * abs(ref), (pair, t)
 
     def test_argument_order_is_irrelevant(self, pair_a):
-        a = convolve_pair_at(pair_a.K, pair_a.k, 0.37, 64)
-        b = convolve_pair_at(pair_a.k, pair_a.K, 0.37, 64)
-        assert a == b
+        t = np.array([0.37])
+        a = _pair_convolution(pair_a.K, pair_a.k, t, 64)
+        b = _pair_convolution(pair_a.k, pair_a.K, t, 64)
+        assert a[0] == b[0]
 
     def test_deterministic(self, pair_a, mesh_512_half):
         g1 = convolve_pair(pair_a.K, pair_a.k, mesh_512_half)
@@ -317,7 +339,7 @@ class TestConvolvePair:
 
     def test_error_shrinks_with_panel_count(self, pair_a):
         errs = [
-            abs(convolve_pair_at(pair_a.K, pair_a.k, 0.5, M) - G_A_05)
+            abs(_pair_convolution(pair_a.K, pair_a.k, np.array([0.5]), M)[0] - G_A_05)
             for M in (64, 128, 256)
         ]
         assert errs[1] <= errs[0] / 1.7
@@ -334,29 +356,15 @@ class TestConvolvePair:
     def test_validation(self):
         pair = make_classical_abel_pair(0.5, 1.0)
         m = graded_mesh(8, 2.0, 1.0)
-        with pytest.raises(DomainError):
-            convolve_pair(pair.K, pair.k, m, M=8)  # too few panels
         k_short = classical_abel_kernel(0.5, 0.5)
         with pytest.raises(DomainError):
             convolve_pair(pair.K, k_short, m)  # mismatched intervals
-        with pytest.raises(DomainError):
-            convolve_pair_at(pair.K, pair.k, 0.0, 64)
-        with pytest.raises(DomainError):
-            convolve_pair_at(pair.K, pair.k, 1.5, 64)
-        # panel counts: non-integers, bools, odd M and M < 16 fail alike on
-        # both entries
-        for bad in (0, 8, 15, 17, 33, 2.5, 20.5, True, None):
-            with pytest.raises(DomainError, match="panel count"):
-                convolve_pair_at(pair.K, pair.k, 0.3, bad)
-        for bad in (20.5, True, 15, 17, 33):
-            with pytest.raises(DomainError, match="panel count"):
-                convolve_pair(pair.K, pair.k, m, M=bad)
+        with pytest.raises(DomainError, match="exceeds the kernels' domain"):
+            convolve_pair(pair.K, pair.k, graded_mesh(8, 2.0, 1.5))
 
-    def test_kernels_on_different_intervals_refused_by_both_entries(self):
-        # t = 0.8 lies inside K's interval but past k's; both pure powers
-        # fold into the weights, so no kernel evaluation can refuse it
+    def test_kernels_on_different_intervals_refused(self):
+        # the mesh lies inside both intervals, and both pure powers fold
+        # into the weights, so no kernel evaluation could refuse the pair
         K, k = power_kernel(1.0, 0.5, 1.0), power_kernel(1.0, 0.5, 0.5)
-        with pytest.raises(DomainError, match="different intervals"):
-            convolve_pair_at(K, k, 0.8, 32)
         with pytest.raises(DomainError, match="different intervals"):
             convolve_pair(K, k, graded_mesh(8, 2.0, 0.5))

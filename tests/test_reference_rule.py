@@ -13,12 +13,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import g_less_delta
 from sonine_kit import (
     RhsSpec,
     affine_exponent,
     check_gsc,
-    compute_g_substituted,
-    convolve_pair_at,
     discover_associate,
     estimate_gprime,
     graded_mesh,
@@ -65,12 +64,11 @@ def oracle():
 
 
 def _errors(pair, table, M):
-    """Largest |error| of the direct and the substituted g, and the largest
-    relative error of g', over the oracle's times."""
-    direct = max(abs(convolve_pair_at(pair.K, pair.k, t, M) - g) for t, g, _ in table)
-    subst = max(abs(compute_g_substituted(pair, t, M=M) - g) for t, g, _ in table)
-    ts = np.array([t for t, _, _ in table])
-    gp = np.array([d for _, _, d in table])
+    """Largest |error| of the rule's K * k and of g less delta, and the
+    largest relative error of g', over the oracle's times."""
+    ts, g, gp = (np.array(col) for col in zip(*table))
+    direct = float(np.max(np.abs(quadrature._pair_convolution(pair.K, pair.k, ts, M) - g)))
+    subst = float(np.max(np.abs(g_less_delta(pair, ts, M) - g)))
     gp_rel = float(np.max(np.abs(sonine._gprime_flat(pair, ts, M) - gp) / np.abs(gp)))
     return direct, subst, gp_rel
 

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import PROFILE_A, PROFILE_B, sweep
+from conftest import PROFILE_A, PROFILE_B, g_less_delta, sweep
 from sonine_kit import (
     DomainError,
     IllConditionedSystemError,
@@ -25,9 +25,6 @@ from sonine_kit import (
     assemble_rhs,
     check_gsc,
     classical_abel_kernel,
-    compute_g_substituted,
-    convolve_pair,
-    convolve_pair_at,
     convolve_weakly_singular,
     default_grading,
     graded_mesh,
@@ -111,24 +108,25 @@ class TestBlockedConvolvePair:
         else:
             K, k = tabulated_pair()
         mesh = graded_mesh(N, 2.0, 0.5)
-        got = convolve_pair(K, k, mesh, M=M).values[1:]
+        got = quadrature._pair_convolution(K, k, mesh.nodes[1:], M)
         want = np.array([pair_oracle(K, k, float(t), M) for t in mesh.nodes[1:]])
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
     def test_one_row_per_block_above_budget(self, pair_a):
         M = BLOCK_ENTRIES  # M + 1 entries exceed the block budget
         mesh = graded_mesh(3, 2.0, 0.5)
-        got = convolve_pair(pair_a.K, pair_a.k, mesh, M=M).values[1:]
+        got = quadrature._pair_convolution(pair_a.K, pair_a.k, mesh.nodes[1:], M)
         want = [pair_oracle(pair_a.K, pair_a.k, float(t), M) for t in mesh.nodes[1:]]
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
     def test_single_time_is_the_one_row_case(self, pair_a):
         K, k = tabulated_pair()
         for t in (0.01, 0.37, 0.5):
-            assert convolve_pair_at(K, k, t, 64) == pytest.approx(
+            one = np.array([t])
+            assert quadrature._pair_convolution(K, k, one, 64)[0] == pytest.approx(
                 pair_oracle(K, k, t, 64), rel=RTOL, abs=0.0
             )
-            assert convolve_pair_at(pair_a.K, pair_a.k, t, 64) == pytest.approx(
+            assert quadrature._pair_convolution(pair_a.K, pair_a.k, one, 64)[0] == pytest.approx(
                 pair_oracle(pair_a.K, pair_a.k, t, 64), rel=RTOL, abs=0.0
             )
 
@@ -138,7 +136,7 @@ class TestBlockedSubstitutedRoute:
         M = 128
         ts = graded_mesh(2 * rows_per_block(M) + 5, 2.0, 0.5).nodes[1:]
         for pair, af in ((pair_a, PROFILE_A), (pair_b, PROFILE_B)):
-            got = compute_g_substituted(pair, ts, M=M)
+            got = g_less_delta(pair, ts, M)
             want = [substituted_oracle(af, float(t), M, False) for t in ts]
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
@@ -153,18 +151,11 @@ class TestBlockedSubstitutedRoute:
     def test_one_row_per_block_above_budget(self, pair_a):
         M = BLOCK_ENTRIES
         mesh = graded_mesh(3, 2.0, 0.5)
-        got_g = compute_g_substituted(pair_a, mesh.nodes[1:], M=M)
+        got_g = g_less_delta(pair_a, mesh.nodes[1:], M)
         got_gp = _gprime_flat(pair_a, mesh.nodes[1:], M)
         for t, g, gp in zip(mesh.nodes[1:], got_g, got_gp):
             assert g == pytest.approx(substituted_oracle(PROFILE_A, t, M, False), rel=RTOL, abs=0.0)
             assert gp == pytest.approx(substituted_oracle(PROFILE_A, t, M, True), rel=RTOL, abs=0.0)
-
-    def test_multidimensional_times_keep_their_shape(self, pair_a):
-        ts = np.array([[0.05, 0.1], [0.25, 0.5]])
-        got = compute_g_substituted(pair_a, ts, M=64)
-        assert got.shape == (2, 2)
-        want = [[compute_g_substituted(pair_a, float(t), M=64) for t in row] for row in ts]
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 #: rows per leaf small enough that an 80-panel mesh splits into 26

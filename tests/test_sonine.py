@@ -14,6 +14,7 @@ from conftest import (
     G_A_025,
     G_A_05,
     GPRIME_A_025,
+    g_less_delta,
     two_term_pair,
 )
 from sonine_kit import (
@@ -25,10 +26,7 @@ from sonine_kit import (
     affine_exponent,
     check_gsc,
     compute_g,
-    compute_g_substituted,
     convergence_study,
-    convolve_pair,
-    convolve_pair_at,
     discover_associate,
     estimate_gprime,
     graded_mesh,
@@ -48,44 +46,34 @@ from sonine_kit.sonine import (
 )
 
 
-class TestComputeGSubstituted:
+class TestGLessDelta:
+    """g less delta at chosen times and panel counts (conftest's
+    g_less_delta), the rule that compute_g runs at the mesh's count."""
+
     def test_constant_profile_is_exactly_one(self):
         pair = make_variable_exponent_pair(affine_exponent(0.5, 0.0, 1.0), 1.0)
         for t in (0.03, 0.4, 1.0):
-            assert abs(compute_g_substituted(pair, t, M=64) - 1.0) <= 1e-6
+            assert abs(g_less_delta(pair, t, 64) - 1.0) <= 1e-6
 
     def test_oracle_values(self, pair_a):
-        assert abs(compute_g_substituted(pair_a, 0.5, M=256) - G_A_05) <= 1e-6
-        assert abs(compute_g_substituted(pair_a, 0.25, M=256) - G_A_025) <= 1e-6
+        assert abs(g_less_delta(pair_a, 0.5, 256) - G_A_05) <= 1e-6
+        assert abs(g_less_delta(pair_a, 0.25, 256) - G_A_025) <= 1e-6
 
     def test_defect_shrinks_towards_origin(self, pair_a):
         ts = 0.5 * 0.5 ** np.arange(4, 13, dtype=float)
-        defects = np.abs(compute_g_substituted(pair_a, ts, M=256) - 1.0)
+        defects = np.abs(g_less_delta(pair_a, ts, 256) - 1.0)
         assert np.all(np.diff(defects) < 0.0)
 
-    def test_requires_profile(self, classical_half):
-        with pytest.raises(DomainError):
-            compute_g_substituted(classical_half, 0.5)
-
-    def test_validation(self, pair_a):
-        for M in (8, 17, 33):  # too few panels, odd counts
-            with pytest.raises(DomainError, match="panel count"):
-                compute_g_substituted(pair_a, 0.5, M=M)
-        with pytest.raises(DomainError):
-            compute_g_substituted(pair_a, 0.0)
-        with pytest.raises(DomainError):
-            compute_g_substituted(pair_a, 0.7)  # beyond b = 0.5
-
     def test_route_agreement(self, pair_a, mesh_512_half):
-        direct = convolve_pair(pair_a.K, pair_a.k, mesh_512_half, M=256)
-        subst = compute_g_substituted(pair_a, mesh_512_half.nodes[1:], M=256)
-        assert np.max(np.abs(direct.values[1:] - subst)) <= 5e-5
+        ts = mesh_512_half.nodes[1:]
+        direct = quadrature._pair_convolution(pair_a.K, pair_a.k, ts, 256)
+        assert np.max(np.abs(direct - g_less_delta(pair_a, ts, 256))) <= 5e-5
 
 
 class TestOneRule:
-    """g, the substituted g and g' are all sums of the one split-at-t/2 rule;
-    the substituted g is its K * k minus the rule's error on the classical
-    part, delta, which is what route_diff reports."""
+    """g and g' are sums of the one split-at-t/2 rule; g is its K * k minus
+    the rule's error on the classical part, delta, which is what route_diff
+    reports."""
 
     def test_route_diff_is_the_classical_defect(self):
         """Two slopes at alpha(0) = 0.4 read the same route_diff, the rule's
@@ -96,7 +84,8 @@ class TestOneRule:
             for a1 in (0.05, 0.4)
         ]
         classical = make_classical_abel_pair(0.4, 0.5)
-        delta = convolve_pair_at(classical.K, classical.k, 0.5, _default_panels(4096)) - 1.0
+        M = _default_panels(4096)
+        delta = quadrature._pair_convolution(classical.K, classical.k, np.array([0.5]), M)[0] - 1.0
         assert diffs[0] == diffs[1]
         assert abs(diffs[0] - abs(delta)) <= 1e-15
         assert diffs[0] > 0.0
@@ -120,7 +109,7 @@ class TestOneRule:
         mesh = graded_mesh(128, 2.0, pair_a.b)
         g, _ = compute_g(pair_a, mesh)
         assert sum(rows) == mesh.N + 1
-        np.testing.assert_array_equal(g.values[1:], compute_g_substituted(pair_a, mesh.nodes[1:], M=64))
+        np.testing.assert_array_equal(g.values[1:], g_less_delta(pair_a, mesh.nodes[1:], 64))
 
     @pytest.mark.parametrize("which", ["classical", "variable", "two-term"])
     def test_check_gsc_reads_delta_and_the_terms_once(self, which, monkeypatch, pair_a):
@@ -153,7 +142,7 @@ class TestOneRule:
 
 class TestPanelCountPolicy:
     """The mesh alone fixes the rule's panel count for every pipeline
-    function: _default_panels(N), as convolve_pair takes by default."""
+    function: _default_panels(N), as convolve_pair takes."""
 
     @pytest.mark.parametrize("N", [128, 1024], ids=["direct", "log-t"])
     def test_estimate_gprime_is_the_default_panels_rule(self, N, pair_a):
@@ -199,8 +188,8 @@ class TestEstimateGprime:
         gp = _gprime_flat(pair_a, mesh.nodes[1:], 256)
         h = 1e-4
         fd = (
-            compute_g_substituted(pair_a, 0.25 + h, M=256)
-            - compute_g_substituted(pair_a, 0.25 - h, M=256)
+            g_less_delta(pair_a, 0.25 + h, 256)
+            - g_less_delta(pair_a, 0.25 - h, 256)
         ) / (2.0 * h)
         assert abs(gp[0] - fd) <= 1e-5
 
@@ -217,8 +206,8 @@ class TestEstimateGprime:
         nodes = mesh.nodes
         sel = np.arange(2, 63)
         sel = sel[nodes[sel] >= 0.05]  # t >= b/10
-        g_plus = compute_g_substituted(pair_a, nodes[sel + 1], M=256)
-        g_minus = compute_g_substituted(pair_a, nodes[sel - 1], M=256)
+        g_plus = g_less_delta(pair_a, nodes[sel + 1], 256)
+        g_minus = g_less_delta(pair_a, nodes[sel - 1], 256)
         fd = (g_plus - g_minus) / (nodes[sel + 1] - nodes[sel - 1])
         # the gap is the central-difference truncation h^2 g'''/6, largest
         # at the left edge of the window where g''' ~ 30
@@ -317,8 +306,6 @@ class TestTemperedKernel:
         mesh = graded_mesh(64, 2.0, B)
         _, route_diff = compute_g(pair, mesh)
         assert math.isnan(route_diff)
-        with pytest.raises(DomainError, match="smooth_log_deriv"):
-            compute_g_substituted(pair, B)
         if pair.k.smooth_log_deriv is None:
             with pytest.raises(DomainError, match="smooth_log_deriv"):
                 estimate_gprime(pair, mesh)
@@ -658,8 +645,6 @@ class TestCheckGsc:
         assert not report.gsc_pass
         assert report.g0_defect > G0_TOL_DEFAULT
         assert math.isnan(report.route_diff)
-        with pytest.raises(DomainError, match="smooth_log_deriv"):
-            compute_g_substituted(kept, 0.5)
         built = check_gsc(pair, mesh)
         assert built.gsc_pass and math.isfinite(built.route_diff)
 

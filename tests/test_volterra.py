@@ -928,6 +928,14 @@ class TestClassicalSolution:
         with pytest.raises(DomainError):
             classical_solution(0.5, [1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_t(self, bad):
+        """It returned NaN for t = NaN and inf for t = inf."""
+        with pytest.raises(DomainError, match="finite t > 0"):
+            classical_solution(0.5, [0.0, 1.0], bad)
+        with pytest.raises(DomainError, match="finite t > 0"):
+            classical_solution(0.5, [0.0, 1.0], np.array([0.25, bad, 0.5]))
+
 
 class TestRhsArrayEvaluation:
     """``RhsSpec.eval``/``eval_fprime`` call f once on the whole array where

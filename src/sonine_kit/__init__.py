@@ -38,7 +38,6 @@ from .sonine import (
     GscReport,
     check_gsc,
     compute_g,
-    estimate_gprime,
 )
 from .volterra import (
     ConvergenceReport,
@@ -83,7 +82,6 @@ __all__ = [
     "GscReport",
     "check_gsc",
     "compute_g",
-    "estimate_gprime",
     "ConvergenceReport",
     "RhsSpec",
     "SolveReport",

@@ -664,6 +664,7 @@ def main(argv=None) -> int:
         DomainError,
         GscConditionError,
         IllConditionedSystemError,
+        MemoryError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

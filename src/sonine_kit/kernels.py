@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .mesh import SampledFunction
+from .mesh import END_SLACK, SampledFunction
 
 __all__ = [
     "gamma",
@@ -216,7 +216,7 @@ class KernelSpec:
         """Refuse t outside (0, b], or [0, b] with ``allow_zero``; True when
         every t is positive. Two reductions settle the usual case; masks are
         built only for a zero, a NaN, an empty t or a refusal."""
-        hi = self.b * (1.0 + 1e-12)
+        hi = self.b * END_SLACK
         lo = t.min() if t.size else math.nan
         if (lo >= 0.0 if allow_zero else lo > 0.0) and t.max() <= hi:
             return bool(lo > 0.0)

@@ -17,6 +17,12 @@ MAX_GRADING = 4.0
 #: for the L1 norm of a bounded g') form d^2 for distances d up to b
 MAX_ENDPOINT = float(np.sqrt(np.finfo(float).max))
 
+#: the domain checks of kernels, sampled functions and the convolutions
+#: accept times up to b * END_SLACK: an endpoint computed by other arithmetic
+#: (a sum of steps, a rescaled mesh) can land a rounding error past b and is
+#: still the end of the interval
+END_SLACK = 1.0 + 1e-12
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -125,7 +131,7 @@ class SampledFunction:
         rather than clamping it to an end value or reading the NaN."""
         t_arr = np.asarray(t, dtype=float)
         lo = 0.0 if self.defined_at_zero else self.mesh.nodes[1]
-        if not np.all((t_arr >= lo) & (t_arr <= self.mesh.b * (1.0 + 1e-12))):  # NaN fails both
+        if not np.all((t_arr >= lo) & (t_arr <= self.mesh.b * END_SLACK)):  # NaN fails both
             where = "[0, b]" if self.defined_at_zero else "[t_1, b] (undefined at t_0)"
             raise DomainError(f"sampled function evaluated outside {where} with b={self.mesh.b!r}")
         out = np.interp(t_arr, self.mesh.nodes, self.values)

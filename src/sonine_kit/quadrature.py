@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import KernelSpec
-from .mesh import Mesh, SampledFunction, default_grading
+from .mesh import END_SLACK, Mesh, SampledFunction, default_grading
 
 __all__ = [
     "product_weights",
@@ -716,18 +716,13 @@ def _default_panels(N: int) -> int:
     return max(32, min(N // 2, REF_PANELS) // 2 * 2)
 
 
-def _check_same_interval(K: KernelSpec, k: KernelSpec) -> None:
-    """Refuse a convolution K * k of kernels on different intervals."""
-    if k.b != K.b:
-        raise DomainError(f"kernels live on different intervals: {k.b!r} vs {K.b!r}")
-
-
 def _pair_panels(K: KernelSpec, k: KernelSpec, mesh: Mesh) -> int:
     """The panel count per half for K * k on the mesh,
     :func:`_default_panels`, after refusing kernels on different
     intervals and a mesh past their end."""
-    _check_same_interval(K, k)
-    if mesh.b > k.b * (1.0 + 1e-12):
+    if k.b != K.b:
+        raise DomainError(f"kernels live on different intervals: {k.b!r} vs {K.b!r}")
+    if mesh.b > k.b * END_SLACK:
         raise DomainError(
             f"mesh endpoint {mesh.b!r} exceeds the kernels' domain (0, {k.b!r}]"
         )
@@ -782,7 +777,7 @@ def convolve_weakly_singular(kernel: KernelSpec, phi: SampledFunction) -> Sample
     2048 for r in {1, 2, 4}).
     """
     mesh = phi.mesh
-    if mesh.b > kernel.b * (1.0 + 1e-12):
+    if mesh.b > kernel.b * END_SLACK:
         raise DomainError(
             f"mesh endpoint {mesh.b!r} exceeds the kernel's domain (0, {kernel.b!r}]"
         )

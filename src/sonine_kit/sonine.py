@@ -40,7 +40,6 @@ __all__ = [
     "EpsFit",
     "GscReport",
     "compute_g",
-    "estimate_gprime",
     "check_gsc",
 ]
 
@@ -100,8 +99,9 @@ class GscReport:
     ``gprime_l1`` integrates |g'| over [0, b] with the singular part
     handled by product weights, from the factored g' = t^(-eps) m(t) that
     a solve's sweep reads; ``route_diff`` is |delta| (:func:`compute_g`);
-    ``gprime`` is :func:`estimate_gprime`'s, or 0 for a classical pair.
-    ``gsc_pass`` is the generalized
+    ``gprime`` is g' at the interior nodes by the analytic rule
+    (:func:`_gprime_terms`), or 0 for a classical pair, and NaN at t_0,
+    where g' need not exist. ``gsc_pass`` is the generalized
     verdict: g(0) = 1 within tolerance, a conclusive model of g' near 0
     that makes it integrable (``eps_fit``), and a finite weighted L1 norm.
     """
@@ -130,8 +130,8 @@ def _defect(pair: SoninePair, M: int) -> float | None:
     return float(_pair_convolution(K, k0, np.array([K.b]), M)[0]) - 1.0
 
 
-#: the refusal of a pair off the g' rule (:func:`_gprime_terms`), by
-#: :func:`estimate_gprime` and by the gate of the condition and the solves
+#: the refusal of a pair off the g' rule (:func:`_gprime_terms`) by the
+#: gate of the condition and the solves (:func:`_gate_inputs`)
 _NO_GPRIME = (
     "an analytic g' needs orders that sum to 1 and a known t S'(t) "
     "(KernelSpec.smooth_log_deriv) of every kernel but a pure power"
@@ -188,39 +188,17 @@ def _g_on_mesh(pair: SoninePair, mesh: Mesh, M: int, delta, terms) -> tuple[Samp
     return SampledFunction(mesh=mesh, values=g), abs(delta) if route else float("nan")
 
 
-def _gprime_flat(pair: SoninePair, flat: np.ndarray, M: int) -> np.ndarray:
-    """g' at strictly positive times, increasing ones when there are 4 *
-    LOG_T_POINTS or more, by the g' rule (:func:`_gprime_terms`), refusing
-    a pair off it."""
-    terms = _gprime_terms(pair)
-    if terms is None:
-        raise DomainError(_NO_GPRIME)
-    return _gprime_from_terms(terms, flat, M)
-
-
 def _gprime_from_terms(terms: list, flat: np.ndarray, M: int) -> np.ndarray:
-    """:func:`_gprime_flat` given :func:`_gprime_terms`. t g', which goes as
-    t ln t near 0, is sampled in ln t (see
+    """g' at strictly positive times, increasing ones when there are 4 *
+    LOG_T_POINTS or more, from the g' rule's ``terms``
+    (:func:`_gprime_terms`) with ``M`` panels per half. t g', which goes
+    as t ln t near 0, is sampled in ln t (see
     :func:`sonine_kit.quadrature._in_log_t`) and then divided by t."""
 
     def t_gprime(t):
         return sum((_pair_convolution(A, B, t, M) for A, B in terms), np.zeros(len(t)))
 
     return _in_log_t(t_gprime, flat) / flat
-
-
-def estimate_gprime(pair: SoninePair, mesh: Mesh) -> SampledFunction:
-    """g' at the interior mesh nodes by the analytic rule, refusing a pair
-    off it (:func:`_gprime_terms`), with the mesh's panel count, as in
-    :func:`check_gsc`, whose gate refuses the same pairs unless they are
-    classical.
-
-    g'(t_0) is undefined (NaN): the derivative need not exist at 0, only
-    be integrable near it.
-    """
-    vals = np.full(mesh.N + 1, np.nan)
-    vals[1:] = _gprime_flat(pair, mesh.nodes[1:], _pair_panels(pair.K, pair.k, mesh))
-    return SampledFunction(mesh=mesh, values=vals)
 
 
 def _window_slope(tw: np.ndarray, gp: np.ndarray) -> float:
@@ -335,8 +313,9 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     """g(0+), g' at the nodes, the model of g' near 0 and the weighted L1
     norm of g', as :func:`check_gsc` reports them.
 
-    g' is 0 for a classical pair and else the analytic rule's
-    (:func:`estimate_gprime`), and a pair off that rule
+    g' is 0 at the interior nodes for a classical pair and else the
+    analytic rule's (:func:`_gprime_from_terms`) with the mesh's panel
+    count, and NaN at t_0 for every pair; a pair off that rule
     (:func:`_gprime_terms`) is refused with a DomainError naming
     ``smooth_log_deriv``. g on the mesh is not computed.
 
@@ -362,7 +341,7 @@ def _gate_inputs(pair: SoninePair, mesh: Mesh) -> _GateInputs:
     delta = None
     if pair.is_classical:
         g_first = 1.0
-        gp = np.zeros(mesh.N + 1)
+        gp = np.r_[np.nan, np.zeros(mesh.N)]
     elif terms is None:
         raise DomainError(_NO_GPRIME)
     else:

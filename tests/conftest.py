@@ -25,7 +25,7 @@ from sonine_kit import (
     power_kernel,
 )
 from sonine_kit import quadrature, volterra
-from sonine_kit.sonine import _bounded_factor, _defect
+from sonine_kit.sonine import _bounded_factor, _defect, _gprime_from_terms, _gprime_terms
 
 # gamma function references: (x, Gamma(x)) at 50-digit precision, rounded once
 GAMMA_REFS = [
@@ -134,3 +134,10 @@ def g_less_delta(pair: SoninePair, t, M: int):
     flat = np.atleast_1d(np.asarray(t, dtype=float))
     out = quadrature._pair_convolution(pair.K, pair.k, flat, M) - (_defect(pair, M) or 0.0)
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def gprime_at(pair: SoninePair, t: np.ndarray, M: int) -> np.ndarray:
+    """g' at a flat array of times ``t`` inside (0, b] by the analytic rule
+    (:func:`sonine_kit.sonine._gprime_terms`) with ``M`` panels per half:
+    :func:`sonine_kit.check_gsc`'s g' at chosen times and panel count."""
+    return _gprime_from_terms(_gprime_terms(pair), t, M)

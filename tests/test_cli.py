@@ -746,6 +746,20 @@ class TestCliErrors:
         assert err.startswith("error: graded mesh with N=64, r=400.0")
         assert err.count("\n") == 1 and "Warning" not in err
 
+    def test_unallocatable_mesh_is_a_plain_error(self, monkeypatch, tmp_path, capsys):
+        # N = 1e13 nodes need 72.8 TiB; graded_mesh is replaced by one that
+        # raises as numpy's allocation does, so that nothing is allocated
+        def unallocatable(N, r, b):
+            raise MemoryError(f"Unable to allocate 72.8 TiB for an array with shape ({N + 1},)")
+
+        monkeypatch.setattr(cli, "graded_mesh", unallocatable)
+        cfg_path = _write(tmp_path, _doc("solve", N=10**13))
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command, kind",
         [("verify-pair", "classical"), ("stability", "classical"),

@@ -124,9 +124,9 @@ DIFFERENCED_MODEL, MEANS = "_near_origin_model", "means"
 GATE_INPUTS, GATE_G = "_GateInputs", "g"
 
 #: the module constant of sonine.py that is the refusal of a pair off the
-#: g' rule, and the functions that raise it
+#: g' rule, and the one function that raises it: the gate
 NO_GPRIME = "_NO_GPRIME"
-NO_GPRIME_RAISERS = ("_gprime_flat", "_gate_inputs")
+NO_GPRIME_RAISERS = ("_gate_inputs",)
 
 #: what quadrature.py may not define: the crossover to the dense triangle,
 #: the super-block size and the row floor of the two-level layout that the
@@ -142,9 +142,12 @@ LEAF_BLOCK_ROWS = "BLOCK_ROWS"
 TRIANGLE_FUNCTIONS = {"_triangle_blocks", "_cluster_tree", "_far_sums", "_far_rows"}
 BLOCK_BUDGET = "BLOCK_ENTRIES"
 
-#: the deleted public entries that evaluated the pair rule at given times
-#: and panel counts, beside convolve_pair and compute_g on a mesh
-DELETED_PAIR_ENTRIES = {"convolve_pair_at", "compute_g_substituted"}
+#: the deleted entries that evaluated the pair rule at given times and
+#: panel counts, beside convolve_pair and compute_g on a mesh, and g' on a
+#: mesh beside check_gsc's, with its helper
+DELETED_PAIR_ENTRIES = {
+    "convolve_pair_at", "compute_g_substituted", "estimate_gprime", "_gprime_flat",
+}
 
 #: the one public function that takes samples and a mesh together
 SAMPLES_AND_MESH_TAKER = "solve_second_kind"
@@ -1029,8 +1032,8 @@ def test_moments_guard_allows_the_contract_and_its_mirror():
 def _second_gprime_route_parts(source: str) -> list[str]:
     """What is left of the differenced g' in sonine.py's source, and
     breaks of the one refusal: NO_GPRIME assigned other than once at
-    module level, its text in another string, or a NO_GPRIME_RAISERS
-    function that does not read it."""
+    module level, its text in another string, a NO_GPRIME_RAISERS
+    function that does not read it, or another function that does."""
     tree = ast.parse(source)
     defs = {
         node.name: node
@@ -1070,19 +1073,25 @@ def _second_gprime_route_parts(source: str) -> list[str]:
             and text in node.value
             and node is not messages[0].value
         ]
+    def reads(fn):
+        return any(isinstance(node, ast.Name) and node.id == NO_GPRIME for node in ast.walk(fn))
+
     for name in NO_GPRIME_RAISERS:
         fn = defs.get(name)
-        if fn is None or not any(
-            isinstance(node, ast.Name) and node.id == NO_GPRIME for node in ast.walk(fn)
-        ):
+        if fn is None or not reads(fn):
             found.append(f"{name} does not read {NO_GPRIME}")
+    found += [
+        f"line {fn.lineno}: {name} reads {NO_GPRIME}"
+        for name, fn in defs.items()
+        if name not in NO_GPRIME_RAISERS and isinstance(fn, ast.FunctionDef) and reads(fn)
+    ]
     return found
 
 
 def test_one_gprime_route():
     """g' has one route, the analytic rule: sonine.py differences no g,
     and a pair off the rule that is not classical is refused with one
-    message, shared by estimate_gprime's rule and the gate."""
+    message, by the gate alone."""
     source = Path(sonine_kit.sonine.__file__).read_text()
     assert _second_gprime_route_parts(source) == []
 
@@ -1092,7 +1101,6 @@ ONE_ROUTE = (
     "_NO_GPRIME = (\n    \"an analytic g' needs orders that sum to 1 \"\n    \"and t S'(t)\"\n)\n"
     "def _near_origin_model(t, y, sigma):\n    pass\n"
     "class _GateInputs:\n    gprime: SampledFunction\n    delta: float | None\n"
-    "def _gprime_flat(pair, flat, M):\n    raise DomainError(_NO_GPRIME)\n"
     "def _gate_inputs(pair, mesh):\n    raise DomainError(_NO_GPRIME)\n"
 )
 
@@ -1110,9 +1118,13 @@ ONE_ROUTE = (
             "def _gate_inputs(pair, mesh):\n"
             "    raise DomainError(\"an analytic g' needs orders that sum to 1\")",
         ),
-        ONE_ROUTE.replace("def _gprime_flat(pair, flat, M):", "def _gprime_rule(pair, flat, M):"),
+        ONE_ROUTE.replace("def _gate_inputs(pair, mesh):", "def _gate_rule(pair, mesh):"),
+        ONE_ROUTE + "def _gprime_flat(pair, flat, M):\n    raise DomainError(_NO_GPRIME)\n",
     ],
-    ids=["fd", "means", "keyword means", "gate g", "two messages", "copied text", "no raiser"],
+    ids=[
+        "fd", "means", "keyword means", "gate g", "two messages", "copied text", "no raiser",
+        "second raiser",
+    ],
 )
 def test_gprime_route_guard_catches_violations(source):
     assert _second_gprime_route_parts(source)

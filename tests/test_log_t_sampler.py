@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import gprime_at
 from sonine_kit import (
     ExponentFunction,
     affine_exponent,
@@ -72,7 +73,7 @@ def _g_and_tgprime(pair, mesh):
 def _rows(pair, mesh):
     t = mesh.nodes[1:]
     g = compute_g(pair, mesh)[0].values[1:]
-    tgp = sonine._gprime_flat(pair, t, _default_panels(mesh.N)) * t
+    tgp = gprime_at(pair, t, _default_panels(mesh.N)) * t
     return g, tgp
 
 

@@ -13,19 +13,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import g_less_delta
+from conftest import g_less_delta, gprime_at
 from sonine_kit import (
     RhsSpec,
     affine_exponent,
     check_gsc,
     discover_associate,
-    estimate_gprime,
     graded_mesh,
     make_classical_abel_pair,
     make_variable_exponent_pair,
     solve_first_kind,
 )
-from sonine_kit import quadrature, sonine
+from sonine_kit import quadrature
 from sonine_kit.quadrature import REF_PANELS, _default_panels, _reference_rule
 
 #: (a0, a1, b) of alpha(t) = a0 + a1 t on (0, b]
@@ -69,7 +68,7 @@ def _errors(pair, table, M):
     ts, g, gp = (np.array(col) for col in zip(*table))
     direct = float(np.max(np.abs(quadrature._pair_convolution(pair.K, pair.k, ts, M) - g)))
     subst = float(np.max(np.abs(g_less_delta(pair, ts, M) - g)))
-    gp_rel = float(np.max(np.abs(sonine._gprime_flat(pair, ts, M) - gp) / np.abs(gp)))
+    gp_rel = float(np.max(np.abs(gprime_at(pair, ts, M) - gp) / np.abs(gp)))
     return direct, subst, gp_rel
 
 
@@ -101,10 +100,10 @@ class TestSampledOnTheMesh:
         mesh = graded_mesh(N, 1.0, 0.5)
         M = _default_panels(N)
         for pair, table in oracle.values():
-            sampled = estimate_gprime(pair, mesh).values
+            sampled = check_gsc(pair, mesh).gprime.values
             ts = np.array([t for t, _, _ in table])
             gp = np.array([d for _, _, d in table])
-            direct = sonine._gprime_flat(pair, ts, M)  # three rows, no interpolant
+            direct = gprime_at(pair, ts, M)  # three rows, no interpolant
             at = np.searchsorted(mesh.nodes, ts)
             np.testing.assert_array_equal(mesh.nodes[at], ts)
             assert np.all(np.abs(sampled[at] - gp) <= np.abs(direct - gp) + 1e-13 * np.abs(gp))

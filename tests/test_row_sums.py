@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import PROFILE_A, PROFILE_B, g_less_delta, sweep
+from conftest import PROFILE_A, PROFILE_B, g_less_delta, gprime_at, sweep
 from sonine_kit import (
     DomainError,
     IllConditionedSystemError,
@@ -37,7 +37,7 @@ from sonine_kit import (
 )
 from sonine_kit import quadrature, volterra
 from sonine_kit.quadrature import BLOCK_ENTRIES, _reference_rule, _triangle_blocks
-from sonine_kit.sonine import _gate_inputs, _gprime_flat
+from sonine_kit.sonine import _gate_inputs
 
 RTOL = 1e-13
 
@@ -144,7 +144,7 @@ class TestBlockedSubstitutedRoute:
         M = 128
         mesh = graded_mesh(2 * rows_per_block(M) + 5, 2.0, 0.5)
         for pair, af in ((pair_a, PROFILE_A), (pair_b, PROFILE_B)):
-            got = _gprime_flat(pair, mesh.nodes[1:], M)
+            got = gprime_at(pair, mesh.nodes[1:], M)
             want = [substituted_oracle(af, float(t), M, True) for t in mesh.nodes[1:]]
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
 
@@ -152,7 +152,7 @@ class TestBlockedSubstitutedRoute:
         M = BLOCK_ENTRIES
         mesh = graded_mesh(3, 2.0, 0.5)
         got_g = g_less_delta(pair_a, mesh.nodes[1:], M)
-        got_gp = _gprime_flat(pair_a, mesh.nodes[1:], M)
+        got_gp = gprime_at(pair_a, mesh.nodes[1:], M)
         for t, g, gp in zip(mesh.nodes[1:], got_g, got_gp):
             assert g == pytest.approx(substituted_oracle(PROFILE_A, t, M, False), rel=RTOL, abs=0.0)
             assert gp == pytest.approx(substituted_oracle(PROFILE_A, t, M, True), rel=RTOL, abs=0.0)

@@ -15,6 +15,7 @@ from conftest import (
     G_A_05,
     GPRIME_A_025,
     g_less_delta,
+    gprime_at,
     two_term_pair,
 )
 from sonine_kit import (
@@ -28,7 +29,6 @@ from sonine_kit import (
     compute_g,
     convergence_study,
     discover_associate,
-    estimate_gprime,
     graded_mesh,
     kappa,
     make_classical_abel_pair,
@@ -39,11 +39,7 @@ from sonine_kit import (
 )
 from sonine_kit import quadrature, sonine
 from sonine_kit.quadrature import _default_panels
-from sonine_kit.sonine import (
-    EPS_MARGIN,
-    G0_TOL_DEFAULT,
-    _gprime_flat,
-)
+from sonine_kit.sonine import EPS_MARGIN, G0_TOL_DEFAULT
 
 
 class TestGLessDelta:
@@ -145,15 +141,18 @@ class TestPanelCountPolicy:
     function: _default_panels(N), as convolve_pair takes."""
 
     @pytest.mark.parametrize("N", [128, 1024], ids=["direct", "log-t"])
-    def test_estimate_gprime_is_the_default_panels_rule(self, N, pair_a):
+    @pytest.mark.parametrize("which", ["classical", "profile"])
+    def test_check_gsc_gprime_is_the_default_panels_rule(self, which, N, pair_a):
         """Bit for bit, with g' summed at every node (N = 128) and through
-        the ln t interpolant (N = 1024)."""
-        mesh = graded_mesh(N, 2.0, pair_a.b)
-        got = estimate_gprime(pair_a, mesh).values
+        the ln t interpolant (N = 1024); NaN at t_0 for every pair, a
+        classical one included, where g' = 0 at the interior nodes."""
+        pair = make_classical_abel_pair(0.3, pair_a.b) if which == "classical" else pair_a
+        mesh = graded_mesh(N, 2.0, pair.b)
+        got = check_gsc(pair, mesh).gprime.values
+        assert np.isnan(got[0])
         np.testing.assert_array_equal(
-            got[1:], _gprime_flat(pair_a, mesh.nodes[1:], _default_panels(N))
+            got[1:], gprime_at(pair, mesh.nodes[1:], _default_panels(N))
         )
-        np.testing.assert_array_equal(got, check_gsc(pair_a, mesh).gprime.values)
 
     @pytest.mark.parametrize("route", ["classical", "substituted", "pointwise"])
     def test_check_gsc_g_is_compute_g(self, route, pair_a):
@@ -173,19 +172,19 @@ class TestPanelCountPolicy:
         )
 
 
-class TestEstimateGprime:
-    """Tests that vary the panel count call _gprime_flat, the rule that
-    estimate_gprime runs at the mesh's count."""
+class TestGprimeRule:
+    """Tests that vary the panel count call conftest's gprime_at, the
+    rule that check_gsc runs at the mesh's count."""
 
     def test_oracle_value(self, pair_a):
         mesh = graded_mesh(2, 1.0, 0.5)  # nodes 0, 0.25, 0.5
-        gp = _gprime_flat(pair_a, mesh.nodes[1:], 1024)
+        gp = gprime_at(pair_a, mesh.nodes[1:], 1024)
         assert abs(gp[0] - GPRIME_A_025) <= 1e-6 * GPRIME_A_025
-        assert np.isnan(estimate_gprime(pair_a, mesh).values[0])
+        assert np.isnan(check_gsc(pair_a, mesh).gprime.values[0])
 
     def test_agrees_with_finite_difference(self, pair_a):
         mesh = graded_mesh(2, 1.0, 0.5)
-        gp = _gprime_flat(pair_a, mesh.nodes[1:], 256)
+        gp = gprime_at(pair_a, mesh.nodes[1:], 256)
         h = 1e-4
         fd = (
             g_less_delta(pair_a, 0.25 + h, 256)
@@ -195,14 +194,14 @@ class TestEstimateGprime:
 
     def test_constant_profile_derivative_vanishes(self):
         pair = make_variable_exponent_pair(affine_exponent(0.5, 0.0, 1.0), 1.0)
-        gp = _gprime_flat(pair, graded_mesh(16, 2.0, 1.0).nodes[1:], 64)
+        gp = gprime_at(pair, graded_mesh(16, 2.0, 1.0).nodes[1:], 64)
         assert np.max(np.abs(gp)) <= 1e-8
 
     def test_fd_consistency_across_nodes(self, pair_a):
         """Analytic derivative vs central differences of g, away from 0."""
         mesh = graded_mesh(64, 1.0, 0.5)
         gp = np.full(mesh.N + 1, np.nan)
-        gp[1:] = _gprime_flat(pair_a, mesh.nodes[1:], 256)
+        gp[1:] = gprime_at(pair_a, mesh.nodes[1:], 256)
         nodes = mesh.nodes
         sel = np.arange(2, 63)
         sel = sel[nodes[sel] >= 0.05]  # t >= b/10
@@ -217,16 +216,16 @@ class TestEstimateGprime:
         """A classical pair of pure powers has g' = 0 exactly; a k without
         its t S'(t) has no analytic g'."""
         mesh = graded_mesh(8, 2.0, 1.0)
-        assert np.all(estimate_gprime(classical_half, mesh).values[1:] == 0.0)
+        assert np.all(check_gsc(classical_half, mesh).gprime.values[1:] == 0.0)
         bare = SoninePair(k=replace(pair_a.k, smooth_log_deriv=None), K=pair_a.K)
         with pytest.raises(DomainError, match="smooth_log_deriv"):
-            estimate_gprime(bare, graded_mesh(8, 2.0, pair_a.b))
+            check_gsc(bare, graded_mesh(8, 2.0, pair_a.b))
 
     def test_near_origin_growth_is_integrable(self, pair_a):
         """|g'| follows a power law milder than t^{-1/2} approaching 0."""
         ts = 0.5 * 0.5 ** np.arange(2, 13, dtype=float)
         mesh_vals = [
-            _gprime_flat(pair_a, graded_mesh(2, 1.0, 2.0 * t).nodes[1:], 128)[0] for t in ts
+            gprime_at(pair_a, graded_mesh(2, 1.0, 2.0 * t).nodes[1:], 128)[0] for t in ts
         ]
         y = np.log(np.abs(mesh_vals))
         x = np.log(ts)
@@ -266,12 +265,12 @@ class TestTemperedKernel:
         mesh = graded_mesh(512, 2.0, B)
         _, route_diff = compute_g(pair, mesh)
         assert math.isfinite(route_diff)  # 9.2e-10
-        assert np.all(np.isfinite(estimate_gprime(pair, mesh).values[1:]))
+        assert np.all(np.isfinite(check_gsc(pair, mesh).gprime.values[1:]))
 
     def test_gprime_matches_the_hypergeometric_closed_form(self):
         """Largest relative error 9.2e-10, at the first of the four nodes."""
         mesh = graded_mesh(512, 2.0, B)
-        gp = estimate_gprime(tempered_pair(), mesh).values
+        gp = check_gsc(tempered_pair(), mesh).gprime.values
         for t in (B / 1000, B / 100, B / 2, B):
             i = int(np.argmin(np.abs(mesh.nodes - t)))
             with mp.workdps(30):
@@ -285,9 +284,10 @@ class TestTemperedKernel:
         of their size at r = 1, N = 512, down to 5.2e-9 at r = 3, N = 2048,
         inside the rule's accuracy, where R^2 is reported as 1 (it read
         -4.12, the ratio of two noise levels)."""
-        fit = check_gsc(tempered_pair(), graded_mesh(N, r, B)).eps_fit
+        report = check_gsc(tempered_pair(), graded_mesh(N, r, B))
+        fit = report.eps_fit
         assert fit.passed and 0.9999 <= fit.r_squared <= 1.0
-        gp = estimate_gprime(tempered_pair(), graded_mesh(N, r, B)).values[1:5]
+        gp = report.gprime.values[1:5]
         flat = np.ptp(gp) <= sonine.FLAT_RTOL * np.max(np.abs(gp))
         assert flat == ((r, N) == (3.0, 2048))
         if flat:
@@ -308,11 +308,11 @@ class TestTemperedKernel:
         assert math.isnan(route_diff)
         if pair.k.smooth_log_deriv is None:
             with pytest.raises(DomainError, match="smooth_log_deriv"):
-                estimate_gprime(pair, mesh)
+                check_gsc(pair, mesh)
         else:
             np.testing.assert_allclose(
-                estimate_gprime(pair, mesh).values[1:],
-                2.0 * estimate_gprime(tempered_pair(), mesh).values[1:],
+                check_gsc(pair, mesh).gprime.values[1:],
+                2.0 * check_gsc(tempered_pair(), mesh).gprime.values[1:],
                 rtol=1e-15,
             )
 

@@ -186,6 +186,15 @@ class KernelSpec:
     kernel that is not a pure power and leaves it None makes
     :func:`sonine_kit.sonine.check_gsc` and the solvers refuse its pair
     unless the pair is classical.
+
+    ``power_coef`` is derived once: c when the kernel is the pure power c
+    t^(-local_exponent), that is, a factor of :func:`power_kernel`, or a
+    ``smooth_log_deriv`` that is 0 at the positive points of the
+    validation grid of [0, b] (t^(-alpha(t)) for a constant profile),
+    whose c is smooth0; else None. Whether a kernel is a pure power is
+    read from it alone: by :func:`_is_classical` and by every pure-power
+    fast path. A hand-built kernel without ``smooth_log_deriv`` takes the
+    general path.
     """
 
     smooth_fn: Callable
@@ -193,6 +202,7 @@ class KernelSpec:
     local_exponent: float
     b: float
     smooth_log_deriv: Callable | None = None
+    power_coef: float | None = field(init=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.smooth0):
@@ -206,11 +216,20 @@ class KernelSpec:
             )
         if not math.isfinite(self.b) or self.b <= 0.0:
             raise DomainError(f"kernel endpoint b must be positive, got {self.b!r}")
-        if self.smooth_log_deriv is not None:
-            d = self.smooth_log_deriv
+        d = self.smooth_log_deriv
+        if d is not None:
             _check_derivative(
                 self.smooth_fn, lambda t: _evaluate(d, t) / t, self.b, "smooth_log_deriv / t"
             )
+        if isinstance(self.smooth_fn, _ConstantFactor):
+            coef = self.smooth_fn.value
+        elif d is not None and np.all(
+            _evaluate(d, np.linspace(0.0, self.b, VALIDATION_GRID)[1:]) == 0.0
+        ):
+            coef = self.smooth0
+        else:
+            coef = None
+        object.__setattr__(self, "power_coef", coef)
 
     def _check_domain(self, t: np.ndarray, allow_zero: bool) -> bool:
         """Refuse t outside (0, b], or [0, b] with ``allow_zero``; True when
@@ -252,15 +271,6 @@ class KernelSpec:
             out = _call_elementwise(self.smooth_fn, np.where(zero, self.b, flat))
             out[zero] = self.smooth0
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
-
-    @property
-    def power_coef(self) -> float | None:
-        """c when the kernel is the pure power c t^(-local_exponent) of
-        :func:`power_kernel`, else None. The quadrature's pure-power fast
-        paths read this and nothing else: a hand-built kernel of the same
-        values takes the general path."""
-        fn = self.smooth_fn
-        return fn.value if isinstance(fn, _ConstantFactor) else None
 
     @staticmethod
     def from_samples(phi: SampledFunction, sing_exponent: float) -> "KernelSpec":
@@ -309,7 +319,7 @@ def _extrapolate_to_zero(nodes: np.ndarray, m: np.ndarray) -> float:
 @dataclass(frozen=True, slots=True)
 class _ConstantFactor:
     """The bounded factor of :func:`power_kernel`'s kernels: ``value`` at
-    every t. :attr:`KernelSpec.power_coef` recognises a pure power by it."""
+    every t, which :class:`KernelSpec` takes for its ``power_coef``."""
 
     value: float
 
@@ -382,24 +392,13 @@ def _dE(af: ExponentFunction, alpha0: float, x):
     return float(q[0]) if t.ndim == 0 else q
 
 
-def _constant_factor(kernel: KernelSpec) -> float | None:
-    """c when the kernel's bounded factor is the constant c, else None: a
-    pure power (:attr:`KernelSpec.power_coef`), or a kernel whose
-    ``smooth_log_deriv`` is 0 at the positive points of the validation
-    grid of [0, b] (t^(-alpha(t)) for a constant profile): its smooth0."""
-    if kernel.power_coef is not None:
-        return kernel.power_coef
-    d, grid = kernel.smooth_log_deriv, np.linspace(0.0, kernel.b, VALIDATION_GRID)[1:]
-    return kernel.smooth0 if d is not None and np.all(_evaluate(d, grid) == 0.0) else None
-
-
 def _is_classical(k: KernelSpec, K: KernelSpec) -> bool:
     """True when K * k = 1 holds analytically: k = c_k t^(-sigma) and K =
-    c_K t^(sigma - 1) with constant bounded factors (:func:`_constant_factor`)
-    and c_k c_K kappa(sigma) = 1, both to 1e-12."""
+    c_K t^(sigma - 1), pure powers (:attr:`KernelSpec.power_coef`), and
+    c_k c_K kappa(sigma) = 1, both to 1e-12."""
     if abs(k.local_exponent + K.local_exponent - 1.0) > 1e-12:
         return False
-    c_k, c_K = _constant_factor(k), _constant_factor(K)
+    c_k, c_K = k.power_coef, K.power_coef
     return (
         c_k is not None
         and c_K is not None
@@ -412,9 +411,11 @@ class SoninePair:
     """A kernel k and its associate K sharing the interval (0, b].
 
     The pair is its two kernels. ``is_classical``, that K * k = 1 holds
-    analytically (:func:`_is_classical`), is derived from them once; the
-    solvers take the shortcut it allows (g' = 0, no sweep). g reads the
-    same test on k's leading term (:func:`sonine_kit.sonine._defect`).
+    analytically (:func:`_is_classical` on their ``power_coef``), is
+    derived from them once; the solvers take the shortcut it allows (g' =
+    0, no sweep). g reads the same test on k's leading term
+    (:func:`sonine_kit.sonine._defect`). A constant profile's pair is
+    classical, and takes the pure-power paths the classical kind's does.
     """
 
     k: KernelSpec

@@ -262,13 +262,9 @@ def _near_origin_model(
     falling = judged and np.sign(y[0]) == np.sign(y[1]) != 0.0 and abs(y[1]) < abs(y[0])
     steep = falling and y[1] / y[0] <= x2**-EPS_CLIP_MAX
     if falling and not steep:
-        lo, hi = 0.0, EPS_CLIP_MAX
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:  # bisection, down to adjacent floats
-            lo, hi = (mid, hi) if x2**-mid > y[1] / y[0] else (lo, mid)
-            mid = 0.5 * (lo + hi)
+        eps = min(math.log(y[0] / y[1]) / math.log(x2), EPS_CLIP_MAX)
         C = float(y[0])  # the power is 1 at x = 1
-        models.append((C * x**-lo, C / (1.0 - lo), (lo, float(C * t[1] ** lo))))
+        models.append((C * x**-eps, C / (1.0 - eps), (eps, float(C * t[1] ** eps))))
     if judged:
         models.sort(key=lambda model: abs(model[0][3] - y[3]))
     fit, integral, (eps, m0) = models[0]

@@ -25,7 +25,6 @@ from .kernels import (
     KernelSpec,
     SoninePair,
     _check_derivative,
-    _constant_factor,
     _evaluate,
     _extrapolate_to_zero,
     gamma,
@@ -80,7 +79,7 @@ class _Polynomial:
     """t -> sum_j coeffs[j] t^j by Horner's rule, for a nonempty ``coeffs``:
     a float for a scalar t, an array of t's shape for an array t.
     :func:`assemble_rhs` recognises polynomial data by this type, as
-    :attr:`KernelSpec.power_coef` recognises a pure power."""
+    :class:`KernelSpec` recognises a pure power's factor."""
 
     coeffs: tuple[float, ...]
 
@@ -473,7 +472,7 @@ def convergence_study(pair: SoninePair, rhs: RhsSpec, N: int, r: float) -> Conve
         return u.values[1:]
 
     if pair.is_classical and isinstance(rhs.f, _Polynomial):
-        sigma, c = pair.k.local_exponent, _constant_factor(pair.k)
+        sigma, c = pair.k.local_exponent, pair.k.power_coef
 
         def reference(mesh: Mesh) -> np.ndarray:
             return classical_solution(sigma, rhs.f.coeffs, mesh.nodes[1:]) / c

@@ -119,6 +119,16 @@ def two_term_pair(a: float, beta: float, lam: float, b: float) -> SoninePair:
     return SoninePair(k=k, K=power_kernel(1.0 / kappa(beta), 1.0 - beta, b))
 
 
+def hand_built_power(coef: float, gamma: float, b: float) -> KernelSpec:
+    """coef t^(-gamma) on (0, b] built by hand: its bounded factor is a
+    plain function and it carries no t S'(t), so it is not recognised as
+    a pure power and takes the general paths."""
+    return KernelSpec(
+        smooth_fn=lambda t: np.full_like(np.asarray(t, dtype=float), coef),
+        smooth0=coef, local_exponent=gamma, b=b,
+    )
+
+
 def sweep(gprime, F, mesh, eps):
     """The forward sweep of u + g' * u = F for g' = t^(-eps) m(t), with m
     and its m(0) by :func:`sonine_kit.solve_second_kind`'s rule: u and the

@@ -708,6 +708,38 @@ class TestLibraryFolds:
         assert record["holds"] is report.holds is True
 
 
+class TestClassicalTwins:
+    """t^(-alpha) is one pair whether given as the classical kind or as
+    the variable kind with a constant profile: both write the same JSON
+    table and exit status, route_diff aside, which reads |delta| only
+    where k carries t S'(t)."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    @pytest.mark.parametrize("N", [64, 512])
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [1.0, 1.0]], ids=["t", "1+t"])
+    def test_constant_profile_writes_the_classical_table(
+        self, command, alpha, N, coeffs, tmp_path, capsys
+    ):
+        results = []
+        for kernel in (
+            {"kind": "classical", "alpha": alpha, "b": 0.5},
+            {"kind": "variable", "a0": alpha, "a1": 0.0, "b": 0.5},
+        ):
+            out = tmp_path / f"{kernel['kind']}.json"
+            doc = _doc(
+                command, kernel=kernel, N=N, rhs={"coeffs": coeffs},
+                output={"path": str(out), "format": "json"},
+            )
+            status = main([command, "--config", _write(tmp_path, doc)])
+            assert status in (0, 2)
+            record = json.loads(out.read_text())
+            record.pop("route_diff", None)
+            results.append((status, record))
+        capsys.readouterr()
+        assert results[0] == results[1]
+
+
 class TestCliErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 1

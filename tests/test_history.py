@@ -19,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import hand_built_power
 from sonine_kit import (
     KernelSpec,
     Mesh,
@@ -254,22 +255,13 @@ class TestStreams:
             assert np.max(np.abs(tail_got - tail_want)) <= 1e-14 * tail_want.max()
 
 
-def hand_built_power(coef, gamma):
-    """coef t^(-gamma) built by hand: its bounded factor is a plain
-    function, so it is not recognised as a pure power."""
-    return KernelSpec(
-        smooth_fn=lambda t: np.full_like(np.asarray(t, dtype=float), coef),
-        smooth0=coef, local_exponent=gamma, b=B,
-    )
-
-
 class TestDensePathKept:
     def test_power_coef(self, pair_a):
         assert power_kernel(COEF, 0.3, B).power_coef == COEF
         assert classical_abel_kernel(0.3, B).power_coef == 1.0
         assert pair_a.K.power_coef == pair_a.K.smooth0
         assert pair_a.k.power_coef is None
-        assert hand_built_power(COEF, 0.3).power_coef is None
+        assert hand_built_power(COEF, 0.3, B).power_coef is None
 
     def test_below_crossover_is_the_triangle(self):
         mesh = graded_mesh(SOE_MIN_N - 1, 2.0, B)
@@ -283,7 +275,7 @@ class TestDensePathKept:
         mesh = graded_mesh(SOE_MIN_N, 2.0, B)
         phi = np.cos(7.0 * mesh.nodes) + mesh.nodes
         if which == "hand_built":
-            kernel = hand_built_power(COEF, 0.3)
+            kernel = hand_built_power(COEF, 0.3, B)
         elif which == "identity":
             # a smooth part that is not constant
             kernel = KernelSpec(smooth_fn=lambda t: t, smooth0=0.0, local_exponent=0.5, b=1.0)
@@ -333,7 +325,7 @@ class TestPairFold:
         def twin(kernel):
             if kernel.power_coef is None:
                 return kernel
-            return hand_built_power(kernel.power_coef, kernel.local_exponent)
+            return hand_built_power(kernel.power_coef, kernel.local_exponent, B)
 
         mesh = graded_mesh(512, 2.0, B)  # the mesh's panel count is 256
         got = convolve_pair(K, k, mesh).values[1:]

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GAMMA_REFS, KAPPA_025, KAPPA_05, KAPPA_075, VAR_KERNEL_AT_025, two_term_pair
+from conftest import (
+    GAMMA_REFS,
+    KAPPA_025,
+    KAPPA_05,
+    KAPPA_075,
+    VAR_KERNEL_AT_025,
+    hand_built_power,
+    two_term_pair,
+)
 from sonine_kit import (
     DomainError,
     ExponentFunction,
@@ -316,6 +324,10 @@ CLASSICAL_TABLE = {
         ),
         True,
     ),
+    "constant factor, no log-derivative": (
+        lambda: (hand_built_power(2.0, 0.4, 1.0), power_kernel(0.5 / kappa(0.4), 0.6, 1.0)),
+        False,
+    ),
     "paper profile": (
         lambda: _kernels(make_variable_exponent_pair(affine_exponent(0.5, 0.2, 0.5), 0.5)),
         False,
@@ -328,6 +340,25 @@ CLASSICAL_TABLE = {
         False,
     ),
 }
+
+#: the kernels of CLASSICAL_TABLE, as (case, index in (k, K)), that are
+#: not pure powers: a bounded factor that varies, or a constant one given
+#: without t S'(t)
+NOT_PURE_POWERS = {
+    ("constant factor, no log-derivative", 0), ("paper profile", 0), ("tabulated K", 1),
+}
+
+
+class TestPowerCoef:
+    @pytest.mark.parametrize("case", list(CLASSICAL_TABLE))
+    def test_constant_factors_are_pure_powers(self, case):
+        """Whether a kernel is a pure power c t^(-sigma) has one answer,
+        the field KernelSpec derives once, which _is_classical and every
+        pure-power fast path read: c = smooth0 for a factor of
+        power_kernel or a t S'(t) that is 0, else None."""
+        for i, x in enumerate(CLASSICAL_TABLE[case][0]()):
+            expected = None if (case, i) in NOT_PURE_POWERS else x.smooth0
+            assert x.power_coef == expected
 
 
 class TestSoninePair:

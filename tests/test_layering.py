@@ -35,12 +35,15 @@ tree has one layout at every N, with no dense crossover, super-block size
 or row floor, and no entry budget. Importing the package
 loads no numpy submodule it does not use, to keep start-up short. The sum
 of exponentials of pure-power convolutions is built on every call, neither
-cached nor built at import.
+cached nor built at import. Whether a kernel is a pure power has one
+answer, the field ``KernelSpec.power_coef``: no second test of it is
+defined, and only ``kernels.py`` names the factor type of ``power_kernel``.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +154,14 @@ DELETED_PAIR_ENTRIES = {
 
 #: the one public function that takes samples and a mesh together
 SAMPLES_AND_MESH_TAKER = "solve_second_kind"
+
+#: the one answer to "is this kernel a pure power?": the KernelSpec field,
+#: derived from the factor type of power_kernel, named only in its home
+#: module, or from a t S'(t) that is 0; and the deleted helper that gave
+#: a second answer by the grid scan alone
+POWER_FIELD = "power_coef"
+POWER_FACTOR, POWER_FACTOR_HOME = "_ConstantFactor", "kernels.py"
+SECOND_POWER_TEST = "_constant_factor"
 
 
 def _layering_violations(source: str) -> list[str]:
@@ -1132,3 +1143,58 @@ def test_gprime_route_guard_catches_violations(source):
 
 def test_gprime_route_guard_allows_the_one_route():
     assert _second_gprime_route_parts(ONE_ROUTE) == []
+
+
+def _second_power_answers(source: str, home: bool) -> list[str]:
+    """Definitions of the deleted second test, and, outside the ``home``
+    module of the pure power's factor type, names of that type."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == SECOND_POWER_TEST:
+            found.append(f"line {node.lineno}: defines {node.name}")
+        elif isinstance(node, ast.Name) and node.id == SECOND_POWER_TEST:
+            if isinstance(node.ctx, ast.Store):
+                found.append(f"line {node.lineno}: defines {node.id}")
+        elif home:
+            continue
+        elif isinstance(node, ast.Name) and node.id == POWER_FACTOR:
+            found.append(f"line {node.lineno}: names {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr == POWER_FACTOR:
+            found.append(f"line {node.lineno}: reads .{node.attr}")
+        elif isinstance(node, ast.alias) and node.name == POWER_FACTOR:
+            found.append(f"line {node.lineno}: imports {node.name}")
+    return found
+
+
+def test_one_answer_to_pure_power():
+    """KernelSpec.power_coef is a field set once in __post_init__, no
+    module defines a second test beside it, and only kernels.py names the
+    factor type it is read from."""
+    fields = {f.name: f for f in dataclasses.fields(sonine_kit.kernels.KernelSpec)}
+    assert POWER_FIELD in fields and not fields[POWER_FIELD].init
+    for path in sorted(Path(sonine_kit.__file__).parent.glob("*.py")):
+        home = path.name == POWER_FACTOR_HOME
+        assert _second_power_answers(path.read_text(), home) == [], path.name
+
+
+@pytest.mark.parametrize(
+    "source, home",
+    [
+        ("def _constant_factor(kernel):\n    return kernel.power_coef", True),
+        ("_constant_factor = lambda kernel: kernel.power_coef", True),
+        ("from .kernels import _ConstantFactor", False),
+        ("c = k.smooth_fn.value if isinstance(k.smooth_fn, _ConstantFactor) else None", False),
+        ("from . import kernels\nfn = kernels._ConstantFactor(2.0)", False),
+    ],
+)
+def test_power_guard_catches_violations(source, home):
+    assert _second_power_answers(source, home)
+
+
+def test_power_guard_allows_the_field():
+    home = (
+        "class _ConstantFactor:\n    value: float\n"
+        "def power_kernel(coef, exponent, b):\n    return _ConstantFactor(coef)\n"
+    )
+    assert _second_power_answers(home, True) == []
+    assert _second_power_answers("c_k, c_K = k.power_coef, K.power_coef\n", False) == []

@@ -22,6 +22,7 @@ from .kernels import (
     classical_abel_kernel,
     gamma,
     kappa,
+    leading_term_pair,
     make_classical_abel_pair,
     make_variable_exponent_pair,
     power_kernel,
@@ -67,6 +68,7 @@ __all__ = [
     "classical_abel_kernel",
     "gamma",
     "kappa",
+    "leading_term_pair",
     "make_classical_abel_pair",
     "make_variable_exponent_pair",
     "power_kernel",

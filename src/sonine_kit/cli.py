@@ -21,10 +21,12 @@ import numpy as np
 
 from .errors import DomainError, GscConditionError, IllConditionedSystemError
 from .kernels import (
+    KernelSpec,
     SoninePair,
     affine_exponent,
-    make_classical_abel_pair,
-    make_variable_exponent_pair,
+    classical_abel_kernel,
+    leading_term_pair,
+    variable_exponent_kernel,
 )
 from .mesh import graded_mesh
 from .sonine import G0_TOL_DEFAULT, check_gsc, compute_g
@@ -72,15 +74,16 @@ class JobConfig:
     tolerances: dict
 
 
-def _variable_pair(a0: float, a1: float, b: float) -> SoninePair:
-    return make_variable_exponent_pair(affine_exponent(a0, a1, b), b)
+def _variable_kernel(a0: float, a1: float, b: float) -> KernelSpec:
+    return variable_exponent_kernel(affine_exponent(a0, a1, b), b)
 
 
 #: the kernel kinds: each kind's own fields and the library call that
-#: builds its pair from them and b, which refuses what it cannot build
+#: builds its kernel k from them and b, which refuses what it cannot
+#: build; every kind's pair is :func:`leading_term_pair` of its k
 _KINDS = {
-    "classical": (("alpha",), make_classical_abel_pair),
-    "variable": (("a0", "a1"), _variable_pair),
+    "classical": (("alpha",), classical_abel_kernel),
+    "variable": (("a0", "a1"), _variable_kernel),
 }
 
 
@@ -120,7 +123,7 @@ def _parse_kernel(doc: dict) -> tuple[SimpleNamespace, SoninePair]:
     fields, build = _KINDS[kind]
     values = {name: _as_real(kd, name, "kernel.") for name in fields}
     try:
-        pair = build(*values.values(), b)
+        pair = leading_term_pair(build(*values.values(), b))
     except DomainError as exc:
         raise _cfg_error(f"kernel.{fields[0]}", str(exc)) from exc
     return SimpleNamespace(kind=kind, b=b, **values), pair

@@ -31,6 +31,7 @@ __all__ = [
     "classical_abel_kernel",
     "variable_exponent_kernel",
     "SoninePair",
+    "leading_term_pair",
     "make_classical_abel_pair",
     "make_variable_exponent_pair",
 ]
@@ -341,7 +342,10 @@ def power_kernel(coef: float, exponent: float, b: float) -> KernelSpec:
 
 
 def classical_abel_kernel(alpha: float, b: float) -> KernelSpec:
-    """Abel kernel t^(-alpha)."""
+    """Abel kernel t^(-alpha), for alpha in (0, 1)."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:  # a NaN fails too
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     return power_kernel(1.0, alpha, b)
 
 
@@ -434,24 +438,30 @@ class SoninePair:
         return self.k.b
 
 
+def leading_term_pair(k: KernelSpec) -> SoninePair:
+    """Pair k with the associate of its leading term S(0) t^(-sigma),
+    K = t^(sigma - 1) / (S(0) kappa(sigma)), for which g(0+) = 1.
+
+    The pair is classical exactly when k is a pure power. A k with S(0)
+    = 0 has no leading term to pair with, and is refused.
+    """
+    if k.smooth0 == 0.0:
+        raise DomainError("a kernel with smooth0 = 0 has no leading-term associate")
+    sigma = k.local_exponent
+    return SoninePair(k=k, K=power_kernel(1.0 / (k.smooth0 * kappa(sigma)), 1.0 - sigma, k.b))
+
+
 def make_classical_abel_pair(alpha: float, b: float) -> SoninePair:
     """Pair k = t^(-alpha), K = t^(alpha-1) / kappa(alpha), for alpha in
-    (0, 1)."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:  # a NaN fails too
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return SoninePair(
-        k=classical_abel_kernel(alpha, b),
-        K=power_kernel(1.0 / kappa(alpha), 1.0 - alpha, b),
-    )
+    (0, 1): :func:`leading_term_pair` of :func:`classical_abel_kernel`."""
+    return leading_term_pair(classical_abel_kernel(alpha, b))
 
 
 def make_variable_exponent_pair(af: ExponentFunction, b: float) -> SoninePair:
     """Pair k = t^(-alpha(t)) with the constant-order associate
-    K = t^(alpha(0)-1) / kappa(alpha(0)).
+    K = t^(alpha(0)-1) / kappa(alpha(0)): :func:`leading_term_pair` of
+    :func:`variable_exponent_kernel`.
 
     The pair is classical exactly when the profile is constant on [0, b].
     """
-    k = variable_exponent_kernel(af, b)  # validates af on [0, b]
-    alpha0 = k.local_exponent
-    return SoninePair(k=k, K=power_kernel(1.0 / kappa(alpha0), 1.0 - alpha0, b))
+    return leading_term_pair(variable_exponent_kernel(af, b))

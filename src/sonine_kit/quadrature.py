@@ -358,12 +358,11 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor, x: np.ndarray):
     scratch array of three rows holds a leaf's lags, slopes and weights,
     or a far sum's points: its rows have max((s1 - s0) (s1 - j0),
     FAR_POINTS (jc - jp + 1)) floats, O(FAR_POINTS N) on a graded mesh
-    (2.4 MB traced at N = 8192, r = 2). ``far`` holds N + 1 rows, of x's
-    trailing shape, so a 2-D x is summed column by column. C lives in
-    scratch that the next block overwrites, so the caller may write into
-    it, as the forward sweep adds 1 to the diagonal of the block's own
-    square C[:, i0 - j0:]. The caller checks beta once; beta = 1 is the
-    bounded (trapezoid) limit.
+    (2.4 MB traced at N = 8192, r = 2). ``far`` holds N + 1 values. C
+    lives in scratch that the next block overwrites, so the caller may
+    write into it, as the forward sweep adds 1 to the diagonal of the
+    block's own square C[:, i0 - j0:]. The caller checks beta once; beta
+    = 1 is the bounded (trapezoid) limit.
     """
     h = np.diff(nodes)
     starts, jf, bands = _cluster_tree(nodes)
@@ -373,7 +372,7 @@ def _triangle_blocks(nodes: np.ndarray, beta: float, factor, x: np.ndarray):
     # temporaries freed at the heap top make glibc trim it, and the next
     # block then faults the same pages back in
     work = np.empty((3, max(near, FAR_POINTS * span)))
-    far = np.zeros((len(nodes),) + x.shape[1:])
+    far = np.zeros(len(nodes))
     far_rows = lru_cache(maxsize=None)(_far_rows)  # clusters share sizes
     for s0, s1, j0, leaf in zip(starts, starts[1:], jf, bands):
         for c0, c1, jp, jc in leaf:
@@ -438,7 +437,7 @@ def _far_sums(
     np.subtract(s[:, None], nodes, out=lag)
     F = _moments(lag, h, beta, work[:2])
     F *= factor(lag)
-    out = np.empty((len(t),) + x.shape[1:])
+    out = np.empty(len(t))
     out[rows] = F @ x
     # barycentric weights of the points, scaled to [0, 1]
     dz = np.subtract.outer(s, s)
@@ -627,8 +626,7 @@ def _barycentric(
     points: np.ndarray, weights: np.ndarray, values: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """The interpolant through ``values`` at the ascending ``points``, of
-    barycentric ``weights``, at every time of the flat array ``x``:
-    values along the first axis of a 1-D or 2-D array.
+    barycentric ``weights``, at every time of the flat array ``x``.
 
     The second barycentric formula (d @ (weights values)) / (d @ weights),
     d = 1 / (x - points) (Berrut and Trefethen, SIAM Review 46, 2004),
@@ -636,20 +634,18 @@ def _barycentric(
     len(x). An x on a point divides by 0 there, and takes the point's
     value; a NaN among the values stays NaN at every other x.
     """
-    trailing = (1,) * (values.ndim - 1)
-    weighted = weights.reshape(weights.shape + trailing) * values
-    out = np.empty(x.shape + values.shape[1:])
+    weighted = weights * values
+    out = np.empty(len(x))
     work = np.empty(BLOCK_ENTRIES)
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows in _row_blocks(len(x), len(points)):
             d = _view(work, (rows.stop - rows.start, len(points)))
             np.subtract(x[rows, None], points, out=d)
             np.divide(1.0, d, out=d)
-            # two matrix-vector products on 1-D values: one matrix product
-            # with both columns makes BLAS set up its GEMM buffers, 0.1-0.25
-            # MB more peak RSS in a process that has not used them
-            den = d @ weights
-            np.divide(d @ weighted, den.reshape(den.shape + trailing), out=out[rows])
+            # two matrix-vector products: one matrix product with both
+            # columns makes BLAS set up its GEMM buffers, 0.1-0.25 MB more
+            # peak RSS in a process that has not used them
+            np.divide(d @ weighted, d @ weights, out=out[rows])
     if np.isnan(out).any():
         at = np.minimum(np.searchsorted(points, x), len(points) - 1)
         on_point = points[at] == x

@@ -209,20 +209,24 @@ def assemble_rhs(K: KernelSpec, rhs: RhsSpec, mesh: Mesh) -> SampledFunction:
     functions (:func:`_power_convolution`), exact to rounding at every
     node. Any other K or f' is sampled and convolved by
     :func:`convolve_weakly_singular`, exact only for a piecewise-linear
-    f' times K's bounded factor.
+    f' times K's bounded factor. F is refused where it is not finite past
+    t_0: K(t_1) grows as the mesh refines, so finite data can overflow it.
     """
     interior = mesh.nodes[1:]
-    if K.power_coef is not None and isinstance(rhs.fprime, _Polynomial):
-        conv = _power_convolution(
-            K.power_coef, K.local_exponent, rhs.fprime.coeffs, 0.0, interior
-        )
-    else:
-        fp = SampledFunction(mesh=mesh, values=rhs.eval_fprime(mesh.nodes))
-        conv = convolve_weakly_singular(K, fp).values[1:]
     F = np.empty(mesh.N + 1)
     F[0] = 0.0 if rhs.f0 == 0.0 else np.nan
-    # K.eval refuses a mesh past K's end on either path
-    F[1:] = rhs.f0 * K.eval(interior) + conv
+    with np.errstate(over="ignore", invalid="ignore"):
+        if K.power_coef is not None and isinstance(rhs.fprime, _Polynomial):
+            conv = _power_convolution(
+                K.power_coef, K.local_exponent, rhs.fprime.coeffs, 0.0, interior
+            )
+        else:
+            fp = SampledFunction(mesh=mesh, values=rhs.eval_fprime(mesh.nodes))
+            conv = convolve_weakly_singular(K, fp).values[1:]
+        # K.eval refuses a mesh past K's end on either path
+        F[1:] = rhs.f0 * K.eval(interior) + conv
+    if not np.isfinite(F[1:]).all():
+        raise DomainError("the transformed right side F = f(0) K + K * f' overflows past t_0")
     return SampledFunction(mesh=mesh, values=F)
 
 

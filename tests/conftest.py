@@ -19,10 +19,9 @@ from sonine_kit import (
     SoninePair,
     affine_exponent,
     graded_mesh,
-    kappa,
+    leading_term_pair,
     make_classical_abel_pair,
     make_variable_exponent_pair,
-    power_kernel,
 )
 from sonine_kit import quadrature, volterra
 from sonine_kit.sonine import _bounded_factor, _defect, _gprime_from_terms, _gprime_terms
@@ -106,8 +105,9 @@ def two_term_pair(a: float, beta: float, lam: float, b: float) -> SoninePair:
     """The two-term pair of Yu. Luchko, Mathematics 9 (2021) 594, with k
     scaled by Gamma(1 - beta): k = t^(-beta) (1 + c t^a), c = lam
     Gamma(1 - beta) / Gamma(1 - beta + a), and K = t^(beta - 1) /
-    kappa(beta). Its g = 1 + lam t^a / Gamma(1 + a) is exact, so g(0+) = 1,
-    and g' = lam t^(a - 1) / Gamma(a) blows up as t^(-eps), eps = 1 - a."""
+    kappa(beta), its :func:`leading_term_pair`. Its g = 1 + lam t^a /
+    Gamma(1 + a) is exact, so g(0+) = 1, and g' = lam t^(a - 1) / Gamma(a)
+    blows up as t^(-eps), eps = 1 - a."""
     c = lam * math.gamma(1.0 - beta) / math.gamma(1.0 - beta + a)
     k = KernelSpec(
         smooth_fn=lambda t: 1.0 + c * np.asarray(t, dtype=float) ** a,
@@ -116,7 +116,7 @@ def two_term_pair(a: float, beta: float, lam: float, b: float) -> SoninePair:
         b=b,
         smooth_log_deriv=lambda t: c * a * np.asarray(t, dtype=float) ** a,
     )
-    return SoninePair(k=k, K=power_kernel(1.0 / kappa(beta), 1.0 - beta, b))
+    return leading_term_pair(k)
 
 
 def hand_built_power(coef: float, gamma: float, b: float) -> KernelSpec:

@@ -847,6 +847,23 @@ class TestCliErrors:
         assert err.startswith("error: polynomial f overflows on [0, 1e+103]")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    @pytest.mark.parametrize("kind", ["classical", "variable"])
+    def test_overflowing_transformed_data_is_a_plain_error(self, command, kind, tmp_path, capsys):
+        # f is finite on [0, b], but f(0) K(t_1) overflows in F
+        kernel = (
+            {"kind": "classical", "alpha": 0.4, "b": 0.5}
+            if kind == "classical"
+            else {"kind": "variable", "a0": 0.4, "a1": 0.1, "b": 0.5}
+        )
+        doc = _doc(command, kernel=kernel, N=64, rhs={"coeffs": [-1e308, 1e308]})
+        cfg_path = _write(tmp_path, doc)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the transformed right side F")
+        assert captured.err.count("\n") == 1
+
     def test_long_interval_extrapolates_without_overflow(self, tmp_path, capsys):
         # the residual continues u's bounded factor to t = 0 along the line
         # through its first two nodes, whose slope times t_1 overflowed

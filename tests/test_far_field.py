@@ -68,11 +68,12 @@ TABULATED_RTOL = 1e-8
 
 def dense_convolutions(kernel, mesh, columns):
     """(kernel * phi)(t_i) of the dense triangle for each column phi of
-    ``columns``, from one pass over the blocks with a 2-D x; called in the
-    dense_triangle context."""
+    ``columns``, from one pass over the blocks; called in the
+    dense_triangle context, which has no far sums, the only reader of x."""
     out = np.zeros(columns.shape)
     beta = 1.0 - kernel.local_exponent
-    for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, kernel.smooth, columns):
+    x = columns[:, 0]
+    for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, beta, kernel.smooth, x):
         assert j0 == 0 and far is None
         out[i0:i1] = C @ columns[:i1]
     return out
@@ -213,28 +214,6 @@ class TestConvolutionAgreesWithDense:
         with dense_triangle():
             want = convolve_weakly_singular(kernel, phi).values
         assert np.max(np.abs(got - want)) <= TABULATED_RTOL * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("N", [512, 2048 + 77])
-    def test_columns_of_x_are_convolved_alike(self, N, pair_a):
-        """A 2-D x carries the far sums of each of its columns: the
-        operator applied to two columns at once is the operator applied to
-        each, to rounding of the largest value."""
-        mesh = graded_mesh(N, 2.0, 0.5)
-        columns = np.column_stack([np.cos(7.0 * mesh.nodes), 1.0 + mesh.nodes])
-        both = np.zeros(columns.shape)
-        seen_far = False
-        for i0, i1, j0, C, far in _triangle_blocks(mesh.nodes, 0.5, pair_a.k.smooth, columns):
-            both[i0:i1] = C @ columns[j0:i1]
-            if far is not None:
-                assert far.shape == (i1 - i0, 2)
-                both[i0:i1] += far
-                seen_far = True
-        assert seen_far
-        for values, got in zip(columns.T, both.T):
-            phi = SampledFunction(mesh=mesh, values=values.copy())
-            want = convolve_weakly_singular(pair_a.k, phi)
-            scale = np.max(np.abs(want.values))
-            np.testing.assert_allclose(got, want.values, rtol=0.0, atol=1e-15 * scale)
 
 
 def leaf_bands(nodes):

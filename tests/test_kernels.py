@@ -14,6 +14,7 @@ from conftest import (
     KAPPA_025,
     KAPPA_05,
     KAPPA_075,
+    PROFILE_A,
     VAR_KERNEL_AT_025,
     hand_built_power,
     two_term_pair,
@@ -26,11 +27,13 @@ from sonine_kit import (
     SampledFunction,
     SoninePair,
     affine_exponent,
+    check_gsc,
     classical_abel_kernel,
     discover_associate,
     gamma,
     graded_mesh,
     kappa,
+    leading_term_pair,
     make_classical_abel_pair,
     make_variable_exponent_pair,
     power_kernel,
@@ -264,8 +267,10 @@ class TestKernelSpec:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.2, -0.5, math.nan])
     def test_classical_pair_refuses_alpha_outside_unit_interval(self, alpha):
-        with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\)"):
-            make_classical_abel_pair(alpha, 1.0)
+        """The kernel owns the range rule, and the maker reports it."""
+        for build in (classical_abel_kernel, make_classical_abel_pair):
+            with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\)"):
+                build(alpha, 1.0)
 
     def test_from_samples_roundtrip(self):
         mesh = graded_mesh(64, 2.0, 1.0)
@@ -410,6 +415,62 @@ class TestSoninePair:
         k = power_kernel(2.0, 0.4, 1.0)
         K = power_kernel(0.5 / kappa(0.4), 0.6, 1.0)
         assert discover_associate(k, K, graded_mesh(64, 2.0, 1.0)).gprime_l1 == 0.0
+
+
+def _tempered_kernel(smooth0: float) -> KernelSpec:
+    """k = smooth0 t^(-1/2) e^(-2t) on (0, 0.5], with its t S'(t)."""
+
+    def smooth(t):
+        return smooth0 * np.exp(-2.0 * np.asarray(t, dtype=float))
+
+    return KernelSpec(
+        smooth_fn=smooth,
+        smooth0=smooth0,
+        local_exponent=0.5,
+        b=0.5,
+        smooth_log_deriv=lambda t: -2.0 * t * smooth(t),
+    )
+
+
+#: kernels k with (S(0), sigma, b) written out, and whether k is a pure power
+LEADING_TERMS = {
+    "classical 0.3": (lambda: classical_abel_kernel(0.3, 0.5), 1.0, 0.3, 0.5, True),
+    "classical 0.5": (lambda: classical_abel_kernel(0.5, 0.5), 1.0, 0.5, 0.5, True),
+    "classical 0.8": (lambda: classical_abel_kernel(0.8, 0.5), 1.0, 0.8, 0.5, True),
+    "paper": (lambda: variable_exponent_kernel(PROFILE_A, 0.5), 1.0, 0.5, 0.5, False),
+    "constant profile": (
+        lambda: variable_exponent_kernel(affine_exponent(0.4, 0.0, 0.5), 0.5), 1.0, 0.4, 0.5, True
+    ),
+    "two-term": (lambda: two_term_pair(0.7, 0.5, 1.0, 1.0).k, 1.0, 0.5, 1.0, False),
+    "tempered S(0) = 2": (lambda: _tempered_kernel(2.0), 2.0, 0.5, 0.5, False),
+}
+
+
+class TestLeadingTermPair:
+    """leading_term_pair(k) pairs k with K = t^(sigma - 1) / (S(0)
+    kappa(sigma)), the associate of k's leading term S(0) t^(-sigma)."""
+
+    @pytest.mark.parametrize("case", list(LEADING_TERMS))
+    def test_associate_is_the_hand_formula(self, case):
+        build, s0, sigma, b, pure = LEADING_TERMS[case]
+        k = build()
+        pair = leading_term_pair(k)
+        assert pair.k is k
+        assert pair.K.power_coef == 1.0 / (s0 * kappa(sigma))
+        assert pair.K.local_exponent == 1.0 - sigma
+        assert pair.K.b == b
+        assert pair.is_classical == pure
+        assert check_gsc(pair, graded_mesh(512, 2.0, b)).g0_defect <= 1e-3
+
+    def test_kernel_without_leading_term_is_refused(self):
+        """A tabulated kernel of a finite phi has S(0) = 0: a DomainError,
+        not the ZeroDivisionError of 1 / (S(0) kappa(sigma))."""
+        mesh = graded_mesh(16, 2.0, 1.0)
+        phi = SampledFunction(mesh=mesh, values=1.0 + mesh.nodes)
+        k = KernelSpec.from_samples(phi, 0.5)
+        assert k.smooth0 == 0.0
+        with pytest.raises(DomainError, match="smooth0 = 0"):
+            leading_term_pair(k)
 
 
 class TestLogDerivativeCheck:

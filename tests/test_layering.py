@@ -163,6 +163,14 @@ POWER_FIELD = "power_coef"
 POWER_FACTOR, POWER_FACTOR_HOME = "_ConstantFactor", "kernels.py"
 SECOND_POWER_TEST = "_constant_factor"
 
+#: the one function that writes out the associate of k's leading term,
+#: K = t^(sigma - 1) / (S(0) kappa(sigma)), as a power_kernel call with a
+#: kappa call among its arguments; the pair makers and the CLI kinds call it
+LEADING_TERM_BUILDER = "leading_term_pair"
+
+#: valid values of every field of the CLI's kernel kinds, with b = 0.5
+KIND_FIELD_VALUES = {"alpha": 0.5, "a0": 0.5, "a1": 0.2}
+
 
 def _layering_violations(source: str) -> list[str]:
     """Imports of the quadrature module or of ``_``-prefixed names from a
@@ -1198,3 +1206,76 @@ def test_power_guard_allows_the_field():
     )
     assert _second_power_answers(home, True) == []
     assert _second_power_answers("c_k, c_K = k.power_coef, K.power_coef\n", False) == []
+
+
+def _called(call: ast.Call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _associate_formulas(source: str) -> list[str]:
+    """Calls of power_kernel (by name or as an attribute) with a kappa
+    call among their arguments, outside LEADING_TERM_BUILDER."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == LEADING_TERM_BUILDER
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _called(node) == "power_kernel"):
+            continue
+        args = [*node.args, *(kw.value for kw in node.keywords)]
+        if id(node) not in inside and any(
+            isinstance(sub, ast.Call) and _called(sub) == "kappa"
+            for arg in args
+            for sub in ast.walk(arg)
+        ):
+            found.append(f"line {node.lineno}: power_kernel of kappa")
+    return found
+
+
+def test_one_builder_of_the_leading_term_associate():
+    """Which K makes g(0+) = 1 is decided in one function: no module of
+    the package writes K = t^(sigma - 1) / (S(0) kappa(sigma)) out beside
+    it, and the function itself does."""
+    for path in sorted(Path(sonine_kit.__file__).parent.glob("*.py")):
+        assert _associate_formulas(path.read_text()) == [], path.name
+    source = Path(sonine_kit.kernels.__file__).read_text()
+    assert _associate_formulas(source.replace(LEADING_TERM_BUILDER, "_renamed"))
+
+
+def test_cli_kinds_build_kernels():
+    """Each kind of the CLI's table builds k alone; the CLI pairs it."""
+    for kind, (fields, build) in getattr(sonine_kit.cli, KIND_TABLE).items():
+        k = build(*(KIND_FIELD_VALUES[name] for name in fields), 0.5)
+        assert isinstance(k, sonine_kit.kernels.KernelSpec), kind
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "K = power_kernel(1.0 / kappa(alpha), 1.0 - alpha, b)",
+        "def make_classical_abel_pair(alpha, b):\n"
+        "    return SoninePair(k, power_kernel(1.0 / kappa(alpha), 1.0 - alpha, b))",
+        "from . import kernels\nK = kernels.power_kernel(kernels.kappa(s) ** -1, 1.0 - s, b)",
+        "K = power_kernel(coef=0.5 / kappa(s), exponent=1.0 - s, b=b)",
+        "def leading_term_pair(k):\n    pass\n"
+        "def _two_term(k):\n    return power_kernel(1.0 / kappa(0.5), 0.5, k.b)",
+    ],
+)
+def test_associate_guard_catches_violations(source):
+    assert _associate_formulas(source)
+
+
+def test_associate_guard_allows_the_builder():
+    source = (
+        "def leading_term_pair(k):\n"
+        "    sigma = k.local_exponent\n"
+        "    return power_kernel(1.0 / (k.smooth0 * kappa(sigma)), 1.0 - sigma, k.b)\n"
+        "def classical_abel_kernel(alpha, b):\n    return power_kernel(1.0, alpha, b)\n"
+        "k0 = power_kernel(k.smooth0, k.local_exponent, pair.b)\n"
+        "c = 1.0 / kappa(sigma)\n"
+    )
+    assert _associate_formulas(source) == []

@@ -11,7 +11,7 @@ import pytest
 import sonine_kit.kernels as kernels
 import sonine_kit.sonine as sonine
 import sonine_kit.volterra as volterra
-from conftest import EXP_MINUS_1, PROFILE_A, TWO_OVER_PI, two_term_pair
+from conftest import EXP_MINUS_1, PROFILE_A, TWO_OVER_PI, hand_built_power, two_term_pair
 from sonine_kit import (
     DomainError,
     GscConditionError,
@@ -132,6 +132,23 @@ class TestAssembleRhs:
         exact = 8.0 / 3.0 * mesh.nodes[1:] ** 1.5
         np.testing.assert_allclose(F.values[1:], exact, rtol=1e-6)
         assert abs(F.values[-1] - 8.0 / 3.0) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "route, b, coeffs",
+        [
+            ("power", 0.5, [-1e308, 1e308]),
+            ("power", 1e-120, [1e300]),
+            ("sampled", 0.5, [-1e308, 1e308]),
+        ],
+    )
+    def test_overflowing_F_is_refused(self, route, b, coeffs):
+        """f and f' are finite on [0, b], but f(0) K(t_1) is not: F is
+        refused by name, with no numpy warning, on the closed-form route
+        and on the sampled one (a K that is not a known pure power)."""
+        coef = 1.0 / kappa(0.4)
+        K = power_kernel(coef, 0.6, b) if route == "power" else hand_built_power(coef, 0.6, b)
+        with pytest.raises(DomainError, match="right side F"):
+            assemble_rhs(K, RhsSpec.from_polynomial(coeffs), graded_mesh(8, 2.0, b))
 
 
 class TestSolveSecondKind:
